@@ -31,7 +31,7 @@ let force_after_send = false
 
 let payload_sn = function
   | Control.Tdv [| sn |] -> sn
-  | Control.Nothing | Control.Tdv _ | Control.Tdv_causal _ | Control.Full _ ->
+  | Control.Nothing | Control.Tdv _ | Control.Full _ ->
       invalid_arg "Bcs: unexpected payload"
 
 let must_force st ~src:_ payload = payload_sn payload > st.sn

@@ -1,28 +1,6 @@
 type t =
   | Nothing
   | Tdv of int array
-  | Tdv_causal of { tdv : int array; causal : bool array array }
   | Full of { tdv : int array; simple : bool array; causal : bool array array }
 
-let tdv = function
-  | Nothing -> None
-  | Tdv v -> Some v
-  | Tdv_causal { tdv; _ } -> Some tdv
-  | Full { tdv; _ } -> Some tdv
-
-let bits = function
-  | Nothing -> 0
-  | Tdv v -> 32 * Array.length v
-  | Tdv_causal { tdv; causal } -> (32 * Array.length tdv) + (Array.length causal * Array.length causal)
-  | Full { tdv; simple; causal } ->
-      (32 * Array.length tdv) + Array.length simple + (Array.length causal * Array.length causal)
-
 let copy_matrix m = Array.map Array.copy m
-
-let pp ppf = function
-  | Nothing -> Format.pp_print_string ppf "-"
-  | Tdv v -> Format.fprintf ppf "tdv:%a" Rdt_dist.Vclock.pp (Rdt_dist.Vclock.of_array v)
-  | Tdv_causal { tdv; _ } ->
-      Format.fprintf ppf "tdv:%a+causal" Rdt_dist.Vclock.pp (Rdt_dist.Vclock.of_array tdv)
-  | Full { tdv; _ } ->
-      Format.fprintf ppf "tdv:%a+simple+causal" Rdt_dist.Vclock.pp (Rdt_dist.Vclock.of_array tdv)

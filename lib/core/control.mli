@@ -1,11 +1,11 @@
 (** Control information piggybacked on application messages.
 
-    Each protocol family piggybacks a different amount of control data;
-    the constructors below cover the whole hierarchy studied in the paper:
+    Each protocol family piggybacks a different amount of control data:
     nothing (event-pattern protocols), a transitive dependency vector
-    (FDI, FDAS), the vector plus the boolean [causal] matrix (the two
-    lighter variants of Section 5.1), or the full vector + [simple] array +
-    [causal] matrix of the main protocol.
+    (FDI, FDAS), or the vector + [simple] array + [causal] matrix of the
+    BHMR family (the Section 5.1 variants send an empty [simple]).  The
+    size each protocol is charged for is its own
+    {!Protocol.S.payload_bits}.
 
     Payloads are immutable snapshots: the sender deep-copies its state at
     send time, exactly as a real implementation would serialize it. *)
@@ -13,16 +13,6 @@
 type t =
   | Nothing
   | Tdv of int array
-  | Tdv_causal of { tdv : int array; causal : bool array array }
   | Full of { tdv : int array; simple : bool array; causal : bool array array }
 
-val tdv : t -> int array option
-(** The piggybacked dependency vector, if any (not copied). *)
-
-val bits : t -> int
-(** Size of the payload in bits, counting 32 bits per vector entry and one
-    bit per boolean — the overhead metric of Section 5.2. *)
-
 val copy_matrix : bool array array -> bool array array
-
-val pp : Format.formatter -> t -> unit

@@ -27,7 +27,7 @@ let force_after_send = false
 
 let payload_tdv = function
   | Control.Tdv v -> v
-  | Control.Nothing | Control.Tdv_causal _ | Control.Full _ ->
+  | Control.Nothing | Control.Full _ ->
       invalid_arg "Fdas: unexpected payload"
 
 let must_force st ~src:_ payload =

@@ -5,9 +5,9 @@ let all : Protocol.t list =
     (module Cas);
     (module Fdi);
     (module Fdas);
-    (module Bhmr_v2);
-    (module Bhmr_v1);
-    (module Bhmr);
+    Bhmr.v2;
+    Bhmr.v1;
+    Bhmr.full;
     (module Bcs);
     (module No_cic);
   ]
@@ -15,7 +15,7 @@ let all : Protocol.t list =
 let rdt_protocols = List.filter Protocol.ensures_rdt all
 
 let tdv_protocols : Protocol.t list =
-  [ (module Fdi); (module Fdas); (module Bhmr_v2); (module Bhmr_v1); (module Bhmr) ]
+  [ (module Fdi); (module Fdas); Bhmr.v2; Bhmr.v1; Bhmr.full ]
 
 let find name = List.find_opt (fun p -> Protocol.name p = name) all
 

@@ -17,26 +17,6 @@ let check = Alcotest.(check bool)
 let qt = QCheck_alcotest.to_alcotest
 
 (* ------------------------------------------------------------------ *)
-(* Control payloads                                                    *)
-(* ------------------------------------------------------------------ *)
-
-let test_control_bits () =
-  Alcotest.(check int) "nothing" 0 (Control.bits Control.Nothing);
-  Alcotest.(check int) "tdv" 128 (Control.bits (Control.Tdv (Array.make 4 0)));
-  Alcotest.(check int) "tdv+causal" (128 + 16)
-    (Control.bits
-       (Control.Tdv_causal { tdv = Array.make 4 0; causal = Array.make_matrix 4 4 false }));
-  Alcotest.(check int) "full" (128 + 4 + 16)
-    (Control.bits
-       (Control.Full
-          { tdv = Array.make 4 0; simple = Array.make 4 false; causal = Array.make_matrix 4 4 false }))
-
-let test_control_tdv_access () =
-  let v = [| 1; 2 |] in
-  check "nothing" true (Control.tdv Control.Nothing = None);
-  check "tdv" true (Control.tdv (Control.Tdv v) = Some v)
-
-(* ------------------------------------------------------------------ *)
 (* Predicates                                                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -83,7 +63,7 @@ let test_predicates_fdas_fdi () =
 (* The Figure 4 / C2 scenario: a causal chain leaves P0's current interval
    and returns after crossing a checkpoint at P1 — P0 must break it. *)
 let test_bhmr_c2_scenario () =
-  let module B = Rdt_core.Bhmr in
+  let module B = (val Rdt_core.Bhmr.full) in
   let p0 = B.create ~n:2 ~pid:0 and p1 = B.create ~n:2 ~pid:1 in
   B.on_checkpoint p0;
   B.on_checkpoint p1;
@@ -99,7 +79,7 @@ let test_bhmr_c2_scenario () =
 (* Same exchange without the checkpoint at P1: the chain stays simple and
    P0 must NOT be forced. *)
 let test_bhmr_c2_negative () =
-  let module B = Rdt_core.Bhmr in
+  let module B = (val Rdt_core.Bhmr.full) in
   let p0 = B.create ~n:2 ~pid:0 and p1 = B.create ~n:2 ~pid:1 in
   B.on_checkpoint p0;
   B.on_checkpoint p1;
@@ -122,7 +102,7 @@ let test_bhmr_c2_negative () =
    matrix knows a sibling, so the receiver does not need to break the
    chain — knowledge FDAS does not have. *)
 let test_bhmr_c1_sibling_knowledge () =
-  let module B = Rdt_core.Bhmr in
+  let module B = (val Rdt_core.Bhmr.full) in
   let n = 3 in
   let p = Array.init n (fun pid -> B.create ~n ~pid) in
   Array.iter B.on_checkpoint p;
@@ -145,7 +125,7 @@ let test_bhmr_c1_sibling_knowledge () =
    arrived, so the non-causal chain towards P2 might have no sibling and
    P0 must break it. *)
 let test_bhmr_c1_fires_without_knowledge () =
-  let module B = Rdt_core.Bhmr in
+  let module B = (val Rdt_core.Bhmr.full) in
   let n = 3 in
   let p = Array.init n (fun pid -> B.create ~n ~pid) in
   Array.iter B.on_checkpoint p;
@@ -156,7 +136,7 @@ let test_bhmr_c1_fires_without_knowledge () =
   check "P0 forced (no sibling known)" true (B.must_force p.(0) ~src:1 m4)
 
 let test_bhmr_tdv_maintenance () =
-  let module B = Rdt_core.Bhmr in
+  let module B = (val Rdt_core.Bhmr.full) in
   let p0 = B.create ~n:2 ~pid:0 and p1 = B.create ~n:2 ~pid:1 in
   B.on_checkpoint p0;
   B.on_checkpoint p1;
@@ -723,11 +703,6 @@ let () =
             test_basic_continues_while_draining;
           Alcotest.test_case "checker units and unknown witnesses" `Quick
             test_checker_units_and_unknown_tracked;
-        ] );
-      ( "control",
-        [
-          Alcotest.test_case "bits" `Quick test_control_bits;
-          Alcotest.test_case "tdv access" `Quick test_control_tdv_access;
         ] );
       ( "predicates",
         [

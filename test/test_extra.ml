@@ -223,16 +223,6 @@ let test_metrics_helpers () =
   let zero_basic = { m with Metrics.basic = 0 } in
   check "forced_per_basic guards zero" true (Metrics.forced_per_basic zero_basic = 0.0)
 
-let test_control_pp () =
-  check "nothing" true (fmt_str Control.pp Control.Nothing = "-");
-  check "tdv" true (contains (fmt_str Control.pp (Control.Tdv [| 1 |])) "tdv");
-  check "full" true
-    (contains
-       (fmt_str Control.pp
-          (Control.Full
-             { tdv = [| 1 |]; simple = [| true |]; causal = [| [| true |] |] }))
-       "simple")
-
 let test_runtime_no_basic () =
   let bhmr = Registry.find_exn "bhmr" in
   let r =
@@ -428,7 +418,6 @@ let () =
         [
           Alcotest.test_case "checker report" `Quick test_checker_report_output;
           Alcotest.test_case "metrics helpers" `Quick test_metrics_helpers;
-          Alcotest.test_case "control pp" `Quick test_control_pp;
           Alcotest.test_case "no basic checkpoints" `Quick test_runtime_no_basic;
           Alcotest.test_case "max_time cutoff" `Quick test_runtime_max_time;
           Alcotest.test_case "env checkpoint action" `Quick test_runtime_env_checkpoint_action;
