@@ -101,8 +101,9 @@ val send : 'a t -> now:int -> src:int -> dst:int -> 'a -> 'a emit list
 val handle : 'a t -> now:int -> wire -> 'a emit list
 
 val in_flight : 'a t -> int
-(** Messages accepted by {!send} and neither delivered nor abandoned yet.
-    [0] once the caller's event queue has drained.  O(1): maintained as a
+(** Messages accepted by {!send} and neither acknowledged nor abandoned
+    yet.  A delivered message whose acknowledgement is still in the
+    network counts.  [0] once the caller's event queue has drained.  O(1): maintained as a
     counter, never recomputed by walking the link table. *)
 
 val live_links : 'a t -> int

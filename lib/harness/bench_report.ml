@@ -81,8 +81,6 @@ let to_json t =
   Buffer.add_string buf "{\n";
   Buffer.add_string buf "  \"schema\": \"rdt-bench/1\",\n";
   Buffer.add_string buf (Printf.sprintf "  \"jobs\": %d,\n" t.jobs);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"parallel_backend\": %b,\n" Pool.parallelism_available);
   Buffer.add_string buf (Printf.sprintf "  \"grid_wall_seconds\": %s,\n" (json_float t.wall));
   Buffer.add_string buf (Printf.sprintf "  \"cells\": %d,\n" ncells);
   Buffer.add_string buf

@@ -1,6 +1,4 @@
-let parallelism_available = Pool_backend.parallelism_available
-
-let cpu_count () = max 1 (Pool_backend.cpu_count ())
+let cpu_count () = max 1 (Domain.recommended_domain_count ())
 
 let max_jobs = 128
 
@@ -11,6 +9,31 @@ let default_jobs () =
       match int_of_string_opt (String.trim s) with
       | Some j when j >= 1 -> min j max_jobs
       | Some _ | None -> 1)
+
+(* Workers pull slot indices from a shared atomic counter; each slot is
+   executed exactly once, and Domain.join gives the caller a
+   happens-before edge over every slot's write. *)
+let iter_slots ~jobs ~count task =
+  if jobs <= 1 || count <= 1 then
+    for i = 0 to count - 1 do
+      task i
+    done
+  else begin
+    let next = Atomic.make 0 in
+    let worker () =
+      let rec loop () =
+        let i = Atomic.fetch_and_add next 1 in
+        if i < count then begin
+          task i;
+          loop ()
+        end
+      in
+      loop ()
+    in
+    let spawned = Array.init (min jobs count - 1) (fun _ -> Domain.spawn worker) in
+    worker ();
+    Array.iter Domain.join spawned
+  end
 
 type ('a, 'b) slot =
   | Pending of 'a
@@ -29,7 +52,7 @@ let run_slots ~jobs slots =
         | exception e -> slots.(i) <- Failed (e, Printexc.get_raw_backtrace ()))
     | Done _ | Failed _ -> assert false
   in
-  Pool_backend.iter_slots ~jobs ~count task;
+  iter_slots ~jobs ~count task;
   (* fail on the smallest failed index, independent of scheduling *)
   Array.iter
     (function Failed (e, bt) -> Printexc.raise_with_backtrace e bt | Pending _ | Done _ -> ())

@@ -2,30 +2,21 @@
 
     The experiment and bench harness decomposes every table/figure into
     independent {e cells} (protocol x environment x seed); {!map} runs one
-    function per cell, sharding the cells over an OCaml 5 [Domain] pool.
-    On OCaml 4.x the same interface is provided by a transparent
-    sequential backend (selected at build time), so the code using the
-    pool is identical on both compilers.
+    function per cell, sharding the cells over a [Domain] pool.
 
     {b Determinism.}  Tasks must be self-contained: each draws all its
     randomness from a seed derived from its own cell coordinates (see
     {!Rdt_dist.Rng.derive_seed}) and touches no shared mutable state.
     Results are written into the slot of the task's index, so the output
     list order — and, with deterministic tasks, its contents — is
-    bit-identical for every [jobs] value, including [1] and the
-    sequential backend.
+    bit-identical for every [jobs] value, including [1].
 
     {b Exceptions.}  If tasks raise, the exception of the smallest task
     index is re-raised (with its backtrace) after all workers have
     joined, so failure behaviour is also independent of scheduling. *)
 
-val parallelism_available : bool
-(** [true] when the build has a real domain pool (OCaml >= 5), [false]
-    under the sequential fallback. *)
-
 val cpu_count : unit -> int
-(** Recommended worker count for this machine ([1] under the sequential
-    backend). *)
+(** Recommended worker count for this machine. *)
 
 val default_jobs : unit -> int
 (** The [RDT_JOBS] environment variable when set to a positive integer

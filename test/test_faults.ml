@@ -143,6 +143,41 @@ let test_transport_gives_up () =
   Alcotest.(check int) "all abandoned" 10 (List.length !undeliv);
   Alcotest.(check int) "drained" 0 (Transport.in_flight tp)
 
+(* [in_flight] counts messages until they are acknowledged, not until
+   they are delivered: the runtime keeps taking basic checkpoints while it
+   is positive, and that window includes the ack's trip back. *)
+let test_transport_in_flight_until_acked () =
+  let tp =
+    Transport.create ~n:2 ~params:Transport.default_params ~faults:Faults.none
+      ~channel:(Channel.Fixed 10) ~rng:(Rng.create 1) ()
+  in
+  let q = EQ.create () in
+  let schedule =
+    List.iter (function Transport.Wire { at; wire } -> EQ.schedule q ~time:at wire | _ -> ())
+  in
+  schedule (Transport.send tp ~now:0 ~src:0 ~dst:1 ());
+  Alcotest.(check int) "accepted" 1 (Transport.in_flight tp);
+  let rec until_delivered () =
+    match EQ.pop q with
+    | None -> Alcotest.fail "never delivered"
+    | Some (t, w) ->
+        let emits = Transport.handle tp ~now:t w in
+        schedule emits;
+        if not (List.exists (function Transport.Deliver _ -> true | _ -> false) emits) then
+          until_delivered ()
+  in
+  until_delivered ();
+  Alcotest.(check int) "delivered, ack not yet handled" 1 (Transport.in_flight tp);
+  let rec drain () =
+    match EQ.pop q with
+    | None -> ()
+    | Some (t, w) ->
+        schedule (Transport.handle tp ~now:t w);
+        drain ()
+  in
+  drain ();
+  Alcotest.(check int) "acknowledged" 0 (Transport.in_flight tp)
+
 (* ------------------------------------------------------------------ *)
 (* The property grid                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -338,6 +373,8 @@ let () =
             test_transport_fifo_exactly_once;
           Alcotest.test_case "partition heals" `Quick test_transport_partition_heals;
           Alcotest.test_case "gives up on a dead link" `Quick test_transport_gives_up;
+          Alcotest.test_case "in flight until acknowledged" `Quick
+            test_transport_in_flight_until_acked;
         ] );
       ( "property",
         [
