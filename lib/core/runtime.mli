@@ -36,9 +36,10 @@ type config = {
       (** network faults injected below the transport; requires
           [transport <> None] unless {!Rdt_dist.Faults.none} *)
   transport : Rdt_dist.Transport.params option;
-      (** [None] (the default) runs the paper's reliable channels exactly
-          as before; [Some params] routes every message through the
-          reliable-delivery transport over the faulty network *)
+      (** picks the run's network once: [None] (the default) runs the
+          paper's reliable channels; [Some params] routes every message
+          through the reliable-delivery transport over the faulty network,
+          which draws from its own split of the run's RNG *)
   trace : Rdt_obs.Trace.t;
       (** structured event trace recorder ({!Rdt_obs.Trace.null} by
           default: every instrumentation site reduces to one branch).
