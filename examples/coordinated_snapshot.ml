@@ -10,24 +10,24 @@
 
    Run with:  dune exec examples/coordinated_snapshot.exe *)
 
-module S = Rdt_coordinated.Snapshot
+module C = Rdt_coordinated.Coordinated
 
 let () =
   let n = 6 and seed = 11 and max_messages = 900 in
 
   (* --- coordinated --- *)
   let env = Rdt_workloads.Registry.find_exn "random" in
-  let snap = S.run { (S.default_config env) with S.n; seed; max_messages } in
+  let snap = C.run { (C.default_config C.Chandy_lamport env) with C.n; seed; max_messages } in
   Format.printf "Chandy-Lamport: %d snapshots, %d markers, mean latency %.0f time units@."
-    snap.metrics.snapshots_completed snap.metrics.marker_messages snap.metrics.mean_latency;
+    snap.metrics.rounds_completed snap.metrics.control_messages snap.metrics.mean_latency;
   List.iter
-    (fun (s : S.snapshot) ->
+    (fun (s : C.round) ->
       assert (Rdt_pattern.Consistency.consistent_global snap.pattern s.cut);
       let in_transit = Rdt_recovery.Message_log.in_transit snap.pattern ~line:s.cut in
       assert (List.sort compare s.channel_state = List.sort compare in_transit))
-    snap.snapshots;
+    snap.rounds;
   Format.printf "every cut is consistent; channel states = in-transit messages. ✓@.";
-  (match snap.snapshots with
+  (match snap.rounds with
   | s :: _ ->
       Format.printf "first cut: {%s}, %d message(s) in its channels@."
         (String.concat "; "
@@ -54,7 +54,7 @@ let () =
     "RDT verified: any checkpoint names its minimum consistent global checkpoint for free.@.";
   Format.printf
     "@.The trade: coordination pays %d control messages per snapshot and blocks on@."
-    (S.markers_per_snapshot ~n);
+    (C.markers_per_snapshot ~n);
   Format.printf
     "marker floods; CIC pays piggyback bytes and forced checkpoints, but adds no@.";
   Format.printf "messages and never synchronises.@."
