@@ -649,7 +649,8 @@ let crashrun_cmd =
           rc.messages_replayed)
       r.recoveries;
     Format.printf
-      "surviving: %d deliveries, %d basic + %d forced checkpoints, %d events undone total@."
+      "surviving: %d deliveries; taken: %d basic + %d forced checkpoints; %d events undone \
+       total@."
       r.metrics.CS.messages_delivered r.metrics.CS.basic r.metrics.CS.forced
       r.metrics.CS.total_events_undone;
     if r.metrics.CS.retransmissions + r.metrics.CS.packets_dropped + r.metrics.CS.undeliverable > 0

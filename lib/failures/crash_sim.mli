@@ -105,8 +105,10 @@ type recovery = {
 
 type metrics = {
   messages_delivered : int;  (** surviving deliveries in the final pattern *)
-  basic : int;
-  forced : int;  (** includes the recovery checkpoints *)
+  basic : int;  (** basic checkpoints taken, including those a rollback later undid *)
+  forced : int;
+      (** forced checkpoints taken, including the recovery checkpoints and
+          those a rollback later undid *)
   duration : int;
   total_events_undone : int;
   total_messages_replayed : int;
