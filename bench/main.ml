@@ -104,26 +104,30 @@ let run_micro ~report () =
 (* Entry point                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* value of "--flag V" anywhere in argv, if present *)
-let rec arg_value flag = function
-  | [] | [ _ ] -> None
-  | f :: v :: rest -> if f = flag then Some v else arg_value flag (v :: rest)
-
 let () =
-  let args = Array.to_list Sys.argv in
-  let has f = List.mem f args in
-  let quick = has "--quick" in
-  let micro_only = has "--micro" in
-  let no_micro = has "--no-micro" in
+  let quick = ref false and micro_only = ref false and no_micro = ref false in
+  let jobs = ref None and json = ref "BENCH_results.json" in
+  (* Arg.parse rejects any other argument with the usage on stderr and
+     exit code 2, so a mistyped flag never silently runs the full suite *)
+  Arg.parse
+    (Arg.align
+       [
+      ("--quick", Arg.Set quick, " 3 seeds instead of 10");
+      ("--micro", Arg.Set micro_only, " micro-benchmarks only");
+      ("--no-micro", Arg.Set no_micro, " experiments only");
+      ("--jobs", Arg.Int (fun j -> jobs := Some j), "N shard the grid over N domains");
+      ("--json", Arg.Set_string json, "FILE timing report path");
+    ])
+    (fun arg -> raise (Arg.Bad ("unexpected argument " ^ arg)))
+    "usage: main.exe [--quick] [--micro | --no-micro] [--jobs N] [--json FILE]";
+  let quick = !quick and micro_only = !micro_only and no_micro = !no_micro in
   let jobs =
-    match arg_value "--jobs" args with
+    match !jobs with
     | None -> Rdt_harness.Pool.default_jobs ()
-    | Some v -> (
-        match int_of_string_opt v with
-        | Some j when j >= 1 -> j
-        | Some _ | None -> invalid_arg "bench: --jobs expects a positive integer")
+    | Some j when j >= 1 -> j
+    | Some _ -> invalid_arg "bench: --jobs expects a positive integer"
   in
-  let json = Option.value (arg_value "--json" args) ~default:"BENCH_results.json" in
+  let json = !json in
   let report = Rdt_harness.Bench_report.create ~jobs in
   let t0 = Rdt_obs.Meter.now () in
   if not micro_only then Rdt_harness.Experiments.run_all ~quick ~jobs ~report ();
