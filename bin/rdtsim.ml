@@ -204,10 +204,28 @@ let faults_term =
     const mk $ drop $ dup $ reorder $ reorder_window $ partition $ intermittent $ retx_timeout
     $ max_retx)
 
-let config ?trace ?online env protocol n seed messages (faults, transport) =
-  Rdt_core.Runtime.configure ~n ~seed ~messages ~faults ?transport ?trace ?online
-    ((fun (_, f) -> f ()) env)
-    protocol
+(* ---- the simulated workload (run, verify, recover, crashrun, watch) ---- *)
+
+type workload = {
+  env : string * (unit -> Rdt_dist.Env.t);
+  protocol : Rdt_core.Protocol.t;
+  n : int;
+  seed : int;
+  messages : int;
+  faults : Rdt_dist.Faults.spec;
+  transport : Rdt_dist.Transport.params option;
+}
+
+let workload_term =
+  Term.(
+    const (fun env protocol n seed messages (faults, transport) ->
+        { env; protocol; n; seed; messages; faults; transport })
+    $ env_arg $ protocol_arg $ n_arg $ seed_arg $ messages_arg $ faults_term)
+
+let run_workload ?online ~trace w =
+  Rdt_core.Runtime.run
+    (Rdt_core.Runtime.configure ~n:w.n ~seed:w.seed ~messages:w.messages ~faults:w.faults
+       ?transport:w.transport ~trace ?online (snd w.env ()) w.protocol)
 
 (* ---- event tracing (run, verify, recover and crashrun) ---- *)
 
@@ -223,7 +241,7 @@ let trace_arg =
 (* Run [f] with a trace recorder: [Trace.null] when no file was asked
    for, otherwise a JSONL channel recorder with the run's [Meta] header
    already written. *)
-let with_trace file ~mode ~n ~protocol ~env ~seed f =
+let with_trace file ~mode w f =
   match file with
   | None -> f Rdt_obs.Trace.null
   | Some file ->
@@ -231,7 +249,13 @@ let with_trace file ~mode ~n ~protocol ~env ~seed f =
           let tr = Rdt_obs.Trace.to_channel oc in
           Rdt_obs.Trace.emit tr
             (Rdt_obs.Trace.Meta
-               { n; protocol = Rdt_core.Protocol.name protocol; env = fst env; seed; mode });
+               {
+                 n = w.n;
+                 protocol = Rdt_core.Protocol.name w.protocol;
+                 env = fst w.env;
+                 seed = w.seed;
+                 mode;
+               });
           f tr)
 
 let print_metrics (r : Rdt_core.Runtime.result) =
@@ -259,9 +283,9 @@ let run_cmd =
       & info [ "draw" ]
           ~doc:"Print an ASCII space-time diagram of the run (small runs only).")
   in
-  let action env protocol n seed messages net dot draw trace =
-    with_trace trace ~mode:"run" ~n ~protocol ~env ~seed @@ fun tr ->
-    let r = Rdt_core.Runtime.run (config ~trace:tr env protocol n seed messages net) in
+  let action w dot draw trace =
+    with_trace trace ~mode:"run" w @@ fun tr ->
+    let r = run_workload ~trace:tr w in
     print_metrics r;
     if draw then begin
       match Rdt_pattern.Render.ascii r.pattern with
@@ -276,10 +300,7 @@ let run_cmd =
             Out_channel.output_string oc (Rdt_pattern.Rgraph.to_dot g));
         Format.printf "R-graph written to %s@." file
   in
-  Cmd.v (Cmd.info "run" ~doc)
-    Term.(
-      const action $ env_arg $ protocol_arg $ n_arg $ seed_arg $ messages_arg $ faults_term
-      $ dot $ draw $ trace_arg)
+  Cmd.v (Cmd.info "run" ~doc) Term.(const action $ workload_term $ dot $ draw $ trace_arg)
 
 (* ---- checker-algorithm selection (verify and watch) ---- *)
 
@@ -339,10 +360,10 @@ let checker_label = function
 
 let verify_cmd =
   let doc = "Simulate one run and verify the RDT property offline (all four checkers)." in
-  let action env protocol n seed messages net algo checker trace =
+  let action w algo checker trace =
     let sel = resolve_algo_sel algo checker in
-    with_trace trace ~mode:"verify" ~n ~protocol ~env ~seed @@ fun tr ->
-    let r = Rdt_core.Runtime.run (config ~trace:tr env protocol n seed messages net) in
+    with_trace trace ~mode:"verify" w @@ fun tr ->
+    let r = run_workload ~trace:tr w in
     print_metrics r;
     let algos = match sel with All -> Rdt_core.Checker.all_algos | One a -> [ a ] in
     (* record each checker's verdict in the trace so [rdtsim trace replay]
@@ -362,9 +383,7 @@ let verify_cmd =
     if List.exists (fun (rep : Rdt_core.Checker.report) -> not rep.rdt) reports then exit 1
   in
   Cmd.v (Cmd.info "verify" ~doc)
-    Term.(
-      const action $ env_arg $ protocol_arg $ n_arg $ seed_arg $ messages_arg $ faults_term
-      $ algo_arg $ deprecated_checker_arg $ trace_arg)
+    Term.(const action $ workload_term $ algo_arg $ deprecated_checker_arg $ trace_arg)
 
 (* ---- grid sharding flags (experiments and table) ---- *)
 
@@ -422,12 +441,7 @@ let table_cmd =
          for every $(b,--jobs) value.";
     ]
   in
-  let table_names =
-    [
-      "protocols"; "overhead"; "claim"; "mingcp"; "ablation"; "recovery"; "coordinated";
-      "breakeven"; "goodput"; "faults"; "online"; "durable"; "fuzz"; "scale"; "serve";
-    ]
-  in
+  let table_names = Rdt_harness.Experiments.table_names in
   let names_arg =
     Arg.(
       value
@@ -446,66 +460,7 @@ let table_cmd =
     let seeds = List.init seeds_k (fun i -> i + 1) in
     let report = Rdt_harness.Bench_report.create ~jobs in
     let names = if names = [] then table_names else names in
-    let module E = Rdt_harness.Experiments in
-    let t0 = Rdt_obs.Meter.now () in
-    List.iter
-      (fun name ->
-        let hdr title = Format.printf "@.== %s ==@." title in
-        match name with
-        | "protocols" ->
-            hdr "TAB-PROTOCOLS: forced checkpoints per 100 basic (n=8)";
-            Rdt_harness.Table.print (E.table_protocols ~jobs ~report ~seeds ())
-        | "overhead" ->
-            hdr "TAB-OVERHEAD: piggyback bits per message";
-            Rdt_harness.Table.print (E.table_overhead ())
-        | "claim" ->
-            hdr "CLAIM-10PCT: reduction of forced checkpoints vs FDAS";
-            List.iter
-              (fun (label, reduction) ->
-                Format.printf "  %-22s %5.1f%%  %s@." label (100.0 *. reduction)
-                  (if reduction >= 0.10 then "(>= 10%: yes)" else "(>= 10%: no)"))
-              (E.claim_ten_percent ~jobs ~report ~seeds ())
-        | "mingcp" ->
-            hdr "TAB-MINGCP: Corollary 4.5 (on-the-fly minimum global checkpoint)";
-            Rdt_harness.Table.print (E.table_min_gcp ~jobs ~report ~seeds ())
-        | "ablation" ->
-            hdr "ABLATION: predicate firings per variant (client-server, n=8)";
-            Rdt_harness.Table.print (E.table_ablation ~jobs ~report ~seeds ())
-        | "recovery" ->
-            hdr "TAB-RECOVERY: useless checkpoints, domino and replay (client-server, n=6)";
-            Rdt_harness.Table.print (E.table_recovery ~jobs ~report ~seeds ())
-        | "coordinated" ->
-            hdr "TAB-COORDINATED: coordinated snapshots vs CIC (random, n=8)";
-            Rdt_harness.Table.print (E.table_coordinated ~jobs ~report ~seeds ())
-        | "breakeven" ->
-            hdr "BREAK-EVEN: checkpoint size above which bhmr beats fdas in total overhead";
-            Rdt_harness.Table.print (E.table_breakeven ~jobs ~report ~seeds ())
-        | "goodput" ->
-            hdr "TAB-GOODPUT: online crash recovery, 3 crashes (random, n=6)";
-            Rdt_harness.Table.print (E.table_goodput ~jobs ~report ~seeds ())
-        | "faults" ->
-            hdr
-              "TAB-FAULTS: forced-checkpoint inflation and retransmission cost vs drop rate \
-               (bhmr, n=6)";
-            Rdt_harness.Table.print (E.table_faults ~jobs ~report ~seeds ())
-        | "online" ->
-            hdr "BENCH-ONLINE: amortized per-event cost of the incremental checker (bhmr, n=8)";
-            Rdt_harness.Table.print (E.table_online ~report ())
-        | "durable" ->
-            hdr "BENCH-DURABLE: cost of crash-safe checker state (WAL + snapshots, bhmr, n=8)";
-            Rdt_harness.Table.print (E.table_durable ~report ())
-        | "fuzz" ->
-            hdr "BENCH-FUZZ: adversarial scenario fuzzer throughput (mixed protocols)";
-            Rdt_harness.Table.print (E.table_fuzz ~jobs ~report ())
-        | "scale" ->
-            hdr "BENCH-SCALE: sharded engine throughput (cbr, ring, n=10000)";
-            Rdt_harness.Table.print (E.table_scale ~jobs ~report ())
-        | "serve" ->
-            hdr "BENCH-SERVE: multi-stream serving over the session wire protocol (bhmr, n=8)";
-            Rdt_harness.Table.print (E.table_serve ~jobs ~report ())
-        | _ -> assert false)
-      names;
-    Rdt_harness.Bench_report.set_wall report (Rdt_obs.Meter.now () -. t0);
+    Rdt_harness.Experiments.run_tables ~jobs ~report ~seeds names;
     write_report report json
   in
   Cmd.v
@@ -526,9 +481,9 @@ let recover_cmd =
           ~doc:"Crash time as a fraction of the run duration; the crashed processes lose every \
                 checkpoint taken after it.")
   in
-  let action env protocol n seed messages net crashes at trace =
-    with_trace trace ~mode:"recover" ~n ~protocol ~env ~seed @@ fun tr ->
-    let r = Rdt_core.Runtime.run (config ~trace:tr env protocol n seed messages net) in
+  let action w crashes at trace =
+    with_trace trace ~mode:"recover" w @@ fun tr ->
+    let r = run_workload ~trace:tr w in
     print_metrics r;
     let pat = r.pattern in
     let crash_time =
@@ -556,9 +511,7 @@ let recover_cmd =
     Format.printf "%a@." Rdt_recovery.Recovery_line.pp_outcome outcome
   in
   Cmd.v (Cmd.info "recover" ~doc)
-    Term.(
-      const action $ env_arg $ protocol_arg $ n_arg $ seed_arg $ messages_arg $ faults_term
-      $ crash_arg $ at_arg $ trace_arg)
+    Term.(const action $ workload_term $ crash_arg $ at_arg $ trace_arg)
 
 (* snapshot and twophase: one coordinated run, configured alike *)
 let coordinated_term algo =
@@ -627,18 +580,16 @@ let crashrun_cmd =
   let repair_arg =
     Arg.(value & opt int 200 & info [ "repair" ] ~docv:"D" ~doc:"Downtime before recovery.")
   in
-  let action env protocol n seed messages net crashes repair trace =
+  let action w crashes repair trace =
     let module CS = Rdt_failures.Crash_sim in
-    with_trace trace ~mode:"crashrun" ~n ~protocol ~env ~seed @@ fun tr ->
-    let faults, transport = net in
+    with_trace trace ~mode:"crashrun" w @@ fun tr ->
     let crashes =
       List.map (fun (victim, at) -> { CS.victim; at; repair_delay = repair }) crashes
     in
     let r =
       CS.run
-        (CS.configure ~n ~seed ~messages ~crashes ~faults ?transport ~trace:tr
-           ((fun (_, f) -> f ()) env)
-           protocol)
+        (CS.configure ~n:w.n ~seed:w.seed ~messages:w.messages ~crashes ~faults:w.faults
+           ?transport:w.transport ~trace:tr (snd w.env ()) w.protocol)
     in
     List.iter
       (fun (rc : CS.recovery) ->
@@ -664,9 +615,7 @@ let crashrun_cmd =
     Format.printf "RDT on the surviving execution: %a@." Rdt_core.Checker.pp_report rep
   in
   Cmd.v (Cmd.info "crashrun" ~doc)
-    Term.(
-      const action $ env_arg $ protocol_arg $ n_arg $ seed_arg $ messages_arg $ faults_term
-      $ crash_arg $ repair_arg $ trace_arg)
+    Term.(const action $ workload_term $ crash_arg $ repair_arg $ trace_arg)
 
 (* ---- offline trace tooling ---- *)
 
@@ -887,7 +836,7 @@ let watch_cmd =
             "Sleep $(docv) microseconds between streamed events (gives kill-mid-stream \
              harnesses a window; 0 = full speed).")
   in
-  let action env protocol n seed messages net file (durable, snapshot_every, trace) pace =
+  let action w file (durable, snapshot_every, trace) pace =
     let module O = Rdt_check.Online in
     let finish ?dt (s : O.summary) =
       Format.printf "%a@." O.pp_summary s;
@@ -940,18 +889,14 @@ let watch_cmd =
             let summary = drive_session sess events ~skip:0 ~pace in
             finish ~dt:(Rdt_obs.Meter.now () -. t0) summary)
     | None, None ->
-        with_trace trace ~mode:"watch" ~n ~protocol ~env ~seed (fun tr ->
-            let r =
-              Rdt_core.Runtime.run (config ~trace:tr ~online:true env protocol n seed messages net)
-            in
+        with_trace trace ~mode:"watch" w (fun tr ->
+            let r = run_workload ~online:true ~trace:tr w in
             print_metrics r;
             match r.online with Some s -> finish s | None -> assert false)
   in
   Cmd.v
     (Cmd.info "watch" ~doc ~man:(man @ exit_code_man))
-    Term.(
-      const action $ env_arg $ protocol_arg $ n_arg $ seed_arg $ messages_arg $ faults_term
-      $ file_arg $ session_flags_term $ pace_arg)
+    Term.(const action $ workload_term $ file_arg $ session_flags_term $ pace_arg)
 
 let serve_cmd =
   let doc = "Serve many concurrent trackability streams over a Unix socket." in

@@ -38,128 +38,90 @@ let print_figure f =
 (* The grid layer                                                      *)
 (*                                                                     *)
 (* Every figure/table below is decomposed into a flat list of          *)
-(* independent cells — one (outer coordinate, seed) pair each — run    *)
-(* through the Pool and folded back in deterministic cell order.  A    *)
-(* cell derives its RNG seed from its own coordinates alone            *)
-(* (Experiment.cell_seed), so the produced tables are bit-identical    *)
-(* for every --jobs value.  Cells that must stay paired (a protocol    *)
-(* against its baseline, faulty against reliable) share one seed path  *)
-(* and perform both runs inside the cell.                              *)
+(* independent cells — one (key, seed) pair each — run through the     *)
+(* Pool and folded back in deterministic cell order.  A cell derives    *)
+(* its RNG seed from its own coordinates alone (Experiment.cell_seed),  *)
+(* so the produced tables are bit-identical for every --jobs value.    *)
+(* Cells that must stay paired (a protocol against its baseline,       *)
+(* faulty against reliable) share one seed path and perform both runs  *)
+(* inside the cell.                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Flat (outer x seed) cell list; cells of one outer coordinate stay
-   contiguous so results regroup by simple chunking. *)
-let grid_cells outer ~seeds =
-  List.concat_map (fun o -> List.map (fun seed -> (o, seed)) seeds) outer
-
-(* Split [xs] (the flat result list) back into one chunk per outer
-   coordinate. *)
-let regroup ~seeds xs =
-  let k = List.length seeds in
-  let rec go acc cur n = function
-    | [] -> List.rev acc
-    | x :: rest ->
-        if n = 1 then go (List.rev (x :: cur) :: acc) [] k rest else go acc (x :: cur) (n - 1) rest
-  in
-  if k = 0 then [] else go [] [] k xs
-
-(* Run one grid through the pool.  [coords] names each cell for the
-   timing report; [f] must be self-contained (it runs on a worker
+(* Run [f key seed] for every (key x seed) cell through the pool and
+   return each key with its per-seed results.  Cells of one key stay
+   contiguous, in key order; that is also the order the report records
+   them in, each under the (protocol, env) [coords] names for its key and
+   its base seed.  [f] must be self-contained (it runs on a worker
    domain). *)
-let run_cells ?jobs ?report ~table ~coords ~f cells =
-  let timed = Pool.map_timed ?jobs f cells in
-  (match report with
-  | None -> ()
-  | Some r ->
+let grid ?jobs ?report ~table ~seeds ~coords keys f =
+  let cells = List.concat_map (fun key -> List.map (fun seed -> (key, seed)) seeds) keys in
+  let timed = Pool.map_timed ?jobs (fun (key, seed) -> f key seed) cells in
+  Option.iter
+    (fun r ->
       List.iter2
-        (fun cell (_, seconds) ->
-          let protocol, env, seed = coords cell in
+        (fun (key, seed) (_, seconds) ->
+          let protocol, env = coords key in
           Bench_report.add r ~table ~protocol ~env ~seed ~seconds)
-        cells timed);
-  List.map fst timed
+        cells timed)
+    report;
+  let results = Array.of_list (List.map fst timed) and k = List.length seeds in
+  List.mapi (fun i key -> (key, List.init k (fun j -> results.((i * k) + j)))) keys
 
-let mean_stats_of xs =
-  let s = Stats.create () in
-  List.iter (Stats.add s) xs;
-  s
+(* The paired ratio forced(r)/forced(baseline) of two runs on one seed;
+   [None] when the baseline forced no checkpoint. *)
+let forced_ratio (r : Runtime.result) (baseline : Runtime.result) =
+  let f = r.metrics.Rdt_core.Metrics.forced and fb = baseline.metrics.Rdt_core.Metrics.forced in
+  if fb > 0 then Some (float_of_int f /. float_of_int fb) else None
 
-let mean_stats_opt xs = mean_stats_of (List.filter_map Fun.id xs)
+let stats_of_some xs = Stats.of_list (List.filter_map Fun.id xs)
+
+let mean_of f xs = Stats.mean (Stats.of_list (List.map f xs))
 
 (* ------------------------------------------------------------------ *)
 (* Figures                                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* The paired ratio forced(protocol)/forced(fdas): both runs inside one
-   cell, on the seed derived from (figure, x) — identical for every
-   series of the figure, so series stay comparable run to run. *)
-let ratio_series ?jobs ?report ?(seeds = Experiment.default_seeds) ~fig ~label ~xs ~workload_of
-    () =
-  let protocol = Registry.find_exn label in
-  let cells = grid_cells xs ~seeds in
-  let ratios =
-    run_cells ?jobs ?report ~table:fig cells
-      ~coords:(fun (x, seed) -> (label, Printf.sprintf "x=%g" x, seed))
-      ~f:(fun (x, seed) ->
-        let w = workload_of x in
-        let seed = Experiment.cell_seed [ fig; Printf.sprintf "x=%g" x ] seed in
-        let rp = Experiment.run_once w protocol ~seed in
-        let rb = Experiment.run_once w fdas ~seed in
-        let fp = rp.Runtime.metrics.Rdt_core.Metrics.forced
-        and fb = rb.Runtime.metrics.Rdt_core.Metrics.forced in
-        if fb > 0 then Some (float_of_int fp /. float_of_int fb) else None)
+(* R against fdas for every BHMR variant, one point per x.  Both runs of
+   a ratio share one cell, on the seed derived from (figure, x) —
+   identical for every series of the figure, so series stay comparable
+   run to run. *)
+let ratio_figure ?jobs ?report ~seeds ~id ~title ~xlabel ~xs workload_of =
+  let series label =
+    let protocol = Registry.find_exn label in
+    let per_x =
+      grid ?jobs ?report ~table:id ~seeds xs
+        ~coords:(fun x -> (label, Printf.sprintf "x=%g" x))
+        (fun x seed ->
+          let w = workload_of x in
+          let seed = Experiment.cell_seed [ id; Printf.sprintf "x=%g" x ] seed in
+          let r = Experiment.run_once w protocol ~seed in
+          forced_ratio r (Experiment.run_once w fdas ~seed))
+    in
+    { label; points = List.map (fun (x, rs) -> { x; stats = stats_of_some rs }) per_x }
   in
-  {
-    label;
-    points = List.map2 (fun x rs -> { x; stats = mean_stats_opt rs }) xs (regroup ~seeds ratios);
-  }
+  { id; title; xlabel; series = List.map series variants }
 
 let fig_random ?jobs ?report ?(seeds = Experiment.default_seeds) () =
-  let xs = [ 2.0; 4.0; 8.0; 16.0; 32.0 ] in
-  let workload_of x = Experiment.workload ~n:(int_of_float x) ~max_messages:1500 "random" in
-  {
-    id = "FIG-RANDOM";
-    title = "R = forced/forced(FDAS) in the general random environment";
-    xlabel = "n";
-    series =
-      List.map
-        (fun label -> ratio_series ?jobs ?report ~seeds ~fig:"FIG-RANDOM" ~label ~xs ~workload_of ())
-        variants;
-  }
+  ratio_figure ?jobs ?report ~seeds ~id:"FIG-RANDOM"
+    ~title:"R = forced/forced(FDAS) in the general random environment" ~xlabel:"n"
+    ~xs:[ 2.0; 4.0; 8.0; 16.0; 32.0 ] (fun x ->
+      Experiment.workload ~n:(int_of_float x) ~max_messages:1500 "random")
 
 let fig_group ?jobs ?report ?(seeds = Experiment.default_seeds) () =
-  let xs = [ 2.0; 3.0; 4.0; 6.0 ] in
-  let workload_of x =
-    let params =
-      { Rdt_workloads.Group_env.default_group_params with group_size = int_of_float x }
-    in
-    Experiment.workload ~n:12 ~max_messages:1500
-      ~make_env:(fun () -> Rdt_workloads.Group_env.make ~params ())
-      "group"
-  in
-  {
-    id = "FIG-8";
-    title = "R in overlapping group communication environments (n=12)";
-    xlabel = "group size";
-    series =
-      List.map
-        (fun label -> ratio_series ?jobs ?report ~seeds ~fig:"FIG-8" ~label ~xs ~workload_of ())
-        variants;
-  }
+  ratio_figure ?jobs ?report ~seeds ~id:"FIG-8"
+    ~title:"R in overlapping group communication environments (n=12)" ~xlabel:"group size"
+    ~xs:[ 2.0; 3.0; 4.0; 6.0 ] (fun x ->
+      let params =
+        { Rdt_workloads.Group_env.default_group_params with group_size = int_of_float x }
+      in
+      Experiment.workload ~n:12 ~max_messages:1500
+        ~make_env:(fun () -> Rdt_workloads.Group_env.make ~params ())
+        "group")
 
 let fig_client_server ?jobs ?report ?(seeds = Experiment.default_seeds) () =
-  let xs = [ 2.0; 4.0; 8.0; 16.0 ] in
-  let workload_of x =
-    Experiment.workload ~n:(int_of_float x) ~max_messages:1500 "client-server"
-  in
-  {
-    id = "FIG-9";
-    title = "R in client/server environments";
-    xlabel = "n servers";
-    series =
-      List.map
-        (fun label -> ratio_series ?jobs ?report ~seeds ~fig:"FIG-9" ~label ~xs ~workload_of ())
-        variants;
-  }
+  ratio_figure ?jobs ?report ~seeds ~id:"FIG-9" ~title:"R in client/server environments"
+    ~xlabel:"n servers" ~xs:[ 2.0; 4.0; 8.0; 16.0 ] (fun x ->
+      Experiment.workload ~n:(int_of_float x) ~max_messages:1500 "client-server")
 
 let lost_work_fraction pat =
   (* crash process 0 at 60% of the run: restart from its last durable
@@ -191,35 +153,32 @@ let lost_work_fraction pat =
   float_of_int lost /. float_of_int (max 1 total)
 
 let fig_lost_work ?jobs ?report ?(seeds = Experiment.default_seeds) () =
-  let fig = "FIG-LOST-WORK" in
+  let id = "FIG-LOST-WORK" in
   let periods = [ (100, 200); (300, 700); (800, 1600); (2000, 4000) ] in
-  let series_of pname =
-    let protocol = Registry.find_exn pname in
-    let cells = grid_cells periods ~seeds in
-    let fractions =
-      run_cells ?jobs ?report ~table:fig cells
-        ~coords:(fun ((lo, hi), seed) -> (pname, Printf.sprintf "period=%d-%d" lo hi, seed))
-        ~f:(fun ((lo, hi), seed) ->
-          let w =
-            Experiment.workload ~n:6 ~max_messages:1200 ~basic_period:(lo, hi) "random"
-          in
-          let seed = Experiment.cell_seed [ fig; Printf.sprintf "%d-%d" lo hi ] seed in
+  let series label =
+    let protocol = Registry.find_exn label in
+    let per_period =
+      grid ?jobs ?report ~table:id ~seeds periods
+        ~coords:(fun (lo, hi) -> (label, Printf.sprintf "period=%d-%d" lo hi))
+        (fun (lo, hi) seed ->
+          let w = Experiment.workload ~n:6 ~max_messages:1200 ~basic_period:(lo, hi) "random" in
+          let seed = Experiment.cell_seed [ id; Printf.sprintf "%d-%d" lo hi ] seed in
           let r = Experiment.run_once w protocol ~seed in
           lost_work_fraction r.Runtime.pattern)
     in
     {
-      label = pname;
+      label;
       points =
-        List.map2
-          (fun (lo, hi) fs -> { x = float_of_int (lo + hi) /. 2.0; stats = mean_stats_of fs })
-          periods (regroup ~seeds fractions);
+        List.map
+          (fun ((lo, hi), fs) -> { x = float_of_int (lo + hi) /. 2.0; stats = Stats.of_list fs })
+          per_period;
     }
   in
   {
-    id = fig;
+    id;
     title = "fraction of events undone by a crash at 60% of the run (random, n=6)";
     xlabel = "mean basic period";
-    series = List.map series_of [ "none"; "bcs"; "bhmr" ];
+    series = List.map series [ "none"; "bcs"; "bhmr" ];
   }
 
 (* ------------------------------------------------------------------ *)
@@ -232,12 +191,9 @@ let environments = [ "random"; "group"; "client-server"; "prodcons"; "master-wor
 
 let table_protocols ?jobs ?report ?(seeds = Experiment.default_seeds) () =
   let table = "TAB-PROTOCOLS" in
-  let coords = List.concat_map (fun p -> List.map (fun e -> (p, e)) environments) hierarchy in
-  let cells = grid_cells coords ~seeds in
-  let results =
-    run_cells ?jobs ?report ~table cells
-      ~coords:(fun ((pname, ename), seed) -> (pname, ename, seed))
-      ~f:(fun ((pname, ename), seed) ->
+  let keys = List.concat_map (fun p -> List.map (fun e -> (p, e)) environments) hierarchy in
+  let per_cell =
+    grid ?jobs ?report ~table ~seeds keys ~coords:Fun.id (fun (pname, ename) seed ->
         let protocol = Registry.find_exn pname in
         let w = Experiment.workload ~n:8 ~max_messages:1500 ename in
         let seed = Experiment.cell_seed [ table; ename ] seed in
@@ -245,19 +201,13 @@ let table_protocols ?jobs ?report ?(seeds = Experiment.default_seeds) () =
         Rdt_core.Metrics.forced_per_basic r.Runtime.metrics)
   in
   let t = Table.create ~header:("protocol" :: environments) in
-  let grouped = regroup ~seeds results in
   List.iter
     (fun pname ->
-      let cells_of_p =
-        List.filter_map
-          (fun ((p, e), vals) -> if p = pname then Some (e, vals) else None)
-          (List.combine coords grouped)
-      in
       let row =
         List.map
           (fun ename ->
-            let vals = List.assoc ename cells_of_p in
-            Table.cell_f (100.0 *. Stats.mean (mean_stats_of vals)))
+            let vals = List.assoc (pname, ename) per_cell in
+            Table.cell_f (100.0 *. Stats.mean (Stats.of_list vals)))
           environments
       in
       Table.add_row t (pname :: row))
@@ -296,31 +246,22 @@ let claim_environments =
 let claim_ten_percent ?jobs ?report ?(seeds = Experiment.default_seeds) () =
   let table = "CLAIM-10PCT" in
   let bhmr = Registry.find_exn "bhmr" in
-  let cells = grid_cells claim_environments ~seeds in
-  let ratios =
-    run_cells ?jobs ?report ~table cells
-      ~coords:(fun ((label, _), seed) -> ("bhmr", label, seed))
-      ~f:(fun ((label, mk), seed) ->
-        let w = mk () in
-        let seed = Experiment.cell_seed [ table; label ] seed in
-        let rp = Experiment.run_once w bhmr ~seed in
-        let rb = Experiment.run_once w fdas ~seed in
-        let fp = rp.Runtime.metrics.Rdt_core.Metrics.forced
-        and fb = rb.Runtime.metrics.Rdt_core.Metrics.forced in
-        if fb > 0 then Some (float_of_int fp /. float_of_int fb) else None)
-  in
-  List.map2
-    (fun (label, _) rs -> (label, 1.0 -. Stats.mean (mean_stats_opt rs)))
-    claim_environments (regroup ~seeds ratios)
+  grid ?jobs ?report ~table ~seeds claim_environments
+    ~coords:(fun (label, _) -> ("bhmr", label))
+    (fun (label, mk) seed ->
+      let w = mk () in
+      let seed = Experiment.cell_seed [ table; label ] seed in
+      let r = Experiment.run_once w bhmr ~seed in
+      forced_ratio r (Experiment.run_once w fdas ~seed))
+  |> List.map (fun ((label, _), rs) -> (label, 1.0 -. Stats.mean (stats_of_some rs)))
 
 let table_min_gcp ?jobs ?report ?(seeds = Experiment.quick_seeds) () =
   let table = "TAB-MINGCP" in
   let bhmr = Registry.find_exn "bhmr" in
-  let cells = grid_cells environments ~seeds in
-  let results =
-    run_cells ?jobs ?report ~table cells
-      ~coords:(fun (ename, seed) -> ("bhmr", ename, seed))
-      ~f:(fun (ename, seed) ->
+  let per_env =
+    grid ?jobs ?report ~table ~seeds environments
+      ~coords:(fun ename -> ("bhmr", ename))
+      (fun ename seed ->
         let w = Experiment.workload ~n:6 ~max_messages:600 ename in
         let seed = Experiment.cell_seed [ table; ename ] seed in
         let r = Experiment.run_once w bhmr ~seed in
@@ -346,8 +287,8 @@ let table_min_gcp ?jobs ?report ?(seeds = Experiment.quick_seeds) () =
   let t =
     Table.create ~header:[ "environment"; "ckpts checked"; "TDV = min GCP"; "mean span" ]
   in
-  List.iter2
-    (fun ename per_seed ->
+  List.iter
+    (fun (ename, per_seed) ->
       let checked = ref 0 and agree = ref 0 in
       let span = Stats.create () in
       List.iter
@@ -363,40 +304,33 @@ let table_min_gcp ?jobs ?report ?(seeds = Experiment.quick_seeds) () =
           Table.cell_pct (float_of_int !agree /. float_of_int (max 1 !checked));
           Table.cell_f (Stats.mean span);
         ])
-    environments (regroup ~seeds results);
+    per_env;
   t
 
 let table_ablation ?jobs ?report ?(seeds = Experiment.default_seeds) () =
   let table = "ABLATION" in
   let protocols = [ "fdas"; "bhmr-v2"; "bhmr-v1"; "bhmr" ] in
-  let cells = grid_cells protocols ~seeds in
-  let results =
-    run_cells ?jobs ?report ~table cells
-      ~coords:(fun (pname, seed) -> (pname, "client-server", seed))
-      ~f:(fun (pname, seed) ->
+  let per_protocol =
+    grid ?jobs ?report ~table ~seeds protocols
+      ~coords:(fun pname -> (pname, "client-server"))
+      (fun pname seed ->
         let protocol = Registry.find_exn pname in
         let w = Experiment.workload ~n:8 ~max_messages:1500 "client-server" in
         let seed = Experiment.cell_seed [ table; "client-server" ] seed in
         let r = Experiment.run_once w protocol ~seed in
-        let rb = Experiment.run_once w fdas ~seed in
-        let fp = r.Runtime.metrics.Rdt_core.Metrics.forced
-        and fb = rb.Runtime.metrics.Rdt_core.Metrics.forced in
-        let ratio = if fb > 0 then Some (float_of_int fp /. float_of_int fb) else None in
-        (fp, ratio, r.Runtime.predicate_counts))
+        let ratio = forced_ratio r (Experiment.run_once w fdas ~seed) in
+        (r.Runtime.metrics.Rdt_core.Metrics.forced, ratio, r.Runtime.predicate_counts))
   in
   let t =
     Table.create
       ~header:
         [ "protocol"; "forced"; "R vs fdas"; "c1 fires"; "c2 fires"; "c2' fires"; "c_fdas fires" ]
   in
-  List.iter2
-    (fun pname per_seed ->
-      let forced = Stats.create () and ratio = Stats.create () in
+  List.iter
+    (fun (pname, per_seed) ->
       let fires = Hashtbl.create 7 in
       List.iter
-        (fun (fp, r, counts) ->
-          Stats.add forced (float_of_int fp);
-          Option.iter (Stats.add ratio) r;
+        (fun (_, _, counts) ->
           List.iter
             (fun (name, count) ->
               let cur = try Hashtbl.find fires name with Not_found -> 0 in
@@ -411,24 +345,23 @@ let table_ablation ?jobs ?report ?(seeds = Experiment.default_seeds) () =
       Table.add_row t
         [
           pname;
-          Table.cell_f (Stats.mean forced);
-          Table.cell_f (Stats.mean ratio);
+          Table.cell_f (mean_of (fun (fp, _, _) -> float_of_int fp) per_seed);
+          Table.cell_f (Stats.mean (stats_of_some (List.map (fun (_, r, _) -> r) per_seed)));
           avg "c1";
           avg "c2";
           avg "c2'";
           avg "c_fdas";
         ])
-    protocols (regroup ~seeds results);
+    per_protocol;
   t
 
 let table_recovery ?jobs ?report ?(seeds = Experiment.quick_seeds) () =
   let table = "TAB-RECOVERY" in
   let protocols = [ "none"; "bcs"; "fdas"; "bhmr" ] in
-  let cells = grid_cells protocols ~seeds in
-  let results =
-    run_cells ?jobs ?report ~table cells
-      ~coords:(fun (pname, seed) -> (pname, "client-server", seed))
-      ~f:(fun (pname, seed) ->
+  let per_protocol =
+    grid ?jobs ?report ~table ~seeds protocols
+      ~coords:(fun pname -> (pname, "client-server"))
+      (fun pname seed ->
         let protocol = Registry.find_exn pname in
         let w = Experiment.workload ~n:6 ~max_messages:800 "client-server" in
         let seed = Experiment.cell_seed [ table; "client-server" ] seed in
@@ -475,28 +408,18 @@ let table_recovery ?jobs ?report ?(seeds = Experiment.quick_seeds) () =
       ~header:
         [ "protocol"; "useless ckpts"; "survivor loss"; "replayed msgs"; "redone events" ]
   in
-  List.iter2
-    (fun pname per_seed ->
-      let useless = Stats.create ()
-      and survivor_loss = Stats.create ()
-      and replayed = Stats.create ()
-      and redone = Stats.create () in
-      List.iter
-        (fun (u, losses, rep, red) ->
-          Stats.add useless u;
-          List.iter (Stats.add survivor_loss) losses;
-          Stats.add replayed rep;
-          Stats.add redone red)
-        per_seed;
+  List.iter
+    (fun (pname, per_seed) ->
       Table.add_row t
         [
           pname;
-          Table.cell_pct (Stats.mean useless);
-          Table.cell_pct (Stats.mean survivor_loss);
-          Table.cell_f (Stats.mean replayed);
-          Table.cell_f (Stats.mean redone);
+          Table.cell_pct (mean_of (fun (u, _, _, _) -> u) per_seed);
+          Table.cell_pct
+            (Stats.mean (Stats.of_list (List.concat_map (fun (_, l, _, _) -> l) per_seed)));
+          Table.cell_f (mean_of (fun (_, _, r, _) -> r) per_seed);
+          Table.cell_f (mean_of (fun (_, _, _, r) -> r) per_seed);
         ])
-    protocols (regroup ~seeds results);
+    per_protocol;
   t
 
 (* A marker message carries a snapshot id: charge 64 bits of control data
@@ -517,68 +440,49 @@ let table_coordinated ?jobs ?report ?(seeds = Experiment.quick_seeds) () =
           "snapshot latency";
         ]
   in
-  let add_means name rows =
-    let a = Stats.create () and b = Stats.create () and c = Stats.create ()
-    and d = Stats.create () in
-    List.iter
-      (fun (x, y, z, w) ->
-        Stats.add a x;
-        Stats.add b y;
-        Stats.add c z;
-        Stats.add d w)
-      rows;
-    Table.add_row t
-      [
-        name;
-        Table.cell_f (Stats.mean a);
-        Table.cell_f (Stats.mean b);
-        Table.cell_f (Stats.mean c);
-        Table.cell_f (Stats.mean d);
-      ]
-  in
   (* coordinated, at the default initiation period: Chandy-Lamport
      snapshots, then Koo-Toueg's blocking dependency-directed rounds *)
-  List.iter
-    (fun (name, algo) ->
-      add_means name
-        (run_cells ?jobs ?report ~table seeds
-           ~coords:(fun seed -> (name, "random", seed))
-           ~f:(fun seed ->
-             let env = Rdt_workloads.Registry.find_exn "random" in
-             let seed = Experiment.cell_seed [ table; name ] seed in
-             let cfg = { (Coordinated.default_config algo env) with n; seed; max_messages } in
-             let m = (Coordinated.run cfg).metrics in
-             ( float_of_int m.checkpoints_taken,
-               float_of_int m.control_messages,
-               float_of_int (m.control_messages * marker_bits) /. float_of_int m.app_messages,
-               m.mean_latency ))))
-    [ ("chandy-lamport", Coordinated.Chandy_lamport); ("koo-toueg", Coordinated.Koo_toueg) ];
+  grid ?jobs ?report ~table ~seeds
+    [ ("chandy-lamport", Coordinated.Chandy_lamport); ("koo-toueg", Coordinated.Koo_toueg) ]
+    ~coords:(fun (name, _) -> (name, "random"))
+    (fun (name, algo) seed ->
+      let env = Rdt_workloads.Registry.find_exn "random" in
+      let seed = Experiment.cell_seed [ table; name ] seed in
+      let cfg = { (Coordinated.default_config algo env) with n; seed; max_messages } in
+      let m = (Coordinated.run cfg).metrics in
+      ( float_of_int m.checkpoints_taken,
+        float_of_int m.control_messages,
+        float_of_int (m.control_messages * marker_bits) /. float_of_int m.app_messages,
+        m.mean_latency ))
+  |> List.iter (fun ((name, _), rows) ->
+         Table.add_row t
+           [
+             name;
+             Table.cell_f (mean_of (fun (x, _, _, _) -> x) rows);
+             Table.cell_f (mean_of (fun (_, x, _, _) -> x) rows);
+             Table.cell_f (mean_of (fun (_, _, x, _) -> x) rows);
+             Table.cell_f (mean_of (fun (_, _, _, x) -> x) rows);
+           ]);
   (* CIC protocols: no control messages; overhead = piggyback *)
-  let cic_protocols = [ "bhmr"; "fdas"; "cbr" ] in
-  let cells = grid_cells cic_protocols ~seeds in
-  let cic =
-    run_cells ?jobs ?report ~table cells
-      ~coords:(fun (pname, seed) -> (pname, "random", seed))
-      ~f:(fun (pname, seed) ->
-        let protocol = Registry.find_exn pname in
-        let w = Experiment.workload ~n ~max_messages "random" in
-        let seed = Experiment.cell_seed [ table; "cic" ] seed in
-        let r = Experiment.run_once w protocol ~seed in
-        let m = r.Runtime.metrics in
-        float_of_int (m.Rdt_core.Metrics.forced + m.Rdt_core.Metrics.basic))
-  in
-  List.iter2
-    (fun pname per_seed ->
+  grid ?jobs ?report ~table ~seeds [ "bhmr"; "fdas"; "cbr" ]
+    ~coords:(fun pname -> (pname, "random"))
+    (fun pname seed ->
       let protocol = Registry.find_exn pname in
-      Table.add_row t
-        [
-          pname;
-          Table.cell_f (Stats.mean (mean_stats_of per_seed));
-          "0.000";
-          string_of_int (Rdt_core.Protocol.payload_bits protocol ~n);
-          "-";
-        ])
-    cic_protocols (regroup ~seeds cic);
+      let w = Experiment.workload ~n ~max_messages "random" in
+      let seed = Experiment.cell_seed [ table; "cic" ] seed in
+      let r = Experiment.run_once w protocol ~seed in
+      let m = r.Runtime.metrics in
+      float_of_int (m.Rdt_core.Metrics.forced + m.Rdt_core.Metrics.basic))
+  |> List.iter (fun (pname, per_seed) ->
+         let protocol = Registry.find_exn pname in
+         Table.add_row t
+           [
+             pname;
+             Table.cell_f (mean_of Fun.id per_seed);
+             "0.000";
+             string_of_int (Rdt_core.Protocol.payload_bits protocol ~n);
+             "-";
+           ]);
   t
 
 let table_breakeven ?jobs ?report ?(seeds = Experiment.default_seeds) () =
@@ -587,11 +491,10 @@ let table_breakeven ?jobs ?report ?(seeds = Experiment.default_seeds) () =
   let bhmr = Registry.find_exn "bhmr" in
   let bits_fdas = Rdt_core.Protocol.payload_bits fdas ~n in
   let bits_bhmr = Rdt_core.Protocol.payload_bits bhmr ~n in
-  let cells = grid_cells environments ~seeds in
-  let results =
-    run_cells ?jobs ?report ~table cells
-      ~coords:(fun (ename, seed) -> ("bhmr", ename, seed))
-      ~f:(fun (ename, seed) ->
+  let per_env =
+    grid ?jobs ?report ~table ~seeds environments
+      ~coords:(fun ename -> ("bhmr", ename))
+      (fun ename seed ->
         let w = Experiment.workload ~n ~max_messages ename in
         let seed = Experiment.cell_seed [ table; ename ] seed in
         let rf = Experiment.run_once w fdas ~seed in
@@ -610,11 +513,10 @@ let table_breakeven ?jobs ?report ?(seeds = Experiment.default_seeds) () =
           "break-even ckpt size";
         ]
   in
-  List.iter2
-    (fun ename per_seed ->
-      let ff = mean_stats_of (List.map fst per_seed) in
-      let fb = mean_stats_of (List.map snd per_seed) in
-      let saved = Stats.mean ff -. Stats.mean fb in
+  List.iter
+    (fun (ename, per_seed) ->
+      let ff = mean_of fst per_seed and fb = mean_of snd per_seed in
+      let saved = ff -. fb in
       let extra_bits = float_of_int ((bits_bhmr - bits_fdas) * max_messages) in
       let breakeven =
         if saved <= 0.0 then "inf"
@@ -625,12 +527,12 @@ let table_breakeven ?jobs ?report ?(seeds = Experiment.default_seeds) () =
       Table.add_row t
         [
           ename;
-          Table.cell_f (Stats.mean ff);
-          Table.cell_f (Stats.mean fb);
+          Table.cell_f ff;
+          Table.cell_f fb;
           string_of_int (bits_bhmr - bits_fdas);
           breakeven;
         ])
-    environments (regroup ~seeds results);
+    per_env;
   t
 
 let table_goodput ?jobs ?report ?(seeds = Experiment.quick_seeds) () =
@@ -644,11 +546,10 @@ let table_goodput ?jobs ?report ?(seeds = Experiment.quick_seeds) () =
       { CS.victim = 1; at = 7500; repair_delay = 200 };
     ]
   in
-  let cells = grid_cells protocols ~seeds in
-  let results =
-    run_cells ?jobs ?report ~table cells
-      ~coords:(fun (pname, seed) -> (pname, "random", seed))
-      ~f:(fun (pname, seed) ->
+  let per_protocol =
+    grid ?jobs ?report ~table ~seeds protocols
+      ~coords:(fun pname -> (pname, "random"))
+      (fun pname seed ->
         let protocol = Registry.find_exn pname in
         let env = Rdt_workloads.Registry.find_exn "random" in
         let seed = Experiment.cell_seed [ table; "random" ] seed in
@@ -673,28 +574,17 @@ let table_goodput ?jobs ?report ?(seeds = Experiment.quick_seeds) () =
     Table.create
       ~header:[ "protocol"; "events undone"; "replayed"; "sends destroyed"; "delivered" ]
   in
-  List.iter2
-    (fun pname per_seed ->
-      let undone = Stats.create ()
-      and replayed = Stats.create ()
-      and destroyed = Stats.create ()
-      and delivered = Stats.create () in
-      List.iter
-        (fun (u, r, des, del) ->
-          Stats.add undone u;
-          Stats.add replayed r;
-          Stats.add destroyed des;
-          Stats.add delivered del)
-        per_seed;
+  List.iter
+    (fun (pname, per_seed) ->
       Table.add_row t
         [
           pname;
-          Table.cell_f (Stats.mean undone);
-          Table.cell_f (Stats.mean replayed);
-          Table.cell_f (Stats.mean destroyed);
-          Table.cell_f (Stats.mean delivered);
+          Table.cell_f (mean_of (fun (u, _, _, _) -> u) per_seed);
+          Table.cell_f (mean_of (fun (_, r, _, _) -> r) per_seed);
+          Table.cell_f (mean_of (fun (_, _, d, _) -> d) per_seed);
+          Table.cell_f (mean_of (fun (_, _, _, d) -> d) per_seed);
         ])
-    protocols (regroup ~seeds results);
+    per_protocol;
   t
 
 let fault_envs = [ "random"; "group"; "client-server" ]
@@ -703,14 +593,11 @@ let table_faults ?jobs ?report ?(seeds = Experiment.quick_seeds) () =
   let table = "TAB-FAULTS" in
   let bhmr = Registry.find_exn "bhmr" in
   let drops = [ 0.0; 0.02; 0.05; 0.1 ] in
-  let coords =
-    List.concat_map (fun drop -> List.map (fun e -> (drop, e)) fault_envs) drops
-  in
-  let cells = grid_cells coords ~seeds in
-  let results =
-    run_cells ?jobs ?report ~table cells
-      ~coords:(fun ((drop, ename), seed) -> ("bhmr", Printf.sprintf "%s drop=%g" ename drop, seed))
-      ~f:(fun ((drop, ename), seed) ->
+  let keys = List.concat_map (fun drop -> List.map (fun e -> (drop, e)) fault_envs) drops in
+  let per_cell =
+    grid ?jobs ?report ~table ~seeds keys
+      ~coords:(fun (drop, ename) -> ("bhmr", Printf.sprintf "%s drop=%g" ename drop))
+      (fun (drop, ename) seed ->
         (* paired against the reliable run of the same derived seed; the
            drop=0 row isolates the effect of the FIFO transport alone *)
         let faults = { Rdt_dist.Faults.none with drop } in
@@ -721,10 +608,7 @@ let table_faults ?jobs ?report ?(seeds = Experiment.quick_seeds) () =
         let w0 = Experiment.workload ~n:6 ~max_messages:800 ename in
         let seed = Experiment.cell_seed [ table; ename; Printf.sprintf "%g" drop ] seed in
         let r = Experiment.run_once w bhmr ~seed in
-        let r0 = Experiment.run_once w0 bhmr ~seed in
-        let f = r.Runtime.metrics.Rdt_core.Metrics.forced
-        and f0 = r0.Runtime.metrics.Rdt_core.Metrics.forced in
-        let ratio = if f0 > 0 then Some (float_of_int f /. float_of_int f0) else None in
+        let ratio = forced_ratio r (Experiment.run_once w0 bhmr ~seed) in
         match r.Runtime.transport with
         | Some s ->
             ( ratio,
@@ -740,20 +624,16 @@ let table_faults ?jobs ?report ?(seeds = Experiment.quick_seeds) () =
         :: List.concat_map (fun e -> [ e ^ " R(forced)"; e ^ " retx/msg"; e ^ " undeliv" ]) fault_envs
         )
   in
-  let grouped = List.combine coords (regroup ~seeds results) in
   List.iter
     (fun drop ->
       let row =
         List.concat_map
           (fun ename ->
-            let per_seed = List.assoc (drop, ename) grouped in
-            let ratio = mean_stats_opt (List.map (fun (r, _, _) -> r) per_seed) in
-            let retx = mean_stats_of (List.map (fun (_, r, _) -> r) per_seed) in
-            let undeliv = List.fold_left (fun a (_, _, u) -> a + u) 0 per_seed in
+            let per_seed = List.assoc (drop, ename) per_cell in
             [
-              Table.cell_f (Stats.mean ratio);
-              Table.cell_f (Stats.mean retx);
-              string_of_int undeliv;
+              Table.cell_f (Stats.mean (stats_of_some (List.map (fun (r, _, _) -> r) per_seed)));
+              Table.cell_f (mean_of (fun (_, r, _) -> r) per_seed);
+              string_of_int (List.fold_left (fun a (_, _, u) -> a + u) 0 per_seed);
             ])
           fault_envs
       in
@@ -762,38 +642,64 @@ let table_faults ?jobs ?report ?(seeds = Experiment.quick_seeds) () =
   t
 
 (* ------------------------------------------------------------------ *)
+(* The checker benches' shared stream                                  *)
+(* ------------------------------------------------------------------ *)
+
+type bench_stream = {
+  run : Runtime.result;
+  events : Rdt_obs.Trace.event list;
+  nev : int;
+  procs : int;  (** process count read back from the trace *)
+  baseline : Rdt_check.Online.summary;  (** the serial [Online.check_trace] verdict *)
+  check_s : float;  (** wall time of that serial check *)
+}
+
+(* One long bhmr/random run (n = 8, seed 1) recorded as a trace of
+   >= [min_events] events (every message is one send + one delivery, plus
+   checkpoints), then streamed once through a plain in-memory engine:
+   the baseline every checker bench compares against.  [who] names the
+   bench in error messages. *)
+let bench_stream ~who ~min_events =
+  let protocol = Registry.find_exn "bhmr" in
+  let env = Rdt_workloads.Registry.find_exn "random" in
+  let tr = Rdt_obs.Trace.ring ~capacity:(8 * min_events) in
+  let run =
+    Runtime.run (Runtime.configure ~n:8 ~seed:1 ~messages:(min_events / 2) ~trace:tr env protocol)
+  in
+  let events = Rdt_obs.Trace.events tr in
+  let fail e = invalid_arg (Printf.sprintf "Experiments.%s: %s" who e) in
+  let procs =
+    match Rdt_check.Online.trace_process_count events with Ok n -> n | Error e -> fail e
+  in
+  let t0 = Rdt_obs.Meter.now () in
+  let baseline =
+    match Rdt_check.Online.check_trace events with
+    | Ok t -> Rdt_check.Online.summary t
+    | Error e -> fail ("inconsistent trace: " ^ e)
+  in
+  let check_s = Rdt_obs.Meter.now () -. t0 in
+  { run; events; nev = List.length events; procs; baseline; check_s }
+
+(* ------------------------------------------------------------------ *)
 (* BENCH-ONLINE: amortized per-event cost of the incremental checker    *)
 (* ------------------------------------------------------------------ *)
 
 let table_online ?report ?(min_events = 5_000) () =
-  let protocol = Registry.find_exn "bhmr" in
-  let env = Rdt_workloads.Registry.find_exn "random" in
-  (* one long run: the trace carries >= [min_events] events (every
-     message is one send + one delivery, plus checkpoints) *)
-  let tr = Rdt_obs.Trace.ring ~capacity:(8 * min_events) in
-  let r =
-    Runtime.run (Runtime.configure ~n:8 ~seed:1 ~messages:(min_events / 2) ~trace:tr env protocol)
+  (* online: the stream through a fresh engine, one event at a time *)
+  let { run = r; nev; baseline; check_s = online_s; _ } =
+    bench_stream ~who:"table_online" ~min_events
   in
-  let events = Rdt_obs.Trace.events tr in
-  let nev = List.length events in
   (* offline cost of one full re-check, the unit of the "re-check after
      every event" strategy the online engine replaces *)
   let t0 = Rdt_obs.Meter.now () in
   let off = Rdt_core.Checker.run r.Runtime.pattern in
   let offline_s = Rdt_obs.Meter.now () -. t0 in
-  (* online: stream the trace through a fresh engine, one event at a
-     time; also exercises the metered pattern-mode entry point so the
-     [checker.online] span and [checker.online_events] counter land in
-     the report *)
-  let t0 = Rdt_obs.Meter.now () in
-  let verdict =
-    match Rdt_check.Online.check_trace events with
-    | Ok t -> Rdt_check.Online.rdt_so_far t
-    | Error e -> invalid_arg ("Experiments.table_online: inconsistent trace: " ^ e)
-  in
-  let online_s = Rdt_obs.Meter.now () -. t0 in
+  (* the metered pattern-mode entry point, so the [checker.online] span
+     and [checker.online_events] counter land in the report *)
   let rep = Rdt_core.Checker.run ~algo:`Online r.Runtime.pattern in
-  assert (rep.Rdt_core.Checker.rdt = off.Rdt_core.Checker.rdt && verdict = off.Rdt_core.Checker.rdt);
+  assert (
+    rep.Rdt_core.Checker.rdt = off.Rdt_core.Checker.rdt
+    && baseline.Rdt_check.Online.rdt = off.Rdt_core.Checker.rdt);
   let ns_per_event = 1e9 *. online_s /. float_of_int (max 1 nev) in
   (* re-checking offline after every event costs ~[nev] full checks (the
      final-pattern check as the per-check unit); amortized online must
@@ -839,26 +745,10 @@ let rm_rf dir =
   end
 
 let table_durable ?report ?(min_events = 5_000) () =
-  let protocol = Registry.find_exn "bhmr" in
-  let env = Rdt_workloads.Registry.find_exn "random" in
-  let tr = Rdt_obs.Trace.ring ~capacity:(8 * min_events) in
-  ignore
-    (Runtime.run (Runtime.configure ~n:8 ~seed:1 ~messages:(min_events / 2) ~trace:tr env protocol));
-  let events = Rdt_obs.Trace.events tr in
-  let nev = List.length events in
-  let n =
-    match Rdt_check.Online.trace_process_count events with
-    | Ok n -> n
-    | Error e -> invalid_arg ("Experiments.table_durable: " ^ e)
-  in
   (* baseline: the same stream through a plain in-memory engine *)
-  let t0 = Rdt_obs.Meter.now () in
-  let baseline =
-    match Rdt_check.Online.check_trace events with
-    | Ok t -> Rdt_check.Online.summary t
-    | Error e -> invalid_arg ("Experiments.table_durable: inconsistent trace: " ^ e)
+  let { events; nev; procs = n; baseline; check_s = online_s; _ } =
+    bench_stream ~who:"table_durable" ~min_events
   in
-  let online_s = Rdt_obs.Meter.now () -. t0 in
   (* durable: WAL every event, a snapshot generation every nev/8 *)
   let dir = scratch_dir () in
   rm_rf dir;
@@ -993,23 +883,7 @@ let table_serve ?jobs ?report ?(streams = 4) ?(min_events = 4_000) () =
   let module Server = Rdt_serve.Server in
   let module Client = Rdt_serve.Client in
   let module W = Rdt_check.Session.Wire in
-  let protocol = Registry.find_exn "bhmr" in
-  let env = Rdt_workloads.Registry.find_exn "random" in
-  let tr = Rdt_obs.Trace.ring ~capacity:(8 * min_events) in
-  ignore
-    (Runtime.run (Runtime.configure ~n:8 ~seed:1 ~messages:(min_events / 2) ~trace:tr env protocol));
-  let events = Rdt_obs.Trace.events tr in
-  let nev = List.length events in
-  let n =
-    match Rdt_check.Online.trace_process_count events with
-    | Ok n -> n
-    | Error e -> invalid_arg ("Experiments.table_serve: " ^ e)
-  in
-  let baseline =
-    match Rdt_check.Online.check_trace events with
-    | Ok t -> Rdt_check.Online.summary t
-    | Error e -> invalid_arg ("Experiments.table_serve: inconsistent trace: " ^ e)
-  in
+  let { events; nev; procs = n; baseline; _ } = bench_stream ~who:"table_serve" ~min_events in
   let socket =
     incr scratch_counter;
     Filename.concat
@@ -1133,59 +1007,114 @@ let table_serve ?jobs ?report ?(streams = 4) ?(min_events = 4_000) () =
     ];
   t
 
-let run_all ?(quick = false) ?jobs ?report () =
-  let seeds = if quick then Experiment.quick_seeds else Experiment.default_seeds in
+(* ------------------------------------------------------------------ *)
+(* The suite: one ordered registry behind [run_all] and [run_tables]    *)
+(* ------------------------------------------------------------------ *)
+
+(* What a suite entry runs on.  [few_seeds] serves the tables whose
+   cells are expensive enough that [run_all] gives them fewer seeds;
+   [quick] shrinks the benches' fixed workloads. *)
+type ctx = {
+  jobs : int option;
+  report : Bench_report.t option;
+  seeds : int list;
+  few_seeds : int list;
+  quick : bool;
+}
+
+let heading title = Format.printf "@.== %s ==@." title
+
+let print_table title f c =
+  heading title;
+  Table.print (f c)
+
+(* Every figure and table in [run_all] order; the tables carry their
+   [rdtsim table] name. *)
+let suite =
+  [
+    (None, fun c -> print_figure (fig_random ?jobs:c.jobs ?report:c.report ~seeds:c.seeds ()));
+    (None, fun c -> print_figure (fig_group ?jobs:c.jobs ?report:c.report ~seeds:c.seeds ()));
+    (None, fun c -> print_figure (fig_client_server ?jobs:c.jobs ?report:c.report ~seeds:c.seeds ()));
+    ( Some "protocols",
+      print_table "TAB-PROTOCOLS: forced checkpoints per 100 basic (n=8)" (fun c ->
+          table_protocols ?jobs:c.jobs ?report:c.report ~seeds:c.seeds ()) );
+    ( Some "overhead",
+      print_table "TAB-OVERHEAD: piggyback bits per message" (fun _ -> table_overhead ()) );
+    ( Some "claim",
+      fun c ->
+        heading "CLAIM-10PCT: reduction of forced checkpoints vs FDAS";
+        List.iter
+          (fun (label, reduction) ->
+            Format.printf "  %-22s %5.1f%%  %s@." label (100.0 *. reduction)
+              (if reduction >= 0.10 then "(>= 10%: yes)" else "(>= 10%: no)"))
+          (claim_ten_percent ?jobs:c.jobs ?report:c.report ~seeds:c.seeds ()) );
+    ( Some "mingcp",
+      print_table "TAB-MINGCP: Corollary 4.5 (on-the-fly minimum global checkpoint)" (fun c ->
+          table_min_gcp ?jobs:c.jobs ?report:c.report ~seeds:c.few_seeds ()) );
+    ( Some "ablation",
+      print_table "ABLATION: predicate firings per variant (client-server, n=8)" (fun c ->
+          table_ablation ?jobs:c.jobs ?report:c.report ~seeds:c.seeds ()) );
+    ( Some "recovery",
+      print_table "TAB-RECOVERY: useless checkpoints, domino and replay (client-server, n=6)" (fun c ->
+          table_recovery ?jobs:c.jobs ?report:c.report ~seeds:c.few_seeds ()) );
+    ( Some "coordinated",
+      print_table "TAB-COORDINATED: coordinated snapshots vs CIC (random, n=8)" (fun c ->
+          table_coordinated ?jobs:c.jobs ?report:c.report ~seeds:c.few_seeds ()) );
+    ( Some "breakeven",
+      print_table "BREAK-EVEN: checkpoint size above which bhmr beats fdas in total overhead" (fun c ->
+          table_breakeven ?jobs:c.jobs ?report:c.report ~seeds:c.seeds ()) );
+    (None, fun c -> print_figure (fig_lost_work ?jobs:c.jobs ?report:c.report ~seeds:c.seeds ()));
+    ( Some "goodput",
+      print_table "TAB-GOODPUT: online crash recovery, 3 crashes (random, n=6)" (fun c ->
+          table_goodput ?jobs:c.jobs ?report:c.report ~seeds:c.few_seeds ()) );
+    ( Some "faults",
+      print_table
+        "TAB-FAULTS: forced-checkpoint inflation and retransmission cost vs drop rate (bhmr, n=6)"
+        (fun c -> table_faults ?jobs:c.jobs ?report:c.report ~seeds:c.few_seeds ()) );
+    ( Some "online",
+      print_table "BENCH-ONLINE: amortized per-event cost of the incremental checker (bhmr, n=8)"
+        (fun c -> table_online ?report:c.report ()) );
+    ( Some "durable",
+      print_table "BENCH-DURABLE: cost of crash-safe checker state (WAL + snapshots, bhmr, n=8)"
+        (fun c -> table_durable ?report:c.report ()) );
+    ( Some "fuzz",
+      print_table "BENCH-FUZZ: adversarial scenario fuzzer throughput (mixed protocols)" (fun c ->
+          table_fuzz ?jobs:c.jobs ?report:c.report ~budget:(if c.quick then 40 else 80) ()) );
+    ( Some "scale",
+      fun c ->
+        let params =
+          if c.quick then { Scale.default_params with Scale.n = 1_000; messages = 100_000 }
+          else Scale.default_params
+        in
+        heading (Printf.sprintf "BENCH-SCALE: sharded engine throughput (cbr, ring, n=%d)" params.Scale.n);
+        Table.print (table_scale ?jobs:c.jobs ?report:c.report ~params ()) );
+    ( Some "serve",
+      print_table "BENCH-SERVE: multi-stream serving over the session wire protocol (bhmr, n=8)"
+        (fun c ->
+          table_serve ?jobs:c.jobs ?report:c.report ~min_events:(if c.quick then 2_000 else 4_000)
+            ()) );
+  ]
+
+let table_names = List.filter_map fst suite
+
+let run_entries ctx prints =
   let t0 = Rdt_obs.Meter.now () in
-  print_figure (fig_random ?jobs ?report ~seeds ());
-  print_figure (fig_group ?jobs ?report ~seeds ());
-  print_figure (fig_client_server ?jobs ?report ~seeds ());
-  Format.printf "@.== TAB-PROTOCOLS: forced checkpoints per 100 basic (n=8) ==@.";
-  Table.print (table_protocols ?jobs ?report ~seeds ());
-  Format.printf "@.== TAB-OVERHEAD: piggyback bits per message ==@.";
-  Table.print (table_overhead ());
-  Format.printf "@.== CLAIM-10PCT: reduction of forced checkpoints vs FDAS ==@.";
-  List.iter
-    (fun (label, reduction) ->
-      Format.printf "  %-22s %5.1f%%  %s@." label (100.0 *. reduction)
-        (if reduction >= 0.10 then "(>= 10%: yes)" else "(>= 10%: no)"))
-    (claim_ten_percent ?jobs ?report ~seeds ());
-  Format.printf "@.== TAB-MINGCP: Corollary 4.5 (on-the-fly minimum global checkpoint) ==@.";
-  Table.print (table_min_gcp ?jobs ?report ~seeds:(if quick then [ 1 ] else Experiment.quick_seeds) ());
-  Format.printf "@.== ABLATION: predicate firings per variant (client-server, n=8) ==@.";
-  Table.print (table_ablation ?jobs ?report ~seeds ());
-  Format.printf "@.== TAB-RECOVERY: useless checkpoints, domino and replay (client-server, n=6) ==@.";
-  Table.print (table_recovery ?jobs ?report ~seeds:(if quick then [ 1 ] else Experiment.quick_seeds) ());
-  Format.printf
-    "@.== TAB-COORDINATED: coordinated snapshots vs CIC (random, n=8) ==@.";
-  Table.print
-    (table_coordinated ?jobs ?report ~seeds:(if quick then [ 1 ] else Experiment.quick_seeds) ());
-  Format.printf "@.== BREAK-EVEN: checkpoint size above which bhmr beats fdas in total overhead ==@.";
-  Table.print (table_breakeven ?jobs ?report ~seeds ());
-  print_figure (fig_lost_work ?jobs ?report ~seeds ());
-  Format.printf "@.== TAB-GOODPUT: online crash recovery, 3 crashes (random, n=6) ==@.";
-  Table.print (table_goodput ?jobs ?report ~seeds:(if quick then [ 1 ] else Experiment.quick_seeds) ());
-  Format.printf
-    "@.== TAB-FAULTS: forced-checkpoint inflation and retransmission cost vs drop rate (bhmr, n=6) ==@.";
-  Table.print (table_faults ?jobs ?report ~seeds:(if quick then [ 1 ] else Experiment.quick_seeds) ());
-  Format.printf
-    "@.== BENCH-ONLINE: amortized per-event cost of the incremental checker (bhmr, n=8) ==@.";
-  Table.print (table_online ?report ());
-  Format.printf
-    "@.== BENCH-DURABLE: cost of crash-safe checker state (WAL + snapshots, bhmr, n=8) ==@.";
-  Table.print (table_durable ?report ());
-  Format.printf "@.== BENCH-FUZZ: adversarial scenario fuzzer throughput (mixed protocols) ==@.";
-  Table.print (table_fuzz ?jobs ?report ~budget:(if quick then 40 else 80) ());
-  Format.printf
-    "@.== BENCH-SCALE: sharded engine throughput (cbr, ring, n=%s) ==@."
-    (if quick then "1000" else "10000");
-  Table.print
-    (table_scale ?jobs ?report
-       ~params:
-         (if quick then { Scale.default_params with Scale.n = 1_000; messages = 100_000 }
-          else Scale.default_params)
-       ());
-  Format.printf
-    "@.== BENCH-SERVE: multi-stream serving over the session wire protocol (bhmr, n=8) ==@.";
-  Table.print (table_serve ?jobs ?report ~min_events:(if quick then 2_000 else 4_000) ());
-  (match report with Some r -> Bench_report.set_wall r (Rdt_obs.Meter.now () -. t0) | None -> ());
+  List.iter (fun print -> print ctx) prints;
+  Option.iter (fun r -> Bench_report.set_wall r (Rdt_obs.Meter.now () -. t0)) ctx.report;
   Format.print_flush ()
+
+let run_all ?(quick = false) ?jobs ?report () =
+  let seeds, few_seeds =
+    if quick then (Experiment.quick_seeds, [ 1 ])
+    else (Experiment.default_seeds, Experiment.quick_seeds)
+  in
+  run_entries { jobs; report; seeds; few_seeds; quick } (List.map snd suite)
+
+let run_tables ?jobs ?report ~seeds names =
+  let print name =
+    match List.assoc_opt (Some name) suite with
+    | Some print -> print
+    | None -> invalid_arg ("Experiments.run_tables: unknown table " ^ name)
+  in
+  let prints = List.map print names in
+  run_entries { jobs; report; seeds; few_seeds = seeds; quick = false } prints

@@ -6,8 +6,8 @@
     report.  [R] always denotes the paired ratio
     forced(protocol) / forced(FDAS) on identical workload and seed.
 
-    Every grid decomposes into independent cells (one outer coordinate x
-    one base seed) sharded across a {!Pool} when [?jobs] exceeds 1.  Cell
+    Every grid decomposes into independent cells (one key x one base
+    seed) sharded across a {!Pool} when [?jobs] exceeds 1.  Cell
     RNG seeds come from {!Experiment.cell_seed}, a pure function of the
     cell coordinates, so the produced tables are bit-identical for every
     [jobs] value (and to a sequential run).  Paired runs — a protocol
@@ -173,4 +173,19 @@ val table_serve :
 (** {1 Everything} *)
 
 val run_all : ?quick:bool -> ?jobs:int -> ?report:Bench_report.t -> unit -> unit
-(** Prints every figure and table ([quick] uses 3 seeds instead of 10). *)
+(** Prints every figure and table, each under its [== ID: title ==]
+    heading.  [quick] uses 3 seeds instead of 10 (1 instead of 3 for the
+    tables that default to {!Experiment.quick_seeds}) and smaller bench
+    workloads.  With [?report], also records the suite's wall-clock. *)
+
+val table_names : string list
+(** The [rdtsim table] names of the tables, in the order {!run_all}
+    prints them.  The figures have no name. *)
+
+val run_tables : ?jobs:int -> ?report:Bench_report.t -> seeds:int list -> string list -> unit
+(** [run_tables ~seeds names] prints the named tables in the given order,
+    each under its {!run_all} heading, running every grid on [seeds].
+    The benches run their full-size workloads.  With [?report], also
+    records the wall-clock of the whole call.
+    @raise Invalid_argument on a name not in {!table_names}, before
+    printing anything. *)
