@@ -3,14 +3,16 @@
    Headline: sharding a grid over the Pool changes nothing but the
    wall-clock — for every registry protocol x environment the per-run
    metrics are identical under jobs 1/2/4/8, and whole experiment tables
-   (including the TAB-FAULTS fault grid) render byte-identical rows for
-   every worker count.  Plus unit tests for Pool.map itself: order,
-   exception propagation, argument validation and RDT_JOBS parsing. *)
+   (including the TAB-FAULTS fault grid) and figures render
+   byte-identical rows for every worker count.  Plus unit tests for
+   Pool.map itself (order, exception propagation, argument validation,
+   RDT_JOBS parsing) and for the suite registry behind [rdtsim table]. *)
 
 module Pool = Rdt_harness.Pool
 module Experiments = Rdt_harness.Experiments
 module Table = Rdt_harness.Table
 module Bench_report = Rdt_harness.Bench_report
+module Stats = Rdt_harness.Stats
 module Runtime = Rdt_core.Runtime
 module Registry = Rdt_core.Registry
 module Protocol = Rdt_core.Protocol
@@ -112,17 +114,38 @@ let test_registry_grid_metrics () =
 
 let table_repr t = (Table.header t, Table.rows t)
 
-let test_table_protocols_jobs_independent () =
-  let reference = table_repr (Experiments.table_protocols ~jobs:1 ~seeds:[ 1 ] ()) in
-  let again = table_repr (Experiments.table_protocols ~jobs:4 ~seeds:[ 1 ] ()) in
-  check "TAB-PROTOCOLS rows identical under jobs=4" true (reference = again)
+(* every point of every series: x, mean and 95% CI half-width *)
+let figure_repr (f : Experiments.figure) =
+  List.map
+    (fun (s : Experiments.series) ->
+      ( s.label,
+        List.map
+          (fun (p : Experiments.point) ->
+            (p.x, Stats.mean p.stats, Stats.ci95_half_width p.stats))
+          s.points ))
+    f.series
 
-let test_table_faults_jobs_independent () =
-  (* the TAB-FAULTS grid runs paired faulty/reliable cells through the
-     transport; still bit-identical when sharded *)
-  let reference = table_repr (Experiments.table_faults ~jobs:1 ~seeds:[ 1 ] ()) in
-  let again = table_repr (Experiments.table_faults ~jobs:4 ~seeds:[ 1 ] ()) in
-  check "TAB-FAULTS rows identical under jobs=4" true (reference = again)
+let jobs_independent name repr run () =
+  let reference = repr (run ~jobs:1) in
+  check (name ^ " identical under jobs=4") true (reference = repr (run ~jobs:4))
+
+let test_table_protocols_jobs_independent =
+  jobs_independent "TAB-PROTOCOLS" table_repr (fun ~jobs ->
+      Experiments.table_protocols ~jobs ~seeds:[ 1 ] ())
+
+(* the TAB-FAULTS grid runs paired faulty/reliable cells through the
+   transport; still bit-identical when sharded *)
+let test_table_faults_jobs_independent =
+  jobs_independent "TAB-FAULTS" table_repr (fun ~jobs ->
+      Experiments.table_faults ~jobs ~seeds:[ 1 ] ())
+
+(* two seeds, so every CI is a real spread and not the one-sample 0 *)
+let test_fig_group_jobs_independent =
+  jobs_independent "FIG-8" figure_repr (fun ~jobs -> Experiments.fig_group ~jobs ~seeds:[ 1; 2 ] ())
+
+let test_fig_lost_work_jobs_independent =
+  jobs_independent "FIG-LOST-WORK" figure_repr (fun ~jobs ->
+      Experiments.fig_lost_work ~jobs ~seeds:[ 1; 2 ] ())
 
 let test_claim_worker_count_independent () =
   (* same measured reductions for 1, 2 and 8 workers *)
@@ -149,6 +172,28 @@ let test_report_cell_sequence () =
   check "cells were recorded" true (coords r1 <> []);
   check "json renders" true (String.length (Bench_report.to_json r4) > 0)
 
+(* ------------------------------------------------------------------ *)
+(* The suite registry                                                  *)
+(* ------------------------------------------------------------------ *)
+
+let test_table_names_order () =
+  (* the order of the headings [run_all] prints, figures left out *)
+  Alcotest.(check (list string))
+    "table_names"
+    [
+      "protocols"; "overhead"; "claim"; "mingcp"; "ablation"; "recovery"; "coordinated";
+      "breakeven"; "goodput"; "faults"; "online"; "durable"; "fuzz"; "scale"; "serve";
+    ]
+    Experiments.table_names
+
+let test_run_tables_unknown_name () =
+  (* rejected before any table runs, even behind a valid name *)
+  check "unknown name rejected" true
+    (try
+       Experiments.run_tables ~seeds:[ 1 ] [ "overhead"; "fig-random" ];
+       false
+     with Invalid_argument _ -> true)
+
 let () =
   Alcotest.run "rdt_pool"
     [
@@ -165,7 +210,15 @@ let () =
           Alcotest.test_case "registry x environments metrics" `Slow test_registry_grid_metrics;
           Alcotest.test_case "TAB-PROTOCOLS byte-identical" `Slow test_table_protocols_jobs_independent;
           Alcotest.test_case "TAB-FAULTS byte-identical" `Slow test_table_faults_jobs_independent;
+          Alcotest.test_case "FIG-8 byte-identical" `Slow test_fig_group_jobs_independent;
+          Alcotest.test_case "FIG-LOST-WORK byte-identical" `Slow test_fig_lost_work_jobs_independent;
           Alcotest.test_case "worker-count independence (1,2,8)" `Slow test_claim_worker_count_independent;
           Alcotest.test_case "report cell sequence" `Quick test_report_cell_sequence;
+        ] );
+      ( "suite registry",
+        [
+          Alcotest.test_case "table_names in run_all order" `Quick test_table_names_order;
+          Alcotest.test_case "run_tables rejects unknown names" `Quick
+            test_run_tables_unknown_name;
         ] );
     ]
