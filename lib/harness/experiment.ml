@@ -83,15 +83,16 @@ let aggregate w protocol ~seeds =
     seeds;
   agg
 
+let forced_ratio (r : Runtime.result) (baseline : Runtime.result) =
+  let f = r.metrics.Rdt_core.Metrics.forced and fb = baseline.metrics.Rdt_core.Metrics.forced in
+  if fb > 0 then Some (float_of_int f /. float_of_int fb) else None
+
 let ratio_vs_baseline w protocol ~baseline ~seeds =
   let stats = Stats.create () in
   List.iter
     (fun seed ->
       let rp = run_once w protocol ~seed in
-      let rb = run_once w baseline ~seed in
-      let fp = rp.Runtime.metrics.Rdt_core.Metrics.forced
-      and fb = rb.Runtime.metrics.Rdt_core.Metrics.forced in
-      if fb > 0 then Stats.add stats (float_of_int fp /. float_of_int fb))
+      Option.iter (Stats.add stats) (forced_ratio rp (run_once w baseline ~seed)))
     seeds;
   stats
 

@@ -49,10 +49,14 @@ type aggregate = {
 
 val aggregate : workload -> Rdt_core.Protocol.t -> seeds:int list -> aggregate
 
+val forced_ratio : Rdt_core.Runtime.result -> Rdt_core.Runtime.result -> float option
+(** [forced_ratio r baseline] is the paired ratio forced(r)/forced(baseline)
+    of two runs on one seed; [None] when the baseline forced nothing. *)
+
 val ratio_vs_baseline :
   workload -> Rdt_core.Protocol.t -> baseline:Rdt_core.Protocol.t -> seeds:int list -> Stats.t
-(** Per-seed paired ratio forced(protocol)/forced(baseline); seeds where
-    the baseline forces nothing are skipped. *)
+(** Per-seed {!forced_ratio} of the protocol against the baseline; seeds
+    where the baseline forces nothing are skipped. *)
 
 val default_seeds : int list
 (** Seeds used by the shipped experiments: [1..10]. *)

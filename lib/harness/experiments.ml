@@ -67,12 +67,6 @@ let grid ?jobs ?report ~table ~seeds ~coords keys f =
   let results = Array.of_list (List.map fst timed) and k = List.length seeds in
   List.mapi (fun i key -> (key, List.init k (fun j -> results.((i * k) + j)))) keys
 
-(* The paired ratio forced(r)/forced(baseline) of two runs on one seed;
-   [None] when the baseline forced no checkpoint. *)
-let forced_ratio (r : Runtime.result) (baseline : Runtime.result) =
-  let f = r.metrics.Rdt_core.Metrics.forced and fb = baseline.metrics.Rdt_core.Metrics.forced in
-  if fb > 0 then Some (float_of_int f /. float_of_int fb) else None
-
 let stats_of_some xs = Stats.of_list (List.filter_map Fun.id xs)
 
 let mean_of f xs = Stats.mean (Stats.of_list (List.map f xs))
@@ -95,7 +89,7 @@ let ratio_figure ?jobs ?report ~seeds ~id ~title ~xlabel ~xs workload_of =
           let w = workload_of x in
           let seed = Experiment.cell_seed [ id; Printf.sprintf "x=%g" x ] seed in
           let r = Experiment.run_once w protocol ~seed in
-          forced_ratio r (Experiment.run_once w fdas ~seed))
+          Experiment.forced_ratio r (Experiment.run_once w fdas ~seed))
     in
     { label; points = List.map (fun (x, rs) -> { x; stats = stats_of_some rs }) per_x }
   in
@@ -252,7 +246,7 @@ let claim_ten_percent ?jobs ?report ?(seeds = Experiment.default_seeds) () =
       let w = mk () in
       let seed = Experiment.cell_seed [ table; label ] seed in
       let r = Experiment.run_once w bhmr ~seed in
-      forced_ratio r (Experiment.run_once w fdas ~seed))
+      Experiment.forced_ratio r (Experiment.run_once w fdas ~seed))
   |> List.map (fun ((label, _), rs) -> (label, 1.0 -. Stats.mean (stats_of_some rs)))
 
 let table_min_gcp ?jobs ?report ?(seeds = Experiment.quick_seeds) () =
@@ -318,7 +312,7 @@ let table_ablation ?jobs ?report ?(seeds = Experiment.default_seeds) () =
         let w = Experiment.workload ~n:8 ~max_messages:1500 "client-server" in
         let seed = Experiment.cell_seed [ table; "client-server" ] seed in
         let r = Experiment.run_once w protocol ~seed in
-        let ratio = forced_ratio r (Experiment.run_once w fdas ~seed) in
+        let ratio = Experiment.forced_ratio r (Experiment.run_once w fdas ~seed) in
         (r.Runtime.metrics.Rdt_core.Metrics.forced, ratio, r.Runtime.predicate_counts))
   in
   let t =
@@ -608,7 +602,7 @@ let table_faults ?jobs ?report ?(seeds = Experiment.quick_seeds) () =
         let w0 = Experiment.workload ~n:6 ~max_messages:800 ename in
         let seed = Experiment.cell_seed [ table; ename; Printf.sprintf "%g" drop ] seed in
         let r = Experiment.run_once w bhmr ~seed in
-        let ratio = forced_ratio r (Experiment.run_once w0 bhmr ~seed) in
+        let ratio = Experiment.forced_ratio r (Experiment.run_once w0 bhmr ~seed) in
         match r.Runtime.transport with
         | Some s ->
             ( ratio,
@@ -728,15 +722,16 @@ let table_online ?report ?(min_events = 5_000) () =
 (* BENCH-DURABLE: cost of crash-safe checker state                      *)
 (* ------------------------------------------------------------------ *)
 
-(* Scratch directory without ambient randomness: the path is a function
-   of the pid and a counter, both irrelevant to simulation output. *)
+(* Scratch paths (the durable bench's directory, the serve bench's
+   socket) without ambient randomness: the path is a function of the pid
+   and a counter, both irrelevant to simulation output. *)
 let scratch_counter = ref 0
 
-let scratch_dir () =
+let scratch_path name suffix =
   incr scratch_counter;
   Filename.concat
     (Filename.get_temp_dir_name ())
-    (Printf.sprintf "rdt-durable-bench-%d-%d" (Unix.getpid ()) !scratch_counter)
+    (Printf.sprintf "%s-%d-%d%s" name (Unix.getpid ()) !scratch_counter suffix)
 
 let rm_rf dir =
   if Sys.file_exists dir then begin
@@ -750,7 +745,7 @@ let table_durable ?report ?(min_events = 5_000) () =
     bench_stream ~who:"table_durable" ~min_events
   in
   (* durable: WAL every event, a snapshot generation every nev/8 *)
-  let dir = scratch_dir () in
+  let dir = scratch_path "rdt-durable-bench" "" in
   rm_rf dir;
   let config =
     { Rdt_durable.Session.default_config with Rdt_durable.Session.snapshot_every = max 1 (nev / 8) }
@@ -884,12 +879,7 @@ let table_serve ?jobs ?report ?(streams = 4) ?(min_events = 4_000) () =
   let module Client = Rdt_serve.Client in
   let module W = Rdt_check.Session.Wire in
   let { events; nev; procs = n; baseline; _ } = bench_stream ~who:"table_serve" ~min_events in
-  let socket =
-    incr scratch_counter;
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "rdt-serve-%d-%d.sock" (Unix.getpid ()) !scratch_counter)
-  in
+  let socket = scratch_path "rdt-serve" ".sock" in
   let meter = Rdt_obs.Meter.default in
   let query_span () =
     match List.assoc_opt "serve.query" (Rdt_obs.Meter.spans meter) with
