@@ -1024,7 +1024,8 @@ let suite =
   [
     (None, fun c -> print_figure (fig_random ?jobs:c.jobs ?report:c.report ~seeds:c.seeds ()));
     (None, fun c -> print_figure (fig_group ?jobs:c.jobs ?report:c.report ~seeds:c.seeds ()));
-    (None, fun c -> print_figure (fig_client_server ?jobs:c.jobs ?report:c.report ~seeds:c.seeds ()));
+    ( None,
+      fun c -> print_figure (fig_client_server ?jobs:c.jobs ?report:c.report ~seeds:c.seeds ()) );
     ( Some "protocols",
       print_table "TAB-PROTOCOLS: forced checkpoints per 100 basic (n=8)" (fun c ->
           table_protocols ?jobs:c.jobs ?report:c.report ~seeds:c.seeds ()) );
@@ -1045,14 +1046,14 @@ let suite =
       print_table "ABLATION: predicate firings per variant (client-server, n=8)" (fun c ->
           table_ablation ?jobs:c.jobs ?report:c.report ~seeds:c.seeds ()) );
     ( Some "recovery",
-      print_table "TAB-RECOVERY: useless checkpoints, domino and replay (client-server, n=6)" (fun c ->
-          table_recovery ?jobs:c.jobs ?report:c.report ~seeds:c.few_seeds ()) );
+      print_table "TAB-RECOVERY: useless checkpoints, domino and replay (client-server, n=6)"
+        (fun c -> table_recovery ?jobs:c.jobs ?report:c.report ~seeds:c.few_seeds ()) );
     ( Some "coordinated",
       print_table "TAB-COORDINATED: coordinated snapshots vs CIC (random, n=8)" (fun c ->
           table_coordinated ?jobs:c.jobs ?report:c.report ~seeds:c.few_seeds ()) );
     ( Some "breakeven",
-      print_table "BREAK-EVEN: checkpoint size above which bhmr beats fdas in total overhead" (fun c ->
-          table_breakeven ?jobs:c.jobs ?report:c.report ~seeds:c.seeds ()) );
+      print_table "BREAK-EVEN: checkpoint size above which bhmr beats fdas in total overhead"
+        (fun c -> table_breakeven ?jobs:c.jobs ?report:c.report ~seeds:c.seeds ()) );
     (None, fun c -> print_figure (fig_lost_work ?jobs:c.jobs ?report:c.report ~seeds:c.seeds ()));
     ( Some "goodput",
       print_table "TAB-GOODPUT: online crash recovery, 3 crashes (random, n=6)" (fun c ->
@@ -1076,7 +1077,9 @@ let suite =
           if c.quick then { Scale.default_params with Scale.n = 1_000; messages = 100_000 }
           else Scale.default_params
         in
-        heading (Printf.sprintf "BENCH-SCALE: sharded engine throughput (cbr, ring, n=%d)" params.Scale.n);
+        heading
+          (Printf.sprintf "BENCH-SCALE: sharded engine throughput (cbr, ring, n=%d)"
+             params.Scale.n);
         Table.print (table_scale ?jobs:c.jobs ?report:c.report ~params ()) );
     ( Some "serve",
       print_table "BENCH-SERVE: multi-stream serving over the session wire protocol (bhmr, n=8)"

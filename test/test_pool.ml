@@ -211,7 +211,8 @@ let () =
           Alcotest.test_case "TAB-PROTOCOLS byte-identical" `Slow test_table_protocols_jobs_independent;
           Alcotest.test_case "TAB-FAULTS byte-identical" `Slow test_table_faults_jobs_independent;
           Alcotest.test_case "FIG-8 byte-identical" `Slow test_fig_group_jobs_independent;
-          Alcotest.test_case "FIG-LOST-WORK byte-identical" `Slow test_fig_lost_work_jobs_independent;
+          Alcotest.test_case "FIG-LOST-WORK byte-identical" `Slow
+            test_fig_lost_work_jobs_independent;
           Alcotest.test_case "worker-count independence (1,2,8)" `Slow test_claim_worker_count_independent;
           Alcotest.test_case "report cell sequence" `Quick test_report_cell_sequence;
         ] );
