@@ -581,18 +581,18 @@ let crashrun_cmd =
     Arg.(value & opt int 200 & info [ "repair" ] ~docv:"D" ~doc:"Downtime before recovery.")
   in
   let action w crashes repair trace =
-    let module CS = Rdt_failures.Crash_sim in
+    let module R = Rdt_core.Runtime in
     with_trace trace ~mode:"crashrun" w @@ fun tr ->
     let crashes =
-      List.map (fun (victim, at) -> { CS.victim; at; repair_delay = repair }) crashes
+      List.map (fun (victim, at) -> { R.victim; at; repair_delay = repair }) crashes
     in
     let r =
-      CS.run
-        (CS.configure ~n:w.n ~seed:w.seed ~messages:w.messages ~crashes ~faults:w.faults
+      R.run
+        (R.configure ~n:w.n ~seed:w.seed ~messages:w.messages ~crashes ~faults:w.faults
            ?transport:w.transport ~trace:tr (snd w.env ()) w.protocol)
     in
     List.iter
-      (fun (rc : CS.recovery) ->
+      (fun (rc : R.recovery) ->
         Format.printf
           "crash of P%d at t=%d: line=[%s] undone=%d ckpts_undone=%d dead_msgs=%d replayed=%d@."
           rc.crash.victim rc.crash.at
@@ -602,12 +602,13 @@ let crashrun_cmd =
     Format.printf
       "surviving: %d deliveries; taken: %d basic + %d forced checkpoints; %d events undone \
        total@."
-      r.metrics.CS.messages_delivered r.metrics.CS.basic r.metrics.CS.forced
-      r.metrics.CS.total_events_undone;
-    if r.metrics.CS.retransmissions + r.metrics.CS.packets_dropped + r.metrics.CS.undeliverable > 0
-    then
-      Format.printf "network: %d retransmissions, %d packets dropped, %d undeliverable@."
-        r.metrics.CS.retransmissions r.metrics.CS.packets_dropped r.metrics.CS.undeliverable;
+      r.metrics.messages r.metrics.basic r.metrics.forced
+      (List.fold_left (fun a (rc : R.recovery) -> a + rc.events_undone) 0 r.recoveries);
+    (match r.transport with
+    | Some s when s.retransmissions + s.packets_dropped + s.undeliverable > 0 ->
+        Format.printf "network: %d retransmissions, %d packets dropped, %d undeliverable@."
+          s.retransmissions s.packets_dropped s.undeliverable
+    | Some _ | None -> ());
     Format.printf "%a@." Rdt_pattern.Pattern.pp_summary r.pattern;
     let rep = Rdt_core.Checker.run r.pattern in
     Rdt_obs.Trace.emit tr

@@ -9,29 +9,28 @@
 
    Run with:  dune exec examples/online_recovery.exe *)
 
-module CS = Rdt_failures.Crash_sim
+module R = Rdt_core.Runtime
 
 let run pname =
   let protocol = Rdt_core.Registry.find_exn pname in
   let env = Rdt_workloads.Registry.find_exn "random" in
-  CS.run
-    {
-      (CS.default_config env protocol) with
-      CS.n = 6;
-      seed = 42;
-      max_messages = 1500;
-      crashes =
-        [
-          { CS.victim = 2; at = 3000; repair_delay = 250 };
-          { CS.victim = 5; at = 6000; repair_delay = 250 };
-        ];
-    }
+  R.run
+    (R.configure ~n:6 ~seed:42 ~messages:1500
+       ~crashes:
+         [
+           { R.victim = 2; at = 3000; repair_delay = 250 };
+           { R.victim = 5; at = 6000; repair_delay = 250 };
+         ]
+       env protocol)
+
+let events_undone (r : R.result) =
+  List.fold_left (fun a (rc : R.recovery) -> a + rc.events_undone) 0 r.recoveries
 
 let describe pname =
   let r = run pname in
   Format.printf "@.--- %s ---@." pname;
   List.iter
-    (fun (rc : CS.recovery) ->
+    (fun (rc : R.recovery) ->
       Format.printf
         "crash of P%d at t=%d: rolled back to [%s]; %d events undone, %d messages replayed@."
         rc.crash.victim rc.crash.at
@@ -39,7 +38,7 @@ let describe pname =
         rc.events_undone rc.messages_replayed)
     r.recoveries;
   Format.printf "surviving execution: %d deliveries, %d events undone in total@."
-    r.metrics.messages_delivered r.metrics.total_events_undone;
+    r.metrics.messages (events_undone r);
   r
 
 let () =
@@ -53,4 +52,4 @@ let () =
 
   let none = describe "none" in
   Format.printf "@.verdict: with no protocol the same two crashes undid %dx more work.@."
-    (none.metrics.total_events_undone / max 1 bhmr.metrics.total_events_undone)
+    (events_undone none / max 1 (events_undone bhmr))

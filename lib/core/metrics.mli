@@ -5,10 +5,14 @@ type t = {
   protocol : string;
   environment : string;
   seed : int;
-  basic : int;  (** basic checkpoints actually taken *)
+  basic : int;  (** basic checkpoints taken, including those a rollback undid *)
   basic_skipped : int;  (** scheduled basic checkpoints skipped (empty interval) *)
-  forced : int;  (** forced checkpoints taken by the protocol *)
-  messages : int;  (** application messages sent (= delivered) *)
+  forced : int;
+      (** forced checkpoints taken, including recovery checkpoints and
+          those a rollback undid *)
+  messages : int;
+      (** messages in the pattern: sent and delivered, excluding abandoned
+          and undone sends *)
   internal_events : int;
   payload_bits_per_msg : int;
   duration : int;  (** simulated time at the end of the run *)

@@ -19,7 +19,7 @@ type spec =
 val sample : Rng.t -> spec -> int
 (** [sample rng spec] draws a delay; [>= 1] for any spec accepted by
     {!validate}.  [sample] does not re-validate — config entry points
-    ({!Rdt_core.Runtime.run}, [Crash_sim.run]) reject bad specs with
+    ({!Rdt_core.Runtime.run}) reject bad specs with
     [Invalid_argument] instead of silently clamping here. *)
 
 val validate : spec -> (unit, string) result

@@ -50,31 +50,13 @@ let execute (sc : Scenario.t) eng collect =
         }
     else None
   in
-  if sc.crashes = [] then begin
-    let cfg =
-      Rdt_core.Runtime.configure ~n:sc.n ~seed:sc.run_seed ~messages:sc.messages
-        ~channel:sc.channel ~basic_period:sc.basic_period ~faults:sc.faults ?transport ~trace:tr
-        env protocol
-    in
-    let r = Rdt_core.Runtime.run cfg in
-    (r.Rdt_core.Runtime.pattern, r.Rdt_core.Runtime.transport)
-  end
-  else begin
-    let module CS = Rdt_failures.Crash_sim in
-    let crashes =
-      List.map
-        (fun (c : Scenario.crash) ->
-          { CS.victim = c.victim; at = c.at; repair_delay = c.repair_delay })
-        sc.crashes
-    in
-    let cfg =
-      CS.configure ~n:sc.n ~seed:sc.run_seed ~messages:sc.messages ~channel:sc.channel
-        ~basic_period:sc.basic_period ~crashes ~faults:sc.faults ?transport ~trace:tr env
-        protocol
-    in
-    let r = CS.run cfg in
-    (r.CS.pattern, None)
-  end
+  let r =
+    Rdt_core.Runtime.run
+      (Rdt_core.Runtime.configure ~n:sc.n ~seed:sc.run_seed ~messages:sc.messages
+         ~channel:sc.channel ~basic_period:sc.basic_period ~crashes:sc.crashes ~faults:sc.faults
+         ?transport ~trace:tr env protocol)
+  in
+  (r.pattern, r.transport)
 
 let audit ?mutation (sc : Scenario.t) eng events pat transport_stats =
   let fail kind detail = Fail { kind; detail } in

@@ -1,9 +1,9 @@
 (** Scenario executor: one adversarial run, fully cross-checked.
 
-    A scenario runs through {!Rdt_core.Runtime} (or
-    {!Rdt_failures.Crash_sim} when it schedules crashes) with the online
-    checker tee'd into the live trace stream.  The finished run is then
-    audited from independent angles: transport conservation, agreement
+    A scenario runs through {!Rdt_core.Runtime}, crashes included, with
+    the online checker tee'd into the live trace stream.  The finished run
+    is then audited from independent angles: transport conservation
+    (crash runs too, over their stop-and-wait accounting), agreement
     of all four {!Rdt_core.Checker} algorithms with the live engine and
     (when {!Oracle.affordable}) the brute-force oracle,
     {!Rdt_obs.Replay.rebuild} round-tripping the trace back to the exact

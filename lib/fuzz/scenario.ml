@@ -3,7 +3,7 @@ module Faults = Rdt_dist.Faults
 module Channel = Rdt_dist.Channel
 module Json = Rdt_obs.Trace.Json
 
-type crash = { victim : int; at : int; repair_delay : int }
+type crash = Rdt_core.Runtime.crash = { victim : int; at : int; repair_delay : int }
 
 type t = {
   run_seed : int;

@@ -4,9 +4,8 @@
     A scenario composes a workload pick from {!Rdt_workloads.Registry},
     a protocol choice, a channel-delay model, a network-fault schedule
     ({!Rdt_dist.Faults}: drop/dup/reorder, partition windows and
-    intermittent mobile-style links), and a crash/recovery schedule for
-    {!Rdt_failures.Crash_sim} — everything {!Rdt_core.Runtime} and the
-    crash simulator need to execute it.  {!generate} derives a scenario
+    intermittent mobile-style links), and a crash/recovery schedule —
+    everything {!Rdt_core.Runtime} needs to execute it.  {!generate} derives a scenario
     deterministically from a single seed via {!Rdt_dist.Rng.derive_seed},
     so the whole fuzz campaign is a pure function of its base seed.
 
@@ -14,7 +13,7 @@
     {!Rdt_obs.Trace.Json}) so a shrunk counterexample is a committable,
     replayable artifact. *)
 
-type crash = { victim : int; at : int; repair_delay : int }
+type crash = Rdt_core.Runtime.crash = { victim : int; at : int; repair_delay : int }
 
 type t = {
   run_seed : int;  (** the runtime's RNG seed *)

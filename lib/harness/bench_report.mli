@@ -33,7 +33,7 @@ val wall : t -> float
 val record_obs : ?meter:Rdt_obs.Meter.t -> t -> unit
 (** Snapshot the metrics registry ({!Rdt_obs.Meter.default} unless given)
     into the report: per-phase timer spans ([runtime.sim],
-    [runtime.pattern], [checker.*], [crash_sim.*], ...) and aggregate
+    [runtime.pattern], [checker.*], [runtime.recovery], ...) and aggregate
     counters, rendered as the [phases] and [counters] JSON sections.
     Call once, after the grid finishes. *)
 

@@ -36,20 +36,9 @@ let workload ?(n = 8) ?(max_messages = 2000) ?(channel = Channel.Uniform (5, 100
 
 let run_once w protocol ~seed =
   Runtime.run
-    {
-      Runtime.n = w.n;
-      seed;
-      env = w.make_env ();
-      protocol;
-      channel = w.channel;
-      basic_period = w.basic_period;
-      max_messages = w.max_messages;
-      max_time = max_int / 2;
-      faults = w.faults;
-      transport = w.transport;
-      trace = Rdt_obs.Trace.null;
-      online = false;
-    }
+    (Runtime.configure ~n:w.n ~seed ~messages:w.max_messages ~channel:w.channel
+       ~basic_period:w.basic_period ~faults:w.faults ?transport:w.transport (w.make_env ())
+       protocol)
 
 let verify_rdt (r : Runtime.result) = (Rdt_core.Checker.run r.Runtime.pattern).Rdt_core.Checker.rdt
 

@@ -531,13 +531,12 @@ let table_breakeven ?jobs ?report ?(seeds = Experiment.default_seeds) () =
 
 let table_goodput ?jobs ?report ?(seeds = Experiment.quick_seeds) () =
   let table = "TAB-GOODPUT" in
-  let module CS = Rdt_failures.Crash_sim in
   let protocols = [ "none"; "bcs"; "fdas"; "bhmr"; "cbr" ] in
   let crashes =
     [
-      { CS.victim = 1; at = 2500; repair_delay = 200 };
-      { CS.victim = 3; at = 5000; repair_delay = 200 };
-      { CS.victim = 1; at = 7500; repair_delay = 200 };
+      { Runtime.victim = 1; at = 2500; repair_delay = 200 };
+      { Runtime.victim = 3; at = 5000; repair_delay = 200 };
+      { Runtime.victim = 1; at = 7500; repair_delay = 200 };
     ]
   in
   let per_protocol =
@@ -548,21 +547,13 @@ let table_goodput ?jobs ?report ?(seeds = Experiment.quick_seeds) () =
         let env = Rdt_workloads.Registry.find_exn "random" in
         let seed = Experiment.cell_seed [ table; "random" ] seed in
         let r =
-          CS.run
-            {
-              (CS.default_config env protocol) with
-              CS.n = 6;
-              seed;
-              max_messages = 1500;
-              crashes;
-            }
+          Runtime.run (Runtime.configure ~n:6 ~seed ~messages:1500 ~crashes env protocol)
         in
-        ( float_of_int r.CS.metrics.CS.total_events_undone,
-          float_of_int r.CS.metrics.CS.total_messages_replayed,
-          float_of_int
-            (List.fold_left (fun a (rc : CS.recovery) -> a + rc.CS.messages_undone) 0
-               r.CS.recoveries),
-          float_of_int r.CS.metrics.CS.messages_delivered ))
+        let total f = float_of_int (List.fold_left (fun a rc -> a + f rc) 0 r.recoveries) in
+        ( total (fun rc -> rc.Runtime.events_undone),
+          total (fun rc -> rc.Runtime.messages_replayed),
+          total (fun rc -> rc.Runtime.messages_undone),
+          float_of_int r.metrics.messages ))
   in
   let t =
     Table.create

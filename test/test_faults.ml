@@ -342,22 +342,26 @@ let test_runtime_validation () =
     (raises_invalid (fun () -> Runtime.run { base with Runtime.channel = Channel.Fixed 0 }))
 
 let test_crash_sim_validation () =
-  let module CS = Rdt_failures.Crash_sim in
   let env = Rdt_workloads.Registry.find_exn "random" in
-  let base = CS.default_config env (Registry.find_exn "bhmr") in
+  let base =
+    {
+      (Runtime.default_config env (Registry.find_exn "bhmr")) with
+      Runtime.crashes = [ { Runtime.victim = 1; at = 1500; repair_delay = 200 } ];
+    }
+  in
   check "crash_sim: faults require a transport" true
     (raises_invalid (fun () ->
-         CS.run { base with CS.faults = { Faults.none with drop = 0.1 } }));
+         Runtime.run { base with Runtime.faults = { Faults.none with drop = 0.1 } }));
   check "crash_sim: bad fault spec" true
     (raises_invalid (fun () ->
-         CS.run
+         Runtime.run
            {
              base with
-             CS.faults = { Faults.none with dup = 2.0 };
+             Runtime.faults = { Faults.none with dup = 2.0 };
              transport = Some Transport.default_params;
            }));
   check "crash_sim: bad channel rejected" true
-    (raises_invalid (fun () -> CS.run { base with CS.channel = Channel.Uniform (0, 5) }))
+    (raises_invalid (fun () -> Runtime.run { base with Runtime.channel = Channel.Uniform (0, 5) }))
 
 let () =
   Alcotest.run "rdt_faults"

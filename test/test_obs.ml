@@ -10,7 +10,6 @@ module P = Rdt_pattern.Pattern
 module T = Rdt_pattern.Types
 module Checker = Rdt_core.Checker
 module Runtime = Rdt_core.Runtime
-module CS = Rdt_failures.Crash_sim
 
 let check = Alcotest.(check bool)
 
@@ -202,8 +201,8 @@ let test_replay_under_faults () =
 let test_replay_crashrun () =
   let crashes =
     [
-      { CS.victim = 2; at = 2000; repair_delay = 200 };
-      { CS.victim = 0; at = 4500; repair_delay = 300 };
+      { Runtime.victim = 2; at = 2000; repair_delay = 200 };
+      { Runtime.victim = 0; at = 4500; repair_delay = 300 };
     ]
   in
   List.iter
@@ -214,10 +213,10 @@ let test_replay_crashrun () =
           let p = Rdt_core.Registry.find_exn pname in
           let env = Rdt_workloads.Registry.find_exn "random" in
           let r =
-            CS.run
+            Runtime.run
               {
-                (CS.default_config env p) with
-                CS.n = 5;
+                (Runtime.default_config env p) with
+                Runtime.n = 5;
                 seed;
                 max_messages = 300;
                 crashes;
@@ -229,7 +228,7 @@ let test_replay_crashrun () =
           match Replay.rebuild (Trace.events tr) with
           | Error e -> Alcotest.failf "%s seed %d: rebuild failed: %s" pname seed e
           | Ok rebuilt ->
-              if not (Rdt_pattern.Pattern.equal rebuilt r.CS.pattern) then
+              if not (Rdt_pattern.Pattern.equal rebuilt r.Runtime.pattern) then
                 Alcotest.failf "%s seed %d: rebuilt surviving pattern differs" pname seed;
               check "rollbacks recorded" true
                 (List.exists (function Trace.Rollback _ -> true | _ -> false) (Trace.events tr)))

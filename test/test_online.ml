@@ -19,7 +19,6 @@ module Checker = Rdt_core.Checker
 module Runtime = Rdt_core.Runtime
 module Registry = Rdt_core.Registry
 module Trace = Rdt_obs.Trace
-module CS = Rdt_failures.Crash_sim
 module Online = Rdt_check.Online
 
 let check = Alcotest.(check bool)
@@ -128,8 +127,8 @@ let test_stream_under_faults () =
 let test_stream_crashrun () =
   let crashes =
     [
-      { CS.victim = 2; at = 2000; repair_delay = 200 };
-      { CS.victim = 0; at = 4500; repair_delay = 300 };
+      { Runtime.victim = 2; at = 2000; repair_delay = 200 };
+      { Runtime.victim = 0; at = 4500; repair_delay = 300 };
     ]
   in
   List.iter
@@ -140,10 +139,10 @@ let test_stream_crashrun () =
           let p = Registry.find_exn pname in
           let env = Rdt_workloads.Registry.find_exn "random" in
           let r =
-            CS.run
+            Runtime.run
               {
-                (CS.default_config env p) with
-                CS.n = 5;
+                (Runtime.default_config env p) with
+                Runtime.n = 5;
                 seed;
                 max_messages = 300;
                 crashes;
@@ -156,7 +155,7 @@ let test_stream_crashrun () =
           check "rollbacks recorded" true
             (List.exists (function Trace.Rollback _ -> true | _ -> false) events);
           let label = Printf.sprintf "crashrun %s seed %d" pname seed in
-          let t = stream_verdict label events r.CS.pattern in
+          let t = stream_verdict label events r.Runtime.pattern in
           check (label ^ ": engine rebuilt through rollbacks") true (Online.rebuilds t > 0))
         [ 1; 2; 3 ])
     [
