@@ -9,11 +9,15 @@
    stay legal, and sweep every prefix of a real crash-recovery trace
    asserting the two consumers agree on accept/reject everywhere — up
    to the one sanctioned asymmetry, prefixes with messages still in
-   flight, which only the pattern-finishing rebuild rejects. *)
+   flight, which only the pattern-finishing rebuild rejects — and that
+   wherever both can, the rebuild and a checker session reconstruct the
+   same pattern. *)
 
 module Trace = Rdt_obs.Trace
 module Replay = Rdt_obs.Replay
 module Online = Rdt_check.Online
+module Session = Rdt_check.Session
+module Min_gcp = Rdt_core.Min_gcp
 module P = Rdt_pattern.Pattern
 module T = Rdt_pattern.Types
 module Scenario = Rdt_fuzz.Scenario
@@ -149,8 +153,35 @@ let crashing_run () =
   in
   go 1
 
+(* The pattern a checker session reconstructs from its surviving history
+   must be the rebuild's, up to what the session does not keep (original
+   times and checkpoint kinds): same events per process, same messages,
+   same min/max consistent global checkpoint for every checkpoint. *)
+let same_as_session compared i prefix pat =
+  let n = P.n pat in
+  let sess = Session.ephemeral ~n () in
+  match Session.feed sess prefix with
+  | Error _ -> ()
+  | Ok () -> (
+      match Session.pattern sess with
+      | Error _ -> ()
+      | Ok spat ->
+          incr compared;
+          let what fmt = Printf.sprintf ("prefix of %d events: " ^^ fmt) i in
+          for pid = 0 to n - 1 do
+            check (what "events of pid %d" pid) true (P.events pat pid = P.events spat pid)
+          done;
+          check (what "messages") true (P.messages pat = P.messages spat);
+          P.iter_ckpts pat (fun c ->
+              let id = (c.T.owner, c.T.index) in
+              check (what "minimum of C(%d,%d)" (fst id) (snd id)) true
+                (Min_gcp.minimum pat id = Min_gcp.minimum spat id);
+              check (what "maximum of C(%d,%d)" (fst id) (snd id)) true
+                (Min_gcp.maximum pat id = Min_gcp.maximum spat id)))
+
 let test_prefix_agreement () =
   let events = crashing_run () in
+  let compared = ref 0 in
   let rec sweep prefix_rev rest i =
     match rest with
     | [] -> ()
@@ -158,6 +189,7 @@ let test_prefix_agreement () =
         let prefix = List.rev (ev :: prefix_rev) in
         let a = Replay.rebuild prefix in
         let b = Online.check_trace prefix in
+        (match a with Ok pat -> same_as_session compared i prefix pat | Error _ -> ());
         (match (a, b) with
         | Ok _, Ok _ | Error _, Error _ -> ()
         | Error "Pattern.Builder.finish: undelivered messages remain", Ok _ ->
@@ -173,6 +205,7 @@ let test_prefix_agreement () =
         sweep (ev :: prefix_rev) rest (i + 1)
   in
   sweep [] events 1;
+  check "some prefixes compared with a session" true (!compared > 0);
   (* the full trace is in particular accepted by both *)
   check "full trace accepted" true (Result.is_ok (Replay.rebuild events))
 
