@@ -304,10 +304,7 @@ module Wire = struct
     match field "events" j with
     | Json.Arr items ->
         List.map
-          (fun item ->
-            match T.decode (Json.to_string item) with
-            | Ok ev -> ev
-            | Error e -> bad "bad event: %s" e)
+          (fun item -> match T.of_json item with Ok ev -> ev | Error e -> bad "bad event: %s" e)
           items
     | _ -> bad "\"events\": not an array"
 

@@ -352,7 +352,7 @@ module Json = struct
         ^ "}"
 end
 
-let decode line =
+let of_json j =
   let field obj name =
     match List.assoc_opt name obj with
     | Some v -> Ok v
@@ -377,9 +377,8 @@ let decode line =
     | Error e -> Error e
   in
   let ( let* ) = Result.bind in
-  match Json.parse line with
-  | Error e -> Error e
-  | Ok (Json.Obj obj) -> (
+  match j with
+  | Json.Obj obj -> (
       let* ev = str_f obj "ev" in
       match ev with
       | "meta" ->
@@ -467,7 +466,9 @@ let decode line =
           let* rdt = bool_f obj "rdt" in
           Ok (Verdict { checker; rdt })
       | k -> Error (Printf.sprintf "unknown event kind %S" k))
-  | Ok _ -> Error "not a JSON object"
+  | _ -> Error "not a JSON object"
+
+let decode line = Result.bind (Json.parse line) of_json
 
 let read_file path =
   match In_channel.with_open_text path In_channel.input_lines with

@@ -150,7 +150,11 @@ val json_escape : string -> string
 (** The string-escape {!encode} uses, for layers composing their own
     JSON around encoded events (the session wire codec). *)
 
+val of_json : Json.t -> (event, string) result
+(** The event a parsed JSON object encodes. *)
+
 val decode : string -> (event, string) result
+(** {!Json.parse} followed by {!of_json}. *)
 
 val read_file : string -> (event list, string) result
 (** Decode a JSONL trace file; blank lines are skipped; the error names
