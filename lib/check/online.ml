@@ -3,8 +3,9 @@ module T = Rdt_pattern.Types
 module Bitset = Rdt_pattern.Bitset
 module Vclock = Rdt_dist.Vclock
 module Trace = Rdt_obs.Trace
+module History = Rdt_pattern.History
 
-exception Inconsistent of string
+exception Inconsistent = History.Inconsistent
 
 let bad fmt = Printf.ksprintf (fun s -> raise (Inconsistent s)) fmt
 
@@ -260,24 +261,11 @@ let recompute_open_bad c pid =
 (* The engine: surviving-history log + rollback-triggered rebuild      *)
 (* ------------------------------------------------------------------ *)
 
-(* [seq] restores global order when the per-process stacks are flattened
-   after a rollback; the scheme is the same as [Replay.rebuild]'s. *)
-type entry =
-  | L_send of { seq : int; msg : int }
-  | L_recv of { seq : int; msg : int }
-  | L_internal of { seq : int }
-  | L_ckpt of { seq : int; index : int }
-
-let entry_seq = function
-  | L_send { seq; _ } | L_recv { seq; _ } | L_internal { seq; _ } | L_ckpt { seq; _ } -> seq
-
 type t = {
   n : int;
   track_open : bool;
   mutable core : core;
-  stacks : entry list array; (* surviving entries per process, newest first *)
-  routes : (int, int * int) Hashtbl.t;
-  undeliv : (int, unit) Hashtbl.t;
+  history : History.t;
   mutable seen : int;
   mutable first_violation : int option;
   mutable rebuilds : int;
@@ -293,9 +281,7 @@ let create ?(track_open = true) ~n () =
     n;
     track_open;
     core = core_create ~n;
-    stacks = Array.make n [];
-    routes = Hashtbl.create 64;
-    undeliv = Hashtbl.create 8;
+    history = History.create ~n;
     seen = 0;
     first_violation = None;
     rebuilds = 0;
@@ -314,6 +300,8 @@ let first_violation t = t.first_violation
 let zcycle t = t.core.has_cycle
 
 let rebuilds t = t.rebuilds
+
+let history t = t.history
 
 let orphan_messages t = List.rev t.orphans
 
@@ -341,73 +329,50 @@ let finish_step t =
   t.seen <- t.seen + 1
 
 let op_send t ~msg ~src ~dst =
-  check_pid t src "send";
-  check_pid t dst "send";
-  Hashtbl.replace t.routes msg (src, dst);
-  t.stacks.(src) <- L_send { seq = t.seen; msg } :: t.stacks.(src);
+  History.send t.history ~seq:t.seen ~msg ~src ~dst;
   core_send t.core ~msg ~src
 
 let op_deliver t ~msg ~dst =
-  check_pid t dst "deliver";
-  if not (Hashtbl.mem t.routes msg) then bad "deliver of unknown message %d" msg;
-  if Hashtbl.mem t.undeliv msg then bad "deliver of undeliverable message %d" msg;
-  t.stacks.(dst) <- L_recv { seq = t.seen; msg } :: t.stacks.(dst);
+  History.recv t.history ~seq:t.seen ~msg ~dst;
   core_deliver t.core ~msg ~dst
 
 let op_internal t ~pid =
-  check_pid t pid "internal";
-  t.stacks.(pid) <- L_internal { seq = t.seen } :: t.stacks.(pid);
+  History.internal t.history ~seq:t.seen ~pid;
   core_internal t.core ~pid
 
 let op_checkpoint t ~pid ~index =
-  check_pid t pid "ckpt";
-  t.stacks.(pid) <- L_ckpt { seq = t.seen; index } :: t.stacks.(pid);
+  History.checkpoint t.history ~seq:t.seen ~pid ~index;
   core_ckpt t.core ~pid ~index
 
 let op_undeliverable t ~msg =
-  Hashtbl.replace t.undeliv msg ();
+  History.undeliverable t.history ~msg;
   core_retract_send t.core ~msg
 
 let rebuild t =
   t.rebuilds <- t.rebuilds + 1;
   let c = core_create ~n:t.n in
   t.core <- c;
-  let entries =
-    Array.to_list t.stacks
-    |> List.mapi (fun pid stack -> List.rev_map (fun e -> (pid, e)) stack)
-    |> List.concat
-    |> List.sort (fun (_, a) (_, b) -> compare (entry_seq a) (entry_seq b))
-  in
   t.orphans <- [];
-  List.iter
-    (fun (pid, e) ->
+  History.iter t.history (fun pid e ->
       match e with
-      | L_send { msg; _ } -> if not (Hashtbl.mem t.undeliv msg) then core_send c ~msg ~src:pid
-      | L_recv { msg; _ } ->
+      | Send { msg; _ } ->
+          if not (History.is_undeliverable t.history msg) then core_send c ~msg ~src:pid
+      | Recv { msg; _ } ->
           (* a delivery can outlive its send mid-cascade: the sender rolled
              back first and the receiver's rollback has not arrived yet.
              Exclude it from the rebuilt state; it must be popped by a
              later rollback for the stream to end consistently. *)
           if Hashtbl.mem c.msg_slot msg then core_deliver c ~msg ~dst:pid
           else t.orphans <- msg :: t.orphans
-      | L_internal _ -> core_internal c ~pid
-      | L_ckpt { index; _ } -> core_ckpt c ~pid ~index)
-    entries;
+      | Internal _ -> core_internal c ~pid
+      | Ckpt { index; _ } -> core_ckpt c ~pid ~index);
   (* every open verdict is stale; settle them all *)
   for pid = 0 to t.n - 1 do
     c.dirty.(pid) <- true
   done
 
 let op_rollback t ~pid ~to_index =
-  check_pid t pid "rollback";
-  let rec pop = function
-    | L_ckpt { index; _ } :: _ as kept when index = to_index -> kept
-    | [] ->
-        if to_index = 0 then [] (* initial checkpoint: implicit, empty history *)
-        else bad "rollback of pid %d to missing checkpoint %d" pid to_index
-    | _ :: rest -> pop rest
-  in
-  t.stacks.(pid) <- pop t.stacks.(pid);
+  ignore (History.rollback t.history ~pid ~to_index);
   rebuild t
 
 let send t ~msg ~src ~dst =
@@ -552,42 +517,28 @@ let pp_summary ppf s =
    closure sets themselves would only create a second, divergeable
    source of truth. *)
 module Export = struct
-  type entry =
-    | Send of { seq : int; msg : int }
-    | Recv of { seq : int; msg : int }
-    | Internal of { seq : int }
-    | Ckpt of { seq : int; index : int }
-
   type t = {
     n : int;
     track_open : bool;
     events_seen : int;
     first_violation : int option;
     rebuilds : int;
-    stacks : entry list array;
+    stacks : History.entry list array;
     routes : (int * int * int) list;
     undeliverable : int list;
   }
 end
 
 let export t =
-  let conv = function
-    | L_send { seq; msg } -> Export.Send { seq; msg }
-    | L_recv { seq; msg } -> Export.Recv { seq; msg }
-    | L_internal { seq } -> Export.Internal { seq }
-    | L_ckpt { seq; index } -> Export.Ckpt { seq; index }
-  in
   {
     Export.n = t.n;
     track_open = t.track_open;
     events_seen = t.seen;
     first_violation = t.first_violation;
     rebuilds = t.rebuilds;
-    stacks = Array.map (fun stack -> List.rev_map conv stack) t.stacks;
-    routes =
-      Rdt_dist.Tbl.bindings_sorted ~compare:Int.compare t.routes
-      |> List.map (fun (msg, (src, dst)) -> (msg, src, dst));
-    undeliverable = Rdt_dist.Tbl.keys_sorted ~compare:Int.compare t.undeliv;
+    stacks = History.stacks t.history;
+    routes = History.routes t.history;
+    undeliverable = History.undeliverable_msgs t.history;
   }
 
 let restore (e : Export.t) =
@@ -595,16 +546,14 @@ let restore (e : Export.t) =
   if Array.length e.Export.stacks <> e.Export.n then
     bad "restore: %d survivor stacks for %d processes" (Array.length e.Export.stacks) e.Export.n;
   if e.Export.events_seen < 0 then bad "restore: negative event count %d" e.Export.events_seen;
-  let t = create ~track_open:e.Export.track_open ~n:e.Export.n () in
-  let conv = function
-    | Export.Send { seq; msg } -> L_send { seq; msg }
-    | Export.Recv { seq; msg } -> L_recv { seq; msg }
-    | Export.Internal { seq } -> L_internal { seq }
-    | Export.Ckpt { seq; index } -> L_ckpt { seq; index }
+  let t =
+    {
+      (create ~track_open:e.Export.track_open ~n:e.Export.n ()) with
+      history =
+        History.restore ~n:e.Export.n ~stacks:e.Export.stacks ~routes:e.Export.routes
+          ~undeliverable:e.Export.undeliverable;
+    }
   in
-  Array.iteri (fun pid stack -> t.stacks.(pid) <- List.rev_map conv stack) e.Export.stacks;
-  List.iter (fun (msg, src, dst) -> Hashtbl.replace t.routes msg (src, dst)) e.Export.routes;
-  List.iter (fun msg -> Hashtbl.replace t.undeliv msg ()) e.Export.undeliverable;
   (* reconstruction is the rollback rebuild; it must not count as one *)
   rebuild t;
   settle t;
@@ -633,28 +582,6 @@ let check_pattern pat =
     (P.events_in_gseq_order pat);
   t
 
-let trace_n events =
-  match List.find_map (function Trace.Meta { n; _ } -> Some n | _ -> None) events with
-  | Some n -> n
-  | None ->
-      (* infer from the largest pid mentioned, as Replay.rebuild does *)
-      let m = ref (-1) in
-      List.iter
-        (fun (ev : Trace.event) ->
-          match ev with
-          | Send { src; dst; _ }
-          | Deliver { src; dst; _ }
-          | Retransmit { src; dst; _ }
-          | Drop { src; dst; _ }
-          | Undeliverable { src; dst; _ }
-          | Replay { src; dst; _ } ->
-              m := max !m (max src dst)
-          | Internal { pid; _ } | Ckpt { pid; _ } | Rollback { pid; _ } -> m := max !m pid
-          | Meta _ | Verdict _ -> ())
-        events;
-      if !m < 0 then bad "empty trace: no events and no meta header";
-      !m + 1
-
 let orphan_error orphans =
   match List.sort_uniq Int.compare orphans with
   | [ msg ] -> Printf.sprintf "surviving delivery of rolled-back send %d" msg
@@ -662,12 +589,14 @@ let orphan_error orphans =
       Printf.sprintf "surviving deliveries of rolled-back sends %s"
         (String.concat ", " (List.map string_of_int msgs))
 
-let trace_process_count events =
-  match trace_n events with n -> Ok n | exception Inconsistent e -> Error e
+let trace_process_count = Rdt_obs.Replay.process_count
 
 let check_trace events =
-  try
-    let t = create ~n:(trace_n events) () in
-    feed t events;
-    match orphan_messages t with [] -> Ok t | orphans -> Error (orphan_error orphans)
-  with Inconsistent e -> Error e
+  match trace_process_count events with
+  | Error _ as e -> e
+  | Ok n -> (
+      try
+        let t = create ~n () in
+        feed t events;
+        match orphan_messages t with [] -> Ok t | orphans -> Error (orphan_error orphans)
+      with Inconsistent e -> Error e)

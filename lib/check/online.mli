@@ -18,10 +18,11 @@
     {e open} nodes whose TDV snapshot is the live vector.
 
     {b Rollbacks.}  On a [Rollback] trace event the engine retracts: it
-    keeps a per-process surviving-history log (the same scheme as
-    {!Rdt_obs.Replay.rebuild}), truncates it to the rolled-back
-    checkpoint, and rebuilds the incremental state from the survivors.
-    Replayed deliveries then arrive as fresh [Deliver] events.
+    keeps a {!Rdt_pattern.History} of surviving entries (the one
+    {!Rdt_obs.Replay.rebuild} folds a trace into), pops it back to the
+    rolled-back checkpoint, and rebuilds the incremental state from the
+    survivors in [seq] order.  Replayed deliveries then arrive as fresh
+    [Deliver] events.
 
     {b Complexity.}  Amortized near-constant per event: reachability
     propagation does O(1) work per {e newly established} (source
@@ -33,7 +34,8 @@
 exception Inconsistent of string
 (** The event stream is not a consistent run (delivery of an unknown or
     undeliverable message, checkpoint index out of order, rollback to a
-    missing checkpoint, ...). *)
+    missing checkpoint, ...).  The same exception as
+    {!Rdt_pattern.History.Inconsistent}. *)
 
 type t
 
@@ -117,6 +119,9 @@ val num_checkpoints : t -> int
 val rebuilds : t -> int
 (** Rollback-triggered state rebuilds so far. *)
 
+val history : t -> Rdt_pattern.History.t
+(** The surviving history the engine keeps; read it, don't mutate it. *)
+
 val orphan_messages : t -> int list
 (** Surviving deliveries whose send was rolled back.  A rollback cascade
     is observed one process at a time, so between the sender's rollback
@@ -156,31 +161,25 @@ val pp_summary : Format.formatter -> summary -> unit
 (** {1 Durable state}
 
     The engine's durable image is its {e history}, never its graphs: the
-    per-process surviving-entry logs (the same structure the rollback
-    rebuild replays), the message routing and abandonment tables, and
-    the latched scalars.  {!restore} reconstructs the incremental
-    R-graph / {!Rdt_pattern.Bitset} closure / TDV-witness state by
-    running the rollback-rebuild path over the exported survivors, so
-    restored state can never drift from what a live engine would hold —
-    there is one source of truth.  [Rdt_durable.Snapshot] gives these a
-    versioned, CRC-checked binary codec. *)
+    {!Rdt_pattern.History} of surviving entries (the structure the
+    rollback rebuild replays) with its message routing and abandonment
+    tables, and the latched scalars.  {!restore} reconstructs the
+    incremental R-graph / {!Rdt_pattern.Bitset} closure / TDV-witness
+    state by running the rollback-rebuild path over the exported
+    survivors, so restored state can never drift from what a live engine
+    would hold — there is one source of truth.  [Rdt_durable.Snapshot]
+    gives these a versioned, CRC-checked binary codec. *)
 
 module Export : sig
-  type entry =
-    | Send of { seq : int; msg : int }
-    | Recv of { seq : int; msg : int }
-    | Internal of { seq : int }
-    | Ckpt of { seq : int; index : int }
-        (** One surviving history entry of a process; [seq] is the global
-            observed-event index that restores cross-process order. *)
-
   type t = {
     n : int;
     track_open : bool;
     events_seen : int;
     first_violation : int option;
     rebuilds : int;
-    stacks : entry list array;  (** per process, oldest first *)
+    stacks : Rdt_pattern.History.entry list array;
+        (** per process, oldest first; an entry's [seq] is the global
+            observed-event index *)
     routes : (int * int * int) list;  (** [(msg, src, dst)], sorted by [msg] *)
     undeliverable : int list;  (** abandoned message ids, sorted *)
   }
@@ -205,9 +204,8 @@ val check_pattern : Rdt_pattern.Pattern.t -> t
     [checked] count equal the offline checkers' on the same pattern. *)
 
 val trace_process_count : Rdt_obs.Trace.event list -> (int, string) result
-(** The process count a stream of trace events implies: the [Meta]
-    header's [n], or the largest pid mentioned plus one.  Errors on an
-    empty trace. *)
+(** {!Rdt_obs.Replay.process_count}: the [Meta] header's [n], or the
+    largest pid mentioned plus one.  Errors on an empty trace. *)
 
 val check_trace : Rdt_obs.Trace.event list -> (t, string) result
 (** Stream a recorded trace ([track_open = true]); process count from the

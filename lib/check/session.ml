@@ -54,11 +54,10 @@ let close t =
 let closed t = t.failed || t.released
 let summary t = Online.summary (engine t)
 
-(* Reconstruct the pattern of the surviving history by synthesizing a
-   minimal trace from the export and replaying it.  The export's global
-   [seq] numbers restore cross-process order; they double as event
-   times, so the rebuilt pattern matches the original in structure (and
-   hence in every reachability/Min_gcp answer), not in timestamps. *)
+(* The pattern of the surviving history.  The engine keeps no checkpoint
+   kinds or times: every checkpoint is [Basic] and its [seq] is its time,
+   so the pattern matches the original in structure (and hence in every
+   reachability/Min_gcp answer), not in timestamps. *)
 let pattern t =
   let eng = engine t in
   match Online.orphan_messages eng with
@@ -66,72 +65,11 @@ let pattern t =
       Error
         (Printf.sprintf "stream is mid-rollback-cascade (orphaned messages %s)"
            (String.concat ", " (List.map string_of_int orphans)))
-  | [] ->
-      let e = Online.export eng in
-      let route =
-        let tbl = Hashtbl.create 64 in
-        List.iter (fun (msg, src, dst) -> Hashtbl.replace tbl msg (src, dst)) e.routes;
-        fun msg -> Hashtbl.find_opt tbl msg
-      in
-      let missing = ref None in
-      let events = ref [] in
-      let max_seq = ref 0 in
-      Array.iteri
-        (fun pid stack ->
-          List.iter
-            (fun (entry : Online.Export.entry) ->
-              let ev =
-                match entry with
-                | Online.Export.Send { seq; msg } -> (
-                    match route msg with
-                    | Some (src, dst) -> Some (seq, T.Send { msg; src; dst; time = seq })
-                    | None ->
-                        if !missing = None then missing := Some msg;
-                        None)
-                | Online.Export.Recv { seq; msg } -> (
-                    match route msg with
-                    | Some (src, dst) -> Some (seq, T.Deliver { msg; src; dst; time = seq })
-                    | None ->
-                        if !missing = None then missing := Some msg;
-                        None)
-                | Online.Export.Internal { seq } -> Some (seq, T.Internal { pid; time = seq })
-                | Online.Export.Ckpt { seq; index } ->
-                    let kind =
-                      if index = 0 then Rdt_pattern.Types.Initial else Rdt_pattern.Types.Basic
-                    in
-                    Some
-                      ( seq,
-                        T.Ckpt { pid; index; kind; time = seq; tdv = None; preds = [] } )
-              in
-              match ev with
-              | Some ((seq, _) as tagged) ->
-                  if seq > !max_seq then max_seq := seq;
-                  events := tagged :: !events
-              | None -> ())
-            stack)
-        e.stacks;
-      (match !missing with
-      | Some msg -> Error (Printf.sprintf "no route recorded for message %d" msg)
-      | None ->
-          let ordered =
-            List.sort (fun (a, _) (b, _) -> Int.compare a b) (List.rev !events)
-          in
-          let undeliv =
-            List.concat_map
-              (fun msg ->
-                match route msg with
-                | Some (src, dst) ->
-                    incr max_seq;
-                    [ T.Undeliverable { msg; src; dst; time = !max_seq } ]
-                | None -> [])
-              e.undeliverable
-          in
-          let trace =
-            T.Meta { n = e.n; protocol = ""; env = ""; seed = 0; mode = "session" }
-            :: List.map snd ordered
-            @ undeliv
-          in
-          Rdt_obs.Replay.rebuild trace)
+  | [] -> (
+      let checkpoint seq = (Rdt_pattern.Types.Basic, None, seq) in
+      match Rdt_pattern.History.to_pattern ~checkpoint (Online.history eng) with
+      | p -> Ok p
+      | exception (Online.Inconsistent e | Invalid_argument e) -> Error e)
 
 (* ------------------------------------------------------------------ *)
 (* Wire protocol                                                       *)

@@ -72,9 +72,9 @@ val summary : t -> Online.summary
 
 val pattern : t -> (Rdt_pattern.Pattern.t, string) result
 (** The checkpoint-and-communication pattern of everything observed so
-    far, reconstructed from the engine's surviving history
-    ({!Online.export} replayed through [Replay.rebuild]).  Event times
-    are sequence numbers, not original trace times — causal structure
+    far: [Rdt_pattern.History.to_pattern] over the engine's surviving
+    history ({!Online.history}).  Checkpoint times are sequence numbers
+    and kinds are [Basic], not the original trace's — causal structure
     (and hence every [Min_gcp] answer) is preserved exactly.  [Error]
     when the stream is mid-rollback-cascade ({!Online.orphan_messages}
     non-empty): surviving deliveries of rolled-back sends have no

@@ -6,6 +6,7 @@ module Transport = Rdt_dist.Transport
 module Event_queue = Rdt_dist.Event_queue
 module Pattern = Rdt_pattern.Pattern
 module Ptypes = Rdt_pattern.Types
+module History = Rdt_pattern.History
 module Trace = Rdt_obs.Trace
 module Meter = Rdt_obs.Meter
 
@@ -148,10 +149,10 @@ type status =
   | Undeliv  (** abandoned by the transport after [max_retx] retries *)
 
 (* A run with a transport or crashes records its messages here, indexed
-   by message id, and logs its events, because which events end up in
-   the pattern is only known later: a message the transport abandons must
-   not appear (patterns require every message delivered), and a rollback
-   undoes events. *)
+   by message id, and its events in a [History], because which events end
+   up in the pattern is only known later: a message the transport abandons
+   must not appear (patterns require every message delivered), and a
+   rollback undoes events. *)
 type msg = {
   src : int;
   dst : int;
@@ -165,18 +166,6 @@ type msg = {
   mutable acked : bool;
   mutable gen : int;
 }
-
-type logged =
-  | L_send of int (* msg *)
-  | L_recv of int
-  | L_internal
-  | L_ckpt of {
-      index : int;
-      kind : Ptypes.ckpt_kind;
-      time : int;
-      tdv : int array option;
-      restore : unit -> unit; (* re-installs the protocol state saved with it *)
-    }
 
 let run cfg =
   validate_config cfg;
@@ -218,7 +207,17 @@ let run cfg =
   let env = E.create ~n:cfg.n ~rng:env_rng in
   let states = Array.init cfg.n (fun pid -> P.create ~n:cfg.n ~pid) in
   let builder = Pattern.Builder.create ~n:cfg.n in
-  let log : (int * logged) list ref = ref [] (* reversed; unused when [live] *) in
+  (* A run that is not [live] records its surviving history, numbering
+     the entries in emission order, and keeps the kind, TDV and time of
+     its checkpoints by seq; the live run allocates neither.  When crashes
+     are planned, the protocol state saved with each checkpoint is kept by
+     (pid, index). *)
+  let history = lazy (History.create ~n:cfg.n) and seq = ref 0 in
+  let record f =
+    f (Lazy.force history) ~seq:!seq;
+    incr seq
+  in
+  let ckpts = lazy (Hashtbl.create 64) and saved = lazy (Hashtbl.create 64) in
   let msgs =
     ref
       (Array.make (if live then 0 else 256)
@@ -267,12 +266,8 @@ let run cfg =
   in
   (* a checkpoint saves a copy of the protocol state only when a rollback
      may need it back *)
-  let save pid =
-    if crashes_planned then begin
-      let saved = P.copy states.(pid) in
-      fun () -> states.(pid) <- P.copy saved
-    end
-    else ignore
+  let save pid index =
+    if crashes_planned then Hashtbl.replace (Lazy.force saved) (pid, index) (P.copy states.(pid))
   in
   let take_checkpoint ?(preds = []) pid kind =
     let tdv = P.tdv states.(pid) in
@@ -281,18 +276,20 @@ let run cfg =
     if Trace.on tr then Trace.emit tr (Ckpt { pid; index; kind; time = !now; tdv; preds });
     P.on_checkpoint states.(pid);
     if live then ignore (Pattern.Builder.checkpoint ~kind ?tdv ~time:!now builder pid)
-    else log := (pid, L_ckpt { index; kind; time = !now; tdv; restore = save pid }) :: !log;
+    else begin
+      Hashtbl.replace (Lazy.force ckpts) !seq (kind, tdv, !now);
+      record (History.checkpoint ~pid ~index);
+      save pid index
+    end;
     interval_events.(pid) <- 0
   in
   (* Initial checkpoints: the builder records them automatically at
-     creation; mirror them in the protocol states, and in the log, where
-     a rollback may return to them. *)
+     creation, and the history keeps them implicitly; mirror them in the
+     protocol states, and save those states, as a rollback may return to
+     them. *)
   for pid = 0 to cfg.n - 1 do
     P.on_checkpoint states.(pid);
-    if not live then
-      log :=
-        (pid, L_ckpt { index = 0; kind = Ptypes.Initial; time = 0; tdv = None; restore = save pid })
-        :: !log;
+    save pid 0;
     if Trace.on tr then
       Trace.emit tr
         (Ckpt { pid; index = 0; kind = Ptypes.Initial; time = 0; tdv = None; preds = [] })
@@ -419,7 +416,7 @@ let run cfg =
       let m = !msgs.(msg) in
       set_status m Delivered;
       m.recv_interval <- ckpt_index.(dst) + 1;
-      log := (dst, L_recv msg) :: !log
+      record (History.recv ~msg ~dst)
     end;
     if Trace.on tr then Trace.emit tr (Deliver { msg; src; dst; time = !now });
     interval_events.(dst) <- interval_events.(dst) + 1;
@@ -433,6 +430,7 @@ let run cfg =
         | Transport.Wire { at; wire } -> Event_queue.schedule queue ~time:at (Net wire)
         | Transport.Undeliverable { msg; src; dst } ->
             set_status !msgs.(msg) Undeliv;
+            History.undeliverable (Lazy.force history) ~msg;
             if Trace.on tr then Trace.emit tr (Undeliverable { msg; src; dst; time = !now })
         | Transport.Deliver { src; dst; msg } -> deliver ~src ~dst msg !msgs.(msg).payload);
         process_effects rest
@@ -457,7 +455,7 @@ let run cfg =
             acked = false;
             gen = 0;
           };
-        log := (src, L_send msg) :: !log
+        record (History.send ~msg ~src ~dst)
       end;
       if Trace.on tr then Trace.emit tr (Send { msg; src; dst; time = !now });
       interval_events.(src) <- interval_events.(src) + 1;
@@ -488,7 +486,8 @@ let run cfg =
   and do_action pid = function
     | Env.Send dst -> send_message ~src:pid ~dst
     | Env.Internal ->
-        if live then Pattern.Builder.internal builder pid else log := (pid, L_internal) :: !log;
+        if live then Pattern.Builder.internal builder pid
+        else record (History.internal ~pid);
         if Trace.on tr then Trace.emit tr (Internal { pid; time = !now });
         interval_events.(pid) <- interval_events.(pid) + 1;
         incr internal_events
@@ -532,31 +531,21 @@ let run cfg =
     (* the victim's bound is its last checkpoint: its volatile suffix is
        about to be discarded *)
     let line = compute_line ckpt_index in
-    (* walk the log back until every process reaches its line checkpoint,
-       undoing the events after it *)
+    (* roll every process back to its line checkpoint, undoing the events
+       after it *)
     let undone = Array.make cfg.n 0 and checkpoints_undone = ref 0 in
     let sends = Array.make cfg.n [] and recvs = Array.make cfg.n [] in
-    let reached = Array.make cfg.n false and pending = ref cfg.n in
-    let rec walk kept = function
-      | rest when !pending = 0 -> List.rev_append kept rest
-      | ((q, _) as e) :: rest when reached.(q) -> walk (e :: kept) rest
-      | ((q, L_ckpt { index; restore; _ }) as e) :: rest when index = line.(q) ->
-          restore ();
-          reached.(q) <- true;
-          decr pending;
-          walk (e :: kept) rest
-      | (q, ev) :: rest ->
-          (match ev with
-          | L_send id -> sends.(q) <- id :: sends.(q)
-          | L_recv id -> recvs.(q) <- id :: recvs.(q)
-          | L_ckpt _ -> incr checkpoints_undone
-          | L_internal -> ());
-          undone.(q) <- undone.(q) + 1;
-          walk kept rest
-      | [] -> assert false (* every line checkpoint is in the log *)
-    in
-    log := walk [] !log;
     for q = 0 to cfg.n - 1 do
+      let popped = History.rollback (Lazy.force history) ~pid:q ~to_index:line.(q) in
+      states.(q) <- P.copy (Hashtbl.find (Lazy.force saved) (q, line.(q)));
+      List.iter
+        (function
+          | History.Send { msg; _ } -> sends.(q) <- msg :: sends.(q)
+          | Recv { msg; _ } -> recvs.(q) <- msg :: recvs.(q)
+          | Ckpt _ -> incr checkpoints_undone
+          | Internal _ -> ())
+        (List.rev popped);
+      undone.(q) <- List.length popped;
       ckpt_index.(q) <- line.(q);
       interval_events.(q) <- 0;
       if Trace.on tr && undone.(q) > 0 then
@@ -722,6 +711,7 @@ let run cfg =
               | Flight | Replay when m.attempts > tparams.Transport.max_retx ->
                   (* typed graceful degradation: give up, keep the run finite *)
                   set_status m Undeliv;
+                  History.undeliverable (Lazy.force history) ~msg:id;
                   if Trace.on tr then
                     Trace.emit tr
                       (Undeliverable { msg = id; src = m.src; dst = m.dst; time = !now })
@@ -737,23 +727,8 @@ let run cfg =
   assert (in_flight () = 0);
   let pattern =
     Meter.time Meter.default "runtime.pattern" (fun () ->
-        if not live then begin
-          let handles = Array.make !sent (-1) in
-          List.iter
-            (fun (pid, ev) ->
-              match ev with
-              | L_send id ->
-                  let m = !msgs.(id) in
-                  if m.status <> Undeliv then
-                    handles.(id) <- Pattern.Builder.send builder ~src:pid ~dst:m.dst
-              | L_recv id -> Pattern.Builder.recv builder handles.(id)
-              | L_internal -> Pattern.Builder.internal builder pid
-              | L_ckpt { index; kind; time; tdv; _ } ->
-                  if index > 0 then
-                    ignore (Pattern.Builder.checkpoint ~kind ?tdv ~time builder pid))
-            (List.rev !log)
-        end;
-        Pattern.Builder.finish ~final_checkpoints:true builder)
+        if live then Pattern.Builder.finish ~final_checkpoints:true builder
+        else History.to_pattern ~checkpoint:(Hashtbl.find (Lazy.force ckpts)) (Lazy.force history))
   in
   let metrics =
     {

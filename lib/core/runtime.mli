@@ -37,10 +37,11 @@ type crash = {
       current state as a recovery checkpoint, the {e recovery line} — the
       maximum consistent global checkpoint under the crashed process's
       last durable checkpoint — is computed, and every process rolls back
-      to its line checkpoint, restoring the {e protocol state} saved with
-      it (when crashes are planned each checkpoint carries a deep copy of
-      the CIC protocol state, so dependency tracking resumes exactly where
-      the checkpoint left it);
+      to its line checkpoint ({!Rdt_pattern.History.rollback} on the
+      run's surviving history), restoring the {e protocol state} saved
+      with it (when crashes are planned each checkpoint carries a deep
+      copy of the CIC protocol state, so dependency tracking resumes
+      exactly where the checkpoint left it);
     + rolled-back sends are undone: their messages are discarded from the
       channels (dead messages never reach the application);
     + messages sent before the line whose deliveries were rolled back are
@@ -51,7 +52,8 @@ type crash = {
       deterministic re-execution).
 
     The result is the pattern of the {e surviving} execution (undone
-    events do not appear), which for an RDT protocol must again satisfy
+    events do not appear; {!Rdt_pattern.History.to_pattern}), which for
+    an RDT protocol must again satisfy
     RDT — the strongest end-to-end test of the protocol implementations,
     exercised by the test suite across crash plans, protocols and
     environments. *)

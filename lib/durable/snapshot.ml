@@ -17,6 +17,7 @@
    wrong state and producing a wrong verdict. *)
 
 module Export = Rdt_check.Online.Export
+module H = Rdt_pattern.History
 
 let magic = "RDTSNAP1"
 
@@ -47,20 +48,20 @@ let encode_payload (e : Export.t) =
     (fun stack ->
       Codec.Writer.varint w (List.length stack);
       List.iter
-        (fun (entry : Export.entry) ->
+        (fun (entry : H.entry) ->
           match entry with
-          | Export.Send { seq; msg } ->
+          | H.Send { seq; msg } ->
               Codec.Writer.byte w 0;
               Codec.Writer.varint w seq;
               Codec.Writer.varint w msg
-          | Export.Recv { seq; msg } ->
+          | H.Recv { seq; msg } ->
               Codec.Writer.byte w 1;
               Codec.Writer.varint w seq;
               Codec.Writer.varint w msg
-          | Export.Internal { seq } ->
+          | H.Internal { seq } ->
               Codec.Writer.byte w 2;
               Codec.Writer.varint w seq
-          | Export.Ckpt { seq; index } ->
+          | H.Ckpt { seq; index } ->
               Codec.Writer.byte w 3;
               Codec.Writer.varint w seq;
               Codec.Writer.varint w index)
@@ -94,14 +95,14 @@ let decode_payload s =
                 match Codec.Reader.byte r with
                 | 0 ->
                     let seq = Codec.Reader.varint r in
-                    Export.Send { seq; msg = Codec.Reader.varint r }
+                    H.Send { seq; msg = Codec.Reader.varint r }
                 | 1 ->
                     let seq = Codec.Reader.varint r in
-                    Export.Recv { seq; msg = Codec.Reader.varint r }
-                | 2 -> Export.Internal { seq = Codec.Reader.varint r }
+                    H.Recv { seq; msg = Codec.Reader.varint r }
+                | 2 -> H.Internal { seq = Codec.Reader.varint r }
                 | 3 ->
                     let seq = Codec.Reader.varint r in
-                    Export.Ckpt { seq; index = Codec.Reader.varint r }
+                    H.Ckpt { seq; index = Codec.Reader.varint r }
                 | t -> raise (Codec.Reader.Short (Printf.sprintf "unknown entry tag %d" t))))
       in
       if Codec.Reader.remaining r <> 0 then

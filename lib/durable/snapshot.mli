@@ -2,8 +2,9 @@
     engine exports, kept in numbered generations.
 
     File image: magic ["RDTSNAP1"], u32 payload length, varint-packed
-    payload (format version + {!Rdt_check.Online.Export.t}), u32 CRC-32
-    of the payload.  {!install} is write-tmp -> fsync -> rename ->
+    payload (format version + {!Rdt_check.Online.Export.t}, whose stacks
+    hold {!Rdt_pattern.History.entry} values tagged 0 send, 1 receive,
+    2 internal, 3 checkpoint), u32 CRC-32 of the payload.  {!install} is write-tmp -> fsync -> rename ->
     fsync(dir); the previous generation stays on disk as the fallback
     {!load} callers degrade to on checksum failure. *)
 

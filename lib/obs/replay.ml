@@ -1,5 +1,5 @@
-module P = Rdt_pattern.Pattern
 module T = Rdt_pattern.Types
+module H = Rdt_pattern.History
 
 let meta events =
   List.find_map
@@ -12,126 +12,53 @@ let verdicts events =
   List.filter_map (function Trace.Verdict { checker; rdt } -> Some (checker, rdt) | _ -> None)
     events
 
-(* A surviving-history entry.  [seq] is the event's position in the trace,
-   used to restore the (causality-consistent) global emission order after
-   the per-process stacks are flattened. *)
-type entry =
-  | E_send of { seq : int; msg : int; time : int }
-  | E_recv of { seq : int; msg : int; time : int }
-  | E_internal of { seq : int; time : int }
-  | E_ckpt of { seq : int; index : int; kind : T.ckpt_kind; tdv : int array option; time : int }
-
-let entry_seq = function
-  | E_send { seq; _ } | E_recv { seq; _ } | E_internal { seq; _ } | E_ckpt { seq; _ } -> seq
+let process_count events =
+  match meta events with
+  | Some (n, _, _, _, _) -> Ok n
+  | None ->
+      (* infer from the largest pid mentioned *)
+      let m = ref (-1) in
+      List.iter
+        (fun ev ->
+          match ev with
+          | Trace.Send { src; dst; _ }
+          | Deliver { src; dst; _ }
+          | Retransmit { src; dst; _ }
+          | Drop { src; dst; _ }
+          | Undeliverable { src; dst; _ }
+          | Replay { src; dst; _ } ->
+              m := max !m (max src dst)
+          | Internal { pid; _ } | Ckpt { pid; _ } | Rollback { pid; _ } -> m := max !m pid
+          | Meta _ | Verdict _ -> ())
+        events;
+      if !m < 0 then Error "empty trace: no events and no meta header" else Ok (!m + 1)
 
 let rebuild events =
-  let exception Bad of string in
-  try
-    let n =
-      match meta events with
-      | Some (n, _, _, _, _) -> n
-      | None ->
-          (* infer from the largest pid mentioned *)
-          let m = ref (-1) in
-          List.iter
-            (fun ev ->
-              match ev with
-              | Trace.Send { src; dst; _ }
-              | Deliver { src; dst; _ }
-              | Retransmit { src; dst; _ }
-              | Drop { src; dst; _ }
-              | Undeliverable { src; dst; _ }
-              | Replay { src; dst; _ } ->
-                  m := max !m (max src dst)
-              | Internal { pid; _ } | Ckpt { pid; _ } | Rollback { pid; _ } -> m := max !m pid
-              | Meta _ | Verdict _ -> ())
-            events;
-          if !m < 0 then raise (Bad "empty trace: no events and no meta header");
-          !m + 1
-    in
-    (* per-process stacks of surviving entries, newest first *)
-    let stacks = Array.make n [] in
-    (* message id -> (src, dst); only surviving, deliverable messages keep
-       an entry by the end *)
-    let routes = Hashtbl.create 64 in
-    let undeliv = Hashtbl.create 8 in
-    let check_pid pid what =
-      if pid < 0 || pid >= n then raise (Bad (Printf.sprintf "%s: pid %d out of range" what pid))
-    in
-    List.iteri
-      (fun seq ev ->
-        match ev with
-        | Trace.Meta _ | Verdict _ | Retransmit _ | Drop _ | Replay _ ->
-            (* transport noise and annotations: no pattern effect (a replayed
-               delivery shows up as a fresh Deliver) *)
-            ()
-        | Send { msg; src; dst; time } ->
-            check_pid src "send";
-            check_pid dst "send";
-            Hashtbl.replace routes msg (src, dst);
-            stacks.(src) <- E_send { seq; msg; time } :: stacks.(src)
-        | Deliver { msg; src = _; dst; time } ->
-            check_pid dst "deliver";
-            if not (Hashtbl.mem routes msg) then
-              raise (Bad (Printf.sprintf "deliver of unknown message %d" msg));
-            if Hashtbl.mem undeliv msg then
-              raise (Bad (Printf.sprintf "deliver of undeliverable message %d" msg));
-            stacks.(dst) <- E_recv { seq; msg; time } :: stacks.(dst)
-        | Internal { pid; time } ->
-            check_pid pid "internal";
-            stacks.(pid) <- E_internal { seq; time } :: stacks.(pid)
-        | Ckpt { pid; index; kind; time; tdv; preds = _ } ->
-            check_pid pid "ckpt";
-            stacks.(pid) <- E_ckpt { seq; index; kind; tdv; time } :: stacks.(pid)
-        | Undeliverable { msg; _ } -> Hashtbl.replace undeliv msg ()
-        | Rollback { pid; to_index; time = _ } ->
-            check_pid pid "rollback";
-            (* pop every event after checkpoint [to_index]; the checkpoint
-               itself survives *)
-            let rec pop = function
-              | E_ckpt { index; _ } :: _ as kept when index = to_index -> kept
-              | [] ->
-                  if to_index = 0 then [] (* initial checkpoint: implicit, empty history *)
-                  else
-                    raise
-                      (Bad
-                         (Printf.sprintf "rollback of pid %d to missing checkpoint %d" pid to_index))
-              | _ :: rest -> pop rest
-            in
-            stacks.(pid) <- pop stacks.(pid))
-      events;
-    (* flatten, restore global order, and drive the builder *)
-    let entries =
-      Array.to_list stacks
-      |> List.mapi (fun pid stack -> List.rev_map (fun e -> (pid, e)) stack)
-      |> List.concat
-      |> List.sort (fun (_, a) (_, b) -> compare (entry_seq a) (entry_seq b))
-    in
-    let b = P.Builder.create ~n in
-    let handles = Hashtbl.create 64 in
-    List.iter
-      (fun (pid, entry) ->
-        match entry with
-        | E_send { msg; time; _ } ->
-            if not (Hashtbl.mem undeliv msg) then begin
-              let _, dst =
-                try Hashtbl.find routes msg with Not_found -> assert false
-              in
-              Hashtbl.replace handles msg (P.Builder.send ~time b ~src:pid ~dst)
-            end
-        | E_recv { msg; time; _ } -> (
-            match Hashtbl.find_opt handles msg with
-            | Some h -> P.Builder.recv ~time b h
-            | None -> raise (Bad (Printf.sprintf "surviving delivery of rolled-back send %d" msg)))
-        | E_internal { time; _ } -> P.Builder.internal ~time b pid
-        | E_ckpt { kind = T.Initial; _ } -> () (* taken automatically by the builder *)
-        | E_ckpt { kind; tdv; time; _ } ->
-            ignore (P.Builder.checkpoint ~kind ?tdv ~time b pid))
-      entries;
-    Ok (P.Builder.finish ~final_checkpoints:true b)
-  with
-  | Bad e -> Error e
-  | Invalid_argument e -> Error e
+  match process_count events with
+  | Error _ as e -> e
+  | Ok n -> (
+      try
+        let h = H.create ~n in
+        (* what the history does not keep of a checkpoint, by seq *)
+        let ckpts = Hashtbl.create 64 in
+        List.iteri
+          (fun seq ev ->
+            match ev with
+            | Trace.Meta _ | Verdict _ | Retransmit _ | Drop _ | Replay _ ->
+                (* transport noise and annotations: no pattern effect (a
+                   replayed delivery shows up as a fresh Deliver) *)
+                ()
+            | Send { msg; src; dst; time = _ } -> H.send h ~seq ~msg ~src ~dst
+            | Deliver { msg; src = _; dst; time = _ } -> H.recv h ~seq ~msg ~dst
+            | Internal { pid; time = _ } -> H.internal h ~seq ~pid
+            | Ckpt { pid; index; kind; time; tdv; preds = _ } ->
+                H.checkpoint h ~seq ~pid ~index;
+                Hashtbl.replace ckpts seq (kind, tdv, time)
+            | Undeliverable { msg; _ } -> H.undeliverable h ~msg
+            | Rollback { pid; to_index; time = _ } -> ignore (H.rollback h ~pid ~to_index))
+          events;
+        Ok (H.to_pattern ~checkpoint:(Hashtbl.find ckpts) h)
+      with H.Inconsistent e | Invalid_argument e -> Error e)
 
 type summary = {
   n : int;

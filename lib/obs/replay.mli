@@ -1,10 +1,9 @@
 (** Rebuild a checkpoint-and-communication pattern from a trace.
 
-    The rebuild consumes the events in emission order, maintaining one
-    stack of surviving events per process; a {!Trace.Rollback} pops a
-    process's stack back to the named checkpoint, exactly as recovery
-    truncated the live run's history.  Surviving events are then replayed
-    into a {!Rdt_pattern.Pattern.Builder}, yielding a pattern structurally
+    The rebuild folds the events, in emission order, into a
+    {!Rdt_pattern.History}; a {!Trace.Rollback} pops a process back to
+    the named checkpoint, exactly as recovery truncated the live run's
+    history.  The surviving history then becomes a pattern structurally
     equal to the one the live run handed to the checkers — so the trace is
     a self-contained correctness artifact: re-running the offline RDT
     checkers on the rebuilt pattern must reproduce the recorded
@@ -16,9 +15,12 @@ val meta : Trace.event list -> (int * string * string * int * string) option
 val verdicts : Trace.event list -> (string * bool) list
 (** Recorded live verdicts, in trace order. *)
 
+val process_count : Trace.event list -> (int, string) result
+(** The process count a trace implies: the first [Meta] header's [n], or
+    the largest pid mentioned plus one.  Errors on an empty trace. *)
+
 val rebuild : Trace.event list -> (Rdt_pattern.Pattern.t, string) result
-(** Rebuild the surviving pattern.  The process count is taken from the
-    [Meta] header when present, otherwise inferred from the largest pid.
+(** Rebuild the surviving pattern, with {!process_count} processes.
     Errors on structurally impossible traces (delivery of an unknown or
     undeliverable message, rollback to a rolled-back checkpoint, ...). *)
 

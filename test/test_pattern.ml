@@ -10,6 +10,7 @@ module Tdv = Rdt_pattern.Tdv
 module Chains = Rdt_pattern.Chains
 module Consistency = Rdt_pattern.Consistency
 module Bitset = Rdt_pattern.Bitset
+module History = Rdt_pattern.History
 
 let check = Alcotest.(check bool)
 let qt = QCheck_alcotest.to_alcotest
@@ -545,6 +546,57 @@ let test_render_too_large () =
        | Ok _ -> "unreachable"))
     (fun () -> ignore (Rdt_pattern.Render.ascii_exn pat))
 
+(* ------------------------------------------------------------------ *)
+(* Surviving history                                                  *)
+(* ------------------------------------------------------------------ *)
+
+let test_history_rollback () =
+  let h = History.create ~n:2 in
+  History.send h ~seq:0 ~msg:5 ~src:0 ~dst:1;
+  History.checkpoint h ~seq:1 ~pid:0 ~index:1;
+  History.internal h ~seq:2 ~pid:0;
+  History.send h ~seq:3 ~msg:6 ~src:0 ~dst:1;
+  let seqs l =
+    List.map
+      (function
+        | History.Send { seq; _ } | Recv { seq; _ } | Internal { seq } | Ckpt { seq; _ } -> seq)
+      l
+  in
+  Alcotest.(check (list int)) "popped above C(0,1), oldest first" [ 2; 3 ]
+    (seqs (History.rollback h ~pid:0 ~to_index:1));
+  Alcotest.(check (list int)) "nothing above the line" []
+    (seqs (History.rollback h ~pid:0 ~to_index:1));
+  Alcotest.(check (list int)) "down to the implicit C(0,0)" [ 0; 1 ]
+    (seqs (History.rollback h ~pid:0 ~to_index:0));
+  check "missing checkpoint" true
+    (match History.rollback h ~pid:1 ~to_index:1 with
+    | _ -> false
+    | exception History.Inconsistent e -> e = "rollback of pid 1 to missing checkpoint 1")
+
+(* The pattern keeps survivors in seq order, drops abandoned sends and
+   takes kind, TDV and time from the caller. *)
+let test_history_to_pattern () =
+  let h = History.create ~n:2 in
+  History.checkpoint h ~seq:0 ~pid:1 ~index:0;
+  History.send h ~seq:1 ~msg:9 ~src:0 ~dst:1;
+  History.send h ~seq:2 ~msg:4 ~src:1 ~dst:0;
+  History.recv h ~seq:3 ~msg:9 ~dst:1;
+  History.undeliverable h ~msg:4;
+  History.checkpoint h ~seq:4 ~pid:1 ~index:1;
+  let pat = History.to_pattern ~checkpoint:(fun seq -> (T.Forced, Some [| 0; 1 |], 10 * seq)) h in
+  let expected =
+    let b = P.Builder.create ~n:2 in
+    P.Builder.recv b (P.Builder.send b ~src:0 ~dst:1);
+    ignore (P.Builder.checkpoint ~kind:T.Forced ~tdv:[| 0; 1 |] ~time:40 b 1);
+    P.Builder.finish ~final_checkpoints:true b
+  in
+  check "surviving pattern" true (P.equal pat expected);
+  ignore (History.rollback h ~pid:0 ~to_index:0);
+  check "delivery of a rolled-back send" true
+    (match History.to_pattern ~checkpoint:(fun _ -> (T.Basic, None, 0)) h with
+    | _ -> false
+    | exception History.Inconsistent e -> e = "surviving delivery of rolled-back send 9")
+
 let () =
   Alcotest.run "rdt_pattern"
     [
@@ -564,6 +616,11 @@ let () =
           Alcotest.test_case "gseq order" `Quick test_gseq_order;
           Alcotest.test_case "counts & validate" `Quick test_counts;
           Alcotest.test_case "growth past doublings" `Quick test_builder_many_messages;
+        ] );
+      ( "history",
+        [
+          Alcotest.test_case "rollback" `Quick test_history_rollback;
+          Alcotest.test_case "to_pattern" `Quick test_history_to_pattern;
         ] );
       ( "rgraph",
         [
