@@ -258,7 +258,7 @@ let recompute_open_bad c pid =
   end
 
 (* ------------------------------------------------------------------ *)
-(* The engine: surviving-history log + rollback-triggered rebuild      *)
+(* The engine: surviving history + rollback-triggered rebuild         *)
 (* ------------------------------------------------------------------ *)
 
 type t = {
@@ -509,8 +509,8 @@ let pp_summary ppf s =
 (* ------------------------------------------------------------------ *)
 
 (* The durable image of an engine is its *history*, not its graphs: the
-   per-process surviving-entry logs plus the message routing/abandonment
-   tables and the three latched scalars.  [restore] then reconstructs
+   [History]'s per-process surviving entries plus its message
+   routing/abandonment tables, and the three latched scalars.  [restore] then reconstructs
    the incremental R-graph/Bitset/TDV state by running the exact rebuild
    path a rollback uses, so a restored engine is bit-for-bit the state a
    rollback-free replay of the survivors would reach — serializing the
