@@ -24,17 +24,19 @@ let bad fmt = Printf.ksprintf (fun s -> raise (Inconsistent s)) fmt
    Per node [v] we keep:
    - [reached_by.(v)]: the set of nodes with an R-path to [v].  Edge
      insertion restores the closure invariant (for every edge (u,w),
-     {u} ∪ reached_by(u) ⊆ reached_by(w)) by worklist propagation;
-     [Bitset.union_into_iter] reports each newly reached node exactly
-     once, which is what makes the total propagation work proportional
-     to the number of (source, target) pairs rather than re-scans.
+     {u} ∪ reached_by(u) ⊆ reached_by(w)) by worklist propagation with
+     plain word-wise [Bitset.union_into]; a node is re-queued only when
+     its set grew.  [v] is on a Z-cycle iff [v ∈ reached_by.(v)].
    - [max_reach.(v)]: per process [i], the largest checkpoint index of
-     [i] with an R-path to [v] (the x* of the offline checker), updated
-     in O(1) per newly reached pair.  Stored as a sparse {!Vclock} with
-     a +1 offset — entry 0 encodes "no path", entry [x+1] encodes index
-     [x] — so a node only pays for the processes that actually reach it.
-     [max_reach.(v)] at [owner v] starts at [cindex v]: reachability is
-     reflexive in the offline R-graph.
+     [i] with an R-path to [v] (the x* of the offline checker).  It is a
+     per-process maximum over {v} ∪ reached_by(v), so it is joined along
+     each R-edge like a vector clock: when reached_by(w) grows by
+     absorbing u, max_reach(w) takes the entry-wise max with
+     max_reach(u), walking only u's nonzero entries.  Stored as a sparse
+     {!Vclock} with a +1 offset — entry 0 encodes "no path", entry [x+1]
+     encodes index [x] — so a node only pays for the processes that
+     actually reach it.  [max_reach.(v)] at [owner v] starts at
+     [cindex v]: reachability is reflexive in the offline R-graph.
    - [tdv.(v)]: while open, an alias of the owner's live TDV vector (the
      snapshot a Final here would record); frozen to a copy when the
      checkpoint is taken — exactly the [Tdv.compute] replay.  Sparse,
@@ -47,7 +49,7 @@ let bad fmt = Printf.ksprintf (fun s -> raise (Inconsistent s)) fmt
    trackable, Section 4.1.2 of the paper).  For closed nodes both sides
    are frozen or monotone, so violations are latched as they appear; for
    open nodes both sides still move, so the per-process verdict is
-   recomputed — only for processes touched by the event — in [refresh]. *)
+   recomputed — only for processes touched by the event — in [settle]. *)
 type core = {
   n : int;
   mutable cap : int; (* capacity of the node arrays, >= num_nodes *)
@@ -114,43 +116,46 @@ let new_node c ~owner ~index ~tdv =
   Hashtbl.replace c.by_index (owner, index) v;
   v
 
-(* [v] gained an R-path into [w]. *)
-let new_pair c v w =
-  if v = w then c.has_cycle <- true;
-  let i = c.owner.(v) and x = c.cindex.(v) in
-  let mr = c.max_reach.(w) in
-  if x + 1 > Vclock.get mr i then begin
-    Vclock.set mr i (x + 1);
-    if c.closed.(w) then begin
-      let allowed = if i = c.owner.(w) then c.cindex.(w) else Vclock.get c.tdv.(w) i in
-      if x > allowed && not (Bitset.mem c.viol.(w) i) then begin
-        Bitset.add c.viol.(w) i;
-        c.bad_pairs <- c.bad_pairs + 1
-      end
-    end
-    else c.dirty.(c.owner.(w)) <- true
-  end
+(* Raise [max_reach.(w)] to cover [max_reach.(u)]: a vector-clock join
+   over u's nonzero entries, at most n of them.  A raised entry latches a
+   closed node's violation, or marks an open node's owner for [settle]. *)
+let join_reach c u w =
+  let mw = c.max_reach.(w) in
+  Vclock.iteri c.max_reach.(u) ~f:(fun i enc ->
+      if enc > Vclock.get mw i then begin
+        Vclock.set mw i enc;
+        if c.closed.(w) then begin
+          let allowed = if i = c.owner.(w) then c.cindex.(w) else Vclock.get c.tdv.(w) i in
+          if enc - 1 > allowed && not (Bitset.mem c.viol.(w) i) then begin
+            Bitset.add c.viol.(w) i;
+            c.bad_pairs <- c.bad_pairs + 1
+          end
+        end
+        else c.dirty.(c.owner.(w)) <- true
+      end)
+
+(* Fold {u} ∪ reached_by(u) into reached_by(w) and, if that grew, join
+   u's max-reach into w's; true iff reached_by(w) grew.  When it did not,
+   max_reach(w) already covers every node that reaches u. *)
+let absorb c u w =
+  let rb = c.reached_by.(w) in
+  let fresh = not (Bitset.mem rb u) in
+  if fresh then Bitset.add rb u;
+  let grew = Bitset.union_into rb c.reached_by.(u) || fresh in
+  if grew then begin
+    join_reach c u w;
+    if Bitset.mem rb w then c.has_cycle <- true
+  end;
+  grew
 
 let add_edge c u w =
   if not (List.mem w c.succ.(u)) then begin
     c.succ.(u) <- w :: c.succ.(u);
     let q = Queue.create () in
-    let changed = ref false in
-    if not (Bitset.mem c.reached_by.(w) u) then begin
-      Bitset.add c.reached_by.(w) u;
-      new_pair c u w;
-      changed := true
-    end;
-    if Bitset.union_into_iter c.reached_by.(w) c.reached_by.(u) ~f:(fun v -> new_pair c v w) then
-      changed := true;
-    if !changed then Queue.add w q;
+    if absorb c u w then Queue.add w q;
     while not (Queue.is_empty q) do
       let z = Queue.pop q in
-      List.iter
-        (fun s ->
-          if Bitset.union_into_iter c.reached_by.(s) c.reached_by.(z) ~f:(fun v -> new_pair c v s)
-          then Queue.add s q)
-        c.succ.(z)
+      List.iter (fun s -> if absorb c z s then Queue.add s q) c.succ.(z)
     done
   end
 

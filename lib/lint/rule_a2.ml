@@ -25,7 +25,6 @@ let bitset_mutators =
     "Bitset.add";
     "Bitset.remove";
     "Bitset.union_into";
-    "Bitset.union_into_iter";
     "Bitset.ensure_capacity";
   ]
 

@@ -13,10 +13,8 @@
    of O(n / 64): the per-node reached-by sets of the online checker and
    the SCC reachability sets of {!Rgraph} stay proportional to what they
    actually contain, which is what makes n = 10^4 runs allocate linearly.
-   The observable semantics — including the exactly-once, ascending delta
-   reporting of [union_into_iter] that incremental transitive closure
-   depends on — are those of the dense implementation, bit for bit; the
-   old code survives as the differential-test reference
+   The observable semantics are those of the dense implementation, bit for
+   bit; the old code survives as the differential-test reference
    [test/helpers/dense_bitset.ml]. *)
 
 let chunk_bits = 12
@@ -153,14 +151,13 @@ let remove t i =
 
 (* ---- iteration ---------------------------------------------------- *)
 
-let bits_of_word f base word =
-  let word = ref word in
-  while !word <> 0L do
-    let b = Int64.logand !word (Int64.neg !word) in
-    let rec log2 v acc = if v = 1L then acc else log2 (Int64.shift_right_logical v 1) (acc + 1) in
-    f (base + log2 b 0);
-    word := Int64.logxor !word b
-  done
+(* [f] on [base + k] for every set bit k of [half], a 32-bit word held
+   as a native int: nothing is boxed, so iteration allocates nothing. *)
+let rec bits_of_half f base half =
+  if half <> 0 then begin
+    if half land 1 <> 0 then f base;
+    bits_of_half f (base + 1) (half lsr 1)
+  end
 
 let chunk_iter f base = function
   | None -> ()
@@ -169,8 +166,9 @@ let chunk_iter f base = function
         f (base + s.elts.(k))
       done
   | Some (Dense b) ->
-      for w = 0 to chunk_words - 1 do
-        bits_of_word f (base + (64 * w)) (Bytes.get_int64_le b (8 * w))
+      for h = 0 to (2 * chunk_words) - 1 do
+        bits_of_half f (base + (32 * h))
+          (Bytes.get_uint16_le b (4 * h) lor (Bytes.get_uint16_le b ((4 * h) + 2) lsl 16))
       done
 
 let iter f t =
@@ -257,46 +255,45 @@ let copy t =
 
 (* ---- union -------------------------------------------------------- *)
 
-(* Union [src]'s chunk [sc] into [dst]'s slot [slot], calling [report]
-   (ascending) for every element newly added to [dst]; returns true iff
-   [dst] changed.  [report] may be a no-op for the plain union. *)
-let chunk_union_into t slot sc ~base ~report =
+(* OR a dense bitmap into [db] word by word; true iff [db] changed. *)
+let dense_or db sb =
+  let changed = ref false in
+  for w = 0 to chunk_words - 1 do
+    let d = Bytes.get_int64_le db (8 * w) in
+    let u = Int64.logor d (Bytes.get_int64_le sb (8 * w)) in
+    if u <> d then begin
+      Bytes.set_int64_le db (8 * w) u;
+      changed := true
+    end
+  done;
+  !changed
+
+let chunk_is_empty = function
+  | Sparse s -> s.len = 0
+  | Dense b ->
+      let rec zero w = w >= chunk_words || (Bytes.get_int64_le b (8 * w) = 0L && zero (w + 1)) in
+      zero 0
+
+(* Union [src]'s chunk [sc] into [dst]'s slot [slot]; true iff [dst]
+   changed.  No path walks or allocates per element. *)
+let chunk_union_into t slot sc =
   match sc with
   | None -> false
   | Some src_chunk -> (
       match t.chunks.(slot) with
       | None ->
-          (* fresh copy; everything is new *)
-          let copied =
-            match src_chunk with
-            | Dense b -> Dense (Bytes.sub b 0 (Bytes.length b))
-            | Sparse s -> Sparse { elts = Array.sub s.elts 0 (max 1 s.len); len = s.len }
-          in
-          let any = ref false in
-          chunk_iter
-            (fun i ->
-              any := true;
-              report i)
-            base (Some copied);
-          if !any then begin
-            t.chunks.(slot) <- Some copied;
+          if chunk_is_empty src_chunk then false
+          else begin
+            t.chunks.(slot) <-
+              Some
+                (match src_chunk with
+                | Dense b -> Dense (Bytes.sub b 0 (Bytes.length b))
+                | Sparse s -> Sparse { elts = Array.sub s.elts 0 s.len; len = s.len });
             true
           end
-          else false
       | Some (Dense db) -> (
           match src_chunk with
-          | Dense sb ->
-              let changed = ref false in
-              for w = 0 to chunk_words - 1 do
-                let d = Bytes.get_int64_le db (8 * w) and s = Bytes.get_int64_le sb (8 * w) in
-                let delta = Int64.logand s (Int64.lognot d) in
-                if delta <> 0L then begin
-                  Bytes.set_int64_le db (8 * w) (Int64.logor d s);
-                  changed := true;
-                  bits_of_word report (base + (64 * w)) delta
-                end
-              done;
-              !changed
+          | Dense sb -> dense_or db sb
           | Sparse s ->
               let changed = ref false in
               for k = 0 to s.len - 1 do
@@ -305,75 +302,47 @@ let chunk_union_into t slot sc ~base ~report =
                 let d = Bytes.get_int64_le db (8 * w) in
                 if Int64.logand d (Int64.shift_left 1L bit) = 0L then begin
                   Bytes.set_int64_le db (8 * w) (Int64.logor d (Int64.shift_left 1L bit));
-                  changed := true;
-                  report (base + x)
+                  changed := true
                 end
               done;
               !changed)
       | Some (Sparse d) -> (
           match src_chunk with
           | Sparse s ->
-              (* merge two sorted arrays, reporting src-only elements *)
+              (* merge two sorted arrays *)
               let merged = Array.make (d.len + s.len) 0 in
-              let delta = Array.make s.len 0 in
-              let nd = ref 0 and i = ref 0 and j = ref 0 and m = ref 0 in
+              let i = ref 0 and j = ref 0 and m = ref 0 in
               while !i < d.len || !j < s.len do
                 if !j >= s.len || (!i < d.len && d.elts.(!i) < s.elts.(!j)) then begin
                   merged.(!m) <- d.elts.(!i);
-                  incr i;
-                  incr m
-                end
-                else if !i >= d.len || d.elts.(!i) > s.elts.(!j) then begin
-                  merged.(!m) <- s.elts.(!j);
-                  delta.(!nd) <- s.elts.(!j);
-                  incr nd;
-                  incr j;
-                  incr m
+                  incr i
                 end
                 else begin
-                  merged.(!m) <- d.elts.(!i);
-                  incr i;
-                  incr j;
-                  incr m
-                end
+                  merged.(!m) <- s.elts.(!j);
+                  if !i < d.len && d.elts.(!i) = s.elts.(!j) then incr i;
+                  incr j
+                end;
+                incr m
               done;
-              if !nd = 0 then false
+              if !m = d.len then false
               else begin
                 if !m > promote_at then t.chunks.(slot) <- Some (Dense (dense_of_sparse merged !m))
                 else begin
                   d.elts <- merged;
                   d.len <- !m
                 end;
-                for k = 0 to !nd - 1 do
-                  report (base + delta.(k))
-                done;
                 true
               end
           | Dense sb ->
-              (* promote the destination, then run the dense/dense loop *)
+              (* promote the destination, then OR the bitmaps *)
               let db = dense_of_sparse d.elts d.len in
               t.chunks.(slot) <- Some (Dense db);
-              let changed = ref false in
-              for w = 0 to chunk_words - 1 do
-                let dw = Bytes.get_int64_le db (8 * w) and sw = Bytes.get_int64_le sb (8 * w) in
-                let delta = Int64.logand sw (Int64.lognot dw) in
-                if delta <> 0L then begin
-                  Bytes.set_int64_le db (8 * w) (Int64.logor dw sw);
-                  changed := true;
-                  bits_of_word report (base + (64 * w)) delta
-                end
-              done;
-              !changed))
+              dense_or db sb))
 
-let union_into_gen ~what dst src ~report =
-  if src.capacity > dst.capacity then invalid_arg ("Bitset." ^ what ^ ": capacity mismatch");
+let union_into dst src =
+  if src.capacity > dst.capacity then invalid_arg "Bitset.union_into: capacity mismatch";
   let changed = ref false in
   for slot = 0 to Array.length src.chunks - 1 do
-    if chunk_union_into dst slot src.chunks.(slot) ~base:(slot lsl chunk_bits) ~report then
-      changed := true
+    if chunk_union_into dst slot src.chunks.(slot) then changed := true
   done;
   !changed
-
-let union_into dst src = union_into_gen ~what:"union_into" dst src ~report:(fun _ -> ())
-
-let union_into_iter dst src ~f = union_into_gen ~what:"union_into_iter" dst src ~report:f

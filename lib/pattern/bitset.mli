@@ -28,13 +28,6 @@ val union_into : t -> t -> bool
     [true] iff [dst] changed.  @raise Invalid_argument if [src] has a
     larger capacity than [dst]. *)
 
-val union_into_iter : t -> t -> f:(int -> unit) -> bool
-(** Like {!union_into}, but calls [f i] for each element [i] of [src]
-    that was {e not} already in [dst] (the delta).  Each element is
-    reported exactly once over any sequence of unions into [dst], which
-    is what gives incremental transitive closure its amortized bound.
-    @raise Invalid_argument if [src] has a larger capacity than [dst]. *)
-
 val copy : t -> t
 
 val cardinal : t -> int

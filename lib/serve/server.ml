@@ -468,6 +468,16 @@ let step ?(timeout = 0.) t =
         (fun c -> if (not c.fd_closed) && Buffer.length c.out > c.out_off then Some c.fd else None)
         t.conns
     in
+    (* queued events are work: poll instead of waiting out the tick,
+       since [max_batch] already bounds each apply *)
+    let timeout =
+      if
+        List.exists
+          (fun (_, st) -> not (Queue.is_empty st.pending))
+          (Tbl.bindings_sorted ~compare:String.compare t.streams)
+      then 0.
+      else timeout
+    in
     let readable, _, _ =
       match Unix.select rfds wfds [] timeout with
       | r -> r

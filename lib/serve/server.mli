@@ -72,9 +72,9 @@ val create :
     @raise Unix.Unix_error when the socket cannot be bound. *)
 
 val step : ?timeout:float -> t -> int
-(** One loop iteration: poll ([timeout] seconds, default [0.]), accept,
-    read, process frames, apply one batch per busy stream, flush
-    replies.  Returns the number of work units (frames processed +
+(** One loop iteration: poll ([timeout] seconds, default [0.]; no wait
+    while any stream has events queued), accept, read, process frames,
+    apply one batch per busy stream, flush replies.  Returns the number of work units (frames processed +
     events applied) — [0] means the step was idle, so drivers can spin
     until quiescent. *)
 

@@ -1,5 +1,5 @@
 (* The original dense (flat Bytes bitmap) implementation of
-   [Rdt_pattern.Bitset], kept verbatim as the differential-testing
+   [Rdt_pattern.Bitset], kept as the differential-testing
    reference for the chunked replacement.  Test-only: production code
    must keep going through [Rdt_pattern.Bitset]. *)
 
@@ -56,29 +56,6 @@ let union_into dst src =
     if u <> d then begin
       set_word dst w u;
       changed := true
-    end
-  done;
-  !changed
-
-let bits_of_word f base word =
-  let word = ref word in
-  while !word <> 0L do
-    let b = Int64.logand !word (Int64.neg !word) in
-    let rec log2 v acc = if v = 1L then acc else log2 (Int64.shift_right_logical v 1) (acc + 1) in
-    f (base + log2 b 0);
-    word := Int64.logxor !word b
-  done
-
-let union_into_iter dst src ~f =
-  if src.capacity > dst.capacity then invalid_arg "Bitset.union_into_iter: capacity mismatch";
-  let changed = ref false in
-  for w = 0 to words_for src.capacity - 1 do
-    let d = get_word dst w and s = get_word src w in
-    let delta = Int64.logand s (Int64.lognot d) in
-    if delta <> 0L then begin
-      set_word dst w (Int64.logor d s);
-      changed := true;
-      bits_of_word f (64 * w) delta
     end
   done;
   !changed

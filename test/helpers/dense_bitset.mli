@@ -18,8 +18,6 @@ val remove : t -> int -> unit
 
 val union_into : t -> t -> bool
 
-val union_into_iter : t -> t -> f:(int -> unit) -> bool
-
 val copy : t -> t
 
 val cardinal : t -> int

@@ -4,8 +4,8 @@
    identical to the dense implementation it replaced, which survives as
    [Rdt_test_helpers.Dense_bitset].  QCheck drives random op sequences
    through both side by side and compares every observable — membership,
-   cardinality, ascending iteration order, [union_into]'s changed bit and
-   [union_into_iter]'s exactly-once delta reporting — across capacities
+   cardinality, ascending iteration order and [union_into]'s changed
+   bit — across capacities
    spanning several 4096-bit chunks so sparse chunks, dense promotions
    and chunk-boundary indices all get exercised.
 
@@ -30,7 +30,6 @@ type op =
   | Mem of int
   | Grow of int (* additional capacity *)
   | Union of int (* seed selecting a random source set *)
-  | Union_iter of int
   | Card
   | Snapshot (* copy + equal round-trip *)
 
@@ -40,7 +39,6 @@ let pp_op = function
   | Mem i -> Printf.sprintf "mem %d" i
   | Grow n -> Printf.sprintf "grow +%d" n
   | Union s -> Printf.sprintf "union seed:%d" s
-  | Union_iter s -> Printf.sprintf "union_iter seed:%d" s
   | Card -> "cardinal"
   | Snapshot -> "snapshot"
 
@@ -52,8 +50,7 @@ let gen_op =
         (2, map (fun i -> Remove i) (int_bound 20_000));
         (3, map (fun i -> Mem i) (int_bound 20_000));
         (1, map (fun n -> Grow n) (int_range 1 9_000));
-        (2, map (fun s -> Union s) (int_bound 1_000_000));
-        (3, map (fun s -> Union_iter s) (int_bound 1_000_000));
+        (5, map (fun s -> Union s) (int_bound 1_000_000));
         (1, return Card);
         (1, return Snapshot);
       ])
@@ -118,14 +115,6 @@ let diff_ops =
               let src_c, src_d = make_sources s (Bitset.capacity c) in
               let ch_c = Bitset.union_into c src_c and ch_d = Dense.union_into d src_d in
               if ch_c <> ch_d then QCheck.Test.fail_reportf "union_into changed: %b vs %b" ch_c ch_d
-          | Union_iter s ->
-              let src_c, src_d = make_sources s (Bitset.capacity c) in
-              let delta_c = ref [] and delta_d = ref [] in
-              let ch_c = Bitset.union_into_iter c src_c ~f:(fun i -> delta_c := i :: !delta_c) in
-              let ch_d = Dense.union_into_iter d src_d ~f:(fun i -> delta_d := i :: !delta_d) in
-              if ch_c <> ch_d then
-                QCheck.Test.fail_reportf "union_into_iter changed: %b vs %b" ch_c ch_d;
-              if !delta_c <> !delta_d then QCheck.Test.fail_reportf "union_into_iter delta differs"
           | Card ->
               if Bitset.cardinal c <> Dense.cardinal d then
                 QCheck.Test.fail_reportf "cardinal differs mid-sequence"
@@ -136,45 +125,6 @@ let diff_ops =
               same_sets "snapshot" cc dd)
         ops;
       same_sets "final" c d;
-      true)
-
-(* union_into_iter reports each element at most once over any sequence of
-   unions into the same destination — the amortized-closure contract. *)
-let diff_exactly_once =
-  QCheck.Test.make ~count:100 ~name:"union_into_iter reports each element exactly once"
-    QCheck.(make Gen.(pair (int_range 1 15_000) (list_size (int_range 1 20) (int_bound 1_000_000))))
-    (fun (cap, seeds) ->
-      let dst = Bitset.create cap in
-      let seen = Hashtbl.create 97 in
-      List.iter
-        (fun s ->
-          let src, _ = make_sources s cap in
-          ignore
-            (Bitset.union_into_iter dst src ~f:(fun i ->
-                 if Hashtbl.mem seen i then QCheck.Test.fail_reportf "element %d reported twice" i;
-                 Hashtbl.add seen i ()));
-          (* re-union of the same source must be a silent no-op *)
-          ignore
-            (Bitset.union_into_iter dst src ~f:(fun i ->
-                 QCheck.Test.fail_reportf "re-union reported %d" i)))
-        seeds;
-      (* everything reported is a member; every member was reported *)
-      Bitset.iter
-        (fun i -> if not (Hashtbl.mem seen i) then QCheck.Test.fail_reportf "member %d never reported" i)
-        dst;
-      Hashtbl.length seen = Bitset.cardinal dst)
-
-let diff_delta_ascending =
-  QCheck.Test.make ~count:100 ~name:"union_into_iter delta arrives in ascending order"
-    QCheck.(make Gen.(pair (int_range 1 15_000) (int_bound 1_000_000)))
-    (fun (cap, seed) ->
-      let dst, _ = make_sources (seed lxor 0x5bd1e995) cap in
-      let src, _ = make_sources seed cap in
-      let last = ref (-1) in
-      ignore
-        (Bitset.union_into_iter dst src ~f:(fun i ->
-             if i <= !last then QCheck.Test.fail_reportf "delta not ascending: %d after %d" i !last;
-             last := i));
       true)
 
 (* ------------------------------------------------------------------ *)
@@ -227,9 +177,7 @@ let test_error_messages () =
   expect_invalid "Bitset: index out of bounds" (fun () -> Bitset.mem t 10);
   expect_invalid "Bitset: index out of bounds" (fun () -> Bitset.add t (-1));
   let big = Bitset.create 20 in
-  expect_invalid "Bitset.union_into: capacity mismatch" (fun () -> Bitset.union_into t big);
-  expect_invalid "Bitset.union_into_iter: capacity mismatch" (fun () ->
-      Bitset.union_into_iter t big ~f:ignore)
+  expect_invalid "Bitset.union_into: capacity mismatch" (fun () -> Bitset.union_into t big)
 
 let test_empty_set_is_cheap () =
   (* the whole point: an empty set over n=10^6 must cost O(n/4096) words *)
@@ -240,6 +188,23 @@ let test_empty_set_is_cheap () =
     true (words < 2_000);
   Bitset.add t 999_999;
   Alcotest.(check (list int)) "still works" [ 999_999 ] (Bitset.to_list t)
+
+let test_iter_allocation_free () =
+  (* iteration walks each bitmap word as native ints; a boxed Int64 per
+     set bit would cost tens of words each *)
+  let t = Bitset.create 4096 in
+  for i = 0 to 4095 do
+    Bitset.add t i
+  done;
+  let sum = ref 0 in
+  let f i = sum := !sum + i in
+  let before = Gc.minor_words () in
+  Bitset.iter f t;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "every member visited" (4095 * 4096 / 2) !sum;
+  Alcotest.(check bool)
+    (Printf.sprintf "full dense chunk iterated in %.0f minor words" words)
+    true (words < 64.)
 
 (* ------------------------------------------------------------------ *)
 (* Heap / Event_queue vs sorted-list model                             *)
@@ -296,11 +261,7 @@ let () =
   Alcotest.run "rdt_bitset"
     [
       ( "differential",
-        [
-          qt diff_ops;
-          qt diff_exactly_once;
-          qt diff_delta_ascending;
-        ] );
+        [ qt diff_ops ] );
       ( "chunked",
         [
           Alcotest.test_case "chunk boundaries" `Quick test_chunk_boundaries;
@@ -309,6 +270,8 @@ let () =
             test_equal_representation_independent;
           Alcotest.test_case "error messages" `Quick test_error_messages;
           Alcotest.test_case "empty set over 10^6 universe is O(chunks)" `Quick test_empty_set_is_cheap;
+          Alcotest.test_case "iterating a dense chunk allocates nothing per bit" `Quick
+            test_iter_allocation_free;
         ] );
       ( "queues",
         [ qt heap_model; qt heap_interleaved; qt event_queue_model ] );

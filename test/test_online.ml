@@ -60,6 +60,30 @@ let online_agrees_with_all_checkers =
       v = (Checker.run ~algo:`Chains pat).Checker.rdt
       && v = (Checker.run ~algo:`Doubling pat).Checker.rdt)
 
+(* The max-reach join must leave the reachability it rides on intact:
+   pairwise reachability and Z-cycle membership equal the offline
+   R-graph's, and the engine's Z-cycle flag is "some checkpoint is on a
+   cycle". *)
+let online_reachability_equals_rgraph =
+  QCheck.Test.make ~name:"online reaches/in_cycle/zcycle = rgraph on random patterns" ~count:100
+    Rdt_test_helpers.Gen.small_recipe_arbitrary (fun recipe ->
+      let pat = Rdt_test_helpers.Gen.pattern_of_recipe recipe in
+      let g = Rdt_pattern.Rgraph.build pat and t = Online.check_pattern pat in
+      let cks = P.fold_ckpts pat ~init:[] ~f:(fun acc c -> (c.T.owner, c.T.index) :: acc) in
+      List.iter
+        (fun a ->
+          List.iter
+            (fun b ->
+              if a <> b && Online.reaches t a b <> Rdt_pattern.Rgraph.reaches g a b then
+                QCheck.Test.fail_reportf "reaches disagrees on %s ~> %s"
+                  (Format.asprintf "%a" T.pp_ckpt_id a)
+                  (Format.asprintf "%a" T.pp_ckpt_id b))
+            cks;
+          if Online.in_cycle t a <> Rdt_pattern.Rgraph.in_cycle g a then
+            QCheck.Test.fail_reportf "in_cycle disagrees on %s" (Format.asprintf "%a" T.pp_ckpt_id a))
+        cks;
+      Online.zcycle t = List.exists (Online.in_cycle t) cks)
+
 (* ------------------------------------------------------------------ *)
 (* Stream mode: live traces of full runs                               *)
 (* ------------------------------------------------------------------ *)
@@ -213,10 +237,27 @@ let test_prefix_oracle () =
         (fun k ev ->
           Online.observe t ev;
           let prefix = List.filteri (fun i _ -> i <= k) events in
-          let off = (Checker.run (prefix_pattern ~n:4 prefix)).Checker.rdt in
+          let report = Checker.run (prefix_pattern ~n:4 prefix) in
+          let off = report.Checker.rdt in
           if off <> Online.rdt_so_far t then
             Alcotest.failf "%s seed %d: prefix %d/%d: online %b <> offline %b" pname seed k
               (List.length events) (Online.rdt_so_far t) off;
+          if Online.checked t <> report.Checker.checked then
+            Alcotest.failf "%s seed %d: prefix %d: online checked %d <> offline %d" pname seed k
+              (Online.checked t) report.Checker.checked;
+          let violations =
+            Online.violations t
+            |> List.filteri (fun i _ -> i < Checker.max_reported)
+            |> List.map (fun (v : Online.violation) ->
+                   {
+                     Checker.from_ckpt = v.Online.from_ckpt;
+                     to_ckpt = v.Online.to_ckpt;
+                     tracked = Some v.Online.tracked;
+                   })
+          in
+          if violations <> report.Checker.violations then
+            Alcotest.failf "%s seed %d: prefix %d: online violations differ from offline" pname
+              seed k;
           if !oracle_first = None && not off then oracle_first := Some k)
         events;
       if Online.first_violation t <> !oracle_first then
@@ -234,6 +275,34 @@ let test_prefix_oracle () =
   match Online.check_trace (Trace.events tr) with
   | Error e -> Alcotest.fail e
   | Ok t -> check "none seed 1 violates" true (Online.first_violation t <> None)
+
+(* Per-event cost must not grow with history: the max-reach join costs
+   at most n entries per R-edge, where a per-pair walk costs every node
+   an edge newly connects. *)
+let test_cost_does_not_grow () =
+  let tr = Trace.ring ~capacity:50_000 in
+  ignore
+    (Runtime.run
+       (runtime_config ~n:16 ~messages:3000 ~envname:"random" ~seed:1 ~trace:tr
+          (Registry.find_exn "bhmr")));
+  let events = Array.of_list (Trace.events tr) in
+  let total = Array.length events and t = Online.create ~n:16 () in
+  let tenth = total / 10 in
+  let words_over lo hi =
+    let before = Gc.minor_words () in
+    for k = lo to hi - 1 do
+      Online.observe t events.(k)
+    done;
+    (Gc.minor_words () -. before) /. float_of_int (hi - lo)
+  in
+  let first = words_over 0 tenth in
+  ignore (words_over tenth (total - tenth));
+  let last = words_over (total - tenth) total in
+  check
+    (Printf.sprintf "%d events: last tenth %.0f words/event <= 4 x first tenth %.0f" total last
+       first)
+    true
+    (last <= 4. *. first)
 
 (* ------------------------------------------------------------------ *)
 (* Engine-level unit tests                                             *)
@@ -426,7 +495,12 @@ let test_inconsistent_streams_rejected () =
 let () =
   Alcotest.run "rdt_online"
     [
-      ("pattern mode", [ qt online_equals_rgraph_on_patterns; qt online_agrees_with_all_checkers ]);
+      ( "pattern mode",
+        [
+          qt online_equals_rgraph_on_patterns;
+          qt online_agrees_with_all_checkers;
+          qt online_reachability_equals_rgraph;
+        ] );
       ( "stream mode",
         [
           Alcotest.test_case "registry x env x seed matrix" `Quick test_stream_matrix;
@@ -436,6 +510,8 @@ let () =
       ( "per-event",
         [
           Alcotest.test_case "prefix verdicts = offline oracle" `Quick test_prefix_oracle;
+          Alcotest.test_case "per-event cost does not grow with history" `Quick
+            test_cost_does_not_grow;
           Alcotest.test_case "rollback retraction and latch" `Quick test_rollback_retraction;
           Alcotest.test_case "orphaned stream end names every orphan" `Quick
             test_orphan_end_reports_all;

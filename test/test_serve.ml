@@ -497,7 +497,7 @@ let test_backpressure () =
         let frame, rest = take 4 [] evs in
         Client.send p.client (W.Events frame);
         ignore (Server.step server : int);
-        (match List.assoc_opt "serve.queue_depth" (Meter.counters meter) with
+        (match List.assoc_opt "gauge:serve.queue_depth" (Meter.counters meter) with
         | Some d -> max_depth := max !max_depth d
         | None -> ());
         p.inbox <- p.inbox @ Client.poll p.client;
@@ -511,6 +511,32 @@ let test_backpressure () =
     (Printf.sprintf "queue depth bounded (max seen %d)" !max_depth)
     true
     (!max_depth <= cfg.Server.max_pending + 4);
+  Client.close p.client
+
+(* Queued events must not wait out the poll timeout: with the stream's
+   socket dropped from the read set by backpressure, a blocking poll
+   would idle through the whole tick while [max_batch] bounds each apply. *)
+let test_queued_work_does_not_stall () =
+  let socket = scratch_socket "stall" in
+  let n = 4 in
+  let events = recorded ~n ~messages:120 ~protocol:"bhmr" ~seed:5 () in
+  let meter = Meter.create () in
+  let cfg = { (Server.default_config ~socket) with Server.max_batch = 8; max_pending = 16 } in
+  let server = Server.create ~meter cfg in
+  Fun.protect ~finally:(fun () -> Server.close server) @@ fun () ->
+  let p = peer ~socket in
+  ignore (hello server p ~stream:"stall" ~n : int);
+  Client.send p.client (W.Events events);
+  let depth () =
+    Option.value ~default:0 (List.assoc_opt "gauge:serve.queue_depth" (Meter.counters meter))
+  in
+  ignore (pump server [] (fun () -> if depth () > cfg.Server.max_pending then Some () else None));
+  let start = Meter.now () in
+  ignore (Server.step ~timeout:5. server : int);
+  let took = Meter.now () -. start in
+  check (Printf.sprintf "step with queued work returned in %.3f s" took) true (took < 1.);
+  let seen, _, _ = goodbye server p in
+  Alcotest.(check int) "all events applied" (List.length events) seen;
   Client.close p.client
 
 (* ------------------------------------------------------------------ *)
@@ -590,6 +616,8 @@ let () =
       ( "robustness",
         [
           Alcotest.test_case "backpressure bounds the queue" `Quick test_backpressure;
+          Alcotest.test_case "queued work is applied without waiting" `Quick
+            test_queued_work_does_not_stall;
           Alcotest.test_case "durable crash + resume" `Quick test_durable_crash_resume;
         ] );
     ]
