@@ -47,6 +47,11 @@ let protocol_tests =
 let analysis_tests =
   let protocol = Rdt_core.Registry.find_exn "bhmr" in
   let pattern = (Rdt_core.Runtime.run (run_config protocol 8)).Rdt_core.Runtime.pattern in
+  (* the shape of one perfbench simulate run: n = 16, 400 messages *)
+  let simulate_shape =
+    (Rdt_core.Runtime.run { (run_config protocol 16) with Rdt_core.Runtime.max_messages = 400 })
+      .Rdt_core.Runtime.pattern
+  in
   [
     Test.make ~name:"analysis/rgraph-build"
       (Staged.stage (fun () -> ignore (Rdt_pattern.Rgraph.build pattern)));
@@ -58,6 +63,8 @@ let analysis_tests =
       (Staged.stage (fun () -> ignore (Rdt_pattern.Tdv.compute pattern)));
     Test.make ~name:"analysis/rdt-check"
       (Staged.stage (fun () -> ignore (Rdt_core.Checker.run pattern)));
+    Test.make ~name:"analysis/rdt-check/n=16"
+      (Staged.stage (fun () -> ignore (Rdt_core.Checker.run simulate_shape)));
     Test.make ~name:"analysis/min-gcp-fixpoint"
       (Staged.stage (fun () -> ignore (Rdt_core.Min_gcp.minimum pattern (0, 1))));
     Test.make ~name:"analysis/recovery-line"

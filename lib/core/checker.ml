@@ -78,21 +78,18 @@ let check_with ~algo ~trackable pat =
   let checked = ref 0 in
   for j = 0 to n - 1 do
     for y = 0 to Pattern.last_index pat j do
-      for i = 0 to n - 1 do
-        let x_star = Rgraph.max_reaching_index g ~from_pid:i (j, y) in
-        if x_star >= 0 then begin
+      let c = (j, y) in
+      Rgraph.iter_max_reaching g c ~f:(fun i x_star ->
           incr checked;
-          if not (trackable (i, x_star) (j, y)) then begin
+          if not (trackable (i, x_star) c) then begin
             incr count;
             if !count <= max_reported then
               violations :=
                 (* no TDV witness at this level: the trackability oracle
                    is abstract; the rgraph algo fills the entry in
                    afterwards *)
-                { from_ckpt = (i, x_star); to_ckpt = (j, y); tracked = None } :: !violations
-          end
-        end
-      done
+                { from_ckpt = (i, x_star); to_ckpt = c; tracked = None } :: !violations
+          end)
     done
   done;
   {

@@ -7,10 +7,10 @@
    what remains reachable — and is flagged here — is mutation of
    pattern-owned values: writes into the arrays the Pattern accessors
    expose ("do not mutate"), writes to record fields of pattern types,
-   and the mutating Bitset API (e.g. on a set obtained from
-   Rgraph.reachable_set).  Building a *fresh* pattern through
-   Pattern.Builder (as Replay.rebuild does) is the sanctioned
-   construction API and is not flagged. *)
+   and the mutating Bitset API (Rgraph keeps no Bitset of its own; the
+   fresh set from Rgraph.reachable_set is still read-only here).
+   Building a *fresh* pattern through Pattern.Builder (as Replay.rebuild
+   does) is the sanctioned construction API and is not flagged. *)
 
 let pattern_types =
   [

@@ -10,9 +10,9 @@
      outgrow the bitmap's footprint.
 
    An empty set over n elements therefore costs O(n / 4096) words instead
-   of O(n / 64): the per-node reached-by sets of the online checker and
-   the SCC reachability sets of {!Rgraph} stay proportional to what they
-   actually contain, which is what makes n = 10^4 runs allocate linearly.
+   of O(n / 64): the per-node reached-by sets of the online checker stay
+   proportional to what they actually contain, which is what makes
+   n = 10^4 runs allocate linearly.  ({!Rgraph}'s reachability uses none.)
    The observable semantics are those of the dense implementation, bit for
    bit; the old code survives as the differential-test reference
    [test/helpers/dense_bitset.ml]. *)

@@ -1,8 +1,9 @@
 (** Fixed-capacity mutable bitsets.
 
-    Used for dense reachability computations over rollback-dependency
-    graphs, where set-union over 64 nodes at a time is the difference
-    between O(V·E) and O(V·E/64). *)
+    The online checker's per-node reached-by sets, where set-union over 64
+    nodes at a time is the difference between O(V·E) and O(V·E/64), and
+    the fresh sets {!Rgraph.reachable_set} returns.  The offline
+    {!Rgraph} reachability itself no longer uses them. *)
 
 type t
 

@@ -1,3 +1,5 @@
+module Vclock = Rdt_dist.Vclock
+
 type node = int
 
 type t = {
@@ -6,9 +8,9 @@ type t = {
   num_nodes : int;
   succ : node list array; (* deduplicated adjacency *)
   edge_count : int;
-  mutable scc_of : int array option; (* node -> scc id *)
-  mutable scc_reach : Bitset.t array option; (* scc id -> reachable node set *)
-  mutable scc_nontrivial : bool array option; (* scc id -> cycle flag *)
+  mutable scc : (int array * int array * bool array) option;
+      (* node -> scc id, nodes by ascending scc id, scc id -> cycle flag *)
+  mutable max_src : Vclock.t array option; (* scc id -> max-source vector *)
 }
 
 let pattern g = g.pat
@@ -72,21 +74,22 @@ let build pat =
     num_nodes;
     succ;
     edge_count = !edge_count;
-    scc_of = None;
-    scc_reach = None;
-    scc_nontrivial = None;
+    scc = None;
+    max_src = None;
   }
 
 (* Iterative Tarjan SCC.  SCCs are emitted in reverse topological order of
    the condensation: when an SCC is completed, all SCCs it can reach have
-   already been emitted — which lets the reachability pass below fill
-   bitsets in emission order. *)
+   already been emitted, so every R-edge between two SCCs runs from a
+   larger id to a smaller one.  [order] lists the nodes as they are
+   popped, i.e. by ascending SCC id. *)
 let compute_scc g =
   let nv = g.num_nodes in
   let index = Array.make nv (-1) in
   let lowlink = Array.make nv 0 in
   let on_stack = Array.make nv false in
   let scc_of = Array.make nv (-1) in
+  let order = Array.make nv 0 and popped = ref 0 in
   let stack = ref [] in
   let next_index = ref 0 in
   let next_scc = ref 0 in
@@ -122,7 +125,7 @@ let compute_scc g =
                 if lowlink.(v) = index.(v) then begin
                   let id = !next_scc in
                   incr next_scc;
-                  let size = ref 0 in
+                  let first = !popped in
                   let continue = ref true in
                   while !continue do
                     match !stack with
@@ -131,11 +134,12 @@ let compute_scc g =
                         stack := tl;
                         on_stack.(w) <- false;
                         scc_of.(w) <- id;
-                        incr size;
+                        order.(!popped) <- w;
+                        incr popped;
                         if w = v then continue := false
                   done;
                   let self_loop = List.exists (Int.equal v) g.succ.(v) in
-                  nontrivial := (!size > 1 || self_loop) :: !nontrivial
+                  nontrivial := (!popped - first > 1 || self_loop) :: !nontrivial
                 end;
                 call := above;
                 (match above with
@@ -144,73 +148,64 @@ let compute_scc g =
       done
     end
   done;
-  let nontrivial = Array.of_list (List.rev !nontrivial) in
-  g.scc_of <- Some scc_of;
-  g.scc_nontrivial <- Some nontrivial;
-  (scc_of, !next_scc, nontrivial)
+  (scc_of, order, Array.of_list (List.rev !nontrivial))
 
-let ensure_reach g =
-  match (g.scc_of, g.scc_reach) with
-  | Some scc_of, Some reach -> (scc_of, reach)
-  | _ ->
-      let scc_of, num_scc, _ = compute_scc g in
-      let reach = Array.init num_scc (fun _ -> Bitset.create g.num_nodes) in
-      (* Emission order is reverse topological: scc 0 is completed first and
-         can only reach already-numbered SCCs. *)
-      for v = 0 to g.num_nodes - 1 do
-        Bitset.add reach.(scc_of.(v)) v
+(* One cached Tarjan pass, shared by [in_cycle] and the vector pass. *)
+let scc g =
+  if Option.is_none g.scc then g.scc <- Some (compute_scc g);
+  Option.get g.scc
+
+(* [max_src.(id)] holds, per process i, 1 + the greatest x with
+   C_{i,x} ~> some node of SCC [id] (0: no such x) — the encoding of
+   [Online.max_reach].  Every predecessor SCC has a larger Tarjan id, so
+   visiting nodes by decreasing SCC id completes each vector before it is
+   merged into its successors'. *)
+let max_src g =
+  match g.max_src with
+  | Some m -> m
+  | None ->
+      let scc_of, order, nontrivial = scc g in
+      let n = Pattern.n g.pat in
+      let m = Array.init (Array.length nontrivial) (fun _ -> Vclock.create ~n) in
+      (* x ascends, so the last write per (SCC, process) is the maximum *)
+      for i = 0 to n - 1 do
+        for x = 0 to Pattern.last_index g.pat i do
+          Vclock.set m.(scc_of.(g.offsets.(i) + x)) i (x + 1)
+        done
       done;
-      (* For each node, union successor SCC sets into its own SCC set, in
-         SCC id order (successors have smaller or equal ids). *)
-      let nodes_by_scc = Array.make num_scc [] in
-      for v = g.num_nodes - 1 downto 0 do
-        nodes_by_scc.(scc_of.(v)) <- v :: nodes_by_scc.(scc_of.(v))
-      done;
-      for id = 0 to num_scc - 1 do
+      for k = g.num_nodes - 1 downto 0 do
+        let id = scc_of.(order.(k)) in
         List.iter
-          (fun v ->
-            List.iter
-              (fun w ->
-                let wid = scc_of.(w) in
-                if wid <> id then ignore (Bitset.union_into reach.(id) reach.(wid)))
-              g.succ.(v))
-          nodes_by_scc.(id)
+          (fun w -> if scc_of.(w) <> id then Vclock.merge m.(scc_of.(w)) m.(id))
+          g.succ.(order.(k))
       done;
-      g.scc_reach <- Some reach;
-      (scc_of, reach)
+      g.max_src <- Some m;
+      m
 
-let reachable_set g a =
-  let scc_of, reach = ensure_reach g in
-  reach.(scc_of.(node_of_ckpt g a))
+let row g c =
+  let scc_of, _, _ = scc g in
+  (max_src g).(scc_of.(node_of_ckpt g c))
 
-let reaches g a b =
-  let vb = node_of_ckpt g b in
-  Bitset.mem (reachable_set g a) vb
+let max_reaching_index g ~from_pid c = Vclock.get (row g c) from_pid - 1
 
-let max_reaching_index g ~from_pid (j, y) =
-  let target = node_of_ckpt g (j, y) in
-  let scc_of, reach = ensure_reach g in
-  let last = Pattern.last_index g.pat from_pid in
-  let reaches_x x = Bitset.mem reach.(scc_of.(g.offsets.(from_pid) + x)) target in
-  (* If C_{i,x} reaches the target then so does every C_{i,x'} with
-     x' < x (via program-order edges), so the predicate is downward closed
-     and the maximum is found by binary search. *)
-  if not (reaches_x 0) then -1
-  else begin
-    let lo = ref 0 and hi = ref last in
-    while !lo < !hi do
-      let mid = (!lo + !hi + 1) / 2 in
-      if reaches_x mid then lo := mid else hi := mid - 1
-    done;
-    !lo
-  end
+let iter_max_reaching g c ~f = Vclock.iteri ~f:(fun i x -> f i (x - 1)) (row g c)
+
+(* Reachability from C_{i,x} is downward closed in x (program-order
+   edges), so one maximum answers it. *)
+let reaches g ((i, x) as a) b =
+  ignore (node_of_ckpt g a);
+  x <= max_reaching_index g ~from_pid:i b
+
+let reachable_set g ((i, x) as a) =
+  ignore (node_of_ckpt g a);
+  let (scc_of, _, _), m = (scc g, max_src g) in
+  let set = Bitset.create g.num_nodes in
+  Array.iteri (fun v id -> if x < Vclock.get m.(id) i then Bitset.add set v) scc_of;
+  set
 
 let in_cycle g a =
-  let v = node_of_ckpt g a in
-  (match g.scc_of with None -> ignore (compute_scc g) | Some _ -> ());
-  match (g.scc_of, g.scc_nontrivial) with
-  | Some scc_of, Some nontrivial -> nontrivial.(scc_of.(v))
-  | _ -> assert false
+  let scc_of, _, nontrivial = scc g in
+  nontrivial.(scc_of.(node_of_ckpt g a))
 
 let to_dot g =
   let buf = Buffer.create 1024 in

@@ -36,18 +36,22 @@ val edge_count : t -> int
 
 val reaches : t -> Types.ckpt_id -> Types.ckpt_id -> bool
 (** [reaches g a b] iff there is a (possibly empty) R-path from [a] to [b].
-    Every checkpoint reaches itself.  The first call triggers the all-pairs
-    computation (cached). *)
+    Every checkpoint reaches itself.  One {!max_reaching_index} lookup. *)
 
 val reachable_set : t -> Types.ckpt_id -> Bitset.t
-(** All nodes reachable from the given checkpoint (including itself); do
-    not mutate the returned set. *)
+(** All nodes reachable from the given checkpoint (including itself), as
+    a fresh set.  O(V log n). *)
 
 val max_reaching_index : t -> from_pid:Types.pid -> Types.ckpt_id -> int
 (** [max_reaching_index g ~from_pid (j, y)] is the greatest [x] such that
     [C_{from_pid,x} ~> C_{j,y}], or [-1] if none.  This is the per-entry
     "true" rollback dependency that a transitive dependency vector is
-    supposed to track. *)
+    supposed to track.  The first query joins a sparse per-process maximum
+    into every SCC in one pass (cached); each later query is one lookup. *)
+
+val iter_max_reaching : t -> Types.ckpt_id -> f:(Types.pid -> int -> unit) -> unit
+(** [iter_max_reaching g c ~f] calls [f i (max_reaching_index g ~from_pid:i c)]
+    for every process [i] whose index is not [-1], in ascending [i]. *)
 
 val in_cycle : t -> Types.ckpt_id -> bool
 (** Whether the checkpoint lies on a non-trivial R-cycle (its SCC has more

@@ -27,6 +27,26 @@ let reaches pat a b =
   in
   dfs a
 
+let max_reaching_index pat ~from_pid c =
+  let rec down x = if x < 0 || reaches pat (from_pid, x) c then x else down (x - 1) in
+  down (P.last_index pat from_pid)
+
+let max_reaching_indices pat =
+  let preds = Hashtbl.create 97 in
+  List.iter (fun (u, w) -> Hashtbl.add preds w u) (rgraph_edges pat);
+  fun c ->
+    let best = Array.make (P.n pat) (-1) in
+    let visited = Hashtbl.create 97 in
+    let rec dfs ((i, x) as v) =
+      if not (Hashtbl.mem visited v) then begin
+        Hashtbl.add visited v ();
+        if x > best.(i) then best.(i) <- x;
+        List.iter dfs (Hashtbl.find_all preds v)
+      end
+    in
+    dfs c;
+    best
+
 (* Explicit message-graph DFS. [edge m m'] decides whether the chain may
    continue from message [m] with message [m']. *)
 let message_dfs pat ~start ~accept ~edge =

@@ -11,6 +11,17 @@ val reaches :
   Rdt_pattern.Pattern.t -> Rdt_pattern.Types.ckpt_id -> Rdt_pattern.Types.ckpt_id -> bool
 (** Reflexive-transitive closure of {!rgraph_edges}, by plain DFS. *)
 
+val max_reaching_index :
+  Rdt_pattern.Pattern.t -> from_pid:Rdt_pattern.Types.pid -> Rdt_pattern.Types.ckpt_id -> int
+(** The largest [x] with [reaches pat (from_pid, x) c], or [-1] if there
+    is none: the checker's x*, by one {!reaches} per candidate index. *)
+
+val max_reaching_indices : Rdt_pattern.Pattern.t -> Rdt_pattern.Types.ckpt_id -> int array
+(** [max_reaching_indices pat c] is {!max_reaching_index} for every
+    process at once, by one backward DFS from [c] over {!rgraph_edges}.
+    Apply it to [pat] once: the partial application builds the
+    predecessor table, so a whole-pattern check stays O(V·(V+E)). *)
+
 val zigzag :
   Rdt_pattern.Pattern.t -> Rdt_pattern.Types.ckpt_id -> Rdt_pattern.Types.ckpt_id -> bool
 (** Netzer-Xu zigzag, by DFS over the explicit message graph

@@ -80,6 +80,56 @@ let test_units_label_population () =
         true (r.Checker.checked > 0))
     Checker.all_algos
 
+(* The [`Rgraph] report rebuilt from first principles: x* from a plain
+   backward DFS over the R-graph's definition (no SCC condensation), the
+   same (C_{j,y}, P_i) loop order, the same cap. *)
+let reference_report pat =
+  let tdv = Rdt_pattern.Tdv.compute pat in
+  let x_stars = Rdt_test_helpers.Naive.max_reaching_indices pat in
+  let checked = ref 0 and count = ref 0 and violations = ref [] in
+  for j = 0 to Rdt_pattern.Pattern.n pat - 1 do
+    for y = 0 to Rdt_pattern.Pattern.last_index pat j do
+      Array.iteri
+        (fun i x ->
+          if x >= 0 then begin
+            incr checked;
+            if not (Rdt_pattern.Tdv.trackable tdv (i, x) (j, y)) then begin
+              incr count;
+              if !count <= Checker.max_reported then
+                violations :=
+                  {
+                    Checker.from_ckpt = (i, x);
+                    to_ckpt = (j, y);
+                    tracked = Some (Rdt_pattern.Tdv.at tdv (j, y)).(i);
+                  }
+                  :: !violations
+            end
+          end)
+        (x_stars (j, y))
+    done
+  done;
+  (!count, !checked, List.rev !violations)
+
+let test_rgraph_report_matches_reference () =
+  let env = Rdt_workloads.Registry.find_exn "random" in
+  List.iter
+    (fun (pname, n) ->
+      let protocol = Rdt_core.Registry.find_exn pname in
+      let pat =
+        (Rdt_core.Runtime.run (Rdt_core.Runtime.configure ~n ~messages:400 env protocol))
+          .Rdt_core.Runtime.pattern
+      in
+      let r = Checker.run ~algo:`Rgraph pat in
+      let count, checked, violations = reference_report pat in
+      let what = Printf.sprintf "%s n=%d" pname n in
+      Alcotest.(check bool) (what ^ ": rdt") (count = 0) r.Checker.rdt;
+      Alcotest.(check int) (what ^ ": checked") checked r.Checker.checked;
+      Alcotest.(check bool) (what ^ ": violations, in order") true (violations = r.Checker.violations);
+      if pname = "none" then
+        Alcotest.(check bool) (what ^ ": more violations than reported") true
+          (count > Checker.max_reported))
+    [ ("none", 8); ("none", 16); ("fdas", 8); ("fdas", 16); ("bhmr", 8); ("bhmr", 16) ]
+
 let () =
   Alcotest.run "checker-compat"
     [
@@ -89,5 +139,7 @@ let () =
           Alcotest.test_case "report.algo matches request" `Quick test_algo_field_matches;
           Alcotest.test_case "all algorithms agree on verdicts" `Quick test_verdicts_agree;
           Alcotest.test_case "units label their population" `Quick test_units_label_population;
+          Alcotest.test_case "`Rgraph report = naive x* reference" `Quick
+            test_rgraph_report_matches_reference;
         ] );
     ]

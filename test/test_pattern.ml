@@ -243,10 +243,28 @@ let rgraph_matches_naive =
       let cks = all_ckpts pat in
       List.for_all
         (fun a ->
+          let set = Rgraph.reachable_set g a in
           List.for_all
-            (fun b -> Rgraph.reaches g a b = Rdt_test_helpers.Naive.reaches pat a b)
+            (fun b ->
+              let naive = Rdt_test_helpers.Naive.reaches pat a b in
+              Rgraph.reaches g a b = naive && Bitset.mem set (Rgraph.node_of_ckpt g b) = naive)
             cks)
         cks)
+
+let rgraph_max_reaching_matches_naive =
+  QCheck.Test.make ~name:"rgraph x* = naive largest reaching index" ~count:60
+    Rdt_test_helpers.Gen.small_pattern_arbitrary (fun pat ->
+      let g = Rgraph.build pat in
+      let all_at_once = Rdt_test_helpers.Naive.max_reaching_indices pat in
+      List.for_all
+        (fun c ->
+          let row = all_at_once c in
+          List.for_all
+            (fun i ->
+              let x = Rgraph.max_reaching_index g ~from_pid:i c in
+              x = Rdt_test_helpers.Naive.max_reaching_index pat ~from_pid:i c && x = row.(i))
+            (List.init (P.n pat) Fun.id))
+        (all_ckpts pat))
 
 let rgraph_edges_match_naive =
   QCheck.Test.make ~name:"rgraph edges = definition" ~count:100
@@ -630,6 +648,7 @@ let () =
           Alcotest.test_case "crossing messages cycle" `Quick test_crossing_cycle;
           Alcotest.test_case "dot output" `Quick test_dot_output;
           qt rgraph_matches_naive;
+          qt rgraph_max_reaching_matches_naive;
           qt rgraph_edges_match_naive;
         ] );
       ( "tdv",
