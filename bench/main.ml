@@ -76,6 +76,60 @@ let analysis_tests =
            ignore (Rdt_recovery.Recovery_line.max_consistent_bounded pattern bounds)));
   ]
 
+(* The durable layer's two steady-state costs at perfbench watch's shape
+   (BHMR, random environment, n = 16): one WAL record, and one snapshot
+   image of a 10k-event history after 1,000 more events.  The image
+   benchmark copies a cache primed at 10k events on every run, so each
+   run encodes the same 1,000-event step; [snapshot-encode] is the full
+   re-encode of the same state, for comparison. *)
+let durable_tests =
+  let module W = Rdt_durable.Codec.Writer in
+  let module Online = Rdt_check.Online in
+  let module Snapshot = Rdt_durable.Snapshot in
+  let record = W.create () in
+  let ckpt =
+    Rdt_obs.Trace.Ckpt
+      {
+        pid = 4;
+        index = 37;
+        kind = Rdt_pattern.Types.Forced;
+        time = 2790;
+        tdv = Some [| 27; 31; 33; 23; 37; 28; 29; 24; 30; 31; 26; 31; 28; 29; 31; 33 |];
+        preds = [ "c1"; "c_fdas"; "c_fdi" ];
+      }
+  in
+  let events =
+    let tr = Rdt_obs.Trace.ring ~capacity:20_000 in
+    ignore
+      (Rdt_core.Runtime.run
+         {
+           (run_config (Rdt_core.Registry.find_exn "bhmr") 16) with
+           Rdt_core.Runtime.max_messages = 4500;
+           trace = tr;
+         });
+    Array.of_list (Rdt_obs.Trace.events tr)
+  in
+  if Array.length events < 11_000 then failwith "bench: durable trace shorter than 11k events";
+  let engine = Online.create ~n:16 () in
+  for i = 0 to 9_999 do
+    Online.observe engine events.(i)
+  done;
+  let primed = Snapshot.Cache.create () in
+  ignore (Snapshot.Cache.image primed engine);
+  for i = 10_000 to 10_999 do
+    Online.observe engine events.(i)
+  done;
+  [
+    Test.make ~name:"durable/wal-record"
+      (Staged.stage (fun () ->
+           W.clear record;
+           ignore (Rdt_durable.Wal.add_record record ckpt)));
+    Test.make ~name:"durable/snapshot-image"
+      (Staged.stage (fun () -> ignore (Snapshot.Cache.image (Snapshot.Cache.copy primed) engine)));
+    Test.make ~name:"durable/snapshot-encode"
+      (Staged.stage (fun () -> ignore (Snapshot.encode (Online.export engine))));
+  ]
+
 let run_micro ~report () =
   Format.printf "@.== MICRO: bechamel micro-benchmarks (ns per run) ==@.";
   let ols =
@@ -83,7 +137,9 @@ let run_micro ~report () =
   in
   let instances = Instance.[ monotonic_clock ] in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.3) ~stabilize:true () in
-  let grouped = Test.make_grouped ~name:"rdt" ~fmt:"%s %s" (protocol_tests @ analysis_tests) in
+  let grouped =
+    Test.make_grouped ~name:"rdt" ~fmt:"%s %s" (protocol_tests @ analysis_tests @ durable_tests)
+  in
   let raw = Benchmark.all cfg instances grouped in
   let results = Analyze.all ols Instance.monotonic_clock raw in
   let rows = Rdt_dist.Tbl.bindings_sorted ~compare:String.compare results in

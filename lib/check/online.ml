@@ -295,6 +295,8 @@ let create ?(track_open = true) ~n () =
 
 let n t = t.n
 
+let track_open t = t.track_open
+
 let events_seen t = t.seen
 
 let rdt_so_far t =

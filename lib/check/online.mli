@@ -24,12 +24,12 @@
     survivors in [seq] order.  Replayed deliveries then arrive as fresh
     [Deliver] events.
 
-    {b Complexity.}  Amortized near-constant per event: reachability
-    propagation does O(1) work per {e newly established} (source
-    checkpoint, target checkpoint) pair over the whole run — each pair is
-    reported exactly once by the delta-union — plus O(n) bookkeeping per
-    event for the touched processes' open intervals.  Rollbacks cost one
-    rebuild of the surviving prefix. *)
+    {b Complexity.}  Each R-edge that grows its target's reached-by set
+    joins the source's max-reach vector into the target's once (a sparse
+    vector-clock join, at most n entries); the word-wise reached-by
+    unions ride along, and a node is re-queued only when its set grew.
+    Add O(n) bookkeeping per event for the touched processes' open
+    intervals.  Rollbacks cost one rebuild of the surviving prefix. *)
 
 exception Inconsistent of string
 (** The event stream is not a consistent run (delivery of an unknown or
@@ -109,6 +109,9 @@ val in_cycle : t -> Rdt_pattern.Types.ckpt_id -> bool
 (** {1 State and reports} *)
 
 val n : t -> int
+
+val track_open : t -> bool
+(** Whether open intervals count as Final checkpoints ({!create}). *)
 
 val events_seen : t -> int
 

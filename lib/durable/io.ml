@@ -54,8 +54,9 @@ let with_retries ~name f = retrying ~name ~attempt:1 f
    loop; the crashpoint cap may truncate the quota to simulate a torn
    write, in which case the torn prefix is written and the crash raised
    only after it — the on-disk image really is torn. *)
-let write_all ~name fd bytes =
-  let len = Bytes.length bytes in
+let write_all ~name ?len fd bytes =
+  let len = match len with None -> Bytes.length bytes | Some l -> l in
+  if len < 0 || len > Bytes.length bytes then invalid_arg "Io.write_all: len";
   let quota = Crashpoint.cap (name ^ ".write") len in
   let rec go pos =
     if pos < quota then begin

@@ -20,8 +20,9 @@ val error_message : error -> string
 val fail : error -> 'a
 (** [raise (Error e)]. *)
 
-val write_all : name:string -> Unix.file_descr -> Bytes.t -> unit
-(** Write every byte, looping over short writes.  Crash site
+val write_all : name:string -> ?len:int -> Unix.file_descr -> Bytes.t -> unit
+(** Write every byte (the first [len], default all), looping over short
+    writes.  Crash site
     [name.write] (with torn-prefix semantics: an armed hit writes half
     the bytes for real, then raises). *)
 

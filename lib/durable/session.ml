@@ -5,11 +5,16 @@
 
      wal-<g>.log    events observed while snapshot generation [g] was
                     the newest installed one (g = 0: since the fresh
-                    engine).  Segments are never deleted, so a
-                    full-WAL replay from generation 0 always remains
-                    the fallback of last resort.
-     snap-<g>.bin   engine export after [base_events g] events; only
-                    the newest [keep_snapshots] generations are kept.
+                    engine), as binary records.  Segments are never
+                    deleted, so a full-WAL replay from generation 0
+                    always remains the fallback of last resort.
+     snap-<g>.bin   engine image after [base_events g] events; only the
+                    newest [keep_snapshots] generations are kept.
+
+   Steady-state cost follows what changed, not the history: an event is
+   one record framed into the WAL's pending buffer, and a snapshot
+   re-encodes only the stack cells and routes added since the previous
+   one ([Snapshot.Cache]), producing the same bytes a full encode would.
 
    Write order at a snapshot install (every crash window in between is
    covered by the recovery scan):
@@ -28,7 +33,12 @@
    decode failure, [Online.Inconsistent] during restore or replay, a
    missing or header-damaged segment in the middle of the chain, or an
    events-seen discontinuity between segments.  Known-bad snapshot
-   files are deleted after a successful recovery. *)
+   files are deleted after a successful recovery.
+
+   A directory written by the version-1 WAL format (JSON records) is
+   read as is, but its last segment is never appended to: opening it
+   truncates that segment's torn tail, if any, and installs a snapshot
+   at once, so appends continue in a fresh version-2 segment. *)
 
 module Online = Rdt_check.Online
 module Trace = Rdt_obs.Trace
@@ -63,10 +73,12 @@ type t = {
   config : config;
   meter : Meter.t;
   track_open : bool;
-  mutable engine : Online.t;
+  engine : Online.t;
+  cache : Snapshot.Cache.t;
   mutable wal : Wal.writer;
   mutable base_events : int;  (** events covered by the newest snapshot *)
   mutable unsynced : int;
+  mutable unmetered : int;  (** WAL bytes appended but not yet metered *)
   mutable closed : bool;
 }
 
@@ -107,10 +119,12 @@ let drop_unreadable_last_segment ~dir segs =
           Wal.remove ~dir ~gen:last;
           List.filter (fun g -> g <> last) segs)
 
+(* The segment appends continue into, as recovery left it. *)
+type last_segment = { lgen : int; valid_len : int; lversion : int; lbase : int }
+
 (* Replay segments [start_gen, start_gen+1, ...] (all that exist) into
-   [engine].  Returns (events replayed, torn notes, last segment's
-   generation and valid length — [None] when no segment >= start_gen
-   exists). *)
+   [engine].  Returns (events replayed, torn notes, the last segment —
+   [None] when no segment >= start_gen exists). *)
 let replay_chain ~dir ~segs ~start_gen engine =
   let chain = List.filter (fun g -> g >= start_gen) segs in
   let replayed = ref 0 in
@@ -140,7 +154,14 @@ let replay_chain ~dir ~segs ~start_gen engine =
                 raise (Chain_failed (Printf.sprintf "segment %d torn mid-chain: %s" g why))
               else torn := (g, why) :: !torn
           | None -> ());
-          last := Some (g, rr.Wal.valid_len))
+          last :=
+            Some
+              {
+                lgen = g;
+                valid_len = rr.Wal.valid_len;
+                lversion = rr.Wal.version;
+                lbase = rr.Wal.header.Wal.base_events;
+              })
     chain;
   (!replayed, List.rev !torn, !last)
 
@@ -212,11 +233,82 @@ let recover ~dir ~segs ~snaps =
   (engine, track_open, last, base_gen, info)
 
 (* ------------------------------------------------------------------ *)
-(* Opening                                                             *)
+(* Steady state                                                        *)
 (* ------------------------------------------------------------------ *)
 
 let make ~dir ~config ~meter ~track_open ~engine ~wal ~base_events =
-  { dir; config; meter; track_open; engine; wal; base_events; unsynced = 0; closed = false }
+  {
+    dir;
+    config;
+    meter;
+    track_open;
+    engine;
+    cache = Snapshot.Cache.create ();
+    wal;
+    base_events;
+    unsynced = 0;
+    unmetered = 0;
+    closed = false;
+  }
+
+let sync t =
+  Wal.flush t.wal;
+  if t.unsynced > 0 then begin
+    Wal.sync t.wal;
+    Meter.incr t.meter "wal.fsync";
+    Meter.add t.meter "wal.bytes" t.unmetered;
+    t.unsynced <- 0;
+    t.unmetered <- 0
+  end
+
+let prune_snapshots t =
+  match Snapshot.generations ~dir:t.dir with
+  | [] -> ()
+  | gens ->
+      List.iteri (fun i g -> if i >= t.config.keep_snapshots then Snapshot.remove ~dir:t.dir ~gen:g) gens
+
+let install_snapshot t =
+  Meter.time t.meter "durable.snapshot" (fun () ->
+      sync t;
+      let gen = Wal.gen t.wal + 1 in
+      let seen = Online.events_seen t.engine in
+      Snapshot.install ~dir:t.dir ~gen (Snapshot.Cache.image t.cache t.engine);
+      let wal =
+        Wal.create ~dir:t.dir ~gen
+          ~header:
+            { Wal.gen; base_events = seen; n = Online.n t.engine; track_open = t.track_open }
+      in
+      let old = t.wal in
+      t.wal <- wal;
+      t.base_events <- seen;
+      Wal.close old;
+      prune_snapshots t)
+
+let observe t ev =
+  if t.closed then invalid_arg "Session.observe: closed";
+  Online.observe t.engine ev;
+  t.unmetered <- t.unmetered + Wal.append t.wal ev;
+  t.unsynced <- t.unsynced + 1;
+  if t.unsynced >= t.config.wal_fsync_every then sync t;
+  if Online.events_seen t.engine - t.base_events >= t.config.snapshot_every then
+    install_snapshot t
+
+let close t =
+  if not t.closed then begin
+    t.closed <- true;
+    sync t;
+    Wal.close t.wal
+  end
+
+let abort t =
+  if not t.closed then begin
+    t.closed <- true;
+    Wal.abort t.wal
+  end
+
+(* ------------------------------------------------------------------ *)
+(* Opening                                                             *)
+(* ------------------------------------------------------------------ *)
 
 let open_ ?(config = default_config) ?(meter = Meter.default) ~dir ~n ~track_open () =
   if config.snapshot_every < 1 then invalid_arg "Session.open_: snapshot_every < 1";
@@ -246,88 +338,35 @@ let open_ ?(config = default_config) ?(meter = Meter.default) ~dir ~n ~track_ope
     if rec_track_open <> track_open then
       Io.fail (Io.Corrupt "durable state disagrees on open-interval tracking");
     Meter.add meter "recovery.replayed_events" info.replayed_events;
-    (* reopen (or recreate) the segment appends continue into *)
-    let wal, base_events =
+    let session ~wal ~base_events =
+      make ~dir ~config ~meter ~track_open ~engine ~wal ~base_events
+    in
+    let t =
       match last with
-      | Some (g, valid_len) ->
-          (* base of the active segment = events its snapshot covers *)
-          let base =
-            match Wal.read ~dir ~gen:g with
-            | Ok rr -> rr.Wal.header.Wal.base_events
-            | Error _ -> Online.events_seen engine
-          in
-          (Wal.reopen ~dir ~gen:g ~valid_len, base)
+      | Some l ->
+          (* continue the segment recovery ended in, minus its torn tail *)
+          session
+            ~wal:(Wal.reopen ~dir ~gen:l.lgen ~valid_len:l.valid_len)
+            ~base_events:l.lbase
       | None ->
           (* snapshot installed but its segment never created *)
-          ( Wal.create ~dir ~gen:base_gen
-              ~header:
-                {
-                  Wal.gen = base_gen;
-                  base_events = Online.events_seen engine;
-                  n;
-                  track_open;
-                },
-            Online.events_seen engine )
+          let seen = Online.events_seen engine in
+          session
+            ~wal:
+              (Wal.create ~dir ~gen:base_gen
+                 ~header:{ Wal.gen = base_gen; base_events = seen; n; track_open })
+            ~base_events:seen
     in
-    (make ~dir ~config ~meter ~track_open ~engine ~wal ~base_events, Some info)
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Steady state                                                        *)
-(* ------------------------------------------------------------------ *)
-
-let sync t =
-  Wal.flush t.wal;
-  if t.unsynced > 0 then begin
-    Wal.sync t.wal;
-    Meter.incr t.meter "wal.fsync";
-    t.unsynced <- 0
-  end
-
-let prune_snapshots t =
-  match Snapshot.generations ~dir:t.dir with
-  | [] -> ()
-  | gens ->
-      List.iteri (fun i g -> if i >= t.config.keep_snapshots then Snapshot.remove ~dir:t.dir ~gen:g) gens
-
-let install_snapshot t =
-  Meter.time t.meter "durable.snapshot" (fun () ->
-      sync t;
-      let gen = Wal.gen t.wal + 1 in
-      let seen = Online.events_seen t.engine in
-      Snapshot.install ~dir:t.dir ~gen (Online.export t.engine);
-      let wal =
-        Wal.create ~dir:t.dir ~gen
-          ~header:
-            { Wal.gen; base_events = seen; n = Online.n t.engine; track_open = t.track_open }
-      in
-      let old = t.wal in
-      t.wal <- wal;
-      t.base_events <- seen;
-      Wal.close old;
-      prune_snapshots t)
-
-let observe t ev =
-  if t.closed then invalid_arg "Session.observe: closed";
-  Online.observe t.engine ev;
-  let bytes = Wal.append t.wal ev in
-  Meter.add t.meter "wal.bytes" bytes;
-  t.unsynced <- t.unsynced + 1;
-  if t.unsynced >= t.config.wal_fsync_every then sync t;
-  if Online.events_seen t.engine - t.base_events >= t.config.snapshot_every then
-    install_snapshot t
-
-let close t =
-  if not t.closed then begin
-    t.closed <- true;
-    sync t;
-    Wal.close t.wal
-  end
-
-let abort t =
-  if not t.closed then begin
-    t.closed <- true;
-    Wal.abort t.wal
+    (* an older-format segment only ever loses its torn tail: appends
+       go to the fresh segment of a new snapshot *)
+    (match last with
+    | Some l when l.lversion <> Wal.version -> (
+        try install_snapshot t
+        with exn ->
+          abort t;
+          raise exn)
+    | _ -> ());
+    (t, Some info)
   end
 
 let checker_session t =

@@ -53,8 +53,14 @@ val open_ :
     [Some info]: state was recovered; resume feeding events from index
     [Online.events_seen (engine t)].
 
-    Meters [recovery.replayed_events]; {!observe} meters [wal.bytes],
-    [wal.fsync] and the [durable.snapshot] span.
+    A directory written with version-1 WAL segments (JSON records)
+    recovers and resumes: its last segment is never appended to — open
+    installs a snapshot at once, and appends go to its fresh version-2
+    segment.
+
+    Meters [recovery.replayed_events]; {!observe} meters the
+    [durable.snapshot] span and, at each WAL sync, [wal.fsync] and the
+    event bytes framed since the previous sync ([wal.bytes]).
 
     @raise Io.Error [(Corrupt _)] when no recovery chain succeeds, or
     the durable state disagrees with [n]/[track_open]; other [Io.Error]s

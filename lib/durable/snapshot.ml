@@ -8,6 +8,10 @@
      payload version + Online.Export.t     (varint-packed)
      crc     u32 LE                         CRC-32 of the payload
 
+   A live session builds the image with [Cache], which re-encodes only
+   the stack cells and routes added since its previous image; the bytes
+   equal [encode (Online.export engine)], the reference.
+
    Install is write-tmp -> fsync -> rename -> fsync(dir); the previous
    generation file is left in place as the fallback the loader degrades
    to when the newest file fails its checksum.  Decoding never trusts a
@@ -16,97 +20,245 @@
    down the generation chain instead of crashing — or worse, restoring a
    wrong state and producing a wrong verdict. *)
 
-module Export = Rdt_check.Online.Export
+module Online = Rdt_check.Online
+module Export = Online.Export
 module H = Rdt_pattern.History
+module W = Codec.Writer
+module R = Codec.Reader
 
 let magic = "RDTSNAP1"
 
 let version = 1
 
 (* ------------------------------------------------------------------ *)
-(* Codec                                                               *)
+(* Encoding                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let encode_payload (e : Export.t) =
-  let w = Codec.Writer.create () in
-  Codec.Writer.varint w version;
-  Codec.Writer.varint w e.n;
-  Codec.Writer.byte w (if e.track_open then 1 else 0);
-  Codec.Writer.varint w e.events_seen;
-  Codec.Writer.opt_varint w e.first_violation;
-  Codec.Writer.varint w e.rebuilds;
-  Codec.Writer.varint w (List.length e.routes);
-  List.iter
-    (fun (msg, src, dst) ->
-      Codec.Writer.varint w msg;
-      Codec.Writer.varint w src;
-      Codec.Writer.varint w dst)
-    e.routes;
-  Codec.Writer.varint w (List.length e.undeliverable);
-  List.iter (Codec.Writer.varint w) e.undeliverable;
-  Array.iter
-    (fun stack ->
-      Codec.Writer.varint w (List.length stack);
-      List.iter
-        (fun (entry : H.entry) ->
-          match entry with
-          | H.Send { seq; msg } ->
-              Codec.Writer.byte w 0;
-              Codec.Writer.varint w seq;
-              Codec.Writer.varint w msg
-          | H.Recv { seq; msg } ->
-              Codec.Writer.byte w 1;
-              Codec.Writer.varint w seq;
-              Codec.Writer.varint w msg
-          | H.Internal { seq } ->
-              Codec.Writer.byte w 2;
-              Codec.Writer.varint w seq
-          | H.Ckpt { seq; index } ->
-              Codec.Writer.byte w 3;
-              Codec.Writer.varint w seq;
-              Codec.Writer.varint w index)
-        stack)
-    e.stacks;
-  Codec.Writer.contents w
+(* The layout is written down once, here: [entry] and [route] encode one
+   element of a section, [assemble] lays the sections out.  The full
+   encode and the incremental {!Cache} both go through them. *)
 
-let decode_payload s =
-  let r = Codec.Reader.of_string s in
-  let v = Codec.Reader.varint r in
+let entry w (e : H.entry) =
+  match e with
+  | H.Send { seq; msg } ->
+      W.byte w 0;
+      W.varint w seq;
+      W.varint w msg
+  | H.Recv { seq; msg } ->
+      W.byte w 1;
+      W.varint w seq;
+      W.varint w msg
+  | H.Internal { seq } ->
+      W.byte w 2;
+      W.varint w seq
+  | H.Ckpt { seq; index } ->
+      W.byte w 3;
+      W.varint w seq;
+      W.varint w index
+
+let route w msg src dst =
+  W.varint w msg;
+  W.varint w src;
+  W.varint w dst
+
+let header_len = String.length magic + 4
+
+(* The whole file image into [out]: magic, payload length, payload,
+   CRC.  The routes section and each stack section arrive encoded, with
+   their element counts. *)
+let assemble out ~n ~track_open ~events_seen ~first_violation ~rebuilds ~route_count ~routes
+    ~undeliverable ~stack_count ~stack_body =
+  W.clear out;
+  W.string_raw out magic;
+  W.u32 out 0;
+  W.varint out version;
+  W.varint out n;
+  W.byte out (if track_open then 1 else 0);
+  W.varint out events_seen;
+  W.opt_varint out first_violation;
+  W.varint out rebuilds;
+  W.varint out route_count;
+  W.append out routes;
+  W.varint out (List.length undeliverable);
+  List.iter (W.varint out) undeliverable;
+  for pid = 0 to n - 1 do
+    W.varint out (stack_count pid);
+    W.append out (stack_body pid)
+  done;
+  let len = W.length out - header_len in
+  W.set_u32 out ~pos:(String.length magic) len;
+  W.u32 out (W.crc32_sub out ~pos:header_len ~len)
+
+let encode (e : Export.t) =
+  let routes = W.create () in
+  List.iter (fun (msg, src, dst) -> route routes msg src dst) e.routes;
+  let bodies =
+    Array.map
+      (fun stack ->
+        let w = W.create () in
+        List.iter (entry w) stack;
+        w)
+      e.stacks
+  in
+  let out = W.create () in
+  assemble out ~n:e.n ~track_open:e.track_open ~events_seen:e.events_seen
+    ~first_violation:e.first_violation ~rebuilds:e.rebuilds ~route_count:(List.length e.routes)
+    ~routes ~undeliverable:e.undeliverable
+    ~stack_count:(fun pid -> List.length e.stacks.(pid))
+    ~stack_body:(fun pid -> bodies.(pid));
+  W.contents out
+
+(* ------------------------------------------------------------------ *)
+(* Incremental image                                                   *)
+(* ------------------------------------------------------------------ *)
+
+module Cache = struct
+  (* One process's stack section: [body] encodes [count] entries, oldest
+     first — exactly the stack [top] (newest first) it was built from. *)
+  type stack = { mutable top : H.entry list; mutable count : int; body : W.t }
+
+  type t = {
+    mutable owner : H.t option;  (** the history the sections describe *)
+    mutable stacks : stack array;
+    routes : W.t;
+    mutable route_count : int;
+    mutable routes_seen : int;  (** route records of [owner] consumed *)
+    mutable last_msg : int;  (** largest message id in [routes] *)
+    out : W.t;
+  }
+
+  let create () =
+    {
+      owner = None;
+      stacks = [||];
+      routes = W.create ();
+      route_count = 0;
+      routes_seen = 0;
+      last_msg = min_int;
+      out = W.create ();
+    }
+
+  let copy c =
+    {
+      c with
+      stacks = Array.map (fun s -> { s with body = W.copy s.body }) c.stacks;
+      routes = W.copy c.routes;
+      out = W.create ();
+    }
+
+  let reset c h ~n =
+    c.owner <- Some h;
+    c.stacks <- Array.init n (fun _ -> { top = []; count = 0; body = W.create () });
+    W.clear c.routes;
+    c.route_count <- 0;
+    c.routes_seen <- 0;
+    c.last_msg <- min_int
+
+  (* Cells above the cached top are new: encode only those.  When the
+     cached top is no longer a tail of the stack (a rollback went below
+     it), the walk reaches the bottom and the section is rebuilt; either
+     way the walk has collected exactly the cells to encode, oldest
+     first. *)
+  let update_stack s cur =
+    if cur != s.top then begin
+      let rec above acc k l =
+        if l == s.top then (acc, k, true)
+        else match l with [] -> (acc, k, false) | e :: rest -> above (e :: acc) (k + 1) rest
+      in
+      let fresh, k, reachable = above [] 0 cur in
+      if not reachable then begin
+        W.clear s.body;
+        s.count <- 0
+      end;
+      List.iter (entry s.body) fresh;
+      s.count <- s.count + k;
+      s.top <- cur
+    end
+
+  (* Routes arrive in message-id order in practice; an id that does not
+     rise (a resend, or ids out of order) re-encodes the section from
+     the sorted table. *)
+  let update_routes c h =
+    let in_order = ref true in
+    H.iter_routes_from h ~from:c.routes_seen (fun msg src dst ->
+        if !in_order && msg > c.last_msg then begin
+          route c.routes msg src dst;
+          c.route_count <- c.route_count + 1;
+          c.last_msg <- msg
+        end
+        else in_order := false);
+    c.routes_seen <- H.routes_arrived h;
+    if not !in_order then begin
+      W.clear c.routes;
+      c.route_count <- 0;
+      c.last_msg <- min_int;
+      List.iter
+        (fun (msg, src, dst) ->
+          route c.routes msg src dst;
+          c.route_count <- c.route_count + 1;
+          c.last_msg <- msg)
+        (H.routes h)
+    end
+
+  let image c engine =
+    let h = Online.history engine and n = Online.n engine in
+    (match c.owner with Some o when o == h -> () | _ -> reset c h ~n);
+    Array.iteri (fun pid s -> update_stack s (H.stack_newest_first h pid)) c.stacks;
+    update_routes c h;
+    assemble c.out ~n ~track_open:(Online.track_open engine)
+      ~events_seen:(Online.events_seen engine) ~first_violation:(Online.first_violation engine)
+      ~rebuilds:(Online.rebuilds engine) ~route_count:c.route_count ~routes:c.routes
+      ~undeliverable:(H.undeliverable_msgs h)
+      ~stack_count:(fun pid -> c.stacks.(pid).count)
+      ~stack_body:(fun pid -> c.stacks.(pid).body);
+    c.out
+end
+
+(* ------------------------------------------------------------------ *)
+(* Decoding                                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* Every count is checked against the bytes left before anything is
+   allocated for it ({!Codec.Reader.count}). *)
+let decode_payload s ~pos ~len =
+  let r = R.of_string ~pos ~len s in
+  let v = R.varint r in
   if v <> version then Error (Printf.sprintf "unsupported snapshot version %d" v)
   else begin
-    let n = Codec.Reader.varint r in
+    let n = R.varint r in
     if n <= 0 || n > 10_000_000 then Error (Printf.sprintf "implausible process count %d" n)
     else begin
-      let track_open = Codec.Reader.byte r <> 0 in
-      let events_seen = Codec.Reader.varint r in
-      let first_violation = Codec.Reader.opt_varint r in
-      let rebuilds = Codec.Reader.varint r in
+      let track_open = R.byte r <> 0 in
+      let events_seen = R.varint r in
+      let first_violation = R.opt_varint r in
+      let rebuilds = R.varint r in
       let routes =
-        List.init (Codec.Reader.varint r) (fun _ ->
-            let msg = Codec.Reader.varint r in
-            let src = Codec.Reader.varint r in
-            let dst = Codec.Reader.varint r in
+        List.init (R.count r) (fun _ ->
+            let msg = R.varint r in
+            let src = R.varint r in
+            let dst = R.varint r in
             (msg, src, dst))
       in
-      let undeliverable = List.init (Codec.Reader.varint r) (fun _ -> Codec.Reader.varint r) in
+      let undeliverable = List.init (R.count r) (fun _ -> R.varint r) in
+      if n > R.remaining r then raise (R.Short "more stacks than bytes left");
       let stacks =
         Array.init n (fun _ ->
-            List.init (Codec.Reader.varint r) (fun _ ->
-                match Codec.Reader.byte r with
+            List.init (R.count r) (fun _ ->
+                match R.byte r with
                 | 0 ->
-                    let seq = Codec.Reader.varint r in
-                    H.Send { seq; msg = Codec.Reader.varint r }
+                    let seq = R.varint r in
+                    H.Send { seq; msg = R.varint r }
                 | 1 ->
-                    let seq = Codec.Reader.varint r in
-                    H.Recv { seq; msg = Codec.Reader.varint r }
-                | 2 -> H.Internal { seq = Codec.Reader.varint r }
+                    let seq = R.varint r in
+                    H.Recv { seq; msg = R.varint r }
+                | 2 -> H.Internal { seq = R.varint r }
                 | 3 ->
-                    let seq = Codec.Reader.varint r in
-                    H.Ckpt { seq; index = Codec.Reader.varint r }
-                | t -> raise (Codec.Reader.Short (Printf.sprintf "unknown entry tag %d" t))))
+                    let seq = R.varint r in
+                    H.Ckpt { seq; index = R.varint r }
+                | t -> raise (R.Short (Printf.sprintf "unknown entry tag %d" t))))
       in
-      if Codec.Reader.remaining r <> 0 then
-        Error (Printf.sprintf "%d trailing bytes after the export" (Codec.Reader.remaining r))
+      if R.remaining r <> 0 then
+        Error (Printf.sprintf "%d trailing bytes after the export" (R.remaining r))
       else
         Ok
           {
@@ -122,39 +274,24 @@ let decode_payload s =
     end
   end
 
-let encode e =
-  let payload = encode_payload e in
-  let b = Buffer.create (String.length payload + 16) in
-  Buffer.add_string b magic;
-  let len = Codec.Writer.create () in
-  Codec.Writer.u32 len (String.length payload);
-  Buffer.add_string b (Codec.Writer.contents len);
-  Buffer.add_string b payload;
-  let crc = Codec.Writer.create () in
-  Codec.Writer.u32 crc (Codec.crc32 payload);
-  Buffer.add_string b (Codec.Writer.contents crc);
-  Buffer.contents b
-
 let decode s =
-  let header = String.length magic + 4 in
-  if String.length s < header + 4 then Error "snapshot file truncated before the payload"
+  if String.length s < header_len + 4 then Error "snapshot file truncated before the payload"
   else if String.sub s 0 (String.length magic) <> magic then Error "bad snapshot magic"
   else begin
-    let r = Codec.Reader.of_string ~pos:(String.length magic) s in
-    let len = Codec.Reader.u32 r in
-    if String.length s <> header + len + 4 then
+    let len = R.u32 (R.of_string ~pos:(String.length magic) s) in
+    if String.length s <> header_len + len + 4 then
       Error
         (Printf.sprintf "snapshot length mismatch: header says %d payload bytes, file has %d" len
-           (String.length s - header - 4))
+           (String.length s - header_len - 4))
     else begin
-      let crc_stored = Codec.Reader.of_string ~pos:(header + len) s |> Codec.Reader.u32 in
-      let crc_actual = Codec.crc32_sub s ~pos:header ~len in
+      let crc_stored = R.u32 (R.of_string ~pos:(header_len + len) s) in
+      let crc_actual = Codec.crc32_sub s ~pos:header_len ~len in
       if crc_stored <> crc_actual then
         Error (Printf.sprintf "snapshot CRC mismatch (stored %08x, computed %08x)" crc_stored crc_actual)
       else
-        match decode_payload (String.sub s header len) with
+        match decode_payload s ~pos:header_len ~len with
         | v -> v
-        | exception Codec.Reader.Short what -> Error ("snapshot payload malformed: " ^ what)
+        | exception R.Short what -> Error ("snapshot payload malformed: " ^ what)
     end
   end
 
@@ -177,12 +314,12 @@ let generations ~dir =
   |> List.filter_map parse_filename
   |> List.sort (fun a b -> Int.compare b a)
 
-let install ~dir ~gen e =
+let install ~dir ~gen image =
   let final = path ~dir ~gen in
   let tmp = final ^ ".tmp" in
   let fd = Io.openfile ~name:tmp tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
   (match
-     Io.write_all ~name:"snap" fd (Bytes.of_string (encode e));
+     Io.write_all ~name:"snap" ~len:(W.length image) fd (W.unsafe_bytes image);
      Io.fsync ~name:"snap" fd
    with
   | () -> Io.close_noerr fd

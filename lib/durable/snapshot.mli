@@ -13,7 +13,36 @@ val version : int
 
 val encode : Rdt_check.Online.Export.t -> string
 (** Full file image.  Deterministic: equal exports encode to identical
-    bytes. *)
+    bytes.  The reference {!Cache.image} must match byte for byte. *)
+
+(** The file image of a live engine at a cost proportional to what
+    changed since the previous image, not to the whole history.
+
+    A cache keeps each RDTSNAP1 section encoded: per process the stack
+    section and the stack (newest first, see
+    {!Rdt_pattern.History.stack_newest_first}) it was built from, and the
+    routes section.  Since history stacks are immutable lists that pushes
+    cons onto and rollbacks cut to a physical suffix, a cached stack
+    still physically in the current one needs only the cells above it
+    encoded; otherwise the section is rebuilt.  Routes append while
+    message ids rise; an id that does not re-encodes the section.  The
+    header fields, the undeliverable list and the CRC are redone every
+    time. *)
+module Cache : sig
+  type t
+
+  val create : unit -> t
+
+  val image : t -> Rdt_check.Online.t -> Codec.Writer.t
+  (** The file image of the engine's current state, equal byte for byte
+      to [encode (Online.export engine)].  The buffer belongs to the
+      cache and is overwritten by the next call.  Feeding one cache
+      different engines is allowed (it starts over on a new history). *)
+
+  val copy : t -> t
+  (** A cache that continues independently of this one (for measuring
+      one image step repeatedly). *)
+end
 
 val decode : string -> (Rdt_check.Online.Export.t, string) result
 (** Validates magic, length and CRC before touching the payload; any
@@ -28,10 +57,11 @@ val path : dir:string -> gen:int -> string
 val generations : dir:string -> int list
 (** Snapshot generations present in [dir], newest first. *)
 
-val install : dir:string -> gen:int -> Rdt_check.Online.Export.t -> unit
-(** Atomically install generation [gen].  @raise Io.Error on ENOSPC or
-    persistent I/O failure; may raise {!Crashpoint.Crash} under fault
-    injection. *)
+val install : dir:string -> gen:int -> Codec.Writer.t -> unit
+(** Atomically install generation [gen] with this file image (from
+    {!Cache.image}), written from the buffer without a copy.
+    @raise Io.Error on ENOSPC or persistent I/O failure; may raise
+    {!Crashpoint.Crash} under fault injection. *)
 
 val load : dir:string -> gen:int -> (Rdt_check.Online.Export.t, string) result
 (** [Error] covers both a missing generation and a corrupt one. *)

@@ -3,15 +3,24 @@
 
    [wal-<gen>.log] holds the events observed while generation [gen] was
    the newest installed snapshot (gen 0: since the fresh engine).  Each
-   segment starts with a header record naming the generation, the number
-   of events already covered by that snapshot and the engine geometry,
-   so a segment is self-describing and replay never guesses.
+   segment starts with a header record naming the format version, the
+   generation, the number of events already covered by that snapshot
+   and the engine geometry, so a segment is self-describing and replay
+   never guesses.
 
    Every record — header and event alike — is framed
 
      u32 LE   payload length
-     payload  (header: varint-packed; events: Trace JSONL line)
+     payload  (header: varint-packed; events: see below)
      u32 LE   CRC-32 of the payload
+
+   An event payload of a version-2 segment is a tag byte (the
+   constructor's position in [Trace.event]) and the fields in
+   declaration order: every int zigzag-varint, strings and lists length
+   prefixed, a bool or checkpoint kind one byte, a TDV a varint
+   [0 = None | length + 1] then its entries.  Version-1 segments, whose
+   event payloads are Trace JSONL lines, are still read; nothing appends
+   to them any more.
 
    A crash can tear the last frame; the reader stops at the longest
    valid prefix and reports the tear, and the writer truncates it away
@@ -20,8 +29,11 @@
    an error and recovery falls back a generation. *)
 
 module Trace = Rdt_obs.Trace
+module Ptypes = Rdt_pattern.Types
+module W = Codec.Writer
+module R = Codec.Reader
 
-let version = 1
+let version = 2
 
 (* Frames beyond this are treated as torn garbage rather than attempted:
    a single trace event is tiny, so a huge length field can only be a
@@ -31,41 +43,206 @@ let max_frame = 1 lsl 20
 type header = { gen : int; base_events : int; n : int; track_open : bool }
 
 (* ------------------------------------------------------------------ *)
-(* Framing                                                             *)
+(* Event records                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let frame payload =
-  let w = Codec.Writer.create () in
-  Codec.Writer.u32 w (String.length payload);
-  Codec.Writer.string_raw w payload;
-  Codec.Writer.u32 w (Codec.crc32 payload);
-  Codec.Writer.contents w
+let kind_code = function Ptypes.Initial -> 0 | Basic -> 1 | Forced -> 2 | Final -> 3
 
-let encode_header h =
-  let w = Codec.Writer.create () in
-  Codec.Writer.varint w version;
-  Codec.Writer.varint w h.gen;
-  Codec.Writer.varint w h.base_events;
-  Codec.Writer.varint w h.n;
-  Codec.Writer.byte w (if h.track_open then 1 else 0);
-  Codec.Writer.contents w
+let encode_event w (ev : Trace.event) =
+  let int = W.zigzag w in
+  match ev with
+  | Meta { n; protocol; env; seed; mode } ->
+      W.byte w 0;
+      int n;
+      W.string_ w protocol;
+      W.string_ w env;
+      int seed;
+      W.string_ w mode
+  | Send { msg; src; dst; time } ->
+      W.byte w 1;
+      int msg;
+      int src;
+      int dst;
+      int time
+  | Deliver { msg; src; dst; time } ->
+      W.byte w 2;
+      int msg;
+      int src;
+      int dst;
+      int time
+  | Internal { pid; time } ->
+      W.byte w 3;
+      int pid;
+      int time
+  | Ckpt { pid; index; kind; time; tdv; preds } ->
+      W.byte w 4;
+      int pid;
+      int index;
+      W.byte w (kind_code kind);
+      int time;
+      (match tdv with
+      | None -> W.varint w 0
+      | Some a ->
+          W.varint w (Array.length a + 1);
+          Array.iter int a);
+      W.varint w (List.length preds);
+      List.iter (W.string_ w) preds
+  | Retransmit { src; dst; seq; attempt; time } ->
+      W.byte w 5;
+      int src;
+      int dst;
+      int seq;
+      int attempt;
+      int time
+  | Drop { src; dst; time } ->
+      W.byte w 6;
+      int src;
+      int dst;
+      int time
+  | Undeliverable { msg; src; dst; time } ->
+      W.byte w 7;
+      int msg;
+      int src;
+      int dst;
+      int time
+  | Rollback { pid; to_index; time } ->
+      W.byte w 8;
+      int pid;
+      int to_index;
+      int time
+  | Replay { msg; src; dst; time } ->
+      W.byte w 9;
+      int msg;
+      int src;
+      int dst;
+      int time
+  | Verdict { checker; rdt } ->
+      W.byte w 10;
+      W.string_ w checker;
+      W.byte w (if rdt then 1 else 0)
 
-let decode_header s =
+let short fmt = Printf.ksprintf (fun s -> raise (R.Short s)) fmt
+
+(* Fields are read in declaration order: OCaml leaves the evaluation
+   order of a record's fields unspecified, so every field is bound by a
+   [let] first. *)
+let read_event r : Trace.event =
+  let int () = R.zigzag r in
+  match R.byte r with
+  | 0 ->
+      let n = int () in
+      let protocol = R.string_ r in
+      let env = R.string_ r in
+      let seed = int () in
+      let mode = R.string_ r in
+      Meta { n; protocol; env; seed; mode }
+  | (1 | 2 | 7 | 9) as tag -> (
+      let msg = int () in
+      let src = int () in
+      let dst = int () in
+      let time = int () in
+      match tag with
+      | 1 -> Send { msg; src; dst; time }
+      | 2 -> Deliver { msg; src; dst; time }
+      | 7 -> Undeliverable { msg; src; dst; time }
+      | _ -> Replay { msg; src; dst; time })
+  | 3 ->
+      let pid = int () in
+      let time = int () in
+      Internal { pid; time }
+  | 4 ->
+      let pid = int () in
+      let index = int () in
+      let kind =
+        match R.byte r with
+        | 0 -> Ptypes.Initial
+        | 1 -> Basic
+        | 2 -> Forced
+        | 3 -> Final
+        | k -> short "unknown checkpoint kind %d" k
+      in
+      let time = int () in
+      let tdv =
+        match R.count r with
+        | 0 -> None
+        | len -> Some (Array.init (len - 1) (fun _ -> int ()))
+      in
+      let preds = List.init (R.count r) (fun _ -> R.string_ r) in
+      Ckpt { pid; index; kind; time; tdv; preds }
+  | 5 ->
+      let src = int () in
+      let dst = int () in
+      let seq = int () in
+      let attempt = int () in
+      let time = int () in
+      Retransmit { src; dst; seq; attempt; time }
+  | 6 ->
+      let src = int () in
+      let dst = int () in
+      let time = int () in
+      Drop { src; dst; time }
+  | 8 ->
+      let pid = int () in
+      let to_index = int () in
+      let time = int () in
+      Rollback { pid; to_index; time }
+  | 10 ->
+      let checker = R.string_ r in
+      let rdt =
+        match R.byte r with 0 -> false | 1 -> true | b -> short "bad boolean byte %d" b
+      in
+      Verdict { checker; rdt }
+  | t -> short "unknown event tag %d" t
+
+let decode_payload r =
+  match read_event r with
+  | ev when R.remaining r = 0 -> Ok ev
+  | _ -> Error (Printf.sprintf "%d trailing bytes after the event" (R.remaining r))
+  | exception R.Short why -> Error why
+
+let decode_event s = decode_payload (R.of_string s)
+
+(* Frame [encode x] straight into [buf]: a length placeholder, the
+   payload, then the length patched in and the CRC appended.  Returns
+   the framed size. *)
+let frame_into buf encode x =
+  let start = W.length buf in
+  W.u32 buf 0;
+  encode buf x;
+  let len = W.length buf - start - 4 in
+  W.set_u32 buf ~pos:start len;
+  W.u32 buf (W.crc32_sub buf ~pos:(start + 4) ~len);
+  len + 8
+
+let add_record buf ev = frame_into buf encode_event ev
+
+(* ------------------------------------------------------------------ *)
+(* Header record                                                       *)
+(* ------------------------------------------------------------------ *)
+
+let encode_header w h =
+  W.varint w version;
+  W.varint w h.gen;
+  W.varint w h.base_events;
+  W.varint w h.n;
+  W.byte w (if h.track_open then 1 else 0)
+
+let decode_header s ~pos ~len =
   match
-    let r = Codec.Reader.of_string s in
-    let v = Codec.Reader.varint r in
-    if v <> version then Error (Printf.sprintf "unsupported WAL version %d" v)
+    let r = R.of_string ~pos ~len s in
+    let v = R.varint r in
+    if v <> 1 && v <> version then Error (Printf.sprintf "unsupported WAL version %d" v)
     else begin
-      let gen = Codec.Reader.varint r in
-      let base_events = Codec.Reader.varint r in
-      let n = Codec.Reader.varint r in
-      let track_open = Codec.Reader.byte r <> 0 in
-      if Codec.Reader.remaining r <> 0 then Error "trailing bytes in WAL header"
-      else Ok { gen; base_events; n; track_open }
+      let gen = R.varint r in
+      let base_events = R.varint r in
+      let n = R.varint r in
+      let track_open = R.byte r <> 0 in
+      if R.remaining r <> 0 then Error "trailing bytes in WAL header"
+      else Ok (v, { gen; base_events; n; track_open })
     end
   with
   | v -> v
-  | exception Codec.Reader.Short what -> Error ("WAL header malformed: " ^ what)
+  | exception R.Short what -> Error ("WAL header malformed: " ^ what)
 
 (* ------------------------------------------------------------------ *)
 (* Files                                                               *)
@@ -94,49 +271,60 @@ let remove ~dir ~gen = try Sys.remove (path ~dir ~gen) with Sys_error _ -> ()
 
 type read_result = {
   header : header;
+  version : int;
   events : Trace.event list;
   valid_len : int;  (** byte length of the longest valid prefix *)
   torn : string option;  (** why reading stopped before end-of-file, if it did *)
 }
 
-(* Pull one frame; [Ok None] is a clean end-of-file, [Error] a tear. *)
-let read_frame r =
-  if Codec.Reader.remaining r = 0 then Ok None
+(* Pull one frame; [Ok None] is a clean end-of-file, [Ok (Some (pos,
+   len))] the CRC-checked payload's place in the segment, [Error] a
+   tear. *)
+let read_frame s r =
+  if R.remaining r = 0 then Ok None
   else
     match
-      let len = Codec.Reader.u32 r in
+      let len = R.u32 r in
       if len > max_frame then Error (Printf.sprintf "frame length %d exceeds limit" len)
+      else if len + 4 > R.remaining r then raise (R.Short "frame")
       else begin
-        let body = Codec.Reader.take r len in
-        let crc = Codec.Reader.u32 r in
-        if crc <> Codec.crc32 body then Error "frame CRC mismatch"
-        else Ok (Some body)
+        let pos = R.pos r in
+        let crc = R.u32 (R.of_string ~pos:(pos + len) ~len:4 s) in
+        if crc <> Codec.crc32_sub s ~pos ~len then Error "frame CRC mismatch"
+        else begin
+          R.skip r (len + 4);
+          Ok (Some (pos, len))
+        end
       end
     with
     | v -> v
-    | exception Codec.Reader.Short _ -> Error "frame torn at end of segment"
+    | exception R.Short _ -> Error "frame torn at end of segment"
+let decode_v1 s ~pos ~len = Trace.decode (String.sub s pos len)
+
+let decode_v2 s ~pos ~len = decode_payload (R.of_string ~pos ~len s)
 
 let read ~dir ~gen =
   match Io.read_file ~name:"wal" (path ~dir ~gen) with
   | None -> Error (Printf.sprintf "WAL segment %d does not exist" gen)
   | Some s -> (
-      let r = Codec.Reader.of_string s in
-      match read_frame r with
+      let r = R.of_string s in
+      match read_frame s r with
       | Ok None -> Error (Printf.sprintf "WAL segment %d is empty" gen)
       | Error why -> Error (Printf.sprintf "WAL segment %d header unreadable: %s" gen why)
-      | Ok (Some hdr_payload) -> (
-          match decode_header hdr_payload with
+      | Ok (Some (pos, len)) -> (
+          match decode_header s ~pos ~len with
           | Error why -> Error (Printf.sprintf "WAL segment %d: %s" gen why)
-          | Ok header ->
+          | Ok (version, header) ->
+              let decode = if version = 1 then decode_v1 else decode_v2 in
               let events = ref [] in
-              let valid_len = ref (Codec.Reader.pos r) in
+              let valid_len = ref (R.pos r) in
               let torn = ref None in
               let rec loop () =
-                match read_frame r with
+                match read_frame s r with
                 | Ok None -> ()
                 | Error why -> torn := Some why
-                | Ok (Some payload) -> (
-                    match Trace.decode payload with
+                | Ok (Some (pos, len)) -> (
+                    match decode s ~pos ~len with
                     | Error why ->
                         (* CRC passed but the payload is not an event:
                            not a torn write, still untrustworthy — stop
@@ -144,11 +332,18 @@ let read ~dir ~gen =
                         torn := Some ("undecodable event record: " ^ why)
                     | Ok ev ->
                         events := ev :: !events;
-                        valid_len := Codec.Reader.pos r;
+                        valid_len := R.pos r;
                         loop ())
               in
               loop ();
-              Ok { header; events = List.rev !events; valid_len = !valid_len; torn = !torn }))
+              Ok
+                {
+                  header;
+                  version;
+                  events = List.rev !events;
+                  valid_len = !valid_len;
+                  torn = !torn;
+                }))
 
 (* ------------------------------------------------------------------ *)
 (* Writing                                                             *)
@@ -157,19 +352,30 @@ let read ~dir ~gen =
 type writer = {
   fd : Unix.file_descr;
   wgen : int;
-  pending : Buffer.t;  (** framed records not yet written to the fd *)
+  pending : W.t;  (** framed records not yet written to the fd *)
   mutable unsynced : int;  (** records written or pending since the last fsync *)
   mutable closed : bool;
 }
 
 let gen w = w.wgen
 
+let writer fd g = { fd; wgen = g; pending = W.create (); unsynced = 0; closed = false }
+
+let flush w =
+  let len = W.length w.pending in
+  if len > 0 then begin
+    (* emptied first: after a failed write nothing is written twice *)
+    W.clear w.pending;
+    Io.write_all ~name:"wal" ~len w.fd (W.unsafe_bytes w.pending)
+  end
+
 let create ~dir ~gen:g ~header:h =
   let p = path ~dir ~gen:g in
   let fd = Io.openfile ~name:p p [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
-  let w = { fd; wgen = g; pending = Buffer.create 4096; unsynced = 0; closed = false } in
+  let w = writer fd g in
   (try
-     Io.write_all ~name:"wal" fd (Bytes.of_string (frame (encode_header { h with gen = g })));
+     ignore (frame_into w.pending encode_header { h with gen = g });
+     flush w;
      Io.fsync ~name:"wal" fd;
      Io.fsync_dir dir
    with exn ->
@@ -188,20 +394,11 @@ let reopen ~dir ~gen:g ~valid_len =
    with exn ->
      Io.close_noerr fd;
      raise exn);
-  { fd; wgen = g; pending = Buffer.create 4096; unsynced = 0; closed = false }
+  writer fd g
 
 let append w ev =
-  let record = frame (Trace.encode ev) in
-  Buffer.add_string w.pending record;
   w.unsynced <- w.unsynced + 1;
-  String.length record
-
-let flush w =
-  if Buffer.length w.pending > 0 then begin
-    let bytes = Buffer.to_bytes w.pending in
-    Buffer.clear w.pending;
-    Io.write_all ~name:"wal" w.fd bytes
-  end
+  add_record w.pending ev
 
 let sync w =
   flush w;

@@ -5,9 +5,14 @@
     [gen] was the newest installed one (gen 0: since the fresh engine).
     Records are length-prefixed and CRC-checked; a crash can tear the
     final frame, which {!read} detects and stops before, and {!reopen}
-    truncates away.  A damaged {e header} record invalidates the whole
-    segment ([Error] from {!read}), forcing recovery down a
-    generation. *)
+    truncates away.  Segments of format {!version} 2 hold binary event
+    records ({!encode_event}); version-1 segments (Trace JSONL records)
+    are read, never appended to.  A damaged {e header} record
+    invalidates the whole segment ([Error] from {!read}), forcing
+    recovery down a generation. *)
+
+val version : int
+(** The format version {!create} writes (2).  {!read} also accepts 1. *)
 
 type header = {
   gen : int;
@@ -15,6 +20,25 @@ type header = {
   n : int;
   track_open : bool;
 }
+
+(** {1 Event records} *)
+
+val encode_event : Codec.Writer.t -> Rdt_obs.Trace.event -> unit
+(** The version-2 payload of one event: a tag byte, then the fields in
+    declaration order — ints zigzag-varint, strings and lists length
+    prefixed.  Covers every int, [min_int] and [max_int] included. *)
+
+val decode_event : string -> (Rdt_obs.Trace.event, string) result
+(** Inverse of {!encode_event} on a whole payload.  A truncated payload,
+    trailing bytes or an out-of-range tag is an [Error], never an
+    exception. *)
+
+val add_record : Codec.Writer.t -> Rdt_obs.Trace.event -> int
+(** Append one framed event record (length, payload, CRC) to the buffer;
+    returns its size in bytes.  What {!append} does to the pending
+    buffer. *)
+
+(** {1 Files} *)
 
 val filename : gen:int -> string
 (** [wal-<gen>.log]. *)
@@ -30,6 +54,7 @@ val remove : dir:string -> gen:int -> unit
 
 type read_result = {
   header : header;
+  version : int;  (** the segment's format version, 1 or 2 *)
   events : Rdt_obs.Trace.event list;
   valid_len : int;  (** byte length of the longest valid prefix *)
   torn : string option;
@@ -51,14 +76,15 @@ val create : dir:string -> gen:int -> header:header -> writer
 
 val reopen : dir:string -> gen:int -> valid_len:int -> writer
 (** Reopen an existing segment for append, truncating the torn tail
-    found by {!read}. *)
+    found by {!read}.  Only a segment of the current {!version} may then
+    be appended to. *)
 
 val gen : writer -> int
 
 val append : writer -> Rdt_obs.Trace.event -> int
-(** Buffer one event record in memory ({!flush}/{!sync} move it to the
-    kernel / to stable storage); returns the record's framed size in
-    bytes (for metering). *)
+(** Frame one event record into the pending buffer in memory
+    ({!flush}/{!sync} move it to the kernel / to stable storage); returns
+    the record's framed size in bytes (for metering). *)
 
 val flush : writer -> unit
 

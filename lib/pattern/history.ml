@@ -14,11 +14,33 @@ type t = {
   n : int;
   stacks : entry list array; (* surviving entries per process, newest first *)
   routes : (int, int * int) Hashtbl.t; (* msg -> (src, dst), every message sent *)
+  mutable arrived : int array; (* (msg, src, dst) triples of [routes] in arrival order *)
+  mutable n_arrived : int;
   undeliv : (int, unit) Hashtbl.t;
 }
 
 let create ~n =
-  { n; stacks = Array.make n []; routes = Hashtbl.create 64; undeliv = Hashtbl.create 8 }
+  {
+    n;
+    stacks = Array.make n [];
+    routes = Hashtbl.create 64;
+    arrived = Array.make 48 0;
+    n_arrived = 0;
+    undeliv = Hashtbl.create 8;
+  }
+
+let add_route h ~msg ~src ~dst =
+  Hashtbl.replace h.routes msg (src, dst);
+  let i = 3 * h.n_arrived in
+  if i + 3 > Array.length h.arrived then begin
+    let a = Array.make (2 * Array.length h.arrived) 0 in
+    Array.blit h.arrived 0 a 0 i;
+    h.arrived <- a
+  end;
+  h.arrived.(i) <- msg;
+  h.arrived.(i + 1) <- src;
+  h.arrived.(i + 2) <- dst;
+  h.n_arrived <- h.n_arrived + 1
 
 let check_pid h pid what =
   if pid < 0 || pid >= h.n then inconsistent "%s: pid %d out of range" what pid
@@ -28,7 +50,7 @@ let push h pid e = h.stacks.(pid) <- e :: h.stacks.(pid)
 let send h ~seq ~msg ~src ~dst =
   check_pid h src "send";
   check_pid h dst "send";
-  Hashtbl.replace h.routes msg (src, dst);
+  add_route h ~msg ~src ~dst;
   push h src (Send { seq; msg })
 
 let recv h ~seq ~msg ~dst =
@@ -94,6 +116,15 @@ let to_pattern ~checkpoint h =
 
 let stacks h = Array.map List.rev h.stacks
 
+let stack_newest_first h pid = h.stacks.(pid)
+
+let routes_arrived h = h.n_arrived
+
+let iter_routes_from h ~from f =
+  for i = max 0 from to h.n_arrived - 1 do
+    f h.arrived.(3 * i) h.arrived.((3 * i) + 1) h.arrived.((3 * i) + 2)
+  done
+
 let routes h =
   Rdt_dist.Tbl.bindings_sorted ~compare:Int.compare h.routes
   |> List.map (fun (msg, (src, dst)) -> (msg, src, dst))
@@ -103,6 +134,6 @@ let undeliverable_msgs h = Rdt_dist.Tbl.keys_sorted ~compare:Int.compare h.undel
 let restore ~n ~stacks ~routes ~undeliverable =
   let h = create ~n in
   Array.iteri (fun pid stack -> h.stacks.(pid) <- List.rev stack) stacks;
-  List.iter (fun (msg, src, dst) -> Hashtbl.replace h.routes msg (src, dst)) routes;
+  List.iter (fun (msg, src, dst) -> add_route h ~msg ~src ~dst) routes;
   List.iter (fun msg -> Hashtbl.replace h.undeliv msg ()) undeliverable;
   h

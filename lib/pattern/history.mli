@@ -84,6 +84,21 @@ val stacks : t -> entry list array
 val routes : t -> (int * int * int) list
 (** [(msg, src, dst)] for every message sent, sorted by [msg]. *)
 
+val stack_newest_first : t -> Types.pid -> entry list
+(** The process's surviving entries, newest first: the stack itself, no
+    copy.  A push conses onto it and {!rollback} keeps a physical suffix
+    of it, so an earlier result still physically in the current one
+    ([==] on some tail) is unchanged below that point. *)
+
+val routes_arrived : t -> int
+(** Route records so far: one per {!send}, plus one per route given to
+    {!restore}. *)
+
+val iter_routes_from : t -> from:int -> (int -> int -> int -> unit) -> unit
+(** [f msg src dst] for route records [from], [from + 1], ... in arrival
+    order.  A resent message id appears once per send; {!routes} keeps
+    the last. *)
+
 val undeliverable_msgs : t -> int list
 (** Abandoned message ids, sorted. *)
 

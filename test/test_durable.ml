@@ -364,6 +364,401 @@ let test_snapshot_codec () =
       end)
     img
 
+(* A CRC-valid image whose route count is the overlong varint
+   ff ff ff ff ff ff ff ff 7f (bit 62 set: -1 once it lands in an OCaml
+   int).  Decoding must reject it, not raise from an allocation. *)
+let test_overlong_varint () =
+  let overlong = "\xff\xff\xff\xff\xff\xff\xff\xff\x7f" in
+  check "varint rejects a sign-setting ninth byte" true
+    (match Codec.Reader.varint (Codec.Reader.of_string overlong) with
+    | exception Codec.Reader.Short _ -> true
+    | _ -> false);
+  check "varint rejects a tenth byte" true
+    (match Codec.Reader.varint (Codec.Reader.of_string "\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01") with
+    | exception Codec.Reader.Short _ -> true
+    | _ -> false);
+  check "zigzag reads the same bits as -1's zigzag" true
+    (Codec.Reader.zigzag (Codec.Reader.of_string overlong) = min_int);
+  let image count_bytes =
+    (* version 1, n = 1, track_open, events_seen 0, no violation,
+       rebuilds 0, the route count, then nothing *)
+    let payload = "\x01\x01\x01\x00\x00\x00" ^ count_bytes in
+    let w = Codec.Writer.create () in
+    Codec.Writer.string_raw w "RDTSNAP1";
+    Codec.Writer.u32 w (String.length payload);
+    Codec.Writer.string_raw w payload;
+    Codec.Writer.u32 w (Codec.crc32 payload);
+    Codec.Writer.contents w
+  in
+  List.iter
+    (fun (label, count_bytes) ->
+      match Snapshot.decode (image count_bytes) with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "%s route count decoded" label
+      | exception e -> Alcotest.failf "%s route count raised %s" label (Printexc.to_string e))
+    [
+      ("overlong", overlong);
+      ("2^40", "\x80\x80\x80\x80\x80\x80\x40");
+      ("max_int", "\xff\xff\xff\xff\xff\xff\xff\xff\x3f");
+    ];
+  (* the same bound on the WAL's TDV and predicate counts *)
+  let ckpt_prefix = "\x04\x00\x02\x01\x00" in
+  List.iter
+    (fun (label, rest) ->
+      match Wal.decode_event (ckpt_prefix ^ rest) with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "%s decoded" label
+      | exception e -> Alcotest.failf "%s raised %s" label (Printexc.to_string e))
+    [
+      ("overlong tdv length", overlong);
+      ("huge tdv length", "\x80\x80\x80\x80\x80\x80\x40");
+      ("huge preds count", "\x00\x80\x80\x80\x80\x80\x80\x40");
+    ]
+
+(* ------------------------------------------------------------------ *)
+(* The binary WAL record                                               *)
+(* ------------------------------------------------------------------ *)
+
+let event_gen =
+  let open QCheck.Gen in
+  let any_int =
+    oneof [ int; oneofl [ min_int; max_int; 0; -1; 1; 127; 128; -64; -65 ]; small_signed_int ]
+  in
+  let any_string = string_size ~gen:char (int_bound 20) in
+  let kind = oneofl Rdt_pattern.Types.[ Initial; Basic; Forced; Final ] in
+  let tdv =
+    oneof
+      [
+        return None;
+        return (Some [||]);
+        map (fun l -> Some (Array.of_list l)) (list_size (int_bound 4) any_int);
+        map (fun l -> Some (Array.of_list l)) (list_size (int_range 16 200) any_int);
+      ]
+  in
+  let three = triple any_int any_int any_int and four = quad any_int any_int any_int any_int in
+  oneof
+    [
+      map
+        (fun ((n, protocol, env), (seed, mode)) -> Trace.Meta { n; protocol; env; seed; mode })
+        (pair (triple any_int any_string any_string) (pair any_int any_string));
+      map (fun (msg, src, dst, time) -> Trace.Send { msg; src; dst; time }) four;
+      map (fun (msg, src, dst, time) -> Trace.Deliver { msg; src; dst; time }) four;
+      map (fun (pid, time) -> Trace.Internal { pid; time }) (pair any_int any_int);
+      map
+        (fun ((pid, index, kind), (time, tdv, preds)) ->
+          Trace.Ckpt { pid; index; kind; time; tdv; preds })
+        (pair (triple any_int any_int kind) (triple any_int tdv (list_size (int_bound 4) any_string)));
+      map
+        (fun ((src, dst, seq), (attempt, time)) ->
+          Trace.Retransmit { src; dst; seq; attempt; time })
+        (pair three (pair any_int any_int));
+      map (fun (src, dst, time) -> Trace.Drop { src; dst; time }) three;
+      map (fun (msg, src, dst, time) -> Trace.Undeliverable { msg; src; dst; time }) four;
+      map (fun (pid, to_index, time) -> Trace.Rollback { pid; to_index; time }) three;
+      map (fun (msg, src, dst, time) -> Trace.Replay { msg; src; dst; time }) four;
+      map (fun (checker, rdt) -> Trace.Verdict { checker; rdt }) (pair any_string bool);
+    ]
+
+let event_arb = QCheck.make ~print:(Format.asprintf "%a" Trace.pp_event) event_gen
+
+let payload ev =
+  let w = Codec.Writer.create () in
+  Wal.encode_event w ev;
+  Codec.Writer.contents w
+
+(* decode the payload, its every strict prefix, and the payload with a
+   trailing byte: only the first may succeed, and nothing may raise *)
+let roundtrips ev =
+  let p = payload ev in
+  (match Wal.decode_event p with
+  | Ok ev' when ev' = ev -> ()
+  | Ok _ -> QCheck.Test.fail_reportf "decoded to a different event"
+  | Error e -> QCheck.Test.fail_reportf "roundtrip failed: %s" e);
+  for len = 0 to String.length p - 1 do
+    match Wal.decode_event (String.sub p 0 len) with
+    | Error _ -> ()
+    | Ok _ -> QCheck.Test.fail_reportf "the %d-byte prefix decoded" len
+  done;
+  (match Wal.decode_event (p ^ "\x00") with
+  | Error _ -> ()
+  | Ok _ -> QCheck.Test.fail_reportf "trailing bytes accepted");
+  true
+
+let qcheck_event_roundtrip =
+  QCheck.Test.make ~count:500 ~name:"binary WAL record roundtrips every event constructor" event_arb
+    roundtrips
+
+let qcheck_json_accepted_roundtrip =
+  QCheck.Test.make ~count:300 ~name:"every event Trace.decode accepts roundtrips in binary"
+    event_arb (fun ev ->
+      match Trace.decode (Trace.encode ev) with Ok ev' -> roundtrips ev' | Error _ -> true)
+
+let test_event_records_of_runs () =
+  (* every event of real traces (transport, crash runs) roundtrips, and a
+     framed record measures what it claims *)
+  let events, _ = trace_of ~envname:"group" ~seed:3 ~messages:60 ~n:4 "bhmr" in
+  let crash_events =
+    (Rdt_fuzz.Exec.run (Rdt_fuzz.Scenario.generate ~seed:5 ())).Rdt_fuzz.Exec.events
+  in
+  List.iter (fun ev -> ignore (roundtrips ev)) (events @ crash_events);
+  let w = Codec.Writer.create () in
+  let sizes = List.map (Wal.add_record w) events in
+  Alcotest.(check int) "framed sizes add up" (Codec.Writer.length w) (List.fold_left ( + ) 0 sizes);
+  check "kinds covered" true
+    (List.length (List.sort_uniq compare (List.map Trace.kind_name events)) >= 4)
+
+(* ------------------------------------------------------------------ *)
+(* Incremental snapshot image                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* Feed [events] into [engine], comparing the cache's image with the
+   full encode after every [k]th event. *)
+let image_tracks ~label ~k ?(cache = Snapshot.Cache.create ()) engine events =
+  let compare_now () =
+    let inc = Codec.Writer.contents (Snapshot.Cache.image cache engine) in
+    if inc <> Snapshot.encode (Online.export engine) then
+      Alcotest.failf "%s: incremental image differs from the full encode after %d events" label
+        (Online.events_seen engine)
+  in
+  compare_now ();
+  List.iteri
+    (fun i ev ->
+      Online.observe engine ev;
+      if (i + 1) mod k = 0 then compare_now ())
+    events;
+  compare_now ();
+  cache
+
+let crash_trace seed =
+  let tr = Trace.ring ~capacity:200_000 in
+  let env = Rdt_workloads.Registry.find_exn "random" in
+  ignore
+    (Runtime.run
+       {
+         (Runtime.default_config env (Registry.find_exn "bhmr")) with
+         Runtime.n = 5;
+         seed;
+         max_messages = 250;
+         crashes =
+           [
+             { Runtime.victim = 2; at = 2000; repair_delay = 200 };
+             { Runtime.victim = 0; at = 4500; repair_delay = 300 };
+           ];
+         trace = tr;
+       });
+  Trace.events tr
+
+let has_rollback = List.exists (function Trace.Rollback _ -> true | _ -> false)
+
+let test_incremental_image () =
+  let fuzz_space =
+    {
+      Rdt_fuzz.Scenario.default_space with
+      envs = [ "random"; "group"; "client-server" ];
+      crash_prob = 1.0;
+    }
+  in
+  let fuzz =
+    List.filter_map
+      (fun seed ->
+        let sc = Rdt_fuzz.Scenario.generate ~space:fuzz_space ~seed () in
+        let r = Rdt_fuzz.Exec.run sc in
+        match r.Rdt_fuzz.Exec.events with
+        | [] -> None
+        | events -> Some (Printf.sprintf "fuzz seed %d" seed, events))
+      [ 1; 2; 3; 4; 5; 6 ]
+  in
+  let crash =
+    List.map (fun seed -> (Printf.sprintf "crash-run seed %d" seed, crash_trace seed)) [ 1; 2 ]
+  in
+  let traces = fuzz @ crash in
+  check "some traces roll back" true
+    (List.length (List.filter (fun (_, e) -> has_rollback e) traces) >= 3);
+  List.iter
+    (fun (label, events) ->
+      match Online.trace_process_count events with
+      | Error e -> Alcotest.fail e
+      | Ok n ->
+          (* k = 1: every rollback cuts below the cached top *)
+          List.iter
+            (fun k -> ignore (image_tracks ~label ~k (Online.create ~n ()) events))
+            [ 1; 7; 100 ])
+    traces
+
+let test_incremental_image_descending_ids () =
+  let send msg = Trace.Send { msg; src = 0; dst = 1; time = msg } in
+  let deliver msg = Trace.Deliver { msg; src = 0; dst = 1; time = 100 + msg } in
+  let ckpt pid index = Trace.Ckpt { pid; index; kind = Basic; time = 0; tdv = None; preds = [] } in
+  let events =
+    [ send 9; send 7; ckpt 0 1; send 4; deliver 7; deliver 4; ckpt 1 1; send 12; send 10; deliver 9 ]
+    @ [ deliver 12; Trace.Undeliverable { msg = 10; src = 0; dst = 1; time = 300 }; send 2; deliver 2 ]
+  in
+  List.iter
+    (fun k -> ignore (image_tracks ~label:"descending ids" ~k (Online.create ~n:2 ()) events))
+    [ 1; 2; 5 ]
+
+let test_incremental_image_restored () =
+  let events = crash_trace 3 in
+  let n = match Online.trace_process_count events with Ok n -> n | Error e -> Alcotest.fail e in
+  let half = List.length events / 2 in
+  let first = List.filteri (fun i _ -> i < half) events in
+  let rest = List.filteri (fun i _ -> i >= half) events in
+  let engine = Online.create ~n () in
+  let cache = image_tracks ~label:"before restore" ~k:50 engine first in
+  let restored = Online.restore (Online.export engine) in
+  (* a fresh cache on the restored engine, and the old cache handed a
+     different engine: both must start over and stay exact *)
+  ignore (image_tracks ~label:"restored, fresh cache" ~k:9 restored rest);
+  let restored' = Online.restore (Online.export engine) in
+  ignore (image_tracks ~label:"restored, reused cache" ~k:9 ~cache restored' rest);
+  check "a copied cache continues independently" true
+    (let c = Snapshot.Cache.copy cache in
+     Codec.Writer.contents (Snapshot.Cache.image c restored')
+     = Snapshot.encode (Online.export restored'))
+
+(* ------------------------------------------------------------------ *)
+(* Directories written by the version-1 WAL                            *)
+(* ------------------------------------------------------------------ *)
+
+(* test/fixtures/wal_v1: a session directory that the previous release
+   (JSON WAL records) wrote with [rdtsim watch --durable state
+   --snapshot-every 100] over the first 250 events of trace.jsonl. *)
+let fixture = "fixtures/wal_v1"
+
+let copy_file src dst =
+  let s = In_channel.with_open_bin src In_channel.input_all in
+  Out_channel.with_open_bin dst (fun oc -> output_string oc s)
+
+let copy_fixture dir =
+  Unix.mkdir dir 0o755;
+  let src = Filename.concat fixture "state" in
+  Array.iter (fun f -> copy_file (Filename.concat src f) (Filename.concat dir f)) (Sys.readdir src)
+
+let drop_snapshots dir = List.iter (fun g -> Snapshot.remove ~dir ~gen:g) (Snapshot.generations ~dir)
+
+let fixture_events () =
+  match Trace.read_file (Filename.concat fixture "trace.jsonl") with
+  | Ok evs -> evs
+  | Error e -> Alcotest.fail e
+
+let open_v1 dir = Session.open_ ~config:(config 100) ~dir ~n:4 ~track_open:true ()
+
+(* Open, check the recovery and the resume point, feed the rest, close:
+   the final state must be the uninterrupted whole-trace state. *)
+let resume_v1 ~label ~dir ~expect_gen ~expect_seen events exp =
+  let s, info = open_v1 dir in
+  (match info with
+  | None -> Alcotest.failf "%s: no recovery" label
+  | Some info ->
+      check (label ^ ": recovered from the expected generation") true
+        (info.Session.restored_gen = expect_gen));
+  Alcotest.(check int) (label ^ ": resume point") expect_seen (Online.events_seen (Session.engine s));
+  feed_from s events;
+  Session.close s;
+  assert_equal_state label exp (Session.engine s)
+
+let segment_versions dir =
+  List.map
+    (fun g -> match Wal.read ~dir ~gen:g with Ok rr -> (g, rr.Wal.version) | Error e -> Alcotest.fail e)
+    (Wal.segments ~dir)
+
+let test_v1_fixture () =
+  let events = fixture_events () in
+  let exp = uninterrupted events in
+  let prefix = List.filteri (fun i _ -> i < 250) events in
+  let exp_prefix = uninterrupted prefix in
+  (* recover only: from the newest snapshot, then by full replay *)
+  with_dir (fun dir ->
+      copy_fixture dir;
+      let s, info = open_v1 dir in
+      check "newest snapshot used" true
+        (match info with Some i -> i.Session.restored_gen = Some 2 | None -> false);
+      Session.close s;
+      assert_equal_state "v1, newest snapshot" exp_prefix (Session.engine s));
+  with_dir (fun dir ->
+      copy_fixture dir;
+      drop_snapshots dir;
+      let s, _ = open_v1 dir in
+      Session.close s;
+      assert_equal_state "v1, full replay" exp_prefix (Session.engine s));
+  (* resume, drop every snapshot, recover the whole trace by replay *)
+  with_dir (fun dir ->
+      copy_fixture dir;
+      let v1_tail = In_channel.with_open_bin (Wal.path ~dir ~gen:2) In_channel.input_all in
+      resume_v1 ~label:"v1 resumed" ~dir ~expect_gen:(Some 2) ~expect_seen:250 events exp;
+      check "the v1 segment was not appended to" true
+        (In_channel.with_open_bin (Wal.path ~dir ~gen:2) In_channel.input_all = v1_tail);
+      check "segments 0-2 stay v1, appends went to v2 segments" true
+        (match segment_versions dir with
+        | (0, 1) :: (1, 1) :: (2, 1) :: (_ :: _ as later) -> List.for_all (fun (_, v) -> v = 2) later
+        | _ -> false);
+      drop_snapshots dir;
+      resume_v1 ~label:"v1 resumed, then full replay" ~dir ~expect_gen:None
+        ~expect_seen:(List.length events) events exp);
+  (* resume from a full replay; then again without snapshots *)
+  with_dir (fun dir ->
+      copy_fixture dir;
+      drop_snapshots dir;
+      resume_v1 ~label:"v1 replayed and resumed" ~dir ~expect_gen:None ~expect_seen:250 events exp;
+      drop_snapshots dir;
+      resume_v1 ~label:"v1 replayed, resumed, replayed" ~dir ~expect_gen:None
+        ~expect_seen:(List.length events) events exp);
+  (* a torn v1 tail is cut away, never appended after *)
+  with_dir (fun dir ->
+      copy_fixture dir;
+      let path = Wal.path ~dir ~gen:2 in
+      let intact = In_channel.with_open_bin path In_channel.input_all in
+      Out_channel.with_open_gen [ Open_append; Open_binary ] 0o644 path (fun oc ->
+          output_string oc "\xff\x00\x00\x00half-a-record");
+      resume_v1 ~label:"torn v1 tail" ~dir ~expect_gen:(Some 2) ~expect_seen:250 events exp;
+      check "the torn v1 tail was truncated" true
+        (In_channel.with_open_bin path In_channel.input_all = intact);
+      drop_snapshots dir;
+      resume_v1 ~label:"torn v1 tail, then full replay" ~dir ~expect_gen:None
+        ~expect_seen:(List.length events) events exp)
+
+(* The v1 -> v2 switch is a snapshot install like any other: kill the
+   resume of the v1 directory at every crash site, recover, finish, and
+   recover once more by full replay across the v1 and v2 segments. *)
+let test_v1_fixture_crash_matrix () =
+  let events = fixture_events () in
+  let exp = uninterrupted events in
+  let resume dir =
+    let s, _ = open_v1 dir in
+    feed_from s events;
+    Session.close s;
+    Session.engine s
+  in
+  let sites =
+    with_dir (fun dir ->
+        copy_fixture dir;
+        Crashpoint.reset ();
+        ignore (resume dir);
+        Crashpoint.hits ())
+  in
+  check "the resume crosses crash sites" true (sites > 0);
+  for k = 1 to sites do
+    with_dir (fun dir ->
+        copy_fixture dir;
+        Crashpoint.reset ();
+        Crashpoint.arm ~at:k;
+        (try
+           let s, _ = open_v1 dir in
+           try
+             feed_from s events;
+             Session.close s
+           with Crashpoint.Crash _ -> Session.abort s
+         with Crashpoint.Crash _ -> ());
+        Crashpoint.disarm ();
+        let label = Printf.sprintf "v1 resume killed at site %d" k in
+        assert_equal_state label exp (resume dir);
+        check (label ^ ": no v2 record in a v1 segment") true
+          (List.for_all (fun (g, v) -> v = if g <= 2 then 1 else 2) (segment_versions dir));
+        drop_snapshots dir;
+        assert_equal_state (label ^ ", then full replay") exp (resume dir))
+  done;
+  Crashpoint.reset ()
+
 let () =
   Alcotest.run "rdt_durable"
     [
@@ -390,5 +785,24 @@ let () =
           Alcotest.test_case "primitives roundtrip" `Quick test_codec_roundtrip;
           Alcotest.test_case "snapshot image roundtrip and tamper-evidence" `Quick
             test_snapshot_codec;
+          Alcotest.test_case "overlong varints and huge counts are errors" `Quick
+            test_overlong_varint;
+          qt qcheck_event_roundtrip;
+          qt qcheck_json_accepted_roundtrip;
+          Alcotest.test_case "event records of recorded runs" `Quick test_event_records_of_runs;
+        ] );
+      ( "incremental",
+        [
+          Alcotest.test_case "fuzz and crash-run traces, every k events" `Quick
+            test_incremental_image;
+          Alcotest.test_case "message ids in descending order" `Quick
+            test_incremental_image_descending_ids;
+          Alcotest.test_case "restored engines and a reused cache" `Quick
+            test_incremental_image_restored;
+        ] );
+      ( "wal-v1",
+        [
+          Alcotest.test_case "parent-written directory recovers and resumes" `Quick test_v1_fixture;
+          Alcotest.test_case "resume killed at every crash site" `Quick test_v1_fixture_crash_matrix;
         ] );
     ]
