@@ -76,6 +76,36 @@ let analysis_tests =
            ignore (Rdt_recovery.Recovery_line.max_consistent_bounded pattern bounds)));
   ]
 
+(* One protocol step on a warmed state pair: the sender checkpoints, so
+   each message carries a new dependency, then [make_payload], and the
+   receiver's [predicates], [must_force] and [absorb].  The states are
+   warmed by 20n messages between random pairs, and the receiver has
+   sent, so FDAS's and C1's send conditions hold. *)
+let step_test pname n =
+  let (module P : Rdt_core.Protocol.S) = Rdt_core.Registry.find_exn pname in
+  let states = Array.init n (fun pid -> P.create ~n ~pid) in
+  Array.iter P.on_checkpoint states;
+  let rng = Rdt_dist.Rng.create n in
+  for _ = 1 to 20 * n do
+    let src = Rdt_dist.Rng.int rng n in
+    let dst = (src + 1 + Rdt_dist.Rng.int rng (n - 1)) mod n in
+    let m = P.make_payload states.(src) ~dst in
+    if P.must_force states.(dst) ~src m then P.on_checkpoint states.(dst);
+    P.absorb states.(dst) ~src m
+  done;
+  let a = states.(0) and b = states.(1) in
+  ignore (P.make_payload b ~dst:2);
+  Test.make
+    ~name:(Printf.sprintf "protocol/%s-step/n=%d" pname n)
+    (Staged.stage (fun () ->
+         P.on_checkpoint a;
+         let m = P.make_payload a ~dst:1 in
+         ignore (P.predicates b ~src:0 m);
+         ignore (P.must_force b ~src:0 m);
+         P.absorb b ~src:0 m))
+
+let step_tests = [ step_test "bhmr" 16; step_test "bhmr" 64; step_test "fdas" 16 ]
+
 (* The durable layer's two steady-state costs at perfbench watch's shape
    (BHMR, random environment, n = 16): one WAL record, and one snapshot
    image of a 10k-event history after 1,000 more events.  The image
@@ -138,7 +168,8 @@ let run_micro ~report () =
   let instances = Instance.[ monotonic_clock ] in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.3) ~stabilize:true () in
   let grouped =
-    Test.make_grouped ~name:"rdt" ~fmt:"%s %s" (protocol_tests @ analysis_tests @ durable_tests)
+    Test.make_grouped ~name:"rdt" ~fmt:"%s %s"
+      (protocol_tests @ step_tests @ analysis_tests @ durable_tests)
   in
   let raw = Benchmark.all cfg instances grouped in
   let results = Analyze.all ols Instance.monotonic_clock raw in

@@ -44,4 +44,5 @@ let tdv _ = None
 
 let payload_bits ~n:_ = 32
 
-let predicates _ ~src:_ _ = []
+let evaluated = 0
+let predicates _ ~src:_ _ = 0

@@ -6,32 +6,19 @@
                        state is simple (no checkpoint between a delivery
                        and the following send along the chain);
    - [causal.(k).(l)] — to this process's knowledge there is an on-line
-                       trackable R-path C_{k,tdv.(k)} ~> C_{l,tdv.(l)}.
+                       trackable R-path C_{k,tdv.(k)} ~> C_{l,tdv.(l)};
+   each a packed bit row ([Control]), [causal] the n rows flat.
 
-   An arriving message [m] forces a checkpoint iff C1 holds, or the
-   variant's own predicate for the chains C1 cannot see does:
-
+   An arriving message [m] forces a checkpoint iff C1 holds,
      C1: exists j with sent_to.(j) and exists k with m.tdv.(k) > tdv.(k)
          and not m.causal.(k).(j)
-         (a non-causal chain from P_k to P_j, breakable here, with no
-         causal sibling known to the sender).
-
-   - [Full] (the paper's protocol) adds
-     C2: m.tdv.(pid) = tdv.(pid) and not m.simple.(pid)
-         (a causal chain left the current interval and came back having
-         crossed a checkpoint: the resulting non-causal chain from some
-         C_{k,z} to C_{k,z-1} is breakable only by this process).
-   - [V1] (suggested by Y.-M. Wang) drops [simple] and adds
-     C2': m.tdv.(pid) = tdv.(pid) and exists k with m.tdv.(k) > tdv.(k)
-         (a causal chain returned to its own sending interval while
-         carrying any new dependency).  C2 implies C2', so V1 forces at
-         least as often as [Full] but piggybacks n fewer bits.
-   - [V2] drops [simple] and C2, and holds the diagonal of [causal]
-     permanently false.  C1 then also fires for k = j: the process forces
-     when it has sent to P_j and [m] brings a new dependency on P_j
-     itself, which is precisely the chain C2 used to break.
-
-   The variant is read once per call, never inside the O(n^2) loops. *)
+   (a non-causal chain from P_k to P_j, breakable here, with no causal
+   sibling known to the sender), or the variant's own predicate for the
+   chains C1 cannot see does: C2 in [Full], C2' in [V1] (see
+   [Predicates]).  [V2] has neither, and holds the diagonal of [causal]
+   false, so that C1 also fires for k = j: a new dependency on a process
+   sent to, precisely the chain C2 breaks.  The variant is read once per
+   call, never inside the row loops. *)
 
 type variant = Full | V1 | V2
 
@@ -40,53 +27,53 @@ type state = {
   n : int;
   pid : int;
   tdv : int array;
-  sent_to : bool array;
-  simple : bool array; (* [||] unless [Full] *)
-  causal : bool array array;
+  sent_to : int array;
+  simple : int array;
+  causal : int array;
 }
 
+let mem = Control.mem and set = Control.set and clear = Control.clear
+
+(* keep only bit [k] of the row at [at] *)
+let isolate a ~at ~w k =
+  let keep = mem a ~at k in
+  Array.fill a at w 0;
+  if keep then set a ~at k
+
 let create variant ~n ~pid =
-  let diagonal = variant <> V2 in
-  {
-    variant;
-    n;
-    pid;
-    tdv = Array.make n 0;
-    sent_to = Array.make n false;
-    simple = (if variant = Full then Array.init n (fun k -> k = pid) else [||]);
-    causal = Array.init n (fun k -> Array.init n (fun l -> diagonal && k = l));
-  }
+  let w = Control.words ~n in
+  let st =
+    {
+      variant;
+      n;
+      pid;
+      tdv = Array.make n 0;
+      sent_to = Array.make w 0;
+      simple = (if variant = Full then Array.make w 0 else [||]);
+      causal = Array.make (n * w) 0;
+    }
+  in
+  if variant = Full then set st.simple ~at:0 pid;
+  if variant <> V2 then for k = 0 to n - 1 do set st.causal ~at:(k * w) k done;
+  st
 
 let copy st =
-  {
-    st with
-    tdv = Array.copy st.tdv;
-    sent_to = Array.copy st.sent_to;
-    simple = Array.copy st.simple;
-    causal = Control.copy_matrix st.causal;
-  }
+  let c = Array.copy in
+  { st with tdv = c st.tdv; sent_to = c st.sent_to; simple = c st.simple; causal = c st.causal }
 
 (* [causal.(pid).(pid)] is left alone: true in [Full] and [V1], and
    already false in [V2] *)
 let on_checkpoint st =
-  Array.fill st.sent_to 0 st.n false;
-  let full = st.variant = Full in
-  for j = 0 to st.n - 1 do
-    if j <> st.pid then begin
-      if full then st.simple.(j) <- false;
-      st.causal.(st.pid).(j) <- false
-    end
-  done;
+  let w = Array.length st.sent_to in
+  Array.fill st.sent_to 0 w 0;
+  if st.variant = Full then isolate st.simple ~at:0 ~w st.pid;
+  isolate st.causal ~at:(st.pid * w) ~w st.pid;
   st.tdv.(st.pid) <- st.tdv.(st.pid) + 1
 
 let make_payload st ~dst =
-  st.sent_to.(dst) <- true;
+  set st.sent_to ~at:0 dst;
   Control.Full
-    {
-      tdv = Array.copy st.tdv;
-      simple = Array.copy st.simple;
-      causal = Control.copy_matrix st.causal;
-    }
+    { tdv = Array.copy st.tdv; simple = Array.copy st.simple; causal = Array.copy st.causal }
 
 let fields = function
   | Control.Full { tdv; simple; causal } -> (tdv, simple, causal)
@@ -107,52 +94,50 @@ let must_force st ~src:_ payload =
 
 let absorb st ~src payload =
   let m_tdv, m_simple, m_causal = fields payload in
-  (* before the merge below overwrites [tdv] *)
-  if st.variant = Full then
-    for k = 0 to st.n - 1 do
-      if m_tdv.(k) > st.tdv.(k) then st.simple.(k) <- m_simple.(k)
-      else if m_tdv.(k) = st.tdv.(k) then st.simple.(k) <- st.simple.(k) && m_simple.(k)
-    done;
+  let full = st.variant = Full and w = Array.length st.sent_to and causal = st.causal in
   for k = 0 to st.n - 1 do
+    let row = k * w in
     if m_tdv.(k) > st.tdv.(k) then begin
+      if full then (if mem m_simple ~at:0 k then set else clear) st.simple ~at:0 k;
       st.tdv.(k) <- m_tdv.(k);
-      Array.blit m_causal.(k) 0 st.causal.(k) 0 st.n
+      Array.blit m_causal row causal row w
     end
-    else if m_tdv.(k) = st.tdv.(k) then
-      for l = 0 to st.n - 1 do
-        st.causal.(k).(l) <- st.causal.(k).(l) || m_causal.(k).(l)
+    else if m_tdv.(k) = st.tdv.(k) then begin
+      if full && not (mem m_simple ~at:0 k) then clear st.simple ~at:0 k;
+      for i = row to row + w - 1 do
+        causal.(i) <- causal.(i) lor m_causal.(i)
       done
+    end
   done;
-  st.causal.(src).(st.pid) <- true;
+  set causal ~at:(src * w) st.pid;
   for l = 0 to st.n - 1 do
-    st.causal.(l).(st.pid) <- st.causal.(l).(st.pid) || st.causal.(l).(src)
+    if mem causal ~at:(l * w) src then set causal ~at:(l * w) st.pid
   done;
-  if st.variant = V2 then
-    for k = 0 to st.n - 1 do
-      st.causal.(k).(k) <- false
-    done
+  if st.variant = V2 then for k = 0 to st.n - 1 do clear causal ~at:(k * w) k done
 
 let predicates st ~src:_ payload =
+  let module P = Predicates in
   let m_tdv, m_simple, m_causal = fields payload in
-  let after_first_send = Array.exists Fun.id st.sent_to in
-  let c1 = ("c1", c1 st ~m_tdv ~m_causal) in
-  let rest =
-    [
-      ("c_fdas", Predicates.c_fdas ~after_first_send ~tdv:st.tdv ~m_tdv);
-      ("c_fdi", Predicates.c_fdi ~tdv:st.tdv ~m_tdv);
-    ]
-  in
+  let after_first_send = Array.exists (fun word -> word <> 0) st.sent_to in
+  P.bit_if (c1 st ~m_tdv ~m_causal) P.c1_bit
+  lor P.bit_if (P.c_fdas ~after_first_send ~tdv:st.tdv ~m_tdv) P.c_fdas_bit
+  lor P.bit_if (P.c_fdi ~tdv:st.tdv ~m_tdv) P.c_fdi_bit
+  lor
   match st.variant with
-  | Full -> c1 :: ("c2", c2 st ~m_tdv ~m_simple) :: ("c2'", c2' st ~m_tdv) :: rest
-  | V1 -> c1 :: ("c2'", c2' st ~m_tdv) :: rest
-  | V2 -> c1 :: rest
+  | Full -> P.bit_if (c2 st ~m_tdv ~m_simple) P.c2_bit lor P.bit_if (c2' st ~m_tdv) P.c2'_bit
+  | V1 -> P.bit_if (c2' st ~m_tdv) P.c2'_bit
+  | V2 -> 0
 
-let protocol variant ~name ~describe : Protocol.t =
+let protocol variant : (module Protocol.S with type state = state) =
   (module struct
     type nonrec state = state
 
-    let name = name
-    let describe = describe
+    let name, describe =
+      match variant with
+      | Full -> ("bhmr", "Baldoni-Helary-Mostefaoui-Raynal protocol (C1 or C2)")
+      | V1 -> ("bhmr-v1", "variant 1: C1 or C2' (no simple array)")
+      | V2 -> ("bhmr-v2", "variant 2: C1 only, causal diagonal held false")
+
     let ensures_rdt = true
     let ensures_no_useless = true
     let create = create variant
@@ -164,9 +149,12 @@ let protocol variant ~name ~describe : Protocol.t =
     let absorb = absorb
     let tdv st = Some (Array.copy st.tdv)
     let payload_bits ~n = (32 * n) + (if variant = Full then n else 0) + (n * n)
+    let evaluated =
+      Predicates.(c1_bit lor c_fdas_bit lor c_fdi_bit
+                  lor match variant with Full -> c2_bit lor c2'_bit | V1 -> c2'_bit | V2 -> 0)
     let predicates = predicates
   end)
 
-let full = protocol Full ~name:"bhmr" ~describe:"Baldoni-Helary-Mostefaoui-Raynal protocol (C1 or C2)"
-let v1 = protocol V1 ~name:"bhmr-v1" ~describe:"variant 1: C1 or C2' (no simple array)"
-let v2 = protocol V2 ~name:"bhmr-v2" ~describe:"variant 2: C1 only, causal diagonal held false"
+let full : Protocol.t = (module (val protocol Full))
+let v1 : Protocol.t = (module (val protocol V1))
+let v2 : Protocol.t = (module (val protocol V2))

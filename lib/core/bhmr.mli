@@ -2,8 +2,22 @@
     [sent_to] and [causal] knowledge, forcing a checkpoint when an
     arriving message would create an untrackable dependency.  The three
     members share state, merge and payload shape ({!Control.Full}, with
-    an empty [simple] array in the variants) and differ only in the
+    an empty [simple] row in the variants) and differ only in the
     predicate that breaks the chains C1 cannot see. *)
+
+type variant = Full | V1 | V2
+
+type state = private {
+  variant : variant;
+  n : int;
+  pid : int;
+  tdv : int array;
+  sent_to : int array;
+  simple : int array;  (** [[||]] unless [Full] *)
+  causal : int array;  (** row-major, as in {!Control} *)
+}
+
+val protocol : variant -> (module Protocol.S with type state = state)
 
 val full : Protocol.t
 (** [bhmr], Figure 6: C1 or C2, tracking the [simple] array.  The most

@@ -1,22 +1,13 @@
 (* Checkpoint-After-Send (Wu & Fuchs [12]): every send event is
    immediately followed by a checkpoint, so a send is always the last
    event of its interval and no delivery can follow a send within an
-   interval — again every message chain is causal. *)
+   interval — again every message chain is causal.  Otherwise the
+   negative control: no forcing on arrival, nothing piggybacked. *)
 
-type state = unit
+include No_cic
 
 let name = "cas"
 let describe = "checkpoint immediately after every send"
 let ensures_rdt = true
 let ensures_no_useless = true
-let create ~n:_ ~pid:_ = ()
-
-let copy () = ()
-let on_checkpoint () = ()
-let make_payload () ~dst:_ = Control.Nothing
 let force_after_send = true
-let must_force () ~src:_ _ = false
-let absorb () ~src:_ _ = ()
-let tdv () = None
-let payload_bits ~n:_ = 0
-let predicates () ~src:_ _ = []

@@ -44,9 +44,10 @@ let tdv st = Some (Array.copy st.tdv)
 
 let payload_bits ~n = 32 * n
 
+let evaluated = Predicates.(c_fdas_bit lor c_fdi_bit)
+
 let predicates st ~src:_ payload =
   let m_tdv = payload_tdv payload in
-  [
-    ("c_fdas", Predicates.c_fdas ~after_first_send:st.after_first_send ~tdv:st.tdv ~m_tdv);
-    ("c_fdi", Predicates.c_fdi ~tdv:st.tdv ~m_tdv);
-  ]
+  Predicates.(
+    bit_if (c_fdas ~after_first_send:st.after_first_send ~tdv:st.tdv ~m_tdv) c_fdas_bit
+    lor bit_if (c_fdi ~tdv:st.tdv ~m_tdv) c_fdi_bit)

@@ -19,4 +19,5 @@ let must_force () ~src:_ _ = false
 let absorb () ~src:_ _ = ()
 let tdv () = None
 let payload_bits ~n:_ = 0
-let predicates () ~src:_ _ = []
+let evaluated = 0
+let predicates () ~src:_ _ = 0

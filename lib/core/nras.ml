@@ -31,4 +31,5 @@ let tdv _ = None
 
 let payload_bits ~n:_ = 0
 
-let predicates _ ~src:_ _ = []
+let evaluated = 0
+let predicates _ ~src:_ _ = 0

@@ -14,7 +14,8 @@ module type S = sig
   val absorb : state -> src:int -> Control.t -> unit
   val tdv : state -> int array option
   val payload_bits : n:int -> int
-  val predicates : state -> src:int -> Control.t -> (string * bool) list
+  val evaluated : int
+  val predicates : state -> src:int -> Control.t -> int
 end
 
 type t = (module S)

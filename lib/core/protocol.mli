@@ -43,9 +43,10 @@ module type S = sig
   (** The process takes a local checkpoint (initial, basic or forced). *)
 
   val make_payload : state -> dst:int -> Control.t
-  (** Called at each send; returns the control data to piggyback (a deep
-      copy, safe against later state mutation) and records the send in the
-      state (e.g. [sent_to]). *)
+  (** Called at each send; returns the control data to piggyback (a
+      copy, safe against later state mutation: for BHMR, three flat
+      arrays in the packed layout of {!Control}) and records the send in
+      the state (e.g. [sent_to]). *)
 
   val force_after_send : bool
   (** [true] for checkpoint-after-send style protocols: the runtime takes
@@ -69,12 +70,18 @@ module type S = sig
       containing [C_{i,x}] (Corollary 4.5). *)
 
   val payload_bits : n:int -> int
-  (** Piggyback size in bits for a system of [n] processes. *)
+  (** Piggyback size in bits for a system of [n] processes.  BHMR's
+      packed payload holds its boolean part in whole 63-bit words. *)
 
-  val predicates : state -> src:int -> Control.t -> (string * bool) list
-  (** Named predicate values at an arriving message, for offline
-      validation of the generality hierarchy (empty for protocols that do
-      not track dependency vectors).  Must not mutate the state. *)
+  val evaluated : int
+  (** The {!Predicates} mask of the predicates {!predicates} evaluates;
+      [0] for protocols that do not track dependency vectors. *)
+
+  val predicates : state -> src:int -> Control.t -> int
+  (** The {!Predicates} mask of the evaluated predicates that hold at an
+      arriving message, for validation of the generality hierarchy.  A
+      predicate outside {!evaluated} is never set.  Must not mutate the
+      state. *)
 end
 
 type t = (module S)

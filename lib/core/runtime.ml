@@ -83,11 +83,12 @@ type result = {
   recoveries : recovery list;
 }
 
-(* Implications expected among the named predicates (weaker => stronger in
-   the sense of Section 5.2: a less conservative test implies the more
-   conservative one). *)
+(* Implications expected among the predicates (weaker => stronger in the
+   sense of Section 5.2: a less conservative test implies the more
+   conservative one), as pairs of [Predicates] bits. *)
 let expected_implications =
-  [ ("c1", "c_fdas"); ("c2", "c2'"); ("c2", "c_fdas"); ("c2'", "c_fdas"); ("c_fdas", "c_fdi") ]
+  Predicates.[| (c1_bit, c_fdas_bit); (c2_bit, c2'_bit); (c2_bit, c_fdas_bit);
+                (c2'_bit, c_fdas_bit); (c_fdas_bit, c_fdi_bit) |]
 
 let validate_config cfg =
   if cfg.n < 2 then invalid_arg "Runtime: n must be >= 2";
@@ -254,8 +255,8 @@ let run cfg =
   and duplicated = ref 0
   and duplicates_suppressed = ref 0
   and reordered = ref 0 in
-  let pred_counts : (string, int ref) Hashtbl.t = Hashtbl.create 7 in
-  let violations : (string * string, unit) Hashtbl.t = Hashtbl.create 7 in
+  let pred_counts = Array.make (Array.length Predicates.names) 0 in
+  let violated = Array.make (Array.length expected_implications) false in
   (* messages not yet settled: over the window transport, until
      acknowledged or abandoned; otherwise until delivered *)
   let in_flight () = match net with Window tp -> Transport.in_flight tp | _ -> !owed in
@@ -299,27 +300,22 @@ let run cfg =
     let lo, hi = cfg.basic_period in
     Rng.int_in rng lo hi
   in
-  (* Returns the names of the predicates that fired, so a forced
+  (* Returns the mask of the predicates that fired, so a forced
      checkpoint triggered by this arrival can be traced to its cause. *)
   let record_predicates ~dst ~src payload =
-    let named = P.predicates states.(dst) ~src payload in
-    match named with
-    | [] -> []
-    | _ ->
-        List.iter
-          (fun (name, v) ->
-            if v then
-              match Hashtbl.find_opt pred_counts name with
-              | Some r -> incr r
-              | None -> Hashtbl.add pred_counts name (ref 1))
-          named;
-        List.iter
-          (fun (weaker, stronger) ->
-            match (List.assoc_opt weaker named, List.assoc_opt stronger named) with
-            | Some true, Some false -> Hashtbl.replace violations (weaker, stronger) ()
-            | _ -> ())
-          expected_implications;
-        List.filter_map (fun (name, v) -> if v then Some name else None) named
+    if P.evaluated = 0 then 0
+    else begin
+      let fired = P.predicates states.(dst) ~src payload land P.evaluated in
+      for i = 0 to Array.length pred_counts - 1 do
+        if fired land (1 lsl i) <> 0 then pred_counts.(i) <- pred_counts.(i) + 1
+      done;
+      for v = 0 to Array.length expected_implications - 1 do
+        let weaker, stronger = expected_implications.(v) in
+        if fired land weaker <> 0 && P.evaluated land stronger <> 0 && fired land stronger = 0
+        then violated.(v) <- true
+      done;
+      fired
+    end
   in
   let schedule_arrival id =
     let m = !msgs.(id) in
@@ -405,7 +401,7 @@ let run cfg =
     let fired = record_predicates ~dst ~src payload in
     if P.must_force states.(dst) ~src payload then begin
       incr forced;
-      take_checkpoint ~preds:fired dst Ptypes.Forced
+      take_checkpoint ~preds:(Predicates.to_names fired) dst Ptypes.Forced
     end;
     P.absorb states.(dst) ~src payload;
     if live then begin
@@ -745,16 +741,17 @@ let run cfg =
       duration = !now;
     }
   in
-  (* sorted traversal: these lists reach reports and JSON output, so
-     they must be a pure function of the table contents *)
+  (* sorted by name: these lists reach reports and JSON output *)
   let predicate_counts =
-    Rdt_dist.Tbl.bindings_sorted ~compare:String.compare pred_counts
-    |> List.map (fun (k, v) -> (k, !v))
+    List.combine (Array.to_list Predicates.names) (Array.to_list pred_counts)
+    |> List.filter (fun (_, k) -> k > 0)
+    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
   in
   let hierarchy_violations =
-    Rdt_dist.Tbl.keys_sorted violations
-      ~compare:(fun (a, b) (c, d) ->
-        match String.compare a c with 0 -> String.compare b d | r -> r)
+    List.filteri (fun v _ -> violated.(v)) (Array.to_list expected_implications)
+    |> List.map (fun (weaker, stronger) -> (Predicates.name weaker, Predicates.name stronger))
+    |> List.sort (fun (a, b) (c, d) ->
+           match String.compare a c with 0 -> String.compare b d | r -> r)
   in
   (* stop-and-wait accounts by the messages' fates: a send a rollback
      undid was never accepted *)

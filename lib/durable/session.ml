@@ -286,6 +286,13 @@ let install_snapshot t =
 
 let observe t ev =
   if t.closed then invalid_arg "Session.observe: closed";
+  (match Wal.oversized ev with
+  | Some len ->
+      raise
+        (Online.Inconsistent
+           (Printf.sprintf "event record of %d bytes exceeds the WAL frame limit of %d" len
+              Wal.max_frame))
+  | None -> ());
   Online.observe t.engine ev;
   t.unmetered <- t.unmetered + Wal.append t.wal ev;
   t.unsynced <- t.unsynced + 1;

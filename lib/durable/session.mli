@@ -69,7 +69,9 @@ val open_ :
 
 val observe : t -> Rdt_obs.Trace.event -> unit
 (** Engine first, then the WAL — an event the engine rejects
-    ([Online.Inconsistent]) is never persisted. *)
+    ([Online.Inconsistent]) is never persisted.  An event whose WAL
+    record would exceed {!Wal.max_frame} is refused the same way, before
+    the engine sees it, so the engine and the log never disagree. *)
 
 val engine : t -> Rdt_check.Online.t
 (** Query freely ([summary], [violations], ...); do not feed it

@@ -194,6 +194,30 @@ let read_event r : Trace.event =
       Verdict { checker; rdt }
   | t -> short "unknown event tag %d" t
 
+(* An upper bound on an event's payload size, found without encoding
+   it: a varint takes at most 10 bytes, and only strings and the TDV and
+   predicate lists grow. *)
+let size_bound (ev : Trace.event) =
+  let str s = 10 + String.length s in
+  match ev with
+  | Meta { protocol; env; mode; _ } -> 21 + str protocol + str env + str mode
+  | Ckpt { tdv; preds; _ } ->
+      52
+      + (10 * Option.fold ~none:0 ~some:Array.length tdv)
+      + List.fold_left (fun acc p -> acc + str p) 0 preds
+  | Verdict { checker; _ } -> 2 + str checker
+  | Send _ | Deliver _ | Internal _ | Retransmit _ | Drop _ | Undeliverable _ | Rollback _
+  | Replay _ ->
+      51
+
+let oversized ev =
+  if size_bound ev <= max_frame then None
+  else begin
+    let w = W.create () in
+    encode_event w ev;
+    if W.length w > max_frame then Some (W.length w) else None
+  end
+
 let decode_payload r =
   match read_event r with
   | ev when R.remaining r = 0 -> Ok ev
@@ -397,6 +421,10 @@ let reopen ~dir ~gen:g ~valid_len =
   writer fd g
 
 let append w ev =
+  (match oversized ev with
+  | Some len ->
+      invalid_arg (Printf.sprintf "Wal.append: %d-byte event record exceeds max_frame" len)
+  | None -> ());
   w.unsynced <- w.unsynced + 1;
   add_record w.pending ev
 

@@ -14,6 +14,10 @@
 val version : int
 (** The format version {!create} writes (2).  {!read} also accepts 1. *)
 
+val max_frame : int
+(** The largest record payload, 1 MiB; {!read} takes a longer frame for
+    a torn tail. *)
+
 type header = {
   gen : int;
   base_events : int;  (** events already covered by snapshot [gen] *)
@@ -32,6 +36,11 @@ val decode_event : string -> (Rdt_obs.Trace.event, string) result
 (** Inverse of {!encode_event} on a whole payload.  A truncated payload,
     trailing bytes or an out-of-range tag is an [Error], never an
     exception. *)
+
+val oversized : Rdt_obs.Trace.event -> int option
+(** [Some len] if the event's payload of [len] bytes exceeds
+    {!max_frame}, so a reader would take its frame for a torn tail.
+    Encodes only an event whose strings or lists could reach the limit. *)
 
 val add_record : Codec.Writer.t -> Rdt_obs.Trace.event -> int
 (** Append one framed event record (length, payload, CRC) to the buffer;
@@ -84,7 +93,8 @@ val gen : writer -> int
 val append : writer -> Rdt_obs.Trace.event -> int
 (** Frame one event record into the pending buffer in memory
     ({!flush}/{!sync} move it to the kernel / to stable storage); returns
-    the record's framed size in bytes (for metering). *)
+    the record's framed size in bytes (for metering).
+    @raise Invalid_argument on an {!oversized} event, appending nothing. *)
 
 val flush : writer -> unit
 

@@ -24,26 +24,42 @@ let test_predicates_new_dep () =
   check "no new dep" false (Predicates.new_dep ~tdv:[| 2; 3 |] ~m_tdv:[| 2; 3 |]);
   check "new dep" true (Predicates.new_dep ~tdv:[| 2; 3 |] ~m_tdv:[| 2; 4 |])
 
+(* rows are packed bit words: with n = 3, one word per row and bit j
+   for P_j, so [| 0b100 |] is "sent to P2" *)
 let test_predicates_c1 () =
   let tdv = [| 1; 0; 0 |] and m_tdv = [| 1; 1; 0 |] in
-  let m_causal = Array.make_matrix 3 3 false in
+  let m_causal = Array.make 3 0 in
   (* no send yet: C1 cannot fire *)
-  check "no sends" false
-    (Predicates.c1 ~sent_to:[| false; false; false |] ~tdv ~m_tdv ~m_causal);
+  check "no sends" false (Predicates.c1 ~sent_to:[| 0 |] ~tdv ~m_tdv ~m_causal);
   (* sent to P2, new dep on P1, sender knows no sibling: fire *)
-  check "fires" true (Predicates.c1 ~sent_to:[| false; false; true |] ~tdv ~m_tdv ~m_causal);
+  check "fires" true (Predicates.c1 ~sent_to:[| 0b100 |] ~tdv ~m_tdv ~m_causal);
   (* sender knows the causal sibling C_{1,?} ~> C_{2,?}: no fire *)
-  m_causal.(1).(2) <- true;
-  check "sibling known" false
-    (Predicates.c1 ~sent_to:[| false; false; true |] ~tdv ~m_tdv ~m_causal)
+  m_causal.(1) <- 0b100;
+  check "sibling known" false (Predicates.c1 ~sent_to:[| 0b100 |] ~tdv ~m_tdv ~m_causal);
+  (* ... but not one towards P0, also sent to *)
+  check "other destination" true (Predicates.c1 ~sent_to:[| 0b101 |] ~tdv ~m_tdv ~m_causal)
+
+(* the row-word boundary: P_63 is bit 0 of a row's second word *)
+let test_predicates_c1_wide () =
+  let n = 70 in
+  let w = Rdt_core.Control.words ~n in
+  let tdv = Array.make n 0 in
+  let m_tdv = Array.init n (fun k -> if k = 64 then 1 else 0) in
+  let m_causal = Array.make (n * w) 0 in
+  let sent_to = Array.make w 0 in
+  sent_to.(1) <- 1;
+  check "two words per row" true (w = 2);
+  check "fires across the boundary" true (Predicates.c1 ~sent_to ~tdv ~m_tdv ~m_causal);
+  m_causal.((64 * w) + 1) <- 1;
+  check "sibling in the second word" false (Predicates.c1 ~sent_to ~tdv ~m_tdv ~m_causal)
 
 let test_predicates_c2 () =
   check "same interval, non simple" true
-    (Predicates.c2 ~pid:0 ~tdv:[| 3; 0 |] ~m_tdv:[| 3; 1 |] ~m_simple:[| false; true |]);
+    (Predicates.c2 ~pid:0 ~tdv:[| 3; 0 |] ~m_tdv:[| 3; 1 |] ~m_simple:[| 0b10 |]);
   check "same interval, simple" false
-    (Predicates.c2 ~pid:0 ~tdv:[| 3; 0 |] ~m_tdv:[| 3; 1 |] ~m_simple:[| true; true |]);
+    (Predicates.c2 ~pid:0 ~tdv:[| 3; 0 |] ~m_tdv:[| 3; 1 |] ~m_simple:[| 0b11 |]);
   check "older interval" false
-    (Predicates.c2 ~pid:0 ~tdv:[| 3; 0 |] ~m_tdv:[| 2; 1 |] ~m_simple:[| false; true |])
+    (Predicates.c2 ~pid:0 ~tdv:[| 3; 0 |] ~m_tdv:[| 2; 1 |] ~m_simple:[| 0b10 |])
 
 let test_predicates_c2' () =
   check "fires" true (Predicates.c2' ~pid:0 ~tdv:[| 3; 0 |] ~m_tdv:[| 3; 1 |]);
@@ -152,6 +168,123 @@ let test_bhmr_tdv_maintenance () =
   match B.tdv p1 with
   | Some v -> Alcotest.(check (array int)) "after ckpt" [| 1; 2 |] v
   | None -> Alcotest.fail "expected a TDV"
+
+(* ------------------------------------------------------------------ *)
+(* Packed BHMR against the bool-matrix model                           *)
+(* ------------------------------------------------------------------ *)
+
+module Model = Rdt_test_helpers.Bhmr_model
+
+(* one step of a schedule, its operands reduced modulo what exists *)
+type step = Ckpt of int | Send of int * int | Deliver of int
+
+let step_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (1, map (fun p -> Ckpt p) nat);
+        (3, map2 (fun p q -> Send (p, q)) nat nat);
+        (3, map (fun i -> Deliver i) nat);
+      ])
+
+let schedule_arbitrary =
+  let print (variant, n, steps) =
+    Printf.sprintf "%s n=%d, %d steps"
+      (match variant with Model.Full -> "bhmr" | V1 -> "bhmr-v1" | V2 -> "bhmr-v2")
+      n (List.length steps)
+  in
+  QCheck.make ~print
+    QCheck.Gen.(
+      triple
+        (oneofl [ Model.Full; V1; V2 ])
+        (oneofl [ 2; 16; 62; 63; 64; 127 ])
+        (list_size (int_range 0 300) step_gen))
+
+let packed_agrees_with_model (m : Model.state) (p : Rdt_core.Bhmr.state) =
+  let n = m.Model.n and mem = Control.mem in
+  let w = Control.words ~n in
+  let row_agrees bools packed ~at =
+    Array.for_all Fun.id (Array.mapi (fun j b -> mem packed ~at j = b) bools)
+    (* the bits past [n] in the row's last word stay clear *)
+    && (n mod Control.bits = 0 || packed.(at + w - 1) lsr (n mod Control.bits) = 0)
+  in
+  p.tdv = m.tdv
+  && row_agrees m.sent_to p.sent_to ~at:0
+  && (if m.variant = Full then row_agrees m.simple p.simple ~at:0 else p.simple = [||])
+  && Array.length p.causal = n * w
+  && Array.for_all Fun.id (Array.mapi (fun k row -> row_agrees row p.causal ~at:(k * w)) m.causal)
+
+(* Drive the packed protocol and the model through the same schedule.
+   Processes are drawn half the time from either side of the row-word
+   boundaries, so their bits sit at the edges of the words. *)
+let packed_bhmr_matches_model =
+  QCheck.Test.make ~name:"packed BHMR state, forcing and predicates = bool-matrix model"
+    ~count:150 schedule_arbitrary (fun (variant, n, steps) ->
+      let module B = (val Rdt_core.Bhmr.protocol variant) in
+      let hot = List.sort_uniq compare (List.filter (fun p -> p < n) [ 0; 1; 62; 63; 64; n - 1 ]) in
+      let pick x =
+        if x land 1 = 0 then List.nth hot (x / 2 mod List.length hot) else x / 2 mod n
+      in
+      let model = Array.init n (fun pid -> Model.create variant ~n ~pid) in
+      let packed = Array.init n (fun pid -> B.create ~n ~pid) in
+      let checkpoint p =
+        Model.on_checkpoint model.(p);
+        B.on_checkpoint packed.(p)
+      in
+      for p = 0 to n - 1 do
+        checkpoint p
+      done;
+      let in_flight = ref [] in
+      let fail fmt = Printf.ksprintf (fun s -> QCheck.Test.fail_report s) fmt in
+      let agree i p =
+        if not (packed_agrees_with_model model.(p) packed.(p)) then
+          fail "step %d: P%d's packed state differs from the model" i p
+      in
+      let mask_of named =
+        List.fold_left
+          (fun acc (name, v) ->
+            let i = ref 0 in
+            while Predicates.names.(!i) <> name do
+              incr i
+            done;
+            if v then acc lor (1 lsl !i) else acc)
+          0 named
+      in
+      List.iteri
+        (fun i step ->
+          match step with
+          | Ckpt x ->
+              let p = pick x in
+              checkpoint p;
+              agree i p
+          | Send (x, y) ->
+              let p = pick x in
+              let q = (p + 1 + (y mod (n - 1))) mod n in
+              let mm = Model.make_payload model.(p) ~dst:q in
+              let pm = B.make_payload packed.(p) ~dst:q in
+              in_flight := !in_flight @ [ (p, q, mm, pm) ];
+              agree i p
+          | Deliver _ when !in_flight = [] -> ()
+          | Deliver x ->
+              let k = x mod List.length !in_flight in
+              let src, dst, mm, pm = List.nth !in_flight k in
+              in_flight := List.filteri (fun j _ -> j <> k) !in_flight;
+              let named = Model.predicates model.(dst) mm in
+              let mask = B.predicates packed.(dst) ~src pm in
+              if B.evaluated <> mask_of (List.map (fun (name, _) -> (name, true)) named) then
+                fail "evaluated mask %d differs from the model's predicates" B.evaluated;
+              if mask <> mask_of named then
+                fail "step %d: predicate mask %d, model %d" i mask (mask_of named);
+              let force = Model.must_force model.(dst) mm in
+              if B.must_force packed.(dst) ~src pm <> force then
+                fail "step %d: must_force differs from the model (%b)" i force;
+              if force then checkpoint dst;
+              Model.absorb model.(dst) ~src mm;
+              B.absorb packed.(dst) ~src pm;
+              agree i dst)
+        steps;
+      Array.iteri (fun p _ -> agree (List.length steps) p) model;
+      true)
 
 let test_simple_protocols_forcing_rules () =
   (* CBR forces on any delivery into a non-fresh interval *)
@@ -599,9 +732,8 @@ let violating_protocol : Protocol.t =
     let absorb () ~src:_ _ = ()
     let tdv () = None
     let payload_bits ~n:_ = 0
-
-    let predicates () ~src:_ _ =
-      [ ("c1", true); ("c2", true); ("c2'", true); ("c_fdas", false); ("c_fdi", true) ]
+    let evaluated = Predicates.(c1_bit lor c2_bit lor c2'_bit lor c_fdas_bit lor c_fdi_bit)
+    let predicates () ~src:_ _ = Predicates.(c1_bit lor c2_bit lor c2'_bit lor c_fdi_bit)
   end)
 
 let test_hierarchy_violations_sorted () =
@@ -708,6 +840,7 @@ let () =
         [
           Alcotest.test_case "new_dep" `Quick test_predicates_new_dep;
           Alcotest.test_case "c1" `Quick test_predicates_c1;
+          Alcotest.test_case "c1 across row words" `Quick test_predicates_c1_wide;
           Alcotest.test_case "c2" `Quick test_predicates_c2;
           Alcotest.test_case "c2'" `Quick test_predicates_c2';
           Alcotest.test_case "fdas/fdi" `Quick test_predicates_fdas_fdi;
@@ -721,6 +854,7 @@ let () =
           Alcotest.test_case "bhmr C1 fires without knowledge" `Quick
             test_bhmr_c1_fires_without_knowledge;
           Alcotest.test_case "bhmr TDV maintenance" `Quick test_bhmr_tdv_maintenance;
+          qt packed_bhmr_matches_model;
           Alcotest.test_case "event-pattern protocols" `Quick test_simple_protocols_forcing_rules;
           Alcotest.test_case "bcs index rule" `Quick test_bcs_scenario;
           Alcotest.test_case "registry" `Quick test_registry;

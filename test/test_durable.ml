@@ -300,6 +300,50 @@ let test_torn_wal_tail () =
       | Error e -> Alcotest.fail e
       | Ok rr -> check "tail truncated on reopen" true (rr.Wal.torn = None))
 
+(* An event whose WAL record would exceed [Wal.max_frame] used to be
+   appended anyway, and a reader then took its frame for a torn tail and
+   cut the segment there.  It is refused before the engine sees it:
+   nothing in memory or on disk changes, and the stream goes on. *)
+let test_oversized_event_refused () =
+  let events, _ = trace_of ~envname:"random" ~seed:34 ~messages:60 ~n:4 "bhmr" in
+  let exp = uninterrupted events in
+  let meta protocol = Trace.Meta { n = 4; protocol; env = "random"; seed = 0; mode = "run" } in
+  let huge = meta (String.make Wal.max_frame 'x') in
+  check "1 MiB string: oversized" true (Wal.oversized huge <> None);
+  (* this Meta's payload is its protocol string plus 17 bytes *)
+  check "at the limit: fits" true
+    (Wal.oversized (meta (String.make (Wal.max_frame - 17) 'x')) = None);
+  check "one byte over" true
+    (Wal.oversized (meta (String.make (Wal.max_frame - 16) 'x')) = Some (Wal.max_frame + 1));
+  let files dir =
+    Sys.readdir dir |> Array.to_list |> List.sort compare
+    |> List.map (fun f ->
+           (f, In_channel.with_open_bin (Filename.concat dir f) In_channel.input_all))
+  in
+  with_dir (fun dir ->
+      Crashpoint.reset ();
+      let s, _ = Session.open_ ~config:(config 50) ~dir ~n:exp.n ~track_open:true () in
+      let half = List.length events / 2 in
+      List.iteri (fun i ev -> if i < half then Session.observe s ev) events;
+      Session.sync s;
+      let summary = Online.summary (Session.engine s) and on_disk = files dir in
+      (match Session.observe s huge with
+      | () -> Alcotest.fail "an oversized event was accepted"
+      | exception Online.Inconsistent _ -> ());
+      Session.sync s;
+      check "summary unchanged" true (Online.summary (Session.engine s) = summary);
+      check "on-disk state unchanged" true (files dir = on_disk);
+      feed_from s events;
+      Session.close s;
+      assert_equal_state "stream after the refusal" exp (Session.engine s);
+      List.iter
+        (fun gen ->
+          match Wal.read ~dir ~gen with
+          | Error e -> Alcotest.fail e
+          | Ok rr -> check "no torn tail" true (rr.Wal.torn = None))
+        (Wal.segments ~dir);
+      ignore (recover_and_check ~dir events exp))
+
 (* ------------------------------------------------------------------ *)
 (* Codec                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -779,6 +823,8 @@ let () =
           Alcotest.test_case "beyond recovery: typed Corrupt error" `Quick
             test_corrupt_beyond_recovery;
           Alcotest.test_case "torn WAL tail is truncated" `Quick test_torn_wal_tail;
+          Alcotest.test_case "oversized event refused, state unchanged" `Quick
+            test_oversized_event_refused;
         ] );
       ( "codec",
         [
