@@ -864,7 +864,7 @@ let watch_cmd =
         | Ok n -> (
             try
               let config =
-                { Rdt_durable.Session.default_config with Rdt_durable.Session.snapshot_every }
+                { Rdt_durable.Session.snapshot_every }
               in
               let s, info = Rdt_durable.Session.open_ ~config ~dir ~n ~track_open:true () in
               (match info with
@@ -1375,7 +1375,7 @@ let scale_cmd =
   in
   let action n messages seed jobs =
     let jobs = resolve_jobs jobs in
-    let params = { Rdt_harness.Scale.default_params with Rdt_harness.Scale.n; messages; seed } in
+    let params = { Rdt_harness.Scale.n; messages; seed } in
     (match Rdt_harness.Scale.validate_params params with
     | Ok () -> ()
     | Error m -> invalid_arg ("Cli: " ^ m));

@@ -398,14 +398,6 @@ let checkpoint t ~pid ~index =
   op_checkpoint t ~pid ~index;
   finish_step t
 
-let undeliverable t ~msg =
-  op_undeliverable t ~msg;
-  finish_step t
-
-let rollback t ~pid ~to_index =
-  op_rollback t ~pid ~to_index;
-  finish_step t
-
 let observe t (ev : Trace.event) =
   (match ev with
   | Meta _ | Verdict _ | Retransmit _ | Drop _ | Replay _ ->

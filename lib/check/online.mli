@@ -62,24 +62,6 @@ val observer : t -> Rdt_obs.Trace.t
     [Trace.tee]: hook the engine into any traced run without the
     instrumentation sites knowing. *)
 
-val feed : t -> Rdt_obs.Trace.event list -> unit
-
-val send : t -> msg:int -> src:int -> dst:int -> unit
-(** Direct (trace-free) event application; same effect as observing the
-    corresponding trace event. *)
-
-val deliver : t -> msg:int -> dst:int -> unit
-
-val internal : t -> pid:int -> unit
-
-val checkpoint : t -> pid:int -> index:int -> unit
-(** Take the next checkpoint of [pid]; [index] must be the next index in
-    program order (@raise Inconsistent otherwise). *)
-
-val undeliverable : t -> msg:int -> unit
-
-val rollback : t -> pid:int -> to_index:int -> unit
-
 (** {1 Per-event queries (amortized near-constant)} *)
 
 val rdt_so_far : t -> bool

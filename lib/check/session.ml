@@ -51,7 +51,6 @@ let close t =
     t.backend.close ()
   end
 
-let closed t = t.failed || t.released
 let summary t = Online.summary (engine t)
 
 (* The pattern of the surviving history.  The engine keeps no checkpoint

@@ -65,9 +65,6 @@ val sync : t -> unit
 val close : t -> unit
 (** Idempotent.  The engine remains queryable after close. *)
 
-val closed : t -> bool
-(** [true] after {!close} or after an inconsistent event. *)
-
 val summary : t -> Online.summary
 
 val pattern : t -> (Rdt_pattern.Pattern.t, string) result
@@ -163,9 +160,6 @@ end
     frames detectable; the trailing newline keeps captures greppable as
     JSONL. *)
 module Frame : sig
-  val max_payload : int
-  (** Frames larger than this are a protocol error (16 MiB). *)
-
   val encode : string -> string
 
   type decoder

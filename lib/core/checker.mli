@@ -90,6 +90,4 @@ val online_tdv_consistent : Rdt_pattern.Pattern.t -> bool
     exactly the vector the offline replay computes — i.e. the protocol's
     TDV maintenance is faithful. *)
 
-val pp_violation : Format.formatter -> violation -> unit
-
 val pp_report : Format.formatter -> report -> unit

@@ -7,7 +7,7 @@
     size each protocol is charged for is its own
     {!Protocol.S.payload_bits}.
 
-    A BHMR row of [n] booleans is packed into [words ~n] ints of [bits] =
+    A BHMR row of [n] booleans is packed into [words ~n] ints of
     63 bits: bit [k] is bit [k mod 63] of word [k / 63], and the bits
     past [n] stay clear.  [causal] is the [n] rows one after another.
 
@@ -19,7 +19,6 @@ type t =
   | Tdv of int array
   | Full of { tdv : int array; simple : int array; causal : int array }
 
-val bits : int
 val words : n:int -> int
 
 val mem : int array -> at:int -> int -> bool

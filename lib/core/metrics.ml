@@ -12,12 +12,7 @@ type t = {
   duration : int;
 }
 
-let total_checkpoints t = t.n + t.basic + t.forced
-
 let forced_per_basic t = if t.basic = 0 then 0.0 else float_of_int t.forced /. float_of_int t.basic
-
-let forced_per_message t =
-  if t.messages = 0 then 0.0 else float_of_int t.forced /. float_of_int t.messages
 
 let pp ppf t =
   Format.fprintf ppf

@@ -18,14 +18,8 @@ type t = {
   duration : int;  (** simulated time at the end of the run *)
 }
 
-val total_checkpoints : t -> int
-(** Initial + basic + forced (the final analysis checkpoints are not
-    counted — they are an artefact of pattern completion). *)
-
 val forced_per_basic : t -> float
 (** The paper's overhead measure: forced checkpoints per basic
     checkpoint. *)
-
-val forced_per_message : t -> float
 
 val pp : Format.formatter -> t -> unit

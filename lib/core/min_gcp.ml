@@ -11,8 +11,6 @@ let of_tdv pat (i, x) =
 
 let minimum pat c = Consistency.min_consistent_containing pat [ c ]
 
-let maximum pat c = Consistency.max_consistent_containing pat [ c ]
-
 let minimum_of_set pat cks = Consistency.min_consistent_containing pat cks
 
 let maximum_of_set pat cks = Consistency.max_consistent_containing pat cks

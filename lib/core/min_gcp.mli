@@ -17,9 +17,6 @@ val minimum : Rdt_pattern.Pattern.t -> Rdt_pattern.Types.ckpt_id -> int array op
 (** Brute-force minimum consistent global checkpoint containing the
     checkpoint; [None] if none exists (impossible under RDT). *)
 
-val maximum : Rdt_pattern.Pattern.t -> Rdt_pattern.Types.ckpt_id -> int array option
-(** Brute-force maximum consistent global checkpoint containing it. *)
-
 val minimum_of_set :
   Rdt_pattern.Pattern.t -> Rdt_pattern.Types.ckpt_id list -> int array option
 (** Minimum consistent global checkpoint containing a whole set (at most

@@ -48,8 +48,6 @@ val to_names : int -> string list
     [sent_to], [m_simple] and [m_causal] are packed rows in the layout
     of {!Control}. *)
 
-val new_dep : tdv:int array -> m_tdv:int array -> bool
-
 val c1 : sent_to:int array -> tdv:int array -> m_tdv:int array -> m_causal:int array -> bool
 (** Per [k] with a new dependency, one word AND-NOT per row word:
     [sent_to.(i) land lnot m_causal.(k * w + i) <> 0], with [w] the

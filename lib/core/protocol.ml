@@ -26,6 +26,4 @@ let describe (module P : S) = P.describe
 
 let ensures_rdt (module P : S) = P.ensures_rdt
 
-let ensures_no_useless (module P : S) = P.ensures_no_useless
-
 let payload_bits (module P : S) ~n = P.payload_bits ~n

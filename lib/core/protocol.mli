@@ -92,6 +92,4 @@ val describe : t -> string
 
 val ensures_rdt : t -> bool
 
-val ensures_no_useless : t -> bool
-
 val payload_bits : t -> n:int -> int

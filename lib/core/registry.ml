@@ -14,9 +14,6 @@ let all : Protocol.t list =
 
 let rdt_protocols = List.filter Protocol.ensures_rdt all
 
-let tdv_protocols : Protocol.t list =
-  [ (module Fdi); (module Fdas); Bhmr.v2; Bhmr.v1; Bhmr.full ]
-
 let find name = List.find_opt (fun p -> Protocol.name p = name) all
 
 let find_exn name =

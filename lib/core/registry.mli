@@ -10,10 +10,6 @@ val rdt_protocols : Protocol.t list
 (** The members of {!all} that guarantee RDT (everything except [bcs]
     and [none]). *)
 
-val tdv_protocols : Protocol.t list
-(** The protocols that maintain a transitive dependency vector:
-    [fdi], [fdas], [bhmr-v2], [bhmr-v1], [bhmr]. *)
-
 val find : string -> Protocol.t option
 (** Look up by {!Protocol.name}. *)
 

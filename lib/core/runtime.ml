@@ -323,15 +323,9 @@ let run cfg =
       ~time:(!now + Channel.sample rng cfg.channel)
       (Arrival { dst = m.dst; src = m.src; msg = id; payload = m.payload })
   in
-  (* Stop-and-wait: transmit, await the ack, retransmit with the window
-     transport's backoff and jitter, abandon after [max_retx] retries. *)
-  let rto k =
-    let f = min (tparams.Transport.backoff ** float_of_int k) 32.0 in
-    max 1 (int_of_float (float_of_int tparams.Transport.retx_timeout *. f))
-  in
-  let jitter () =
-    if tparams.Transport.jitter > 0 then Rng.int_in net_rng 0 tparams.Transport.jitter else 0
-  in
+  (* Stop-and-wait: transmit, await the ack, retransmit after
+     [Transport.rto] plus [Transport.jitter], abandon after [max_retx]
+     retries. *)
   let drop ~src ~dst =
     incr packets_dropped;
     if Trace.on tr then Trace.emit tr (Drop { src; dst; time = !now })
@@ -378,7 +372,7 @@ let run cfg =
     end;
     through ~src:m.src ~dst:m.dst (Packet id);
     Event_queue.schedule queue
-      ~time:(!now + rto (m.attempts - 1) + jitter ())
+      ~time:(!now + Transport.rto tparams (m.attempts - 1) + Transport.jitter tparams net_rng)
       (Retx { msg = id; gen = m.gen })
   in
   (* (re)arms the loop; while the sender is down only the pending ack is

@@ -18,9 +18,3 @@ let sample rng = function
   | Fixed d -> d
   | Uniform (lo, hi) -> Rng.int_in rng lo hi
   | Bimodal { fast; slow; slow_prob } -> if Rng.bernoulli rng slow_prob then slow else fast
-
-let pp ppf = function
-  | Fixed d -> Format.fprintf ppf "fixed(%d)" d
-  | Uniform (lo, hi) -> Format.fprintf ppf "uniform(%d,%d)" lo hi
-  | Bimodal { fast; slow; slow_prob } ->
-      Format.fprintf ppf "bimodal(fast=%d,slow=%d,p=%.2f)" fast slow slow_prob

@@ -24,5 +24,3 @@ val sample : Rng.t -> spec -> int
 
 val validate : spec -> (unit, string) result
 (** Checks bounds are positive and ordered. *)
-
-val pp : Format.formatter -> spec -> unit

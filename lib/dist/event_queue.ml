@@ -23,6 +23,4 @@ let peek_time q =
   | None -> None
   | Some e -> Some e.time
 
-let length q = Heap.length q.heap
-
 let is_empty q = Heap.is_empty q.heap

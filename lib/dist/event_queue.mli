@@ -19,6 +19,4 @@ val pop : 'a t -> (int * 'a) option
 val peek_time : 'a t -> int option
 (** Time of the next event, if any. *)
 
-val length : 'a t -> int
-
 val is_empty : 'a t -> bool

@@ -6,8 +6,6 @@ type 'a t = {
 
 let create ~cmp = { cmp; data = [||]; size = 0 }
 
-let length h = h.size
-
 let is_empty h = h.size = 0
 
 let grow h x =
@@ -62,16 +60,3 @@ let pop h =
     end;
     Some top
   end
-
-let pop_exn h =
-  match pop h with
-  | Some x -> x
-  | None -> invalid_arg "Heap.pop_exn: empty heap"
-
-let clear h =
-  h.data <- [||];
-  h.size <- 0
-
-let to_list h =
-  let rec loop i acc = if i < 0 then acc else loop (i - 1) (h.data.(i) :: acc) in
-  loop (h.size - 1) []

@@ -9,9 +9,6 @@ type 'a t
 val create : cmp:('a -> 'a -> int) -> 'a t
 (** [create ~cmp] is an empty heap ordered by [cmp] (smallest first). *)
 
-val length : 'a t -> int
-(** Number of elements currently stored. *)
-
 val is_empty : 'a t -> bool
 
 val add : 'a t -> 'a -> unit
@@ -22,11 +19,3 @@ val peek : 'a t -> 'a option
 
 val pop : 'a t -> 'a option
 (** [pop h] removes and returns the minimum element. *)
-
-val pop_exn : 'a t -> 'a
-(** Like {!pop}. @raise Invalid_argument on an empty heap. *)
-
-val clear : 'a t -> unit
-
-val to_list : 'a t -> 'a list
-(** [to_list h] is a snapshot of the contents in unspecified order. *)

@@ -10,8 +10,6 @@ let mix64 z =
 
 let create seed = { state = mix64 (Int64.of_int seed) }
 
-let copy t = { state = t.state }
-
 let bits64 t =
   t.state <- Int64.add t.state golden_gamma;
   mix64 t.state
@@ -58,14 +56,6 @@ let bernoulli t p =
   if p <= 0.0 then false
   else if p >= 1.0 then true
   else float t 1.0 < p
-
-let geometric t p =
-  if p <= 0.0 || p > 1.0 then invalid_arg "Rng.geometric: p out of (0,1]";
-  if p >= 1.0 then 0
-  else
-    let u = float t 1.0 in
-    let u = if u <= 0.0 then epsilon_float else u in
-    int_of_float (Float.of_int 0 +. floor (log u /. log (1.0 -. p)))
 
 let exponential_int t ~mean =
   if mean <= 0 then invalid_arg "Rng.exponential_int: mean must be positive";

@@ -13,10 +13,6 @@ val create : int -> t
 (** [create seed] returns a fresh generator.  Two generators created from
     the same seed produce the same stream. *)
 
-val copy : t -> t
-(** [copy t] is an independent generator that continues the exact stream of
-    [t] (useful to replay a run without disturbing [t]). *)
-
 val split : t -> t
 (** [split t] derives a new generator statistically independent from the
     future output of [t].  [t] is advanced. *)
@@ -29,9 +25,6 @@ val derive_seed : int -> string -> int
     results are independent of the order (or parallelism) in which cells
     run.  Deterministic; distinct labels give statistically independent
     streams. *)
-
-val bits64 : t -> int64
-(** [bits64 t] is the next raw 64-bit output. *)
 
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)].  @raise Invalid_argument if
@@ -49,11 +42,6 @@ val bool : t -> bool
 
 val bernoulli : t -> float -> bool
 (** [bernoulli t p] is [true] with probability [p] (clamped to [\[0;1\]]). *)
-
-val geometric : t -> float -> int
-(** [geometric t p] is the number of Bernoulli([p]) failures before the
-    first success, i.e. a discrete waiting time with mean [(1-p)/p].
-    @raise Invalid_argument if [p <= 0. || p > 1.]. *)
 
 val exponential_int : t -> mean:int -> int
 (** [exponential_int t ~mean] is an integer exponential waiting time with

@@ -37,12 +37,6 @@ let create ~shards ~seed ~lookahead () =
     horizon = 0;
   }
 
-let num_shards t = t.shards
-
-let lookahead t = t.lookahead
-
-let horizon t = t.horizon
-
 let check_shard t s what =
   if s < 0 || s >= t.shards then invalid_arg (Printf.sprintf "Shard.%s: shard %d out of range" what s)
 

@@ -38,14 +38,6 @@ val create : shards:int -> seed:int -> lookahead:int -> unit -> 'a t
     cross-shard message travels faster (checked at every {!post}).
     @raise Invalid_argument if [shards < 1] or [lookahead < 1]. *)
 
-val num_shards : 'a t -> int
-
-val lookahead : 'a t -> int
-
-val horizon : 'a t -> int
-(** Exclusive upper bound on event times {!step} may currently process;
-    advanced by {!exchange}. *)
-
 val schedule : 'a t -> shard:int -> time:int -> 'a -> unit
 (** Enqueue a local event on [shard].  Callable while seeding the
     simulation, or from a handler {e for the shard being stepped}. *)

@@ -120,13 +120,13 @@ let live_links t = Hashtbl.length t.links
 
 (* Timeout before retransmission number [k+1]: exponential backoff from the
    base timeout, capped at 32x so healing partitions are re-probed within a
-   bounded interval. *)
-let rto t k =
-  let f = float_of_int t.params.retx_timeout *. (t.params.backoff ** float_of_int k) in
-  let cap = t.params.retx_timeout * 32 in
-  max 1 (min cap (int_of_float f))
+   bounded interval.  The factor is capped before it multiplies: past 2^62
+   an uncapped product would overflow [int_of_float]. *)
+let rto p k =
+  let f = Float.min (p.backoff ** float_of_int k) 32.0 in
+  max 1 (int_of_float (float_of_int p.retx_timeout *. f))
 
-let jitter t = if t.params.jitter = 0 then 0 else Rng.int t.rng (t.params.jitter + 1)
+let jitter p rng = if p.jitter = 0 then 0 else Rng.int rng (p.jitter + 1)
 
 (* One transmission of [wire] from [src] to [dst] through the faulty
    network: an active partition silences the attempt; otherwise the packet
@@ -203,7 +203,9 @@ let send t ~now ~src ~dst msg =
   t.data_packets <- t.data_packets + 1;
   let acc = ref [] in
   through_network t ~now ~src ~dst (Data { src; dst; seq }) acc;
-  acc := Wire { at = now + rto t 0 + jitter t; wire = Retx_timer { src; dst; seq } } :: !acc;
+  acc :=
+    Wire { at = now + rto t.params 0 + jitter t.params t.rng; wire = Retx_timer { src; dst; seq } }
+    :: !acc;
   List.rev !acc
 
 let handle t ~now wire =
@@ -280,7 +282,11 @@ let handle t ~now wire =
             let acc = ref [] in
             through_network t ~now ~src ~dst (Data { src; dst; seq }) acc;
             acc :=
-              Wire { at = now + rto t e.retx + jitter t; wire = Retx_timer { src; dst; seq } }
+              Wire
+                {
+                  at = now + rto t.params e.retx + jitter t.params t.rng;
+                  wire = Retx_timer { src; dst; seq };
+                }
               :: !acc;
             List.rev !acc
           end)

@@ -94,6 +94,15 @@ val create :
     happen; it must not call back into the transport.
     @raise Invalid_argument on invalid [params]. *)
 
+val rto : params -> int -> int
+(** [rto params k] is the timeout before retransmission [k + 1]:
+    [retx_timeout * min (backoff ** k) 32], at least [1].  The one backoff
+    policy, shared by the stop-and-wait network of crash runs. *)
+
+val jitter : params -> Rng.t -> int
+(** [jitter params rng] is the seeded extra delay in [\[0; jitter\]]
+    added to each timeout; draws nothing when [jitter = 0]. *)
+
 val send : 'a t -> now:int -> src:int -> dst:int -> 'a -> 'a emit list
 (** Entrust a message to the transport.
     @raise Invalid_argument if [src = dst] or a pid is out of range. *)

@@ -3,9 +3,8 @@
    a handful of neighbours costs O(touched) words instead of O(n), which
    is what lets every in-flight message of the scaled engine carry a
    dependency vector.  Zero entries are never stored, so the
-   representation is canonical and [equal]/[compare] stay structural.
-   Sorted arrays — not a hash table — keep iteration deterministic
-   (lint rule D1) and the lattice operations simple linear merges. *)
+   representation is canonical.  Sorted arrays — not a hash table — keep
+   iteration deterministic (lint rule D1) and [merge] one linear pass. *)
 
 type t = {
   n : int;
@@ -18,22 +17,6 @@ let create ~n =
   if n <= 0 then invalid_arg "Vclock.create: n must be positive";
   { n; idx = [||]; vals = [||]; nnz = 0 }
 
-let of_array a =
-  let n = Array.length a in
-  let nnz = ref 0 in
-  Array.iter (fun x -> if x <> 0 then incr nnz) a;
-  let idx = Array.make !nnz 0 and vals = Array.make !nnz 0 in
-  let k = ref 0 in
-  Array.iteri
-    (fun i x ->
-      if x <> 0 then begin
-        idx.(!k) <- i;
-        vals.(!k) <- x;
-        incr k
-      end)
-    a;
-  { n; idx; vals; nnz = !nnz }
-
 let to_array v =
   let a = Array.make v.n 0 in
   for k = 0 to v.nnz - 1 do
@@ -42,8 +25,6 @@ let to_array v =
   a
 
 let copy v = { v with idx = Array.sub v.idx 0 v.nnz; vals = Array.sub v.vals 0 v.nnz }
-
-let size v = v.n
 
 let nnz v = v.nnz
 
@@ -91,11 +72,6 @@ let set v i x =
     if x = 0 then remove_at v k else v.vals.(k) <- x
   end
   else if x <> 0 then insert_at v k i x
-
-let incr v i =
-  check_index v i;
-  let k = lower_bound v i in
-  if k < v.nnz && v.idx.(k) = i then v.vals.(k) <- v.vals.(k) + 1 else insert_at v k i 1
 
 let iteri ~f v =
   for k = 0 to v.nnz - 1 do
@@ -157,53 +133,3 @@ let merge v w =
     done;
     v.nnz <- m
   end
-
-let leq v w =
-  if v.n <> w.n then invalid_arg "Vclock.leq: size mismatch";
-  let rec loop k = k >= v.nnz || (v.vals.(k) <= get w v.idx.(k) && loop (k + 1)) in
-  loop 0
-
-let equal v w =
-  v.n = w.n
-  && v.nnz = w.nnz
-  &&
-  let rec loop k = k >= v.nnz || (v.idx.(k) = w.idx.(k) && v.vals.(k) = w.vals.(k) && loop (k + 1)) in
-  loop 0
-
-let lt v w = leq v w && not (equal v w)
-
-let concurrent v w = (not (leq v w)) && not (leq w v)
-
-(* Lexicographic over the dense entries (sizes first), matching the old
-   [Stdlib.compare] on plain arrays. *)
-let compare v w =
-  if v.n <> w.n then Stdlib.compare v.n w.n
-  else begin
-    let i = ref 0 and j = ref 0 and r = ref 0 in
-    while !r = 0 && (!i < v.nnz || !j < w.nnz) do
-      let vi = if !i < v.nnz then v.idx.(!i) else max_int in
-      let wi = if !j < w.nnz then w.idx.(!j) else max_int in
-      if vi < wi then begin
-        (* v has a nonzero where w has 0 *)
-        r := 1;
-        Stdlib.incr i
-      end
-      else if wi < vi then begin
-        r := -1;
-        Stdlib.incr j
-      end
-      else begin
-        r := Stdlib.compare v.vals.(!i) w.vals.(!j);
-        Stdlib.incr i;
-        Stdlib.incr j
-      end
-    done;
-    !r
-  end
-
-let pp ppf v =
-  Format.fprintf ppf "[%a]"
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ";")
-       Format.pp_print_int)
-    (Array.to_list (to_array v))

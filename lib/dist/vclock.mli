@@ -2,7 +2,7 @@
 
     The transitive dependency vectors of the RDT protocols are vector clocks
     whose local entry counts checkpoint intervals instead of events; this
-    module provides the generic lattice operations shared by both uses. *)
+    module provides the join ({!merge}) both uses share. *)
 
 type t
 (** A vector of [n] non-negative counters.  Mutable. *)
@@ -10,15 +10,10 @@ type t
 val create : n:int -> t
 (** All entries zero. *)
 
-val of_array : int array -> t
-(** Takes ownership of a copy of the array. *)
-
 val to_array : t -> int array
 (** A fresh copy of the entries. *)
 
 val copy : t -> t
-
-val size : t -> int
 
 val nnz : t -> int
 (** Number of nonzero entries actually stored.  The sparse representation
@@ -33,25 +28,5 @@ val get : t -> int -> int
 
 val set : t -> int -> int -> unit
 
-val incr : t -> int -> unit
-(** [incr v i] bumps entry [i] (the "tick" of process [i]). *)
-
 val merge : t -> t -> unit
 (** [merge v w] sets [v] to the component-wise maximum of [v] and [w]. *)
-
-val leq : t -> t -> bool
-(** Pointwise order: [leq v w] iff every entry of [v] is [<=] in [w]. *)
-
-val lt : t -> t -> bool
-(** Strict causal order: [leq v w] and [v <> w]. *)
-
-val concurrent : t -> t -> bool
-(** Neither [leq v w] nor [leq w v]. *)
-
-val equal : t -> t -> bool
-
-val compare : t -> t -> int
-(** Total order (lexicographic) for use in ordered containers; not the
-    causal order. *)
-
-val pp : Format.formatter -> t -> unit

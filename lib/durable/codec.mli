@@ -97,9 +97,5 @@ module Reader : sig
 
   val skip : t -> int -> unit
 
-  val take : t -> int -> string
-  (** Exactly [len] raw bytes (frame payloads, whose length travels in a
-      fixed-width field outside the payload). *)
-
   val string_ : t -> string
 end

@@ -32,8 +32,6 @@ let disarm () = st.arm_at <- 0
 
 let hits () = st.hits
 
-let armed () = st.arm_at > 0
-
 let crash site = raise (Crash site)
 
 let hit site =

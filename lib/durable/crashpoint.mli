@@ -32,8 +32,6 @@ val hits : unit -> int
 (** Sites hit since the last {!reset}/{!arm} — a disarmed dry run over a
     workload yields the matrix bound. *)
 
-val armed : unit -> bool
-
 val hit : string -> unit
 (** Announce an atomic site (fsync, rename).  May raise {!Crash}. *)
 

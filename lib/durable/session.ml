@@ -44,9 +44,15 @@ module Online = Rdt_check.Online
 module Trace = Rdt_obs.Trace
 module Meter = Rdt_obs.Meter
 
-type config = { snapshot_every : int; wal_fsync_every : int; keep_snapshots : int }
+type config = { snapshot_every : int }
 
-let default_config = { snapshot_every = 1000; wal_fsync_every = 32; keep_snapshots = 2 }
+let default_config = { snapshot_every = 1000 }
+
+(* events between WAL fsyncs, and snapshot generations retained (>= 2:
+   recovery falls back to the older one when the newest is torn) *)
+let wal_fsync_every = 32
+
+let keep_snapshots = 2
 
 type recovery = {
   restored_gen : int option;  (** snapshot used; [None] = full-WAL replay *)
@@ -83,8 +89,6 @@ type t = {
 }
 
 let engine t = t.engine
-
-let dir t = t.dir
 
 let generation t = Wal.gen t.wal
 
@@ -265,7 +269,7 @@ let prune_snapshots t =
   match Snapshot.generations ~dir:t.dir with
   | [] -> ()
   | gens ->
-      List.iteri (fun i g -> if i >= t.config.keep_snapshots then Snapshot.remove ~dir:t.dir ~gen:g) gens
+      List.iteri (fun i g -> if i >= keep_snapshots then Snapshot.remove ~dir:t.dir ~gen:g) gens
 
 let install_snapshot t =
   Meter.time t.meter "durable.snapshot" (fun () ->
@@ -296,7 +300,7 @@ let observe t ev =
   Online.observe t.engine ev;
   t.unmetered <- t.unmetered + Wal.append t.wal ev;
   t.unsynced <- t.unsynced + 1;
-  if t.unsynced >= t.config.wal_fsync_every then sync t;
+  if t.unsynced >= wal_fsync_every then sync t;
   if Online.events_seen t.engine - t.base_events >= t.config.snapshot_every then
     install_snapshot t
 
@@ -319,8 +323,6 @@ let abort t =
 
 let open_ ?(config = default_config) ?(meter = Meter.default) ~dir ~n ~track_open () =
   if config.snapshot_every < 1 then invalid_arg "Session.open_: snapshot_every < 1";
-  if config.wal_fsync_every < 1 then invalid_arg "Session.open_: wal_fsync_every < 1";
-  if config.keep_snapshots < 2 then invalid_arg "Session.open_: keep_snapshots < 2";
   if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
   clean_tmp dir;
   (* a directory whose only content was a header-torn newest segment

@@ -5,8 +5,9 @@
     never deleted — a full replay from generation 0 is always the last
     fallback) and the newest few snapshot generations ([snap-<g>.bin]).
     {!observe} runs the engine first, then appends the event to the
-    active segment, fsyncing every [wal_fsync_every] events and
-    installing a fresh snapshot generation every [snapshot_every];
+    active segment, fsyncing every 32 events and installing a fresh
+    snapshot generation every [snapshot_every] (the newest two are
+    kept);
     a crash loses at most the un-synced tail, which the caller re-feeds
     (resume from {!Rdt_check.Online.events_seen} of the recovered
     {!engine}).
@@ -18,14 +19,10 @@
     durable prefix — the crash-matrix tests in [test/test_durable.ml]
     hold this for every crash site. *)
 
-type config = {
-  snapshot_every : int;  (** events between snapshot installs *)
-  wal_fsync_every : int;  (** events between WAL fsyncs *)
-  keep_snapshots : int;  (** snapshot generations retained (>= 2) *)
-}
+type config = { snapshot_every : int  (** events between snapshot installs *) }
 
 val default_config : config
-(** [{ snapshot_every = 1000; wal_fsync_every = 32; keep_snapshots = 2 }] *)
+(** [{ snapshot_every = 1000 }] *)
 
 type recovery = {
   restored_gen : int option;  (** snapshot used; [None] = full-WAL replay *)
@@ -77,14 +74,9 @@ val engine : t -> Rdt_check.Online.t
 (** Query freely ([summary], [violations], ...); do not feed it
     directly — events bypassing {!observe} would not be durable. *)
 
-val dir : t -> string
-
 val generation : t -> int
 (** Generation of the active WAL segment (= newest installed snapshot,
     0 before the first install). *)
-
-val sync : t -> unit
-(** Force the buffered WAL tail to stable storage now. *)
 
 val close : t -> unit
 (** Sync and release (idempotent). *)
@@ -96,6 +88,7 @@ val abort : t -> unit
 val checker_session : t -> Rdt_check.Session.t
 (** Adapt a durable session to the unified checker-session interface:
     [observe] is {!observe} (engine first, WAL second — an inconsistent
-    event is never persisted), [sync] is {!sync}, [close] is {!close}.
+    event is never persisted), [sync] forces the buffered WAL tail to
+    stable storage, [close] is {!close}.
     The adapter shares this session's state; drive a given session
     through one surface or the other, not both. *)

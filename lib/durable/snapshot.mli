@@ -8,9 +8,6 @@
     fsync(dir); the previous generation stays on disk as the fallback
     {!load} callers degrade to on checksum failure. *)
 
-val version : int
-(** Current wire-format version (encoded in the payload). *)
-
 val encode : Rdt_check.Online.Export.t -> string
 (** Full file image.  Deterministic: equal exports encode to identical
     bytes.  The reference {!Cache.image} must match byte for byte. *)
@@ -48,9 +45,6 @@ val decode : string -> (Rdt_check.Online.Export.t, string) result
 (** Validates magic, length and CRC before touching the payload; any
     damage comes back as [Error], never an exception or a wrong
     export. *)
-
-val filename : gen:int -> string
-(** [snap-<gen>.bin]. *)
 
 val path : dir:string -> gen:int -> string
 

@@ -49,9 +49,6 @@ val add_record : Codec.Writer.t -> Rdt_obs.Trace.event -> int
 
 (** {1 Files} *)
 
-val filename : gen:int -> string
-(** [wal-<gen>.log]. *)
-
 val path : dir:string -> gen:int -> string
 
 val segments : dir:string -> int list

@@ -13,8 +13,6 @@
 
 type mapper = { map : 'a 'b. ('a -> 'b) -> 'a list -> 'b list }
 
-val sequential : mapper
-
 type config = {
   seed : int;
   budget : int;

@@ -81,11 +81,6 @@ val pp : Format.formatter -> t -> unit
 
 (** {1 Codec} *)
 
-val encode : t -> string
-(** Single-line JSON. *)
-
-val decode : string -> (t, string) result
-
 val to_file : string -> t -> unit
 
 val of_file : string -> (t, string) result

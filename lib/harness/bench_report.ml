@@ -27,10 +27,6 @@ let record_obs ?(meter = Rdt_obs.Meter.default) t =
       (Rdt_obs.Meter.spans meter);
   t.counters <- Rdt_obs.Meter.counters meter
 
-let phases t = t.phases
-
-let counters t = t.counters
-
 let cells t = List.rev t.cells
 
 let micro t = List.rev t.micro

@@ -37,23 +37,8 @@ val record_obs : ?meter:Rdt_obs.Meter.t -> t -> unit
     counters, rendered as the [phases] and [counters] JSON sections.
     Call once, after the grid finishes. *)
 
-val phases : t -> (string * int * float) list
-(** [(span, calls, seconds)], sorted by span name. *)
-
-val counters : t -> (string * int) list
-
 val cells : t -> cell list
 (** In insertion (grid) order. *)
 
-val micro : t -> (string * float) list
-
-val per_protocol : t -> (string * float * int) list
-(** Total seconds and cell count per protocol, sorted by name: the run
-    cost each protocol contributes to the grid. *)
-
-val per_table : t -> (string * float * int) list
-
-val to_json : t -> string
-
 val write : string -> t -> unit
-(** [write path t] writes {!to_json} to [path]. *)
+(** [write path t] writes the report as JSON to [path]. *)

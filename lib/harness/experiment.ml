@@ -40,8 +40,6 @@ let run_once w protocol ~seed =
        ~basic_period:w.basic_period ~faults:w.faults ?transport:w.transport (w.make_env ())
        protocol)
 
-let verify_rdt (r : Runtime.result) = (Rdt_core.Checker.run r.Runtime.pattern).Rdt_core.Checker.rdt
-
 type aggregate = {
   forced : Stats.t;
   basic : Stats.t;
@@ -50,40 +48,9 @@ type aggregate = {
   forced_per_message : Stats.t;
 }
 
-let aggregate w protocol ~seeds =
-  let agg =
-    {
-      forced = Stats.create ();
-      basic = Stats.create ();
-      messages = Stats.create ();
-      forced_per_basic = Stats.create ();
-      forced_per_message = Stats.create ();
-    }
-  in
-  List.iter
-    (fun seed ->
-      let r = run_once w protocol ~seed in
-      let m = r.Runtime.metrics in
-      Stats.add agg.forced (float_of_int m.Rdt_core.Metrics.forced);
-      Stats.add agg.basic (float_of_int m.Rdt_core.Metrics.basic);
-      Stats.add agg.messages (float_of_int m.Rdt_core.Metrics.messages);
-      Stats.add agg.forced_per_basic (Rdt_core.Metrics.forced_per_basic m);
-      Stats.add agg.forced_per_message (Rdt_core.Metrics.forced_per_message m))
-    seeds;
-  agg
-
 let forced_ratio (r : Runtime.result) (baseline : Runtime.result) =
   let f = r.metrics.Rdt_core.Metrics.forced and fb = baseline.metrics.Rdt_core.Metrics.forced in
   if fb > 0 then Some (float_of_int f /. float_of_int fb) else None
-
-let ratio_vs_baseline w protocol ~baseline ~seeds =
-  let stats = Stats.create () in
-  List.iter
-    (fun seed ->
-      let rp = run_once w protocol ~seed in
-      Option.iter (Stats.add stats) (forced_ratio rp (run_once w baseline ~seed)))
-    seeds;
-  stats
 
 let default_seeds = List.init 10 (fun i -> i + 1)
 

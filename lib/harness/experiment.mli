@@ -36,9 +36,6 @@ val workload :
 val run_once : workload -> Rdt_core.Protocol.t -> seed:int -> Rdt_core.Runtime.result
 (** One run.  @raise Invalid_argument on unknown environment names. *)
 
-val verify_rdt : Rdt_core.Runtime.result -> bool
-(** Offline RDT check of the run's pattern. *)
-
 type aggregate = {
   forced : Stats.t;
   basic : Stats.t;
@@ -47,16 +44,9 @@ type aggregate = {
   forced_per_message : Stats.t;
 }
 
-val aggregate : workload -> Rdt_core.Protocol.t -> seeds:int list -> aggregate
-
 val forced_ratio : Rdt_core.Runtime.result -> Rdt_core.Runtime.result -> float option
 (** [forced_ratio r baseline] is the paired ratio forced(r)/forced(baseline)
     of two runs on one seed; [None] when the baseline forced nothing. *)
-
-val ratio_vs_baseline :
-  workload -> Rdt_core.Protocol.t -> baseline:Rdt_core.Protocol.t -> seeds:int list -> Stats.t
-(** Per-seed {!forced_ratio} of the protocol against the baseline; seeds
-    where the baseline forces nothing are skipped. *)
 
 val default_seeds : int list
 (** Seeds used by the shipped experiments: [1..10]. *)

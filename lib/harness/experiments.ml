@@ -739,7 +739,7 @@ let table_durable ?report ?(min_events = 5_000) () =
   let dir = scratch_path "rdt-durable-bench" "" in
   rm_rf dir;
   let config =
-    { Rdt_durable.Session.default_config with Rdt_durable.Session.snapshot_every = max 1 (nev / 8) }
+    { Rdt_durable.Session.snapshot_every = max 1 (nev / 8) }
   in
   let t0 = Rdt_obs.Meter.now () in
   let s, _ = Rdt_durable.Session.open_ ~config ~dir ~n ~track_open:true () in

@@ -22,8 +22,6 @@ type series = { label : string; points : point list }
 
 type figure = { id : string; title : string; xlabel : string; series : series list }
 
-val print_figure : figure -> unit
-
 (** {1 Figures} *)
 
 val fig_random : ?jobs:int -> ?report:Bench_report.t -> ?seeds:int list -> unit -> figure
@@ -59,17 +57,6 @@ val claim_ten_percent : ?jobs:int -> ?report:Bench_report.t -> ?seeds:int list -
     [1 - R(bhmr vs fdas)].  The paper claims at least 10% in its study;
     see EXPERIMENTS.md for where our reproduction meets it. *)
 
-val table_min_gcp : ?jobs:int -> ?report:Bench_report.t -> ?seeds:int list -> unit -> Table.t
-(** TAB-MINGCP: Corollary 4.5 validation — for each environment, the
-    fraction of checkpoints whose on-line TDV equals the brute-force
-    minimum consistent global checkpoint (expected 1.0 under every RDT
-    protocol), and the mean rollback span of that minimum. *)
-
-val table_ablation : ?jobs:int -> ?report:Bench_report.t -> ?seeds:int list -> unit -> Table.t
-(** ABLATION: which predicate fires how often, per protocol variant, on
-    the client-server workload — quantifying what each piece of
-    piggybacked knowledge buys. *)
-
 val table_recovery : ?jobs:int -> ?report:Bench_report.t -> ?seeds:int list -> unit -> Table.t
 (** TAB-RECOVERY (extension): what the guarantees buy at recovery time.
     For [none], [bcs], [fdas] and [bhmr] on a chatty workload: the
@@ -77,13 +64,6 @@ val table_recovery : ?jobs:int -> ?report:Bench_report.t -> ?seeds:int list -> u
     checkpoint), and — after crashing process 0 in the middle of the run —
     the fraction of their work the {e survivors} lose, the in-transit
     messages a logging layer must replay, and the events to re-execute. *)
-
-val table_coordinated : ?jobs:int -> ?report:Bench_report.t -> ?seeds:int list -> unit -> Table.t
-(** TAB-COORDINATED (extension): the introduction's contrast between
-    coordinated checkpointing ("at the price of synchronization by means
-    of additional control messages", Chandy-Lamport [3]) and CIC.  On the
-    random workload: checkpoints taken, control messages, and total
-    control overhead (marker traffic vs piggybacked bits) per approach. *)
 
 val table_breakeven : ?jobs:int -> ?report:Bench_report.t -> ?seeds:int list -> unit -> Table.t
 (** BREAK-EVEN (extension): when is the protocol's n² piggyback worth it?
@@ -93,13 +73,6 @@ val table_breakeven : ?jobs:int -> ?report:Bench_report.t -> ?seeds:int list -> 
     it pays, and the break-even checkpoint size above which bhmr's total
     overhead is lower. *)
 
-val table_goodput : ?jobs:int -> ?report:Bench_report.t -> ?seeds:int list -> unit -> Table.t
-(** TAB-GOODPUT (extension): online fault tolerance.  Under a fixed plan
-    of three crashes (random workload, n = 6), per protocol: events
-    undone by the rollbacks, messages replayed from logs, messages whose
-    sends were destroyed, and the surviving deliveries — live domino
-    effect versus surgical RDT recovery. *)
-
 val table_faults : ?jobs:int -> ?report:Bench_report.t -> ?seeds:int list -> unit -> Table.t
 (** TAB-FAULTS (extension): robustness of the protocol stack to an
     unreliable network.  For bhmr over the reliable-delivery transport
@@ -108,67 +81,6 @@ val table_faults : ?jobs:int -> ?report:Bench_report.t -> ?seeds:int list -> uni
     retransmissions per application message, and the messages abandoned
     as undeliverable (0 at these rates).  The drop = 0 row isolates the
     effect of the transport's FIFO links alone. *)
-
-val table_online : ?report:Bench_report.t -> ?min_events:int -> unit -> Table.t
-(** BENCH-ONLINE (extension): amortized per-event cost of the
-    incremental online checker on a >= [min_events]-event trace (default
-    5000), against the cost of one full offline re-check — the unit of
-    the "re-check after every event" strategy it replaces.  With
-    [?report], records the [BENCH-ONLINE] cell plus the
-    [online.ns_per_event], [online.offline_recheck_ns] and
-    [online.speedup_vs_offline] micro entries, and the streamed events
-    feed the [checker.online] span and [checker.online_events] counter
-    via the metered {!Rdt_core.Checker.run} entry point. *)
-
-val table_durable : ?report:Bench_report.t -> ?min_events:int -> unit -> Table.t
-(** BENCH-DURABLE (extension): per-event cost of crash-safe checker
-    state ({!Rdt_durable.Session}: write-ahead log + periodic snapshot
-    generations) against the plain in-memory engine on the same
-    >= [min_events]-event trace, plus a recovery pass over what was just
-    written (asserting the recovered summary equals the uninterrupted
-    one).  With [?report], records the [BENCH-DURABLE] cell and the
-    [durable.ns_per_event] / [durable.overhead_vs_online] micros; the
-    session itself meters the [durable.snapshot] span and the
-    [wal.fsync] / [wal.bytes] / [recovery.replayed_events] counters into
-    {!Rdt_obs.Meter.default}, which {!Bench_report.record_obs} snapshots
-    into [BENCH_results.json]. *)
-
-val table_fuzz : ?jobs:int -> ?report:Bench_report.t -> ?budget:int -> unit -> Table.t
-(** BENCH-FUZZ (extension): throughput of the adversarial scenario
-    fuzzer ({!Rdt_fuzz.Fuzzer}) over a [budget]-scenario campaign run on
-    the deterministic domain pool.  On a healthy tree every scenario
-    must pass all cross-checks; a failure raises [Invalid_argument] with
-    the scenario index and classification, making the bench double as a
-    regression gate.  With [?report], records the [BENCH-FUZZ] cell and
-    the [fuzz.scenarios_per_sec] micro; the campaign itself meters the
-    [fuzz.campaign] / [fuzz.exec] spans and the [fuzz.*] counters into
-    {!Rdt_obs.Meter.default}. *)
-
-val table_scale : ?jobs:int -> ?report:Bench_report.t -> ?params:Scale.params -> unit -> Table.t
-(** BENCH-SCALE (extension): throughput of the sharded event core
-    ({!Scale}) on the checkpoint-before-receive ring workload — by
-    default {!Scale.default_params}: n = 10_000 processes, 10^6
-    messages.  The table carries the deterministic run fields (event
-    count, forced checkpoints, checksum) next to the two throughput
-    figures; rerunning with a different [?jobs] changes only the
-    timings, never the deterministic columns.  With [?report], records
-    the [BENCH-SCALE] cell and the [scale.events_per_sec] /
-    [scale.bytes_per_process] micros. *)
-
-val table_serve :
-  ?jobs:int -> ?report:Bench_report.t -> ?streams:int -> ?min_events:int -> unit -> Table.t
-(** BENCH-SERVE (extension): the full [rdtsim serve] client/daemon path
-    in-process — [streams] clients each stream the same recorded
-    ~[min_events]-event trace to an {!Rdt_serve.Server} over a real
-    Unix socket (framing, versioned codec, bounded-queue backpressure,
-    batched apply fanned out over [jobs] domains), then ask live
-    queries (summary + a Corollary 4.5 minimum-GCP) and close.  Doubles
-    as a gate: every served verdict must equal the serial
-    [Online.check_trace] baseline, or the bench raises.  With
-    [?report], records the [BENCH-SERVE] cell and the
-    [serve.events_per_sec] / [serve.query_ns] micros; the server
-    meters the [serve.*] counters and spans into
-    {!Rdt_obs.Meter.default}. *)
 
 (** {1 Everything} *)
 

@@ -1,5 +1,3 @@
-let cpu_count () = max 1 (Domain.recommended_domain_count ())
-
 let max_jobs = 128
 
 let default_jobs () =

@@ -15,9 +15,6 @@
     index is re-raised (with its backtrace) after all workers have
     joined, so failure behaviour is also independent of scheduling. *)
 
-val cpu_count : unit -> int
-(** Recommended worker count for this machine. *)
-
 val default_jobs : unit -> int
 (** The [RDT_JOBS] environment variable when set to a positive integer
     (clamped to [128]), else [1].  CLI entry points use this as the

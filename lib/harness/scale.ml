@@ -2,21 +2,19 @@ module Shard = Rdt_dist.Shard
 module Rng = Rdt_dist.Rng
 module Vclock = Rdt_dist.Vclock
 
-type params = {
-  n : int;
-  messages : int;
-  seed : int;
-  hop_span : int;
-  basic_ckpt_every : int;
-}
+type params = { n : int; messages : int; seed : int }
 
-let default_params = { n = 10_000; messages = 1_000_000; seed = 1; hop_span = 8; basic_ckpt_every = 8 }
+let default_params = { n = 10_000; messages = 1_000_000; seed = 1 }
+
+(* Destinations are ring neighbours within this span; a process takes a
+   basic checkpoint every this many sends. *)
+let hop_span = 8
+
+let basic_ckpt_every = 8
 
 let validate_params p =
   if p.n < 2 then Error "n must be >= 2"
   else if p.messages < 0 then Error "messages must be >= 0"
-  else if p.hop_span < 1 then Error "hop_span must be >= 1"
-  else if p.basic_ckpt_every < 1 then Error "basic_ckpt_every must be >= 1"
   else Ok ()
 
 (* A function of n alone — the partition of processes over shards (and
@@ -127,11 +125,11 @@ let handler e shard ~time ev =
       let rng = e.rngs.(p) in
       let n = e.params.n in
       (* basic checkpoints pace with the send counter, before the send *)
-      if e.sent_p.(p) > 0 && e.sent_p.(p) mod e.params.basic_ckpt_every = 0 && e.sent_since_ckpt.(p) > 0
+      if e.sent_p.(p) > 0 && e.sent_p.(p) mod basic_ckpt_every = 0 && e.sent_since_ckpt.(p) > 0
       then take_ckpt e ~shard ~time p ~forced:false;
       (* ring-local destination: bounded causal spread keeps vectors
          sparse; the span clamp keeps dst <> p however small n is *)
-      let hop = Rng.int_in rng 1 (min e.params.hop_span (n - 1)) in
+      let hop = Rng.int_in rng 1 (min hop_span (n - 1)) in
       let dst = if Rng.bool rng then (p + hop) mod n else (p - hop + n) mod n in
       (* globally unique id from the per-process quota ceiling *)
       let msg = (p * ((e.params.messages / e.params.n) + 1)) + e.sent_p.(p) in

@@ -19,21 +19,14 @@ type params = {
   n : int;  (** processes (>= 2) *)
   messages : int;  (** total messages sent across the run (>= 0) *)
   seed : int;
-  hop_span : int;  (** destinations are ring neighbours within this span (>= 1) *)
-  basic_ckpt_every : int;
-      (** a process takes a basic checkpoint every this many sends (>= 1) *)
 }
+(** Destinations are ring neighbours within 8 hops, and every process
+    takes a basic checkpoint every 8 sends. *)
 
 val default_params : params
-(** n = 10_000, messages = 1_000_000, seed = 1, hop_span = 8,
-    basic_ckpt_every = 8. *)
+(** n = 10_000, messages = 1_000_000, seed = 1. *)
 
 val validate_params : params -> (unit, string) result
-
-val shards_for : int -> int
-(** Shard count used for an [n]-process run — a function of [n] only,
-    so the event partition (and thus the output) never depends on the
-    worker count. *)
 
 type result = {
   shards : int;

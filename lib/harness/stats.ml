@@ -1,22 +1,12 @@
-type t = {
-  mutable count : int;
-  mutable mean : float;
-  mutable m2 : float;
-  mutable min : float;
-  mutable max : float;
-}
+type t = { mutable count : int; mutable mean : float; mutable m2 : float }
 
-let create () = { count = 0; mean = 0.0; m2 = 0.0; min = infinity; max = neg_infinity }
+let create () = { count = 0; mean = 0.0; m2 = 0.0 }
 
 let add t x =
   t.count <- t.count + 1;
   let delta = x -. t.mean in
   t.mean <- t.mean +. (delta /. float_of_int t.count);
-  t.m2 <- t.m2 +. (delta *. (x -. t.mean));
-  if x < t.min then t.min <- x;
-  if x > t.max then t.max <- x
-
-let count t = t.count
+  t.m2 <- t.m2 +. (delta *. (x -. t.mean))
 
 let mean t = if t.count = 0 then 0.0 else t.mean
 
@@ -27,21 +17,12 @@ let stddev t = sqrt (variance t)
 let ci95_half_width t =
   if t.count < 2 then 0.0 else 1.96 *. stddev t /. sqrt (float_of_int t.count)
 
-let min t = if t.count = 0 then invalid_arg "Stats.min: empty" else t.min
-
-let max t = if t.count = 0 then invalid_arg "Stats.max: empty" else t.max
-
-(* Chan-Golub-LeVeque pairwise combination of two Welford accumulators;
-   exact on counts, stable on moments.  Lets grid cells accumulate their
-   own Stats and the caller fold them in deterministic cell order. *)
 let merge ~into:a b =
   if b.count > 0 then begin
     if a.count = 0 then begin
       a.count <- b.count;
       a.mean <- b.mean;
-      a.m2 <- b.m2;
-      a.min <- b.min;
-      a.max <- b.max
+      a.m2 <- b.m2
     end
     else begin
       let na = float_of_int a.count and nb = float_of_int b.count in
@@ -49,9 +30,7 @@ let merge ~into:a b =
       let n = na +. nb in
       a.m2 <- a.m2 +. b.m2 +. (delta *. delta *. na *. nb /. n);
       a.mean <- a.mean +. (delta *. nb /. n);
-      a.count <- a.count + b.count;
-      if b.min < a.min then a.min <- b.min;
-      if b.max > a.max then a.max <- b.max
+      a.count <- a.count + b.count
     end
   end
 
@@ -59,5 +38,3 @@ let of_list xs =
   let t = create () in
   List.iter (add t) xs;
   t
-
-let pp ppf t = Format.fprintf ppf "%.4f ± %.4f (n=%d)" (mean t) (ci95_half_width t) t.count

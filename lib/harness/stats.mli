@@ -7,35 +7,19 @@ val create : unit -> t
 
 val add : t -> float -> unit
 
-val count : t -> int
-
 val mean : t -> float
 (** 0 when empty. *)
-
-val variance : t -> float
-(** Unbiased sample variance; 0 with fewer than two samples. *)
-
-val stddev : t -> float
 
 val ci95_half_width : t -> float
 (** Half-width of the 95% normal-approximation confidence interval on the
     mean ([1.96 * stddev / sqrt count]); 0 with fewer than two samples. *)
 
-val min : t -> float
-(** @raise Invalid_argument when empty. *)
-
-val max : t -> float
-(** @raise Invalid_argument when empty. *)
-
 val merge : into:t -> t -> unit
 (** [merge ~into:a b] folds [b]'s samples into [a] (Chan-Golub-LeVeque
     pairwise combination): afterwards [a] reports the statistics of both
-    sample sets together.  [b] is unchanged.  Exact for count/min/max;
-    mean and variance agree with element-wise {!add} up to the usual
-    floating-point reassociation.  Deterministic: merging the same
+    sample sets together.  [b] is unchanged.  Mean and variance agree
+    with element-wise {!add} up to the usual floating-point
+    reassociation.  Deterministic: merging the same
     accumulators in the same order always yields the same bits. *)
 
 val of_list : float list -> t
-
-val pp : Format.formatter -> t -> unit
-(** ["mean ± ci (n=..)"]. *)

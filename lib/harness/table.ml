@@ -1,31 +1,20 @@
-type line =
-  | Row of string list
-  | Separator
-
-type t = { header : string list; mutable lines : line list (* reversed *) }
+type t = { header : string list; mutable lines : string list list (* reversed *) }
 
 let create ~header = { header; lines = [] }
 
 let add_row t row =
   if List.length row <> List.length t.header then
     invalid_arg "Table.add_row: row width mismatch";
-  t.lines <- Row row :: t.lines
-
-let add_separator t = t.lines <- Separator :: t.lines
+  t.lines <- row :: t.lines
 
 let header t = t.header
 
-let rows t =
-  List.filter_map (function Row r -> Some r | Separator -> None) (List.rev t.lines)
+let rows t = List.rev t.lines
 
 let render t =
-  let rows = List.rev t.lines in
+  let rows = rows t in
   let widths = Array.of_list (List.map String.length t.header) in
-  List.iter
-    (function
-      | Separator -> ()
-      | Row r -> List.iteri (fun i c -> widths.(i) <- max widths.(i) (String.length c)) r)
-    rows;
+  List.iter (List.iteri (fun i c -> widths.(i) <- max widths.(i) (String.length c))) rows;
   let buf = Buffer.create 256 in
   let pad i c =
     let w = widths.(i) in
@@ -44,7 +33,7 @@ let render t =
   in
   emit_row t.header;
   rule ();
-  List.iter (function Separator -> rule () | Row r -> emit_row r) rows;
+  List.iter emit_row rows;
   Buffer.contents buf
 
 let print t = print_string (render t)

@@ -7,12 +7,10 @@ val create : header:string list -> t
 val add_row : t -> string list -> unit
 (** @raise Invalid_argument if the row width differs from the header. *)
 
-val add_separator : t -> unit
-
 val header : t -> string list
 
 val rows : t -> string list list
-(** The data rows in insertion order (separators omitted); the raw cells
+(** The data rows in insertion order; the raw cells
     the determinism tests compare across [--jobs] values. *)
 
 val render : t -> string

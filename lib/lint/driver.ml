@@ -10,7 +10,8 @@ let run ?(rules = Rules.all) ?(allowlist = Allowlist.empty) ?(obs_prefixes = [ "
     ?(excludes = []) ?(strict_allowlist = false) paths =
   let cmts = Loader.find_cmts ~excludes paths in
   let errors = ref [] in
-  (* pass 1: load every unit, so the callgraph spans the whole cmt set *)
+  (* pass 1: load every unit, so the callgraph and the reference index
+     span the whole cmt set *)
   let units =
     List.filter_map
       (fun cmt ->
@@ -27,6 +28,7 @@ let run ?(rules = Rules.all) ?(allowlist = Allowlist.empty) ?(obs_prefixes = [ "
     Callgraph.build (List.map (fun u -> (u.Loader.source, u.Loader.structure)) units)
   in
   let env = Summary.analyze graph in
+  let refs = Refs.build units in
   (* pass 2: the per-unit rule sweep *)
   let findings = ref [] in
   List.iter
@@ -42,7 +44,7 @@ let run ?(rules = Rules.all) ?(allowlist = Allowlist.empty) ?(obs_prefixes = [ "
         if not (Allowlist.allows allowlist ~rule ~file:f.Finding.file ~line:f.Finding.line)
         then findings := f :: !findings
       in
-      let ctx = { Rule.file = u.Loader.source; obs_prefixes; env; report } in
+      let ctx = { Rule.file = u.Loader.source; obs_prefixes; env; refs; report } in
       List.iter (fun (r : Rule.t) -> r.Rule.check ctx u.Loader.structure) rules)
     units;
   if strict_allowlist then

@@ -1,9 +1,9 @@
 (** Load every [.cmt] under the given paths and run the rule engine.
 
     Two passes: first every unit is loaded and the whole-set
-    [Callgraph] + [Summary] environment is computed (the
-    interprocedural rules need cross-unit resolution), then each unit
-    gets the per-unit rule sweep.  Paths are walked recursively;
+    [Callgraph] + [Summary] environment and the [Refs] index are
+    computed (the interprocedural rules and U1 need cross-unit
+    resolution), then each unit gets the per-unit rule sweep.  Paths are walked recursively;
     anything matching an [excludes] prefix — compared both against the
     on-disk walk path and against the source path recorded in the cmt —
     is skipped.  Findings are deduplicated and sorted (file, line, col,
@@ -18,9 +18,6 @@ type result = {
   errors : string list;  (** unreadable cmts: a hard failure, not a quiet skip *)
   units : int;  (** implementation units actually linted *)
 }
-
-val stale_rule : string
-(** ["STALE"], the synthetic rule id of stale-allowlist findings. *)
 
 val run :
   ?rules:Rule.t list ->

@@ -1,7 +1,9 @@
 type unit_info = {
   cmt_path : string;
   source : string;  (** as recorded by the compiler, relative to the workspace root *)
+  modname : string;
   structure : Typedtree.structure;
+  interface : Typedtree.signature option;
 }
 
 let excluded ~excludes path = List.exists (fun p -> String.starts_with ~prefix:p path) excludes
@@ -20,17 +22,40 @@ let find_cmts ~excludes paths =
   in
   List.fold_left walk [] paths |> List.sort_uniq String.compare
 
+let read path =
+  match Cmt_format.read_cmt path with
+  | exception e -> Error (Printf.sprintf "%s: cannot read cmt: %s" path (Printexc.to_string e))
+  | infos ->
+      let source = Option.value infos.Cmt_format.cmt_sourcefile ~default:path in
+      Ok (infos, source)
+
+(* the unit's [.cmti], which dune writes next to its [.cmt] *)
+let load_interface cmt_path =
+  let cmti = Filename.remove_extension cmt_path ^ ".cmti" in
+  if not (Sys.file_exists cmti) then Ok None
+  else
+    Result.map
+      (fun (infos, _) ->
+        match infos.Cmt_format.cmt_annots with Cmt_format.Interface sg -> Some sg | _ -> None)
+      (read cmti)
+
 let load cmt_path =
-  match Cmt_format.read_cmt cmt_path with
-  | exception e -> Error (Printf.sprintf "%s: cannot read cmt: %s" cmt_path (Printexc.to_string e))
-  | infos -> (
+  Result.bind (read cmt_path) (fun (infos, source) ->
       match infos.Cmt_format.cmt_annots with
       | Cmt_format.Implementation structure ->
-          let source =
-            match infos.Cmt_format.cmt_sourcefile with Some s -> s | None -> cmt_path
-          in
           (* dune-generated library alias modules ([lib__.ml-gen]) carry no
              user code *)
           if Filename.check_suffix source ".ml-gen" then Ok None
-          else Ok (Some { cmt_path; source; structure })
+          else
+            Result.map
+              (fun interface ->
+                Some
+                  {
+                    cmt_path;
+                    source;
+                    modname = infos.Cmt_format.cmt_modname;
+                    structure;
+                    interface;
+                  })
+              (load_interface cmt_path)
       | _ -> Ok None)

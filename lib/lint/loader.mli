@@ -8,7 +8,9 @@
 type unit_info = {
   cmt_path : string;
   source : string;  (** as recorded by the compiler, relative to the workspace root *)
+  modname : string;  (** the compiled module name, e.g. [Rdt_pattern__Bitset] *)
   structure : Typedtree.structure;
+  interface : Typedtree.signature option;  (** the [.mli]'s typed signature, if any *)
 }
 
 val excluded : excludes:string list -> string -> bool
@@ -20,6 +22,7 @@ val find_cmts : excludes:string list -> string list -> string list
 
 val load : string -> (unit_info option, string) result
 (** [Ok None] for interfaces, packed modules, partial cmts and dune's
-    generated library-alias modules; [Error _] if the file cannot be
-    read (version skew, truncation) — the driver treats that as a hard
-    error rather than silently linting less. *)
+    generated library-alias modules; [Error _] if the file (or the
+    unit's [.cmti]) cannot be read (version skew, truncation) — the
+    driver treats that as a hard error rather than silently linting
+    less. *)

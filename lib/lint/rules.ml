@@ -8,6 +8,7 @@ let all =
     Rule_l1.rule;
     Rule_a1.rule;
     Rule_a2.rule;
+    Rule_u1.rule;
   ]
 
 let find id =

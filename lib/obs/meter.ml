@@ -88,12 +88,3 @@ let spans t =
                  { calls = Atomic.get s.s_calls; seconds = float_of_int (Atomic.get s.s_nanos) /. 1e9 } )
          | Counter _ | Gauge _ -> None)
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-let reset t = with_lock t (fun () -> Hashtbl.reset t.cells)
-
-let pp ppf t =
-  let cs = counters t and ss = spans t in
-  List.iter (fun (name, v) -> Format.fprintf ppf "%-40s %d@." name v) cs;
-  List.iter
-    (fun (name, s) -> Format.fprintf ppf "%-40s %d calls, %.6f s@." name s.calls s.seconds)
-    ss

@@ -52,8 +52,3 @@ val counters : t -> (string * int) list
 
 val spans : t -> (string * span) list
 (** Timer spans, sorted by name. *)
-
-val reset : t -> unit
-(** Drop all cells (tests and repeated bench phases). *)
-
-val pp : Format.formatter -> t -> unit

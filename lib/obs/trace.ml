@@ -45,7 +45,7 @@ let kind_names =
 
 type ring_state = { cap : int; buf : event option array; mutable head : int }
 (* [head] is the slot of the next write; the ring holds the last
-   [min count cap] events ending at [head - 1]. *)
+   [min emitted cap] events ending at [head - 1]. *)
 
 type t = { sink : sink; mutable emitted : int }
 
@@ -60,8 +60,6 @@ let null = { sink = Null; emitted = 0 }
 
 let rec on t =
   match t.sink with Null -> false | Tee (a, b) -> on a || on b | Ring _ | Chan _ | Fun _ -> true
-
-let rec count t = match t.sink with Tee (a, b) -> count a + count b | _ -> t.emitted
 
 let ring ~capacity =
   if capacity <= 0 then invalid_arg "Trace.ring: capacity must be positive";
@@ -138,8 +136,6 @@ let encode ev =
   | Verdict { checker; rdt } ->
       Printf.sprintf "{\"ev\":\"verdict\",\"checker\":\"%s\",\"rdt\":%b}" (escape checker) rdt
 
-let pp_event ppf ev = Format.pp_print_string ppf (encode ev)
-
 let rec emit t ev =
   match t.sink with
   | Null -> ()
@@ -152,11 +148,8 @@ let rec emit t ev =
       t.emitted <- t.emitted + 1
   | Chan oc ->
       output_string oc (encode ev);
-      output_char oc '\n';
-      t.emitted <- t.emitted + 1
-  | Fun f ->
-      f ev;
-      t.emitted <- t.emitted + 1
+      output_char oc '\n'
+  | Fun f -> f ev
 
 let rec events t =
   match t.sink with
@@ -337,19 +330,6 @@ module Json = struct
   let parse s = match parse_exn s with v -> Ok v | exception Parse_error e -> Error e
 
   let member name = function Obj o -> List.assoc_opt name o | _ -> None
-
-  let rec to_string = function
-    | Null -> "null"
-    | Bool b -> if b then "true" else "false"
-    | Int i -> string_of_int i
-    | Float f -> Printf.sprintf "%.17g" f
-    | String s -> "\"" ^ escape s ^ "\""
-    | Arr items -> "[" ^ String.concat "," (List.map to_string items) ^ "]"
-    | Obj fields ->
-        "{"
-        ^ String.concat ","
-            (List.map (fun (k, v) -> "\"" ^ escape k ^ "\":" ^ to_string v) fields)
-        ^ "}"
 end
 
 let of_json j =

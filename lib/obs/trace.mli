@@ -83,10 +83,6 @@ val on : t -> bool
 
 val emit : t -> event -> unit
 
-val count : t -> int
-(** Events emitted so far ([0] for {!null}; for a ring this counts all
-    emissions, including overwritten ones). *)
-
 val ring : capacity:int -> t
 (** Keep the most recent [capacity] events in memory.
     @raise Invalid_argument if [capacity <= 0]. *)
@@ -107,7 +103,7 @@ val observer : (event -> unit) -> t
 
 val tee : t -> t -> t
 (** [tee a b] duplicates every emission to both recorders.  {!on} is the
-    disjunction, {!count} the sum, {!events} the concatenation of the
+    disjunction, {!events} the concatenation of the
     branches' retained events. *)
 
 (** {1 JSONL codec} *)
@@ -129,18 +125,11 @@ module Json : sig
 
   exception Parse_error of string
 
-  val parse_exn : string -> t
-  (** @raise Parse_error on malformed input (with the offset). *)
-
   val parse : string -> (t, string) result
 
   val member : string -> t -> t option
   (** Field lookup; [None] on missing field or non-object. *)
 
-  val to_string : t -> string
-  (** Serialize back to a single-line JSON document using the same
-      string escapes {!encode} produces. [parse_exn (to_string v)]
-      round-trips for every value {!parse_exn} can return. *)
 end
 
 val encode : event -> string
@@ -159,5 +148,3 @@ val decode : string -> (event, string) result
 val read_file : string -> (event list, string) result
 (** Decode a JSONL trace file; blank lines are skipped; the error names
     the offending line number. *)
-
-val pp_event : Format.formatter -> event -> unit

@@ -42,8 +42,6 @@ let create n =
   if n < 0 then invalid_arg "Bitset.create: negative capacity";
   { chunks = Array.make (slots_for n) None; capacity = n }
 
-let capacity t = t.capacity
-
 let ensure_capacity t n =
   if n > t.capacity then begin
     let old_slots = Array.length t.chunks in
@@ -84,7 +82,7 @@ let dense_of_sparse elts len =
   done;
   b
 
-(* ---- per-chunk add / mem / remove -------------------------------- *)
+(* ---- per-chunk add / mem ----------------------------------------- *)
 
 let chunk_add t slot low =
   match t.chunks.(slot) with
@@ -131,28 +129,6 @@ let add t i =
   check t i;
   chunk_add t (i lsr chunk_bits) (i land chunk_mask)
 
-let remove t i =
-  check t i;
-  match t.chunks.(i lsr chunk_bits) with
-  | None -> ()
-  | Some (Dense b) ->
-      let low = i land chunk_mask in
-      let w = low lsr 6 and bit = low land 63 in
-      Bytes.set_int64_le b (8 * w)
-        (Int64.logand (Bytes.get_int64_le b (8 * w))
-           (Int64.lognot (Int64.shift_left 1L bit)))
-  | Some (Sparse s) ->
-      let low = i land chunk_mask in
-      let p = lower_bound s.elts s.len low in
-      if p < s.len && s.elts.(p) = low then begin
-        Array.blit s.elts (p + 1) s.elts p (s.len - p - 1);
-        s.len <- s.len - 1
-      end
-
-(* ---- iteration ---------------------------------------------------- *)
-
-(* [f] on [base + k] for every set bit k of [half], a 32-bit word held
-   as a native int: nothing is boxed, so iteration allocates nothing. *)
 let rec bits_of_half f base half =
   if half <> 0 then begin
     if half land 1 <> 0 then f base;
@@ -176,86 +152,6 @@ let iter f t =
     chunk_iter f (slot lsl chunk_bits) t.chunks.(slot)
   done
 
-let fold f t init =
-  let acc = ref init in
-  iter (fun i -> acc := f i !acc) t;
-  !acc
-
-let to_list t = List.rev (fold (fun i acc -> i :: acc) t [])
-
-(* ---- cardinal / equality ----------------------------------------- *)
-
-let popcount64 x =
-  let x = Int64.sub x (Int64.logand (Int64.shift_right_logical x 1) 0x5555555555555555L) in
-  let x =
-    Int64.add
-      (Int64.logand x 0x3333333333333333L)
-      (Int64.logand (Int64.shift_right_logical x 2) 0x3333333333333333L)
-  in
-  let x = Int64.logand (Int64.add x (Int64.shift_right_logical x 4)) 0x0F0F0F0F0F0F0F0FL in
-  Int64.to_int (Int64.shift_right_logical (Int64.mul x 0x0101010101010101L) 56)
-
-let chunk_cardinal = function
-  | None -> 0
-  | Some (Sparse s) -> s.len
-  | Some (Dense b) ->
-      let total = ref 0 in
-      for w = 0 to chunk_words - 1 do
-        total := !total + popcount64 (Bytes.get_int64_le b (8 * w))
-      done;
-      !total
-
-let cardinal t =
-  let total = ref 0 in
-  Array.iter (fun c -> total := !total + chunk_cardinal c) t.chunks;
-  !total
-
-(* Equality is over contents, not representation: a sparse chunk, the
-   dense chunk it would promote to, an all-zero dense chunk and a missing
-   chunk can all describe the same set. *)
-let chunk_word base = function
-  | None -> 0L
-  | Some (Dense b) -> Bytes.get_int64_le b (8 * base)
-  | Some (Sparse s) ->
-      let lo = base * 64 in
-      let p = ref (lower_bound s.elts s.len lo) in
-      let word = ref 0L in
-      while !p < s.len && s.elts.(!p) < lo + 64 do
-        word := Int64.logor !word (Int64.shift_left 1L (s.elts.(!p) - lo));
-        incr p
-      done;
-      !word
-
-let equal a b =
-  a.capacity = b.capacity
-  &&
-  let slots = slots_for a.capacity in
-  let rec slot_eq slot =
-    slot >= slots
-    ||
-    let ca = a.chunks.(slot) and cb = b.chunks.(slot) in
-    let rec word_eq w =
-      w >= chunk_words || (chunk_word w ca = chunk_word w cb && word_eq (w + 1))
-    in
-    word_eq 0 && slot_eq (slot + 1)
-  in
-  slot_eq 0
-
-let copy t =
-  {
-    capacity = t.capacity;
-    chunks =
-      Array.map
-        (function
-          | None -> None
-          | Some (Dense b) -> Some (Dense (Bytes.sub b 0 (Bytes.length b)))
-          | Some (Sparse s) -> Some (Sparse { elts = Array.sub s.elts 0 (max 1 s.len); len = s.len }))
-        t.chunks;
-  }
-
-(* ---- union -------------------------------------------------------- *)
-
-(* OR a dense bitmap into [db] word by word; true iff [db] changed. *)
 let dense_or db sb =
   let changed = ref false in
   for w = 0 to chunk_words - 1 do

@@ -209,10 +209,6 @@ type cm_path = {
   target : Types.ckpt_id;
 }
 
-let pp_cm_path ppf p =
-  Format.fprintf ppf "%a ==[causal ..m%d ; m%d]==> %a" Types.pp_ckpt_id p.origin
-    p.prefix_end p.last_msg Types.pp_ckpt_id p.target
-
 let cm_paths pat =
   let msgs = Pattern.messages pat in
   let out = ref [] in

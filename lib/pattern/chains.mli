@@ -32,12 +32,6 @@ val causal_from_interval : Pattern.t -> Types.ckpt_id -> reach
 (** Chains whose first message is sent in exactly [I_{i,x}] (the strict
     Definition 3.3 start).  [x >= 1]; for [x = 0] the result is empty. *)
 
-val causal_after : Pattern.t -> Types.ckpt_id -> reach
-(** Chains whose first message is sent anywhere after [C_{i,x}] (i.e. in an
-    interval [>= x+1]).  [causal_after p (i, x-1)] therefore covers chains
-    from all intervals [>= x], which matches what a transitive dependency
-    vector can record about [C_{i,x}]. *)
-
 val causally_precedes : Pattern.t -> Types.ckpt_id -> Types.ckpt_id -> bool
 (** [causally_precedes p a b]: checkpoint [a] belongs to the causal past of
     checkpoint [b] (some causal chain sent after [a] is delivered before
@@ -48,10 +42,6 @@ val causally_precedes : Pattern.t -> Types.ckpt_id -> Types.ckpt_id -> bool
 val zpath_from_interval : Pattern.t -> Types.ckpt_id -> reach
 (** Z-paths whose first message is sent in exactly [I_{i,x}] — the chains
     realising R-paths out of [C_{i,x}]. *)
-
-val zigzag_after : Pattern.t -> Types.ckpt_id -> reach
-(** Z-paths whose first message is sent after [C_{i,x}] — the Netzer-Xu
-    zigzag relation. *)
 
 val zigzag : Pattern.t -> Types.ckpt_id -> Types.ckpt_id -> bool
 (** [zigzag p a b]: [a] zigzags to [b] ([Z-path] sent after [a], delivered
@@ -103,5 +93,3 @@ val pairwise_doubled : Pattern.t -> Tdv.t -> bool
     undoubled while every adjacent pair is — see the
     [pairwise_insufficient] fixture in the test suite.  This is why the
     characterization needs the full causal prefix of {!cm_paths}. *)
-
-val pp_cm_path : Format.formatter -> cm_path -> unit

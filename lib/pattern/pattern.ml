@@ -5,7 +5,6 @@ type t = {
   ckpts : Types.ckpt array array;
   msgs : Types.message array;
   sends : int array array; (* per process, message ids by send position *)
-  recvs : int array array; (* per process, message ids by delivery position *)
   mutable gorder : (Types.pid * int * Types.event) array option; (* cache *)
 }
 
@@ -190,44 +189,36 @@ module Builder = struct
                 recv_gseq = m.p_recv_gseq;
               })
     in
-    let sends = Array.make b.n [||] and recvs = Array.make b.n [||] in
-    for i = 0 to b.n - 1 do
-      let ss = ref [] and rs = ref [] in
-      Array.iter
-        (fun ev ->
-          match ev with
-          | Types.Send id -> ss := id :: !ss
-          | Types.Recv id -> rs := id :: !rs
-          | Types.Ckpt _ | Types.Internal -> ())
-        events.(i);
-      sends.(i) <- Array.of_list (List.rev !ss);
-      recvs.(i) <- Array.of_list (List.rev !rs)
-    done;
-    { n = b.n; events; gseqs; ckpts; msgs; sends; recvs; gorder = None }
+    let sends =
+      Array.map
+        (fun evs ->
+          Array.of_list
+            (Array.fold_right
+               (fun ev acc -> match ev with Types.Send id -> id :: acc | _ -> acc)
+               evs []))
+        events
+    in
+    { n = b.n; events; gseqs; ckpts; msgs; sends; gorder = None }
 end
 
 (* ------------------------------------------------------------------ *)
 (* Accessors                                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* Equality and ordering must ignore [gorder]: it is a lazily filled
+(* Equality must ignore [gorder]: it is a lazily filled
    cache, so two structurally identical patterns can differ on it (one
    was iterated, the other was not).  Polymorphic [=] on [t] sees the
-   cache and is therefore wrong; these are the only sanctioned
-   comparisons (the rdtlint D2 rule flags polymorphic compare at [t]).
+   cache and is therefore wrong; this is the only sanctioned
+   comparison (the rdtlint D2 rule flags polymorphic compare at [t]).
    Every remaining field is immutable first-order data, where structural
    comparison is exactly componentwise mathematical equality. *)
-let structure t = (t.n, t.events, t.gseqs, t.ckpts, t.msgs, t.sends, t.recvs)
+let structure t = (t.n, t.events, t.gseqs, t.ckpts, t.msgs, t.sends)
 
 let equal a b = structure a = structure b
-
-let compare a b = Stdlib.compare (structure a) (structure b)
 
 let n t = t.n
 
 let events t i = t.events.(i)
-
-let gseq t i ~pos = t.gseqs.(i).(pos)
 
 let checkpoints t i = t.ckpts.(i)
 
@@ -269,8 +260,6 @@ let interval_of_pos t i ~pos =
   cks.(!lo).Types.index
 
 let sends_of t i = t.sends.(i)
-
-let recvs_of t i = t.recvs.(i)
 
 let sends_between t i ~lo ~hi =
   let out = ref [] in

@@ -46,9 +46,6 @@ module Builder : sig
       [Final] checkpoint is appended to every process whose last event is
       not already a checkpoint, so every event lies in a complete interval.
       @raise Invalid_argument if some message was never delivered. *)
-
-  val in_flight : b -> int list
-  (** Handles of messages sent but not yet delivered. *)
 end
 
 (** {1 Comparison} *)
@@ -61,10 +58,6 @@ val equal : t -> t -> bool
     equality can see, so [=] may answer [false] on structurally equal
     patterns depending on which accessors were called first. *)
 
-val compare : t -> t -> int
-(** A total order consistent with {!equal} (same caveat about
-    polymorphic [compare]). *)
-
 (** {1 Accessors} *)
 
 val n : t -> int
@@ -72,9 +65,6 @@ val n : t -> int
 
 val events : t -> Types.pid -> Types.event array
 (** The event sequence of a process (do not mutate). *)
-
-val gseq : t -> Types.pid -> pos:int -> int
-(** Global sequence number of the event at [pos]. *)
 
 val checkpoints : t -> Types.pid -> Types.ckpt array
 (** The checkpoints of a process, by index; at least [C_{i,0}]. *)
@@ -97,21 +87,8 @@ val num_messages : t -> int
 val num_checkpoints : t -> int
 (** Total over all processes. *)
 
-val count_kind : t -> Types.ckpt_kind -> int
-
-val interval_of_pos : t -> Types.pid -> pos:int -> int
-(** The interval [I_{i,x}] containing the event at [pos]: [x] is the index
-    of the first checkpoint at a position [> pos] (every event is inside a
-    complete interval; checkpoints themselves delimit, with the convention
-    that the checkpoint event at position [p] has interval equal to its own
-    index). *)
-
 val sends_of : t -> Types.pid -> int array
 (** Message ids sent by the process, in increasing send position. *)
-
-val recvs_of : t -> Types.pid -> int array
-(** Message ids delivered at the process, in increasing delivery
-    position. *)
 
 val sends_between : t -> Types.pid -> lo:int -> hi:int -> int list
 (** Message ids sent by the process at positions [p] with [lo < p < hi]. *)

@@ -43,6 +43,3 @@ let ascii pat =
       (Pattern.messages pat);
     Ok (Buffer.contents buf)
   end
-
-let ascii_exn pat =
-  match ascii pat with Ok s -> s | Error e -> invalid_arg ("Render.ascii_exn: " ^ e)

@@ -5,11 +5,5 @@
     internal event.  A message legend follows the grid.  Meant for
     debugging, documentation, and the CLI's [--draw]. *)
 
-val max_events : int
-(** Patterns with more events than this are refused (200). *)
-
 val ascii : Pattern.t -> (string, string) result
 (** The diagram, or [Error] explaining why the pattern is too large. *)
-
-val ascii_exn : Pattern.t -> string
-(** @raise Invalid_argument when the pattern is too large. *)

@@ -13,8 +13,6 @@ type t = {
   mutable max_src : Vclock.t array option; (* scc id -> max-source vector *)
 }
 
-let pattern g = g.pat
-
 let num_nodes g = g.num_nodes
 
 let node_of_ckpt g (i, x) =

@@ -20,8 +20,6 @@ type node = int
 val build : Pattern.t -> t
 (** Builds the R-graph of a pattern.  O(V + M). *)
 
-val pattern : t -> Pattern.t
-
 val num_nodes : t -> int
 
 val node_of_ckpt : t -> Types.ckpt_id -> node

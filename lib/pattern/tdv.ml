@@ -11,7 +11,6 @@ module Vclock = Rdt_dist.Vclock
 type t = {
   pat : Pattern.t;
   snapshots : Vclock.t array array; (* snapshots.(i).(x) = TDV_{i,x} *)
-  finals : Vclock.t array;
   dense : int array option array array; (* memoized [at] views *)
 }
 
@@ -40,7 +39,6 @@ let compute pat =
   {
     pat;
     snapshots;
-    finals = Array.map Vclock.copy vectors;
     dense = Array.map (Array.map (fun _ -> None)) snapshots;
   }
 
@@ -63,5 +61,3 @@ let trackable t (i, x) (j, y) =
     check_ckpt t (j, y);
     Vclock.get t.snapshots.(j).(y) i >= x
   end
-
-let final t i = Vclock.to_array t.finals.(i)

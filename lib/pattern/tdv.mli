@@ -24,6 +24,3 @@ val at : t -> Types.ckpt_id -> int array
 val trackable : t -> Types.ckpt_id -> Types.ckpt_id -> bool
 (** [trackable t (i, x) (j, y)]: the dependency of [C_{j,y}] on [C_{i,x}]
     is on-line trackable — [i = j && x <= y], or [TDV_{j,y}.(i) >= x]. *)
-
-val final : t -> Types.pid -> int array
-(** The vector held by the process after its last event. *)

@@ -42,7 +42,3 @@ let ckpt_kind_to_string = function
   | Final -> "final"
 
 let pp_ckpt_id ppf (i, x) = Format.fprintf ppf "C(%d,%d)" i x
-
-let pp_message ppf m =
-  Format.fprintf ppf "m%d: %d->%d (I(%d,%d) -> I(%d,%d))" m.id m.src m.dst m.src
-    m.send_interval m.dst m.recv_interval

@@ -55,5 +55,3 @@ val ckpt_kind_to_string : ckpt_kind -> string
 
 val pp_ckpt_id : Format.formatter -> ckpt_id -> unit
 (** Prints [C_{i,x}] as ["C(i,x)"]. *)
-
-val pp_message : Format.formatter -> message -> unit

@@ -23,9 +23,6 @@ let in_transit pat ~line =
   select pat ~line ~f:(fun m ->
       m.Types.send_interval <= line.(m.Types.src) && m.Types.recv_interval > line.(m.Types.dst))
 
-let collectible_logs pat ~line =
-  select pat ~line ~f:(fun m -> m.Types.recv_interval <= line.(m.Types.dst))
-
 type replay_cost = { replayed_messages : int; reexecuted_events : int }
 
 let replay_cost pat ~crash =

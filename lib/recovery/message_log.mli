@@ -10,11 +10,10 @@
       the undone future, so they must be {e replayed from a log} (or the
       computation deadlocks waiting for them).
 
-    This module computes both sets, the log-truncation point a committed
-    recovery line allows, and the replay cost of a crash — the quantities
-    a sender-based logging layer needs.  Combined with RDT (the paper's
-    Section 1 remark and [4]), logging in-transit messages makes
-    non-deterministic computations recoverable as if piecewise
+    This module computes both sets and the replay cost of a crash — the
+    quantities a sender-based logging layer needs.  Combined with RDT
+    (the paper's Section 1 remark and [4]), logging in-transit messages
+    makes non-deterministic computations recoverable as if piecewise
     deterministic. *)
 
 val orphans : Rdt_pattern.Pattern.t -> line:int array -> int list
@@ -27,11 +26,6 @@ val in_transit : Rdt_pattern.Pattern.t -> line:int array -> int list
 (** Message ids crossing the line forward: sent before it, delivered
     after it.  These are the messages a logging layer must replay when
     the system restarts from [line]. *)
-
-val collectible_logs : Rdt_pattern.Pattern.t -> line:int array -> int list
-(** Message ids whose log entries can be discarded once [line] is
-    committed: messages already delivered before the line (they can never
-    be in-transit for this or any later line). *)
 
 type replay_cost = {
   replayed_messages : int;  (** in-transit messages to re-inject *)

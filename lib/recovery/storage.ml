@@ -26,20 +26,12 @@ let stable_count t =
     (fun acc row -> Array.fold_left (fun acc b -> if b then acc + 1 else acc) acc row)
     0 t.stable
 
-let stable_line t =
-  Array.map
-    (fun row ->
-      let rec highest x = if x + 1 < Array.length row && row.(x + 1) then highest (x + 1) else x in
-      highest 0)
-    t.stable
-
 let collectible t ~line =
   if Array.length line <> Pattern.n t.pat then invalid_arg "Storage.collectible: bad line";
   let out = ref [] in
   for i = Pattern.n t.pat - 1 downto 0 do
-    (* never the initial checkpoint: [stable_line]'s per-process bound
-       assumes [C_{i,0}] is always available, and a line of all zeros
-       must remain a valid recovery target after any collection *)
+    (* never the initial checkpoint: a line of all zeros must remain a
+       valid recovery target after any collection *)
     for x = min (line.(i) - 1) (Array.length t.stable.(i) - 1) downto 1 do
       if t.stable.(i).(x) then out := (i, x) :: !out
     done

@@ -19,15 +19,8 @@ val is_stable : t -> Rdt_pattern.Types.ckpt_id -> bool
 
 val stable_count : t -> int
 
-val stable_line : t -> int array
-(** Per process, the highest index [x] such that checkpoints [0..x] are
-    all stable — the best recovery bound a crash of that process allows. *)
-
-val collectible : t -> line:int array -> Rdt_pattern.Types.ckpt_id list
-(** Checkpoints that a recovery line makes reclaimable: every stable
-    [C_{i,x}] with [0 < x < line.(i)].  Initial checkpoints are never
-    collectible — {!stable_line} (and a recovery to the line of all
-    zeros) assumes [C_{i,0}] remains available forever. *)
-
 val collect : t -> line:int array -> int
-(** Reclaims them; returns how many were discarded. *)
+(** Reclaims every stable [C_{i,x}] with [0 < x < line.(i)], the
+    checkpoints the recovery line makes useless; returns how many were
+    discarded.  Initial checkpoints are never reclaimed: a recovery to
+    the line of all zeros must stay possible. *)

@@ -116,9 +116,6 @@ let detach c =
 
 let streams t = Tbl.keys_sorted ~compare:String.compare t.streams
 
-let stream_summary t name =
-  Option.map (fun st -> S.summary st.session) (Hashtbl.find_opt t.streams name)
-
 let shutdown t ~graceful =
   if not t.closed then begin
     t.closed <- true;
@@ -184,7 +181,7 @@ let open_stream t name n =
       | None -> make (S.ephemeral ~n ()) (fun () -> ())
       | Some root -> (
           let dir = Filename.concat root name in
-          let config = { D.default_config with D.snapshot_every = t.cfg.snapshot_every } in
+          let config = { D.snapshot_every = t.cfg.snapshot_every } in
           match D.open_ ~config ~meter:t.meter ~dir ~n ~track_open:true () with
           | ds, recovery ->
               (match recovery with

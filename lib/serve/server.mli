@@ -86,8 +86,6 @@ val run : ?tick:float -> stop:(unit -> bool) -> t -> unit
 val streams : t -> string list
 (** Names of live streams, sorted. *)
 
-val stream_summary : t -> string -> Rdt_check.Online.summary option
-
 val close : t -> unit
 (** Graceful: sync + close every stream session, close every socket,
     unlink the socket path.  Idempotent. *)

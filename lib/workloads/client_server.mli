@@ -19,6 +19,4 @@ type cs_params = {
   internal_mean : int;  (** mean time between internal events of each server *)
 }
 
-val default_cs_params : cs_params
-
 val make : ?params:cs_params -> unit -> Rdt_dist.Env.t

@@ -5,6 +5,4 @@
 
 type mw_params = { fanout : int; mean_batch_gap : int; worker_internal_mean : int }
 
-val default_mw_params : mw_params
-
 val make : ?params:mw_params -> unit -> Rdt_dist.Env.t

@@ -6,6 +6,4 @@
 
 type pc_params = { ack_prob : float; base : Params.t }
 
-val default_pc_params : pc_params
-
 val make : ?params:pc_params -> unit -> Rdt_dist.Env.t

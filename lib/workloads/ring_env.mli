@@ -7,6 +7,4 @@
 
 type ring_params = { tokens : int; internal_mean : int }
 
-val default_ring_params : ring_params
-
 val make : ?params:ring_params -> unit -> Rdt_dist.Env.t

@@ -12,6 +12,4 @@ type stencil_params = {
           boundary *)
 }
 
-val default_stencil_params : stencil_params
-
 val make : ?params:stencil_params -> unit -> Rdt_dist.Env.t

@@ -14,18 +14,6 @@ val mem : t -> int -> bool
 
 val add : t -> int -> unit
 
-val remove : t -> int -> unit
-
 val union_into : t -> t -> bool
 
-val copy : t -> t
-
-val cardinal : t -> int
-
-val iter : (int -> unit) -> t -> unit
-
-val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a
-
 val to_list : t -> int list
-
-val equal : t -> t -> bool

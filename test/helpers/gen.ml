@@ -67,11 +67,6 @@ let recipe_gen ~max_n ~min_steps ~max_steps =
   let+ steps = min_steps -- max_steps in
   { seed; n; steps }
 
-let recipe_arbitrary =
-  QCheck.make ~print:print_recipe
-    ~shrink:(shrink_recipe ~min_steps:1)
-    (recipe_gen ~max_n:5 ~min_steps:10 ~max_steps:80)
-
 let small_recipe_arbitrary =
   QCheck.make ~print:print_recipe
     ~shrink:(shrink_recipe ~min_steps:1)

@@ -32,9 +32,6 @@ type recipe = { seed : int; n : int; steps : int }
 
 val pattern_of_recipe : recipe -> Rdt_pattern.Pattern.t
 
-val recipe_arbitrary : recipe QCheck.arbitrary
-(** [n] in [\[2, 5\]], [steps] in [\[10, 80\]]; shrinks [n] and [steps]. *)
-
 val small_recipe_arbitrary : recipe QCheck.arbitrary
 (** Recipes for exhaustive reference computations: [n <= 3], [steps] in
     [\[8, 20\]]; shrinks [n] and [steps]. *)

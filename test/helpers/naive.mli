@@ -28,13 +28,6 @@ val zigzag :
     (edge [m -> m'] iff [dst m = src m'] and
     [recv_interval m <= send_interval m']). *)
 
-val causal_chain :
-  Rdt_pattern.Pattern.t -> from_pos_after:int -> src:int -> Rdt_pattern.Types.ckpt_id -> bool
-(** Is there a causal message chain whose first message is sent by [src]
-    at a position [> from_pos_after], delivered to the target process in
-    an interval [<= y]?  DFS over the causal message graph (edge iff
-    [recv_pos m < send_pos m'] on the same process). *)
-
 val trackable :
   Rdt_pattern.Pattern.t -> Rdt_pattern.Types.ckpt_id -> Rdt_pattern.Types.ckpt_id -> bool
 (** Reference for {!Rdt_pattern.Chains.trackable} /

@@ -13,5 +13,5 @@ let scramble_events p =
 
 let inflate_vector v =
   Rdt_dist.Vclock.set v 0 99;
-  Rdt_dist.Vclock.incr v 1;
+  Rdt_dist.Vclock.merge v v;
   v

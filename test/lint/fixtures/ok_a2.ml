@@ -2,7 +2,9 @@
    *fresh* pattern through the Builder are all sanctioned. *)
 
 let reach_count g c =
-  Rdt_pattern.Bitset.cardinal (Rdt_pattern.Rgraph.reachable_set g c)
+  let n = ref 0 in
+  Rdt_pattern.Bitset.iter (fun _ -> incr n) (Rdt_pattern.Rgraph.reachable_set g c);
+  !n
 
 let forced_count p =
   Rdt_pattern.Pattern.fold_ckpts p ~init:0 ~f:(fun acc c ->

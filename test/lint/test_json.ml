@@ -66,11 +66,6 @@ let () =
           (int "col" jline j) (str "rule" jline j) (str "msg" jline j)
       in
       if not (String.equal rebuilt p) then
-        fail "round-trip mismatch:\n  plain: %s\n  json : %s" p rebuilt;
-      (* serializer round-trip: to_string output reparses to the same value *)
-      match Json.parse (Json.to_string j) with
-      | Ok j' when j' = j -> ()
-      | Ok _ -> fail "Json.to_string changed the value for: %s" jline
-      | Error e -> fail "Json.to_string produced unparseable output (%s) for: %s" e jline)
+        fail "round-trip mismatch:\n  plain: %s\n  json : %s" p rebuilt)
     plain json;
   Printf.printf "test_json: %d findings round-tripped\n" (List.length plain)

@@ -56,6 +56,9 @@ let rm_rf dir =
     Unix.rmdir dir
   end
 
+(* force the WAL tail to disk, through the checker-session surface *)
+let sync s = Rdt_check.Session.sync (Session.checker_session s)
+
 let with_dir f =
   let dir = scratch () in
   rm_rf dir;
@@ -96,7 +99,7 @@ let uninterrupted events =
       | Error e -> Alcotest.fail e
       | Ok t -> { summary = Online.summary t; violations = Online.violations t; n })
 
-let config interval = { Session.default_config with Session.snapshot_every = interval }
+let config interval = { Session.snapshot_every = interval }
 
 let feed_from s events =
   let skip = Online.events_seen (Session.engine s) in
@@ -325,12 +328,12 @@ let test_oversized_event_refused () =
       let s, _ = Session.open_ ~config:(config 50) ~dir ~n:exp.n ~track_open:true () in
       let half = List.length events / 2 in
       List.iteri (fun i ev -> if i < half then Session.observe s ev) events;
-      Session.sync s;
+      sync s;
       let summary = Online.summary (Session.engine s) and on_disk = files dir in
       (match Session.observe s huge with
       | () -> Alcotest.fail "an oversized event was accepted"
       | exception Online.Inconsistent _ -> ());
-      Session.sync s;
+      sync s;
       check "summary unchanged" true (Online.summary (Session.engine s) = summary);
       check "on-disk state unchanged" true (files dir = on_disk);
       feed_from s events;
@@ -503,7 +506,7 @@ let event_gen =
       map (fun (checker, rdt) -> Trace.Verdict { checker; rdt }) (pair any_string bool);
     ]
 
-let event_arb = QCheck.make ~print:(Format.asprintf "%a" Trace.pp_event) event_gen
+let event_arb = QCheck.make ~print:Trace.encode event_gen
 
 let payload ev =
   let w = Codec.Writer.create () in

@@ -4,7 +4,6 @@
 
 module Rng = Rdt_dist.Rng
 module Vclock = Rdt_dist.Vclock
-module Channel = Rdt_dist.Channel
 module Heap = Rdt_dist.Heap
 module Event_queue = Rdt_dist.Event_queue
 module P = Rdt_pattern.Pattern
@@ -35,10 +34,9 @@ let contains haystack needle =
 (* ------------------------------------------------------------------ *)
 
 let test_vclock_edges () =
-  let a = [| 1; 2 |] in
-  let v = Vclock.of_array a in
-  a.(0) <- 99;
-  Alcotest.(check int) "of_array copies" 1 (Vclock.get v 0);
+  let v = Vclock.create ~n:2 in
+  Vclock.set v 0 1;
+  Vclock.set v 1 2;
   let out = Vclock.to_array v in
   out.(1) <- 99;
   Alcotest.(check int) "to_array copies" 2 (Vclock.get v 1);
@@ -46,7 +44,6 @@ let test_vclock_edges () =
     (fun () -> Vclock.set v 0 (-1));
   Alcotest.check_raises "merge size mismatch" (Invalid_argument "Vclock.merge: size mismatch")
     (fun () -> Vclock.merge v (Vclock.create ~n:3));
-  check "pp" true (contains (fmt_str Vclock.pp v) "[1;2]");
   Alcotest.check_raises "create 0" (Invalid_argument "Vclock.create: n must be positive")
     (fun () -> ignore (Vclock.create ~n:0))
 
@@ -57,24 +54,14 @@ let test_rng_error_paths () =
   Alcotest.check_raises "exponential mean 0"
     (Invalid_argument "Rng.exponential_int: mean must be positive") (fun () ->
       ignore (Rng.exponential_int rng ~mean:0));
-  Alcotest.check_raises "geometric p=0" (Invalid_argument "Rng.geometric: p out of (0,1]")
-    (fun () -> ignore (Rng.geometric rng 0.0));
   Alcotest.check_raises "pick empty" (Invalid_argument "Rng.pick: empty array") (fun () ->
       ignore (Rng.pick rng [||]))
-
-let test_channel_pp () =
-  check "fixed" true (contains (fmt_str Channel.pp (Channel.Fixed 3)) "fixed(3)");
-  check "uniform" true (contains (fmt_str Channel.pp (Channel.Uniform (1, 9))) "uniform(1,9)");
-  check "bimodal" true
-    (contains
-       (fmt_str Channel.pp (Channel.Bimodal { fast = 1; slow = 9; slow_prob = 0.25 }))
-       "bimodal")
 
 let test_heap_custom_order () =
   let h = Heap.create ~cmp:(fun a b -> compare b a) in
   List.iter (Heap.add h) [ 5; 1; 9; 3 ];
   Alcotest.(check (option int)) "max first" (Some 9) (Heap.pop h);
-  Alcotest.(check int) "to_list size" 3 (List.length (Heap.to_list h))
+  Alcotest.(check (option int)) "then the next largest" (Some 5) (Heap.pop h)
 
 let test_queue_interleaved () =
   let q = Event_queue.create () in
@@ -98,30 +85,17 @@ let test_pattern_accessor_errors () =
   Alcotest.check_raises "missing checkpoint"
     (Invalid_argument "Pattern.ckpt: C(0,99) does not exist") (fun () ->
       ignore (P.ckpt pat (0, 99)));
-  check "has_ckpt negative" false (P.has_ckpt pat (-1, 0));
-  Alcotest.check_raises "interval past the end"
-    (Invalid_argument "Pattern.interval_of_pos: event after final checkpoint") (fun () ->
-      ignore (P.interval_of_pos pat 0 ~pos:10_000))
+  check "has_ckpt negative" false (P.has_ckpt pat (-1, 0))
 
 let test_fig1_recvs_and_sends () =
   let fx = Rdt_test_helpers.Fixtures.figure1 () in
   let pat = fx.pattern in
   Alcotest.(check (array int)) "P_i sends m1, m5" [| fx.m1; fx.m5 |] (P.sends_of pat fx.i);
-  Alcotest.(check (array int)) "P_i receives m2" [| fx.m2 |] (P.recvs_of pat fx.i);
-  Alcotest.(check (array int)) "P_k receives m4, m6" [| fx.m4; fx.m6 |] (P.recvs_of pat fx.k);
   (* sends_between: P_j's sends strictly inside I_{j,2} *)
   let cks = P.checkpoints pat fx.j in
   let lo = cks.(1).T.pos and hi = cks.(2).T.pos in
   Alcotest.(check (list int)) "I_{j,2} sends m4, m6" [ fx.m4; fx.m6 ]
     (P.sends_between pat fx.j ~lo ~hi)
-
-let test_fig1_tdv_final () =
-  let fx = Rdt_test_helpers.Fixtures.figure1 () in
-  let tdv = Tdv.compute fx.pattern in
-  (* after its last event, P_j has seen everything up to m7's causal past *)
-  let final_j = Tdv.final tdv fx.j in
-  Alcotest.(check int) "own entry = current interval" 4 final_j.(fx.j);
-  check "depends on P_i's third interval" true (final_j.(fx.i) >= 3)
 
 let test_rgraph_edge_count_fig1 () =
   let fx = Rdt_test_helpers.Fixtures.figure1 () in
@@ -164,7 +138,6 @@ let test_render_alignment () =
 let test_pp_functions () =
   let fx = Rdt_test_helpers.Fixtures.figure1 () in
   check "ckpt id" true (contains (fmt_str T.pp_ckpt_id (1, 2)) "C(1,2)");
-  check "message" true (contains (fmt_str T.pp_message (P.message fx.pattern fx.m5)) "->");
   check "kind" true (T.ckpt_kind_to_string T.Forced = "forced");
   check "summary" true (contains (fmt_str P.pp_summary fx.pattern) "3 processes")
 
@@ -214,11 +187,6 @@ let test_metrics_helpers () =
       }
   in
   let m = r.metrics in
-  Alcotest.(check int) "total = n + basic + forced"
-    (4 + m.Metrics.basic + m.Metrics.forced)
-    (Metrics.total_checkpoints m);
-  check "forced/msg in [0,1]" true
-    (Metrics.forced_per_message m >= 0.0 && Metrics.forced_per_message m <= 1.0);
   check "pp" true (contains (fmt_str Metrics.pp m) "bhmr/random");
   let zero_basic = { m with Metrics.basic = 0 } in
   check "forced_per_basic guards zero" true (Metrics.forced_per_basic zero_basic = 0.0)
@@ -399,7 +367,6 @@ let () =
         [
           Alcotest.test_case "vclock" `Quick test_vclock_edges;
           Alcotest.test_case "rng errors" `Quick test_rng_error_paths;
-          Alcotest.test_case "channel pp" `Quick test_channel_pp;
           Alcotest.test_case "heap custom order" `Quick test_heap_custom_order;
           Alcotest.test_case "queue interleaved" `Quick test_queue_interleaved;
         ] );
@@ -407,7 +374,6 @@ let () =
         [
           Alcotest.test_case "accessor errors" `Quick test_pattern_accessor_errors;
           Alcotest.test_case "fig1 sends/recvs" `Quick test_fig1_recvs_and_sends;
-          Alcotest.test_case "fig1 final TDV" `Quick test_fig1_tdv_final;
           Alcotest.test_case "fig1 edge count" `Quick test_rgraph_edge_count_fig1;
           Alcotest.test_case "chains from I(i,0)" `Quick test_chains_from_interval_zero;
           Alcotest.test_case "consistency errors" `Quick test_consistency_arg_errors;

@@ -58,11 +58,21 @@ let test_generate_pure () =
   in
   check "seeds explore different sizes" true (List.length sizes > 5)
 
+(* the codec is reached through its files *)
+let through_file write =
+  let path = Filename.temp_file "rdt-fuzz-test" ".json" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () ->
+      write path;
+      Scenario.of_file path)
+
+let decode s =
+  through_file (fun path -> Out_channel.with_open_bin path (fun oc -> output_string oc s))
+
 let test_codec_roundtrip () =
   List.iter
     (fun seed ->
       let sc = Scenario.generate ~seed () in
-      match Scenario.decode (Scenario.encode sc) with
+      match through_file (fun path -> Scenario.to_file path sc) with
       | Ok sc' -> check "roundtrip" true (Scenario.equal sc sc')
       | Error e -> Alcotest.failf "seed %d: decode failed: %s" seed e)
     (seeds 100)
@@ -78,9 +88,9 @@ let test_file_roundtrip () =
   | Error e -> Alcotest.failf "of_file: %s" e
 
 let test_decode_garbage () =
-  check "truncated json rejected" true (Result.is_error (Scenario.decode "{"));
-  check "wrong shape rejected" true (Result.is_error (Scenario.decode "[1, 2]"));
-  check "missing fields rejected" true (Result.is_error (Scenario.decode "{\"n\": 3}"))
+  check "truncated json rejected" true (Result.is_error (decode "{"));
+  check "wrong shape rejected" true (Result.is_error (decode "[1, 2]"));
+  check "missing fields rejected" true (Result.is_error (decode "{\"n\": 3}"))
 
 let test_restrict () =
   List.iter

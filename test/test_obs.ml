@@ -79,7 +79,6 @@ let test_file_roundtrip () =
 let test_null_sink () =
   check "off" false (Trace.on Trace.null);
   Trace.emit Trace.null (Trace.Internal { pid = 0; time = 0 });
-  Alcotest.(check int) "no events counted" 0 (Trace.count Trace.null);
   check "no events kept" true (Trace.events Trace.null = [])
 
 let test_ring_sink () =
@@ -88,7 +87,6 @@ let test_ring_sink () =
   for i = 1 to 10 do
     Trace.emit tr (Trace.Internal { pid = i; time = i })
   done;
-  Alcotest.(check int) "all emissions counted" 10 (Trace.count tr);
   check "keeps the most recent, oldest first" true
     (Trace.events tr
     = List.map (fun i -> Trace.Internal { pid = i; time = i }) [ 7; 8; 9; 10 ]);
@@ -110,14 +108,12 @@ let test_meter () =
   Alcotest.(check int) "time returns the result" 42 x;
   check "counters sorted with gauges" true
     (Meter.counters m = [ ("a", 5); ("b", 1); ("gauge:depth", 17) ]);
-  (match Meter.spans m with
+  match Meter.spans m with
   | [ ("phase", s); ("timed", t) ] ->
       Alcotest.(check int) "phase calls" 2 s.Meter.calls;
       check "phase seconds" true (abs_float (s.Meter.seconds -. 0.75) < 1e-9);
       Alcotest.(check int) "timed calls" 1 t.Meter.calls
-  | _ -> Alcotest.fail "unexpected span set");
-  Meter.reset m;
-  check "reset" true (Meter.counters m = [] && Meter.spans m = [])
+  | _ -> Alcotest.fail "unexpected span set"
 
 (* -------------------------- replay ---------------------------------- *)
 

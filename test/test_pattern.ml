@@ -22,6 +22,11 @@ let all_ckpts pat =
 (* Bitset                                                              *)
 (* ------------------------------------------------------------------ *)
 
+let bitset_members s =
+  let acc = ref [] in
+  Bitset.iter (fun i -> acc := i :: !acc) s;
+  List.rev !acc
+
 let test_bitset_basic () =
   let s = Bitset.create 130 in
   check "empty" false (Bitset.mem s 0);
@@ -32,10 +37,7 @@ let test_bitset_basic () =
   check "mem 64" true (Bitset.mem s 64);
   check "mem 129" true (Bitset.mem s 129);
   check "not mem 1" false (Bitset.mem s 1);
-  Alcotest.(check int) "cardinal" 3 (Bitset.cardinal s);
-  Alcotest.(check (list int)) "to_list" [ 0; 64; 129 ] (Bitset.to_list s);
-  Bitset.remove s 64;
-  check "removed" false (Bitset.mem s 64);
+  Alcotest.(check (list int)) "members" [ 0; 64; 129 ] (bitset_members s);
   Alcotest.check_raises "out of bounds" (Invalid_argument "Bitset: index out of bounds")
     (fun () -> Bitset.add s 130)
 
@@ -46,10 +48,7 @@ let test_bitset_union () =
   check "changed" true (Bitset.union_into a b);
   check "has 70" true (Bitset.mem a 70);
   check "no change" false (Bitset.union_into a b);
-  let c = Bitset.copy a in
-  check "copy equal" true (Bitset.equal a c);
-  Bitset.add c 2;
-  check "copy independent" false (Bitset.mem a 2)
+  check "source untouched" false (Bitset.mem b 1)
 
 let bitset_model =
   QCheck.Test.make ~name:"bitset agrees with a list model" ~count:200
@@ -58,7 +57,7 @@ let bitset_model =
       let s = Bitset.create 200 in
       List.iter (Bitset.add s) xs;
       let model = List.sort_uniq compare xs in
-      Bitset.to_list s = model && Bitset.cardinal s = List.length model)
+      bitset_members s = model)
 
 (* ------------------------------------------------------------------ *)
 (* Builder and accessors                                               *)
@@ -87,8 +86,7 @@ let test_builder_rejects_bad_usage () =
 
 let test_builder_undelivered_rejected () =
   let b = P.Builder.create ~n:2 in
-  let m = P.Builder.send b ~src:0 ~dst:1 in
-  Alcotest.(check (list int)) "in flight" [ m ] (P.Builder.in_flight b);
+  ignore (P.Builder.send b ~src:0 ~dst:1);
   Alcotest.check_raises "finish with in-flight"
     (Invalid_argument "Pattern.Builder.finish: undelivered messages remain") (fun () ->
       ignore (P.Builder.finish b))
@@ -120,11 +118,7 @@ let test_intervals () =
   let msg = P.message pat m and msg' = P.message pat m' in
   Alcotest.(check int) "m in I_{0,1}" 1 msg.T.send_interval;
   Alcotest.(check int) "m' in I_{0,2}" 2 msg'.T.send_interval;
-  Alcotest.(check int) "both delivered in I_{1,1}" 1 msg.T.recv_interval;
-  Alcotest.(check int) "interval_of_pos send m" 1
-    (P.interval_of_pos pat 0 ~pos:msg.T.send_pos);
-  Alcotest.(check int) "interval_of_pos ckpt = own index" 1
-    (P.interval_of_pos pat 0 ~pos:(P.checkpoints pat 0).(1).T.pos)
+  Alcotest.(check int) "both delivered in I_{1,1}" 1 msg.T.recv_interval
 
 let test_gseq_order () =
   let fx = Rdt_test_helpers.Fixtures.figure1 () in
@@ -134,19 +128,24 @@ let test_gseq_order () =
   let total = Array.fold_left (fun acc i -> acc + Array.length (P.events pat i)) 0
       (Array.init (P.n pat) (fun i -> i)) in
   Alcotest.(check int) "all events" total (Array.length order);
-  let last = ref (-1) in
+  (* program order within each process, and every send before its delivery *)
+  let next = Array.make (P.n pat) 0 and sent = Hashtbl.create 8 in
   Array.iter
-    (fun (i, pos, _) ->
-      let g = P.gseq pat i ~pos in
-      check "strictly increasing" true (g > !last);
-      last := g)
+    (fun (i, pos, ev) ->
+      check "program order" true (pos = next.(i));
+      next.(i) <- pos + 1;
+      match ev with
+      | T.Send m -> Hashtbl.replace sent m ()
+      | T.Recv m -> check "send before delivery" true (Hashtbl.mem sent m)
+      | T.Ckpt _ | T.Internal -> ())
     order
 
 let test_counts () =
   let fx = Rdt_test_helpers.Fixtures.figure1 () in
   let pat = fx.pattern in
   Alcotest.(check int) "messages" 7 (P.num_messages pat);
-  Alcotest.(check int) "initial count" 3 (P.count_kind pat T.Initial);
+  Alcotest.(check int) "initial count" 3
+    (P.fold_ckpts pat ~init:0 ~f:(fun acc c -> if c.T.kind = T.Initial then acc + 1 else acc));
   check "valid" true (Result.is_ok (P.validate pat))
 
 let test_builder_many_messages () =
@@ -556,13 +555,7 @@ let test_render_figure1 () =
 
 let test_render_too_large () =
   let pat = Rdt_test_helpers.Gen.random_pattern ~n:4 ~steps:500 ~seed:3 () in
-  check "refused" true (Result.is_error (Rdt_pattern.Render.ascii pat));
-  Alcotest.check_raises "ascii_exn raises"
-    (Invalid_argument
-       (match Rdt_pattern.Render.ascii pat with
-       | Error e -> "Render.ascii_exn: " ^ e
-       | Ok _ -> "unreachable"))
-    (fun () -> ignore (Rdt_pattern.Render.ascii_exn pat))
+  check "refused" true (Result.is_error (Rdt_pattern.Render.ascii pat))
 
 (* ------------------------------------------------------------------ *)
 (* Surviving history                                                  *)

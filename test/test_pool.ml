@@ -169,8 +169,7 @@ let test_report_cell_sequence () =
   let r4 = Bench_report.create ~jobs:4 in
   ignore (Experiments.table_faults ~jobs:4 ~report:r4 ~seeds:[ 1 ] ());
   check "cell sequences match" true (coords r1 = coords r4);
-  check "cells were recorded" true (coords r1 <> []);
-  check "json renders" true (String.length (Bench_report.to_json r4) > 0)
+  check "cells were recorded" true (coords r1 <> [])
 
 (* ------------------------------------------------------------------ *)
 (* The suite registry                                                  *)

@@ -6,7 +6,6 @@ module T = Rdt_pattern.Types
 module Consistency = Rdt_pattern.Consistency
 module Recovery_line = Rdt_recovery.Recovery_line
 module Breakpoint = Rdt_recovery.Breakpoint
-module Output_commit = Rdt_recovery.Output_commit
 module Storage = Rdt_recovery.Storage
 
 let check = Alcotest.(check bool)
@@ -149,28 +148,6 @@ let test_breakpoint_none_for_useless () =
   check "no breakpoint on a Z-cycle" true (Breakpoint.compute pat (1, 1) = None)
 
 (* ------------------------------------------------------------------ *)
-(* Output commit                                                       *)
-(* ------------------------------------------------------------------ *)
-
-let test_output_commit () =
-  let pat = run ~protocol:"bhmr" ~envname:"random" ~n:4 ~messages:300 ~seed:17 in
-  let interval = max 1 (P.last_index pat 1 / 2) in
-  (match Output_commit.requirement pat ~pid:1 ~interval with
-  | None -> Alcotest.fail "requirement must exist under RDT"
-  | Some r ->
-      Alcotest.(check int) "one per process" (P.n pat) (List.length r.Output_commit.must_be_stable);
-      check "output checkpoint included" true
-        (List.mem (1, interval) r.Output_commit.must_be_stable));
-  match Output_commit.commit_latency_ckpts pat ~pid:1 ~interval with
-  | None -> Alcotest.fail "latency must exist"
-  | Some k -> check "latency bounded by n" true (k >= 1 && k <= P.n pat)
-
-let test_output_commit_validation () =
-  let pat = run ~protocol:"bhmr" ~envname:"random" ~n:4 ~messages:100 ~seed:17 in
-  Alcotest.check_raises "interval 0" (Invalid_argument "Output_commit.requirement: no such interval")
-    (fun () -> ignore (Output_commit.requirement pat ~pid:0 ~interval:0))
-
-(* ------------------------------------------------------------------ *)
 (* Message logging                                                     *)
 (* ------------------------------------------------------------------ *)
 
@@ -194,8 +171,6 @@ let test_message_log_classification () =
   Alcotest.(check (list int)) "in transit" [ crossing ] (Rdt_recovery.Message_log.in_transit pat ~line);
   Alcotest.(check (list int)) "no orphans (consistent line)" []
     (Rdt_recovery.Message_log.orphans pat ~line);
-  Alcotest.(check (list int)) "collectible" [ before ]
-    (Rdt_recovery.Message_log.collectible_logs pat ~line);
   (* against the inconsistent line {C(0,0), C(1,1)}: [before] and
      [crossing] become orphans *)
   let bad_line = [| 0; 1 |] in
@@ -226,7 +201,14 @@ let replay_covers_the_cut =
       | None -> true
       | Some line ->
           let in_transit = Rdt_recovery.Message_log.in_transit pat ~line in
-          let collectible = Rdt_recovery.Message_log.collectible_logs pat ~line in
+          (* log entries a committed line makes discardable: delivered before it *)
+          let collectible =
+            List.filter
+              (fun m ->
+                let msg = P.message pat m in
+                msg.Rdt_pattern.Types.recv_interval <= line.(msg.Rdt_pattern.Types.dst))
+              (List.init (P.num_messages pat) Fun.id)
+          in
           let classified m =
             List.mem m in_transit || List.mem m collectible
             || (P.message pat m).Rdt_pattern.Types.send_interval > line.((P.message pat m).Rdt_pattern.Types.src)
@@ -248,10 +230,7 @@ let test_storage_basics () =
   Storage.make_stable s (0, 2);
   Storage.make_stable s (0, 2);
   check "flushed" true (Storage.is_stable s (0, 2));
-  Alcotest.(check int) "idempotent" 5 (Storage.stable_count s);
-  let line = Storage.stable_line s in
-  Alcotest.(check int) "prefix of 0" 2 line.(0);
-  Alcotest.(check int) "prefix of 1" 0 line.(1)
+  Alcotest.(check int) "idempotent" 5 (Storage.stable_count s)
 
 let test_storage_gc () =
   let pat = run ~protocol:"bhmr" ~envname:"random" ~n:3 ~messages:150 ~seed:23 in
@@ -267,29 +246,20 @@ let test_storage_gc () =
     (Array.to_list line |> List.mapi (fun i x -> Storage.is_stable s (i, x)) |> List.for_all Fun.id)
 
 (* Regression: [collect] used to reclaim the initial checkpoints too,
-   after which [stable_line] would report a per-process bound whose base
-   [C_{i,0}] was gone — a line recovery could not actually restore. *)
+   after which the line of all zeros was gone — a line recovery could
+   not actually restore. *)
 let test_storage_gc_keeps_initials () =
   let pat = run ~protocol:"bhmr" ~envname:"random" ~n:3 ~messages:150 ~seed:23 in
   let s = Storage.create pat in
   P.iter_ckpts pat (fun c -> Storage.make_stable s (c.T.owner, c.T.index));
   let line = Array.init 3 (fun i -> P.last_index pat i) in
-  check "initials never collectible" true
-    (Storage.collectible s ~line |> List.for_all (fun (_, x) -> x > 0));
   ignore (Storage.collect s ~line);
   for i = 0 to 2 do
     check "initial still stable after collect" true (Storage.is_stable s (i, 0))
   done;
-  (* the line stable_line now reports must be fully backed by storage *)
-  let sl = Storage.stable_line s in
-  Array.iteri
-    (fun i x ->
-      for y = 0 to x do
-        check "stable_line is backed down to its base" true (Storage.is_stable s (i, y))
-      done)
-    sl;
-  (* and collecting again with that line must be a no-op on its base *)
-  ignore (Storage.collect s ~line:sl);
+  (* collecting again, down to the line of all zeros, must spare them too *)
+  ignore (Storage.collect s ~line:(Array.make 3 0));
+  ignore (Storage.collect s ~line);
   for i = 0 to 2 do
     check "initial survives repeated collection" true (Storage.is_stable s (i, 0))
   done
@@ -311,11 +281,6 @@ let () =
           Alcotest.test_case "exists and consistent under RDT" `Quick test_breakpoint_on_rdt_run;
           Alcotest.test_case "restore order" `Quick test_breakpoint_restore_order;
           Alcotest.test_case "none on Z-cycle" `Quick test_breakpoint_none_for_useless;
-        ] );
-      ( "output-commit",
-        [
-          Alcotest.test_case "requirement" `Quick test_output_commit;
-          Alcotest.test_case "validation" `Quick test_output_commit_validation;
         ] );
       ( "message-log",
         [

@@ -177,7 +177,7 @@ let same_as_session compared i prefix pat =
               check (what "minimum of C(%d,%d)" (fst id) (snd id)) true
                 (Min_gcp.minimum pat id = Min_gcp.minimum spat id);
               check (what "maximum of C(%d,%d)" (fst id) (snd id)) true
-                (Min_gcp.maximum pat id = Min_gcp.maximum spat id)))
+                (Min_gcp.maximum_of_set pat [ id ] = Min_gcp.maximum_of_set spat [ id ])))
 
 let test_prefix_agreement () =
   let events = crashing_run () in

@@ -12,8 +12,7 @@ module P = Rdt_pattern.Pattern
 
 let check = Alcotest.(check bool)
 
-let params ~n ~messages ~seed =
-  { Scale.default_params with Scale.n; messages; seed }
+let params ~n ~messages ~seed = { Scale.n; messages; seed }
 
 let test_bit_identical_across_jobs () =
   let p = params ~n:512 ~messages:6_000 ~seed:11 in
@@ -45,10 +44,11 @@ let test_seed_sensitivity () =
   check "different seeds diverge" true (r1.Scale.checksum <> r2.Scale.checksum)
 
 let test_shards_independent_of_jobs () =
-  Alcotest.(check int) "shards_for is a function of n" (Scale.shards_for 10_000)
-    (Scale.shards_for 10_000);
-  check "multiple shards at n=10_000" true (Scale.shards_for 10_000 > 1);
-  Alcotest.(check int) "single shard for tiny n" 1 (Scale.shards_for 64)
+  let shards ~jobs n = (Scale.run ~jobs (params ~n ~messages:0 ~seed:1)).Scale.shards in
+  Alcotest.(check int) "the shard count is a function of n" (shards ~jobs:1 10_000)
+    (shards ~jobs:4 10_000);
+  check "multiple shards at n=10_000" true (shards ~jobs:1 10_000 > 1);
+  Alcotest.(check int) "single shard for tiny n" 1 (shards ~jobs:1 64)
 
 (* the acceptance criterion: four Checker.run algorithms + the online
    engine agree on traces of the sharded engine *)
