@@ -570,15 +570,13 @@ let feed t events = List.iter (observe t) events
 let check_pattern pat =
   let t = create ~track_open:false ~n:(P.n pat) () in
   let messages = P.messages pat in
-  Array.iter
-    (fun (pid, _pos, ev) ->
+  P.iter_in_order pat (fun pid _pos ev ->
       match ev with
       | T.Ckpt 0 -> () (* initial checkpoints are taken at creation *)
       | T.Ckpt x -> checkpoint t ~pid ~index:x
       | T.Send id -> send t ~msg:id ~src:pid ~dst:messages.(id).T.dst
       | T.Recv id -> deliver t ~msg:id ~dst:pid
-      | T.Internal -> internal t ~pid)
-    (P.events_in_gseq_order pat);
+      | T.Internal -> internal t ~pid);
   t
 
 let orphan_error orphans =

@@ -1,8 +1,8 @@
 (* D2 — polymorphic comparison at dangerous types.
 
    Polymorphic =/compare/Hashtbl.hash are flagged when instantiated at
-   Pattern.t (carries a lazily filled cache: structural equality can
-   disagree with =), Rgraph.t / Bitset.t (mutable graph internals), or
+   Pattern.t (Pattern.equal is the one place that decides pattern
+   equality), Rgraph.t / Bitset.t (mutable graph internals), or
    any type whose structure contains an arrow (compare on closures
    raises at runtime).  The instantiation is read off the ident's own
    type, so both direct applications and higher-order uses (e.g. passing

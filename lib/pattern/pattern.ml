@@ -1,11 +1,10 @@
 type t = {
   n : int;
   events : Types.event array array;
-  gseqs : int array array;
+  order : int array; (* order.(g) = pid of the event with gseq g *)
   ckpts : Types.ckpt array array;
   msgs : Types.message array;
   sends : int array array; (* per process, message ids by send position *)
-  mutable gorder : (Types.pid * int * Types.event) array option; (* cache *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -27,7 +26,6 @@ module Builder = struct
 
   type proc = {
     mutable evs : Types.event list; (* reversed *)
-    mutable evs_gseq : int list; (* reversed *)
     mutable n_events : int;
     mutable cks : Types.ckpt list; (* reversed *)
     mutable n_ckpts : int; (* = current interval index *)
@@ -39,6 +37,7 @@ module Builder = struct
     mutable msgs : pending_msg option array; (* slot = message id *)
     mutable n_msgs : int;
     mutable next_gseq : int;
+    mutable log : int list; (* pid of every pushed event, newest first *)
     mutable frozen : bool;
   }
 
@@ -51,7 +50,7 @@ module Builder = struct
     let p = b.procs.(i) in
     let pos = p.n_events in
     p.evs <- ev :: p.evs;
-    p.evs_gseq <- b.next_gseq :: p.evs_gseq;
+    b.log <- i :: b.log;
     b.next_gseq <- b.next_gseq + 1;
     p.n_events <- pos + 1;
     pos
@@ -72,10 +71,11 @@ module Builder = struct
         n;
         procs =
           Array.init n (fun _ ->
-              { evs = []; evs_gseq = []; n_events = 0; cks = []; n_ckpts = 0 });
+              { evs = []; n_events = 0; cks = []; n_ckpts = 0 });
         msgs = Array.make 64 None;
         n_msgs = 0;
         next_gseq = 0;
+        log = [];
         frozen = false;
       }
     in
@@ -170,7 +170,10 @@ module Builder = struct
       done;
     b.frozen <- true;
     let events = Array.map (fun p -> Array.of_list (List.rev p.evs)) b.procs in
-    let gseqs = Array.map (fun p -> Array.of_list (List.rev p.evs_gseq)) b.procs in
+    (* gseqs are assigned in push order, so the log read backwards is
+       the whole global order *)
+    let order = Array.make b.next_gseq 0 in
+    List.iteri (fun k i -> order.(b.next_gseq - 1 - k) <- i) b.log;
     let ckpts = Array.map (fun p -> Array.of_list (List.rev p.cks)) b.procs in
     let msgs =
       Array.init b.n_msgs (fun id ->
@@ -198,21 +201,18 @@ module Builder = struct
                evs []))
         events
     in
-    { n = b.n; events; gseqs; ckpts; msgs; sends; gorder = None }
+    { n = b.n; events; order; ckpts; msgs; sends }
 end
 
 (* ------------------------------------------------------------------ *)
 (* Accessors                                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* Equality must ignore [gorder]: it is a lazily filled
-   cache, so two structurally identical patterns can differ on it (one
-   was iterated, the other was not).  Polymorphic [=] on [t] sees the
-   cache and is therefore wrong; this is the only sanctioned
-   comparison (the rdtlint D2 rule flags polymorphic compare at [t]).
-   Every remaining field is immutable first-order data, where structural
-   comparison is exactly componentwise mathematical equality. *)
-let structure t = (t.n, t.events, t.gseqs, t.ckpts, t.msgs, t.sends)
+(* Every field is immutable first-order data, where structural
+   comparison is exactly componentwise mathematical equality; equal
+   events and equal [order] give equal gseqs.  Compare patterns here,
+   never with polymorphic [=] (the rdtlint D2 rule flags it at [t]). *)
+let structure t = (t.n, t.events, t.order, t.ckpts, t.msgs, t.sends)
 
 let equal a b = structure a = structure b
 
@@ -275,28 +275,14 @@ let iter_ckpts t f = Array.iter (fun a -> Array.iter f a) t.ckpts
 let fold_ckpts t ~init ~f =
   Array.fold_left (fun acc a -> Array.fold_left f acc a) init t.ckpts
 
-let events_in_gseq_order t =
-  match t.gorder with
-  | Some a -> a
-  | None ->
-      let total = Array.fold_left (fun acc a -> acc + Array.length a) 0 t.events in
-      let out = Array.make total (0, 0, Types.Internal) in
-      let keys = Array.make total 0 in
-      let k = ref 0 in
-      for i = 0 to t.n - 1 do
-        Array.iteri
-          (fun pos ev ->
-            out.(!k) <- (i, pos, ev);
-            keys.(!k) <- t.gseqs.(i).(pos);
-            incr k)
-          t.events.(i)
-      done;
-      (* sort [out] by [keys] *)
-      let idx = Array.init total (fun i -> i) in
-      Array.sort (fun a b -> Int.compare keys.(a) keys.(b)) idx;
-      let sorted = Array.map (fun j -> out.(j)) idx in
-      t.gorder <- Some sorted;
-      sorted
+let iter_in_order t f =
+  let next = Array.make t.n 0 in
+  Array.iter
+    (fun i ->
+      let pos = next.(i) in
+      next.(i) <- pos + 1;
+      f i pos t.events.(i).(pos))
+    t.order
 
 let validate t =
   let err fmt = Format.kasprintf (fun s -> Error s) fmt in
@@ -337,8 +323,7 @@ let validate t =
   first_error (proc_checks @ msg_checks)
 
 let pp_summary ppf t =
-  let total_events = Array.fold_left (fun acc a -> acc + Array.length a) 0 t.events in
   Format.fprintf ppf
     "pattern: %d processes, %d events, %d messages, %d checkpoints (%d basic, %d forced)"
-    t.n total_events (Array.length t.msgs) (num_checkpoints t) (count_kind t Types.Basic)
+    t.n (Array.length t.order) (Array.length t.msgs) (num_checkpoints t) (count_kind t Types.Basic)
     (count_kind t Types.Forced)

@@ -52,11 +52,9 @@ end
 
 val equal : t -> t -> bool
 (** Structural equality: same processes, event sequences, global
-    sequence numbers, checkpoints (including kinds and recorded TDVs)
-    and messages.  Use this — never polymorphic [=] — to compare
-    patterns: [t] carries an internal lazily built cache that polymorphic
-    equality can see, so [=] may answer [false] on structurally equal
-    patterns depending on which accessors were called first. *)
+    order, checkpoints (including kinds and recorded TDVs) and messages.
+    Use this — never polymorphic [=] — to compare patterns (rdtlint's D2
+    rule enforces it). *)
 
 (** {1 Accessors} *)
 
@@ -97,9 +95,11 @@ val iter_ckpts : t -> (Types.ckpt -> unit) -> unit
 
 val fold_ckpts : t -> init:'a -> f:('a -> Types.ckpt -> 'a) -> 'a
 
-val events_in_gseq_order : t -> (Types.pid * int * Types.event) array
-(** All events of all processes as [(pid, pos, event)], sorted by global
-    sequence number.  Computed once and cached. *)
+val iter_in_order : t -> (Types.pid -> int -> Types.event -> unit) -> unit
+(** [iter_in_order t f] calls [f pid pos event] on every event of every
+    process in global sequence order: the [k]-th call has gseq [k].  The
+    builder logs the pid of each event as it arrives, so this is one walk
+    of that log with a cursor per process. *)
 
 val validate : t -> (unit, string) result
 (** Structural sanity check: positions consistent, intervals correct,

@@ -7,14 +7,20 @@ let label = function
   | Types.Internal -> "."
 
 let ascii pat =
-  let order = Pattern.events_in_gseq_order pat in
-  let total = Array.length order in
+  let n = Pattern.n pat in
+  let total = ref 0 in
+  for i = 0 to n - 1 do
+    total := !total + Array.length (Pattern.events pat i)
+  done;
+  let total = !total in
   if total > max_events then
     Error (Printf.sprintf "pattern too large to draw (%d events > %d)" total max_events)
   else begin
-    let n = Pattern.n pat in
     let cells = Array.make_matrix n total "" in
-    Array.iteri (fun col (i, _pos, ev) -> cells.(i).(col) <- label ev) order;
+    let col = ref 0 in
+    Pattern.iter_in_order pat (fun i _pos ev ->
+        cells.(i).(!col) <- label ev;
+        incr col);
     let widths =
       Array.init total (fun col ->
           let w = ref 1 in

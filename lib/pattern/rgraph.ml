@@ -6,8 +6,8 @@ type t = {
   pat : Pattern.t;
   offsets : int array; (* offsets.(i) = node id of C_{i,0} *)
   num_nodes : int;
-  succ : node list array; (* deduplicated adjacency *)
-  edge_count : int;
+  first : int array; (* successors of v: adj.(first.(v)) .. adj.(first.(v+1) - 1) *)
+  adj : int array; (* each slice sorted and distinct; unused tail *)
   mutable scc : (int array * int array * bool array) option;
       (* node -> scc id, nodes by ascending scc id, scc id -> cycle flag *)
   mutable max_src : Vclock.t array option; (* scc id -> max-source vector *)
@@ -28,9 +28,28 @@ let ckpt_of_node g v =
   if v < 0 || v >= g.num_nodes then invalid_arg "Rgraph.ckpt_of_node: out of range";
   find 0
 
-let successors g v = g.succ.(v)
+let successors g v = List.init (g.first.(v + 1) - g.first.(v)) (fun k -> g.adj.(g.first.(v) + k))
 
-let edge_count g = g.edge_count
+let edge_count g = g.first.(g.num_nodes)
+
+(* Sorts [a.(lo) .. a.(hi - 1)]: insertion sort on the short slices
+   nearly every node has, the library sort on a long one. *)
+let sort_slice a lo hi =
+  if hi - lo > 16 then begin
+    let s = Array.sub a lo (hi - lo) in
+    Array.sort Int.compare s;
+    Array.blit s 0 a lo (hi - lo)
+  end
+  else
+    for k = lo + 1 to hi - 1 do
+      let x = a.(k) in
+      let j = ref (k - 1) in
+      while !j >= lo && a.(!j) > x do
+        a.(!j + 1) <- a.(!j);
+        decr j
+      done;
+      a.(!j + 1) <- x
+    done
 
 let build pat =
   let n = Pattern.n pat in
@@ -41,40 +60,60 @@ let build pat =
     total := !total + Array.length (Pattern.checkpoints pat i)
   done;
   let num_nodes = !total in
-  let raw = Array.make num_nodes [] in
-  (* program-order edges *)
+  let msgs = Pattern.messages pat in
+  let source (m : Types.message) = offsets.(m.Types.src) + m.Types.send_interval in
+  (* counting pass: out-degree of v into [fill.(v + 1)], then prefix
+     sums, so [fill.(v)] is the start of v's raw slice *)
+  let fill = Array.make (num_nodes + 1) 0 in
   for i = 0 to n - 1 do
-    let last = Pattern.last_index pat i in
-    for x = 0 to last - 1 do
-      let v = offsets.(i) + x in
-      raw.(v) <- (v + 1) :: raw.(v)
+    for x = 0 to Pattern.last_index pat i - 1 do
+      fill.(offsets.(i) + x + 1) <- 1
     done
   done;
-  (* message edges: C_{src,send_interval} -> C_{dst,recv_interval} *)
+  Array.iter
+    (fun m ->
+      let v = source m in
+      fill.(v + 1) <- fill.(v + 1) + 1)
+    msgs;
+  for v = 1 to num_nodes do
+    fill.(v) <- fill.(v) + fill.(v - 1)
+  done;
+  let raw = Array.make fill.(num_nodes) 0 in
+  (* fill pass, advancing [fill.(v)] to the end of v's raw slice:
+     program-order edges, then message edges
+     C_{src,send_interval} -> C_{dst,recv_interval} *)
+  for i = 0 to n - 1 do
+    for x = 0 to Pattern.last_index pat i - 1 do
+      let v = offsets.(i) + x in
+      raw.(fill.(v)) <- v + 1;
+      fill.(v) <- fill.(v) + 1
+    done
+  done;
   Array.iter
     (fun (m : Types.message) ->
-      let v = offsets.(m.Types.src) + m.Types.send_interval in
-      let w = offsets.(m.Types.dst) + m.Types.recv_interval in
-      raw.(v) <- w :: raw.(v))
-    (Pattern.messages pat);
-  let edge_count = ref 0 in
-  let succ =
-    Array.map
-      (fun l ->
-        let d = List.sort_uniq Int.compare l in
-        edge_count := !edge_count + List.length d;
-        d)
-      raw
-  in
-  {
-    pat;
-    offsets;
-    num_nodes;
-    succ;
-    edge_count = !edge_count;
-    scc = None;
-    max_src = None;
-  }
+      let v = source m in
+      raw.(fill.(v)) <- offsets.(m.Types.dst) + m.Types.recv_interval;
+      fill.(v) <- fill.(v) + 1)
+    msgs;
+  (* [fill.(v)] is now the end of v's raw slice, and the end of the
+     previous one its start.  Sort each slice and compact it, distinct,
+     into [raw]'s prefix; [fill.(v)] becomes the start of v's compacted
+     slice once its raw end is read. *)
+  let out = ref 0 and lo = ref 0 in
+  for v = 0 to num_nodes - 1 do
+    let hi = fill.(v) in
+    sort_slice raw !lo hi;
+    fill.(v) <- !out;
+    for k = !lo to hi - 1 do
+      if !out = fill.(v) || raw.(!out - 1) <> raw.(k) then begin
+        raw.(!out) <- raw.(k);
+        incr out
+      end
+    done;
+    lo := hi
+  done;
+  fill.(num_nodes) <- !out;
+  { pat; offsets; num_nodes; first = fill; adj = raw; scc = None; max_src = None }
 
 (* Iterative Tarjan SCC.  SCCs are emitted in reverse topological order of
    the condensation: when an SCC is completed, all SCCs it can reach have
@@ -82,67 +121,66 @@ let build pat =
    larger id to a smaller one.  [order] lists the nodes as they are
    popped, i.e. by ascending SCC id. *)
 let compute_scc g =
-  let nv = g.num_nodes in
+  let nv = g.num_nodes and first = g.first and adj = g.adj in
   let index = Array.make nv (-1) in
   let lowlink = Array.make nv 0 in
-  let on_stack = Array.make nv false in
   let scc_of = Array.make nv (-1) in
   let order = Array.make nv 0 and popped = ref 0 in
-  let stack = ref [] in
+  (* Tarjan's node stack (its members are the visited nodes not yet in an
+     SCC), and the DFS call stack as (node, next edge) *)
+  let stack = Array.make nv 0 and sp = ref 0 in
+  let call_node = Array.make nv 0 and call_edge = Array.make nv 0 and csp = ref 0 in
   let next_index = ref 0 in
-  let next_scc = ref 0 in
-  let nontrivial = ref [] in
-  (* explicit DFS stack: (node, remaining successors) *)
+  let next_scc = ref 0 and nontrivial = ref [] in
+  let visit v =
+    index.(v) <- !next_index;
+    lowlink.(v) <- !next_index;
+    incr next_index;
+    stack.(!sp) <- v;
+    incr sp;
+    call_node.(!csp) <- v;
+    call_edge.(!csp) <- first.(v);
+    incr csp
+  in
   for root = 0 to nv - 1 do
     if index.(root) < 0 then begin
-      let call = ref [ (root, ref g.succ.(root)) ] in
-      index.(root) <- !next_index;
-      lowlink.(root) <- !next_index;
-      incr next_index;
-      stack := root :: !stack;
-      on_stack.(root) <- true;
-      while !call <> [] do
-        match !call with
-        | [] -> ()
-        | (v, rest) :: above -> (
-            match !rest with
-            | w :: tl ->
-                rest := tl;
-                if index.(w) < 0 then begin
-                  index.(w) <- !next_index;
-                  lowlink.(w) <- !next_index;
-                  incr next_index;
-                  stack := w :: !stack;
-                  on_stack.(w) <- true;
-                  call := (w, ref g.succ.(w)) :: !call
-                end
-                else if on_stack.(w) then
-                  lowlink.(v) <- min lowlink.(v) index.(w)
-            | [] ->
-                (* finish v *)
-                if lowlink.(v) = index.(v) then begin
-                  let id = !next_scc in
-                  incr next_scc;
-                  let first = !popped in
-                  let continue = ref true in
-                  while !continue do
-                    match !stack with
-                    | [] -> assert false
-                    | w :: tl ->
-                        stack := tl;
-                        on_stack.(w) <- false;
-                        scc_of.(w) <- id;
-                        order.(!popped) <- w;
-                        incr popped;
-                        if w = v then continue := false
-                  done;
-                  let self_loop = List.exists (Int.equal v) g.succ.(v) in
-                  nontrivial := (!popped - first > 1 || self_loop) :: !nontrivial
-                end;
-                call := above;
-                (match above with
-                | (u, _) :: _ -> lowlink.(u) <- min lowlink.(u) lowlink.(v)
-                | [] -> ()))
+      visit root;
+      while !csp > 0 do
+        let top = !csp - 1 in
+        let v = call_node.(top) and e = call_edge.(top) in
+        if e < first.(v + 1) then begin
+          call_edge.(top) <- e + 1;
+          let w = adj.(e) in
+          if index.(w) < 0 then visit w
+          else if scc_of.(w) < 0 then lowlink.(v) <- min lowlink.(v) index.(w)
+        end
+        else begin
+          (* finish v *)
+          if lowlink.(v) = index.(v) then begin
+            let id = !next_scc in
+            incr next_scc;
+            let start = !popped in
+            let continue = ref true in
+            while !continue do
+              decr sp;
+              let w = stack.(!sp) in
+              scc_of.(w) <- id;
+              order.(!popped) <- w;
+              incr popped;
+              if w = v then continue := false
+            done;
+            let self_loop = ref false in
+            for k = first.(v) to first.(v + 1) - 1 do
+              if adj.(k) = v then self_loop := true
+            done;
+            nontrivial := (!popped - start > 1 || !self_loop) :: !nontrivial
+          end;
+          csp := top;
+          if top > 0 then begin
+            let u = call_node.(top - 1) in
+            lowlink.(u) <- min lowlink.(u) lowlink.(v)
+          end
+        end
       done
     end
   done;
@@ -172,10 +210,12 @@ let max_src g =
         done
       done;
       for k = g.num_nodes - 1 downto 0 do
-        let id = scc_of.(order.(k)) in
-        List.iter
-          (fun w -> if scc_of.(w) <> id then Vclock.merge m.(scc_of.(w)) m.(id))
-          g.succ.(order.(k))
+        let v = order.(k) in
+        let id = scc_of.(v) in
+        for e = g.first.(v) to g.first.(v + 1) - 1 do
+          let w = g.adj.(e) in
+          if scc_of.(w) <> id then Vclock.merge m.(scc_of.(w)) m.(id)
+        done
       done;
       g.max_src <- Some m;
       m
@@ -213,7 +253,9 @@ let to_dot g =
     Buffer.add_string buf (Printf.sprintf "  n%d [label=\"C(%d,%d)\"];\n" v i x)
   done;
   for v = 0 to g.num_nodes - 1 do
-    List.iter (fun w -> Buffer.add_string buf (Printf.sprintf "  n%d -> n%d;\n" v w)) g.succ.(v)
+    for e = g.first.(v) to g.first.(v + 1) - 1 do
+      Buffer.add_string buf (Printf.sprintf "  n%d -> n%d;\n" v g.adj.(e))
+    done
   done;
   Buffer.add_string buf "}\n";
   Buffer.contents buf

@@ -18,7 +18,9 @@ type node = int
 (** Dense node identifier; see {!node_of_ckpt}/{!ckpt_of_node}. *)
 
 val build : Pattern.t -> t
-(** Builds the R-graph of a pattern.  O(V + M). *)
+(** Builds the R-graph of a pattern: one counting pass, then each node's
+    successors sorted and deduplicated in place, in two flat arrays
+    (compressed sparse rows).  O(V + M) for bounded out-degree. *)
 
 val num_nodes : t -> int
 
@@ -28,7 +30,7 @@ val node_of_ckpt : t -> Types.ckpt_id -> node
 val ckpt_of_node : t -> node -> Types.ckpt_id
 
 val successors : t -> node -> node list
-(** Out-neighbours (deduplicated). *)
+(** Out-neighbours, ascending and distinct (a fresh list). *)
 
 val edge_count : t -> int
 

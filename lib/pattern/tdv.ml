@@ -25,17 +25,26 @@ let compute pat =
     Array.init n (fun i -> Array.map (fun _ -> dummy) (Pattern.checkpoints pat i))
   in
   let payloads = Array.make (Pattern.num_messages pat) dummy in
-  let order = Pattern.events_in_gseq_order pat in
-  Array.iter
-    (fun (i, _pos, ev) ->
+  (* Payloads and snapshots are never mutated, so P_i hands out one
+     frozen copy of its vector until the vector next changes (at a
+     checkpoint or a delivery); [frozen.(i) == dummy] means none is
+     current. *)
+  let frozen = Array.make n dummy in
+  let freeze i =
+    if frozen.(i) == dummy then frozen.(i) <- Vclock.copy vectors.(i);
+    frozen.(i)
+  in
+  Pattern.iter_in_order pat (fun i _pos ev ->
       match ev with
       | Types.Ckpt x ->
-          snapshots.(i).(x) <- Vclock.copy vectors.(i);
-          Vclock.set vectors.(i) i (x + 1)
-      | Types.Send id -> payloads.(id) <- Vclock.copy vectors.(i)
-      | Types.Recv id -> Vclock.merge vectors.(i) payloads.(id)
-      | Types.Internal -> ())
-    order;
+          snapshots.(i).(x) <- freeze i;
+          Vclock.set vectors.(i) i (x + 1);
+          frozen.(i) <- dummy
+      | Types.Send id -> payloads.(id) <- freeze i
+      | Types.Recv id ->
+          Vclock.merge vectors.(i) payloads.(id);
+          frozen.(i) <- dummy
+      | Types.Internal -> ());
   {
     pat;
     snapshots;

@@ -51,3 +51,7 @@ val pairwise_insufficient : unit -> Rdt_pattern.Pattern.t
 val causal_ping_pong : unit -> Rdt_pattern.Pattern.t
 (** A small RDT-satisfying pattern: strictly alternating request/reply
     between two processes with checkpoints only between exchanges. *)
+
+val logged : unit -> (string * Rdt_pattern.Pattern.t * int array array) list
+(** Every fixture above, named, with the gseq of each of its events
+    (built through {!Naive.Logged}). *)

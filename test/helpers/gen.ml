@@ -1,9 +1,10 @@
 module P = Rdt_pattern.Pattern
 module Rng = Rdt_dist.Rng
 module Faults = Rdt_dist.Faults
+module B = Naive.Logged
 
 let build ~n ~steps ~rng =
-  let b = P.Builder.create ~n in
+  let b = B.create ~n in
   let pending = ref [] in
   let npending = ref 0 in
   let pick_pending () =
@@ -18,22 +19,24 @@ let build ~n ~steps ~rng =
     if dice < 0.40 || (!npending = 0 && dice < 0.80) then begin
       let src = Rng.int rng n in
       let dst = (src + 1 + Rng.int rng (n - 1)) mod n in
-      pending := P.Builder.send b ~src ~dst :: !pending;
+      pending := B.send b ~src ~dst :: !pending;
       incr npending
     end
-    else if dice < 0.80 then P.Builder.recv b (pick_pending ())
-    else ignore (P.Builder.checkpoint b (Rng.int rng n))
+    else if dice < 0.80 then B.recv b (pick_pending ())
+    else ignore (B.checkpoint b (Rng.int rng n))
   done;
   while !npending > 0 do
-    P.Builder.recv b (pick_pending ())
+    B.recv b (pick_pending ())
   done;
-  P.Builder.finish ~final_checkpoints:true b
+  B.finish b
 
-let random_pattern ?n ?steps ~seed () =
+let random_pattern_logged ?n ?steps ~seed () =
   let rng = Rng.create seed in
   let n = match n with Some n -> n | None -> 2 + Rng.int rng 4 in
   let steps = match steps with Some s -> s | None -> 10 + Rng.int rng 71 in
   build ~n ~steps ~rng
+
+let random_pattern ?n ?steps ~seed () = fst (random_pattern_logged ?n ?steps ~seed ())
 
 let print_pattern p = Format.asprintf "%a" P.pp_summary p
 
@@ -47,7 +50,7 @@ type recipe = { seed : int; n : int; steps : int }
 
 let pattern_of_recipe r =
   let rng = Rng.create r.seed in
-  build ~n:r.n ~steps:r.steps ~rng
+  fst (build ~n:r.n ~steps:r.steps ~rng)
 
 let print_recipe r =
   Format.asprintf "recipe{seed=%d n=%d steps=%d} ~> %a" r.seed r.n r.steps P.pp_summary

@@ -11,6 +11,11 @@ val random_pattern : ?n:int -> ?steps:int -> seed:int -> unit -> Rdt_pattern.Pat
     operations before draining) defaults to a seed-derived value in
     [\[10, 80\]]. *)
 
+val random_pattern_logged :
+  ?n:int -> ?steps:int -> seed:int -> unit -> Rdt_pattern.Pattern.t * int array array
+(** {!random_pattern}, built through {!Naive.Logged}: with the gseq of
+    every event. *)
+
 val pattern_arbitrary : Rdt_pattern.Pattern.t QCheck.arbitrary
 (** QCheck arbitrary wrapping {!random_pattern} (prints the pattern
     summary on failure). *)

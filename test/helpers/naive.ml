@@ -1,5 +1,146 @@
 module P = Rdt_pattern.Pattern
 module T = Rdt_pattern.Types
+module H = Rdt_pattern.History
+
+(* ------------------------------------------------------------------ *)
+(* Global order                                                        *)
+(* ------------------------------------------------------------------ *)
+
+module Logged = struct
+  type b = {
+    b : P.Builder.b;
+    gseqs : int list array; (* per process, newest first *)
+    dst : (int, int) Hashtbl.t; (* message handle -> destination *)
+    last_is_ckpt : bool array;
+    mutable next : int;
+  }
+
+  let push l i ~ckpt =
+    l.gseqs.(i) <- l.next :: l.gseqs.(i);
+    l.next <- l.next + 1;
+    l.last_is_ckpt.(i) <- ckpt
+
+  let create ~n =
+    let l =
+      {
+        b = P.Builder.create ~n;
+        gseqs = Array.make n [];
+        dst = Hashtbl.create 16;
+        last_is_ckpt = Array.make n true;
+        next = 0;
+      }
+    in
+    (* the initial checkpoints *)
+    for i = 0 to n - 1 do
+      push l i ~ckpt:true
+    done;
+    l
+
+  let checkpoint l i =
+    let x = P.Builder.checkpoint l.b i in
+    push l i ~ckpt:true;
+    x
+
+  let send l ~src ~dst =
+    let h = P.Builder.send l.b ~src ~dst in
+    Hashtbl.replace l.dst h dst;
+    push l src ~ckpt:false;
+    h
+
+  let recv l h =
+    P.Builder.recv l.b h;
+    push l (Hashtbl.find l.dst h) ~ckpt:false
+
+  let finish l =
+    let pat = P.Builder.finish ~final_checkpoints:true l.b in
+    for i = 0 to Array.length l.gseqs - 1 do
+      if not l.last_is_ckpt.(i) then push l i ~ckpt:true
+    done;
+    (pat, Array.map (fun g -> Array.of_list (List.rev g)) l.gseqs)
+end
+
+let history_gseqs h =
+  let stacks = H.stacks h in
+  let n = Array.length stacks in
+  let kept =
+    Array.map
+      (List.filter (function
+        | H.Ckpt { index = 0; _ } -> false (* the builder's initial checkpoint *)
+        | H.Send { msg; _ } -> not (H.is_undeliverable h msg)
+        | H.Recv _ | H.Internal _ | H.Ckpt _ -> true))
+      stacks
+  in
+  let seq = function
+    | H.Send { seq; _ } | H.Recv { seq; _ } | H.Internal { seq } | H.Ckpt { seq; _ } -> seq
+  in
+  let top = Array.fold_left (List.fold_left (fun acc e -> max acc (seq e))) 0 kept in
+  Array.mapi
+    (fun i entries ->
+      let final =
+        match List.rev entries with [] | H.Ckpt _ :: _ -> [] | _ :: _ -> [ n + top + 1 + i ]
+      in
+      Array.of_list ((i :: List.map (fun e -> n + seq e) entries) @ final))
+    kept
+
+let gseq_order pat ~gseqs =
+  let total = Array.fold_left (fun acc g -> acc + Array.length g) 0 gseqs in
+  let out = Array.make total (0, 0, T.Internal) in
+  let keys = Array.make total 0 in
+  let k = ref 0 in
+  for i = 0 to P.n pat - 1 do
+    Array.iteri
+      (fun pos ev ->
+        out.(!k) <- (i, pos, ev);
+        keys.(!k) <- gseqs.(i).(pos);
+        incr k)
+      (P.events pat i)
+  done;
+  let idx = Array.init total (fun i -> i) in
+  Array.sort (fun a b -> Int.compare keys.(a) keys.(b)) idx;
+  Array.map (fun j -> out.(j)) idx
+
+(* ------------------------------------------------------------------ *)
+(* R-graph and TDVs                                                    *)
+(* ------------------------------------------------------------------ *)
+
+let rgraph_successors pat =
+  let n = P.n pat in
+  let offsets = Array.make n 0 in
+  for i = 1 to n - 1 do
+    offsets.(i) <- offsets.(i - 1) + P.last_index pat (i - 1) + 1
+  done;
+  let node (i, x) = offsets.(i) + x in
+  let raw = Array.make (node (n - 1, P.last_index pat (n - 1)) + 1) [] in
+  for i = 0 to n - 1 do
+    for x = 0 to P.last_index pat i - 1 do
+      raw.(node (i, x)) <- node (i, x + 1) :: raw.(node (i, x))
+    done
+  done;
+  Array.iter
+    (fun (m : T.message) ->
+      let v = node (m.src, m.send_interval) in
+      raw.(v) <- node (m.dst, m.recv_interval) :: raw.(v))
+    (P.messages pat);
+  Array.map (List.sort_uniq Int.compare) raw
+
+let dense_tdvs pat =
+  let n = P.n pat in
+  let vectors = Array.init n (fun _ -> Array.make n 0) in
+  let snapshots = Array.init n (fun i -> Array.make (P.last_index pat i + 1) [||]) in
+  let payloads = Array.make (P.num_messages pat) [||] in
+  P.iter_in_order pat (fun i _pos ev ->
+      match ev with
+      | T.Ckpt x ->
+          snapshots.(i).(x) <- Array.copy vectors.(i);
+          vectors.(i).(i) <- x + 1
+      | T.Send id -> payloads.(id) <- Array.copy vectors.(i)
+      | T.Recv id -> Array.iteri (fun k v -> vectors.(i).(k) <- max vectors.(i).(k) v) payloads.(id)
+      | T.Internal -> ());
+  fun (i, x) -> snapshots.(i).(x)
+
+(* ------------------------------------------------------------------ *)
+(* Reachability, chains, consistency                                   *)
+(* ------------------------------------------------------------------ *)
 
 let rgraph_edges pat =
   let edges = ref [] in

@@ -3,6 +3,50 @@
     complexity.  The test suite checks the optimised library code against
     these on randomly generated patterns. *)
 
+(** {1 Global order} *)
+
+module Logged : sig
+  (** {!Rdt_pattern.Pattern.Builder} (every checkpoint [Basic], final
+      checkpoints on) that also keeps the global sequence number of every
+      event the way the builder itself once did: one counter, one list
+      of gseqs per process. *)
+
+  type b
+
+  val create : n:int -> b
+  val checkpoint : b -> Rdt_pattern.Types.pid -> int
+  val send : b -> src:Rdt_pattern.Types.pid -> dst:Rdt_pattern.Types.pid -> int
+  val recv : b -> int -> unit
+
+  val finish : b -> Rdt_pattern.Pattern.t * int array array
+  (** The pattern, and [gseqs.(i).(pos)] for each of its events. *)
+end
+
+val history_gseqs : Rdt_pattern.History.t -> int array array
+(** Keys in the order of the global sequence numbers of
+    [History.to_pattern h]'s events, from the history's own [seq]s: the
+    initial checkpoints first, by pid; then the surviving entries by
+    [seq]; then the final checkpoints, by pid. *)
+
+val gseq_order :
+  Rdt_pattern.Pattern.t ->
+  gseqs:int array array ->
+  (Rdt_pattern.Types.pid * int * Rdt_pattern.Types.event) array
+(** Every event as [(pid, pos, event)], sorted by [gseqs.(pid).(pos)]:
+    the sort {!Rdt_pattern.Pattern.iter_in_order} replaced. *)
+
+(** {1 R-graph and TDVs} *)
+
+val rgraph_successors : Rdt_pattern.Pattern.t -> int list array
+(** The R-graph's adjacency as node lists, deduplicated with
+    [List.sort_uniq] (node ids as {!Rdt_pattern.Rgraph.node_of_ckpt}). *)
+
+val dense_tdvs : Rdt_pattern.Pattern.t -> Rdt_pattern.Types.ckpt_id -> int array
+(** TDV replay on dense vectors with a fresh copy for every payload and
+    every checkpoint. *)
+
+(** {1 Reachability, chains, consistency} *)
+
 val rgraph_edges :
   Rdt_pattern.Pattern.t -> (Rdt_pattern.Types.ckpt_id * Rdt_pattern.Types.ckpt_id) list
 (** All R-graph edges, from Definition (Section 3.1), deduplicated. *)

@@ -120,10 +120,15 @@ let test_intervals () =
   Alcotest.(check int) "m' in I_{0,2}" 2 msg'.T.send_interval;
   Alcotest.(check int) "both delivered in I_{1,1}" 1 msg.T.recv_interval
 
+let visited pat =
+  let out = ref [] in
+  P.iter_in_order pat (fun i pos ev -> out := (i, pos, ev) :: !out);
+  Array.of_list (List.rev !out)
+
 let test_gseq_order () =
   let fx = Rdt_test_helpers.Fixtures.figure1 () in
   let pat = fx.pattern in
-  let order = P.events_in_gseq_order pat in
+  let order = visited pat in
   (* globally sorted and a permutation of all events *)
   let total = Array.fold_left (fun acc i -> acc + Array.length (P.events pat i)) 0
       (Array.init (P.n pat) (fun i -> i)) in
@@ -139,6 +144,84 @@ let test_gseq_order () =
       | T.Recv m -> check "send before delivery" true (Hashtbl.mem sent m)
       | T.Ckpt _ | T.Internal -> ())
     order
+
+(* [iter_in_order] visits exactly what the sort by gseq yields, and its
+   k-th Send or Recv carries gseq k in its message record. *)
+let order_agrees pat gseqs =
+  let got = visited pat in
+  let gseq_ok = ref true in
+  Array.iteri
+    (fun k (_, _, ev) ->
+      match ev with
+      | T.Send id -> if (P.message pat id).T.send_gseq <> k then gseq_ok := false
+      | T.Recv id -> if (P.message pat id).T.recv_gseq <> k then gseq_ok := false
+      | T.Ckpt _ | T.Internal -> ())
+    got;
+  !gseq_ok && got = Rdt_test_helpers.Naive.gseq_order pat ~gseqs
+
+let test_order_fixtures () =
+  List.iter
+    (fun (name, pat, gseqs) -> check name true (order_agrees pat gseqs))
+    (Rdt_test_helpers.Fixtures.logged ())
+
+let order_matches_sort =
+  QCheck.Test.make ~name:"iter_in_order = sort by gseq" ~count:200
+    QCheck.(make ~print:string_of_int Gen.nat)
+    (fun seed ->
+      let pat, gseqs = Rdt_test_helpers.Gen.random_pattern_logged ~seed () in
+      order_agrees pat gseqs)
+
+(* A fuzz scenario run as [Rdt_fuzz.Exec] configures it, with an online
+   engine on its trace: the runtime's pattern (built directly, or by
+   [History.to_pattern] after a crash) and the engine's history of the
+   trace, whose [seq]s give the reference order. *)
+let traced_run (sc : Rdt_fuzz.Scenario.t) =
+  let eng = Rdt_check.Online.create ~n:sc.n () in
+  let transport =
+    if sc.transport then
+      Some
+        {
+          Rdt_dist.Transport.default_params with
+          retx_timeout = sc.retx_timeout;
+          max_retx = sc.max_retx;
+        }
+    else None
+  in
+  let r =
+    Rdt_core.Runtime.run
+      (Rdt_core.Runtime.configure ~n:sc.n ~seed:sc.run_seed ~messages:sc.messages
+         ~channel:sc.channel ~basic_period:sc.basic_period ~crashes:sc.crashes ~faults:sc.faults
+         ?transport
+         ~trace:(Rdt_obs.Trace.observer (Rdt_check.Online.observe eng))
+         (Rdt_workloads.Registry.find_exn sc.env)
+         (Rdt_core.Registry.find_exn sc.protocol))
+  in
+  (r.Rdt_core.Runtime.pattern, Rdt_check.Online.history eng)
+
+(* envs whose crash runs always terminate *)
+let run_scenarios ~crash_prob =
+  let space =
+    {
+      Rdt_fuzz.Scenario.default_space with
+      envs = [ "random"; "group"; "client-server" ];
+      crash_prob;
+    }
+  in
+  List.map (fun seed -> Rdt_fuzz.Scenario.generate ~space ~seed ()) [ 1; 2; 3; 4; 5; 6; 7; 8 ]
+
+let test_order_runs () =
+  let scenarios = run_scenarios ~crash_prob:0.0 @ run_scenarios ~crash_prob:1.0 in
+  check "crash-free and crash runs" true
+    (List.exists (fun sc -> sc.Rdt_fuzz.Scenario.crashes = []) scenarios
+    && List.exists (fun sc -> sc.Rdt_fuzz.Scenario.crashes <> []) scenarios);
+  List.iter
+    (fun sc ->
+      let pat, history = traced_run sc in
+      check
+        (Format.asprintf "%a" Rdt_fuzz.Scenario.pp sc)
+        true
+        (order_agrees pat (Rdt_test_helpers.Naive.history_gseqs history)))
+    scenarios
 
 let test_counts () =
   let fx = Rdt_test_helpers.Fixtures.figure1 () in
@@ -277,6 +360,43 @@ let rgraph_edges_match_naive =
       done;
       List.sort_uniq compare !got = Rdt_test_helpers.Naive.rgraph_edges pat)
 
+(* The CSR graph against the list-built adjacency and the definition:
+   successors node by node, edge count, and R-cycle membership (a
+   checkpoint lies on a cycle iff a successor reaches it back). *)
+let csr_agrees pat =
+  let g = Rgraph.build pat in
+  let lists = Rdt_test_helpers.Naive.rgraph_successors pat in
+  let edges = Rdt_test_helpers.Naive.rgraph_edges pat in
+  Rgraph.num_nodes g = Array.length lists
+  && Rgraph.edge_count g = List.length edges
+  && Array.for_all Fun.id (Array.mapi (fun v l -> Rgraph.successors g v = l) lists)
+  && List.for_all
+       (fun a ->
+         Rgraph.in_cycle g a
+         = List.exists (fun (u, w) -> u = a && Rdt_test_helpers.Naive.reaches pat w a) edges)
+       (all_ckpts pat)
+
+let test_csr_fixtures () =
+  List.iter
+    (fun (name, pat, _) ->
+      check name true (csr_agrees pat);
+      let g = Rgraph.build pat and cks = all_ckpts pat in
+      List.iter
+        (fun a ->
+          List.iter
+            (fun b ->
+              check (name ^ " reaches") (Rdt_test_helpers.Naive.reaches pat a b)
+                (Rgraph.reaches g a b))
+            cks)
+        cks)
+    (Rdt_test_helpers.Fixtures.logged ());
+  check "two crossing has a cycle" true
+    (Rgraph.in_cycle (Rgraph.build (Rdt_test_helpers.Fixtures.two_crossing ())) (0, 1))
+
+let rgraph_csr_matches_lists =
+  QCheck.Test.make ~name:"CSR rgraph = list-built adjacency and naive cycles" ~count:100
+    Rdt_test_helpers.Gen.pattern_arbitrary csr_agrees
+
 (* ------------------------------------------------------------------ *)
 (* Figure 1: TDV                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -340,6 +460,23 @@ let tdv_entry_is_max_chain_origin =
         done
       done;
       !ok)
+
+(* The shared-copy replay against dense vectors copied at every send and
+   checkpoint, at every checkpoint. *)
+let tdv_agrees pat =
+  let tdv = Tdv.compute pat and dense = Rdt_test_helpers.Naive.dense_tdvs pat in
+  List.for_all (fun c -> Tdv.at tdv c = dense c) (all_ckpts pat)
+
+let test_tdv_dense_fixtures () =
+  List.iter (fun (name, pat, _) -> check name true (tdv_agrees pat))
+    (Rdt_test_helpers.Fixtures.logged ());
+  List.iter
+    (fun sc -> check "fuzz run" true (tdv_agrees (fst (traced_run sc))))
+    (run_scenarios ~crash_prob:0.5)
+
+let tdv_matches_dense =
+  QCheck.Test.make ~name:"TDV shared copies = dense replay" ~count:200
+    Rdt_test_helpers.Gen.pattern_arbitrary tdv_agrees
 
 (* ------------------------------------------------------------------ *)
 (* Figure 1: chains and Z-paths                                        *)
@@ -625,6 +762,9 @@ let () =
           Alcotest.test_case "final checkpoints" `Quick test_builder_final_checkpoints;
           Alcotest.test_case "intervals" `Quick test_intervals;
           Alcotest.test_case "gseq order" `Quick test_gseq_order;
+          Alcotest.test_case "in order = gseq sort (fixtures)" `Quick test_order_fixtures;
+          Alcotest.test_case "in order = gseq sort (fuzz and crash runs)" `Quick test_order_runs;
+          qt order_matches_sort;
           Alcotest.test_case "counts & validate" `Quick test_counts;
           Alcotest.test_case "growth past doublings" `Quick test_builder_many_messages;
         ] );
@@ -643,6 +783,8 @@ let () =
           qt rgraph_matches_naive;
           qt rgraph_max_reaching_matches_naive;
           qt rgraph_edges_match_naive;
+          Alcotest.test_case "CSR = lists (fixtures)" `Quick test_csr_fixtures;
+          qt rgraph_csr_matches_lists;
         ] );
       ( "tdv",
         [
@@ -651,6 +793,8 @@ let () =
           qt tdv_matches_chains;
           qt tdv_matches_naive;
           qt tdv_entry_is_max_chain_origin;
+          Alcotest.test_case "shared copies = dense (fixtures, runs)" `Quick test_tdv_dense_fixtures;
+          qt tdv_matches_dense;
         ] );
       ( "chains",
         [
