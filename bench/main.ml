@@ -180,7 +180,9 @@ let run_micro ~report () =
       let estimate =
         match Analyze.OLS.estimates ols with Some (e :: _) -> e | Some [] | None -> nan
       in
-      let r2 = match Analyze.OLS.r_square ols with Some r -> r | None -> nan in
+      let r_square =
+        match Analyze.OLS.r_square ols with Some r when not (Float.is_nan r) -> Some r | _ -> None
+      in
       let pretty =
         if Float.is_nan estimate then "-"
         else if estimate > 1e6 then Printf.sprintf "%.3f ms" (estimate /. 1e6)
@@ -188,9 +190,9 @@ let run_micro ~report () =
         else Printf.sprintf "%.1f ns" estimate
       in
       if not (Float.is_nan estimate) then
-        Rdt_harness.Bench_report.add_micro report ~name ~ns:estimate;
+        Rdt_harness.Bench_report.add_micro report ?r_square ~name ~ns:estimate;
       Rdt_harness.Table.add_row table
-        [ name; pretty; (if Float.is_nan r2 then "-" else Printf.sprintf "%.4f" r2) ])
+        [ name; pretty; (match r_square with Some r -> Printf.sprintf "%.4f" r | None -> "-") ])
     (List.sort compare rows);
   Rdt_harness.Table.print table
 
@@ -224,7 +226,7 @@ let () =
   let json = !json in
   let report = Rdt_harness.Bench_report.create ~jobs in
   let t0 = Rdt_obs.Meter.now () in
-  if not micro_only then Rdt_harness.Experiments.run_all ~quick ~jobs ~report ();
+  if not micro_only then Rdt_harness.Experiments.(run ~quick ~jobs ~report entries);
   if not no_micro then run_micro ~report ();
   Rdt_harness.Bench_report.set_wall report (Rdt_obs.Meter.now () -. t0);
   Rdt_harness.Bench_report.record_obs report;

@@ -194,10 +194,8 @@ let faults_term =
       }
     in
     let params = { Rdt_dist.Transport.default_params with retx_timeout; max_retx } in
-    let transport =
-      if Rdt_dist.Faults.is_none spec && params = Rdt_dist.Transport.default_params then None
-      else Some params
-    in
+    (* faults alone get the default transport from [Runtime.configure] *)
+    let transport = if params = Rdt_dist.Transport.default_params then None else Some params in
     (spec, transport)
   in
   Term.(
@@ -222,9 +220,9 @@ let workload_term =
         { env; protocol; n; seed; messages; faults; transport })
     $ env_arg $ protocol_arg $ n_arg $ seed_arg $ messages_arg $ faults_term)
 
-let run_workload ?online ~trace w =
+let run_workload ?online ?crashes ~trace w =
   Rdt_core.Runtime.run
-    (Rdt_core.Runtime.configure ~n:w.n ~seed:w.seed ~messages:w.messages ~faults:w.faults
+    (Rdt_core.Runtime.configure ~n:w.n ~seed:w.seed ~messages:w.messages ?crashes ~faults:w.faults
        ?transport:w.transport ~trace ?online (snd w.env ()) w.protocol)
 
 (* ---- event tracing (run, verify, recover and crashrun) ---- *)
@@ -424,7 +422,7 @@ let experiments_cmd =
   let action quick jobs json =
     let jobs = resolve_jobs jobs in
     let report = Rdt_harness.Bench_report.create ~jobs in
-    Rdt_harness.Experiments.run_all ~quick ~jobs ~report ();
+    Rdt_harness.Experiments.(run ~quick ~jobs ~report entries);
     write_report report json
   in
   Cmd.v (Cmd.info "experiments" ~doc) Term.(const action $ quick $ jobs_arg $ json_arg)
@@ -441,7 +439,9 @@ let table_cmd =
          for every $(b,--jobs) value.";
     ]
   in
-  let table_names = Rdt_harness.Experiments.table_names in
+  let table_names =
+    List.filter_map (fun e -> e.Rdt_harness.Experiments.name) Rdt_harness.Experiments.entries
+  in
   let names_arg =
     Arg.(
       value
@@ -460,7 +460,7 @@ let table_cmd =
     let seeds = List.init seeds_k (fun i -> i + 1) in
     let report = Rdt_harness.Bench_report.create ~jobs in
     let names = if names = [] then table_names else names in
-    Rdt_harness.Experiments.run_tables ~jobs ~report ~seeds names;
+    Rdt_harness.Experiments.(run ~jobs ~report ~seeds (List.map find names));
     write_report report json
   in
   Cmd.v
@@ -586,11 +586,7 @@ let crashrun_cmd =
     let crashes =
       List.map (fun (victim, at) -> { R.victim; at; repair_delay = repair }) crashes
     in
-    let r =
-      R.run
-        (R.configure ~n:w.n ~seed:w.seed ~messages:w.messages ~crashes ~faults:w.faults
-           ?transport:w.transport ~trace:tr (snd w.env ()) w.protocol)
-    in
+    let r = run_workload ~crashes ~trace:tr w in
     List.iter
       (fun (rc : R.recovery) ->
         Format.printf
@@ -1094,22 +1090,14 @@ let feed_cmd =
             (Printf.sprintf "stream %s already holds %d events but the trace has only %d"
                stream resumed (List.length events));
         let t0 = Rdt_obs.Meter.now () in
-        let rec batches = function
-          | [] -> ()
-          | evs ->
-              let rec split k acc = function
-                | rest when k = 0 -> (List.rev acc, rest)
-                | [] -> (List.rev acc, [])
-                | ev :: rest -> split (k - 1) (ev :: acc) rest
-              in
-              let frame, rest = split batch [] evs in
-              (* per event, like watch --pace, not per frame *)
-              pace_sleep (pace * List.length frame);
-              Client.send c (W.Events frame);
-              List.iter handle_async (Client.poll c);
-              batches rest
-        in
-        (try batches (List.filteri (fun i _ -> i >= resumed) events)
+        (try
+           List.iter
+             (fun frame ->
+               (* per event, like watch --pace, not per frame *)
+               pace_sleep (pace * List.length frame);
+               Client.send c (W.Events frame);
+               List.iter handle_async (Client.poll c))
+             (W.batches batch (List.filteri (fun i _ -> i >= resumed) events))
          with Failure e -> fail_transport e);
         (* force durability of the whole stream before querying; the
            resulting ack is indistinguishable from batch acks and is

@@ -105,6 +105,21 @@ module Wire = struct
 
   let exit_code_of_reject = function Inconsistent | Protocol -> 2 | Unrecoverable -> 3
 
+  let batches k events =
+    if k < 1 then invalid_arg "Session.Wire.batches: k must be >= 1";
+    let rec split k acc = function
+      | rest when k = 0 -> (List.rev acc, rest)
+      | [] -> (List.rev acc, [])
+      | ev :: rest -> split (k - 1) (ev :: acc) rest
+    in
+    let rec cut frames = function
+      | [] -> List.rev frames
+      | evs ->
+          let frame, rest = split k [] evs in
+          cut (frame :: frames) rest
+    in
+    cut [] events
+
   (* -- encoding ---------------------------------------------------- *)
 
   let escape = T.json_escape

@@ -140,6 +140,11 @@ module Wire : sig
         (** Final verdict.  [orphans] non-empty means the stream ended
             mid-rollback-cascade (exit 2 for the client). *)
 
+  val batches : int -> Rdt_obs.Trace.event list -> Rdt_obs.Trace.event list list
+  (** [batches k events] cuts [events] into the payloads of consecutive
+      [Events] frames of [k] events each, the last one shorter.
+      @raise Invalid_argument if [k < 1]. *)
+
   val exit_code_of_reject : reject -> int
   (** The unified exit-code table (see [rdtsim watch --help]):
       {!Inconsistent} and {!Protocol} map to 2, {!Unrecoverable} to 3. *)

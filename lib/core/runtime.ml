@@ -48,6 +48,13 @@ let default_config env protocol =
 let configure ?(n = 8) ?(seed = 1) ?(messages = 2000) ?(channel = Channel.Uniform (5, 100))
     ?(basic_period = (300, 700)) ?(max_time = max_int / 2) ?(crashes = [])
     ?(faults = Faults.none) ?transport ?(trace = Trace.null) ?(online = false) env protocol =
+  (* faults need a transport to recover reliable delivery: supply the
+     default parameters when faults come without any *)
+  let transport =
+    match transport with
+    | None when not (Faults.is_none faults) -> Some Transport.default_params
+    | t -> t
+  in
   {
     n;
     seed;

@@ -127,7 +127,10 @@ val configure :
 (** Labelled constructor over {!default_config}: every optional argument
     defaults to the corresponding default field, so
     [configure ~seed ~trace env protocol] reads the same across the CLI,
-    the fuzzer and the harness. *)
+    the fuzzer and the harness.  The one exception: [faults] other than
+    {!Rdt_dist.Faults.none} without [transport] select
+    {!Rdt_dist.Transport.default_params}, so the run still delivers
+    reliably. *)
 
 type recovery = {
   crash : crash;

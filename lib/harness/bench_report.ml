@@ -4,7 +4,8 @@ type t = {
   jobs : int;
   mutable cells : cell list; (* reversed *)
   mutable wall : float;
-  mutable micro : (string * float) list; (* reversed; benchmark name, ns/run *)
+  mutable micro : (string * float * float option) list;
+      (* reversed; benchmark name, ns/run, r² of the estimate *)
   mutable phases : (string * int * float) list; (* span name, calls, seconds; sorted *)
   mutable counters : (string * int) list; (* sorted *)
 }
@@ -14,7 +15,7 @@ let create ~jobs = { jobs; cells = []; wall = 0.0; micro = []; phases = []; coun
 let add t ~table ~protocol ~env ~seed ~seconds =
   t.cells <- { table; protocol; env; seed; seconds } :: t.cells
 
-let add_micro t ~name ~ns = t.micro <- (name, ns) :: t.micro
+let add_micro ?r_square t ~name ~ns = t.micro <- (name, ns, r_square) :: t.micro
 
 let set_wall t wall = t.wall <- wall
 
@@ -51,19 +52,7 @@ let per_table t = totals (fun c -> c.table) t
 (* JSON rendering (no external dependency)                             *)
 (* ------------------------------------------------------------------ *)
 
-let escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+let escape = Rdt_obs.Trace.json_escape
 
 let json_float x =
   if Float.is_nan x || Float.is_integer x && Float.abs x < 1e15 then
@@ -99,8 +88,11 @@ let to_json t =
       Printf.sprintf "{\"table\": \"%s\", \"seconds\": %s, \"cells\": %d}" (escape tb)
         (json_float secs) n);
   Buffer.add_string buf ",\n";
-  obj_list "micro" (micro t) (fun (name, ns) ->
-      Printf.sprintf "{\"benchmark\": \"%s\", \"ns_per_run\": %s}" (escape name) (json_float ns));
+  obj_list "micro" (micro t) (fun (name, ns, r_square) ->
+      Printf.sprintf "{\"benchmark\": \"%s\", \"ns_per_run\": %s%s}" (escape name) (json_float ns)
+        (match r_square with
+        | Some r -> Printf.sprintf ", \"r_square\": %s" (json_float r)
+        | None -> ""));
   Buffer.add_string buf ",\n";
   obj_list "phases" t.phases (fun (name, calls, secs) ->
       Printf.sprintf "{\"phase\": \"%s\", \"calls\": %d, \"seconds\": %s}" (escape name) calls

@@ -21,8 +21,9 @@ val add : t -> table:string -> protocol:string -> env:string -> seed:int -> seco
     run is the deterministic cell order — parallel and sequential runs of
     the same grid record the same cell sequence (timings aside). *)
 
-val add_micro : t -> name:string -> ns:float -> unit
-(** Record one micro-benchmark estimate (ns per run). *)
+val add_micro : ?r_square:float -> t -> name:string -> ns:float -> unit
+(** Record one micro-benchmark estimate (ns per run), with the r² of its
+    fit when it comes from a regression; derived figures have none. *)
 
 val set_wall : t -> float -> unit
 (** Total wall-clock of the grid, timed by the caller around the whole

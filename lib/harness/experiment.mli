@@ -1,48 +1,11 @@
-(** Running and aggregating simulation experiments.
+(** Seeds and paired ratios of the experiment grids.
 
-    A {!workload} bundles everything but the protocol and the seed; the
-    figure-level ratio the paper reports — forced checkpoints of a
-    protocol over forced checkpoints of FDAS — is computed {e paired}: the
-    two protocols run on the same workload with the same seed, and the
-    per-seed ratios are aggregated. *)
-
-type workload = {
-  name : string;
-  make_env : unit -> Rdt_dist.Env.t;
-  n : int;
-  channel : Rdt_dist.Channel.spec;
-  basic_period : int * int;
-  max_messages : int;
-  faults : Rdt_dist.Faults.spec;
-  transport : Rdt_dist.Transport.params option;
-}
-
-val workload :
-  ?n:int ->
-  ?max_messages:int ->
-  ?channel:Rdt_dist.Channel.spec ->
-  ?basic_period:int * int ->
-  ?faults:Rdt_dist.Faults.spec ->
-  ?transport:Rdt_dist.Transport.params ->
-  ?make_env:(unit -> Rdt_dist.Env.t) ->
-  string ->
-  workload
-(** [workload name] builds a workload from the environment registry entry
-    [name] (or [make_env] when supplied) with defaults matching
-    {!Rdt_core.Runtime.default_config}.  Passing a non-[none] [faults]
-    spec without [transport] selects {!Rdt_dist.Transport.default_params}
-    so the run still delivers reliably. *)
-
-val run_once : workload -> Rdt_core.Protocol.t -> seed:int -> Rdt_core.Runtime.result
-(** One run.  @raise Invalid_argument on unknown environment names. *)
-
-type aggregate = {
-  forced : Stats.t;
-  basic : Stats.t;
-  messages : Stats.t;
-  forced_per_basic : Stats.t;
-  forced_per_message : Stats.t;
-}
+    A workload is a {!Rdt_core.Runtime.config}; a cell runs it as
+    [Runtime.run { w with protocol; seed }].  The figure-level ratio the
+    paper reports — forced checkpoints of a protocol over forced
+    checkpoints of FDAS — is computed {e paired}: the two protocols run on
+    the same workload with the same seed, and the per-seed ratios are
+    aggregated. *)
 
 val forced_ratio : Rdt_core.Runtime.result -> Rdt_core.Runtime.result -> float option
 (** [forced_ratio r baseline] is the paired ratio forced(r)/forced(baseline)

@@ -6,33 +6,50 @@ type point = { x : float; stats : Stats.t }
 
 type series = { label : string; points : point list }
 
-type figure = { id : string; title : string; xlabel : string; series : series list }
+type figure = { xlabel : string; series : series list }
+
+type ctx = { jobs : int option; report : Bench_report.t option; seeds : int list; quick : bool }
+
+type output = Figure of figure | Table of Table.t | Claim of (string * float) list
+
+type entry = {
+  id : string;
+  title : quick:bool -> string;
+  name : string option;
+  few_seeds : bool;
+  run : ctx -> output;
+}
 
 let fdas = Registry.find_exn "fdas"
 
 let variants = [ "bhmr"; "bhmr-v1"; "bhmr-v2" ]
 
+let env = Rdt_workloads.Registry.find_exn
+
+let tabulate header rows =
+  let t = Table.create ~header in
+  List.iter (Table.add_row t) rows;
+  t
+
 let print_figure f =
-  Format.printf "@.== %s: %s ==@." f.id f.title;
-  let t =
-    Table.create
-      ~header:(f.xlabel :: List.concat_map (fun s -> [ s.label; "±" ]) f.series)
+  let rows =
+    match f.series with
+    | [] -> []
+    | first :: _ ->
+        List.mapi
+          (fun i p ->
+            Printf.sprintf "%g" p.x
+            :: List.concat_map
+                 (fun s ->
+                   let p = List.nth s.points i in
+                   [
+                     Table.cell_f (Stats.mean p.stats);
+                     Table.cell_f (Stats.ci95_half_width p.stats);
+                   ])
+                 f.series)
+          first.points
   in
-  (match f.series with
-  | [] -> ()
-  | first :: _ ->
-      List.iteri
-        (fun i p ->
-          let cells =
-            List.concat_map
-              (fun s ->
-                let p = List.nth s.points i in
-                [ Table.cell_f (Stats.mean p.stats); Table.cell_f (Stats.ci95_half_width p.stats) ])
-              f.series
-          in
-          t |> fun t -> Table.add_row t (Printf.sprintf "%g" p.x :: cells))
-        first.points);
-  Table.print t
+  Table.print (tabulate (f.xlabel :: List.concat_map (fun s -> [ s.label; "±" ]) f.series) rows)
 
 (* ------------------------------------------------------------------ *)
 (* The grid layer                                                      *)
@@ -53,9 +70,9 @@ let print_figure f =
    them in, each under the (protocol, env) [coords] names for its key and
    its base seed.  [f] must be self-contained (it runs on a worker
    domain). *)
-let grid ?jobs ?report ~table ~seeds ~coords keys f =
-  let cells = List.concat_map (fun key -> List.map (fun seed -> (key, seed)) seeds) keys in
-  let timed = Pool.map_timed ?jobs (fun (key, seed) -> f key seed) cells in
+let grid c ~table ~coords keys f =
+  let cells = List.concat_map (fun key -> List.map (fun seed -> (key, seed)) c.seeds) keys in
+  let timed = Pool.map_timed ?jobs:c.jobs (fun (key, seed) -> f key seed) cells in
   Option.iter
     (fun r ->
       List.iter2
@@ -63,13 +80,29 @@ let grid ?jobs ?report ~table ~seeds ~coords keys f =
           let protocol, env = coords key in
           Bench_report.add r ~table ~protocol ~env ~seed ~seconds)
         cells timed)
-    report;
-  let results = Array.of_list (List.map fst timed) and k = List.length seeds in
+    c.report;
+  let results = Array.of_list (List.map fst timed) and k = List.length c.seeds in
   List.mapi (fun i key -> (key, List.init k (fun j -> results.((i * k) + j)))) keys
 
 let stats_of_some xs = Stats.of_list (List.filter_map Fun.id xs)
 
 let mean_of f xs = Stats.mean (Stats.of_list (List.map f xs))
+
+(* The per-seed tables: each column is a header and a formatter over one
+   key's per-seed values, and each key is a row under its label. *)
+let column_rows cells per_key =
+  List.map (fun (label, per_seed) -> label :: List.map (fun cell -> cell per_seed) cells) per_key
+
+let column_table key columns per_key =
+  Table (tabulate (key :: List.map fst columns) (column_rows (List.map snd columns) per_key))
+
+let mean f per_seed = Table.cell_f (mean_of f per_seed)
+
+let mean_pct f per_seed = Table.cell_pct (mean_of f per_seed)
+
+(* A workload is a [Runtime.config] whose protocol every cell replaces. *)
+let workload ?(n = 8) ?(messages = 1500) ?basic_period ?faults ?transport e =
+  Runtime.configure ~n ~messages ?basic_period ?faults ?transport e fdas
 
 (* ------------------------------------------------------------------ *)
 (* Figures                                                             *)
@@ -79,43 +112,41 @@ let mean_of f xs = Stats.mean (Stats.of_list (List.map f xs))
    a ratio share one cell, on the seed derived from (figure, x) —
    identical for every series of the figure, so series stay comparable
    run to run. *)
-let ratio_figure ?jobs ?report ~seeds ~id ~title ~xlabel ~xs workload_of =
+let ratio_figure c ~id ~xlabel ~xs workload_of =
   let series label =
     let protocol = Registry.find_exn label in
     let per_x =
-      grid ?jobs ?report ~table:id ~seeds xs
+      grid c ~table:id xs
         ~coords:(fun x -> (label, Printf.sprintf "x=%g" x))
         (fun x seed ->
           let w = workload_of x in
           let seed = Experiment.cell_seed [ id; Printf.sprintf "x=%g" x ] seed in
-          let r = Experiment.run_once w protocol ~seed in
-          Experiment.forced_ratio r (Experiment.run_once w fdas ~seed))
+          let r = Runtime.run { w with protocol; seed } in
+          Experiment.forced_ratio r (Runtime.run { w with protocol = fdas; seed }))
     in
     { label; points = List.map (fun (x, rs) -> { x; stats = stats_of_some rs }) per_x }
   in
-  { id; title; xlabel; series = List.map series variants }
+  Figure { xlabel; series = List.map series variants }
 
-let fig_random ?jobs ?report ?(seeds = Experiment.default_seeds) () =
-  ratio_figure ?jobs ?report ~seeds ~id:"FIG-RANDOM"
-    ~title:"R = forced/forced(FDAS) in the general random environment" ~xlabel:"n"
-    ~xs:[ 2.0; 4.0; 8.0; 16.0; 32.0 ] (fun x ->
-      Experiment.workload ~n:(int_of_float x) ~max_messages:1500 "random")
+(* FIG-RANDOM: R vs number of processes in the general (uniform random)
+   environment, for bhmr, bhmr-v1, bhmr-v2. *)
+let fig_random c =
+  ratio_figure c ~id:"FIG-RANDOM" ~xlabel:"n" ~xs:[ 2.0; 4.0; 8.0; 16.0; 32.0 ] (fun x ->
+      workload ~n:(int_of_float x) (env "random"))
 
-let fig_group ?jobs ?report ?(seeds = Experiment.default_seeds) () =
-  ratio_figure ?jobs ?report ~seeds ~id:"FIG-8"
-    ~title:"R in overlapping group communication environments (n=12)" ~xlabel:"group size"
-    ~xs:[ 2.0; 3.0; 4.0; 6.0 ] (fun x ->
+(* FIG-8: R vs group size in overlapping group communication
+   environments (n = 12). *)
+let fig_group c =
+  ratio_figure c ~id:"FIG-8" ~xlabel:"group size" ~xs:[ 2.0; 3.0; 4.0; 6.0 ] (fun x ->
       let params =
         { Rdt_workloads.Group_env.default_group_params with group_size = int_of_float x }
       in
-      Experiment.workload ~n:12 ~max_messages:1500
-        ~make_env:(fun () -> Rdt_workloads.Group_env.make ~params ())
-        "group")
+      workload ~n:12 (Rdt_workloads.Group_env.make ~params ()))
 
-let fig_client_server ?jobs ?report ?(seeds = Experiment.default_seeds) () =
-  ratio_figure ?jobs ?report ~seeds ~id:"FIG-9" ~title:"R in client/server environments"
-    ~xlabel:"n servers" ~xs:[ 2.0; 4.0; 8.0; 16.0 ] (fun x ->
-      Experiment.workload ~n:(int_of_float x) ~max_messages:1500 "client-server")
+(* FIG-9: R vs number of servers in the client-server chain. *)
+let fig_client_server c =
+  ratio_figure c ~id:"FIG-9" ~xlabel:"n servers" ~xs:[ 2.0; 4.0; 8.0; 16.0 ] (fun x ->
+      workload ~n:(int_of_float x) (env "client-server"))
 
 let lost_work_fraction pat =
   (* crash process 0 at 60% of the run: restart from its last durable
@@ -146,18 +177,24 @@ let lost_work_fraction pat =
   in
   float_of_int lost /. float_of_int (max 1 total)
 
-let fig_lost_work ?jobs ?report ?(seeds = Experiment.default_seeds) () =
+(* FIG-LOST-WORK (extension): fraction of all executed events undone by
+   a crash of process 0 at 60% of the run, as a function of the mean
+   basic-checkpoint period, for [none], [bcs] and [bhmr] (random
+   workload, n = 6).  Uncoordinated checkpointing wastes its checkpoints
+   (the recovery line ignores them); the protocols keep lost work
+   proportional to the checkpoint period. *)
+let fig_lost_work c =
   let id = "FIG-LOST-WORK" in
   let periods = [ (100, 200); (300, 700); (800, 1600); (2000, 4000) ] in
   let series label =
     let protocol = Registry.find_exn label in
     let per_period =
-      grid ?jobs ?report ~table:id ~seeds periods
+      grid c ~table:id periods
         ~coords:(fun (lo, hi) -> (label, Printf.sprintf "period=%d-%d" lo hi))
         (fun (lo, hi) seed ->
-          let w = Experiment.workload ~n:6 ~max_messages:1200 ~basic_period:(lo, hi) "random" in
+          let w = workload ~n:6 ~messages:1200 ~basic_period:(lo, hi) (env "random") in
           let seed = Experiment.cell_seed [ id; Printf.sprintf "%d-%d" lo hi ] seed in
-          let r = Experiment.run_once w protocol ~seed in
+          let r = Runtime.run { w with protocol; seed } in
           lost_work_fraction r.Runtime.pattern)
     in
     {
@@ -168,12 +205,7 @@ let fig_lost_work ?jobs ?report ?(seeds = Experiment.default_seeds) () =
           per_period;
     }
   in
-  {
-    id;
-    title = "fraction of events undone by a crash at 60% of the run (random, n=6)";
-    xlabel = "mean basic period";
-    series = List.map series [ "none"; "bcs"; "bhmr" ];
-  }
+  Figure { xlabel = "mean basic period"; series = List.map series [ "none"; "bcs"; "bhmr" ] }
 
 (* ------------------------------------------------------------------ *)
 (* Tables                                                              *)
@@ -183,82 +215,82 @@ let hierarchy = [ "cbr"; "nras"; "cas"; "fdi"; "fdas"; "bhmr-v2"; "bhmr-v1"; "bh
 
 let environments = [ "random"; "group"; "client-server"; "prodcons"; "master-worker"; "stencil" ]
 
-let table_protocols ?jobs ?report ?(seeds = Experiment.default_seeds) () =
+(* TAB-PROTOCOLS: forced checkpoints per 100 basic checkpoints for every
+   protocol of the hierarchy, in each environment (n = 8). *)
+let table_protocols c =
   let table = "TAB-PROTOCOLS" in
   let keys = List.concat_map (fun p -> List.map (fun e -> (p, e)) environments) hierarchy in
   let per_cell =
-    grid ?jobs ?report ~table ~seeds keys ~coords:Fun.id (fun (pname, ename) seed ->
-        let protocol = Registry.find_exn pname in
-        let w = Experiment.workload ~n:8 ~max_messages:1500 ename in
+    grid c ~table keys ~coords:Fun.id (fun (pname, ename) seed ->
+        let w = workload (env ename) in
         let seed = Experiment.cell_seed [ table; ename ] seed in
-        let r = Experiment.run_once w protocol ~seed in
+        let r = Runtime.run { w with protocol = Registry.find_exn pname; seed } in
         Rdt_core.Metrics.forced_per_basic r.Runtime.metrics)
   in
-  let t = Table.create ~header:("protocol" :: environments) in
-  List.iter
-    (fun pname ->
-      let row =
-        List.map
-          (fun ename ->
-            let vals = List.assoc (pname, ename) per_cell in
-            Table.cell_f (100.0 *. Stats.mean (Stats.of_list vals)))
-          environments
-      in
-      Table.add_row t (pname :: row))
-    hierarchy;
-  t
+  Table
+    (tabulate ("protocol" :: environments)
+       (List.map
+          (fun pname ->
+            pname
+            :: List.map
+                 (fun ename ->
+                   let vals = List.assoc (pname, ename) per_cell in
+                   Table.cell_f (100.0 *. Stats.mean (Stats.of_list vals)))
+                 environments)
+          hierarchy))
 
-let table_overhead ?(ns = [ 2; 4; 8; 16; 32; 64 ]) () =
-  let t =
-    Table.create ~header:("protocol" :: List.map (fun n -> Printf.sprintf "n=%d" n) ns)
-  in
-  List.iter
-    (fun p ->
-      Table.add_row t
-        (Rdt_core.Protocol.name p
-        :: List.map
-             (fun n -> string_of_int (Rdt_core.Protocol.payload_bits p ~n))
-             ns))
-    Registry.all;
-  t
+(* TAB-OVERHEAD: piggyback size (bits/message) per protocol vs n. *)
+let table_overhead _ =
+  let ns = [ 2; 4; 8; 16; 32; 64 ] in
+  Table
+    (tabulate
+       ("protocol" :: List.map (fun n -> Printf.sprintf "n=%d" n) ns)
+       (List.map
+          (fun p ->
+            Rdt_core.Protocol.name p
+            :: List.map (fun n -> string_of_int (Rdt_core.Protocol.payload_bits p ~n)) ns)
+          Registry.all))
 
 let claim_environments =
   [
-    ("random (n=4)", fun () -> Experiment.workload ~n:4 ~max_messages:1500 "random");
+    ("random (n=4)", fun () -> workload ~n:4 (env "random"));
     ( "group pairs (n=12)",
       fun () ->
         let params =
           { Rdt_workloads.Group_env.default_group_params with group_size = 2; multicast_prob = 0.0 }
         in
-        Experiment.workload ~n:12 ~max_messages:1500
-          ~make_env:(fun () -> Rdt_workloads.Group_env.make ~params ())
-          "group" );
-    ("client-server (n=8)", fun () -> Experiment.workload ~n:8 ~max_messages:1500 "client-server");
-    ("master-worker (n=8)", fun () -> Experiment.workload ~n:8 ~max_messages:1500 "master-worker");
+        workload ~n:12 (Rdt_workloads.Group_env.make ~params ()) );
+    ("client-server (n=8)", fun () -> workload (env "client-server"));
+    ("master-worker (n=8)", fun () -> workload (env "master-worker"));
   ]
 
-let claim_ten_percent ?jobs ?report ?(seeds = Experiment.default_seeds) () =
+(* CLAIM-10PCT: per environment, the measured reduction
+   [1 - R(bhmr vs fdas)].  The paper claims at least 10% in its study;
+   see EXPERIMENTS.md for where our reproduction meets it. *)
+let claim_ten_percent c =
   let table = "CLAIM-10PCT" in
-  let bhmr = Registry.find_exn "bhmr" in
-  grid ?jobs ?report ~table ~seeds claim_environments
-    ~coords:(fun (label, _) -> ("bhmr", label))
-    (fun (label, mk) seed ->
-      let w = mk () in
-      let seed = Experiment.cell_seed [ table; label ] seed in
-      let r = Experiment.run_once w bhmr ~seed in
-      Experiment.forced_ratio r (Experiment.run_once w fdas ~seed))
-  |> List.map (fun ((label, _), rs) -> (label, 1.0 -. Stats.mean (stats_of_some rs)))
-
-let table_min_gcp ?jobs ?report ?(seeds = Experiment.quick_seeds) () =
-  let table = "TAB-MINGCP" in
-  let bhmr = Registry.find_exn "bhmr" in
+  let protocol = Registry.find_exn "bhmr" in
   let per_env =
-    grid ?jobs ?report ~table ~seeds environments
+    grid c ~table claim_environments
+      ~coords:(fun (label, _) -> ("bhmr", label))
+      (fun (label, mk) seed ->
+        let w = mk () in
+        let seed = Experiment.cell_seed [ table; label ] seed in
+        let r = Runtime.run { w with protocol; seed } in
+        Experiment.forced_ratio r (Runtime.run { w with protocol = fdas; seed }))
+  in
+  Claim (List.map (fun ((label, _), rs) -> (label, 1.0 -. Stats.mean (stats_of_some rs))) per_env)
+
+let table_min_gcp c =
+  let table = "TAB-MINGCP" in
+  let protocol = Registry.find_exn "bhmr" in
+  let per_env =
+    grid c ~table environments
       ~coords:(fun ename -> ("bhmr", ename))
       (fun ename seed ->
-        let w = Experiment.workload ~n:6 ~max_messages:600 ename in
+        let w = workload ~n:6 ~messages:600 (env ename) in
         let seed = Experiment.cell_seed [ table; ename ] seed in
-        let r = Experiment.run_once w bhmr ~seed in
+        let r = Runtime.run { w with protocol; seed } in
         let pat = r.Runtime.pattern in
         let tdv = Rdt_pattern.Tdv.compute pat in
         let checked = ref 0 and agree = ref 0 in
@@ -278,88 +310,77 @@ let table_min_gcp ?jobs ?report ?(seeds = Experiment.quick_seeds) () =
               online);
         (!checked, !agree, span))
   in
-  let t =
-    Table.create ~header:[ "environment"; "ckpts checked"; "TDV = min GCP"; "mean span" ]
-  in
-  List.iter
-    (fun (ename, per_seed) ->
-      let checked = ref 0 and agree = ref 0 in
-      let span = Stats.create () in
-      List.iter
-        (fun (c, a, s) ->
-          checked := !checked + c;
-          agree := !agree + a;
-          Stats.merge ~into:span s)
-        per_seed;
-      Table.add_row t
-        [
-          ename;
-          string_of_int !checked;
-          Table.cell_pct (float_of_int !agree /. float_of_int (max 1 !checked));
-          Table.cell_f (Stats.mean span);
-        ])
-    per_env;
-  t
+  Table
+    (tabulate [ "environment"; "ckpts checked"; "TDV = min GCP"; "mean span" ]
+       (List.map
+          (fun (ename, per_seed) ->
+            let checked = ref 0 and agree = ref 0 in
+            let span = Stats.create () in
+            List.iter
+              (fun (c, a, s) ->
+                checked := !checked + c;
+                agree := !agree + a;
+                Stats.merge ~into:span s)
+              per_seed;
+            [
+              ename;
+              string_of_int !checked;
+              Table.cell_pct (float_of_int !agree /. float_of_int (max 1 !checked));
+              Table.cell_f (Stats.mean span);
+            ])
+          per_env))
 
-let table_ablation ?jobs ?report ?(seeds = Experiment.default_seeds) () =
+let table_ablation c =
   let table = "ABLATION" in
-  let protocols = [ "fdas"; "bhmr-v2"; "bhmr-v1"; "bhmr" ] in
   let per_protocol =
-    grid ?jobs ?report ~table ~seeds protocols
+    grid c ~table [ "fdas"; "bhmr-v2"; "bhmr-v1"; "bhmr" ]
       ~coords:(fun pname -> (pname, "client-server"))
       (fun pname seed ->
-        let protocol = Registry.find_exn pname in
-        let w = Experiment.workload ~n:8 ~max_messages:1500 "client-server" in
+        let w = workload (env "client-server") in
         let seed = Experiment.cell_seed [ table; "client-server" ] seed in
-        let r = Experiment.run_once w protocol ~seed in
-        let ratio = Experiment.forced_ratio r (Experiment.run_once w fdas ~seed) in
+        let r = Runtime.run { w with protocol = Registry.find_exn pname; seed } in
+        let ratio = Experiment.forced_ratio r (Runtime.run { w with protocol = fdas; seed }) in
         (r.Runtime.metrics.Rdt_core.Metrics.forced, ratio, r.Runtime.predicate_counts))
   in
-  let t =
-    Table.create
-      ~header:
-        [ "protocol"; "forced"; "R vs fdas"; "c1 fires"; "c2 fires"; "c2' fires"; "c_fdas fires" ]
+  (* a predicate's firings per seed; "-" when it never fired on any *)
+  let fires name per_seed =
+    let hits (_, _, counts) =
+      List.filter_map (fun (p, k) -> if p = name then Some k else None) counts
+    in
+    match List.concat_map hits per_seed with
+    | [] -> "-"
+    | ks ->
+        let total = List.fold_left ( + ) 0 ks in
+        Table.cell_f (float_of_int total /. float_of_int (List.length per_seed))
   in
-  List.iter
-    (fun (pname, per_seed) ->
-      let fires = Hashtbl.create 7 in
-      List.iter
-        (fun (_, _, counts) ->
-          List.iter
-            (fun (name, count) ->
-              let cur = try Hashtbl.find fires name with Not_found -> 0 in
-              Hashtbl.replace fires name (cur + count))
-            counts)
-        per_seed;
-      let avg name =
-        match Hashtbl.find_opt fires name with
-        | None -> "-"
-        | Some total -> Table.cell_f (float_of_int total /. float_of_int (List.length seeds))
-      in
-      Table.add_row t
-        [
-          pname;
-          Table.cell_f (mean_of (fun (fp, _, _) -> float_of_int fp) per_seed);
-          Table.cell_f (Stats.mean (stats_of_some (List.map (fun (_, r, _) -> r) per_seed)));
-          avg "c1";
-          avg "c2";
-          avg "c2'";
-          avg "c_fdas";
-        ])
-    per_protocol;
-  t
+  column_table "protocol"
+    [
+      ("forced", mean (fun (fp, _, _) -> float_of_int fp));
+      (* seeds where FDAS forced nothing have no ratio *)
+      ( "R vs fdas",
+        fun rs -> Table.cell_f (Stats.mean (stats_of_some (List.map (fun (_, r, _) -> r) rs))) );
+      ("c1 fires", fires "c1");
+      ("c2 fires", fires "c2");
+      ("c2' fires", fires "c2'");
+      ("c_fdas fires", fires "c_fdas");
+    ]
+    per_protocol
 
-let table_recovery ?jobs ?report ?(seeds = Experiment.quick_seeds) () =
+(* TAB-RECOVERY (extension): what the guarantees buy at recovery time.
+   For [none], [bcs], [fdas] and [bhmr] on a chatty workload: the
+   fraction of useless checkpoints (members of no consistent global
+   checkpoint), and — after crashing process 0 in the middle of the run —
+   the fraction of their work the survivors lose, the in-transit
+   messages a logging layer must replay, and the events to re-execute. *)
+let table_recovery c =
   let table = "TAB-RECOVERY" in
-  let protocols = [ "none"; "bcs"; "fdas"; "bhmr" ] in
   let per_protocol =
-    grid ?jobs ?report ~table ~seeds protocols
+    grid c ~table [ "none"; "bcs"; "fdas"; "bhmr" ]
       ~coords:(fun pname -> (pname, "client-server"))
       (fun pname seed ->
-        let protocol = Registry.find_exn pname in
-        let w = Experiment.workload ~n:6 ~max_messages:800 "client-server" in
+        let w = workload ~n:6 ~messages:800 (env "client-server") in
         let seed = Experiment.cell_seed [ table; "client-server" ] seed in
-        let r = Experiment.run_once w protocol ~seed in
+        let r = Runtime.run { w with protocol = Registry.find_exn pname; seed } in
         let pat = r.Runtime.pattern in
         let total = ref 0 and bad = ref 0 in
         Rdt_pattern.Pattern.iter_ckpts pat (fun c ->
@@ -397,141 +418,125 @@ let table_recovery ?jobs ?report ?(seeds = Experiment.quick_seeds) () =
           float_of_int cost.Rdt_recovery.Message_log.replayed_messages,
           float_of_int cost.Rdt_recovery.Message_log.reexecuted_events ))
   in
-  let t =
-    Table.create
-      ~header:
-        [ "protocol"; "useless ckpts"; "survivor loss"; "replayed msgs"; "redone events" ]
-  in
-  List.iter
-    (fun (pname, per_seed) ->
-      Table.add_row t
-        [
-          pname;
-          Table.cell_pct (mean_of (fun (u, _, _, _) -> u) per_seed);
-          Table.cell_pct
-            (Stats.mean (Stats.of_list (List.concat_map (fun (_, l, _, _) -> l) per_seed)));
-          Table.cell_f (mean_of (fun (_, _, r, _) -> r) per_seed);
-          Table.cell_f (mean_of (fun (_, _, _, r) -> r) per_seed);
-        ])
-    per_protocol;
-  t
+  column_table "protocol"
+    [
+      ("useless ckpts", mean_pct (fun (u, _, _, _) -> u));
+      (* every survivor of every seed weighs the same *)
+      ("survivor loss", fun rs -> mean_pct Fun.id (List.concat_map (fun (_, l, _, _) -> l) rs));
+      ("replayed msgs", mean (fun (_, _, r, _) -> r));
+      ("redone events", mean (fun (_, _, _, r) -> r));
+    ]
+    per_protocol
 
 (* A marker message carries a snapshot id: charge 64 bits of control data
    per marker when comparing against piggybacked overheads. *)
 let marker_bits = 64
 
-let table_coordinated ?jobs ?report ?(seeds = Experiment.quick_seeds) () =
+let table_coordinated c =
   let table = "TAB-COORDINATED" in
   let n = 8 and max_messages = 1500 in
-  let t =
-    Table.create
-      ~header:
-        [
-          "approach";
-          "checkpoints";
-          "control msgs";
-          "overhead bits/app-msg";
-          "snapshot latency";
-        ]
-  in
   (* coordinated, at the default initiation period: Chandy-Lamport
      snapshots, then Koo-Toueg's blocking dependency-directed rounds *)
-  grid ?jobs ?report ~table ~seeds
-    [ ("chandy-lamport", Coordinated.Chandy_lamport); ("koo-toueg", Coordinated.Koo_toueg) ]
-    ~coords:(fun (name, _) -> (name, "random"))
-    (fun (name, algo) seed ->
-      let env = Rdt_workloads.Registry.find_exn "random" in
-      let seed = Experiment.cell_seed [ table; name ] seed in
-      let cfg = { (Coordinated.default_config algo env) with n; seed; max_messages } in
-      let m = (Coordinated.run cfg).metrics in
-      ( float_of_int m.checkpoints_taken,
-        float_of_int m.control_messages,
-        float_of_int (m.control_messages * marker_bits) /. float_of_int m.app_messages,
-        m.mean_latency ))
-  |> List.iter (fun ((name, _), rows) ->
-         Table.add_row t
-           [
-             name;
-             Table.cell_f (mean_of (fun (x, _, _, _) -> x) rows);
-             Table.cell_f (mean_of (fun (_, x, _, _) -> x) rows);
-             Table.cell_f (mean_of (fun (_, _, x, _) -> x) rows);
-             Table.cell_f (mean_of (fun (_, _, _, x) -> x) rows);
-           ]);
+  let coordinated =
+    grid c ~table
+      [ ("chandy-lamport", Coordinated.Chandy_lamport); ("koo-toueg", Coordinated.Koo_toueg) ]
+      ~coords:(fun (name, _) -> (name, "random"))
+      (fun (name, algo) seed ->
+        let seed = Experiment.cell_seed [ table; name ] seed in
+        let cfg = { (Coordinated.default_config algo (env "random")) with n; seed; max_messages } in
+        let m = (Coordinated.run cfg).metrics in
+        ( float_of_int m.checkpoints_taken,
+          float_of_int m.control_messages,
+          float_of_int (m.control_messages * marker_bits) /. float_of_int m.app_messages,
+          m.mean_latency ))
+  in
   (* CIC protocols: no control messages; overhead = piggyback *)
-  grid ?jobs ?report ~table ~seeds [ "bhmr"; "fdas"; "cbr" ]
-    ~coords:(fun pname -> (pname, "random"))
-    (fun pname seed ->
-      let protocol = Registry.find_exn pname in
-      let w = Experiment.workload ~n ~max_messages "random" in
-      let seed = Experiment.cell_seed [ table; "cic" ] seed in
-      let r = Experiment.run_once w protocol ~seed in
-      let m = r.Runtime.metrics in
-      float_of_int (m.Rdt_core.Metrics.forced + m.Rdt_core.Metrics.basic))
-  |> List.iter (fun (pname, per_seed) ->
-         let protocol = Registry.find_exn pname in
-         Table.add_row t
+  let cic =
+    grid c ~table [ "bhmr"; "fdas"; "cbr" ]
+      ~coords:(fun pname -> (pname, "random"))
+      (fun pname seed ->
+        let protocol = Registry.find_exn pname in
+        let w = workload ~n ~messages:max_messages (env "random") in
+        let seed = Experiment.cell_seed [ table; "cic" ] seed in
+        let m = (Runtime.run { w with protocol; seed }).Runtime.metrics in
+        ( float_of_int (m.Rdt_core.Metrics.forced + m.Rdt_core.Metrics.basic),
+          Rdt_core.Protocol.payload_bits protocol ~n ))
+  in
+  let columns =
+    [
+      ("checkpoints", mean (fun (x, _, _, _) -> x));
+      ("control msgs", mean (fun (_, x, _, _) -> x));
+      ("overhead bits/app-msg", mean (fun (_, _, x, _) -> x));
+      ("snapshot latency", mean (fun (_, _, _, x) -> x));
+    ]
+  in
+  Table
+    (tabulate ("approach" :: List.map fst columns)
+       (column_rows (List.map snd columns)
+          (List.map (fun ((name, _), rows) -> (name, rows)) coordinated)
+       @ column_rows
            [
-             pname;
-             Table.cell_f (mean_of Fun.id per_seed);
-             "0.000";
-             string_of_int (Rdt_core.Protocol.payload_bits protocol ~n);
-             "-";
-           ]);
-  t
+             mean fst;
+             Fun.const "0.000";
+             (fun rs -> string_of_int (snd (List.hd rs)));
+             Fun.const "-";
+           ]
+           cic))
 
-let table_breakeven ?jobs ?report ?(seeds = Experiment.default_seeds) () =
+(* BREAK-EVEN (extension): when is the protocol's n² piggyback worth it?
+   Total overhead is modelled as [piggyback_bits × messages +
+   checkpoint_cost × forced]; the table reports, per environment (n = 8),
+   the forced-checkpoint savings of bhmr over FDAS, the extra piggyback
+   it pays, and the break-even checkpoint size above which bhmr's total
+   overhead is lower. *)
+let table_breakeven c =
   let table = "BREAK-EVEN" in
   let n = 8 and max_messages = 1500 in
   let bhmr = Registry.find_exn "bhmr" in
   let bits_fdas = Rdt_core.Protocol.payload_bits fdas ~n in
   let bits_bhmr = Rdt_core.Protocol.payload_bits bhmr ~n in
   let per_env =
-    grid ?jobs ?report ~table ~seeds environments
+    grid c ~table environments
       ~coords:(fun ename -> ("bhmr", ename))
       (fun ename seed ->
-        let w = Experiment.workload ~n ~max_messages ename in
+        let w = workload ~n ~messages:max_messages (env ename) in
         let seed = Experiment.cell_seed [ table; ename ] seed in
-        let rf = Experiment.run_once w fdas ~seed in
-        let rb = Experiment.run_once w bhmr ~seed in
+        let rf = Runtime.run { w with protocol = fdas; seed } in
+        let rb = Runtime.run { w with protocol = bhmr; seed } in
         ( float_of_int rf.Runtime.metrics.Rdt_core.Metrics.forced,
           float_of_int rb.Runtime.metrics.Rdt_core.Metrics.forced ))
   in
-  let t =
-    Table.create
-      ~header:
-        [
-          "environment";
-          "forced fdas";
-          "forced bhmr";
-          "extra piggyback (bits/msg)";
-          "break-even ckpt size";
-        ]
-  in
-  List.iter
-    (fun (ename, per_seed) ->
-      let ff = mean_of fst per_seed and fb = mean_of snd per_seed in
-      let saved = ff -. fb in
-      let extra_bits = float_of_int ((bits_bhmr - bits_fdas) * max_messages) in
-      let breakeven =
-        if saved <= 0.0 then "inf"
-        else
-          let bits = extra_bits /. saved in
-          Printf.sprintf "%.1f KiB" (bits /. 8192.0)
-      in
-      Table.add_row t
-        [
-          ename;
-          Table.cell_f ff;
-          Table.cell_f fb;
-          string_of_int (bits_bhmr - bits_fdas);
-          breakeven;
-        ])
-    per_env;
-  t
+  Table
+    (tabulate
+       [
+         "environment";
+         "forced fdas";
+         "forced bhmr";
+         "extra piggyback (bits/msg)";
+         "break-even ckpt size";
+       ]
+       (List.map
+          (fun (ename, per_seed) ->
+            let ff = mean_of fst per_seed and fb = mean_of snd per_seed in
+            let saved = ff -. fb in
+            let extra_bits = float_of_int ((bits_bhmr - bits_fdas) * max_messages) in
+            let breakeven =
+              if saved <= 0.0 then "inf"
+              else
+                let bits = extra_bits /. saved in
+                Printf.sprintf "%.1f KiB" (bits /. 8192.0)
+            in
+            [
+              ename;
+              Table.cell_f ff;
+              Table.cell_f fb;
+              string_of_int (bits_bhmr - bits_fdas);
+              breakeven;
+            ])
+          per_env))
 
-let table_goodput ?jobs ?report ?(seeds = Experiment.quick_seeds) () =
+let table_goodput c =
   let table = "TAB-GOODPUT" in
-  let protocols = [ "none"; "bcs"; "fdas"; "bhmr"; "cbr" ] in
   let crashes =
     [
       { Runtime.victim = 1; at = 2500; repair_delay = 200 };
@@ -540,14 +545,13 @@ let table_goodput ?jobs ?report ?(seeds = Experiment.quick_seeds) () =
     ]
   in
   let per_protocol =
-    grid ?jobs ?report ~table ~seeds protocols
+    grid c ~table [ "none"; "bcs"; "fdas"; "bhmr"; "cbr" ]
       ~coords:(fun pname -> (pname, "random"))
       (fun pname seed ->
         let protocol = Registry.find_exn pname in
-        let env = Rdt_workloads.Registry.find_exn "random" in
         let seed = Experiment.cell_seed [ table; "random" ] seed in
         let r =
-          Runtime.run (Runtime.configure ~n:6 ~seed ~messages:1500 ~crashes env protocol)
+          Runtime.run (Runtime.configure ~n:6 ~seed ~messages:1500 ~crashes (env "random") protocol)
         in
         let total f = float_of_int (List.fold_left (fun a rc -> a + f rc) 0 r.recoveries) in
         ( total (fun rc -> rc.Runtime.events_undone),
@@ -555,45 +559,43 @@ let table_goodput ?jobs ?report ?(seeds = Experiment.quick_seeds) () =
           total (fun rc -> rc.Runtime.messages_undone),
           float_of_int r.metrics.messages ))
   in
-  let t =
-    Table.create
-      ~header:[ "protocol"; "events undone"; "replayed"; "sends destroyed"; "delivered" ]
-  in
-  List.iter
-    (fun (pname, per_seed) ->
-      Table.add_row t
-        [
-          pname;
-          Table.cell_f (mean_of (fun (u, _, _, _) -> u) per_seed);
-          Table.cell_f (mean_of (fun (_, r, _, _) -> r) per_seed);
-          Table.cell_f (mean_of (fun (_, _, d, _) -> d) per_seed);
-          Table.cell_f (mean_of (fun (_, _, _, d) -> d) per_seed);
-        ])
-    per_protocol;
-  t
+  column_table "protocol"
+    [
+      ("events undone", mean (fun (u, _, _, _) -> u));
+      ("replayed", mean (fun (_, r, _, _) -> r));
+      ("sends destroyed", mean (fun (_, _, d, _) -> d));
+      ("delivered", mean (fun (_, _, _, d) -> d));
+    ]
+    per_protocol
 
 let fault_envs = [ "random"; "group"; "client-server" ]
 
-let table_faults ?jobs ?report ?(seeds = Experiment.quick_seeds) () =
+(* TAB-FAULTS (extension): robustness of the protocol stack to an
+   unreliable network.  For bhmr over the reliable-delivery transport
+   (n = 6), per packet-drop rate and environment: the paired
+   forced-checkpoint inflation [forced(faulty)/forced(reliable)], the
+   retransmissions per application message, and the messages abandoned
+   as undeliverable (0 at these rates).  The drop = 0 row isolates the
+   effect of the transport's FIFO links alone. *)
+let table_faults c =
   let table = "TAB-FAULTS" in
-  let bhmr = Registry.find_exn "bhmr" in
+  let protocol = Registry.find_exn "bhmr" in
   let drops = [ 0.0; 0.02; 0.05; 0.1 ] in
   let keys = List.concat_map (fun drop -> List.map (fun e -> (drop, e)) fault_envs) drops in
   let per_cell =
-    grid ?jobs ?report ~table ~seeds keys
+    grid c ~table keys
       ~coords:(fun (drop, ename) -> ("bhmr", Printf.sprintf "%s drop=%g" ename drop))
       (fun (drop, ename) seed ->
         (* paired against the reliable run of the same derived seed; the
            drop=0 row isolates the effect of the FIFO transport alone *)
-        let faults = { Rdt_dist.Faults.none with drop } in
+        let w0 = workload ~n:6 ~messages:800 (env ename) in
         let w =
-          Experiment.workload ~n:6 ~max_messages:800 ~faults
-            ~transport:Rdt_dist.Transport.default_params ename
+          workload ~n:6 ~messages:800 ~faults:{ Rdt_dist.Faults.none with drop }
+            ~transport:Rdt_dist.Transport.default_params (env ename)
         in
-        let w0 = Experiment.workload ~n:6 ~max_messages:800 ename in
         let seed = Experiment.cell_seed [ table; ename; Printf.sprintf "%g" drop ] seed in
-        let r = Experiment.run_once w bhmr ~seed in
-        let ratio = Experiment.forced_ratio r (Experiment.run_once w0 bhmr ~seed) in
+        let r = Runtime.run { w with protocol; seed } in
+        let ratio = Experiment.forced_ratio r (Runtime.run { w0 with protocol; seed }) in
         match r.Runtime.transport with
         | Some s ->
             ( ratio,
@@ -602,36 +604,33 @@ let table_faults ?jobs ?report ?(seeds = Experiment.quick_seeds) () =
               s.Rdt_dist.Transport.undeliverable )
         | None -> (ratio, 0.0, 0))
   in
-  let t =
-    Table.create
-      ~header:
-        ("drop"
-        :: List.concat_map (fun e -> [ e ^ " R(forced)"; e ^ " retx/msg"; e ^ " undeliv" ]) fault_envs
-        )
-  in
-  List.iter
-    (fun drop ->
-      let row =
-        List.concat_map
-          (fun ename ->
-            let per_seed = List.assoc (drop, ename) per_cell in
-            [
-              Table.cell_f (Stats.mean (stats_of_some (List.map (fun (r, _, _) -> r) per_seed)));
-              Table.cell_f (mean_of (fun (_, r, _) -> r) per_seed);
-              string_of_int (List.fold_left (fun a (_, _, u) -> a + u) 0 per_seed);
-            ])
-          fault_envs
-      in
-      Table.add_row t (Printf.sprintf "%g" drop :: row))
-    drops;
-  t
+  Table
+    (tabulate
+       ("drop"
+       :: List.concat_map
+            (fun e -> [ e ^ " R(forced)"; e ^ " retx/msg"; e ^ " undeliv" ])
+            fault_envs)
+       (List.map
+          (fun drop ->
+            Printf.sprintf "%g" drop
+            :: List.concat_map
+                 (fun ename ->
+                   let per_seed = List.assoc (drop, ename) per_cell in
+                   [
+                     Table.cell_f
+                       (Stats.mean (stats_of_some (List.map (fun (r, _, _) -> r) per_seed)));
+                     Table.cell_f (mean_of (fun (_, r, _) -> r) per_seed);
+                     string_of_int (List.fold_left (fun a (_, _, u) -> a + u) 0 per_seed);
+                   ])
+                 fault_envs)
+          drops))
 
 (* ------------------------------------------------------------------ *)
 (* The checker benches' shared stream                                  *)
 (* ------------------------------------------------------------------ *)
 
 type bench_stream = {
-  run : Runtime.result;
+  result : Runtime.result;
   events : Rdt_obs.Trace.event list;
   nev : int;
   procs : int;  (** process count read back from the trace *)
@@ -648,11 +647,11 @@ let bench_stream ~who ~min_events =
   let protocol = Registry.find_exn "bhmr" in
   let env = Rdt_workloads.Registry.find_exn "random" in
   let tr = Rdt_obs.Trace.ring ~capacity:(8 * min_events) in
-  let run =
+  let result =
     Runtime.run (Runtime.configure ~n:8 ~seed:1 ~messages:(min_events / 2) ~trace:tr env protocol)
   in
   let events = Rdt_obs.Trace.events tr in
-  let fail e = invalid_arg (Printf.sprintf "Experiments.%s: %s" who e) in
+  let fail e = invalid_arg (Printf.sprintf "%s: %s" who e) in
   let procs =
     match Rdt_check.Online.trace_process_count events with Ok n -> n | Error e -> fail e
   in
@@ -663,16 +662,25 @@ let bench_stream ~who ~min_events =
     | Error e -> fail ("inconsistent trace: " ^ e)
   in
   let check_s = Rdt_obs.Meter.now () -. t0 in
-  { run; events; nev = List.length events; procs; baseline; check_s }
+  { result; events; nev = List.length events; procs; baseline; check_s }
+
+(* A bench's one report cell under its entry id, and its derived
+   figures as micros. *)
+let report_bench c ~table ~protocol ~env ~seed ~seconds micros =
+  Option.iter
+    (fun rp ->
+      Bench_report.add rp ~table ~protocol ~env ~seed ~seconds;
+      List.iter (fun (name, ns) -> Bench_report.add_micro rp ~name ~ns) micros)
+    c.report
 
 (* ------------------------------------------------------------------ *)
 (* BENCH-ONLINE: amortized per-event cost of the incremental checker    *)
 (* ------------------------------------------------------------------ *)
 
-let table_online ?report ?(min_events = 5_000) () =
+let table_online c =
   (* online: the stream through a fresh engine, one event at a time *)
-  let { run = r; nev; baseline; check_s = online_s; _ } =
-    bench_stream ~who:"table_online" ~min_events
+  let { result = r; nev; baseline; check_s = online_s; _ } =
+    bench_stream ~who:"BENCH-ONLINE" ~min_events:5_000
   in
   (* offline cost of one full re-check, the unit of the "re-check after
      every event" strategy the online engine replaces *)
@@ -690,24 +698,22 @@ let table_online ?report ?(min_events = 5_000) () =
      final-pattern check as the per-check unit); amortized online must
      beat it by orders of magnitude *)
   let speedup = float_of_int nev *. offline_s /. max 1e-9 online_s in
-  (match report with
-  | None -> ()
-  | Some rp ->
-      Bench_report.add rp ~table:"BENCH-ONLINE" ~protocol:"bhmr" ~env:"random" ~seed:1
-        ~seconds:online_s;
-      Bench_report.add_micro rp ~name:"online.ns_per_event" ~ns:ns_per_event;
-      Bench_report.add_micro rp ~name:"online.offline_recheck_ns"
-        ~ns:(1e9 *. offline_s);
-      Bench_report.add_micro rp ~name:"online.speedup_vs_offline" ~ns:speedup);
-  let t = Table.create ~header:[ "events"; "ns/event"; "offline check (ms)"; "speedup" ] in
-  Table.add_row t
+  report_bench c ~table:"BENCH-ONLINE" ~protocol:"bhmr" ~env:"random" ~seed:1 ~seconds:online_s
     [
-      string_of_int nev;
-      Table.cell_f ns_per_event;
-      Table.cell_f (1e3 *. offline_s);
-      Table.cell_f speedup;
+      ("online.ns_per_event", ns_per_event);
+      ("online.offline_recheck_ns", 1e9 *. offline_s);
+      ("online.speedup_vs_offline", speedup);
     ];
-  t
+  Table
+    (tabulate [ "events"; "ns/event"; "offline check (ms)"; "speedup" ]
+       [
+         [
+           string_of_int nev;
+           Table.cell_f ns_per_event;
+           Table.cell_f (1e3 *. offline_s);
+           Table.cell_f speedup;
+         ];
+       ])
 
 (* ------------------------------------------------------------------ *)
 (* BENCH-DURABLE: cost of crash-safe checker state                      *)
@@ -730,10 +736,10 @@ let rm_rf dir =
     Unix.rmdir dir
   end
 
-let table_durable ?report ?(min_events = 5_000) () =
+let table_durable c =
   (* baseline: the same stream through a plain in-memory engine *)
   let { events; nev; procs = n; baseline; check_s = online_s; _ } =
-    bench_stream ~who:"table_durable" ~min_events
+    bench_stream ~who:"BENCH-DURABLE" ~min_events:5_000
   in
   (* durable: WAL every event, a snapshot generation every nev/8 *)
   let dir = scratch_path "rdt-durable-bench" "" in
@@ -756,40 +762,35 @@ let table_durable ?report ?(min_events = 5_000) () =
   let replayed =
     match info with
     | Some i -> i.Rdt_durable.Session.replayed_events
-    | None -> invalid_arg "Experiments.table_durable: durable directory came back empty"
+    | None -> invalid_arg "BENCH-DURABLE: durable directory came back empty"
   in
   rm_rf dir;
   let durable_ns = 1e9 *. durable_s /. float_of_int (max 1 nev) in
   let online_ns = 1e9 *. online_s /. float_of_int (max 1 nev) in
   let overhead = durable_s /. Float.max 1e-9 online_s in
-  (match report with
-  | None -> ()
-  | Some rp ->
-      Bench_report.add rp ~table:"BENCH-DURABLE" ~protocol:"bhmr" ~env:"random" ~seed:1
-        ~seconds:durable_s;
-      Bench_report.add_micro rp ~name:"durable.ns_per_event" ~ns:durable_ns;
-      Bench_report.add_micro rp ~name:"durable.overhead_vs_online" ~ns:overhead);
-  let t =
-    Table.create
-      ~header:[ "events"; "ns/event durable"; "ns/event online"; "overhead"; "snapshots"; "tail replayed" ]
-  in
-  Table.add_row t
-    [
-      string_of_int nev;
-      Table.cell_f durable_ns;
-      Table.cell_f online_ns;
-      Table.cell_f overhead;
-      string_of_int snapshots;
-      string_of_int replayed;
-    ];
-  t
+  report_bench c ~table:"BENCH-DURABLE" ~protocol:"bhmr" ~env:"random" ~seed:1 ~seconds:durable_s
+    [ ("durable.ns_per_event", durable_ns); ("durable.overhead_vs_online", overhead) ];
+  Table
+    (tabulate
+       [ "events"; "ns/event durable"; "ns/event online"; "overhead"; "snapshots"; "tail replayed" ]
+       [
+         [
+           string_of_int nev;
+           Table.cell_f durable_ns;
+           Table.cell_f online_ns;
+           Table.cell_f overhead;
+           string_of_int snapshots;
+           string_of_int replayed;
+         ];
+       ])
 
 (* ------------------------------------------------------------------ *)
 (* BENCH-FUZZ: throughput of the adversarial scenario fuzzer            *)
 (* ------------------------------------------------------------------ *)
 
-let table_fuzz ?jobs ?report ?(budget = 80) () =
-  let mapper = { Rdt_fuzz.Fuzzer.map = (fun f xs -> Pool.map ?jobs f xs) } in
+let table_fuzz c =
+  let budget = if c.quick then 40 else 80 in
+  let mapper = { Rdt_fuzz.Fuzzer.map = (fun f xs -> Pool.map ?jobs:c.jobs f xs) } in
   let cfg = { Rdt_fuzz.Fuzzer.default_config with budget } in
   let t0 = Rdt_obs.Meter.now () in
   let rep = Rdt_fuzz.Fuzzer.run ~mapper cfg in
@@ -800,61 +801,59 @@ let table_fuzz ?jobs ?report ?(budget = 80) () =
   | None -> ()
   | Some f ->
       invalid_arg
-        (Printf.sprintf "Experiments.table_fuzz: scenario #%d failed (%s): %s"
+        (Printf.sprintf "BENCH-FUZZ: scenario #%d failed (%s): %s"
            f.Rdt_fuzz.Fuzzer.index
            (Rdt_fuzz.Exec.kind_name f.Rdt_fuzz.Fuzzer.kind)
            f.Rdt_fuzz.Fuzzer.detail));
-  let c = rep.Rdt_fuzz.Fuzzer.counts in
-  assert (c.Rdt_fuzz.Fuzzer.ok = budget);
+  let counts = rep.Rdt_fuzz.Fuzzer.counts in
+  assert (counts.Rdt_fuzz.Fuzzer.ok = budget);
   let per_sec = float_of_int budget /. Float.max 1e-9 seconds in
-  (match report with
-  | None -> ()
-  | Some rp ->
-      Bench_report.add rp ~table:"BENCH-FUZZ" ~protocol:"mixed" ~env:"mixed" ~seed:cfg.Rdt_fuzz.Fuzzer.seed
-        ~seconds;
-      Bench_report.add_micro rp ~name:"fuzz.scenarios_per_sec" ~ns:per_sec);
-  let t = Table.create ~header:[ "scenarios"; "ok"; "scenarios/s" ] in
-  Table.add_row t
-    [ string_of_int rep.Rdt_fuzz.Fuzzer.scenarios; string_of_int c.Rdt_fuzz.Fuzzer.ok; Table.cell_f per_sec ];
-  t
+  report_bench c ~table:"BENCH-FUZZ" ~protocol:"mixed" ~env:"mixed" ~seed:cfg.Rdt_fuzz.Fuzzer.seed
+    ~seconds
+    [ ("fuzz.scenarios_per_sec", per_sec) ];
+  Table
+    (tabulate [ "scenarios"; "ok"; "scenarios/s" ]
+       [
+         [
+           string_of_int rep.Rdt_fuzz.Fuzzer.scenarios;
+           string_of_int counts.Rdt_fuzz.Fuzzer.ok;
+           Table.cell_f per_sec;
+           ];
+       ])
 
 (* ------------------------------------------------------------------ *)
 (* BENCH-SCALE: the sharded engine at n = 10^4                         *)
 (* ------------------------------------------------------------------ *)
 
-let table_scale ?jobs ?report ?(params = Scale.default_params) () =
-  (match Scale.validate_params params with
-  | Ok () -> ()
-  | Error m -> invalid_arg ("Experiments.table_scale: " ^ m));
+(* [--quick] shrinks the run to n = 1000 *)
+let scale_params ~quick =
+  if quick then { Scale.default_params with Scale.n = 1_000; messages = 100_000 }
+  else Scale.default_params
+
+let table_scale c =
+  let params = scale_params ~quick:c.quick in
   let t0 = Rdt_obs.Meter.now () in
-  let r = Scale.run ?jobs params in
+  let r = Scale.run ?jobs:c.jobs params in
   let seconds = Rdt_obs.Meter.now () -. t0 in
   let events_per_sec = float_of_int r.Scale.events /. Float.max 1e-9 seconds in
   let bytes_per_process = float_of_int r.Scale.payload_bytes /. float_of_int params.Scale.n in
-  (match report with
-  | None -> ()
-  | Some rp ->
-      Bench_report.add rp ~table:"BENCH-SCALE" ~protocol:"cbr" ~env:"ring"
-        ~seed:params.Scale.seed ~seconds;
-      Bench_report.add_micro rp ~name:"scale.events_per_sec" ~ns:events_per_sec;
-      Bench_report.add_micro rp ~name:"scale.bytes_per_process" ~ns:bytes_per_process);
-  let t =
-    Table.create
-      ~header:
-        [ "n"; "messages"; "shards"; "events"; "forced"; "events/s"; "bytes/proc"; "checksum" ]
-  in
-  Table.add_row t
-    [
-      string_of_int params.Scale.n;
-      string_of_int params.Scale.messages;
-      string_of_int r.Scale.shards;
-      string_of_int r.Scale.events;
-      string_of_int r.Scale.ckpts_forced;
-      Table.cell_f events_per_sec;
-      Table.cell_f bytes_per_process;
-      Printf.sprintf "%016x" r.Scale.checksum;
-    ];
-  t
+  report_bench c ~table:"BENCH-SCALE" ~protocol:"cbr" ~env:"ring" ~seed:params.Scale.seed ~seconds
+    [ ("scale.events_per_sec", events_per_sec); ("scale.bytes_per_process", bytes_per_process) ];
+  Table
+    (tabulate
+       [ "n"; "messages"; "shards"; "events"; "forced"; "events/s"; "bytes/proc"; "checksum" ]
+       [
+         [
+           string_of_int params.Scale.n;
+           string_of_int params.Scale.messages;
+           string_of_int r.Scale.shards;
+           string_of_int r.Scale.events;
+           string_of_int r.Scale.ckpts_forced;
+           Table.cell_f events_per_sec;
+           Table.cell_f bytes_per_process;
+           Printf.sprintf "%016x" r.Scale.checksum;
+         ];
+       ])
 
 (* ------------------------------------------------------------------ *)
 (* BENCH-SERVE: multi-stream serving over the session wire protocol    *)
@@ -865,11 +864,14 @@ let table_scale ?jobs ?report ?(params = Scale.default_params) () =
    framing, codec, backpressure, batched parallel apply — then query it
    live and say goodbye.  Doubles as a gate: every per-stream verdict
    must equal the serial [Online.check_trace] baseline. *)
-let table_serve ?jobs ?report ?(streams = 4) ?(min_events = 4_000) () =
+let table_serve c =
+  let streams = 4 in
   let module Server = Rdt_serve.Server in
   let module Client = Rdt_serve.Client in
   let module W = Rdt_check.Session.Wire in
-  let { events; nev; procs = n; baseline; _ } = bench_stream ~who:"table_serve" ~min_events in
+  let { events; nev; procs = n; baseline; _ } =
+    bench_stream ~who:"BENCH-SERVE" ~min_events:(if c.quick then 2_000 else 4_000)
+  in
   let socket = scratch_path "rdt-serve" ".sock" in
   let meter = Rdt_obs.Meter.default in
   let query_span () =
@@ -878,7 +880,7 @@ let table_serve ?jobs ?report ?(streams = 4) ?(min_events = 4_000) () =
     | None -> { Rdt_obs.Meter.calls = 0; seconds = 0. }
   in
   let span0 = query_span () in
-  let mapper = { Server.map = (fun f xs -> Pool.map ?jobs f xs) } in
+  let mapper = { Server.map = (fun f xs -> Pool.map ?jobs:c.jobs f xs) } in
   let server = Server.create ~mapper ~meter (Server.default_config ~socket) in
   let t0 = Rdt_obs.Meter.now () in
   let clients = Array.init streams (fun _ -> Client.connect ~socket) in
@@ -887,7 +889,7 @@ let table_serve ?jobs ?report ?(streams = 4) ?(min_events = 4_000) () =
     let budget = ref 1_000_000 in
     while not (pred ()) do
       decr budget;
-      if !budget = 0 then invalid_arg "Experiments.table_serve: server made no progress";
+      if !budget = 0 then invalid_arg "BENCH-SERVE: server made no progress";
       (* the select timeout inside [step] doubles as the idle wait, so
          the loop never spins and never sleeps outside the server *)
       ignore (Server.step ~timeout:0.0005 server : int);
@@ -902,24 +904,14 @@ let table_serve ?jobs ?report ?(streams = 4) ?(min_events = 4_000) () =
   pump_until (fun () -> all_have (function W.Welcome _ -> true | _ -> false));
   (* stream in frames of 256 events, draining between rounds so client
      inboxes and kernel buffers stay bounded *)
-  let rec rounds evs =
-    match evs with
-    | [] -> ()
-    | _ ->
-        let rec split k acc = function
-          | rest when k = 0 -> (List.rev acc, rest)
-          | [] -> (List.rev acc, [])
-          | ev :: rest -> split (k - 1) (ev :: acc) rest
-        in
-        let frame, rest = split 256 [] evs in
-        Array.iter (fun c -> Client.send c (W.Events frame)) clients;
-        while Server.step server > 0 do
-          ()
-        done;
-        Array.iteri (fun i c -> inbox.(i) <- inbox.(i) @ Client.poll c) clients;
-        rounds rest
-  in
-  rounds events;
+  List.iter
+    (fun frame ->
+      Array.iter (fun c -> Client.send c (W.Events frame)) clients;
+      while Server.step server > 0 do
+        ()
+      done;
+      Array.iteri (fun i c -> inbox.(i) <- inbox.(i) @ Client.poll c) clients)
+    (W.batches 256 events);
   (* live queries: full summary plus a Corollary 4.5 minimum-GCP answer
      (forces a pattern reconstruction on the server) *)
   Array.iter
@@ -934,10 +926,10 @@ let table_serve ?jobs ?report ?(streams = 4) ?(min_events = 4_000) () =
         (function
           | W.Answer { id = 0; answer = W.Stats s } ->
               if s <> baseline then
-                invalid_arg "Experiments.table_serve: served summary diverged from baseline"
+                invalid_arg "BENCH-SERVE: served summary diverged from baseline"
           | W.Answer { id = 1; answer = W.Cut None } ->
-              invalid_arg "Experiments.table_serve: min-GCP query found no consistent cut"
-          | W.Failed { error; _ } -> invalid_arg ("Experiments.table_serve: query failed: " ^ error)
+              invalid_arg "BENCH-SERVE: min-GCP query found no consistent cut"
+          | W.Failed { error; _ } -> invalid_arg ("BENCH-SERVE: query failed: " ^ error)
           | _ -> ())
         rs)
     inbox;
@@ -952,7 +944,7 @@ let table_serve ?jobs ?report ?(streams = 4) ?(min_events = 4_000) () =
               if summary <> baseline then
                 invalid_arg
                   (Printf.sprintf
-                     "Experiments.table_serve: stream %d's verdict diverged from baseline" i)
+                     "BENCH-SERVE: stream %d's verdict diverged from baseline" i)
           | _ -> ())
         rs)
     inbox;
@@ -967,138 +959,98 @@ let table_serve ?jobs ?report ?(streams = 4) ?(min_events = 4_000) () =
   in
   let total = streams * nev in
   let events_per_sec = float_of_int total /. Float.max 1e-9 seconds in
-  (match report with
-  | None -> ()
-  | Some rp ->
-      Bench_report.add rp ~table:"BENCH-SERVE" ~protocol:"bhmr" ~env:"random" ~seed:1 ~seconds;
-      Bench_report.add_micro rp ~name:"serve.events_per_sec" ~ns:events_per_sec;
-      Bench_report.add_micro rp ~name:"serve.query_ns" ~ns:query_ns);
-  let t =
-    Table.create
-      ~header:[ "streams"; "events/stream"; "events/s"; "queries"; "ns/query"; "rdt" ]
-  in
-  Table.add_row t
-    [
-      string_of_int streams;
-      string_of_int nev;
-      Table.cell_f events_per_sec;
-      string_of_int queries;
-      Table.cell_f query_ns;
-      string_of_bool baseline.Rdt_check.Online.rdt;
-    ];
-  t
+  report_bench c ~table:"BENCH-SERVE" ~protocol:"bhmr" ~env:"random" ~seed:1 ~seconds
+    [ ("serve.events_per_sec", events_per_sec); ("serve.query_ns", query_ns) ];
+  Table
+    (tabulate [ "streams"; "events/stream"; "events/s"; "queries"; "ns/query"; "rdt" ]
+       [
+         [
+           string_of_int streams;
+           string_of_int nev;
+           Table.cell_f events_per_sec;
+           string_of_int queries;
+           Table.cell_f query_ns;
+           string_of_bool baseline.Rdt_check.Online.rdt;
+         ];
+       ])
 
 (* ------------------------------------------------------------------ *)
-(* The suite: one ordered registry behind [run_all] and [run_tables]    *)
+(* The suite: every entry in print order, and one driver               *)
 (* ------------------------------------------------------------------ *)
 
-(* What a suite entry runs on.  [few_seeds] serves the tables whose
-   cells are expensive enough that [run_all] gives them fewer seeds;
-   [quick] shrinks the benches' fixed workloads. *)
-type ctx = {
-  jobs : int option;
-  report : Bench_report.t option;
-  seeds : int list;
-  few_seeds : int list;
-  quick : bool;
-}
+let entry ?name ?(few_seeds = false) id title run =
+  { id; title = (fun ~quick:_ -> title); name; few_seeds; run }
 
-let heading title = Format.printf "@.== %s ==@." title
-
-let print_table title f c =
-  heading title;
-  Table.print (f c)
-
-(* Every figure and table in [run_all] order; the tables carry their
-   [rdtsim table] name. *)
-let suite =
+let entries =
   [
-    (None, fun c -> print_figure (fig_random ?jobs:c.jobs ?report:c.report ~seeds:c.seeds ()));
-    (None, fun c -> print_figure (fig_group ?jobs:c.jobs ?report:c.report ~seeds:c.seeds ()));
-    ( None,
-      fun c -> print_figure (fig_client_server ?jobs:c.jobs ?report:c.report ~seeds:c.seeds ()) );
-    ( Some "protocols",
-      print_table "TAB-PROTOCOLS: forced checkpoints per 100 basic (n=8)" (fun c ->
-          table_protocols ?jobs:c.jobs ?report:c.report ~seeds:c.seeds ()) );
-    ( Some "overhead",
-      print_table "TAB-OVERHEAD: piggyback bits per message" (fun _ -> table_overhead ()) );
-    ( Some "claim",
-      fun c ->
-        heading "CLAIM-10PCT: reduction of forced checkpoints vs FDAS";
-        List.iter
-          (fun (label, reduction) ->
-            Format.printf "  %-22s %5.1f%%  %s@." label (100.0 *. reduction)
-              (if reduction >= 0.10 then "(>= 10%: yes)" else "(>= 10%: no)"))
-          (claim_ten_percent ?jobs:c.jobs ?report:c.report ~seeds:c.seeds ()) );
-    ( Some "mingcp",
-      print_table "TAB-MINGCP: Corollary 4.5 (on-the-fly minimum global checkpoint)" (fun c ->
-          table_min_gcp ?jobs:c.jobs ?report:c.report ~seeds:c.few_seeds ()) );
-    ( Some "ablation",
-      print_table "ABLATION: predicate firings per variant (client-server, n=8)" (fun c ->
-          table_ablation ?jobs:c.jobs ?report:c.report ~seeds:c.seeds ()) );
-    ( Some "recovery",
-      print_table "TAB-RECOVERY: useless checkpoints, domino and replay (client-server, n=6)"
-        (fun c -> table_recovery ?jobs:c.jobs ?report:c.report ~seeds:c.few_seeds ()) );
-    ( Some "coordinated",
-      print_table "TAB-COORDINATED: coordinated snapshots vs CIC (random, n=8)" (fun c ->
-          table_coordinated ?jobs:c.jobs ?report:c.report ~seeds:c.few_seeds ()) );
-    ( Some "breakeven",
-      print_table "BREAK-EVEN: checkpoint size above which bhmr beats fdas in total overhead"
-        (fun c -> table_breakeven ?jobs:c.jobs ?report:c.report ~seeds:c.seeds ()) );
-    (None, fun c -> print_figure (fig_lost_work ?jobs:c.jobs ?report:c.report ~seeds:c.seeds ()));
-    ( Some "goodput",
-      print_table "TAB-GOODPUT: online crash recovery, 3 crashes (random, n=6)" (fun c ->
-          table_goodput ?jobs:c.jobs ?report:c.report ~seeds:c.few_seeds ()) );
-    ( Some "faults",
-      print_table
-        "TAB-FAULTS: forced-checkpoint inflation and retransmission cost vs drop rate (bhmr, n=6)"
-        (fun c -> table_faults ?jobs:c.jobs ?report:c.report ~seeds:c.few_seeds ()) );
-    ( Some "online",
-      print_table "BENCH-ONLINE: amortized per-event cost of the incremental checker (bhmr, n=8)"
-        (fun c -> table_online ?report:c.report ()) );
-    ( Some "durable",
-      print_table "BENCH-DURABLE: cost of crash-safe checker state (WAL + snapshots, bhmr, n=8)"
-        (fun c -> table_durable ?report:c.report ()) );
-    ( Some "fuzz",
-      print_table "BENCH-FUZZ: adversarial scenario fuzzer throughput (mixed protocols)" (fun c ->
-          table_fuzz ?jobs:c.jobs ?report:c.report ~budget:(if c.quick then 40 else 80) ()) );
-    ( Some "scale",
-      fun c ->
-        let params =
-          if c.quick then { Scale.default_params with Scale.n = 1_000; messages = 100_000 }
-          else Scale.default_params
-        in
-        heading
-          (Printf.sprintf "BENCH-SCALE: sharded engine throughput (cbr, ring, n=%d)"
-             params.Scale.n);
-        Table.print (table_scale ?jobs:c.jobs ?report:c.report ~params ()) );
-    ( Some "serve",
-      print_table "BENCH-SERVE: multi-stream serving over the session wire protocol (bhmr, n=8)"
-        (fun c ->
-          table_serve ?jobs:c.jobs ?report:c.report ~min_events:(if c.quick then 2_000 else 4_000)
-            ()) );
+    entry "FIG-RANDOM" "R = forced/forced(FDAS) in the general random environment" fig_random;
+    entry "FIG-8" "R in overlapping group communication environments (n=12)" fig_group;
+    entry "FIG-9" "R in client/server environments" fig_client_server;
+    entry ~name:"protocols" "TAB-PROTOCOLS" "forced checkpoints per 100 basic (n=8)"
+      table_protocols;
+    entry ~name:"overhead" "TAB-OVERHEAD" "piggyback bits per message" table_overhead;
+    entry ~name:"claim" "CLAIM-10PCT" "reduction of forced checkpoints vs FDAS" claim_ten_percent;
+    entry ~name:"mingcp" ~few_seeds:true "TAB-MINGCP"
+      "Corollary 4.5 (on-the-fly minimum global checkpoint)" table_min_gcp;
+    entry ~name:"ablation" "ABLATION" "predicate firings per variant (client-server, n=8)"
+      table_ablation;
+    entry ~name:"recovery" ~few_seeds:true "TAB-RECOVERY"
+      "useless checkpoints, domino and replay (client-server, n=6)" table_recovery;
+    entry ~name:"coordinated" ~few_seeds:true "TAB-COORDINATED"
+      "coordinated snapshots vs CIC (random, n=8)" table_coordinated;
+    entry ~name:"breakeven" "BREAK-EVEN"
+      "checkpoint size above which bhmr beats fdas in total overhead" table_breakeven;
+    entry "FIG-LOST-WORK" "fraction of events undone by a crash at 60% of the run (random, n=6)"
+      fig_lost_work;
+    entry ~name:"goodput" ~few_seeds:true "TAB-GOODPUT"
+      "online crash recovery, 3 crashes (random, n=6)" table_goodput;
+    entry ~name:"faults" ~few_seeds:true "TAB-FAULTS"
+      "forced-checkpoint inflation and retransmission cost vs drop rate (bhmr, n=6)" table_faults;
+    entry ~name:"online" "BENCH-ONLINE"
+      "amortized per-event cost of the incremental checker (bhmr, n=8)" table_online;
+    entry ~name:"durable" "BENCH-DURABLE"
+      "cost of crash-safe checker state (WAL + snapshots, bhmr, n=8)" table_durable;
+    entry ~name:"fuzz" "BENCH-FUZZ" "adversarial scenario fuzzer throughput (mixed protocols)"
+      table_fuzz;
+    {
+      (entry ~name:"scale" "BENCH-SCALE" "" table_scale) with
+      title =
+        (fun ~quick ->
+          Printf.sprintf "sharded engine throughput (cbr, ring, n=%d)"
+            (scale_params ~quick).Scale.n);
+    };
+    entry ~name:"serve" "BENCH-SERVE"
+      "multi-stream serving over the session wire protocol (bhmr, n=8)" table_serve;
   ]
 
-let table_names = List.filter_map fst suite
+let find key =
+  match List.find_opt (fun e -> e.id = key || e.name = Some key) entries with
+  | Some e -> e
+  | None -> invalid_arg ("Experiments.find: unknown entry " ^ key)
 
-let run_entries ctx prints =
+let print_output = function
+  | Figure f -> print_figure f
+  | Table t -> Table.print t
+  | Claim reductions ->
+      List.iter
+        (fun (label, reduction) ->
+          Format.printf "  %-22s %5.1f%%  %s@." label (100.0 *. reduction)
+            (if reduction >= 0.10 then "(>= 10%: yes)" else "(>= 10%: no)"))
+        reductions
+
+let run ?(quick = false) ?jobs ?report ?seeds entries =
+  let seeds_of e =
+    match (seeds, quick, e.few_seeds) with
+    | Some seeds, _, _ -> seeds
+    | None, false, false -> Experiment.default_seeds
+    | None, false, true | None, true, false -> Experiment.quick_seeds
+    | None, true, true -> [ 1 ]
+  in
   let t0 = Rdt_obs.Meter.now () in
-  List.iter (fun print -> print ctx) prints;
-  Option.iter (fun r -> Bench_report.set_wall r (Rdt_obs.Meter.now () -. t0)) ctx.report;
+  List.iter
+    (fun e ->
+      Format.printf "@.== %s: %s ==@." e.id (e.title ~quick);
+      print_output (e.run { jobs; report; seeds = seeds_of e; quick }))
+    entries;
+  Option.iter (fun r -> Bench_report.set_wall r (Rdt_obs.Meter.now () -. t0)) report;
   Format.print_flush ()
-
-let run_all ?(quick = false) ?jobs ?report () =
-  let seeds, few_seeds =
-    if quick then (Experiment.quick_seeds, [ 1 ])
-    else (Experiment.default_seeds, Experiment.quick_seeds)
-  in
-  run_entries { jobs; report; seeds; few_seeds; quick } (List.map snd suite)
-
-let run_tables ?jobs ?report ~seeds names =
-  let print name =
-    match List.assoc_opt (Some name) suite with
-    | Some print -> print
-    | None -> invalid_arg ("Experiments.run_tables: unknown table " ^ name)
-  in
-  let prints = List.map print names in
-  run_entries { jobs; report; seeds; few_seeds = seeds; quick = false } prints

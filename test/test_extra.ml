@@ -332,8 +332,22 @@ let test_breakpoint_recomputed_path () =
 (* rdt_harness / experiments edges                                     *)
 (* ------------------------------------------------------------------ *)
 
+(* one suite entry's output on the given seeds *)
+let run_entry id seeds =
+  let module E = Rdt_harness.Experiments in
+  (E.find id).run { E.jobs = None; report = None; seeds; quick = false }
+
+let entry_table id seeds =
+  match run_entry id seeds with
+  | Rdt_harness.Experiments.Table t -> t
+  | _ -> Alcotest.failf "%s is not a table" id
+
 let test_lost_work_shape () =
-  let fig = Rdt_harness.Experiments.fig_lost_work ~seeds:[ 1; 2 ] () in
+  let fig =
+    match run_entry "FIG-LOST-WORK" [ 1; 2 ] with
+    | Rdt_harness.Experiments.Figure f -> f
+    | _ -> Alcotest.fail "FIG-LOST-WORK is not a figure"
+  in
   let means label =
     match List.find_opt (fun s -> s.Rdt_harness.Experiments.label = label) fig.series with
     | None -> Alcotest.failf "series %s missing" label
@@ -348,14 +362,14 @@ let test_lost_work_shape () =
   List.iter2 (fun n b -> check "none >= bhmr - eps" true (n >= b -. 0.05)) none bhmr
 
 let test_recovery_table_rows () =
-  let t = Rdt_harness.Experiments.table_recovery ~seeds:[ 1 ] () in
+  let t = entry_table "TAB-RECOVERY" [ 1 ] in
   let rendered = Rdt_harness.Table.render t in
   List.iter
     (fun p -> check (p ^ " row present") true (contains rendered p))
     [ "none"; "bcs"; "fdas"; "bhmr" ]
 
 let test_breakeven_table () =
-  let t = Rdt_harness.Experiments.table_breakeven ~seeds:[ 1 ] () in
+  let t = entry_table "BREAK-EVEN" [ 1 ] in
   let rendered = Rdt_harness.Table.render t in
   check "has stencil row" true (contains rendered "stencil");
   check "stencil break-even infinite" true (contains rendered "inf")

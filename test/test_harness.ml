@@ -6,6 +6,7 @@ module Stats = Rdt_harness.Stats
 module Table = Rdt_harness.Table
 module Experiment = Rdt_harness.Experiment
 module Experiments = Rdt_harness.Experiments
+module Runtime = Rdt_core.Runtime
 
 let check = Alcotest.(check bool)
 let checkf = Alcotest.(check (float 1e-9))
@@ -80,24 +81,38 @@ let test_table_cells () =
 (* Experiment plumbing                                                 *)
 (* ------------------------------------------------------------------ *)
 
+(* a workload is a Runtime config over a registry environment *)
+let workload ?faults ~n ~messages name =
+  Runtime.configure ~n ~messages ?faults (Rdt_workloads.Registry.find_exn name)
+    (Rdt_core.Registry.find_exn "fdas")
+
 let test_workload_lookup () =
-  let w = Experiment.workload ~n:4 "random" in
-  Alcotest.(check int) "n" 4 w.Experiment.n;
+  let w = workload ~n:4 ~messages:200 "random" in
+  Alcotest.(check int) "n" 4 w.Runtime.n;
   Alcotest.check_raises "unknown env"
     (Invalid_argument
        "unknown environment \"nope\" (valid: random, group, client-server, ring, prodcons, \
-        master-worker, stencil)") (fun () -> ignore (Experiment.workload "nope"))
+        master-worker, stencil)") (fun () -> ignore (workload ~n:4 ~messages:200 "nope"))
 
-let test_run_once_deterministic () =
-  let w = Experiment.workload ~n:4 ~max_messages:200 "random" in
-  let p = Rdt_core.Registry.find_exn "bhmr" in
-  let a = Experiment.run_once w p ~seed:3 and b = Experiment.run_once w p ~seed:3 in
+let test_faults_imply_transport () =
+  let faults = { Rdt_dist.Faults.none with drop = 0.1 } in
+  check "faults select the default transport" true
+    ((workload ~n:4 ~messages:200 ~faults "random").Runtime.transport
+    = Some Rdt_dist.Transport.default_params);
+  check "no faults, no transport" true
+    ((workload ~n:4 ~messages:200 "random").Runtime.transport = None)
+
+let test_run_deterministic () =
+  let w = workload ~n:4 ~messages:200 "random" in
+  let protocol = Rdt_core.Registry.find_exn "bhmr" in
+  let a = Runtime.run { w with protocol; seed = 3 }
+  and b = Runtime.run { w with protocol; seed = 3 } in
   Alcotest.(check int) "same forced" a.metrics.Rdt_core.Metrics.forced
     b.metrics.Rdt_core.Metrics.forced;
-  check "rdt verified" true (Rdt_core.Checker.run a.Rdt_core.Runtime.pattern).Rdt_core.Checker.rdt
+  check "rdt verified" true (Rdt_core.Checker.run a.Runtime.pattern).Rdt_core.Checker.rdt
 
 let test_ratio_pairing () =
-  let w = Experiment.workload ~n:4 ~max_messages:300 "client-server" in
+  let w = workload ~n:4 ~messages:300 "client-server" in
   let bhmr = Rdt_core.Registry.find_exn "bhmr" in
   let fdas = Rdt_core.Registry.find_exn "fdas" in
   (* the paired ratio: both runs on the same seed *)
@@ -105,8 +120,9 @@ let test_ratio_pairing () =
     Stats.of_list
       (List.filter_map
          (fun seed ->
-           Experiment.forced_ratio (Experiment.run_once w p ~seed)
-             (Experiment.run_once w baseline ~seed))
+           Experiment.forced_ratio
+             (Runtime.run { w with protocol = p; seed })
+             (Runtime.run { w with protocol = baseline; seed }))
          [ 1; 2 ])
   in
   (* a protocol against itself is exactly 1 *)
@@ -119,13 +135,19 @@ let test_ratio_pairing () =
 
 let seeds = [ 1; 2 ]
 
+let run_entry id =
+  (Experiments.find id).run { Experiments.jobs = None; report = None; seeds; quick = false }
+
+let figure id =
+  match run_entry id with Experiments.Figure f -> f | _ -> Alcotest.failf "%s is not a figure" id
+
 let series_means fig label =
   match List.find_opt (fun s -> s.Experiments.label = label) fig.Experiments.series with
   | None -> Alcotest.failf "series %s missing" label
   | Some s -> List.map (fun p -> Stats.mean p.Experiments.stats) s.Experiments.points
 
 let test_fig_client_server_shape () =
-  let fig = Experiments.fig_client_server ~seeds () in
+  let fig = figure "FIG-9" in
   let bhmr = series_means fig "bhmr" in
   let v1 = series_means fig "bhmr-v1" in
   (* strong reduction everywhere, and bhmr at least as good as v1 *)
@@ -133,7 +155,7 @@ let test_fig_client_server_shape () =
   List.iter2 (fun a b -> check "bhmr <= v1" true (a <= b +. 0.02)) bhmr v1
 
 let test_fig_random_shape () =
-  let fig = Experiments.fig_random ~seeds () in
+  let fig = figure "FIG-RANDOM" in
   List.iter
     (fun label ->
       List.iter
@@ -142,7 +164,11 @@ let test_fig_random_shape () =
     [ "bhmr"; "bhmr-v1"; "bhmr-v2" ]
 
 let test_claim_ten_percent_structured_envs () =
-  let reductions = Experiments.claim_ten_percent ~seeds () in
+  let reductions =
+    match run_entry "CLAIM-10PCT" with
+    | Experiments.Claim r -> r
+    | _ -> Alcotest.fail "CLAIM-10PCT is not a claim"
+  in
   List.iter
     (fun (label, reduction) ->
       check (label ^ " nonnegative") true (reduction >= -0.01);
@@ -152,7 +178,11 @@ let test_claim_ten_percent_structured_envs () =
     reductions
 
 let test_overhead_table_monotone () =
-  let t = Experiments.table_overhead ~ns:[ 2; 64 ] () in
+  let t =
+    match run_entry "TAB-OVERHEAD" with
+    | Experiments.Table t -> t
+    | _ -> Alcotest.fail "TAB-OVERHEAD is not a table"
+  in
   let rendered = Table.render t in
   check "has bhmr row" true
     (String.split_on_char '\n' rendered
@@ -177,7 +207,9 @@ let () =
       ( "experiment",
         [
           Alcotest.test_case "workload lookup" `Quick test_workload_lookup;
-          Alcotest.test_case "run_once deterministic" `Quick test_run_once_deterministic;
+          Alcotest.test_case "faults imply the default transport" `Quick
+            test_faults_imply_transport;
+          Alcotest.test_case "run deterministic" `Quick test_run_deterministic;
           Alcotest.test_case "ratio pairing" `Quick test_ratio_pairing;
         ] );
       ( "figures",

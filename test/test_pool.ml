@@ -125,34 +125,38 @@ let figure_repr (f : Experiments.figure) =
           s.points ))
     f.series
 
-let jobs_independent name repr run () =
-  let reference = repr (run ~jobs:1) in
-  check (name ^ " identical under jobs=4") true (reference = repr (run ~jobs:4))
+(* one suite entry's output under [jobs] workers *)
+let run_entry ?report id ~jobs ~seeds =
+  (Experiments.find id).run { Experiments.jobs = Some jobs; report; seeds; quick = false }
 
-let test_table_protocols_jobs_independent =
-  jobs_independent "TAB-PROTOCOLS" table_repr (fun ~jobs ->
-      Experiments.table_protocols ~jobs ~seeds:[ 1 ] ())
+let output_repr = function
+  | Experiments.Table t -> `Table (table_repr t)
+  | Experiments.Figure f -> `Figure (figure_repr f)
+  | Experiments.Claim c -> `Claim c
+
+let jobs_independent id ~seeds () =
+  let reference = output_repr (run_entry id ~jobs:1 ~seeds) in
+  let again = output_repr (run_entry id ~jobs:4 ~seeds) in
+  check (id ^ " identical under jobs=4") true (reference = again)
+
+let test_table_protocols_jobs_independent = jobs_independent "TAB-PROTOCOLS" ~seeds:[ 1 ]
 
 (* the TAB-FAULTS grid runs paired faulty/reliable cells through the
    transport; still bit-identical when sharded *)
-let test_table_faults_jobs_independent =
-  jobs_independent "TAB-FAULTS" table_repr (fun ~jobs ->
-      Experiments.table_faults ~jobs ~seeds:[ 1 ] ())
+let test_table_faults_jobs_independent = jobs_independent "TAB-FAULTS" ~seeds:[ 1 ]
 
 (* two seeds, so every CI is a real spread and not the one-sample 0 *)
-let test_fig_group_jobs_independent =
-  jobs_independent "FIG-8" figure_repr (fun ~jobs -> Experiments.fig_group ~jobs ~seeds:[ 1; 2 ] ())
+let test_fig_group_jobs_independent = jobs_independent "FIG-8" ~seeds:[ 1; 2 ]
 
-let test_fig_lost_work_jobs_independent =
-  jobs_independent "FIG-LOST-WORK" figure_repr (fun ~jobs ->
-      Experiments.fig_lost_work ~jobs ~seeds:[ 1; 2 ] ())
+let test_fig_lost_work_jobs_independent = jobs_independent "FIG-LOST-WORK" ~seeds:[ 1; 2 ]
 
 let test_claim_worker_count_independent () =
   (* same measured reductions for 1, 2 and 8 workers *)
-  let reference = Experiments.claim_ten_percent ~jobs:1 ~seeds:[ 1; 2 ] () in
+  let claim jobs = output_repr (run_entry "CLAIM-10PCT" ~jobs ~seeds:[ 1; 2 ]) in
+  let reference = claim 1 in
   List.iter
     (fun jobs ->
-      let again = Experiments.claim_ten_percent ~jobs ~seeds:[ 1; 2 ] () in
+      let again = claim jobs in
       check (Printf.sprintf "CLAIM-10PCT identical under jobs=%d" jobs) true (reference = again))
     [ 2; 8 ]
 
@@ -165,9 +169,9 @@ let test_report_cell_sequence () =
       (Bench_report.cells r)
   in
   let r1 = Bench_report.create ~jobs:1 in
-  ignore (Experiments.table_faults ~jobs:1 ~report:r1 ~seeds:[ 1 ] ());
+  ignore (run_entry ~report:r1 "TAB-FAULTS" ~jobs:1 ~seeds:[ 1 ]);
   let r4 = Bench_report.create ~jobs:4 in
-  ignore (Experiments.table_faults ~jobs:4 ~report:r4 ~seeds:[ 1 ] ());
+  ignore (run_entry ~report:r4 "TAB-FAULTS" ~jobs:4 ~seeds:[ 1 ]);
   check "cell sequences match" true (coords r1 = coords r4);
   check "cells were recorded" true (coords r1 <> [])
 
@@ -176,20 +180,22 @@ let test_report_cell_sequence () =
 (* ------------------------------------------------------------------ *)
 
 let test_table_names_order () =
-  (* the order of the headings [run_all] prints, figures left out *)
+  (* the [rdtsim table] names in the order [Experiments.run] prints the
+     entries, figures left out *)
   Alcotest.(check (list string))
     "table_names"
     [
       "protocols"; "overhead"; "claim"; "mingcp"; "ablation"; "recovery"; "coordinated";
       "breakeven"; "goodput"; "faults"; "online"; "durable"; "fuzz"; "scale"; "serve";
     ]
-    Experiments.table_names
+    (List.filter_map (fun e -> e.Experiments.name) Experiments.entries)
 
 let test_run_tables_unknown_name () =
-  (* rejected before any table runs, even behind a valid name *)
+  (* the lookup rejects it before any table runs, even behind a valid
+     name *)
   check "unknown name rejected" true
     (try
-       Experiments.run_tables ~seeds:[ 1 ] [ "overhead"; "fig-random" ];
+       Experiments.run ~seeds:[ 1 ] (List.map Experiments.find [ "overhead"; "fig-random" ]);
        false
      with Invalid_argument _ -> true)
 
