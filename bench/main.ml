@@ -20,8 +20,27 @@ open Bechamel
 open Toolkit
 
 (* ------------------------------------------------------------------ *)
-(* Micro-benchmarks: one Test.make per hot path                        *)
+(* Micro-benchmarks: one per hot path                                  *)
 (* ------------------------------------------------------------------ *)
+
+(* A micro is a bechamel test and the number of steps one run of it
+   takes.  The report gives time per step: a step of under a microsecond
+   runs in a fixed batch per run, so each run is long enough for the
+   clock and the fit. *)
+type micro = { test : Test.t; steps : int }
+
+let micro name f = { test = Test.make ~name (Staged.stage f); steps = 1 }
+
+let batched ~steps name f =
+  {
+    test =
+      Test.make ~name
+        (Staged.stage (fun () ->
+             for i = 0 to steps - 1 do
+               f i
+             done));
+    steps;
+  }
 
 let run_config protocol n =
   {
@@ -38,9 +57,8 @@ let protocol_tests =
       List.map
         (fun pname ->
           let protocol = Rdt_core.Registry.find_exn pname in
-          Test.make
-            ~name:(Printf.sprintf "run/%s/n=%d" pname n)
-            (Staged.stage (fun () -> ignore (Rdt_core.Runtime.run (run_config protocol n)))))
+          micro (Printf.sprintf "run/%s/n=%d" pname n) (fun () ->
+              ignore (Rdt_core.Runtime.run (run_config protocol n))))
         [ "none"; "fdas"; "bhmr-v1"; "bhmr" ])
     [ 8; 32 ]
 
@@ -53,27 +71,20 @@ let analysis_tests =
       .Rdt_core.Runtime.pattern
   in
   [
-    Test.make ~name:"analysis/rgraph-build"
-      (Staged.stage (fun () -> ignore (Rdt_pattern.Rgraph.build pattern)));
-    Test.make ~name:"analysis/rgraph-reach-all"
-      (Staged.stage (fun () ->
-           let g = Rdt_pattern.Rgraph.build pattern in
-           ignore (Rdt_pattern.Rgraph.reaches g (0, 0) (1, 1))));
-    Test.make ~name:"analysis/tdv-replay"
-      (Staged.stage (fun () -> ignore (Rdt_pattern.Tdv.compute pattern)));
-    Test.make ~name:"analysis/rdt-check"
-      (Staged.stage (fun () -> ignore (Rdt_core.Checker.run pattern)));
-    Test.make ~name:"analysis/rdt-check/n=16"
-      (Staged.stage (fun () -> ignore (Rdt_core.Checker.run simulate_shape)));
-    Test.make ~name:"analysis/min-gcp-fixpoint"
-      (Staged.stage (fun () -> ignore (Rdt_core.Min_gcp.minimum pattern (0, 1))));
-    Test.make ~name:"analysis/recovery-line"
-      (Staged.stage (fun () ->
-           let bounds =
-             Array.init (Rdt_pattern.Pattern.n pattern) (fun i ->
-                 Rdt_pattern.Pattern.last_index pattern i)
-           in
-           ignore (Rdt_recovery.Recovery_line.max_consistent_bounded pattern bounds)));
+    micro "analysis/rgraph-build" (fun () -> ignore (Rdt_pattern.Rgraph.build pattern));
+    micro "analysis/rgraph-reach-all" (fun () ->
+        let g = Rdt_pattern.Rgraph.build pattern in
+        ignore (Rdt_pattern.Rgraph.reaches g (0, 0) (1, 1)));
+    micro "analysis/tdv-replay" (fun () -> ignore (Rdt_pattern.Tdv.compute pattern));
+    micro "analysis/rdt-check" (fun () -> ignore (Rdt_core.Checker.run pattern));
+    micro "analysis/rdt-check/n=16" (fun () -> ignore (Rdt_core.Checker.run simulate_shape));
+    micro "analysis/min-gcp-fixpoint" (fun () -> ignore (Rdt_core.Min_gcp.minimum pattern (0, 1)));
+    micro "analysis/recovery-line" (fun () ->
+        let bounds =
+          Array.init (Rdt_pattern.Pattern.n pattern) (fun i ->
+              Rdt_pattern.Pattern.last_index pattern i)
+        in
+        ignore (Rdt_recovery.Recovery_line.max_consistent_bounded pattern bounds));
   ]
 
 (* One protocol step on a warmed state pair: the sender checkpoints, so
@@ -95,23 +106,49 @@ let step_test pname n =
   done;
   let a = states.(0) and b = states.(1) in
   ignore (P.make_payload b ~dst:2);
-  Test.make
-    ~name:(Printf.sprintf "protocol/%s-step/n=%d" pname n)
-    (Staged.stage (fun () ->
-         P.on_checkpoint a;
-         let m = P.make_payload a ~dst:1 in
-         ignore (P.predicates b ~src:0 m);
-         ignore (P.must_force b ~src:0 m);
-         P.absorb b ~src:0 m))
+  batched ~steps:100 (Printf.sprintf "protocol/%s-step/n=%d" pname n) (fun _ ->
+      P.on_checkpoint a;
+      let m = P.make_payload a ~dst:1 in
+      ignore (P.predicates b ~src:0 m);
+      ignore (P.must_force b ~src:0 m);
+      P.absorb b ~src:0 m)
 
 let step_tests = [ step_test "bhmr" 16; step_test "bhmr" 64; step_test "fdas" 16 ]
 
-(* The durable layer's two steady-state costs at perfbench watch's shape
-   (BHMR, random environment, n = 16): one WAL record, and one snapshot
-   image of a 10k-event history after 1,000 more events.  The image
-   benchmark copies a cache primed at 10k events on every run, so each
-   run encodes the same 1,000-event step; [snapshot-encode] is the full
-   re-encode of the same state, for comparison. *)
+(* The events of one BHMR run in the random environment at n = 16, the
+   shape of perfbench watch's trace. *)
+let watch_shape =
+  lazy
+    (let tr = Rdt_obs.Trace.ring ~capacity:20_000 in
+     ignore
+       (Rdt_core.Runtime.run
+          {
+            (run_config (Rdt_core.Registry.find_exn "bhmr") 16) with
+            Rdt_core.Runtime.max_messages = 4500;
+            trace = tr;
+          });
+     let events = Array.of_list (Rdt_obs.Trace.events tr) in
+     if Array.length events < 11_000 then
+       failwith "bench: watch-shape trace shorter than 11k events";
+     events)
+
+(* The JSONL codec, per line, over a fixed 1,000-event slice of it. *)
+let trace_tests =
+  let events = Array.sub (Lazy.force watch_shape) 10_000 1_000 in
+  let lines = Array.map Rdt_obs.Trace.encode events in
+  [
+    batched ~steps:(Array.length lines) "trace/decode" (fun i ->
+        ignore (Rdt_obs.Trace.decode lines.(i)));
+    batched ~steps:(Array.length events) "trace/encode" (fun i ->
+        ignore (Rdt_obs.Trace.encode events.(i)));
+  ]
+
+(* The durable layer's two steady-state costs at the same shape: one WAL
+   record, and one snapshot image of a 10k-event history after 1,000
+   more events.  The image benchmark copies a cache primed at 10k events
+   on every run, so each run encodes the same 1,000-event step;
+   [snapshot-encode] is the full re-encode of the same state, for
+   comparison. *)
 let durable_tests =
   let module W = Rdt_durable.Codec.Writer in
   let module Online = Rdt_check.Online in
@@ -128,18 +165,7 @@ let durable_tests =
         preds = [ "c1"; "c_fdas"; "c_fdi" ];
       }
   in
-  let events =
-    let tr = Rdt_obs.Trace.ring ~capacity:20_000 in
-    ignore
-      (Rdt_core.Runtime.run
-         {
-           (run_config (Rdt_core.Registry.find_exn "bhmr") 16) with
-           Rdt_core.Runtime.max_messages = 4500;
-           trace = tr;
-         });
-    Array.of_list (Rdt_obs.Trace.events tr)
-  in
-  if Array.length events < 11_000 then failwith "bench: durable trace shorter than 11k events";
+  let events = Lazy.force watch_shape in
   let engine = Online.create ~n:16 () in
   for i = 0 to 9_999 do
     Online.observe engine events.(i)
@@ -150,35 +176,35 @@ let durable_tests =
     Online.observe engine events.(i)
   done;
   [
-    Test.make ~name:"durable/wal-record"
-      (Staged.stage (fun () ->
-           W.clear record;
-           ignore (Rdt_durable.Wal.add_record record ckpt)));
-    Test.make ~name:"durable/snapshot-image"
-      (Staged.stage (fun () -> ignore (Snapshot.Cache.image (Snapshot.Cache.copy primed) engine)));
-    Test.make ~name:"durable/snapshot-encode"
-      (Staged.stage (fun () -> ignore (Snapshot.encode (Online.export engine))));
+    batched ~steps:100 "durable/wal-record" (fun _ ->
+        W.clear record;
+        ignore (Rdt_durable.Wal.add_record record ckpt));
+    micro "durable/snapshot-image" (fun () ->
+        ignore (Snapshot.Cache.image (Snapshot.Cache.copy primed) engine));
+    micro "durable/snapshot-encode" (fun () -> ignore (Snapshot.encode (Online.export engine)));
   ]
 
 let run_micro ~report () =
-  Format.printf "@.== MICRO: bechamel micro-benchmarks (ns per run) ==@.";
+  Format.printf "@.== MICRO: bechamel micro-benchmarks (ns per step) ==@.";
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
   in
   let instances = Instance.[ monotonic_clock ] in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.3) ~stabilize:true () in
-  let grouped =
-    Test.make_grouped ~name:"rdt" ~fmt:"%s %s"
-      (protocol_tests @ step_tests @ analysis_tests @ durable_tests)
-  in
+  let micros = protocol_tests @ step_tests @ analysis_tests @ trace_tests @ durable_tests in
+  let grouped = Test.make_grouped ~name:"rdt" ~fmt:"%s %s" (List.map (fun m -> m.test) micros) in
+  let steps = List.map (fun m -> ("rdt " ^ Test.name m.test, m.steps)) micros in
   let raw = Benchmark.all cfg instances grouped in
   let results = Analyze.all ols Instance.monotonic_clock raw in
   let rows = Rdt_dist.Tbl.bindings_sorted ~compare:String.compare results in
-  let table = Rdt_harness.Table.create ~header:[ "benchmark"; "time/run"; "r²" ] in
+  let table = Rdt_harness.Table.create ~header:[ "benchmark"; "steps/run"; "time/step"; "r²" ] in
   List.iter
     (fun (name, ols) ->
+      let steps = List.assoc name steps in
       let estimate =
-        match Analyze.OLS.estimates ols with Some (e :: _) -> e | Some [] | None -> nan
+        match Analyze.OLS.estimates ols with
+        | Some (e :: _) -> e /. float_of_int steps
+        | Some [] | None -> nan
       in
       let r_square =
         match Analyze.OLS.r_square ols with Some r when not (Float.is_nan r) -> Some r | _ -> None
@@ -192,7 +218,12 @@ let run_micro ~report () =
       if not (Float.is_nan estimate) then
         Rdt_harness.Bench_report.add_micro report ?r_square ~name ~ns:estimate;
       Rdt_harness.Table.add_row table
-        [ name; pretty; (match r_square with Some r -> Printf.sprintf "%.4f" r | None -> "-") ])
+        [
+          name;
+          string_of_int steps;
+          pretty;
+          (match r_square with Some r -> Printf.sprintf "%.4f" r | None -> "-");
+        ])
     (List.sort compare rows);
   Rdt_harness.Table.print table
 

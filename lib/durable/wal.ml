@@ -323,7 +323,7 @@ let read_frame s r =
     with
     | v -> v
     | exception R.Short _ -> Error "frame torn at end of segment"
-let decode_v1 s ~pos ~len = Trace.decode (String.sub s pos len)
+let decode_v1 = Trace.decode_sub
 
 let decode_v2 s ~pos ~len = decode_payload (R.of_string ~pos ~len s)
 

@@ -153,3 +153,52 @@ let faults_of_link s =
       | None -> []
       | Some (from_t, to_t) -> [ { Faults.between = [ 1 ]; from_t; to_t } ]);
   }
+
+(* -------------------- trace events -------------------- *)
+
+module T = Rdt_obs.Trace
+
+let trace_event =
+  let open QCheck.Gen in
+  let any_int =
+    oneof [ int; oneofl [ min_int; max_int; 0; -1; 1; 127; 128; -64; -65 ]; small_signed_int ]
+  in
+  let any_string =
+    oneof
+      [ string_size ~gen:char (int_bound 20); string_size ~gen:(char_range 'a' 'z') (int_bound 12) ]
+  in
+  let kind = oneofl Rdt_pattern.Types.[ Initial; Basic; Forced; Final ] in
+  let tdv =
+    oneof
+      [
+        return None;
+        return (Some [||]);
+        map (fun l -> Some (Array.of_list l)) (list_size (int_bound 4) any_int);
+        map (fun l -> Some (Array.of_list l)) (list_size (int_range 16 200) any_int);
+      ]
+  in
+  let three = triple any_int any_int any_int and four = quad any_int any_int any_int any_int in
+  oneof
+    [
+      map
+        (fun ((n, protocol, env), (seed, mode)) -> T.Meta { n; protocol; env; seed; mode })
+        (pair (triple any_int any_string any_string) (pair any_int any_string));
+      map (fun (msg, src, dst, time) -> T.Send { msg; src; dst; time }) four;
+      map (fun (msg, src, dst, time) -> T.Deliver { msg; src; dst; time }) four;
+      map (fun (pid, time) -> T.Internal { pid; time }) (pair any_int any_int);
+      map
+        (fun ((pid, index, kind), (time, tdv, preds)) ->
+          T.Ckpt { pid; index; kind; time; tdv; preds })
+        (pair
+           (triple any_int any_int kind)
+           (triple any_int tdv (list_size (int_bound 4) any_string)));
+      map
+        (fun ((src, dst, seq), (attempt, time)) ->
+          T.Retransmit { src; dst; seq; attempt; time })
+        (pair three (pair any_int any_int));
+      map (fun (src, dst, time) -> T.Drop { src; dst; time }) three;
+      map (fun (msg, src, dst, time) -> T.Undeliverable { msg; src; dst; time }) four;
+      map (fun (pid, to_index, time) -> T.Rollback { pid; to_index; time }) three;
+      map (fun (msg, src, dst, time) -> T.Replay { msg; src; dst; time }) four;
+      map (fun (checker, rdt) -> T.Verdict { checker; rdt }) (pair any_string bool);
+    ]

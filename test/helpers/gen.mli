@@ -64,3 +64,10 @@ val link_scenario_arbitrary : link_scenario QCheck.arbitrary
 (** Shrinks by disabling fault dimensions, then thinning traffic. *)
 
 val faults_of_link : link_scenario -> Rdt_dist.Faults.spec
+
+(** {1 Trace events} *)
+
+val trace_event : Rdt_obs.Trace.event QCheck.Gen.t
+(** Every constructor, with extreme integers ([min_int], [max_int]),
+    strings of arbitrary bytes or of plain letters, and TDVs of 0 to 200
+    entries. *)

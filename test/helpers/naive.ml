@@ -266,3 +266,82 @@ let fold_componentwise f pat c =
 let min_gcp pat c = fold_componentwise min pat c
 
 let max_gcp pat c = fold_componentwise max pat c
+
+(* -------------------- JSONL trace codec -------------------- *)
+
+module Trace = Rdt_obs.Trace
+
+let trace_escape s =
+  let buf = Buffer.create (String.length s + 2) in
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | '\t' -> Buffer.add_string buf "\\t"
+      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char buf c)
+    s;
+  Buffer.contents buf
+
+let trace_encode (ev : Trace.event) =
+  let escape = trace_escape in
+  let int_array_json a = "[" ^ String.concat "," (List.map string_of_int (Array.to_list a)) ^ "]" in
+  let string_list_json l =
+    "[" ^ String.concat "," (List.map (fun s -> "\"" ^ escape s ^ "\"") l) ^ "]"
+  in
+  match ev with
+  | Meta { n; protocol; env; seed; mode } ->
+      Printf.sprintf
+        "{\"ev\":\"meta\",\"n\":%d,\"protocol\":\"%s\",\"env\":\"%s\",\"seed\":%d,\"mode\":\"%s\"}"
+        n (escape protocol) (escape env) seed (escape mode)
+  | Send { msg; src; dst; time } ->
+      Printf.sprintf "{\"ev\":\"send\",\"msg\":%d,\"src\":%d,\"dst\":%d,\"t\":%d}" msg src dst time
+  | Deliver { msg; src; dst; time } ->
+      Printf.sprintf "{\"ev\":\"deliver\",\"msg\":%d,\"src\":%d,\"dst\":%d,\"t\":%d}" msg src dst
+        time
+  | Internal { pid; time } -> Printf.sprintf "{\"ev\":\"internal\",\"pid\":%d,\"t\":%d}" pid time
+  | Ckpt { pid; index; kind; time; tdv; preds } ->
+      let base =
+        Printf.sprintf "{\"ev\":\"ckpt\",\"pid\":%d,\"index\":%d,\"kind\":\"%s\",\"t\":%d" pid
+          index
+          (Rdt_pattern.Types.ckpt_kind_to_string kind)
+          time
+      in
+      let preds_part = if preds = [] then "" else ",\"preds\":" ^ string_list_json preds in
+      let tdv_part = match tdv with None -> "" | Some a -> ",\"tdv\":" ^ int_array_json a in
+      base ^ preds_part ^ tdv_part ^ "}"
+  | Retransmit { src; dst; seq; attempt; time } ->
+      Printf.sprintf
+        "{\"ev\":\"retransmit\",\"src\":%d,\"dst\":%d,\"seq\":%d,\"attempt\":%d,\"t\":%d}" src dst
+        seq attempt time
+  | Drop { src; dst; time } ->
+      Printf.sprintf "{\"ev\":\"drop\",\"src\":%d,\"dst\":%d,\"t\":%d}" src dst time
+  | Undeliverable { msg; src; dst; time } ->
+      Printf.sprintf "{\"ev\":\"undeliverable\",\"msg\":%d,\"src\":%d,\"dst\":%d,\"t\":%d}" msg src
+        dst time
+  | Rollback { pid; to_index; time } ->
+      Printf.sprintf "{\"ev\":\"rollback\",\"pid\":%d,\"to_index\":%d,\"t\":%d}" pid to_index time
+  | Replay { msg; src; dst; time } ->
+      Printf.sprintf "{\"ev\":\"replay\",\"msg\":%d,\"src\":%d,\"dst\":%d,\"t\":%d}" msg src dst
+        time
+  | Verdict { checker; rdt } ->
+      Printf.sprintf "{\"ev\":\"verdict\",\"checker\":\"%s\",\"rdt\":%b}" (escape checker) rdt
+
+let trace_decode line = Result.bind (Trace.Json.parse line) Trace.of_json
+
+let trace_read_file path =
+  match In_channel.with_open_text path In_channel.input_lines with
+  | exception Sys_error e -> Error e
+  | lines ->
+      let rec go lineno acc = function
+        | [] -> Ok (List.rev acc)
+        | line :: rest ->
+            if String.trim line = "" then go (lineno + 1) acc rest
+            else (
+              match trace_decode line with
+              | Ok ev -> go (lineno + 1) (ev :: acc) rest
+              | Error e -> Error (Printf.sprintf "%s, line %d: %s" path lineno e))
+      in
+      go 1 [] lines

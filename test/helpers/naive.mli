@@ -89,3 +89,18 @@ val min_gcp : Rdt_pattern.Pattern.t -> Rdt_pattern.Types.ckpt_id -> int array op
     way.  Small patterns only. *)
 
 val max_gcp : Rdt_pattern.Pattern.t -> Rdt_pattern.Types.ckpt_id -> int array option
+
+(** {1 JSONL trace codec} *)
+
+val trace_encode : Rdt_obs.Trace.event -> string
+(** The [Printf] encoder {!Rdt_obs.Trace.encode} replaced; the two must
+    agree byte for byte. *)
+
+val trace_decode : string -> (Rdt_obs.Trace.event, string) result
+(** The general path alone: {!Rdt_obs.Trace.Json.parse}, then
+    {!Rdt_obs.Trace.of_json}. *)
+
+val trace_read_file : string -> (Rdt_obs.Trace.event list, string) result
+(** The reader {!Rdt_obs.Trace.read_file} replaced: the file as a list of
+    lines ([In_channel.input_lines]), then {!trace_decode} of each line
+    that is not blank after [String.trim]. *)

@@ -466,47 +466,7 @@ let test_overlong_varint () =
 (* The binary WAL record                                               *)
 (* ------------------------------------------------------------------ *)
 
-let event_gen =
-  let open QCheck.Gen in
-  let any_int =
-    oneof [ int; oneofl [ min_int; max_int; 0; -1; 1; 127; 128; -64; -65 ]; small_signed_int ]
-  in
-  let any_string = string_size ~gen:char (int_bound 20) in
-  let kind = oneofl Rdt_pattern.Types.[ Initial; Basic; Forced; Final ] in
-  let tdv =
-    oneof
-      [
-        return None;
-        return (Some [||]);
-        map (fun l -> Some (Array.of_list l)) (list_size (int_bound 4) any_int);
-        map (fun l -> Some (Array.of_list l)) (list_size (int_range 16 200) any_int);
-      ]
-  in
-  let three = triple any_int any_int any_int and four = quad any_int any_int any_int any_int in
-  oneof
-    [
-      map
-        (fun ((n, protocol, env), (seed, mode)) -> Trace.Meta { n; protocol; env; seed; mode })
-        (pair (triple any_int any_string any_string) (pair any_int any_string));
-      map (fun (msg, src, dst, time) -> Trace.Send { msg; src; dst; time }) four;
-      map (fun (msg, src, dst, time) -> Trace.Deliver { msg; src; dst; time }) four;
-      map (fun (pid, time) -> Trace.Internal { pid; time }) (pair any_int any_int);
-      map
-        (fun ((pid, index, kind), (time, tdv, preds)) ->
-          Trace.Ckpt { pid; index; kind; time; tdv; preds })
-        (pair (triple any_int any_int kind) (triple any_int tdv (list_size (int_bound 4) any_string)));
-      map
-        (fun ((src, dst, seq), (attempt, time)) ->
-          Trace.Retransmit { src; dst; seq; attempt; time })
-        (pair three (pair any_int any_int));
-      map (fun (src, dst, time) -> Trace.Drop { src; dst; time }) three;
-      map (fun (msg, src, dst, time) -> Trace.Undeliverable { msg; src; dst; time }) four;
-      map (fun (pid, to_index, time) -> Trace.Rollback { pid; to_index; time }) three;
-      map (fun (msg, src, dst, time) -> Trace.Replay { msg; src; dst; time }) four;
-      map (fun (checker, rdt) -> Trace.Verdict { checker; rdt }) (pair any_string bool);
-    ]
-
-let event_arb = QCheck.make ~print:Trace.encode event_gen
+let event_arb = QCheck.make ~print:Trace.encode Rdt_test_helpers.Gen.trace_event
 
 let payload ev =
   let w = Codec.Writer.create () in
