@@ -78,8 +78,10 @@ let analysis_tests =
     micro "analysis/tdv-replay" (fun () -> ignore (Rdt_pattern.Tdv.compute pattern));
     micro "analysis/rdt-check" (fun () -> ignore (Rdt_core.Checker.run pattern));
     micro "analysis/rdt-check/n=16" (fun () -> ignore (Rdt_core.Checker.run simulate_shape));
-    micro "analysis/min-gcp-fixpoint" (fun () -> ignore (Rdt_core.Min_gcp.minimum pattern (0, 1)));
-    micro "analysis/recovery-line" (fun () ->
+    (* a few µs each: batched, as the sub-µs micros are, for a usable fit *)
+    batched ~steps:100 "analysis/min-gcp-fixpoint" (fun _ ->
+        ignore (Rdt_core.Min_gcp.minimum pattern (0, 1)));
+    batched ~steps:100 "analysis/recovery-line" (fun _ ->
         let bounds =
           Array.init (Rdt_pattern.Pattern.n pattern) (fun i ->
               Rdt_pattern.Pattern.last_index pattern i)
@@ -143,6 +145,22 @@ let trace_tests =
         ignore (Rdt_obs.Trace.encode events.(i)));
   ]
 
+(* The serve wire codec, per [Events] body of 128 events (the frame size
+   of perfbench serve-ingest), over ten consecutive bodies of the
+   watch-shape trace. *)
+let wire_tests =
+  let module W = Rdt_check.Session.Wire in
+  let events = Lazy.force watch_shape in
+  let body k = W.Events (Array.to_list (Array.sub events (10_000 + (k * 128)) 128)) in
+  let bodies = Array.init 10 body in
+  let encoded = Array.map W.encode_request bodies in
+  [
+    batched ~steps:(Array.length bodies) "wire/encode" (fun i ->
+        ignore (W.encode_request bodies.(i)));
+    batched ~steps:(Array.length encoded) "wire/decode" (fun i ->
+        ignore (W.decode_request encoded.(i)));
+  ]
+
 (* The durable layer's two steady-state costs at the same shape: one WAL
    record, and one snapshot image of a 10k-event history after 1,000
    more events.  The image benchmark copies a cache primed at 10k events
@@ -150,7 +168,7 @@ let trace_tests =
    [snapshot-encode] is the full re-encode of the same state, for
    comparison. *)
 let durable_tests =
-  let module W = Rdt_durable.Codec.Writer in
+  let module W = Rdt_obs.Codec.Writer in
   let module Online = Rdt_check.Online in
   let module Snapshot = Rdt_durable.Snapshot in
   let record = W.create () in
@@ -191,7 +209,9 @@ let run_micro ~report () =
   in
   let instances = Instance.[ monotonic_clock ] in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.3) ~stabilize:true () in
-  let micros = protocol_tests @ step_tests @ analysis_tests @ trace_tests @ durable_tests in
+  let micros =
+    protocol_tests @ step_tests @ analysis_tests @ trace_tests @ wire_tests @ durable_tests
+  in
   let grouped = Test.make_grouped ~name:"rdt" ~fmt:"%s %s" (List.map (fun m -> m.test) micros) in
   let steps = List.map (fun m -> ("rdt " ^ Test.name m.test, m.steps)) micros in
   let raw = Benchmark.all cfg instances grouped in

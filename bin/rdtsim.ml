@@ -220,10 +220,10 @@ let workload_term =
         { env; protocol; n; seed; messages; faults; transport })
     $ env_arg $ protocol_arg $ n_arg $ seed_arg $ messages_arg $ faults_term)
 
-let run_workload ?online ?crashes ~trace w =
+let run_workload ?crashes ~trace w =
   Rdt_core.Runtime.run
     (Rdt_core.Runtime.configure ~n:w.n ~seed:w.seed ~messages:w.messages ?crashes ~faults:w.faults
-       ?transport:w.transport ~trace ?online (snd w.env ()) w.protocol)
+       ?transport:w.transport ~trace (snd w.env ()) w.protocol)
 
 (* ---- event tracing (run, verify, recover and crashrun) ---- *)
 
@@ -887,9 +887,13 @@ let watch_cmd =
             finish ~dt:(Rdt_obs.Meter.now () -. t0) summary)
     | None, None ->
         with_trace trace ~mode:"watch" w (fun tr ->
-            let r = run_workload ~online:true ~trace:tr w in
+            (* tee'd after the Meta header: the engine counts every event
+               it observes, so [events] and [first_violation] index the
+               run's own events *)
+            let eng = O.create ~n:w.n () in
+            let r = run_workload ~trace:(Rdt_obs.Trace.tee tr (O.observer eng)) w in
             print_metrics r;
-            match r.online with Some s -> finish s | None -> assert false)
+            finish (O.summary eng))
   in
   Cmd.v
     (Cmd.info "watch" ~doc ~man:(man @ exit_code_man))
@@ -902,8 +906,9 @@ let serve_cmd =
       `S Manpage.s_description;
       `P
         "Runs a long-lived daemon on a Unix-domain socket.  Each client opens a named \
-         $(i,stream) (a $(b,hello) frame), appends trace events in length-delimited JSONL \
-         frames, and can at any point query the live verdict: $(b,rdt-so-far), $(b,zcycle), \
+         $(i,stream) (a $(b,hello) frame), appends trace events in length-delimited frames \
+         of wire protocol version 2 (binary bodies; events as the WAL's records), and can at \
+         any point query the live verdict: $(b,rdt-so-far), $(b,zcycle), \
          $(b,summary), $(b,trackable), and minimum/maximum consistent global checkpoints of \
          a set (Corollary 4.5 machinery).  One incremental online checker runs per stream; \
          busy streams are applied in bounded batches fanned out across $(b,--jobs) domains.";

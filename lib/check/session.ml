@@ -1,5 +1,7 @@
 module T = Rdt_obs.Trace
-module Json = Rdt_obs.Trace.Json
+module Codec = Rdt_obs.Codec
+module W = Codec.Writer
+module R = Codec.Reader
 
 (* ------------------------------------------------------------------ *)
 (* Sessions                                                            *)
@@ -75,7 +77,7 @@ let pattern t =
 (* ------------------------------------------------------------------ *)
 
 module Wire = struct
-  let version = 1
+  let version = 2
 
   type query =
     | Rdt_so_far
@@ -120,192 +122,146 @@ module Wire = struct
     in
     cut [] events
 
-  (* -- encoding ---------------------------------------------------- *)
+  (* -- binary codec ------------------------------------------------ *)
 
-  let escape = T.json_escape
-  let ckpt_json (p, i) = Printf.sprintf "[%d,%d]" p i
-  let set_json set = "[" ^ String.concat "," (List.map ckpt_json set) ^ "]"
+  (* A body is a tag byte for its constructor, then the fields in
+     declaration order: ints zigzag varints, strings length prefixed,
+     lists a count then their elements, a bool or an option's presence
+     one byte, events [Codec.encode_event] records.  A version-1 body is
+     a JSON object: its first byte, '{', is no tag. *)
 
-  let query_json = function
-    | Rdt_so_far -> {|{"q":"rdt-so-far"}|}
-    | Zcycle -> {|{"q":"zcycle"}|}
-    | Summary -> {|{"q":"summary"}|}
-    | Trackable (a, b) ->
-        Printf.sprintf {|{"q":"trackable","from":%s,"to":%s}|} (ckpt_json a) (ckpt_json b)
-    | Min_gcp set -> Printf.sprintf {|{"q":"min-gcp","set":%s}|} (set_json set)
-    | Max_gcp set -> Printf.sprintf {|{"q":"max-gcp","set":%s}|} (set_json set)
+  let int = W.zigzag
+  let bool w b = W.byte w (Bool.to_int b)
+  let list w f l = W.varint w (List.length l); List.iter (f w) l
+  let ckpt w (p, i) = int w p; int w i
 
-  let summary_json (s : Online.summary) =
-    Printf.sprintf
-      {|{"events":%d,"checkpoints":%d,"rdt":%b,"first_violation":%s,"zcycle":%b,"rebuilds":%d}|}
-      s.events s.checkpoints s.rdt
-      (match s.first_violation with None -> "null" | Some i -> string_of_int i)
-      s.zcycle s.rebuilds
+  let query w = function
+    | Rdt_so_far -> W.byte w 0
+    | Zcycle -> W.byte w 1
+    | Summary -> W.byte w 2
+    | Trackable (a, b) -> W.byte w 3; ckpt w a; ckpt w b
+    | Min_gcp set -> W.byte w 4; list w ckpt set
+    | Max_gcp set -> W.byte w 5; list w ckpt set
 
-  let answer_json = function
-    | Flag b -> Printf.sprintf {|{"a":"flag","v":%b}|} b
-    | Stats s -> Printf.sprintf {|{"a":"stats","v":%s}|} (summary_json s)
-    | Cut None -> {|{"a":"cut","v":null}|}
-    | Cut (Some cut) ->
-        Printf.sprintf {|{"a":"cut","v":[%s]}|}
-          (String.concat "," (List.map string_of_int (Array.to_list cut)))
+  let summary w (s : Online.summary) =
+    int w s.events; int w s.checkpoints; bool w s.rdt;
+    (match s.first_violation with None -> bool w false | Some i -> bool w true; int w i);
+    bool w s.zcycle; int w s.rebuilds
 
-  let reject_name = function
-    | Inconsistent -> "inconsistent"
-    | Unrecoverable -> "unrecoverable"
-    | Protocol -> "protocol"
+  let answer w = function
+    | Flag b -> W.byte w 0; bool w b
+    | Stats s -> W.byte w 1; summary w s
+    | Cut None -> W.byte w 2
+    | Cut (Some cut) -> W.byte w 3; list w int (Array.to_list cut)
 
-  let encode_request = function
-    | Hello { version; stream; n } ->
-        Printf.sprintf {|{"req":"hello","v":%d,"stream":"%s","n":%d}|} version
-          (escape stream) n
-    | Events evs ->
-        "{\"req\":\"events\",\"events\":["
-        ^ String.concat "," (List.map T.encode evs)
-        ^ "]}"
-    | Query { id; query } ->
-        Printf.sprintf {|{"req":"query","id":%d,"query":%s}|} id (query_json query)
-    | Sync -> {|{"req":"sync"}|}
-    | Bye -> {|{"req":"bye"}|}
+  let encoding f x = let w = W.create () in f w x; W.contents w
 
-  let encode_response = function
-    | Welcome { version; stream; resumed } ->
-        Printf.sprintf {|{"resp":"welcome","v":%d,"stream":"%s","resumed":%d}|} version
-          (escape stream) resumed
-    | Ack { seen } -> Printf.sprintf {|{"resp":"ack","seen":%d}|} seen
-    | Answer { id; answer } ->
-        Printf.sprintf {|{"resp":"answer","id":%d,"answer":%s}|} id (answer_json answer)
-    | Failed { id; error } ->
-        Printf.sprintf {|{"resp":"failed","id":%d,"error":"%s"}|} id (escape error)
-    | Rejected { code; error } ->
-        Printf.sprintf {|{"resp":"rejected","code":"%s","error":"%s"}|} (reject_name code)
-          (escape error)
-    | Goodbye { seen; summary; orphans } ->
-        Printf.sprintf {|{"resp":"goodbye","seen":%d,"summary":%s,"orphans":[%s]}|} seen
-          (summary_json summary)
-          (String.concat "," (List.map string_of_int orphans))
+  let encode_request =
+    encoding (fun w -> function
+      | Hello { version; stream; n } -> W.byte w 0; int w version; W.string_ w stream; int w n
+      | Events evs -> W.byte w 1; list w Codec.encode_event evs
+      | Query { id; query = q } -> W.byte w 2; int w id; query w q
+      | Sync -> W.byte w 3
+      | Bye -> W.byte w 4)
 
-  (* -- decoding ---------------------------------------------------- *)
+  let encode_response =
+    encoding (fun w -> function
+      | Welcome { version; stream; resumed } ->
+          W.byte w 0; int w version; W.string_ w stream; int w resumed
+      | Ack { seen } -> W.byte w 1; int w seen
+      | Answer { id; answer = a } -> W.byte w 2; int w id; answer w a
+      | Failed { id; error } -> W.byte w 3; int w id; W.string_ w error
+      | Rejected { code; error } ->
+          W.byte w 4;
+          W.byte w (match code with Inconsistent -> 0 | Unrecoverable -> 1 | Protocol -> 2);
+          W.string_ w error
+      | Goodbye { seen; summary = s; orphans } ->
+          W.byte w 5; int w seen; summary w s; list w int orphans)
 
-  exception Bad of string
+  (* Each field is read before the next: [let] fixes the order, which a
+     constructor's arguments leave unspecified. *)
 
-  let bad fmt = Printf.ksprintf (fun s -> raise (Bad s)) fmt
+  let bad fmt = Printf.ksprintf (fun s -> raise (R.Short s)) fmt
+  let read_int = R.zigzag
+  let read_bool r = match R.byte r with 0 -> false | 1 -> true | b -> bad "bad boolean byte %d" b
+  let read_list r f = List.init (R.count r) (fun _ -> f r)
+  let read_ckpt r = let p = read_int r in (p, read_int r)
 
-  let field name j =
-    match Json.member name j with Some v -> v | None -> bad "missing field %S" name
+  let read_query r =
+    match R.byte r with
+    | 0 -> Rdt_so_far
+    | 1 -> Zcycle
+    | 2 -> Summary
+    | 3 -> let a = read_ckpt r in Trackable (a, read_ckpt r)
+    | 4 -> Min_gcp (read_list r read_ckpt)
+    | 5 -> Max_gcp (read_list r read_ckpt)
+    | t -> bad "unknown query tag %d" t
 
-  let int_f name j = match field name j with Json.Int i -> i | _ -> bad "%S: not an int" name
+  let read_summary r : Online.summary =
+    let events = read_int r in
+    let checkpoints = read_int r in
+    let rdt = read_bool r in
+    let first_violation = if read_bool r then Some (read_int r) else None in
+    let zcycle = read_bool r in
+    { events; checkpoints; rdt; first_violation; zcycle; rebuilds = read_int r }
 
-  let str_f name j =
-    match field name j with Json.String s -> s | _ -> bad "%S: not a string" name
+  let read_answer r =
+    match R.byte r with
+    | 0 -> Flag (read_bool r)
+    | 1 -> Stats (read_summary r)
+    | 2 -> Cut None
+    | 3 -> Cut (Some (Array.of_list (read_list r read_int)))
+    | t -> bad "unknown answer tag %d" t
 
-  let bool_f name j =
-    match field name j with Json.Bool b -> b | _ -> bad "%S: not a bool" name
+  let read_request r =
+    match R.byte r with
+    | 0 ->
+        let version = read_int r in
+        let stream = R.string_ r in
+        Hello { version; stream; n = read_int r }
+    | 1 -> Events (read_list r Codec.read_event)
+    | 2 -> let id = read_int r in Query { id; query = read_query r }
+    | 3 -> Sync
+    | 4 -> Bye
+    | t -> bad "unknown request tag %d" t
 
-  let ckpt_of_json = function
-    | Json.Arr [ Json.Int p; Json.Int i ] -> (p, i)
-    | _ -> bad "checkpoint id: expected [pid,index]"
+  let read_response r =
+    match R.byte r with
+    | 0 ->
+        let version = read_int r in
+        let stream = R.string_ r in
+        Welcome { version; stream; resumed = read_int r }
+    | 1 -> Ack { seen = read_int r }
+    | 2 -> let id = read_int r in Answer { id; answer = read_answer r }
+    | 3 -> let id = read_int r in Failed { id; error = R.string_ r }
+    | 4 ->
+        let code =
+          match R.byte r with 0 -> Inconsistent | 1 -> Unrecoverable | 2 -> Protocol
+          | c -> bad "unknown reject code %d" c
+        in
+        Rejected { code; error = R.string_ r }
+    | 5 ->
+        let seen = read_int r in
+        let summary = read_summary r in
+        Goodbye { seen; summary; orphans = read_list r read_int }
+    | t -> bad "unknown response tag %d" t
 
-  let set_f name j =
-    match field name j with
-    | Json.Arr items -> List.map ckpt_of_json items
-    | _ -> bad "%S: not an array" name
+  let decoding what read s =
+    if String.starts_with ~prefix:"{" s then
+      Error (Printf.sprintf "a version-1 (JSON) frame; this peer speaks version %d only" version)
+    else Codec.decode ~what read s
 
-  let query_of_json j =
-    match str_f "q" j with
-    | "rdt-so-far" -> Rdt_so_far
-    | "zcycle" -> Zcycle
-    | "summary" -> Summary
-    | "trackable" -> Trackable (ckpt_of_json (field "from" j), ckpt_of_json (field "to" j))
-    | "min-gcp" -> Min_gcp (set_f "set" j)
-    | "max-gcp" -> Max_gcp (set_f "set" j)
-    | q -> bad "unknown query %S" q
+  let decode_request s =
+    match decoding "request" read_request s with
+    | Error _ as e when String.starts_with ~prefix:"\000" s -> (
+        (* a later version's hello is read up to its version, the first
+           field: the rest may follow that version's layout *)
+        match R.zigzag (R.of_string ~pos:1 s) with
+        | v when v > version -> Ok (Hello { version = v; stream = ""; n = 0 })
+        | _ | (exception R.Short _) -> e)
+    | result -> result
 
-  let summary_of_json j : Online.summary =
-    {
-      events = int_f "events" j;
-      checkpoints = int_f "checkpoints" j;
-      rdt = bool_f "rdt" j;
-      first_violation =
-        (match field "first_violation" j with
-        | Json.Null -> None
-        | Json.Int i -> Some i
-        | _ -> bad "\"first_violation\": not an int or null");
-      zcycle = bool_f "zcycle" j;
-      rebuilds = int_f "rebuilds" j;
-    }
-
-  let answer_of_json j =
-    match str_f "a" j with
-    | "flag" -> Flag (bool_f "v" j)
-    | "stats" -> Stats (summary_of_json (field "v" j))
-    | "cut" -> (
-        match field "v" j with
-        | Json.Null -> Cut None
-        | Json.Arr items ->
-            Cut
-              (Some
-                 (Array.of_list
-                    (List.map
-                       (function Json.Int i -> i | _ -> bad "cut: not an int")
-                       items)))
-        | _ -> bad "cut: not an array or null")
-    | a -> bad "unknown answer %S" a
-
-  let events_of_json j =
-    match field "events" j with
-    | Json.Arr items ->
-        List.map
-          (fun item -> match T.of_json item with Ok ev -> ev | Error e -> bad "bad event: %s" e)
-          items
-    | _ -> bad "\"events\": not an array"
-
-  let int_list_f name j =
-    match field name j with
-    | Json.Arr items ->
-        List.map (function Json.Int i -> i | _ -> bad "%S: not an int" name) items
-    | _ -> bad "%S: not an array" name
-
-  let reject_of_name = function
-    | "inconsistent" -> Inconsistent
-    | "unrecoverable" -> Unrecoverable
-    | "protocol" -> Protocol
-    | c -> bad "unknown reject code %S" c
-
-  let decoding f line =
-    match Json.parse line with
-    | Error e -> Error e
-    | Ok j -> ( match f j with v -> Ok v | exception Bad e -> Error e)
-
-  let decode_request =
-    decoding (fun j ->
-        match str_f "req" j with
-        | "hello" ->
-            Hello { version = int_f "v" j; stream = str_f "stream" j; n = int_f "n" j }
-        | "events" -> Events (events_of_json j)
-        | "query" -> Query { id = int_f "id" j; query = query_of_json (field "query" j) }
-        | "sync" -> Sync
-        | "bye" -> Bye
-        | r -> bad "unknown request %S" r)
-
-  let decode_response =
-    decoding (fun j ->
-        match str_f "resp" j with
-        | "welcome" ->
-            Welcome { version = int_f "v" j; stream = str_f "stream" j; resumed = int_f "resumed" j }
-        | "ack" -> Ack { seen = int_f "seen" j }
-        | "answer" -> Answer { id = int_f "id" j; answer = answer_of_json (field "answer" j) }
-        | "failed" -> Failed { id = int_f "id" j; error = str_f "error" j }
-        | "rejected" ->
-            Rejected { code = reject_of_name (str_f "code" j); error = str_f "error" j }
-        | "goodbye" ->
-            Goodbye
-              {
-                seen = int_f "seen" j;
-                summary = summary_of_json (field "summary" j);
-                orphans = int_list_f "orphans" j;
-              }
-        | r -> bad "unknown response %S" r)
+  let decode_response = decoding "response" read_response
 end
 
 (* ------------------------------------------------------------------ *)

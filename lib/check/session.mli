@@ -15,7 +15,7 @@
     fails the stream without being persisted.
 
     {!Wire} defines the typed request/response vocabulary and its
-    versioned JSON codec; {!Frame} the length-delimited framing both
+    versioned binary codec; {!Frame} the length-delimited framing both
     ends of a connection use.  Keeping the codec here (rather than in
     the server) means [watch], [serve], the [feed] client and the tests
     all speak — and type-check against — the same protocol. *)
@@ -80,15 +80,16 @@ val pattern : t -> (Rdt_pattern.Pattern.t, string) result
 (** {1 Wire protocol} *)
 
 (** Typed request/response vocabulary for serving sessions over a
-    byte stream, with a versioned single-line JSON codec built on
-    {!Rdt_obs.Trace.Json} (events travel in the exact encoding
-    {!Rdt_obs.Trace.encode} produces).  Version negotiation is
-    pessimistic: a [Hello] carrying a version the server does not
-    speak is rejected before any state is created. *)
+    byte stream, with a versioned binary codec on {!Rdt_obs.Codec}: a
+    body is a tag byte for its constructor, then its fields in
+    declaration order, events as the {!Rdt_obs.Codec.encode_event}
+    records WAL segments hold.  Version negotiation is pessimistic: a
+    [Hello] carrying a version the server does not speak is rejected
+    before any state is created. *)
 module Wire : sig
   val version : int
-  (** Current protocol version, [1].  Bump on any change to the frame
-      vocabulary below; servers reject other versions. *)
+  (** Current protocol version, [2].  Bump on any change to the frame
+      vocabulary or its encoding; servers reject other versions. *)
 
   type query =
     | Rdt_so_far  (** Has RDT held over the whole stream so far? *)
@@ -150,20 +151,24 @@ module Wire : sig
       {!Inconsistent} and {!Protocol} map to 2, {!Unrecoverable} to 3. *)
 
   val encode_request : request -> string
-  (** One JSON object, single line, no trailing newline. *)
+  (** One binary body. *)
 
   val decode_request : string -> (request, string) result
+  (** Strict: a short body, trailing bytes, an unknown tag or an overlong
+      varint is an [Error], never an exception; so is a version-1 (JSON)
+      body.  A later version's hello is read up to its version, the first
+      field, as [Hello { version; stream = ""; n = 0 }]. *)
 
   val encode_response : response -> string
 
   val decode_response : string -> (response, string) result
+  (** Strict, as {!decode_request}. *)
 end
 
 (** Length-delimited framing: each frame is ["<len> <payload>\n"] where
     [len] is the byte length of [payload] in decimal.  The explicit
     length lets payloads stay opaque to the transport and makes torn
-    frames detectable; the trailing newline keeps captures greppable as
-    JSONL. *)
+    frames detectable. *)
 module Frame : sig
   val encode : string -> string
 

@@ -357,7 +357,7 @@ let run cfg =
         | Control { src; dst; msg } -> h.on_control ~src ~dst msg)
   done;
   if Option.is_some e.current then invalid_arg "Coordinated: run ended with an unfinished round";
-  let pattern = Pattern.Builder.finish ~final_checkpoints:true e.builder in
+  let pattern = Pattern.Builder.finish e.builder in
   let rounds = List.rev e.rounds in
   let nrounds = List.length rounds in
   let mean f =

@@ -25,7 +25,6 @@ type config = {
   faults : Faults.spec;
   transport : Transport.params option;
   trace : Trace.t;
-  online : bool;
 }
 
 let default_config env protocol =
@@ -42,12 +41,11 @@ let default_config env protocol =
     faults = Faults.none;
     transport = None;
     trace = Trace.null;
-    online = false;
   }
 
 let configure ?(n = 8) ?(seed = 1) ?(messages = 2000) ?(channel = Channel.Uniform (5, 100))
     ?(basic_period = (300, 700)) ?(max_time = max_int / 2) ?(crashes = [])
-    ?(faults = Faults.none) ?transport ?(trace = Trace.null) ?(online = false) env protocol =
+    ?(faults = Faults.none) ?transport ?(trace = Trace.null) env protocol =
   (* faults need a transport to recover reliable delivery: supply the
      default parameters when faults come without any *)
   let transport =
@@ -68,7 +66,6 @@ let configure ?(n = 8) ?(seed = 1) ?(messages = 2000) ?(channel = Channel.Unifor
     faults;
     transport;
     trace;
-    online;
   }
 
 type recovery = {
@@ -86,7 +83,6 @@ type result = {
   predicate_counts : (string * int) list;
   hierarchy_violations : (string * string) list;
   transport : Transport.stats option;
-  online : Rdt_check.Online.summary option;
   recoveries : recovery list;
 }
 
@@ -177,12 +173,7 @@ type msg = {
 
 let run cfg =
   validate_config cfg;
-  let engine = if cfg.online then Some (Rdt_check.Online.create ~n:cfg.n ()) else None in
-  let tr =
-    match engine with
-    | None -> cfg.trace
-    | Some e -> Trace.tee cfg.trace (Rdt_check.Online.observer e)
-  in
+  let tr = cfg.trace in
   let (module P : Protocol.S) = cfg.protocol in
   let (module E : Env.S) = cfg.env in
   let crashes_planned = cfg.crashes <> [] in
@@ -724,7 +715,7 @@ let run cfg =
   assert (in_flight () = 0);
   let pattern =
     Meter.time Meter.default "runtime.pattern" (fun () ->
-        if live then Pattern.Builder.finish ~final_checkpoints:true builder
+        if live then Pattern.Builder.finish builder
         else History.to_pattern ~checkpoint:(Hashtbl.find (Lazy.force ckpts)) (Lazy.force history))
   in
   let metrics =
@@ -789,6 +780,5 @@ let run cfg =
     predicate_counts;
     hierarchy_violations;
     transport;
-    online = Option.map Rdt_check.Online.summary engine;
     recoveries = List.rev !recoveries;
   }

@@ -95,18 +95,15 @@ type config = {
           retransmissions and undeliverable messages, and with crashes
           rollbacks (one per process actually truncated at a recovery) and
           message replays, so {!Rdt_obs.Replay.rebuild} reproduces the
-          surviving pattern *)
-  online : bool;
-      (** run an incremental {!Rdt_check.Online} checker alongside the
-          simulation (tee'd into the trace stream), reporting the verdict
-          and the first-violation event index in the result.  Costs one
-          engine update per traced event; [false] by default *)
+          surviving pattern.  An incremental {!Rdt_check.Online} checker
+          runs alongside the simulation when tee'd in as
+          [Rdt_obs.Trace.tee trace (Rdt_check.Online.observer engine)] *)
 }
 
 val default_config : Rdt_dist.Env.t -> Protocol.t -> config
 (** 8 processes, seed 1, uniform channel delays in [\[5; 100\]], basic
     period in [\[300; 700\]], 2000 messages, no crashes, no faults, no
-    transport, no tracing, no online checker.  Fields are meant to be overridden with
+    transport, no tracing.  Fields are meant to be overridden with
     [{ (default_config e p) with ... }]. *)
 
 val configure :
@@ -120,7 +117,6 @@ val configure :
   ?faults:Rdt_dist.Faults.spec ->
   ?transport:Rdt_dist.Transport.params ->
   ?trace:Rdt_obs.Trace.t ->
-  ?online:bool ->
   Rdt_dist.Env.t ->
   Protocol.t ->
   config
@@ -159,10 +155,6 @@ type result = {
           [accepted] counts the sends that survived, each either
           [delivered] or [undeliverable], and [packets_dropped] includes
           copies lost at a crashed host *)
-  online : Rdt_check.Online.summary option;
-      (** the incremental checker's verdict after the last event, with
-          the index of the first event whose prefix violated RDT;
-          [Some _] iff the config set [online] *)
   recoveries : recovery list;  (** one per crash, in occurrence order *)
 }
 

@@ -23,6 +23,7 @@
 module Online = Rdt_check.Online
 module Export = Online.Export
 module H = Rdt_pattern.History
+module Codec = Rdt_obs.Codec
 module W = Codec.Writer
 module R = Codec.Reader
 

@@ -30,7 +30,7 @@ module Cache : sig
 
   val create : unit -> t
 
-  val image : t -> Rdt_check.Online.t -> Codec.Writer.t
+  val image : t -> Rdt_check.Online.t -> Rdt_obs.Codec.Writer.t
   (** The file image of the engine's current state, equal byte for byte
       to [encode (Online.export engine)].  The buffer belongs to the
       cache and is overwritten by the next call.  Feeding one cache
@@ -51,7 +51,7 @@ val path : dir:string -> gen:int -> string
 val generations : dir:string -> int list
 (** Snapshot generations present in [dir], newest first. *)
 
-val install : dir:string -> gen:int -> Codec.Writer.t -> unit
+val install : dir:string -> gen:int -> Rdt_obs.Codec.Writer.t -> unit
 (** Atomically install generation [gen] with this file image (from
     {!Cache.image}), written from the buffer without a copy.
     @raise Io.Error on ENOSPC or persistent I/O failure; may raise

@@ -14,11 +14,8 @@
      payload  (header: varint-packed; events: see below)
      u32 LE   CRC-32 of the payload
 
-   An event payload of a version-2 segment is a tag byte (the
-   constructor's position in [Trace.event]) and the fields in
-   declaration order: every int zigzag-varint, strings and lists length
-   prefixed, a bool or checkpoint kind one byte, a TDV a varint
-   [0 = None | length + 1] then its entries.  Version-1 segments, whose
+   An event payload of a version-2 segment is [Codec.encode_event]'s
+   record, the same one the serve wire carries.  Version-1 segments, whose
    event payloads are Trace JSONL lines, are still read; nothing appends
    to them any more.
 
@@ -29,7 +26,7 @@
    an error and recovery falls back a generation. *)
 
 module Trace = Rdt_obs.Trace
-module Ptypes = Rdt_pattern.Types
+module Codec = Rdt_obs.Codec
 module W = Codec.Writer
 module R = Codec.Reader
 
@@ -42,189 +39,13 @@ let max_frame = 1 lsl 20
 
 type header = { gen : int; base_events : int; n : int; track_open : bool }
 
-(* ------------------------------------------------------------------ *)
-(* Event records                                                       *)
-(* ------------------------------------------------------------------ *)
-
-let kind_code = function Ptypes.Initial -> 0 | Basic -> 1 | Forced -> 2 | Final -> 3
-
-let encode_event w (ev : Trace.event) =
-  let int = W.zigzag w in
-  match ev with
-  | Meta { n; protocol; env; seed; mode } ->
-      W.byte w 0;
-      int n;
-      W.string_ w protocol;
-      W.string_ w env;
-      int seed;
-      W.string_ w mode
-  | Send { msg; src; dst; time } ->
-      W.byte w 1;
-      int msg;
-      int src;
-      int dst;
-      int time
-  | Deliver { msg; src; dst; time } ->
-      W.byte w 2;
-      int msg;
-      int src;
-      int dst;
-      int time
-  | Internal { pid; time } ->
-      W.byte w 3;
-      int pid;
-      int time
-  | Ckpt { pid; index; kind; time; tdv; preds } ->
-      W.byte w 4;
-      int pid;
-      int index;
-      W.byte w (kind_code kind);
-      int time;
-      (match tdv with
-      | None -> W.varint w 0
-      | Some a ->
-          W.varint w (Array.length a + 1);
-          Array.iter int a);
-      W.varint w (List.length preds);
-      List.iter (W.string_ w) preds
-  | Retransmit { src; dst; seq; attempt; time } ->
-      W.byte w 5;
-      int src;
-      int dst;
-      int seq;
-      int attempt;
-      int time
-  | Drop { src; dst; time } ->
-      W.byte w 6;
-      int src;
-      int dst;
-      int time
-  | Undeliverable { msg; src; dst; time } ->
-      W.byte w 7;
-      int msg;
-      int src;
-      int dst;
-      int time
-  | Rollback { pid; to_index; time } ->
-      W.byte w 8;
-      int pid;
-      int to_index;
-      int time
-  | Replay { msg; src; dst; time } ->
-      W.byte w 9;
-      int msg;
-      int src;
-      int dst;
-      int time
-  | Verdict { checker; rdt } ->
-      W.byte w 10;
-      W.string_ w checker;
-      W.byte w (if rdt then 1 else 0)
-
-let short fmt = Printf.ksprintf (fun s -> raise (R.Short s)) fmt
-
-(* Fields are read in declaration order: OCaml leaves the evaluation
-   order of a record's fields unspecified, so every field is bound by a
-   [let] first. *)
-let read_event r : Trace.event =
-  let int () = R.zigzag r in
-  match R.byte r with
-  | 0 ->
-      let n = int () in
-      let protocol = R.string_ r in
-      let env = R.string_ r in
-      let seed = int () in
-      let mode = R.string_ r in
-      Meta { n; protocol; env; seed; mode }
-  | (1 | 2 | 7 | 9) as tag -> (
-      let msg = int () in
-      let src = int () in
-      let dst = int () in
-      let time = int () in
-      match tag with
-      | 1 -> Send { msg; src; dst; time }
-      | 2 -> Deliver { msg; src; dst; time }
-      | 7 -> Undeliverable { msg; src; dst; time }
-      | _ -> Replay { msg; src; dst; time })
-  | 3 ->
-      let pid = int () in
-      let time = int () in
-      Internal { pid; time }
-  | 4 ->
-      let pid = int () in
-      let index = int () in
-      let kind =
-        match R.byte r with
-        | 0 -> Ptypes.Initial
-        | 1 -> Basic
-        | 2 -> Forced
-        | 3 -> Final
-        | k -> short "unknown checkpoint kind %d" k
-      in
-      let time = int () in
-      let tdv =
-        match R.count r with
-        | 0 -> None
-        | len -> Some (Array.init (len - 1) (fun _ -> int ()))
-      in
-      let preds = List.init (R.count r) (fun _ -> R.string_ r) in
-      Ckpt { pid; index; kind; time; tdv; preds }
-  | 5 ->
-      let src = int () in
-      let dst = int () in
-      let seq = int () in
-      let attempt = int () in
-      let time = int () in
-      Retransmit { src; dst; seq; attempt; time }
-  | 6 ->
-      let src = int () in
-      let dst = int () in
-      let time = int () in
-      Drop { src; dst; time }
-  | 8 ->
-      let pid = int () in
-      let to_index = int () in
-      let time = int () in
-      Rollback { pid; to_index; time }
-  | 10 ->
-      let checker = R.string_ r in
-      let rdt =
-        match R.byte r with 0 -> false | 1 -> true | b -> short "bad boolean byte %d" b
-      in
-      Verdict { checker; rdt }
-  | t -> short "unknown event tag %d" t
-
-(* An upper bound on an event's payload size, found without encoding
-   it: a varint takes at most 10 bytes, and only strings and the TDV and
-   predicate lists grow. *)
-let size_bound (ev : Trace.event) =
-  let str s = 10 + String.length s in
-  match ev with
-  | Meta { protocol; env; mode; _ } -> 21 + str protocol + str env + str mode
-  | Ckpt { tdv; preds; _ } ->
-      52
-      + (10 * Option.fold ~none:0 ~some:Array.length tdv)
-      + List.fold_left (fun acc p -> acc + str p) 0 preds
-  | Verdict { checker; _ } -> 2 + str checker
-  | Send _ | Deliver _ | Internal _ | Retransmit _ | Drop _ | Undeliverable _ | Rollback _
-  | Replay _ ->
-      51
-
 let oversized ev =
-  if size_bound ev <= max_frame then None
+  if Codec.size_bound ev <= max_frame then None
   else begin
     let w = W.create () in
-    encode_event w ev;
+    Codec.encode_event w ev;
     if W.length w > max_frame then Some (W.length w) else None
   end
-
-let decode_payload r =
-  match read_event r with
-  | ev when R.remaining r = 0 -> Ok ev
-  | _ -> Error (Printf.sprintf "%d trailing bytes after the event" (R.remaining r))
-  | exception R.Short why -> Error why
-
-let decode_event s = decode_payload (R.of_string s)
 
 (* Frame [encode x] straight into [buf]: a length placeholder, the
    payload, then the length patched in and the CRC appended.  Returns
@@ -238,7 +59,7 @@ let frame_into buf encode x =
   W.u32 buf (W.crc32_sub buf ~pos:(start + 4) ~len);
   len + 8
 
-let add_record buf ev = frame_into buf encode_event ev
+let add_record buf ev = frame_into buf Codec.encode_event ev
 
 (* ------------------------------------------------------------------ *)
 (* Header record                                                       *)
@@ -323,9 +144,10 @@ let read_frame s r =
     with
     | v -> v
     | exception R.Short _ -> Error "frame torn at end of segment"
+
 let decode_v1 = Trace.decode_sub
 
-let decode_v2 s ~pos ~len = decode_payload (R.of_string ~pos ~len s)
+let decode_v2 s ~pos ~len = Codec.decode_event ~pos ~len s
 
 let read ~dir ~gen =
   match Io.read_file ~name:"wal" (path ~dir ~gen) with

@@ -6,8 +6,8 @@
     Records are length-prefixed and CRC-checked; a crash can tear the
     final frame, which {!read} detects and stops before, and {!reopen}
     truncates away.  Segments of format {!version} 2 hold binary event
-    records ({!encode_event}); version-1 segments (Trace JSONL records)
-    are read, never appended to.  A damaged {e header} record
+    records ({!Rdt_obs.Codec.encode_event}); version-1 segments (Trace
+    JSONL records) are read, never appended to.  A damaged {e header} record
     invalidates the whole segment ([Error] from {!read}), forcing
     recovery down a generation. *)
 
@@ -27,22 +27,12 @@ type header = {
 
 (** {1 Event records} *)
 
-val encode_event : Codec.Writer.t -> Rdt_obs.Trace.event -> unit
-(** The version-2 payload of one event: a tag byte, then the fields in
-    declaration order — ints zigzag-varint, strings and lists length
-    prefixed.  Covers every int, [min_int] and [max_int] included. *)
-
-val decode_event : string -> (Rdt_obs.Trace.event, string) result
-(** Inverse of {!encode_event} on a whole payload.  A truncated payload,
-    trailing bytes or an out-of-range tag is an [Error], never an
-    exception. *)
-
 val oversized : Rdt_obs.Trace.event -> int option
 (** [Some len] if the event's payload of [len] bytes exceeds
     {!max_frame}, so a reader would take its frame for a torn tail.
     Encodes only an event whose strings or lists could reach the limit. *)
 
-val add_record : Codec.Writer.t -> Rdt_obs.Trace.event -> int
+val add_record : Rdt_obs.Codec.Writer.t -> Rdt_obs.Trace.event -> int
 (** Append one framed event record (length, payload, CRC) to the buffer;
     returns its size in bytes.  What {!append} does to the pending
     buffer. *)

@@ -272,38 +272,15 @@ let encode sc =
 
 let decode line =
   let ( let* ) = Result.bind in
-  let field obj name =
-    match Json.member name obj with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "missing field %S" name)
-  in
-  let int_f obj name =
-    let* v = field obj name in
-    match v with
-    | Json.Int i -> Ok i
-    | _ -> Error (Printf.sprintf "field %S is not an integer" name)
-  in
   let num_f obj name =
-    let* v = field obj name in
+    let* v = Json.field obj name in
     match v with
     | Json.Int i -> Ok (float_of_int i)
     | Json.Float f -> Ok f
     | _ -> Error (Printf.sprintf "field %S is not a number" name)
   in
-  let str_f obj name =
-    let* v = field obj name in
-    match v with
-    | Json.String s -> Ok s
-    | _ -> Error (Printf.sprintf "field %S is not a string" name)
-  in
-  let bool_f obj name =
-    let* v = field obj name in
-    match v with
-    | Json.Bool b -> Ok b
-    | _ -> Error (Printf.sprintf "field %S is not a boolean" name)
-  in
   let list_f obj name of_item =
-    let* v = field obj name in
+    let* v = Json.field obj name in
     match v with
     | Json.Arr items ->
         List.fold_right
@@ -317,41 +294,41 @@ let decode line =
   match Json.parse line with
   | Error e -> Error e
   | Ok (Json.Obj _ as obj) ->
-      let* run_seed = int_f obj "run_seed" in
-      let* n = int_f obj "n" in
-      let* protocol = str_f obj "protocol" in
-      let* env = str_f obj "env" in
-      let* messages = int_f obj "messages" in
+      let* run_seed = Json.int_f obj "run_seed" in
+      let* n = Json.int_f obj "n" in
+      let* protocol = Json.str_f obj "protocol" in
+      let* env = Json.str_f obj "env" in
+      let* messages = Json.int_f obj "messages" in
       let* basic =
-        let* v = field obj "basic" in
+        let* v = Json.field obj "basic" in
         match v with
         | Json.Arr [ Json.Int lo; Json.Int hi ] -> Ok (lo, hi)
         | _ -> Error "field \"basic\" is not a pair of integers"
       in
       let* channel =
-        let* c = field obj "channel" in
-        let* kind = str_f c "kind" in
+        let* c = Json.field obj "channel" in
+        let* kind = Json.str_f c "kind" in
         match kind with
         | "fixed" ->
-            let* d = int_f c "delay" in
+            let* d = Json.int_f c "delay" in
             Ok (Channel.Fixed d)
         | "uniform" ->
-            let* lo = int_f c "lo" in
-            let* hi = int_f c "hi" in
+            let* lo = Json.int_f c "lo" in
+            let* hi = Json.int_f c "hi" in
             Ok (Channel.Uniform (lo, hi))
         | "bimodal" ->
-            let* fast = int_f c "fast" in
-            let* slow = int_f c "slow" in
+            let* fast = Json.int_f c "fast" in
+            let* slow = Json.int_f c "slow" in
             let* slow_prob = num_f c "slow_prob" in
             Ok (Channel.Bimodal { fast; slow; slow_prob })
         | k -> Error (Printf.sprintf "unknown channel kind %S" k)
       in
       let* faults =
-        let* f = field obj "faults" in
+        let* f = Json.field obj "faults" in
         let* drop = num_f f "drop" in
         let* dup = num_f f "dup" in
         let* reorder = num_f f "reorder" in
-        let* reorder_window = int_f f "window" in
+        let* reorder_window = Json.int_f f "window" in
         let* partitions =
           list_f f "partitions" (fun p ->
               let* between =
@@ -359,29 +336,29 @@ let decode line =
                   | Json.Int i -> Ok i
                   | _ -> Error "non-integer partition member")
               in
-              let* from_t = int_f p "from" in
-              let* to_t = int_f p "to" in
+              let* from_t = Json.int_f p "from" in
+              let* to_t = Json.int_f p "to" in
               Ok { Faults.between; from_t; to_t })
         in
         let* intermittent =
           list_f f "intermittent" (fun l ->
-              let* host = int_f l "host" in
-              let* from_t = int_f l "from" in
-              let* to_t = int_f l "to" in
-              let* up = int_f l "up" in
-              let* down = int_f l "down" in
+              let* host = Json.int_f l "host" in
+              let* from_t = Json.int_f l "from" in
+              let* to_t = Json.int_f l "to" in
+              let* up = Json.int_f l "up" in
+              let* down = Json.int_f l "down" in
               Ok { Faults.host; from_t; to_t; up; down })
         in
         Ok { Faults.drop; dup; reorder; reorder_window; partitions; intermittent }
       in
-      let* transport = bool_f obj "transport" in
-      let* retx_timeout = int_f obj "retx_timeout" in
-      let* max_retx = int_f obj "max_retx" in
+      let* transport = Json.bool_f obj "transport" in
+      let* retx_timeout = Json.int_f obj "retx_timeout" in
+      let* max_retx = Json.int_f obj "max_retx" in
       let* crashes =
         list_f obj "crashes" (fun c ->
-            let* victim = int_f c "victim" in
-            let* at = int_f c "at" in
-            let* repair_delay = int_f c "repair" in
+            let* victim = Json.int_f c "victim" in
+            let* at = Json.int_f c "at" in
+            let* repair_delay = Json.int_f c "repair" in
             Ok { victim; at; repair_delay })
       in
       Ok

@@ -16,8 +16,8 @@ let create () = { lock = Atomic.make false; cells = Hashtbl.create 32 }
 let default = create ()
 
 let with_lock t f =
-  (* plain spin: the lock is only held for a table lookup/insert, and on
-     4.14 (no domains) it never contends *)
+  (* plain spin: the lock is only held for a table lookup/insert, so a
+     domain waiting on it waits for one short critical section *)
   while not (Atomic.compare_and_set t.lock false true) do
     ()
   done;

@@ -389,35 +389,28 @@ module Json = struct
   let parse s = match parse_exn s with v -> Ok v | exception Parse_error e -> Error e
 
   let member name = function Obj o -> List.assoc_opt name o | _ -> None
+
+  let field obj name =
+    match member name obj with
+    | Some v -> Ok v
+    | None -> Error (Printf.sprintf "missing field %S" name)
+
+  let typed what get obj name =
+    Result.bind (field obj name) (fun v ->
+        match get v with
+        | Some x -> Ok x
+        | None -> Error (Printf.sprintf "field %S is not %s" name what))
+
+  let int_f = typed "an integer" (function Int i -> Some i | _ -> None)
+  let str_f = typed "a string" (function String s -> Some s | _ -> None)
+  let bool_f = typed "a boolean" (function Bool b -> Some b | _ -> None)
 end
 
 let of_json j =
-  let field obj name =
-    match List.assoc_opt name obj with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "missing field %S" name)
-  in
-  let int_f obj name =
-    match field obj name with
-    | Ok (Json.Int i) -> Ok i
-    | Ok _ -> Error (Printf.sprintf "field %S is not an integer" name)
-    | Error e -> Error e
-  in
-  let str_f obj name =
-    match field obj name with
-    | Ok (Json.String s) -> Ok s
-    | Ok _ -> Error (Printf.sprintf "field %S is not a string" name)
-    | Error e -> Error e
-  in
-  let bool_f obj name =
-    match field obj name with
-    | Ok (Json.Bool b) -> Ok b
-    | Ok _ -> Error (Printf.sprintf "field %S is not a boolean" name)
-    | Error e -> Error e
-  in
+  let open Json in
   let ( let* ) = Result.bind in
   match j with
-  | Json.Obj obj -> (
+  | Obj _ as obj -> (
       let* ev = str_f obj "ev" in
       match ev with
       | "meta" ->
@@ -456,27 +449,27 @@ let of_json j =
             | k -> Error (Printf.sprintf "unknown checkpoint kind %S" k)
           in
           let* preds =
-            match List.assoc_opt "preds" obj with
+            match member "preds" obj with
             | None -> Ok []
-            | Some (Json.Arr items) ->
+            | Some (Arr items) ->
                 List.fold_right
                   (fun item acc ->
                     let* acc = acc in
                     match item with
-                    | Json.String s -> Ok (s :: acc)
+                    | String s -> Ok (s :: acc)
                     | _ -> Error "non-string predicate name")
                   items (Ok [])
             | Some _ -> Error "field \"preds\" is not an array"
           in
           let* tdv =
-            match List.assoc_opt "tdv" obj with
+            match member "tdv" obj with
             | None -> Ok None
-            | Some (Json.Arr items) ->
+            | Some (Arr items) ->
                 let* l =
                   List.fold_right
                     (fun item acc ->
                       let* acc = acc in
-                      match item with Json.Int i -> Ok (i :: acc) | _ -> Error "non-integer TDV entry")
+                      match item with Int i -> Ok (i :: acc) | _ -> Error "non-integer TDV entry")
                     items (Ok [])
                 in
                 Ok (Some (Array.of_list l))

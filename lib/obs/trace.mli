@@ -127,17 +127,23 @@ module Json : sig
 
   val parse : string -> (t, string) result
 
-  val member : string -> t -> t option
-  (** Field lookup; [None] on missing field or non-object. *)
+  (** Required fields of an object, for decoders of {!t} ([of_json], the
+      fuzzer's scenario files): [Error "missing field \"name\""] or
+      [Error "field \"name\" is not an integer"] (a string, a
+      boolean). *)
 
+  val field : t -> string -> (t, string) result
+  val int_f : t -> string -> (int, string) result
+  val str_f : t -> string -> (string, string) result
+  val bool_f : t -> string -> (bool, string) result
 end
 
 val encode : event -> string
 (** One JSON object, no trailing newline. *)
 
 val json_escape : string -> string
-(** The string-escape {!encode} uses, for layers composing their own
-    JSON around encoded events (the session wire codec). *)
+(** The string-escape {!encode} uses, for layers writing their own JSON
+    (the benchmark report). *)
 
 val of_json : Json.t -> (event, string) result
 (** The event a parsed JSON object encodes. *)

@@ -112,7 +112,7 @@ let to_pattern ~checkpoint h =
       | Ckpt { seq; _ } ->
           let kind, tdv, time = checkpoint seq in
           ignore (Pattern.Builder.checkpoint ~kind ?tdv ~time b pid));
-  Pattern.Builder.finish ~final_checkpoints:true b
+  Pattern.Builder.finish b
 
 let stacks h = Array.map List.rev h.stacks
 

@@ -155,19 +155,18 @@ module Builder = struct
     done;
     !out
 
-  let finish ?(final_checkpoints = true) b =
+  let finish b =
     check_live b;
     (match in_flight b with
     | [] -> ()
     | _ :: _ -> invalid_arg "Pattern.Builder.finish: undelivered messages remain");
-    if final_checkpoints then
-      for i = 0 to b.n - 1 do
-        let p = b.procs.(i) in
-        let last_is_ckpt =
-          match p.evs with Types.Ckpt _ :: _ -> true | _ -> false
-        in
-        if not last_is_ckpt then ignore (checkpoint_unchecked ~kind:Types.Final b i)
-      done;
+    for i = 0 to b.n - 1 do
+      let p = b.procs.(i) in
+      let last_is_ckpt =
+        match p.evs with Types.Ckpt _ :: _ -> true | _ -> false
+      in
+      if not last_is_ckpt then ignore (checkpoint_unchecked ~kind:Types.Final b i)
+    done;
     b.frozen <- true;
     let events = Array.map (fun p -> Array.of_list (List.rev p.evs)) b.procs in
     (* gseqs are assigned in push order, so the log read backwards is

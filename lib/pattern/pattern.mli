@@ -41,10 +41,10 @@ module Builder : sig
   (** A purely local event (does not affect dependencies; kept so traces
       are faithful). *)
 
-  val finish : ?final_checkpoints:bool -> b -> t
-  (** Freezes the pattern.  When [final_checkpoints] (default [true]), a
-      [Final] checkpoint is appended to every process whose last event is
-      not already a checkpoint, so every event lies in a complete interval.
+  val finish : b -> t
+  (** Freezes the pattern.  A [Final] checkpoint is appended to every
+      process whose last event is not already a checkpoint, so every
+      event lies in a complete interval.
       @raise Invalid_argument if some message was never delivered. *)
 end
 

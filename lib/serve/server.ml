@@ -512,7 +512,7 @@ let step ?(timeout = 0.) t =
     !work
   end
 
-let run ?(tick = 0.05) ~stop t =
+let run ~stop t =
   while (not (stop ())) && not t.closed do
-    ignore (step ~timeout:tick t)
+    ignore (step ~timeout:0.05 t)
   done

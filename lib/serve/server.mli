@@ -78,10 +78,10 @@ val step : ?timeout:float -> t -> int
     events applied) — [0] means the step was idle, so drivers can spin
     until quiescent. *)
 
-val run : ?tick:float -> stop:(unit -> bool) -> t -> unit
-(** {!step} until [stop ()], blocking up to [tick] seconds (default
-    [0.05]) per idle iteration.  [stop] is also consulted between
-    steps, so a signal-flag closure makes SIGTERM prompt. *)
+val run : stop:(unit -> bool) -> t -> unit
+(** {!step} until [stop ()], blocking up to 0.05 s per idle iteration.
+    [stop] is also consulted between steps, so a signal-flag closure
+    makes SIGTERM prompt. *)
 
 val streams : t -> string list
 (** Names of live streams, sorted. *)

@@ -52,7 +52,7 @@ module Logged = struct
     push l (Hashtbl.find l.dst h) ~ckpt:false
 
   let finish l =
-    let pat = P.Builder.finish ~final_checkpoints:true l.b in
+    let pat = P.Builder.finish l.b in
     for i = 0 to Array.length l.gseqs - 1 do
       if not l.last_is_ckpt.(i) then push l i ~ckpt:true
     done;

@@ -22,20 +22,11 @@ let read_lines path =
 
 let fail fmt = Printf.ksprintf (fun m -> prerr_endline ("test_json: " ^ m); exit 1) fmt
 
-let field name line j =
-  match Json.member name j with
-  | Some v -> v
-  | None -> fail "missing field %S in: %s" name line
-
 let str name line j =
-  match field name line j with
-  | Json.String s -> s
-  | _ -> fail "field %S is not a string in: %s" name line
+  match Json.str_f j name with Ok s -> s | Error e -> fail "%s in: %s" e line
 
 let int name line j =
-  match field name line j with
-  | Json.Int n -> n
-  | _ -> fail "field %S is not an int in: %s" name line
+  match Json.int_f j name with Ok n -> n | Error e -> fail "%s in: %s" e line
 
 let () =
   let plain_path, json_path =

@@ -20,7 +20,7 @@ module Registry = Rdt_core.Registry
 module Checker = Rdt_core.Checker
 module Trace = Rdt_obs.Trace
 module Online = Rdt_check.Online
-module Codec = Rdt_durable.Codec
+module Codec = Rdt_obs.Codec
 module Crashpoint = Rdt_durable.Crashpoint
 module Io = Rdt_durable.Io
 module Snapshot = Rdt_durable.Snapshot
@@ -452,7 +452,7 @@ let test_overlong_varint () =
   let ckpt_prefix = "\x04\x00\x02\x01\x00" in
   List.iter
     (fun (label, rest) ->
-      match Wal.decode_event (ckpt_prefix ^ rest) with
+      match Codec.decode_event (ckpt_prefix ^ rest) with
       | Error _ -> ()
       | Ok _ -> Alcotest.failf "%s decoded" label
       | exception e -> Alcotest.failf "%s raised %s" label (Printexc.to_string e))
@@ -470,23 +470,23 @@ let event_arb = QCheck.make ~print:Trace.encode Rdt_test_helpers.Gen.trace_event
 
 let payload ev =
   let w = Codec.Writer.create () in
-  Wal.encode_event w ev;
+  Codec.encode_event w ev;
   Codec.Writer.contents w
 
 (* decode the payload, its every strict prefix, and the payload with a
    trailing byte: only the first may succeed, and nothing may raise *)
 let roundtrips ev =
   let p = payload ev in
-  (match Wal.decode_event p with
+  (match Codec.decode_event p with
   | Ok ev' when ev' = ev -> ()
   | Ok _ -> QCheck.Test.fail_reportf "decoded to a different event"
   | Error e -> QCheck.Test.fail_reportf "roundtrip failed: %s" e);
   for len = 0 to String.length p - 1 do
-    match Wal.decode_event (String.sub p 0 len) with
+    match Codec.decode_event (String.sub p 0 len) with
     | Error _ -> ()
     | Ok _ -> QCheck.Test.fail_reportf "the %d-byte prefix decoded" len
   done;
-  (match Wal.decode_event (p ^ "\x00") with
+  (match Codec.decode_event (p ^ "\x00") with
   | Error _ -> ()
   | Ok _ -> QCheck.Test.fail_reportf "trailing bytes accepted");
   true

@@ -217,7 +217,7 @@ let prefix_pattern ~n events =
           ignore (P.Builder.checkpoint ~kind ?tdv ~time b pid)
       | _ -> ())
     events;
-  P.Builder.finish ~final_checkpoints:true b
+  P.Builder.finish b
 
 let test_prefix_oracle () =
   (* one protocol that violates RDT and one that keeps it *)
@@ -447,27 +447,24 @@ let test_trackable_matches_tdv () =
 let test_runtime_online_field () =
   List.iter
     (fun (pname, seed) ->
-      let cfg =
-        {
-          (runtime_config ~envname:"random" ~seed ~trace:Trace.null (Registry.find_exn pname)) with
-          Runtime.online = true;
-        }
+      let eng = Online.create ~n:5 () in
+      let r =
+        Runtime.run
+          (runtime_config ~n:5 ~envname:"random" ~seed ~trace:(Online.observer eng)
+             (Registry.find_exn pname))
       in
-      let r = Runtime.run cfg in
-      match r.Runtime.online with
-      | None -> Alcotest.fail "config asked for the online checker but the result has no summary"
-      | Some s ->
-          let off = Checker.run r.Runtime.pattern in
-          check
-            (Printf.sprintf "%s seed %d: runtime online verdict = offline" pname seed)
-            off.Checker.rdt s.Online.rdt;
-          (* only one direction: a final-RDT run may still latch a transient
-             prefix violation that a later delivery cured *)
-          if not off.Checker.rdt then
-            check
-              (Printf.sprintf "%s seed %d: violating runs carry a first-violation index" pname seed)
-              true
-              (s.Online.first_violation <> None))
+      let s = Online.summary eng in
+      let off = Checker.run r.Runtime.pattern in
+      check
+        (Printf.sprintf "%s seed %d: runtime online verdict = offline" pname seed)
+        off.Checker.rdt s.Online.rdt;
+      (* only one direction: a final-RDT run may still latch a transient
+         prefix violation that a later delivery cured *)
+      if not off.Checker.rdt then
+        check
+          (Printf.sprintf "%s seed %d: violating runs carry a first-violation index" pname seed)
+          true
+          (s.Online.first_violation <> None))
     [ ("none", 1); ("bhmr", 1) ]
 
 let test_inconsistent_streams_rejected () =

@@ -95,7 +95,7 @@ let test_builder_final_checkpoints () =
   let b = P.Builder.create ~n:2 in
   let m = P.Builder.send b ~src:0 ~dst:1 in
   P.Builder.recv b m;
-  let pat = P.Builder.finish ~final_checkpoints:true b in
+  let pat = P.Builder.finish b in
   check "final on 0" true ((P.checkpoints pat 0).(1).T.kind = T.Final);
   check "final on 1" true ((P.checkpoints pat 1).(1).T.kind = T.Final);
   (* a process whose last event is already a checkpoint gets no final *)
@@ -104,7 +104,7 @@ let test_builder_final_checkpoints () =
   P.Builder.recv b2 m2;
   ignore (P.Builder.checkpoint b2 0);
   ignore (P.Builder.checkpoint b2 1);
-  let pat2 = P.Builder.finish ~final_checkpoints:true b2 in
+  let pat2 = P.Builder.finish b2 in
   Alcotest.(check int) "no extra ckpt" 2 (Array.length (P.checkpoints pat2 0))
 
 let test_intervals () =
@@ -736,7 +736,7 @@ let test_history_to_pattern () =
     let b = P.Builder.create ~n:2 in
     P.Builder.recv b (P.Builder.send b ~src:0 ~dst:1);
     ignore (P.Builder.checkpoint ~kind:T.Forced ~tdv:[| 0; 1 |] ~time:40 b 1);
-    P.Builder.finish ~final_checkpoints:true b
+    P.Builder.finish b
   in
   check "surviving pattern" true (P.equal pat expected);
   ignore (History.rollback h ~pid:0 ~to_index:0);

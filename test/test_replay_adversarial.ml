@@ -125,7 +125,7 @@ let test_interleaved_rollback_replay () =
     let h = P.Builder.send ~time:1 b ~src:0 ~dst:1 in
     P.Builder.recv ~time:6 b h;
     ignore (P.Builder.checkpoint ~kind:T.Basic ~time:7 b 1);
-    P.Builder.finish ~final_checkpoints:true b
+    P.Builder.finish b
   in
   check "rebuilt pattern keeps only the surviving delivery" true (P.equal pat expected);
   check "verdicts agree" true

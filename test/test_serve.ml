@@ -176,6 +176,154 @@ let codec_rejects_garbage () =
     (fun s -> check "garbage response rejected" true (Result.is_error (W.decode_response s)))
     [ ""; "true"; {|{"type":"ack"}|}; {|{"type":"answer","id":0}|} ]
 
+(* Random bodies: events from [Gen.trace_event] (all 11 kinds, min_int
+   and max_int), strings empty to a few hundred bytes. *)
+let any_int =
+  QCheck.Gen.(oneof [ int; oneofl [ min_int; max_int; 0; -1; 1; 127; 128; -64; -65 ] ])
+
+let any_string =
+  QCheck.Gen.(
+    oneof [ string_size ~gen:char (int_bound 12); string_size ~gen:char (int_range 200 400) ])
+
+let gen_request =
+  let open QCheck.Gen in
+  let ckpt = pair any_int any_int in
+  let set = list_size (int_bound 6) ckpt in
+  let query =
+    oneof
+      [
+        oneofl [ W.Rdt_so_far; W.Zcycle; W.Summary ];
+        map2 (fun a b -> W.Trackable (a, b)) ckpt ckpt;
+        map (fun s -> W.Min_gcp s) set;
+        map (fun s -> W.Max_gcp s) set;
+      ]
+  in
+  oneof
+    [
+      map3 (fun version stream n -> W.Hello { version; stream; n }) any_int any_string any_int;
+      map (fun evs -> W.Events evs) (list_size (int_bound 40) Rdt_test_helpers.Gen.trace_event);
+      map2 (fun id query -> W.Query { id; query }) any_int query;
+      oneofl [ W.Sync; W.Bye ];
+    ]
+
+let gen_response =
+  let open QCheck.Gen in
+  let summary =
+    map
+      (fun ((events, checkpoints, rdt), (first_violation, zcycle, rebuilds)) ->
+        { Online.events; checkpoints; rdt; first_violation; zcycle; rebuilds })
+      (pair (triple any_int any_int bool) (triple (opt any_int) bool any_int))
+  in
+  let answer =
+    oneof
+      [
+        map (fun b -> W.Flag b) bool;
+        map (fun s -> W.Stats s) summary;
+        map (fun c -> W.Cut c) (opt (array_size (int_bound 20) any_int));
+      ]
+  in
+  oneof
+    [
+      map3
+        (fun version stream resumed -> W.Welcome { version; stream; resumed })
+        any_int any_string any_int;
+      map (fun seen -> W.Ack { seen }) any_int;
+      map2 (fun id answer -> W.Answer { id; answer }) any_int answer;
+      map2 (fun id error -> W.Failed { id; error }) any_int any_string;
+      map2
+        (fun code error -> W.Rejected { code; error })
+        (oneofl [ W.Inconsistent; W.Unrecoverable; W.Protocol ])
+        any_string;
+      map3
+        (fun seen summary orphans -> W.Goodbye { seen; summary; orphans })
+        any_int summary
+        (list_size (int_bound 8) any_int);
+    ]
+
+let body_arb gen encode = QCheck.make ~print:(fun x -> String.escaped (encode x)) gen
+
+(* The body decodes to the value; every strict prefix of it and the body
+   with one more byte decode to [Error]. *)
+let strict encode decode x =
+  let body = encode x in
+  (match decode body with
+  | Ok x' when x' = x -> ()
+  | Ok _ -> QCheck.Test.fail_reportf "decoded to a different value"
+  | Error e -> QCheck.Test.fail_reportf "roundtrip failed: %s" e);
+  for len = 0 to String.length body - 1 do
+    if Result.is_ok (decode (String.sub body 0 len)) then
+      QCheck.Test.fail_reportf "the %d-byte prefix decoded" len
+  done;
+  if Result.is_ok (decode (body ^ "\x00")) then QCheck.Test.fail_reportf "trailing byte accepted";
+  true
+
+let qcheck_requests_strict =
+  QCheck.Test.make ~count:400 ~name:"random requests roundtrip; prefixes and extra bytes fail"
+    (body_arb gen_request W.encode_request) (fun req ->
+      match req with
+      | W.Hello { version; _ } when version > W.version ->
+          (* read up to its version on purpose, whatever follows *)
+          W.decode_request (W.encode_request req) = Ok req
+      | _ -> strict W.encode_request W.decode_request req)
+
+let qcheck_responses_strict =
+  QCheck.Test.make ~count:400 ~name:"random responses roundtrip; prefixes and extra bytes fail"
+    (body_arb gen_response W.encode_response)
+    (strict W.encode_response W.decode_response)
+
+(* Random bytes, and valid bodies with one byte replaced: [Ok] or
+   [Error], never an exception. *)
+let qcheck_bytes_never_raise =
+  let gen =
+    QCheck.Gen.(
+      oneof
+        [
+          string_size ~gen:char (int_bound 64);
+          map2
+            (fun tag s -> String.make 1 (Char.chr tag) ^ s)
+            (int_bound 6)
+            (string_size ~gen:char (int_bound 64));
+          map3
+            (fun req pos byte ->
+              let b = Bytes.of_string (W.encode_request req) in
+              Bytes.set b (pos mod Bytes.length b) byte;
+              Bytes.to_string b)
+            gen_request nat char;
+        ])
+  in
+  QCheck.Test.make ~count:2000 ~name:"random bytes decode to Ok or Error"
+    (QCheck.make ~print:String.escaped gen) (fun s ->
+      ignore (W.decode_request s : (W.request, string) result);
+      ignore (W.decode_response s : (W.response, string) result);
+      true)
+
+let codec_rejects_overlong_and_v1 () =
+  let overlong = String.make 9 '\xff' ^ "\x01" in
+  List.iter
+    (fun (label, body) ->
+      check (label ^ " rejected") true (Result.is_error (W.decode_request body)))
+    [
+      ("overlong query id", "\x02" ^ overlong);
+      ("overlong events count", "\x01" ^ overlong);
+      ("overlong hello n", "\x00\x04\x01a" ^ overlong);
+      ("events count past the body", "\x01\x80\x80\x80\x80\x80\x80\x40");
+    ];
+  List.iter
+    (fun (label, body) ->
+      check (label ^ " rejected") true (Result.is_error (W.decode_response body)))
+    [ ("overlong ack", "\x01" ^ overlong); ("overlong cut length", "\x02\x00\x03" ^ overlong) ];
+  (* a version-1 JSON body names both versions *)
+  let v1 =
+    Error (Printf.sprintf "a version-1 (JSON) frame; this peer speaks version %d only" W.version)
+  in
+  check "v1 hello refused by name" true
+    (W.decode_request {|{"req":"hello","v":1,"stream":"s","n":3}|} = v1);
+  check "v1 ack refused by name" true (W.decode_response {|{"resp":"ack","seen":3}|} = v1);
+  (* a later version's hello is read up to its version, whatever follows *)
+  match W.decode_request ("\x00" ^ "\x06" ^ "\xff\xfe") with
+  | Ok (W.Hello { version = 3; _ }) -> ()
+  | _ -> Alcotest.fail "a version-3 hello is not read up to its version"
+
 let exit_codes () =
   Alcotest.(check int) "inconsistent" 2 (W.exit_code_of_reject W.Inconsistent);
   Alcotest.(check int) "protocol" 2 (W.exit_code_of_reject W.Protocol);
@@ -284,6 +432,37 @@ let test_hello_rejections () =
       let code, _ = rejected server q in
       check "n mismatch on reattach refused" true (code = W.Protocol);
       Client.close q.client)
+
+(* A version-1 client speaks JSON, which [Client] cannot: this test dials
+   the daemon with a raw socket and writes the frame itself. *)
+let test_v1_hello_refused () =
+  let dir = scratch_dir "v1" in
+  let socket = Filename.concat dir "s.sock" and root = Filename.concat dir "state" in
+  with_server { (Server.default_config ~socket) with Server.durable_root = Some root }
+  @@ fun server ->
+  let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Rdt_durable.Io.close_noerr fd) @@ fun () ->
+  Unix.connect fd (Unix.ADDR_UNIX socket);
+  let frame = F.encode {|{"req":"hello","v":1,"stream":"old","n":3}|} in
+  Alcotest.(check int)
+    "frame written" (String.length frame)
+    (Rdt_durable.Io.send_substring fd frame 0 (String.length frame));
+  let dec = F.decoder () and buf = Bytes.create 4096 in
+  let reply =
+    pump server [] (fun () ->
+        match Unix.select [ fd ] [] [] 0. with
+        | [], _, _ -> None
+        | _ -> (
+            let got = Rdt_durable.Io.recv fd buf 0 (Bytes.length buf) in
+            F.feed dec buf ~off:0 ~len:got;
+            match F.next dec with Ok p -> p | Error e -> Alcotest.failf "bad frame: %s" e))
+  in
+  (match W.decode_response reply with
+  | Ok (W.Rejected { code = W.Protocol; _ }) -> ()
+  | Ok _ -> Alcotest.fail "v1 hello not rejected as a protocol error"
+  | Error e -> Alcotest.failf "undecodable reply: %s" e);
+  check "no stream" true (Server.streams server = []);
+  check "no stream directory" true (Sys.readdir root = [||])
 
 (* ------------------------------------------------------------------ *)
 (* Differential: served verdicts = serial Online.check_trace           *)
@@ -598,6 +777,11 @@ let () =
           Alcotest.test_case "requests roundtrip" `Quick roundtrip_requests;
           Alcotest.test_case "responses roundtrip" `Quick roundtrip_responses;
           Alcotest.test_case "garbage rejected" `Quick codec_rejects_garbage;
+          Alcotest.test_case "overlong varints and v1 bodies rejected" `Quick
+            codec_rejects_overlong_and_v1;
+          QCheck_alcotest.to_alcotest qcheck_requests_strict;
+          QCheck_alcotest.to_alcotest qcheck_responses_strict;
+          QCheck_alcotest.to_alcotest qcheck_bytes_never_raise;
           Alcotest.test_case "exit-code table" `Quick exit_codes;
         ] );
       ( "framing",
@@ -606,7 +790,11 @@ let () =
           Alcotest.test_case "malformed framing poisons the decoder" `Quick frame_malformed;
         ] );
       ( "protocol",
-        [ Alcotest.test_case "hello rejections" `Quick test_hello_rejections ] );
+        [
+          Alcotest.test_case "hello rejections" `Quick test_hello_rejections;
+          Alcotest.test_case "v1 JSON hello refused by a durable server" `Quick
+            test_v1_hello_refused;
+        ] );
       ( "differential",
         [
           Alcotest.test_case "N served streams = serial checker" `Quick test_differential;
