@@ -230,6 +230,60 @@ let test_network_accounting_under_faults () =
     (s.delivered + s.undeliverable);
   Alcotest.(check int) "delivered = pattern messages" s.delivered (P.num_messages r.pattern)
 
+(* Every counter of the stop-and-wait network and every recovery of three
+   crash runs, as literal values: drop, duplication and reordering around
+   two crashes; a partition that outlasts a small retry budget, so
+   messages are abandoned; and a perfect network with crashes.  Any change
+   to the order of the network's random draws, to its accounting or to the
+   recovery line shows here. *)
+let pin_of (r : R.result) =
+  Format.asprintf "%a@\n%s" Rdt_dist.Transport.pp_stats (net r)
+    (String.concat "\n"
+       (List.map
+          (fun (rc : R.recovery) ->
+            Printf.sprintf "%d@%d+%d line=[%s] undone=%d/%d/%d replayed=%d" rc.crash.victim
+              rc.crash.at rc.crash.repair_delay
+              (String.concat ";" (List.map string_of_int (Array.to_list rc.line)))
+              rc.events_undone rc.checkpoints_undone rc.messages_undone rc.messages_replayed)
+          r.recoveries))
+
+let test_stop_and_wait_pins () =
+  let pin name cfg expected = Alcotest.(check string) name expected (pin_of (R.run cfg)) in
+  let default = Rdt_dist.Transport.default_params in
+  pin "drop + dup + reorder, two crashes"
+    (config
+       ~crashes:
+         [
+           { R.victim = 1; at = 2000; repair_delay = 200 };
+           { R.victim = 3; at = 5000; repair_delay = 250 };
+         ]
+       ~faults:
+         { Rdt_dist.Faults.none with drop = 0.1; dup = 0.05; reorder = 0.1; reorder_window = 40 }
+       ~transport:default "none")
+    "transport: 216 msgs (216 delivered, 0 undeliverable), 951 data pkts (151 retx), 872 acks, \
+     190 dropped, 77 duplicated, 89 dup-suppressed, 169 reordered\n\
+     1@2000+200 line=[0;0;0;0;0] undone=540/21/253 replayed=0\n\
+     3@5000+250 line=[0;0;0;0;0] undone=721/32/331 replayed=0";
+  pin "partition past max_retx"
+    (config ~crashes:one_crash
+       ~faults:
+         {
+           Rdt_dist.Faults.none with
+           partitions = [ { Rdt_dist.Faults.between = [ 2 ]; from_t = 1000; to_t = 6000 } ];
+         }
+       ~transport:{ default with max_retx = 2 }
+       "bhmr")
+    "transport: 797 msgs (611 delivered, 186 undeliverable), 1341 data pkts (507 retx), 611 acks, \
+     732 dropped, 0 duplicated, 0 dup-suppressed, 0 reordered\n\
+     2@2500+200 line=[26;27;15;31;27] undone=3/0/3 replayed=0";
+  pin "perfect network, crashes"
+    (config ~crashes:three_crashes ~transport:default "fdas")
+    "transport: 798 msgs (798 delivered, 0 undeliverable), 825 data pkts (21 retx), 807 acks, \
+     30 dropped, 0 duplicated, 3 dup-suppressed, 0 reordered\n\
+     2@2000+200 line=[23;26;26;28;26] undone=1/0/0 replayed=1\n\
+     0@4500+300 line=[50;54;58;61;58] undone=2/0/0 replayed=2\n\
+     2@7000+150 line=[85;86;80;83;81] undone=7/2/2 replayed=1"
+
 let crash_rdt_property =
   QCheck.Test.make ~name:"RDT survives random crash plans" ~count:25
     QCheck.(triple (int_bound 4) (int_bound 3) small_nat)
@@ -284,5 +338,6 @@ let () =
           Alcotest.test_case "network accounting" `Quick test_network_accounting_under_faults;
           Alcotest.test_case "perfect network, crashes only" `Quick
             test_transport_without_faults_matches_reliability;
+          Alcotest.test_case "stop-and-wait pins" `Quick test_stop_and_wait_pins;
         ] );
     ]
