@@ -20,8 +20,8 @@ type t = { backend : backend; mutable failed : bool; mutable released : bool }
 
 let of_backend backend = { backend; failed = false; released = false }
 
-let ephemeral ?track_open ~n () =
-  let eng = Online.create ?track_open ~n () in
+let ephemeral ~n () =
+  let eng = Online.create ~n () in
   of_backend
     {
       engine = (fun () -> eng);
@@ -78,6 +78,7 @@ let pattern t =
 
 module Wire = struct
   let version = 2
+  let max_events = 65_536
 
   type query =
     | Rdt_so_far
@@ -219,7 +220,12 @@ module Wire = struct
         let version = read_int r in
         let stream = R.string_ r in
         Hello { version; stream; n = read_int r }
-    | 1 -> Events (read_list r Codec.read_event)
+    | 1 ->
+        (* refused before any record is read: a frame's events are
+           decoded whole, ahead of the server's backpressure *)
+        let k = R.count r in
+        if k > max_events then bad "%d events in one frame, above the bound %d" k max_events;
+        Events (List.init k (fun _ -> Codec.read_event r))
     | 2 -> let id = read_int r in Query { id; query = read_query r }
     | 3 -> Sync
     | 4 -> Bye

@@ -41,7 +41,7 @@ type t
 
 val of_backend : backend -> t
 
-val ephemeral : ?track_open:bool -> n:int -> unit -> t
+val ephemeral : n:int -> unit -> t
 (** A session over a fresh in-memory {!Online.create} engine: [sync] is
     a no-op and nothing survives [close]. *)
 
@@ -140,6 +140,10 @@ module Wire : sig
     | Goodbye of { seen : int; summary : Online.summary; orphans : int list }
         (** Final verdict.  [orphans] non-empty means the stream ended
             mid-rollback-cascade (exit 2 for the client). *)
+
+  val max_events : int
+  (** The most events one [Events] body may carry, [65_536]: a decoder
+      refuses a larger count before it reads a single record. *)
 
   val batches : int -> Rdt_obs.Trace.event list -> Rdt_obs.Trace.event list list
   (** [batches k events] cuts [events] into the payloads of consecutive

@@ -128,43 +128,57 @@ let rto p k =
 
 let jitter p rng = if p.jitter = 0 then 0 else Rng.int rng (p.jitter + 1)
 
-(* One transmission of [wire] from [src] to [dst] through the faulty
-   network: an active partition silences the attempt; otherwise the packet
-   is possibly duplicated, and each copy is independently dropped, delayed
-   by the channel distribution, and possibly held back by an adversarial
-   reordering delay.  Surviving copies are appended to [acc] (reversed). *)
-let through_network t ~now ~src ~dst wire acc =
-  if Faults.cuts t.faults ~time:now ~src ~dst then begin
-    t.packets_dropped <- t.packets_dropped + 1;
-    t.notify (N_drop { src; dst; time = now })
-  end
+let lost t ~now ~src ~dst =
+  t.packets_dropped <- t.packets_dropped + 1;
+  t.notify (N_drop { src; dst; time = now })
+
+(* One attempt through the faulty network from [src] to [dst]: an active
+   partition silences it; otherwise the packet is possibly duplicated, and
+   each copy is independently dropped, delayed by the channel
+   distribution, and possibly held back by an adversarial reordering
+   delay.  [arrive] gets the arrival instant of each surviving copy.
+   [Rng.bernoulli] draws nothing at probability 0, so a fault that is off
+   leaves the stream untouched. *)
+let through_network t ~now ~src ~dst arrive =
+  if Faults.cuts t.faults ~time:now ~src ~dst then lost t ~now ~src ~dst
   else begin
     let copies =
-      if t.faults.Faults.dup > 0.0 && Rng.bernoulli t.rng t.faults.Faults.dup then begin
+      if Rng.bernoulli t.rng t.faults.Faults.dup then begin
         t.duplicated <- t.duplicated + 1;
         2
       end
       else 1
     in
     for _ = 1 to copies do
-      if t.faults.Faults.drop > 0.0 && Rng.bernoulli t.rng t.faults.Faults.drop then begin
-        t.packets_dropped <- t.packets_dropped + 1;
-        t.notify (N_drop { src; dst; time = now })
-      end
+      if Rng.bernoulli t.rng t.faults.Faults.drop then lost t ~now ~src ~dst
       else begin
         let delay = Channel.sample t.rng t.channel in
         let extra =
-          if t.faults.Faults.reorder > 0.0 && Rng.bernoulli t.rng t.faults.Faults.reorder
-          then begin
+          if Rng.bernoulli t.rng t.faults.Faults.reorder then begin
             t.reordered <- t.reordered + 1;
             Rng.int_in t.rng 1 t.faults.Faults.reorder_window
           end
           else 0
         in
-        acc := Wire { at = now + delay + extra; wire } :: !acc
+        arrive (now + delay + extra)
       end
     done
   end
+
+let transmit t ~now ~src ~dst ~seq ~retx arrive =
+  t.data_packets <- t.data_packets + 1;
+  if retx > 0 then begin
+    t.retransmissions <- t.retransmissions + 1;
+    t.notify (N_retransmit { src; dst; seq; attempt = retx; time = now })
+  end;
+  through_network t ~now ~src ~dst arrive;
+  now + rto t.params retx + jitter t.params t.rng
+
+(* the acknowledgement travels the reverse direction *)
+let acknowledge t ~now ~src ~dst ~redundant arrive =
+  if redundant then t.duplicates_suppressed <- t.duplicates_suppressed + 1;
+  t.ack_packets <- t.ack_packets + 1;
+  through_network t ~now ~src:dst ~dst:src arrive
 
 (* Deliver every in-order message available at the receiver of [l],
    skipping over abandoned gaps. *)
@@ -185,10 +199,14 @@ let flush t ~src ~dst l acc =
         else continue := false
   done
 
-let send_ack t ~now ~src ~dst l acc =
-  t.ack_packets <- t.ack_packets + 1;
-  (* the acknowledgement travels the reverse direction *)
-  through_network t ~now ~src:dst ~dst:src (Ack { src; dst; cum = l.expected }) acc
+(* the [Wire] effect of a packet or timer, pushed onto [acc] (reversed) *)
+let push acc packet at = acc := Wire { at; wire = packet } :: !acc
+
+let send_data t ~now ~src ~dst ~seq ~retx =
+  let acc = ref [] in
+  let timer = transmit t ~now ~src ~dst ~seq ~retx (push acc (Data { src; dst; seq })) in
+  push acc (Retx_timer { src; dst; seq }) timer;
+  List.rev !acc
 
 let send t ~now ~src ~dst msg =
   if src < 0 || src >= t.n || dst < 0 || dst >= t.n then
@@ -200,42 +218,29 @@ let send t ~now ~src ~dst msg =
   Hashtbl.replace l.unacked seq { payload = msg; retx = 0 };
   t.unacked_total <- t.unacked_total + 1;
   t.accepted <- t.accepted + 1;
-  t.data_packets <- t.data_packets + 1;
-  let acc = ref [] in
-  through_network t ~now ~src ~dst (Data { src; dst; seq }) acc;
-  acc :=
-    Wire { at = now + rto t.params 0 + jitter t.params t.rng; wire = Retx_timer { src; dst; seq } }
-    :: !acc;
-  List.rev !acc
+  send_data t ~now ~src ~dst ~seq ~retx:0
 
 let handle t ~now wire =
   match wire with
   | Data { src; dst; seq } ->
-      let l = link t src dst in
-      if seq < l.expected || Hashtbl.mem l.buffer seq || Hashtbl.mem l.abandoned seq then begin
-        (* redundant copy (already delivered, already buffered, or a stray
-           copy of an abandoned message): discard, but refresh the ack so a
-           sender whose acks were lost stops retransmitting *)
-        t.duplicates_suppressed <- t.duplicates_suppressed + 1;
-        let acc = ref [] in
-        send_ack t ~now ~src ~dst l acc;
-        List.rev !acc
-      end
-      else begin
+      let l = link t src dst and acc = ref [] in
+      (* a redundant copy (already delivered, already buffered, or a stray
+         copy of an abandoned message) is discarded, but still acked so a
+         sender whose acks were lost stops retransmitting *)
+      let redundant =
+        seq < l.expected || Hashtbl.mem l.buffer seq || Hashtbl.mem l.abandoned seq
+      in
+      if not redundant then begin
         (* first arrival of this seq; the payload lives in the sender-side
            entry, which must still exist: the cumulative ack that would have
            removed it implies the receiver had already advanced past [seq] *)
-        let payload =
-          match Hashtbl.find_opt l.unacked seq with
-          | Some e -> e.payload
-          | None -> assert false
-        in
-        Hashtbl.replace l.buffer seq payload;
-        let acc = ref [] in
-        flush t ~src ~dst l acc;
-        send_ack t ~now ~src ~dst l acc;
-        List.rev !acc
-      end
+        (match Hashtbl.find_opt l.unacked seq with
+        | Some e -> Hashtbl.replace l.buffer seq e.payload
+        | None -> assert false);
+        flush t ~src ~dst l acc
+      end;
+      acknowledge t ~now ~src ~dst ~redundant (push acc (Ack { src; dst; cum = l.expected }));
+      List.rev !acc
   | Ack { src; dst; cum } ->
       let l = link t src dst in
       (* cumulative: settle every seq < cum (counting up keeps the removal
@@ -276,19 +281,7 @@ let handle t ~now wire =
             end
           else begin
             e.retx <- e.retx + 1;
-            t.retransmissions <- t.retransmissions + 1;
-            t.data_packets <- t.data_packets + 1;
-            t.notify (N_retransmit { src; dst; seq; attempt = e.retx; time = now });
-            let acc = ref [] in
-            through_network t ~now ~src ~dst (Data { src; dst; seq }) acc;
-            acc :=
-              Wire
-                {
-                  at = now + rto t.params e.retx + jitter t.params t.rng;
-                  wire = Retx_timer { src; dst; seq };
-                }
-              :: !acc;
-            List.rev !acc
+            send_data t ~now ~src ~dst ~seq ~retx:e.retx
           end)
 
 let in_flight t = t.unacked_total

@@ -155,15 +155,8 @@ let lost_work_fraction pat =
     Rdt_pattern.Pattern.fold_ckpts pat ~init:0 ~f:(fun acc c ->
         max acc c.Rdt_pattern.Types.time)
   in
-  let crash_time = duration * 6 / 10 in
-  let available = ref 0 in
-  Array.iter
-    (fun (c : Rdt_pattern.Types.ckpt) ->
-      if c.kind <> Rdt_pattern.Types.Final && c.time <= crash_time then available := c.index)
-    (Rdt_pattern.Pattern.checkpoints pat 0);
   let outcome =
-    Rdt_recovery.Recovery_line.recover pat
-      [ { Rdt_recovery.Recovery_line.pid = 0; available = !available } ]
+    Rdt_recovery.Recovery_line.(recover pat [ crash_at pat 0 ~time:(duration * 6 / 10) ])
   in
   let lost =
     Array.fold_left ( + ) 0 outcome.Rdt_recovery.Recovery_line.lost_events

@@ -270,8 +270,8 @@ let build_pattern e =
   List.iter
     (fun (time, _, action) ->
       match action with
-      | A_send { src; dst; msg } -> Hashtbl.replace handles msg (B.send ~time b ~src ~dst)
-      | A_recv { msg; _ } -> B.recv ~time b (Hashtbl.find handles msg)
+      | A_send { src; dst; msg } -> Hashtbl.replace handles msg (B.send b ~src ~dst)
+      | A_recv { msg; _ } -> B.recv b (Hashtbl.find handles msg)
       | A_ckpt { p; index = _ } -> ignore (B.checkpoint ~time b p))
     entries;
   B.finish b

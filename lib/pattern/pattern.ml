@@ -89,7 +89,7 @@ module Builder = struct
     check_pid b i;
     checkpoint_unchecked ?kind ?tdv ?time b i
 
-  let send ?time:_ b ~src ~dst =
+  let send b ~src ~dst =
     check_live b;
     check_pid b src;
     check_pid b dst;
@@ -131,7 +131,7 @@ module Builder = struct
     | Some m -> m
     | None -> invalid_arg "Pattern.Builder: unknown message handle"
 
-  let recv ?time:_ b h =
+  let recv b h =
     check_live b;
     let m = find_msg b h in
     if m.p_recv_pos >= 0 then invalid_arg "Pattern.Builder.recv: message already delivered";
@@ -141,7 +141,7 @@ module Builder = struct
     m.p_recv_interval <- b.procs.(m.p_dst).n_ckpts;
     m.p_recv_gseq <- gseq
 
-  let internal ?time:_ b i =
+  let internal b i =
     check_live b;
     check_pid b i;
     ignore (push_event b i Types.Internal)

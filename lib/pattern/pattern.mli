@@ -28,16 +28,16 @@ module Builder : sig
   (** [checkpoint b i] records that process [i] takes its next local
       checkpoint now; returns its index.  [kind] defaults to [Basic]. *)
 
-  val send : ?time:int -> b -> src:Types.pid -> dst:Types.pid -> int
+  val send : b -> src:Types.pid -> dst:Types.pid -> int
   (** [send b ~src ~dst] records a send event and returns a message handle
       to pass to {!recv}.  @raise Invalid_argument if [src = dst] or a pid
       is out of range. *)
 
-  val recv : ?time:int -> b -> int -> unit
+  val recv : b -> int -> unit
   (** [recv b h] records the delivery of message [h] at its destination.
       @raise Invalid_argument if [h] was already delivered or unknown. *)
 
-  val internal : ?time:int -> b -> Types.pid -> unit
+  val internal : b -> Types.pid -> unit
   (** A purely local event (does not affect dependencies; kept so traces
       are faithful). *)
 

@@ -1,5 +1,6 @@
 module Pattern = Rdt_pattern.Pattern
 module Types = Rdt_pattern.Types
+module Consistency = Rdt_pattern.Consistency
 
 type crash = { pid : Types.pid; available : int }
 
@@ -18,26 +19,14 @@ let max_consistent_bounded pat bounds =
       if b < 0 || b > Pattern.last_index pat i then
         invalid_arg (Printf.sprintf "Recovery_line: bound C(%d,%d) does not exist" i b))
     bounds;
-  let v = Array.copy bounds in
-  let msgs = Pattern.messages pat in
-  let changed = ref true in
-  (* Lower the receiver side of every orphan; the maximum consistent
-     vector below [bounds] is a fixpoint of this monotone operator. *)
-  while !changed do
-    changed := false;
-    Array.iter
-      (fun (m : Types.message) ->
-        if m.Types.send_interval > v.(m.Types.src) && m.Types.recv_interval <= v.(m.Types.dst)
-        then begin
-          v.(m.Types.dst) <- m.Types.recv_interval - 1;
-          if v.(m.Types.dst) < 0 then
-            (* cannot happen: delivery intervals are >= 1 *)
-            invalid_arg "Recovery_line: negative rollback";
-          changed := true
-        end)
-      msgs
-  done;
-  v
+  Option.get (Consistency.max_consistent_below (Consistency.messages pat) bounds)
+
+let crash_at pat pid ~time =
+  let available = ref 0 in
+  Array.iter
+    (fun (c : Types.ckpt) -> if c.kind <> Types.Final && c.time <= time then available := c.index)
+    (Pattern.checkpoints pat pid);
+  { pid; available = !available }
 
 let recover pat crashes =
   let n = Pattern.n pat in

@@ -34,9 +34,15 @@ type outcome = {
 
 val max_consistent_bounded : Rdt_pattern.Pattern.t -> int array -> int array
 (** [max_consistent_bounded p bounds] is the maximum consistent global
-    checkpoint [v] with [v.(i) <= bounds.(i)] for all [i].  Always exists
+    checkpoint [v] with [v.(i) <= bounds.(i)] for all [i]
+    ({!Rdt_pattern.Consistency.max_consistent_below}).  Always exists
     (the initial global checkpoint is consistent).
     @raise Invalid_argument on a malformed bounds vector. *)
+
+val crash_at : Rdt_pattern.Pattern.t -> Rdt_pattern.Types.pid -> time:int -> crash
+(** [crash_at p pid ~time] is [pid] crashing at [time]: the checkpoint
+    available to it is its last non-[Final] one taken at or before
+    [time] (the initial checkpoint at worst). *)
 
 val recover : Rdt_pattern.Pattern.t -> crash list -> outcome
 (** Computes the recovery line when the given processes crash (surviving

@@ -206,12 +206,12 @@ let prefix_pattern ~n events =
   List.iter
     (fun ev ->
       match ev with
-      | Trace.Send { msg; src; dst; time } ->
+      | Trace.Send { msg; src; dst; _ } ->
           if Hashtbl.mem delivered msg then
-            Hashtbl.replace handles msg (P.Builder.send ~time b ~src ~dst)
-          else P.Builder.internal ~time b src
-      | Trace.Deliver { msg; time; _ } -> P.Builder.recv ~time b (Hashtbl.find handles msg)
-      | Trace.Internal { pid; time } -> P.Builder.internal ~time b pid
+            Hashtbl.replace handles msg (P.Builder.send b ~src ~dst)
+          else P.Builder.internal b src
+      | Trace.Deliver { msg; _ } -> P.Builder.recv b (Hashtbl.find handles msg)
+      | Trace.Internal { pid; _ } -> P.Builder.internal b pid
       | Trace.Ckpt { kind = T.Initial; _ } -> ()
       | Trace.Ckpt { pid; kind; time; tdv; _ } ->
           ignore (P.Builder.checkpoint ~kind ?tdv ~time b pid)

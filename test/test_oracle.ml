@@ -120,12 +120,12 @@ let test_fixture_verdicts () =
    from after C_{0,2} to before C_{0,1}, giving C_{0,2} ~> C_{0,1}. *)
 let test_backwards_same_process_rpath () =
   let b = P.Builder.create ~n:2 in
-  let m2 = P.Builder.send ~time:10 b ~src:1 ~dst:0 in
-  P.Builder.recv ~time:20 b m2;
+  let m2 = P.Builder.send b ~src:1 ~dst:0 in
+  P.Builder.recv b m2;
   ignore (P.Builder.checkpoint ~time:30 b 0) (* C_{0,1} *);
   ignore (P.Builder.checkpoint ~time:40 b 0) (* C_{0,2} *);
-  let m1 = P.Builder.send ~time:50 b ~src:0 ~dst:1 in
-  P.Builder.recv ~time:60 b m1;
+  let m1 = P.Builder.send b ~src:0 ~dst:1 in
+  P.Builder.recv b m1;
   let pat = P.Builder.finish b in
   Alcotest.(check bool) "zigzag closes the backwards pair" true
     (zpath pat ~i:0 ~x0:2 ~j:0 ~y:1);

@@ -122,8 +122,8 @@ let test_interleaved_rollback_replay () =
   check "no orphans" true (Online.orphan_messages t = []);
   let expected =
     let b = P.Builder.create ~n:2 in
-    let h = P.Builder.send ~time:1 b ~src:0 ~dst:1 in
-    P.Builder.recv ~time:6 b h;
+    let h = P.Builder.send b ~src:0 ~dst:1 in
+    P.Builder.recv b h;
     ignore (P.Builder.checkpoint ~kind:T.Basic ~time:7 b 1);
     P.Builder.finish b
   in
