@@ -31,7 +31,7 @@ let bitset_mutators =
 (* Sparse dependency vectors are shared as widely as reachability sets
    (message payloads, checker state): observation code must treat them
    as read-only too. *)
-let vclock_mutators = [ "Vclock.set"; "Vclock.merge" ]
+let vclock_mutators = [ "Vclock.set"; "Vclock.merge"; "Vclock.join" ]
 
 let array_writes = [ "Array.set"; "Array.unsafe_set"; "Array.fill"; "Array.blit" ]
 

@@ -9,15 +9,6 @@ let messages pat f =
     f m.Types.src m.Types.send_interval m.Types.dst m.Types.recv_interval
   done
 
-let check_vector pat v =
-  if Array.length v <> Pattern.n pat then
-    invalid_arg "Consistency: vector length mismatch";
-  Array.iteri
-    (fun i x ->
-      if x < 0 || x > Pattern.last_index pat i then
-        invalid_arg (Printf.sprintf "Consistency: C(%d,%d) does not exist" i x))
-    v
-
 let orphan pat ~sender:(i, x) ~receiver:(j, y) =
   let found = ref None in
   Array.iter
@@ -33,7 +24,8 @@ let consistent_pair pat a b =
   orphan pat ~sender:a ~receiver:b = None && orphan pat ~sender:b ~receiver:a = None
 
 let consistent_global pat v =
-  check_vector pat v;
+  Pattern.check_line pat v ~length:"Consistency: vector length mismatch" ~missing:(fun i x ->
+      Printf.sprintf "Consistency: C(%d,%d) does not exist" i x);
   let ok = ref true in
   messages pat (fun i send j recv -> if send > v.(i) && recv <= v.(j) then ok := false);
   !ok

@@ -75,6 +75,13 @@ val ckpt : t -> Types.ckpt_id -> Types.ckpt
 
 val has_ckpt : t -> Types.ckpt_id -> bool
 
+val check_line : t -> int array -> length:string -> missing:(int -> int -> string) -> unit
+(** [check_line t v ~length ~missing] checks that [v] names one
+    checkpoint per process: entry [i] a checkpoint index of [P_i].
+    @raise Invalid_argument [length] if [v] does not have [n t] entries,
+    or [missing i x] at the first entry [x] that is not such an index.
+    Callers pass their own message text. *)
+
 val messages : t -> Types.message array
 (** All messages, indexed by message id (do not mutate). *)
 

@@ -1,16 +1,9 @@
 module Pattern = Rdt_pattern.Pattern
 module Types = Rdt_pattern.Types
 
-let check_line pat line =
-  if Array.length line <> Pattern.n pat then invalid_arg "Message_log: line length mismatch";
-  Array.iteri
-    (fun i x ->
-      if x < 0 || x > Pattern.last_index pat i then
-        invalid_arg (Printf.sprintf "Message_log: C(%d,%d) does not exist" i x))
-    line
-
 let select pat ~line ~f =
-  check_line pat line;
+  Pattern.check_line pat line ~length:"Message_log: line length mismatch"
+    ~missing:(fun i x -> Printf.sprintf "Message_log: C(%d,%d) does not exist" i x);
   let out = ref [] in
   Array.iter (fun (m : Types.message) -> if f m then out := m.Types.id :: !out) (Pattern.messages pat);
   List.rev !out

@@ -12,13 +12,8 @@ type outcome = {
 }
 
 let max_consistent_bounded pat bounds =
-  let n = Pattern.n pat in
-  if Array.length bounds <> n then invalid_arg "Recovery_line: bounds length mismatch";
-  Array.iteri
-    (fun i b ->
-      if b < 0 || b > Pattern.last_index pat i then
-        invalid_arg (Printf.sprintf "Recovery_line: bound C(%d,%d) does not exist" i b))
-    bounds;
+  Pattern.check_line pat bounds ~length:"Recovery_line: bounds length mismatch"
+    ~missing:(fun i b -> Printf.sprintf "Recovery_line: bound C(%d,%d) does not exist" i b);
   Option.get (Consistency.max_consistent_below (Consistency.messages pat) bounds)
 
 let crash_at pat pid ~time =

@@ -345,3 +345,18 @@ let trace_read_file path =
               | Error e -> Error (Printf.sprintf "%s, line %d: %s" path lineno e))
       in
       go 1 [] lines
+
+let crc_table =
+  Array.init 256 (fun i ->
+      let c = ref i in
+      for _ = 0 to 7 do
+        c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done;
+      !c)
+
+let crc32_sub s ~pos ~len =
+  let c = ref 0xFFFFFFFF in
+  for i = pos to pos + len - 1 do
+    c := crc_table.((!c lxor Char.code s.[i]) land 0xFF) lxor (!c lsr 8)
+  done;
+  !c lxor 0xFFFFFFFF

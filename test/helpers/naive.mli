@@ -104,3 +104,9 @@ val trace_read_file : string -> (Rdt_obs.Trace.event list, string) result
 (** The reader {!Rdt_obs.Trace.read_file} replaced: the file as a list of
     lines ([In_channel.input_lines]), then {!trace_decode} of each line
     that is not blank after [String.trim]. *)
+
+(** {1 Checksums} *)
+
+val crc32_sub : string -> pos:int -> len:int -> int
+(** IEEE CRC-32 one byte at a time over one 256-entry table: the loop
+    the slicing-by-8 {!Rdt_obs.Codec.crc32_sub} replaced. *)

@@ -381,6 +381,25 @@ let test_codec_roundtrip () =
   (* IEEE CRC-32 known answer ("123456789" -> 0xCBF43926) *)
   Alcotest.(check int) "crc32 vector" 0xCBF43926 (Codec.crc32 "123456789")
 
+(* Slicing-by-8 against the byte-at-a-time reference: every head offset
+   0-7 and length 0-64 (all tail lengths, zero to eight whole words), and
+   one 1 MiB string. *)
+let test_crc32_slicing () =
+  let ref_crc = Rdt_test_helpers.Naive.crc32_sub in
+  Alcotest.(check int) "reference check value" 0xCBF43926 (ref_crc "123456789" ~pos:0 ~len:9);
+  let rng = Rdt_dist.Rng.create 30 in
+  let big = String.init (1 lsl 20) (fun _ -> Char.chr (Rdt_dist.Rng.int rng 256)) in
+  for pos = 0 to 7 do
+    for len = 0 to 64 do
+      if Codec.crc32_sub big ~pos ~len <> ref_crc big ~pos ~len then
+        Alcotest.failf "crc32_sub differs at pos %d len %d" pos len
+    done
+  done;
+  Alcotest.(check int) "1 MiB" (ref_crc big ~pos:0 ~len:(String.length big)) (Codec.crc32 big);
+  Alcotest.(check int) "1 MiB from offset 3"
+    (ref_crc big ~pos:3 ~len:(String.length big - 5))
+    (Codec.crc32_sub big ~pos:3 ~len:(String.length big - 5))
+
 let test_snapshot_codec () =
   let events, _ = trace_of ~envname:"group" ~seed:41 ~messages:50 ~n:4 "bhmr" in
   let exp = uninterrupted events in
@@ -792,6 +811,7 @@ let () =
       ( "codec",
         [
           Alcotest.test_case "primitives roundtrip" `Quick test_codec_roundtrip;
+          Alcotest.test_case "slicing-by-8 crc32 = byte-at-a-time" `Quick test_crc32_slicing;
           Alcotest.test_case "snapshot image roundtrip and tamper-evidence" `Quick
             test_snapshot_codec;
           Alcotest.test_case "overlong varints and huge counts are errors" `Quick
