@@ -14,4 +14,5 @@ let scramble_events p =
 let inflate_vector v =
   Rdt_dist.Vclock.set v 0 99;
   Rdt_dist.Vclock.merge v v;
+  Rdt_dist.Vclock.join v v ~f:(fun _ _ -> ());
   v
