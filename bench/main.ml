@@ -213,12 +213,12 @@ let durable_tests =
    of the watch-shape trace, consecutive checkpoints of two different
    processes; a step copies the first and joins the second into it
    ([join] with a no-op callback), so the two differ by the join alone.
-   [bitset/union]: a reached-by set absorbing a source it already covers,
-   the pass an R-edge pays when the source adds nothing, over 3,000
-   nodes. *)
+   [online/zcycle]: one step is a fresh [Online] fed, as one batch, the
+   first 1,000 events of a protocol-none run at n = 4, whose Z-cycles
+   make every R-edge propagate through the max-reach joins. *)
 let kernel_tests =
   let module Vclock = Rdt_dist.Vclock in
-  let module Bitset = Rdt_pattern.Bitset in
+  let module Online = Rdt_check.Online in
   let events = Lazy.force watch_shape in
   let tdvs =
     Array.to_list events
@@ -239,11 +239,23 @@ let kernel_tests =
     in
     pick (Array.length tdvs / 2) 0 []
   in
-  let covering = Bitset.create 3_000 and source = Bitset.create 3_000 in
-  for x = 0 to 2_999 do
-    if x mod 3 <> 0 then Bitset.add covering x;
-    if x mod 3 = 1 then Bitset.add source x
-  done;
+  let zcycle_prefix =
+    let tr = Rdt_obs.Trace.ring ~capacity:20_000 in
+    ignore
+      (Rdt_core.Runtime.run
+         {
+           (run_config (Rdt_core.Registry.find_exn "none") 4) with
+           Rdt_core.Runtime.max_messages = 600;
+           trace = tr;
+         });
+    let events = Array.of_list (Rdt_obs.Trace.events tr) in
+    if Array.length events < 1_000 then failwith "bench: online/zcycle run shorter than 1,000 events";
+    let prefix = Array.sub events 0 1_000 in
+    let t = Online.create ~n:4 () in
+    Array.iter (Online.observe t) prefix;
+    if not (Online.zcycle t) then failwith "bench: online/zcycle prefix has no Z-cycle";
+    prefix
+  in
   [
     batched ~steps:(Array.length pairs) "vclock/merge" (fun i ->
         let a, b = pairs.(i) in
@@ -251,7 +263,10 @@ let kernel_tests =
     batched ~steps:(Array.length pairs) "vclock/join" (fun i ->
         let a, b = pairs.(i) in
         Vclock.join (Vclock.copy a) b ~f:(fun _ _ -> ()));
-    batched ~steps:100 "bitset/union" (fun _ -> ignore (Bitset.union_into covering source));
+    micro "online/zcycle" (fun () ->
+        let t = Online.create ~n:4 () in
+        Array.iter (Online.observe t) zcycle_prefix;
+        ignore (Online.zcycle t));
   ]
 
 let run_micro ~report () =

@@ -1,6 +1,5 @@
 module P = Rdt_pattern.Pattern
 module T = Rdt_pattern.Types
-module Bitset = Rdt_pattern.Bitset
 module Vclock = Rdt_dist.Vclock
 module Trace = Rdt_obs.Trace
 module History = Rdt_pattern.History
@@ -22,21 +21,22 @@ let bad fmt = Printf.ksprintf (fun s -> raise (Inconsistent s)) fmt
    [Builder.finish] would append if the run stopped here.
 
    Per node [v] we keep:
-   - [reached_by.(v)]: the set of nodes with an R-path to [v].  Edge
-     insertion restores the closure invariant (for every edge (u,w),
-     {u} ∪ reached_by(u) ⊆ reached_by(w)) by worklist propagation with
-     plain word-wise [Bitset.union_into]; a node is re-queued only when
-     its set grew.  [v] is on a Z-cycle iff [v ∈ reached_by.(v)].
    - [max_reach.(v)]: per process [i], the largest checkpoint index of
-     [i] with an R-path to [v] (the x* of the offline checker).  It is a
-     per-process maximum over {v} ∪ reached_by(v), so it is joined along
-     each R-edge like a vector clock: when reached_by(w) grows by
-     absorbing u, max_reach(w) takes the entry-wise max with
-     max_reach(u), walking only u's nonzero entries.  Stored as a sparse
+     [i] with an R-path to [v] (the x* of the offline checker).  The
+     local edges C(i,x) -> C(i,x+1) make the set of nodes reaching [v]
+     downward closed per process, so this vector IS that set: C(i,x)
+     reaches [v] iff [x < max_reach.(v).(i)].  Stored as a sparse
      {!Vclock} with a +1 offset — entry 0 encodes "no path", entry [x+1]
      encodes index [x] — so a node only pays for the processes that
      actually reach it.  [max_reach.(v)] at [owner v] starts at
-     [cindex v]: reachability is reflexive in the offline R-graph.
+     [cindex v]: reachability is reflexive in the offline R-graph.  Edge
+     insertion restores the closure invariant (for every edge (u,w),
+     max_reach(u) <= max_reach(w) entry-wise) by worklist propagation of
+     {!Vclock.join}s; a node is re-queued only when an entry of its
+     vector rose.
+   - [on_cycle.(v)]: [v] lies on a Z-cycle, i.e. some edge u -> v has
+     [v] reaching [u].  Tested on every absorb along u -> v, the only
+     moments that [max_reach.(u)] can come to cover [v].
    - [tdv.(v)]: while open, an alias of the owner's live TDV vector (the
      snapshot a Final here would record); frozen when the checkpoint is
      taken — exactly the [Tdv.compute] replay, down to its sharing rule:
@@ -50,11 +50,12 @@ let bad fmt = Printf.ksprintf (fun s -> raise (Inconsistent s)) fmt
    TDV tracks: [tdv.(v).(i)] for [i <> owner v], and [cindex v] for
    [i = owner v] (a same-process R-path backwards in time is never
    trackable, Section 4.1.2 of the paper).  For closed nodes both sides
-   are frozen or monotone, so violations are latched as they appear; for
-   open nodes both sides still move, so the per-process verdict is
-   recomputed — only for processes touched by the event — in [settle].
-   Every join and every verdict scan is one merged pass over sparse
-   vectors ({!Vclock.join}, {!Vclock.iter2}), never a lookup per entry. *)
+   are frozen or monotone, so one [closed_bad] flag latches the first
+   such violation; for open nodes both sides still move, so the
+   per-process verdict is recomputed — only for processes touched by the
+   event — in [settle].  Every join and every verdict scan is one merged
+   pass over sparse vectors ({!Vclock.join}, {!Vclock.iter2}), never a
+   lookup per entry. *)
 
 (* Messages are keyed by their trace id. *)
 module Msgs = Hashtbl.Make (struct
@@ -77,10 +78,9 @@ type core = {
   mutable cindex : int array;
   mutable closed : bool array;
   mutable succ : int list array;
-  mutable reached_by : Bitset.t array;
   mutable max_reach : Vclock.t array; (* +1-encoded: 0 = unreached, x+1 = index x *)
+  mutable on_cycle : bool array;
   mutable tdv : Vclock.t array;
-  mutable viol : Bitset.t array; (* closed nodes: latched per-process violation flags *)
   open_slot : int array; (* pid -> its open node *)
   open_events : int array; (* events in the open interval; 0 = no Final here *)
   vectors : Vclock.t array; (* live TDV vectors, as in Tdv.compute *)
@@ -90,11 +90,9 @@ type core = {
   dirty : bool array; (* pid -> open verdict needs recomputing *)
   open_bad : bool array;
   mutable open_bad_count : int;
-  mutable bad_pairs : int; (* violations among closed nodes, monotone *)
+  mutable closed_bad : bool; (* some closed node has a violation; latched *)
   mutable has_cycle : bool;
 }
-
-let dummy_bitset = Bitset.create 0
 
 let dummy_vclock = Vclock.create ~n:1
 
@@ -109,13 +107,9 @@ let grow c =
   c.cindex <- extend c.cindex 0;
   c.closed <- extend c.closed false;
   c.succ <- extend c.succ [];
-  c.reached_by <- extend c.reached_by dummy_bitset;
   c.max_reach <- extend c.max_reach dummy_vclock;
+  c.on_cycle <- extend c.on_cycle false;
   c.tdv <- extend c.tdv dummy_vclock;
-  c.viol <- extend c.viol dummy_bitset;
-  for v = 0 to c.num_nodes - 1 do
-    Bitset.ensure_capacity c.reached_by.(v) new_cap
-  done;
   c.cap <- new_cap
 
 let new_node c ~owner ~index ~tdv =
@@ -126,12 +120,11 @@ let new_node c ~owner ~index ~tdv =
   c.cindex.(v) <- index;
   c.closed.(v) <- false;
   c.succ.(v) <- [];
-  c.reached_by.(v) <- Bitset.create c.cap;
   let mr = Vclock.create ~n:c.n in
   Vclock.set mr owner (index + 1);
   c.max_reach.(v) <- mr;
+  c.on_cycle.(v) <- false;
   c.tdv.(v) <- tdv;
-  c.viol.(v) <- dummy_bitset;
   (* indices are dense per process ([core_ckpt] enforces the order) *)
   let nodes = c.by_index.(owner) in
   if index = Array.length nodes then begin
@@ -149,36 +142,31 @@ let freeze c pid =
   if c.frozen.(pid) == dummy_vclock then c.frozen.(pid) <- Vclock.copy c.vectors.(pid);
   c.frozen.(pid)
 
-(* Raise [max_reach.(w)] to cover [max_reach.(u)]: one vector-clock
-   join, linear in both vectors' nonzero entries.  A raised entry latches
-   a closed node's violation, or marks an open node's owner for
-   [settle]. *)
-let join_reach c u w =
-  let owner = c.owner.(w) in
-  if c.closed.(w) then begin
-    let index = c.cindex.(w) and tdv = c.tdv.(w) and viol = c.viol.(w) in
-    Vclock.join c.max_reach.(w) c.max_reach.(u) ~f:(fun i enc ->
-        let allowed = if i = owner then index else Vclock.get tdv i in
-        if enc - 1 > allowed && not (Bitset.mem viol i) then begin
-          Bitset.add viol i;
-          c.bad_pairs <- c.bad_pairs + 1
-        end)
-  end
-  else Vclock.join c.max_reach.(w) c.max_reach.(u) ~f:(fun _ _ -> c.dirty.(owner) <- true)
-
-(* Fold {u} ∪ reached_by(u) into reached_by(w) and, if that grew, join
-   u's max-reach into w's; true iff reached_by(w) grew.  When it did not,
-   max_reach(w) already covers every node that reaches u. *)
+(* Propagate along the edge u -> w: raise [max_reach.(w)] to cover
+   [max_reach.(u)], one vector-clock join linear in both vectors' nonzero
+   entries; true iff an entry rose.  A raised entry past what a closed
+   node tracks latches [closed_bad]; on an open node it marks the owner
+   for [settle].  If [w] reaches [u] ([max_reach.(u)] covers [cindex w]
+   at [owner w], by downward closure), the edge closes a cycle through
+   [w]: tested before the join, whether or not [w] grows. *)
 let absorb c u w =
-  let rb = c.reached_by.(w) in
-  let fresh = not (Bitset.mem rb u) in
-  if fresh then Bitset.add rb u;
-  let grew = Bitset.union_into rb c.reached_by.(u) || fresh in
-  if grew then begin
-    join_reach c u w;
-    if Bitset.mem rb w then c.has_cycle <- true
+  let owner = c.owner.(w) and index = c.cindex.(w) and grew = ref false in
+  if Vclock.get c.max_reach.(u) owner > index then begin
+    c.on_cycle.(w) <- true;
+    c.has_cycle <- true
   end;
-  grew
+  if c.closed.(w) then begin
+    let tdv = c.tdv.(w) in
+    Vclock.join c.max_reach.(w) c.max_reach.(u) ~f:(fun i enc ->
+        grew := true;
+        let allowed = if i = owner then index else Vclock.get tdv i in
+        if enc - 1 > allowed then c.closed_bad <- true)
+  end
+  else
+    Vclock.join c.max_reach.(w) c.max_reach.(u) ~f:(fun _ _ ->
+        grew := true;
+        c.dirty.(owner) <- true);
+  !grew
 
 let add_edge c u w =
   if not (List.mem w c.succ.(u)) then begin
@@ -221,16 +209,11 @@ let core_ckpt c ~pid ~index =
   let frozen = freeze c pid in
   c.tdv.(w) <- frozen;
   c.closed.(w) <- true;
-  let vl = Bitset.create c.n in
-  c.viol.(w) <- vl;
   (* only processes with a path into [w] can violate; walk the sparse
      entries against the TDV in one pass instead of all n.  i = pid
      cannot be violated here: no later checkpoint of pid exists yet *)
   Vclock.iter2 c.max_reach.(w) frozen ~f:(fun i enc tracked ->
-      if i <> pid && enc - 1 > tracked then begin
-        Bitset.add vl i;
-        c.bad_pairs <- c.bad_pairs + 1
-      end);
+      if i <> pid && enc - 1 > tracked then c.closed_bad <- true);
   Vclock.set c.vectors.(pid) pid (index + 1);
   c.frozen.(pid) <- dummy_vclock;
   let w' = new_node c ~owner:pid ~index:(index + 1) ~tdv:c.vectors.(pid) in
@@ -262,10 +245,9 @@ let core_create ~n =
       cindex = Array.make cap 0;
       closed = Array.make cap false;
       succ = Array.make cap [];
-      reached_by = Array.make cap dummy_bitset;
       max_reach = Array.make cap dummy_vclock;
+      on_cycle = Array.make cap false;
       tdv = Array.make cap dummy_vclock;
-      viol = Array.make cap dummy_bitset;
       open_slot = Array.make n 0;
       open_events = Array.make n 0;
       vectors = Array.init n (fun _ -> Vclock.create ~n);
@@ -275,7 +257,7 @@ let core_create ~n =
       dirty = Array.make n false;
       open_bad = Array.make n false;
       open_bad_count = 0;
-      bad_pairs = 0;
+      closed_bad = false;
       has_cycle = false;
     }
   in
@@ -333,7 +315,7 @@ let track_open t = t.track_open
 let events_seen t = t.seen
 
 let rdt_so_far t =
-  t.core.bad_pairs = 0 && ((not t.track_open) || t.core.open_bad_count = 0)
+  (not t.core.closed_bad) && ((not t.track_open) || t.core.open_bad_count = 0)
 
 let first_violation t = t.first_violation
 
@@ -464,13 +446,11 @@ let trackable t (i, x) (j, y) =
   let _ = find_node t (i, x) and w = find_node t (j, y) in
   if i = j then x <= y else Vclock.get t.core.tdv.(w) i >= x
 
-let reaches t a b =
-  let u = find_node t a and w = find_node t b in
-  u = w || Bitset.mem t.core.reached_by.(w) u
+let reaches t ((i, x) as a) b =
+  let _ = find_node t a and w = find_node t b in
+  Vclock.get t.core.max_reach.(w) i > x
 
-let in_cycle t a =
-  let v = find_node t a in
-  Bitset.mem t.core.reached_by.(v) v
+let in_cycle t a = t.core.on_cycle.(find_node t a)
 
 let num_checkpoints t = t.core.num_nodes - t.n
 
@@ -543,10 +523,10 @@ let pp_summary ppf s =
 (* The durable image of an engine is its *history*, not its graphs: the
    [History]'s per-process surviving entries plus its message
    routing/abandonment tables, and the three latched scalars.  [restore] then reconstructs
-   the incremental R-graph/Bitset/TDV state by running the exact rebuild
+   the incremental R-graph/max-reach/TDV state by running the exact rebuild
    path a rollback uses, so a restored engine is bit-for-bit the state a
    rollback-free replay of the survivors would reach — serializing the
-   closure sets themselves would only create a second, divergeable
+   reach vectors themselves would only create a second, divergeable
    source of truth. *)
 module Export = struct
   type t = {

@@ -6,8 +6,9 @@
     consumes one event at a time — live from a {!Rdt_obs.Trace} observer
     hooked into a run, streamed from a recorded JSONL trace, or replayed
     from a finished pattern — and maintains the R-graph, per-checkpoint
-    reachability ({!Rdt_pattern.Bitset}-backed incremental transitive
-    closure) and the TDV replay, so that after {e every} event it answers
+    reachability (one sparse vector per checkpoint: for each process, the
+    largest index with an R-path to it) and the TDV replay, so that after
+    {e every} event it answers
     {!rdt_so_far}, {!zcycle} and {!trackable} without an O(graph)
     recheck.
 
@@ -24,11 +25,11 @@
     survivors in [seq] order.  Replayed deliveries then arrive as fresh
     [Deliver] events.
 
-    {b Complexity.}  Each R-edge that grows its target's reached-by set
-    joins the source's max-reach vector into the target's once (one
-    merged pass over two sparse vectors, at most n entries each); the
-    word-wise reached-by unions ride along, and a node is re-queued only
-    when its set grew.  Add O(n) flag checks per event, and for each
+    {b Complexity.}  Each R-edge joins its source's max-reach vector into
+    its target's (one merged pass over two sparse vectors, at most n
+    entries each), and a node is re-queued only when an entry of its
+    vector rose; a node's whole reach state is O(n).  Add O(n) flag
+    checks per event, and for each
     process the event touched one paired walk of its open interval's
     max-reach against its live vector.  A send copies the sender's
     vector only if it changed since the last copy.  Rollbacks cost one
@@ -152,7 +153,7 @@ val pp_summary : Format.formatter -> summary -> unit
     {!Rdt_pattern.History} of surviving entries (the structure the
     rollback rebuild replays) with its message routing and abandonment
     tables, and the latched scalars.  {!restore} reconstructs the
-    incremental R-graph / {!Rdt_pattern.Bitset} closure / TDV-witness
+    incremental R-graph / max-reach vectors / TDV-witness
     state by running the rollback-rebuild path over the exported
     survivors, so restored state can never drift from what a live engine
     would hold — there is one source of truth.  [Rdt_durable.Snapshot]

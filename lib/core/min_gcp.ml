@@ -55,13 +55,16 @@ let maximum_by_rgraph pat cks =
   List.iter
     (fun (i, x) ->
       if x < Pattern.last_index pat i then begin
-        (* everything R-reachable from C_{i,x+1} must be undone *)
-        let reach = Rgraph.reachable_set g (i, x + 1) in
-        Rdt_pattern.Bitset.iter
-          (fun node ->
-            let j, y = Rgraph.ckpt_of_node g node in
-            if y - 1 < v.(j) then v.(j) <- y - 1)
-          reach
+        (* everything R-reachable from C_{i,x+1} must be undone; what it
+           reaches of a process is upward closed, so the first hit is the
+           earliest checkpoint to undo (none: y = last + 1, no change) *)
+        for j = 0 to n - 1 do
+          let y = ref 0 in
+          while !y <= Pattern.last_index pat j && not (Rgraph.reaches g (i, x + 1) (j, !y)) do
+            incr y
+          done;
+          v.(j) <- min v.(j) (!y - 1)
+        done
       end)
     cks;
   let ok = ref true in

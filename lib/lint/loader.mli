@@ -8,7 +8,7 @@
 type unit_info = {
   cmt_path : string;
   source : string;  (** as recorded by the compiler, relative to the workspace root *)
-  modname : string;  (** the compiled module name, e.g. [Rdt_pattern__Bitset] *)
+  modname : string;  (** the compiled module name, e.g. [Rdt_dist__Vclock] *)
   structure : Typedtree.structure;
   interface : Typedtree.signature option;  (** the [.mli]'s typed signature, if any *)
 }

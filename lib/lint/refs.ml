@@ -2,8 +2,8 @@
    behind U1.
 
    Every path is spelled from its compilation unit down, with dune's
-   wrapped-library mangling split apart ([Rdt_pattern__Bitset.add] and
-   [Rdt_pattern.Bitset.add] are both "Rdt_pattern.Bitset.add").  Module
+   wrapped-library mangling split apart ([Rdt_dist__Vclock.join] and
+   [Rdt_dist.Vclock.join] are both "Rdt_dist.Vclock.join").  Module
    aliases a unit binds ([module W = Codec.Writer], [let module W = ...
    in]) are followed before recording; an alias is not itself a use.
 

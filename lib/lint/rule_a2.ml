@@ -7,30 +7,19 @@
    what remains reachable — and is flagged here — is mutation of
    pattern-owned values: writes into the arrays the Pattern accessors
    expose ("do not mutate"), writes to record fields of pattern types,
-   and the mutating Bitset API (Rgraph keeps no Bitset of its own; the
-   fresh set from Rgraph.reachable_set is still read-only here).
+   and the mutating Vclock API (dependency vectors are shared by
+   message payloads and checker state).
    Building a *fresh* pattern through Pattern.Builder (as Replay.rebuild
    does) is the sanctioned construction API and is not flagged. *)
 
 let pattern_types =
   [
-    "Pattern.t"; "Rgraph.t"; "Bitset.t"; "Vclock.t"; "Tdv.t"; "Types.ckpt"; "Types.message";
+    "Pattern.t"; "Rgraph.t"; "Vclock.t"; "Tdv.t"; "Types.ckpt"; "Types.message";
     "Types.event";
   ]
 
-(* The chunked Bitset kept the dense API's mutator names, so the same
-   list covers both representations. *)
-let bitset_mutators =
-  [
-    "Bitset.add";
-    "Bitset.remove";
-    "Bitset.union_into";
-    "Bitset.ensure_capacity";
-  ]
-
-(* Sparse dependency vectors are shared as widely as reachability sets
-   (message payloads, checker state): observation code must treat them
-   as read-only too. *)
+(* Sparse dependency vectors are shared widely (message payloads,
+   checker state): observation code must treat them as read-only. *)
 let vclock_mutators = [ "Vclock.set"; "Vclock.merge"; "Vclock.join" ]
 
 let array_writes = [ "Array.set"; "Array.unsafe_set"; "Array.fill"; "Array.blit" ]
@@ -51,31 +40,23 @@ let check (ctx : Rule.ctx) structure =
             | None -> ())
         | Texp_apply ({ exp_desc = Texp_ident (p, _, _); _ }, (_, Some a0) :: _) -> (
             let n = Scan.normalize_path p in
-            match Scan.find_target n bitset_mutators with
+            match Scan.find_target n vclock_mutators with
             | Some t ->
                 ctx.report ~rule:"A2" ~loc:e.Typedtree.exp_loc
                   (Printf.sprintf
-                     "observation-only code calls mutating %s; reachability sets exposed by \
-                      the pattern layer must be treated as read-only here"
+                     "observation-only code calls mutating %s; dependency vectors (message \
+                      payloads, checker state) must be treated as read-only here"
                      t)
             | None -> (
-                match Scan.find_target n vclock_mutators with
-                | Some t ->
-                    ctx.report ~rule:"A2" ~loc:e.Typedtree.exp_loc
-                      (Printf.sprintf
-                         "observation-only code calls mutating %s; dependency vectors \
-                          (message payloads, checker state) must be treated as read-only here"
-                         t)
-                | None -> (
-                    if Scan.matches_any n array_writes then
-                      match Scan.type_mentions ~targets:pattern_types a0.Typedtree.exp_type with
-                      | Some t ->
-                          ctx.report ~rule:"A2" ~loc:e.Typedtree.exp_loc
-                            (Printf.sprintf
-                               "observation-only code writes into an array involving %s (the \
-                                Pattern accessors expose internal arrays: do not mutate)"
-                               t)
-                      | None -> ())))
+                if Scan.matches_any n array_writes then
+                  match Scan.type_mentions ~targets:pattern_types a0.Typedtree.exp_type with
+                  | Some t ->
+                      ctx.report ~rule:"A2" ~loc:e.Typedtree.exp_loc
+                        (Printf.sprintf
+                           "observation-only code writes into an array involving %s (the \
+                            Pattern accessors expose internal arrays: do not mutate)"
+                           t)
+                  | None -> ()))
         | _ -> ())
 
 let rule =

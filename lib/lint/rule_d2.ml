@@ -2,7 +2,7 @@
 
    Polymorphic =/compare/Hashtbl.hash are flagged when instantiated at
    Pattern.t (Pattern.equal is the one place that decides pattern
-   equality), Rgraph.t / Bitset.t (mutable graph internals), or
+   equality), Rgraph.t (mutable graph internals), or
    any type whose structure contains an arrow (compare on closures
    raises at runtime).  The instantiation is read off the ident's own
    type, so both direct applications and higher-order uses (e.g. passing
@@ -14,7 +14,7 @@
 
 let poly_compare = [ "="; "<>"; "compare"; "Hashtbl.hash" ]
 let membership = [ "List.mem"; "List.assoc"; "List.assoc_opt"; "List.mem_assoc"; "Array.mem" ]
-let banned_types = [ "Pattern.t"; "Rgraph.t"; "Bitset.t" ]
+let banned_types = [ "Pattern.t"; "Rgraph.t" ]
 
 let check (ctx : Rule.ctx) structure =
   Scan.iter_expressions structure (fun e ->
@@ -47,8 +47,6 @@ let check (ctx : Rule.ctx) structure =
 let rule =
   {
     Rule.id = "D2";
-    doc =
-      "no polymorphic =/compare/hash at Pattern.t, Rgraph.t, Bitset.t or function-carrying \
-       types";
+    doc = "no polymorphic =/compare/hash at Pattern.t, Rgraph.t or function-carrying types";
     check;
   }

@@ -234,13 +234,6 @@ let reaches g ((i, x) as a) b =
   ignore (node_of_ckpt g a);
   x <= max_reaching_index g ~from_pid:i b
 
-let reachable_set g ((i, x) as a) =
-  ignore (node_of_ckpt g a);
-  let (scc_of, _, _), m = (scc g, max_src g) in
-  let set = Bitset.create g.num_nodes in
-  Array.iteri (fun v id -> if x < Vclock.get m.(id) i then Bitset.add set v) scc_of;
-  set
-
 let in_cycle g a =
   let scc_of, _, nontrivial = scc g in
   nontrivial.(scc_of.(node_of_ckpt g a))

@@ -15,7 +15,7 @@
 type t
 
 type node = int
-(** Dense node identifier; see {!node_of_ckpt}/{!ckpt_of_node}. *)
+(** Dense node identifier; see {!node_of_ckpt}. *)
 
 val build : Pattern.t -> t
 (** Builds the R-graph of a pattern: one counting pass, then each node's
@@ -27,8 +27,6 @@ val num_nodes : t -> int
 val node_of_ckpt : t -> Types.ckpt_id -> node
 (** @raise Invalid_argument if the checkpoint does not exist. *)
 
-val ckpt_of_node : t -> node -> Types.ckpt_id
-
 val successors : t -> node -> node list
 (** Out-neighbours, ascending and distinct (a fresh list). *)
 
@@ -37,10 +35,6 @@ val edge_count : t -> int
 val reaches : t -> Types.ckpt_id -> Types.ckpt_id -> bool
 (** [reaches g a b] iff there is a (possibly empty) R-path from [a] to [b].
     Every checkpoint reaches itself.  One {!max_reaching_index} lookup. *)
-
-val reachable_set : t -> Types.ckpt_id -> Bitset.t
-(** All nodes reachable from the given checkpoint (including itself), as
-    a fresh set.  O(V log n). *)
 
 val max_reaching_index : t -> from_pid:Types.pid -> Types.ckpt_id -> int
 (** [max_reaching_index g ~from_pid (j, y)] is the greatest [x] such that

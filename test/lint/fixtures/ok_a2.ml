@@ -1,10 +1,10 @@
 (* A2 fixture: observation-only access — reads, folds, and building a
    *fresh* pattern through the Builder are all sanctioned. *)
 
-let reach_count g c =
-  let n = ref 0 in
-  Rdt_pattern.Bitset.iter (fun _ -> incr n) (Rdt_pattern.Rgraph.reachable_set g c);
-  !n
+let reach_count p g c =
+  Rdt_pattern.Pattern.fold_ckpts p ~init:0 ~f:(fun acc d ->
+      let id = (d.Rdt_pattern.Types.owner, d.Rdt_pattern.Types.index) in
+      if Rdt_pattern.Rgraph.reaches g c id then acc + 1 else acc)
 
 let forced_count p =
   Rdt_pattern.Pattern.fold_ckpts p ~init:0 ~f:(fun acc c ->

@@ -60,29 +60,33 @@ let online_agrees_with_all_checkers =
       v = (Checker.run ~algo:`Chains pat).Checker.rdt
       && v = (Checker.run ~algo:`Doubling pat).Checker.rdt)
 
-(* The max-reach join must leave the reachability it rides on intact:
-   pairwise reachability and Z-cycle membership equal the offline
-   R-graph's, and the engine's Z-cycle flag is "some checkpoint is on a
+(* [Online.reaches], [in_cycle] and [zcycle] against the offline R-graph
+   of [pat]: pairwise reachability and Z-cycle membership of every
+   checkpoint, and the engine's Z-cycle flag is "some checkpoint is on a
    cycle". *)
+let reach_agrees eng pat =
+  let g = Rdt_pattern.Rgraph.build pat in
+  let cks = P.fold_ckpts pat ~init:[] ~f:(fun acc c -> (c.T.owner, c.T.index) :: acc) in
+  let pp = Format.asprintf "%a" T.pp_ckpt_id in
+  List.iter
+    (fun a ->
+      List.iter
+        (fun b ->
+          if Online.reaches eng a b <> Rdt_pattern.Rgraph.reaches g a b then
+            QCheck.Test.fail_reportf "reaches disagrees on %s ~> %s" (pp a) (pp b))
+        cks;
+      if Online.in_cycle eng a <> Rdt_pattern.Rgraph.in_cycle g a then
+        QCheck.Test.fail_reportf "in_cycle disagrees on %s" (pp a))
+    cks;
+  if Online.zcycle eng <> List.exists (Rdt_pattern.Rgraph.in_cycle g) cks then
+    QCheck.Test.fail_report "zcycle disagrees"
+
 let online_reachability_equals_rgraph =
   QCheck.Test.make ~name:"online reaches/in_cycle/zcycle = rgraph on random patterns" ~count:100
     Rdt_test_helpers.Gen.small_recipe_arbitrary (fun recipe ->
       let pat = Rdt_test_helpers.Gen.pattern_of_recipe recipe in
-      let g = Rdt_pattern.Rgraph.build pat and t = Online.check_pattern pat in
-      let cks = P.fold_ckpts pat ~init:[] ~f:(fun acc c -> (c.T.owner, c.T.index) :: acc) in
-      List.iter
-        (fun a ->
-          List.iter
-            (fun b ->
-              if a <> b && Online.reaches t a b <> Rdt_pattern.Rgraph.reaches g a b then
-                QCheck.Test.fail_reportf "reaches disagrees on %s ~> %s"
-                  (Format.asprintf "%a" T.pp_ckpt_id a)
-                  (Format.asprintf "%a" T.pp_ckpt_id b))
-            cks;
-          if Online.in_cycle t a <> Rdt_pattern.Rgraph.in_cycle g a then
-            QCheck.Test.fail_reportf "in_cycle disagrees on %s" (Format.asprintf "%a" T.pp_ckpt_id a))
-        cks;
-      Online.zcycle t = List.exists (Online.in_cycle t) cks)
+      reach_agrees (Online.check_pattern pat) pat;
+      true)
 
 (* ------------------------------------------------------------------ *)
 (* Stream mode: live traces of full runs                               *)
@@ -475,11 +479,11 @@ let agrees_offline eng pat =
   if Online.checked eng <> off.Checker.checked then
     QCheck.Test.fail_reportf "checked %d <> offline %d" (Online.checked eng) off.Checker.checked
 
-(* Stream [events] through a session and compare at every quiescent
-   prefix (one [Session.pattern] can build: nothing in flight, no
-   rollback cascade half observed) and at the end; the number of
-   prefixes compared. *)
-let agrees_on_every_quiescent_prefix events =
+(* Stream [events] through a session and run [agrees] on the engine and
+   the pattern at every quiescent prefix (one [Session.pattern] can
+   build: nothing in flight, no rollback cascade half observed); the
+   number of prefixes compared. *)
+let on_every_quiescent_prefix ?(agrees = agrees_offline) events =
   match Online.trace_process_count events with
   | Error e -> QCheck.Test.fail_report e
   | Ok n ->
@@ -489,7 +493,7 @@ let agrees_on_every_quiescent_prefix events =
       let compare_now () =
         match Session.pattern s with
         | Ok pat ->
-            agrees_offline (Session.engine s) pat;
+            agrees (Session.engine s) pat;
             incr compared
         | Error _ -> ()
       in
@@ -539,7 +543,16 @@ let online_shared_vectors_match_replay =
   QCheck.Test.make ~name:"shared vectors: trackable, violations, checked = replay at every quiescent prefix"
     ~count:40 QCheck.(make ~print:string_of_int Gen.(0 -- 10_000))
     (fun seed ->
-      ignore (agrees_on_every_quiescent_prefix (shared_vector_trace seed));
+      ignore (on_every_quiescent_prefix (shared_vector_trace seed));
+      true)
+
+(* The same streams with the reachability queries: open intervals,
+   rolled-back and rebuilt histories, and Z-cycles from protocol none. *)
+let online_stream_reachability_equals_rgraph =
+  QCheck.Test.make ~name:"online reaches/in_cycle/zcycle = rgraph at every quiescent prefix"
+    ~count:40 QCheck.(make ~print:string_of_int Gen.(0 -- 10_000))
+    (fun seed ->
+      ignore (on_every_quiescent_prefix ~agrees:reach_agrees (shared_vector_trace seed));
       true)
 
 (* P1 sends m0 to P2, is delivered m1 from P0's second interval, and
@@ -559,7 +572,7 @@ let test_send_deliver_send () =
     ]
   in
   (* quiescent after m2's delivery and after C(2,1) *)
-  Alcotest.(check int) "quiescent prefixes compared" 2 (agrees_on_every_quiescent_prefix events);
+  Alcotest.(check int) "quiescent prefixes compared" 2 (on_every_quiescent_prefix events);
   match Online.check_trace events with
   | Error e -> Alcotest.fail e
   | Ok t -> check "C(0,1) ~> C(2,1) tracked through m2" true (Online.trackable t (0, 1) (2, 1))
@@ -635,6 +648,7 @@ let () =
           Alcotest.test_case "export/restore roundtrip" `Quick test_export_restore_roundtrip;
           Alcotest.test_case "trackable = TDV replay" `Quick test_trackable_matches_tdv;
           qt online_shared_vectors_match_replay;
+          qt online_stream_reachability_equals_rgraph;
           Alcotest.test_case "send, deliver, send in one interval" `Quick test_send_deliver_send;
           Alcotest.test_case "runtime online observer" `Quick test_runtime_online_field;
           Alcotest.test_case "impossible streams rejected" `Quick test_inconsistent_streams_rejected;

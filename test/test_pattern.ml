@@ -9,7 +9,6 @@ module Rgraph = Rdt_pattern.Rgraph
 module Tdv = Rdt_pattern.Tdv
 module Chains = Rdt_pattern.Chains
 module Consistency = Rdt_pattern.Consistency
-module Bitset = Rdt_pattern.Bitset
 module History = Rdt_pattern.History
 
 let check = Alcotest.(check bool)
@@ -17,47 +16,6 @@ let qt = QCheck_alcotest.to_alcotest
 
 let all_ckpts pat =
   P.fold_ckpts pat ~init:[] ~f:(fun acc c -> (c.T.owner, c.T.index) :: acc)
-
-(* ------------------------------------------------------------------ *)
-(* Bitset                                                              *)
-(* ------------------------------------------------------------------ *)
-
-let bitset_members s =
-  let acc = ref [] in
-  Bitset.iter (fun i -> acc := i :: !acc) s;
-  List.rev !acc
-
-let test_bitset_basic () =
-  let s = Bitset.create 130 in
-  check "empty" false (Bitset.mem s 0);
-  Bitset.add s 0;
-  Bitset.add s 64;
-  Bitset.add s 129;
-  check "mem 0" true (Bitset.mem s 0);
-  check "mem 64" true (Bitset.mem s 64);
-  check "mem 129" true (Bitset.mem s 129);
-  check "not mem 1" false (Bitset.mem s 1);
-  Alcotest.(check (list int)) "members" [ 0; 64; 129 ] (bitset_members s);
-  Alcotest.check_raises "out of bounds" (Invalid_argument "Bitset: index out of bounds")
-    (fun () -> Bitset.add s 130)
-
-let test_bitset_union () =
-  let a = Bitset.create 100 and b = Bitset.create 100 in
-  Bitset.add a 1;
-  Bitset.add b 70;
-  check "changed" true (Bitset.union_into a b);
-  check "has 70" true (Bitset.mem a 70);
-  check "no change" false (Bitset.union_into a b);
-  check "source untouched" false (Bitset.mem b 1)
-
-let bitset_model =
-  QCheck.Test.make ~name:"bitset agrees with a list model" ~count:200
-    QCheck.(list (int_bound 199))
-    (fun xs ->
-      let s = Bitset.create 200 in
-      List.iter (Bitset.add s) xs;
-      let model = List.sort_uniq compare xs in
-      bitset_members s = model)
 
 (* ------------------------------------------------------------------ *)
 (* Builder and accessors                                               *)
@@ -264,18 +222,19 @@ let test_fig1_rgraph_edges () =
   let fx = Rdt_test_helpers.Fixtures.figure1 () in
   let { Rdt_test_helpers.Fixtures.i; j; k; _ } = fx in
   let g = Rgraph.build fx.pattern in
-  let succ a = List.map (Rgraph.ckpt_of_node g) (Rgraph.successors g (Rgraph.node_of_ckpt g a)) in
+  let node = Rgraph.node_of_ckpt g in
+  let succ a = Rgraph.successors g (node a) in
   (* message edges of Figure 1.b *)
-  check "m1: C(i,1)->C(j,1)" true (List.mem (j, 1) (succ (i, 1)));
-  check "m2: C(j,1)->C(i,2)" true (List.mem (i, 2) (succ (j, 1)));
-  check "m3: C(k,1)->C(j,1)" true (List.mem (j, 1) (succ (k, 1)));
-  check "m4: C(j,2)->C(k,2)" true (List.mem (k, 2) (succ (j, 2)));
-  check "m5: C(i,3)->C(j,2)" true (List.mem (j, 2) (succ (i, 3)));
-  check "m7: C(k,2)->C(j,3)" true (List.mem (j, 3) (succ (k, 2)));
+  check "m1: C(i,1)->C(j,1)" true (List.mem (node (j, 1)) (succ (i, 1)));
+  check "m2: C(j,1)->C(i,2)" true (List.mem (node (i, 2)) (succ (j, 1)));
+  check "m3: C(k,1)->C(j,1)" true (List.mem (node (j, 1)) (succ (k, 1)));
+  check "m4: C(j,2)->C(k,2)" true (List.mem (node (k, 2)) (succ (j, 2)));
+  check "m5: C(i,3)->C(j,2)" true (List.mem (node (j, 2)) (succ (i, 3)));
+  check "m7: C(k,2)->C(j,3)" true (List.mem (node (j, 3)) (succ (k, 2)));
   (* program-order edges *)
-  check "C(i,0)->C(i,1)" true (List.mem (i, 1) (succ (i, 0)));
+  check "C(i,0)->C(i,1)" true (List.mem (node (i, 1)) (succ (i, 0)));
   (* no fabricated edge *)
-  check "no C(k,1)->C(i,2) edge" false (List.mem (i, 2) (succ (k, 1)))
+  check "no C(k,1)->C(i,2) edge" false (List.mem (node (i, 2)) (succ (k, 1)))
 
 let test_fig1_reachability () =
   let fx = Rdt_test_helpers.Fixtures.figure1 () in
@@ -325,12 +284,7 @@ let rgraph_matches_naive =
       let cks = all_ckpts pat in
       List.for_all
         (fun a ->
-          let set = Rgraph.reachable_set g a in
-          List.for_all
-            (fun b ->
-              let naive = Rdt_test_helpers.Naive.reaches pat a b in
-              Rgraph.reaches g a b = naive && Bitset.mem set (Rgraph.node_of_ckpt g b) = naive)
-            cks)
+          List.for_all (fun b -> Rgraph.reaches g a b = Rdt_test_helpers.Naive.reaches pat a b) cks)
         cks)
 
 let rgraph_max_reaching_matches_naive =
@@ -354,11 +308,12 @@ let rgraph_edges_match_naive =
       let g = Rgraph.build pat in
       let got = ref [] in
       for v = 0 to Rgraph.num_nodes g - 1 do
-        List.iter
-          (fun w -> got := (Rgraph.ckpt_of_node g v, Rgraph.ckpt_of_node g w) :: !got)
-          (Rgraph.successors g v)
+        List.iter (fun w -> got := (v, w) :: !got) (Rgraph.successors g v)
       done;
-      List.sort_uniq compare !got = Rdt_test_helpers.Naive.rgraph_edges pat)
+      let node = Rgraph.node_of_ckpt g in
+      List.sort_uniq compare !got
+      = List.sort compare
+          (List.map (fun (a, b) -> (node a, node b)) (Rdt_test_helpers.Naive.rgraph_edges pat)))
 
 (* The CSR graph against the list-built adjacency and the definition:
    successors node by node, edge count, and R-cycle membership (a
@@ -748,12 +703,6 @@ let test_history_to_pattern () =
 let () =
   Alcotest.run "rdt_pattern"
     [
-      ( "bitset",
-        [
-          Alcotest.test_case "basic" `Quick test_bitset_basic;
-          Alcotest.test_case "union/copy" `Quick test_bitset_union;
-          qt bitset_model;
-        ] );
       ( "builder",
         [
           Alcotest.test_case "initial checkpoints" `Quick test_builder_initial_checkpoints;
