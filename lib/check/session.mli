@@ -85,7 +85,27 @@ val pattern : t -> (Rdt_pattern.Pattern.t, string) result
     declaration order, events as the {!Rdt_obs.Codec.encode_event}
     records WAL segments hold.  Version negotiation is pessimistic: a
     [Hello] carrying a version the server does not speak is rejected
-    before any state is created. *)
+    before any state is created.
+
+    {2 The acknowledgement contract}
+
+    Against a durable daemon ([rdtsim serve --durable]) the responses
+    promise exactly this much:
+    - an [Ack] that answers [Sync], the [Goodbye] that answers [Bye], a
+      graceful detach (the client's connection closes) and a graceful
+      daemon shutdown each mean every event of the stream up to [seen]
+      is fsynced;
+    - an [Ack] after a batch of [Events] means those events are
+      {e applied} (queries see them), not that they are durable;
+    - killing the daemon loses at most the WAL records still in its
+      pending buffer (less than 4 KiB of records per stream);
+    - a machine crash loses at most the events after the stream's last
+      sync point.  Each snapshot install is one, so the daemon's
+      [--snapshot-every] bounds that window.
+    [Welcome.resumed] after a restart counts what recovery found, which
+    covers at least every event a durability promise was made for.
+    The same contract holds for [rdtsim watch --durable]: its verdict
+    line is printed only after the session's [close], a sync point. *)
 module Wire : sig
   val version : int
   (** Current protocol version, [2].  Bump on any change to the frame
@@ -123,14 +143,21 @@ module Wire : sig
     | Query of { id : int; query : query }
         (** Answered by [Answer] or [Failed] echoing [id], after every
             previously sent event has been applied. *)
-    | Sync  (** Force durability; acknowledged by [Ack]. *)
-    | Bye  (** Graceful end of stream; answered by [Goodbye]. *)
+    | Sync
+        (** Force durability; acknowledged by an [Ack] whose [seen]
+            events are all on stable storage. *)
+    | Bye
+        (** Graceful end of stream; answered by [Goodbye], after the
+            stream's [close] (a sync point). *)
 
   type response =
     | Welcome of { version : int; stream : string; resumed : int }
-        (** [resumed] is the number of events already durable for this
-            stream — the client must skip that prefix. *)
-    | Ack of { seen : int }  (** Cumulative events applied. *)
+        (** [resumed] is the number of events the stream already holds
+            (applied, or recovered after a restart) — the client must
+            skip that prefix. *)
+    | Ack of { seen : int }
+        (** Cumulative events applied; durable too when it answers
+            [Sync]. *)
     | Answer of { id : int; answer : answer }
     | Failed of { id : int; error : string }
         (** The query (not the stream) failed, e.g. an unknown

@@ -11,6 +11,13 @@
      snap-<g>.bin   engine image after [base_events g] events; only the
                     newest [keep_snapshots] generations are kept.
 
+   The durability contract (DESIGN.md § Durability): the WAL is fsynced
+   at exactly three sync points, a snapshot install, [sync] and [close],
+   and never per event.  [Wal.append] hands the pending buffer to the
+   kernel at every 4 KiB of records, so a process kill loses less than
+   4 KiB of records at the tail, and a machine crash loses at most what
+   came after the last sync point, at most [snapshot_every] events.
+
    Per event the cost follows what changed, not the history: an event is
    one record framed into the WAL's pending buffer.  A snapshot's
    encoding does too: it re-encodes only the stack cells and routes added
@@ -53,10 +60,8 @@ type config = { snapshot_every : int }
 
 let default_config = { snapshot_every = 1000 }
 
-(* events between WAL fsyncs, and snapshot generations retained (>= 2:
-   recovery falls back to the older one when the newest is torn) *)
-let wal_fsync_every = 32
-
+(* snapshot generations retained (>= 2: recovery falls back to the older
+   one when the newest is torn) *)
 let keep_snapshots = 2
 
 type recovery = {
@@ -88,8 +93,6 @@ type t = {
   cache : Snapshot.Cache.t;
   mutable wal : Wal.writer;
   mutable base_events : int;  (** events covered by the newest snapshot *)
-  mutable unsynced : int;
-  mutable unmetered : int;  (** WAL bytes appended but not yet metered *)
   mutable closed : bool;
 }
 
@@ -255,19 +258,14 @@ let make ~dir ~config ~meter ~track_open ~engine ~wal ~base_events =
     cache = Snapshot.Cache.create ();
     wal;
     base_events;
-    unsynced = 0;
-    unmetered = 0;
     closed = false;
   }
 
 let sync t =
-  Wal.flush t.wal;
-  if t.unsynced > 0 then begin
-    Wal.sync t.wal;
+  let bytes = Wal.sync t.wal in
+  if bytes > 0 then begin
     Meter.incr t.meter "wal.fsync";
-    Meter.add t.meter "wal.bytes" t.unmetered;
-    t.unsynced <- 0;
-    t.unmetered <- 0
+    Meter.add t.meter "wal.bytes" bytes
   end
 
 let prune_snapshots t =
@@ -303,9 +301,7 @@ let observe t ev =
               Wal.max_frame))
   | None -> ());
   Online.observe t.engine ev;
-  t.unmetered <- t.unmetered + Wal.append t.wal ev;
-  t.unsynced <- t.unsynced + 1;
-  if t.unsynced >= wal_fsync_every then sync t;
+  Wal.append t.wal ev;
   if Online.events_seen t.engine - t.base_events >= t.config.snapshot_every then
     install_snapshot t
 

@@ -5,12 +5,18 @@
     never deleted — a full replay from generation 0 is always the last
     fallback) and the newest few snapshot generations ([snap-<g>.bin]).
     {!observe} runs the engine first, then appends the event to the
-    active segment, fsyncing every 32 events and installing a fresh
-    snapshot generation every [snapshot_every] (the newest two are
-    kept);
-    a crash loses at most the un-synced tail, which the caller re-feeds
-    (resume from {!Rdt_check.Online.events_seen} of the recovered
-    {!engine}).
+    active segment, installing a fresh snapshot generation every
+    [snapshot_every] events (the newest two are kept).
+
+    Durability (DESIGN.md § Durability): the WAL is fsynced only at a
+    snapshot install, at the [sync] of {!checker_session} and at
+    {!close}; once one of them returns, every event observed so far is
+    on stable storage.  Between them the WAL's pending buffer goes to
+    the kernel at every 4 KiB of records, so a process kill loses less
+    than 4 KiB of records and a machine crash loses at most the events
+    since the last sync point (fewer than [snapshot_every]).  The caller
+    re-feeds the lost tail: resume from
+    {!Rdt_check.Online.events_seen} of the recovered {!engine}.
 
     Recovery degrades gracefully: newest snapshot + segment replay, then
     each older snapshot, then full-WAL replay, and only when every chain
@@ -56,8 +62,9 @@ val open_ :
     segment.
 
     Meters [recovery.replayed_events]; {!observe} meters the
-    [durable.snapshot] span and, at each WAL sync, [wal.fsync] and the
-    event bytes framed since the previous sync ([wal.bytes]).
+    [durable.snapshot] span and, at each sync point that fsyncs the WAL,
+    [wal.fsync] and the event bytes framed since the previous one
+    ([wal.bytes]).
 
     @raise Io.Error [(Corrupt _)] when no recovery chain succeeds, or
     the durable state disagrees with [n]/[track_open]; other [Io.Error]s
@@ -79,7 +86,8 @@ val generation : t -> int
     0 before the first install). *)
 
 val close : t -> unit
-(** Sync and release (idempotent). *)
+(** Sync and release (idempotent): a sync point, so every observed event
+    is durable once it returns. *)
 
 val abort : t -> unit
 (** Release {e without} syncing — crash-simulation teardown: whatever a
@@ -88,7 +96,7 @@ val abort : t -> unit
 val checker_session : t -> Rdt_check.Session.t
 (** Adapt a durable session to the unified checker-session interface:
     [observe] is {!observe} (engine first, WAL second — an inconsistent
-    event is never persisted), [sync] forces the buffered WAL tail to
-    stable storage, [close] is {!close}.
+    event is never persisted), [sync] writes the pending WAL tail and
+    fsyncs it (a sync point), [close] is {!close}.
     The adapter shares this session's state; drive a given session
     through one surface or the other, not both. *)

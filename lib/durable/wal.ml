@@ -199,9 +199,14 @@ type writer = {
   fd : Unix.file_descr;
   wgen : int;
   pending : W.t;  (** framed records not yet written to the fd *)
-  mutable unsynced : int;  (** records written or pending since the last fsync *)
+  mutable unsynced : int;  (** event-record bytes appended since the last fsync *)
   mutable closed : bool;
 }
+
+(* The pending buffer goes to the kernel once it holds this many bytes of
+   framed records: a process kill loses less than this, and a write
+   carries about 170 records of a typical stream. *)
+let handoff = 4096
 
 let gen w = w.wgen
 
@@ -247,20 +252,22 @@ let append w ev =
   | Some len ->
       invalid_arg (Printf.sprintf "Wal.append: %d-byte event record exceeds max_frame" len)
   | None -> ());
-  w.unsynced <- w.unsynced + 1;
-  add_record w.pending ev
+  w.unsynced <- w.unsynced + add_record w.pending ev;
+  if W.length w.pending >= handoff then flush w
 
 let sync w =
   flush w;
-  if w.unsynced > 0 then begin
+  let bytes = w.unsynced in
+  if bytes > 0 then begin
     Io.fsync ~name:"wal" w.fd;
     w.unsynced <- 0
-  end
+  end;
+  bytes
 
 let close w =
   if not w.closed then begin
     w.closed <- true;
-    (try sync w
+    (try ignore (sync w : int)
      with exn ->
        Io.close_noerr w.fd;
        raise exn);

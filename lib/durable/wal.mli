@@ -77,18 +77,18 @@ val reopen : dir:string -> gen:int -> valid_len:int -> writer
 
 val gen : writer -> int
 
-val append : writer -> Rdt_obs.Trace.event -> int
-(** Frame one event record into the pending buffer in memory
-    ({!flush}/{!sync} move it to the kernel / to stable storage); returns
-    the record's framed size in bytes (for metering).
+val append : writer -> Rdt_obs.Trace.event -> unit
+(** Frame one event record into the pending buffer in memory, and hand
+    the buffer to the kernel (one [write]) once it holds 4 KiB of framed
+    records: a process killed between two {!sync}s loses less than
+    4 KiB of records, all at the tail.
     @raise Invalid_argument on an {!oversized} event, appending nothing. *)
 
-val flush : writer -> unit
-
-val sync : writer -> unit
-(** Flush, then fsync if anything was appended since the last sync.
-    Durability of appended events may be claimed only after this
-    returns. *)
+val sync : writer -> int
+(** Write the pending buffer, then fsync if anything was appended since
+    the last sync.  Returns the event-record bytes this made durable (0:
+    no fsync).  Durability of appended events may be claimed only after
+    this returns. *)
 
 val close : writer -> unit
 (** Sync, then close (idempotent). *)

@@ -734,17 +734,24 @@ let table_durable c =
   let { events; nev; procs = n; baseline; check_s = online_s; _ } =
     bench_stream ~who:"BENCH-DURABLE" ~min_events:5_000
   in
-  (* durable: WAL every event, a snapshot generation every nev/8 *)
+  (* durable: every event into the WAL, a snapshot generation every
+     nev/8; the WAL is fsynced at each install and at close only *)
   let dir = scratch_path "rdt-durable-bench" "" in
   rm_rf dir;
   let config =
     { Rdt_durable.Session.snapshot_every = max 1 (nev / 8) }
   in
+  let fsyncs () =
+    Option.value ~default:0
+      (List.assoc_opt "wal.fsync" (Rdt_obs.Meter.counters Rdt_obs.Meter.default))
+  in
+  let fsyncs0 = fsyncs () in
   let t0 = Rdt_obs.Meter.now () in
   let s, _ = Rdt_durable.Session.open_ ~config ~dir ~n ~track_open:true () in
   List.iter (Rdt_durable.Session.observe s) events;
   Rdt_durable.Session.close s;
   let durable_s = Rdt_obs.Meter.now () -. t0 in
+  let wal_fsyncs = fsyncs () - fsyncs0 in
   let snapshots = Rdt_durable.Session.generation s in
   assert (Rdt_check.Online.summary (Rdt_durable.Session.engine s) = baseline);
   (* recover from what just hit the disk: only the tail past the last
@@ -765,7 +772,15 @@ let table_durable c =
     [ ("durable.ns_per_event", durable_ns); ("durable.overhead_vs_online", overhead) ];
   Table
     (tabulate
-       [ "events"; "ns/event durable"; "ns/event online"; "overhead"; "snapshots"; "tail replayed" ]
+       [
+         "events";
+         "ns/event durable";
+         "ns/event online";
+         "overhead";
+         "snapshots";
+         "wal fsyncs";
+         "tail replayed";
+       ]
        [
          [
            string_of_int nev;
@@ -773,6 +788,7 @@ let table_durable c =
            Table.cell_f online_ns;
            Table.cell_f overhead;
            string_of_int snapshots;
+           string_of_int wal_fsyncs;
            string_of_int replayed;
          ];
        ])

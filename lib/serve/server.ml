@@ -102,15 +102,15 @@ let close_fd c =
     Io.close_noerr c.fd
   end
 
-let detach c =
+(* A graceful detach is a sync point; a crash teardown skips the sync. *)
+let detach ?(sync = true) c =
   match c.stream with
   | Some st -> (
       c.stream <- None;
       match st.attached with
       | Some c' when c' == c ->
           st.attached <- None;
-          (* make everything the disconnected client was acked for durable *)
-          S.sync st.session
+          if sync then S.sync st.session
       | _ -> ())
   | None -> ()
 
@@ -121,7 +121,7 @@ let shutdown t ~graceful =
     t.closed <- true;
     List.iter
       (fun c ->
-        detach c;
+        detach ~sync:graceful c;
         close_fd c)
       t.conns;
     t.conns <- [];
@@ -282,6 +282,7 @@ let handle_request t c req =
           | W.Bye ->
               if not (Queue.is_empty st.pending) then `Defer
               else begin
+                S.close st.session; (* a sync point, before the goodbye *)
                 let eng = S.engine st.session in
                 reply c
                   (W.Goodbye
@@ -290,7 +291,6 @@ let handle_request t c req =
                        summary = O.summary eng;
                        orphans = O.orphan_messages eng;
                      });
-                S.close st.session;
                 st.attached <- None;
                 c.stream <- None;
                 Hashtbl.remove t.streams st.name;

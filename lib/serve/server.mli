@@ -92,5 +92,5 @@ val close : t -> unit
 
 val abort : t -> unit
 (** Crash-simulation teardown: close sockets but {e abort} durable
-    sessions (no final sync) — whatever a real SIGKILL would lose must
-    stay lost.  Tests use this to exercise recovery. *)
+    sessions (no detach sync, no final sync) — whatever a real SIGKILL
+    would lose must stay lost.  Tests use this to exercise recovery. *)

@@ -210,6 +210,110 @@ let qcheck_crash_matrix =
           true))
 
 (* ------------------------------------------------------------------ *)
+(* The durability contract                                             *)
+(* ------------------------------------------------------------------ *)
+
+(* The WAL's kernel hand-off: [Wal.append] writes the pending buffer out
+   once it holds this many bytes of framed records (DESIGN.md §
+   Durability). *)
+let handoff = 4096
+
+let open_session ~dir ~interval exp =
+  fst (Session.open_ ~config:(config interval) ~dir ~n:exp.n ~track_open:true ())
+
+let feed_prefix s events k = List.iteri (fun i ev -> if i < k then Session.observe s ev) events
+
+(* Observe [k] events, sync, then the rest, and close; returns the crash
+   sites hit up to the sync's return. *)
+let synced_run ~dir ~interval ~exp events k =
+  let s = open_session ~dir ~interval exp in
+  match
+    feed_prefix s events k;
+    sync s;
+    let at_sync = Crashpoint.hits () in
+    feed_from s events;
+    Session.close s;
+    at_sync
+  with
+  | at_sync -> at_sync
+  | exception (Crashpoint.Crash _ as e) ->
+      Session.abort s;
+      raise e
+
+(* A [sync] that returned is a promise: a crash at any later site, in
+   the stream, a snapshot install or the close, recovers at least the
+   events observed before it. *)
+let test_sync_survives_later_crashes () =
+  let events, _ = trace_of ~envname:"random" ~seed:12 ~messages:60 ~n:4 "bhmr" in
+  let exp = uninterrupted events in
+  let total = List.length events in
+  List.iter
+    (fun interval ->
+      List.iter
+        (fun k ->
+          with_dir (fun dir ->
+              Crashpoint.reset ();
+              let at_sync = synced_run ~dir ~interval ~exp events k in
+              let sites = Crashpoint.hits () in
+              for site = at_sync + 1 to sites do
+                rm_rf dir;
+                Crashpoint.reset ();
+                Crashpoint.arm ~at:site;
+                (match synced_run ~dir ~interval ~exp events k with
+                | _ -> Alcotest.failf "interval %d, sync at %d: site %d never hit" interval k site
+                | exception Crashpoint.Crash _ -> ());
+                Crashpoint.disarm ();
+                let s = open_session ~dir ~interval exp in
+                let kept = Online.events_seen (Session.engine s) in
+                if kept < k then
+                  Alcotest.failf "interval %d, sync at %d, crash at site %d: recovered %d events"
+                    interval k site kept;
+                feed_from s events;
+                Session.close s;
+                assert_equal_state
+                  (Printf.sprintf "interval %d, sync at %d, crash at site %d" interval k site)
+                  exp (Session.engine s)
+              done;
+              Crashpoint.reset ()))
+        [ 1; total / 3; 2 * total / 3; total - 1 ])
+    [ 7; 64; total + 1 ]
+
+(* A process kill ([Session.abort]: nothing pending is written) between
+   sync points loses only a tail of the stream, and that tail's framed
+   records total less than the hand-off. *)
+let test_kill_loses_under_handoff () =
+  let events, _ = trace_of ~envname:"random" ~seed:13 ~messages:300 ~n:4 "bhmr" in
+  let exp = uninterrupted events in
+  let total = List.length events in
+  let sizes = Array.of_list (List.map (Wal.add_record (Codec.Writer.create ())) events) in
+  check "the trace spans several hand-offs" true (Array.fold_left ( + ) 0 sizes > 3 * handoff);
+  List.iter
+    (fun interval ->
+      let observed = ref 1 in
+      while !observed <= total do
+        let j = !observed in
+        with_dir (fun dir ->
+            let s = open_session ~dir ~interval exp in
+            feed_prefix s events j;
+            Session.abort s;
+            let s = open_session ~dir ~interval exp in
+            let kept = Online.events_seen (Session.engine s) in
+            let lost = ref 0 in
+            for i = kept to j - 1 do
+              lost := !lost + sizes.(i)
+            done;
+            let label = Printf.sprintf "interval %d, killed after %d events" interval j in
+            check (label ^ ": recovered a prefix") true (kept <= j);
+            if !lost >= handoff then
+              Alcotest.failf "%s: recovered %d, lost %d bytes of records" label kept !lost;
+            feed_from s events;
+            Session.close s;
+            assert_equal_state label exp (Session.engine s));
+        observed := !observed + 29
+      done)
+    [ 7; 64; total + 1 ]
+
+(* ------------------------------------------------------------------ *)
 (* Deliberate corruption                                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -795,6 +899,13 @@ let () =
           Alcotest.test_case "client-server x none, every site x {1,64}" `Quick
             test_matrix_client_server;
           qt qcheck_crash_matrix;
+        ] );
+      ( "contract",
+        [
+          Alcotest.test_case "sync survives a crash at every later site x {7,64,none}" `Quick
+            test_sync_survives_later_crashes;
+          Alcotest.test_case "a kill loses less than 4 KiB of records x {7,64,none}" `Quick
+            test_kill_loses_under_handoff;
         ] );
       ( "corruption",
         [

@@ -803,6 +803,65 @@ let test_durable_crash_resume () =
   check "no orphans" true (orphans = []);
   Client.close q.client
 
+(* The [Ack] answering [Sync] promises durability: a daemon killed after
+   it (no graceful detach, no close) recovers at least [seen] events.  No
+   snapshot is installed in this stream, so what survives comes from the
+   WAL alone; the events applied after the sync, under 4 KiB of records,
+   never left the pending buffer and die with the daemon. *)
+let test_sync_ack_survives_kill () =
+  let n = 4 in
+  let events = recorded ~n ~messages:80 ~protocol:"bhmr" ~seed:10 () in
+  let expected = Online.summary (serial events) in
+  let total = List.length events in
+  let dir = scratch_dir "sync-ack" in
+  let socket = Filename.concat dir "s.sock" in
+  let cfg =
+    {
+      (Server.default_config ~socket) with
+      Server.durable_root = Some (Filename.concat dir "state");
+      snapshot_every = total + 1;
+    }
+  in
+  let first = total / 3 and second = 2 * total / 3 in
+  let slice lo hi = List.filteri (fun i _ -> lo <= i && i < hi) events in
+  let server = Server.create ~meter:(Meter.create ()) cfg in
+  let p = peer ~socket in
+  Alcotest.(check int) "fresh stream" 0 (hello server p ~stream:"synced" ~n);
+  let acked k = expect server p (function W.Ack { seen } when seen = k -> Some () | _ -> None) in
+  Client.send p.client (W.Events (slice 0 first));
+  Client.send p.client W.Sync;
+  (* the batch that applies event [first] acks it, then the sync does *)
+  acked first;
+  acked first;
+  Client.send p.client (W.Events (slice first second));
+  acked second;
+  Server.abort server;
+  Client.close p.client;
+  let server = Server.create ~meter:(Meter.create ()) cfg in
+  Fun.protect ~finally:(fun () -> Server.close server) @@ fun () ->
+  let q = peer ~socket in
+  let resumed = hello server q ~stream:"synced" ~n in
+  check
+    (Printf.sprintf "every synced event survived (resumed %d, synced %d, applied %d)" resumed
+       first second)
+    true
+    (first <= resumed && resumed <= second);
+  (* the unsynced slice's records fit in the WAL's 4 KiB kernel hand-off,
+     so the kill took all of them: the abort did not sync *)
+  let unsynced =
+    List.fold_left
+      (fun acc ev -> acc + Rdt_durable.Wal.add_record (Rdt_obs.Codec.Writer.create ()) ev)
+      0 (slice first second)
+  in
+  check "the unsynced slice fits in one hand-off" true (unsynced < 4096);
+  Alcotest.(check int) "the kill lost every unsynced event" first resumed;
+  Client.send q.client (W.Events (slice resumed total));
+  let seen, summary, orphans = goodbye server q in
+  Alcotest.(check int) "all events applied after recovery" total seen;
+  check "recovered summary = serial summary" true (summary = expected);
+  check "no orphans" true (orphans = []);
+  Client.close q.client
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -848,5 +907,6 @@ let () =
           Alcotest.test_case "queued work is applied without waiting" `Quick
             test_queued_work_does_not_stall;
           Alcotest.test_case "durable crash + resume" `Quick test_durable_crash_resume;
+          Alcotest.test_case "synced ack survives a kill" `Quick test_sync_ack_survives_kill;
         ] );
     ]
