@@ -1336,8 +1336,9 @@ let scale_cmd =
     [
       `S Manpage.s_description;
       `P
-        "Runs the checkpoint-before-receive ring workload on the sharded event core \
-         ($(b,Rdt_harness.Scale)) and prints the run's deterministic fields — counters, final \
+        "Runs the ring workload on the sharded event core ($(b,Rdt_harness.Scale)) under \
+         NRAS (a forced checkpoint before any delivery that follows a send in the same \
+         interval), piggybacking a sparse dependency vector on every message, and prints the run's deterministic fields — counters, final \
          time and the checksum over every final dependency vector — to stdout.  The shard \
          partition is a function of $(b,-n) alone and cross-shard merges are ordered by a \
          seed-derived tiebreak, so stdout is byte-identical for every $(b,--jobs) value: diff \

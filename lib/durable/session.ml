@@ -88,7 +88,6 @@ type t = {
   dir : string;
   config : config;
   meter : Meter.t;
-  track_open : bool;
   engine : Online.t;
   cache : Snapshot.Cache.t;
   mutable wal : Wal.writer;
@@ -190,7 +189,7 @@ let try_chain ~dir ~segs snapshot =
           | engine -> (
               try
                 let replayed, torn, last = replay_chain ~dir ~segs ~start_gen:gen engine in
-                Ok (engine, export.Online.Export.track_open, replayed, torn, last, gen)
+                Ok (engine, replayed, torn, last, gen)
               with Chain_failed why -> Error why)))
   | None -> (
       (* full replay: wal-0 must exist and its header provides n *)
@@ -203,16 +202,15 @@ let try_chain ~dir ~segs snapshot =
             let engine = Online.create ~track_open:h.Wal.track_open ~n:h.Wal.n () in
             try
               let replayed, torn, last = replay_chain ~dir ~segs ~start_gen:0 engine in
-              Ok (engine, h.Wal.track_open, replayed, torn, last, 0)
+              Ok (engine, replayed, torn, last, 0)
             with Chain_failed why -> Error why))
 
 let recover ~dir ~segs ~snaps =
   let rec go skipped = function
     | [] -> (
         match try_chain ~dir ~segs None with
-        | Ok (engine, track_open, replayed, torn, last, base_gen) ->
+        | Ok (engine, replayed, torn, last, base_gen) ->
             ( engine,
-              track_open,
               last,
               base_gen,
               { restored_gen = None; replayed_events = replayed; skipped = List.rev skipped; torn }
@@ -225,9 +223,8 @@ let recover ~dir ~segs ~snaps =
                     @ [ "full replay: " ^ why ]))))
     | gen :: older -> (
         match try_chain ~dir ~segs (Some gen) with
-        | Ok (engine, track_open, replayed, torn, last, base_gen) ->
+        | Ok (engine, replayed, torn, last, base_gen) ->
             ( engine,
-              track_open,
               last,
               base_gen,
               {
@@ -238,22 +235,26 @@ let recover ~dir ~segs ~snaps =
               } )
         | Error why -> go ((gen, why) :: skipped) older)
   in
-  let engine, track_open, last, base_gen, info = go [] snaps in
+  let engine, last, base_gen, info = go [] snaps in
   (* dispose of snapshots proven bad — they must not shadow good ones
      on the next recovery *)
   List.iter (fun (g, _) -> Snapshot.remove ~dir ~gen:g) info.skipped;
-  (engine, track_open, last, base_gen, info)
+  (engine, last, base_gen, info)
 
 (* ------------------------------------------------------------------ *)
 (* Steady state                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let make ~dir ~config ~meter ~track_open ~engine ~wal ~base_events =
+(* A segment header; geometry and open-interval tracking come from the
+   engine, which holds the one copy of both. *)
+let header engine ~gen ~base_events =
+  { Wal.gen; base_events; n = Online.n engine; track_open = Online.track_open engine }
+
+let make ~dir ~config ~meter ~engine ~wal ~base_events =
   {
     dir;
     config;
     meter;
-    track_open;
     engine;
     cache = Snapshot.Cache.create ();
     wal;
@@ -280,11 +281,7 @@ let install_snapshot t =
       let gen = Wal.gen t.wal + 1 in
       let seen = Online.events_seen t.engine in
       Snapshot.install ~dir:t.dir ~gen (Snapshot.Cache.image t.cache t.engine);
-      let wal =
-        Wal.create ~dir:t.dir ~gen
-          ~header:
-            { Wal.gen; base_events = seen; n = Online.n t.engine; track_open = t.track_open }
-      in
+      let wal = Wal.create ~dir:t.dir ~gen ~header:(header t.engine ~gen ~base_events:seen) in
       let old = t.wal in
       t.wal <- wal;
       t.base_events <- seen;
@@ -333,24 +330,20 @@ let open_ ?(config = default_config) ?(meter = Meter.default) ~dir ~n ~track_ope
   let snaps = Snapshot.generations ~dir in
   if segs = [] && snaps = [] then begin
     let engine = Online.create ~track_open ~n () in
-    let wal =
-      Wal.create ~dir ~gen:0 ~header:{ Wal.gen = 0; base_events = 0; n; track_open }
-    in
-    (make ~dir ~config ~meter ~track_open ~engine ~wal ~base_events:0, None)
+    let wal = Wal.create ~dir ~gen:0 ~header:(header engine ~gen:0 ~base_events:0) in
+    (make ~dir ~config ~meter ~engine ~wal ~base_events:0, None)
   end
   else begin
-    let engine, rec_track_open, last, base_gen, info = recover ~dir ~segs ~snaps in
+    let engine, last, base_gen, info = recover ~dir ~segs ~snaps in
     if Online.n engine <> n then
       Io.fail
         (Io.Corrupt
            (Printf.sprintf "durable state is for %d processes, this run has %d"
               (Online.n engine) n));
-    if rec_track_open <> track_open then
+    if Online.track_open engine <> track_open then
       Io.fail (Io.Corrupt "durable state disagrees on open-interval tracking");
     Meter.add meter "recovery.replayed_events" info.replayed_events;
-    let session ~wal ~base_events =
-      make ~dir ~config ~meter ~track_open ~engine ~wal ~base_events
-    in
+    let session ~wal ~base_events = make ~dir ~config ~meter ~engine ~wal ~base_events in
     let t =
       match last with
       | Some l ->
@@ -363,8 +356,7 @@ let open_ ?(config = default_config) ?(meter = Meter.default) ~dir ~n ~track_ope
           let seen = Online.events_seen engine in
           session
             ~wal:
-              (Wal.create ~dir ~gen:base_gen
-                 ~header:{ Wal.gen = base_gen; base_events = seen; n; track_open })
+              (Wal.create ~dir ~gen:base_gen ~header:(header engine ~gen:base_gen ~base_events:seen))
             ~base_events:seen
     in
     (* an older-format segment only ever loses its torn tail: appends

@@ -846,7 +846,7 @@ let table_scale c =
   let seconds = Rdt_obs.Meter.now () -. t0 in
   let events_per_sec = float_of_int r.Scale.events /. Float.max 1e-9 seconds in
   let bytes_per_process = float_of_int r.Scale.payload_bytes /. float_of_int params.Scale.n in
-  report_bench c ~table:"BENCH-SCALE" ~protocol:"cbr" ~env:"ring" ~seed:params.Scale.seed ~seconds
+  report_bench c ~table:"BENCH-SCALE" ~protocol:"nras" ~env:"ring" ~seed:params.Scale.seed ~seconds
     [ ("scale.events_per_sec", events_per_sec); ("scale.bytes_per_process", bytes_per_process) ];
   Table
     (tabulate
@@ -1025,7 +1025,7 @@ let entries =
       (entry ~name:"scale" "BENCH-SCALE" "" table_scale) with
       title =
         (fun ~quick ->
-          Printf.sprintf "sharded engine throughput (cbr, ring, n=%d)"
+          Printf.sprintf "sharded engine throughput (nras, ring, n=%d)"
             (scale_params ~quick).Scale.n);
     };
     entry ~name:"serve" "BENCH-SERVE"

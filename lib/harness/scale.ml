@@ -1,6 +1,7 @@
 module Shard = Rdt_dist.Shard
 module Rng = Rdt_dist.Rng
 module Vclock = Rdt_dist.Vclock
+module B = Rdt_pattern.Pattern.Builder
 
 type params = { n : int; messages : int; seed : int }
 
@@ -55,12 +56,6 @@ let fnv_prime = 0x100000001b3
 
 let fnv acc x = (acc lxor x) * fnv_prime land max_int
 
-(* Trace actions, logged per shard in handling order when tracing. *)
-type action =
-  | A_send of { src : int; dst : int; msg : int }
-  | A_recv of { dst : int; msg : int }
-  | A_ckpt of { p : int; index : int }
-
 (* Per-shard counters live in their own record — one heap block per
    shard, so domains stepping different shards never write into the
    same cache line. *)
@@ -78,9 +73,9 @@ type engine = {
   params : params;
   nshards : int;
   core : ev Shard.t;
-  (* per-process state; a process is touched only by its own shard *)
+  (* per-process state, touched only by the process's own shard; entry p
+     of vectors.(p) is p's interval index (only take_ckpt raises it) *)
   vectors : Vclock.t array;
-  interval : int array; (* current checkpoint-interval index *)
   quota : int array;
   sent_p : int array;
   sent_since_ckpt : int array;
@@ -90,7 +85,7 @@ type engine = {
      vector next mutates (checkpoint or merge), which clears the slot *)
   payload_cache : Vclock.t option array;
   stats : stats array;
-  trace : (int * action) list array option; (* per-shard (time, action) log, newest first *)
+  trace : (B.b * (int, int) Hashtbl.t) option; (* traced: builder, message id -> handle *)
 }
 
 (* Block partition: shard s owns the contiguous range of processes
@@ -104,18 +99,14 @@ let shard_of e p = p * e.nshards / e.params.n
    (position, value) varint-free pair per nonzero entry. *)
 let payload_size v = 8 + (16 * Vclock.nnz v)
 
-let log e shard time action =
-  match e.trace with Some logs -> logs.(shard) <- (time, action) :: logs.(shard) | None -> ()
-
 let take_ckpt e ~shard ~time p ~forced =
-  let x = e.interval.(p) in
-  e.interval.(p) <- x + 1;
-  Vclock.set e.vectors.(p) p (x + 1);
+  let v = e.vectors.(p) in
+  Vclock.set v p (Vclock.get v p + 1);
   e.payload_cache.(p) <- None;
   e.sent_since_ckpt.(p) <- 0;
   let st = e.stats.(shard) in
   if forced then st.st_forced <- st.st_forced + 1 else st.st_basic <- st.st_basic + 1;
-  log e shard time (A_ckpt { p; index = x })
+  Option.iter (fun (b, _) -> ignore (B.checkpoint ~time b p)) e.trace
 
 let handler e shard ~time ev =
   let st = e.stats.(shard) in
@@ -146,7 +137,7 @@ let handler e shard ~time ev =
       st.st_bytes <- st.st_bytes + payload_size payload;
       e.sent_p.(p) <- e.sent_p.(p) + 1;
       e.sent_since_ckpt.(p) <- e.sent_since_ckpt.(p) + 1;
-      log e shard time (A_send { src = p; dst; msg });
+      Option.iter (fun (b, handles) -> Hashtbl.replace handles msg (B.send b ~src:p ~dst)) e.trace;
       let dshard = shard_of e dst in
       if dshard = shard then
         Shard.schedule e.core ~shard ~time:(time + 1 + Rng.int rng 3) (Recv { dst; msg; payload })
@@ -157,14 +148,14 @@ let handler e shard ~time ev =
       if e.sent_p.(p) < e.quota.(p) then
         Shard.schedule e.core ~shard ~time:(time + 1 + Rng.int rng 3) (Tick p)
   | Recv { dst; msg; payload } ->
-      (* checkpoint-before-receive: if the process sent anything in its
-         current interval, close the interval before merging — the CBR
-         rule that makes every dependency trackable *)
+      (* NRAS (no receive after send): if the process sent in its current
+         interval, close it before merging — a rule that keeps every
+         pattern RDT *)
       if e.sent_since_ckpt.(dst) > 0 then take_ckpt e ~shard ~time dst ~forced:true;
       Vclock.merge e.vectors.(dst) payload;
       e.payload_cache.(dst) <- None;
       st.st_delivered <- st.st_delivered + 1;
-      log e shard time (A_recv { dst; msg })
+      Option.iter (fun (b, handles) -> B.recv b (Hashtbl.find handles msg)) e.trace
 
 let create ?(traced = false) params =
   (match validate_params params with
@@ -182,7 +173,6 @@ let create ?(traced = false) params =
       nshards;
       core;
       vectors = Array.init n (fun _ -> Vclock.create ~n);
-      interval = Array.make n 0;
       quota;
       sent_p = Array.make n 0;
       sent_since_ckpt = Array.make n 0;
@@ -199,12 +189,11 @@ let create ?(traced = false) params =
               st_bytes = 0;
               st_final_time = 0;
             });
-      trace = (if traced then Some (Array.make nshards []) else None);
+      trace = (if traced then Some (B.create ~n, Hashtbl.create 1024) else None);
     }
   in
   (* mirror the builder: C_{p,0} is taken at creation; entry p becomes 1 *)
   for p = 0 to n - 1 do
-    e.interval.(p) <- 1;
     Vclock.set e.vectors.(p) p 1;
     if quota.(p) > 0 then Shard.schedule core ~shard:(shard_of e p) ~time:(p land 7) (Tick p)
   done;
@@ -250,33 +239,12 @@ let run ?jobs params =
   drive ?jobs e;
   result_of e
 
-(* ------------------------------------------------------------------ *)
-(* Traced runs: a pattern for the offline checkers                     *)
-(* ------------------------------------------------------------------ *)
-
-let build_pattern e =
-  let module B = Rdt_pattern.Pattern.Builder in
-  let logs = match e.trace with Some l -> l | None -> assert false in
-  (* Global linearization: (time, shard, in-shard order).  Valid because
-     every delivery is strictly later than its send (delays >= 1) and a
-     process lives on exactly one shard, so its own order is preserved. *)
-  let entries =
-    Array.to_list (Array.mapi (fun shard l -> List.rev_map (fun (t, a) -> (t, shard, a)) l) logs)
-    |> List.concat
-    |> List.stable_sort (fun (t1, s1, _) (t2, s2, _) -> compare (t1, s1) (t2, s2))
-  in
-  let b = B.create ~n:e.params.n in
-  let handles = Hashtbl.create (max 16 (sum (fun s -> s.st_sent) e)) in
-  List.iter
-    (fun (time, _, action) ->
-      match action with
-      | A_send { src; dst; msg } -> Hashtbl.replace handles msg (B.send b ~src ~dst)
-      | A_recv { msg; _ } -> B.recv b (Hashtbl.find handles msg)
-      | A_ckpt { p; index = _ } -> ignore (B.checkpoint ~time b p))
-    entries;
-  B.finish b
-
+(* Traced runs step one shard at a time, so the builder sees every
+   action in handling order — a valid linearization: a process lives on
+   one shard, a local delivery is at least 1 later than its send, and a
+   cross-shard one at least [lookahead] later, so it lands in an epoch
+   after the one it was sent in. *)
 let run_traced params =
   let e = create ~traced:true params in
   drive ~jobs:1 e;
-  (result_of e, build_pattern e)
+  match e.trace with Some (b, _) -> (result_of e, B.finish b) | None -> assert false

@@ -2,18 +2,19 @@
     event core.
 
     Runs a communication-induced-checkpointing workload — ring-local
-    traffic with checkpoint-before-receive forced checkpoints, the purely
-    local rule that keeps every pattern RDT — over {!Rdt_dist.Shard},
-    with processes partitioned round-robin over shards and every
-    per-process structure sparse ({!Rdt_dist.Vclock} dependency vectors
-    piggybacked on messages).  Everything a run prints or returns is a
-    pure function of {!params}: the shard count is derived from [n]
-    (never from [jobs]), every process draws from its own
-    {!Rdt_dist.Rng.derive_seed} stream, and cross-shard merges are
-    ordered by the seeded tiebreak — so results are bit-identical for
-    every [jobs] value.  This is the BENCH-SCALE workhorse (events/sec,
-    bytes/process at n = 10_000, 10^6 messages) and, at small [n], a
-    trace source the offline checkers can audit. *)
+    traffic under NRAS (no receive after send: a process that has sent
+    in its current interval takes a forced checkpoint before its next
+    delivery), the purely local rule that keeps every pattern RDT — over
+    {!Rdt_dist.Shard}, with processes mapped to shards in contiguous
+    blocks and every per-process structure sparse (a {!Rdt_dist.Vclock}
+    transitive dependency vector piggybacked on every message).
+    Everything a run prints or returns is a pure function of {!params}:
+    the shard count is derived from [n] (never from [jobs]), every
+    process draws from its own {!Rdt_dist.Rng.derive_seed} stream, and
+    cross-shard merges are ordered by the seeded tiebreak — so results
+    are bit-identical for every [jobs] value.  This is the BENCH-SCALE
+    workhorse (events/sec, bytes/process at n = 10_000, 10^6 messages)
+    and, at small [n], a trace source the offline checkers can audit. *)
 
 type params = {
   n : int;  (** processes (>= 2) *)
@@ -54,5 +55,7 @@ val run_traced : params -> result * Rdt_pattern.Pattern.t
 (** Sequential run that also materializes the checkpoint-and-
     communication pattern for the offline checkers ({!Rdt_core.Checker})
     — the differential witness that the sharded engine produces real,
-    checkable executions.  Memory is O(events): use small [n].  The
-    result equals {!run}'s for the same params. *)
+    checkable executions.  The pattern is recorded in handling order,
+    one shard's epoch after another, cross-shard deliveries included.
+    Memory is O(events): use small [n].  The result equals {!run}'s for
+    the same params. *)

@@ -1,9 +1,9 @@
 (* The scaled engine: determinism across worker counts, conservation of
    the deterministic counters, and — the acceptance witness — agreement
    of all four offline checker algorithms plus the online engine on a
-   pattern the sharded core actually produced.  The CBR forced-checkpoint
-   rule is purely local and guarantees RDT, so every traced pattern must
-   verify clean. *)
+   pattern the sharded core actually produced.  The NRAS forced-checkpoint
+   rule (no receive after a send in one interval) is purely local and
+   guarantees RDT, so every traced pattern must verify clean. *)
 
 module Scale = Rdt_harness.Scale
 module Checker = Rdt_core.Checker
@@ -51,11 +51,13 @@ let test_shards_independent_of_jobs () =
   Alcotest.(check int) "single shard for tiny n" 1 (shards ~jobs:1 64)
 
 (* the acceptance criterion: four Checker.run algorithms + the online
-   engine agree on traces of the sharded engine *)
+   engine agree on traces of the sharded engine.  The last two cases span
+   2 and 4 shards, so cross-shard deliveries reach the traced pattern. *)
 let test_checkers_agree_on_traced_run () =
   List.iter
-    (fun (n, messages, seed) ->
+    (fun (n, messages, seed, shards) ->
       let r, pat = Scale.run_traced (params ~n ~messages ~seed) in
+      Alcotest.(check int) "shard count" shards r.Scale.shards;
       check "traced = untraced result" true (r = Scale.run ~jobs:1 (params ~n ~messages ~seed));
       Alcotest.(check int) "pattern carries every message" messages (P.num_messages pat);
       (match P.validate pat with
@@ -65,12 +67,18 @@ let test_checkers_agree_on_traced_run () =
       List.iter
         (fun (rep : Checker.report) ->
           check
-            (Printf.sprintf "algo %s says RDT (CBR guarantees it)" (Checker.algo_name rep.Checker.algo))
+            (Printf.sprintf "algo %s says RDT (NRAS guarantees it)" (Checker.algo_name rep.Checker.algo))
             true rep.Checker.rdt)
         reports;
       let t = Online.check_pattern pat in
       check "online engine agrees" true (Online.rdt_so_far t))
-    [ (16, 200, 3); (64, 800, 7); (128, 1_500, 42) ]
+    [
+      (16, 200, 3, 1);
+      (64, 800, 7, 1);
+      (128, 1_500, 42, 1);
+      (600, 3_000, 9, 2);
+      (1_024, 4_000, 13, 4);
+    ]
 
 let () =
   Alcotest.run "rdt_scale"

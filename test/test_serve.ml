@@ -45,19 +45,28 @@ let serial events =
   | Ok t -> t
   | Error e -> Alcotest.failf "serial oracle rejected trace: %s" e
 
-let scratch_dir =
-  let counter = ref 0 in
-  fun tag ->
-    incr counter;
-    let d =
-      Filename.concat
-        (Filename.get_temp_dir_name ())
-        (Printf.sprintf "rdt-test-serve-%d-%s-%d" (Unix.getpid ()) tag !counter)
-    in
-    Unix.mkdir d 0o755;
-    d
+let rec rm_rf path =
+  if Sys.is_directory path then begin
+    Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
+    Unix.rmdir path
+  end
+  else Sys.remove path
 
-let scratch_socket tag = Filename.concat (scratch_dir tag) "s.sock"
+let scratch_counter = ref 0
+
+(* [f] runs on a fresh directory, removed with everything under it (a
+   durable root nests one directory per stream) when [f] returns or raises *)
+let with_scratch_dir tag f =
+  incr scratch_counter;
+  let d =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "rdt-test-serve-%d-%s-%d" (Unix.getpid ()) tag !scratch_counter)
+  in
+  Unix.mkdir d 0o755;
+  Fun.protect ~finally:(fun () -> rm_rf d) (fun () -> f d)
+
+let with_scratch_socket tag f = with_scratch_dir tag (fun d -> f (Filename.concat d "s.sock"))
 
 (* ------------------------------------------------------------------ *)
 (* In-process pump                                                     *)
@@ -416,7 +425,7 @@ let rejected server p =
   expect server p (function W.Rejected { code; error } -> Some (code, error) | _ -> None)
 
 let test_hello_rejections () =
-  let socket = scratch_socket "hello" in
+  with_scratch_socket "hello" @@ fun socket ->
   with_server (Server.default_config ~socket) (fun server ->
       (* wrong protocol version *)
       let p = peer ~socket in
@@ -483,7 +492,7 @@ let refused_as_protocol what reply =
 
 (* A version-1 client speaks JSON, which [Client] cannot. *)
 let test_v1_hello_refused () =
-  let dir = scratch_dir "v1" in
+  with_scratch_dir "v1" @@ fun dir ->
   let socket = Filename.concat dir "s.sock" and root = Filename.concat dir "state" in
   with_server { (Server.default_config ~socket) with Server.durable_root = Some root }
   @@ fun server ->
@@ -495,7 +504,7 @@ let test_v1_hello_refused () =
 (* An [Events] body past [Wire.max_events] is refused as it is decoded,
    ahead of the first-frame check, so it creates nothing. *)
 let test_oversized_events_refused () =
-  let socket = scratch_socket "oversized" in
+  with_scratch_socket "oversized" @@ fun socket ->
   with_server (Server.default_config ~socket) @@ fun server ->
   let reply = raw_reply server ~socket (Lazy.force one_mib_body) in
   let error = refused_as_protocol "a 1 MiB events body" reply in
@@ -516,7 +525,7 @@ let stream_specs =
   ]
 
 let test_differential () =
-  let socket = scratch_socket "diff" in
+  with_scratch_socket "diff" @@ fun socket ->
   let n = 4 in
   let material =
     List.map
@@ -575,7 +584,7 @@ let test_differential () =
 (* ------------------------------------------------------------------ *)
 
 let test_queries_vs_oracles () =
-  let socket = scratch_socket "query" in
+  with_scratch_socket "query" @@ fun socket ->
   let n = 5 in
   let events = recorded ~n ~messages:150 ~protocol:"bhmr" ~seed:11 () in
   let oracle = serial events in
@@ -646,7 +655,7 @@ let test_queries_vs_oracles () =
 (* ------------------------------------------------------------------ *)
 
 let test_reattach_mid_stream () =
-  let socket = scratch_socket "reattach" in
+  with_scratch_socket "reattach" @@ fun socket ->
   let n = 4 in
   (* the violating stream: the disconnect lands mid-cascade for some
      split points, the reattached client must still converge *)
@@ -689,7 +698,7 @@ let test_reattach_mid_stream () =
 (* ------------------------------------------------------------------ *)
 
 let test_backpressure () =
-  let socket = scratch_socket "bp" in
+  with_scratch_socket "bp" @@ fun socket ->
   let n = 4 in
   let events = recorded ~n ~messages:120 ~protocol:"bhmr" ~seed:5 () in
   let expected = Online.summary (serial events) in
@@ -734,7 +743,7 @@ let test_backpressure () =
    socket dropped from the read set by backpressure, a blocking poll
    would idle through the whole tick while [max_batch] bounds each apply. *)
 let test_queued_work_does_not_stall () =
-  let socket = scratch_socket "stall" in
+  with_scratch_socket "stall" @@ fun socket ->
   let n = 4 in
   let events = recorded ~n ~messages:120 ~protocol:"bhmr" ~seed:5 () in
   let meter = Meter.create () in
@@ -765,7 +774,7 @@ let test_durable_crash_resume () =
   let events = recorded ~n ~messages:80 ~protocol:"bhmr" ~seed:9 () in
   let expected = Online.summary (serial events) in
   let total = List.length events in
-  let dir = scratch_dir "crash" in
+  with_scratch_dir "crash" @@ fun dir ->
   let socket = Filename.concat dir "s.sock" in
   let cfg =
     {
@@ -813,7 +822,7 @@ let test_sync_ack_survives_kill () =
   let events = recorded ~n ~messages:80 ~protocol:"bhmr" ~seed:10 () in
   let expected = Online.summary (serial events) in
   let total = List.length events in
-  let dir = scratch_dir "sync-ack" in
+  with_scratch_dir "sync-ack" @@ fun dir ->
   let socket = Filename.concat dir "s.sock" in
   let cfg =
     {
