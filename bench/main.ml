@@ -215,10 +215,13 @@ let durable_tests =
    ([join] with a no-op callback), so the two differ by the join alone.
    [online/zcycle]: one step is a fresh [Online] fed, as one batch, the
    first 1,000 events of a protocol-none run at n = 4, whose Z-cycles
-   make every R-edge propagate through the max-reach joins. *)
+   make every R-edge propagate through the max-reach joins.
+   [queue/schedule-pop]: the event engine's queue held at 64 entries; a
+   step pops the earliest and schedules it again 1 to 64 ticks later. *)
 let kernel_tests =
   let module Vclock = Rdt_dist.Vclock in
   let module Online = Rdt_check.Online in
+  let module Event_queue = Rdt_dist.Event_queue in
   let events = Lazy.force watch_shape in
   let tdvs =
     Array.to_list events
@@ -267,6 +270,13 @@ let kernel_tests =
         let t = Online.create ~n:4 () in
         Array.iter (Online.observe t) zcycle_prefix;
         ignore (Online.zcycle t));
+    (let delays = Array.init 64 (fun k -> 1 + (k * 37 mod 64)) in
+     let q = Event_queue.create () in
+     Array.iteri (fun k d -> Event_queue.schedule q ~time:d k) delays;
+     batched ~steps:1_000 "queue/schedule-pop" (fun i ->
+         match Event_queue.pop q with
+         | Some (t, k) -> Event_queue.schedule q ~time:(t + delays.(i land 63)) k
+         | None -> assert false));
   ]
 
 let run_micro ~report () =

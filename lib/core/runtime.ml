@@ -396,8 +396,9 @@ let run cfg =
       incr owed;
       let payload = P.make_payload states.(src) ~dst in
       if not live then begin
-        if msg = Array.length !msgs then
-          msgs := Array.append !msgs (Array.make msg !msgs.(0));
+        (* doubled by appending to itself, never by an [Array.make]
+           seeded with a (maybe young) record: see DESIGN.md § Scaling *)
+        if msg = Array.length !msgs then msgs := Array.append !msgs !msgs;
         !msgs.(msg) <-
           {
             src;

@@ -106,7 +106,8 @@ let take_ckpt e ~shard ~time p ~forced =
   e.sent_since_ckpt.(p) <- 0;
   let st = e.stats.(shard) in
   if forced then st.st_forced <- st.st_forced + 1 else st.st_basic <- st.st_basic + 1;
-  Option.iter (fun (b, _) -> ignore (B.checkpoint ~time b p)) e.trace
+  let kind = if forced then Rdt_pattern.Types.Forced else Rdt_pattern.Types.Basic in
+  Option.iter (fun (b, _) -> ignore (B.checkpoint ~kind ~time b p)) e.trace
 
 let handler e shard ~time ev =
   let st = e.stats.(shard) in

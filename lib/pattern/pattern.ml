@@ -12,6 +12,31 @@ type t = {
 (* ------------------------------------------------------------------ *)
 
 module Builder = struct
+  (* [finish] seeds its arrays with these static constants, never with a
+     freshly built element: OCaml's [Array.make] of more than 256 words
+     runs a minor collection first when its seed is a young block, which
+     would promote the whole run's builder state. *)
+  let dummy_ckpt = { Types.owner = 0; index = 0; kind = Types.Initial; pos = 0; time = 0; tdv = None }
+
+  let dummy_message =
+    {
+      Types.id = 0;
+      src = 0;
+      dst = 0;
+      send_pos = 0;
+      recv_pos = 0;
+      send_interval = 0;
+      recv_interval = 0;
+      send_gseq = 0;
+      recv_gseq = 0;
+    }
+
+  (* [Array.of_list (List.rev l)] for the [len]-element list [l] *)
+  let rev_to_array seed len l =
+    let a = Array.make len seed in
+    List.iteri (fun k x -> a.(len - 1 - k) <- x) l;
+    a
+
   type pending_msg = {
     p_id : int;
     p_src : int;
@@ -168,29 +193,30 @@ module Builder = struct
       if not last_is_ckpt then ignore (checkpoint_unchecked ~kind:Types.Final b i)
     done;
     b.frozen <- true;
-    let events = Array.map (fun p -> Array.of_list (List.rev p.evs)) b.procs in
+    let events = Array.map (fun p -> rev_to_array Types.Internal p.n_events p.evs) b.procs in
     (* gseqs are assigned in push order, so the log read backwards is
        the whole global order *)
     let order = Array.make b.next_gseq 0 in
     List.iteri (fun k i -> order.(b.next_gseq - 1 - k) <- i) b.log;
-    let ckpts = Array.map (fun p -> Array.of_list (List.rev p.cks)) b.procs in
-    let msgs =
-      Array.init b.n_msgs (fun id ->
-          match b.msgs.(id) with
-          | None -> assert false
-          | Some m ->
-              {
-                Types.id = m.p_id;
-                src = m.p_src;
-                dst = m.p_dst;
-                send_pos = m.p_send_pos;
-                recv_pos = m.p_recv_pos;
-                send_interval = m.p_send_interval;
-                recv_interval = m.p_recv_interval;
-                send_gseq = m.p_send_gseq;
-                recv_gseq = m.p_recv_gseq;
-              })
-    in
+    let ckpts = Array.map (fun p -> rev_to_array dummy_ckpt p.n_ckpts p.cks) b.procs in
+    let msgs = Array.make b.n_msgs dummy_message in
+    for id = 0 to b.n_msgs - 1 do
+      match b.msgs.(id) with
+      | None -> assert false
+      | Some m ->
+          msgs.(id) <-
+            {
+              Types.id = m.p_id;
+              src = m.p_src;
+              dst = m.p_dst;
+              send_pos = m.p_send_pos;
+              recv_pos = m.p_recv_pos;
+              send_interval = m.p_send_interval;
+              recv_interval = m.p_recv_interval;
+              send_gseq = m.p_send_gseq;
+              recv_gseq = m.p_recv_gseq;
+            }
+    done;
     let sends =
       Array.map
         (fun evs ->

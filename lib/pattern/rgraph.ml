@@ -191,6 +191,11 @@ let scc g =
   if Option.is_none g.scc then g.scc <- Some (compute_scc g);
   Option.get g.scc
 
+(* Seeds [max_src]'s array, filled right after.  Module-level, so old by
+   the time a run is checked: an [Array.make] of more than 256 words
+   seeded with a young block runs a minor collection first. *)
+let dummy = Vclock.create ~n:1
+
 (* [max_src.(id)] holds, per process i, 1 + the greatest x with
    C_{i,x} ~> some node of SCC [id] (0: no such x) — the encoding of
    [Online.max_reach].  Every predecessor SCC has a larger Tarjan id, so
@@ -202,7 +207,10 @@ let max_src g =
   | None ->
       let scc_of, order, nontrivial = scc g in
       let n = Pattern.n g.pat in
-      let m = Array.init (Array.length nontrivial) (fun _ -> Vclock.create ~n) in
+      let m = Array.make (Array.length nontrivial) dummy in
+      for id = 0 to Array.length m - 1 do
+        m.(id) <- Vclock.create ~n
+      done;
       (* x ascends, so the last write per (SCC, process) is the maximum *)
       for i = 0 to n - 1 do
         for x = 0 to Pattern.last_index g.pat i do

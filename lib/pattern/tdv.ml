@@ -14,13 +14,18 @@ type t = {
   dense : int array option array array; (* memoized [at] views *)
 }
 
+(* Seeds the snapshot, payload and frozen arrays.  Module-level, so old
+   by the time a run is checked: an [Array.make] of more than 256 words
+   seeded with a young block runs a minor collection first.  Never
+   handed out: every slot is written before it is read. *)
+let dummy = Vclock.create ~n:1
+
 let compute pat =
   let n = Pattern.n pat in
   let vectors = Array.init n (fun _ -> Vclock.create ~n) in
   (* Entry i of P_i's vector is the index of the current interval; it is 0
      until the initial checkpoint C_{i,0} is taken (first event of each
      process), after which it is x+1 for the last checkpoint x. *)
-  let dummy = Vclock.create ~n in
   let snapshots =
     Array.init n (fun i -> Array.map (fun _ -> dummy) (Pattern.checkpoints pat i))
   in

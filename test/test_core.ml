@@ -400,6 +400,31 @@ let test_runtime_forced_counts_match_pattern () =
              if c.Rdt_pattern.Types.kind = Rdt_pattern.Types.Forced then acc + 1 else acc)))
     [ "bhmr"; "fdas"; "cbr"; "cas" ]
 
+(* OCaml 5's [Array.make]/[init]/[map]/[of_list] of more than 256 words
+   run a minor collection when their seed is a young block, promoting
+   everything the run has built so far.  With a minor heap far larger
+   than a run allocates, any collection during a run and its check is
+   such a forced one; a run that takes none has no young-seeded array
+   on its path. *)
+let test_runtime_no_forced_minor_collections () =
+  let saved = Gc.get () in
+  Gc.set { saved with Gc.minor_heap_size = 8 lsl 20 };
+  Fun.protect
+    ~finally:(fun () -> Gc.set saved)
+    (fun () ->
+      List.iter
+        (fun (pname, envname) ->
+          Gc.minor ();
+          let before = (Gc.quick_stat ()).Gc.minor_collections in
+          let r = run ~n:16 ~messages:400 ~envname pname in
+          ignore (Checker.run r.Runtime.pattern);
+          Alcotest.(check int)
+            (Printf.sprintf "%s/%s minor collections" pname envname)
+            before (Gc.quick_stat ()).Gc.minor_collections)
+        (List.concat_map
+           (fun p -> List.map (fun e -> (p, e)) [ "random"; "group"; "client-server" ])
+           [ "fdas"; "bhmr" ]))
+
 (* ------------------------------------------------------------------ *)
 (* The RDT matrix: every protocol × every environment                  *)
 (* ------------------------------------------------------------------ *)
@@ -868,6 +893,8 @@ let () =
           Alcotest.test_case "valid patterns" `Quick test_runtime_valid_pattern;
           Alcotest.test_case "bad config" `Quick test_runtime_bad_config;
           Alcotest.test_case "forced counts" `Quick test_runtime_forced_counts_match_pattern;
+          Alcotest.test_case "no forced minor collections" `Quick
+            test_runtime_no_forced_minor_collections;
         ] );
       ( "rdt-property",
         [

@@ -1,8 +1,7 @@
-(* Tests for the rdt_dist substrate: PRNG, heap, event queue, logical
+(* Tests for the rdt_dist substrate: PRNG, event queue, logical
    clocks, channel models. *)
 
 module Rng = Rdt_dist.Rng
-module Heap = Rdt_dist.Heap
 module Event_queue = Rdt_dist.Event_queue
 module Vclock = Rdt_dist.Vclock
 module Channel = Rdt_dist.Channel
@@ -124,35 +123,22 @@ let test_rng_pick () =
   done
 
 (* ------------------------------------------------------------------ *)
-(* Heap                                                                *)
-(* ------------------------------------------------------------------ *)
-
-let test_heap_basic () =
-  let h = Heap.create ~cmp:compare in
-  check "empty" true (Heap.is_empty h);
-  Alcotest.(check (option int)) "peek empty" None (Heap.peek h);
-  Alcotest.(check (option int)) "pop empty" None (Heap.pop h);
-  Heap.add h 3;
-  Heap.add h 1;
-  Heap.add h 2;
-  Alcotest.(check (option int)) "peek min" (Some 1) (Heap.peek h);
-  Alcotest.(check (option int)) "pop 1" (Some 1) (Heap.pop h);
-  Alcotest.(check (option int)) "pop 2" (Some 2) (Heap.pop h);
-  Alcotest.(check (option int)) "pop 3" (Some 3) (Heap.pop h);
-  check "empty again" true (Heap.is_empty h)
-
-let heap_sorts =
-  QCheck.Test.make ~name:"heap sorts any int list" ~count:300
-    QCheck.(list int)
-    (fun xs ->
-      let h = Heap.create ~cmp:compare in
-      List.iter (Heap.add h) xs;
-      let rec drain acc = match Heap.pop h with None -> List.rev acc | Some x -> drain (x :: acc) in
-      drain [] = List.sort compare xs)
-
-(* ------------------------------------------------------------------ *)
 (* Event queue                                                         *)
 (* ------------------------------------------------------------------ *)
+
+let test_queue_basic () =
+  let q = Event_queue.create () in
+  check "empty" true (Event_queue.is_empty q);
+  Alcotest.(check (option int)) "peek empty" None (Event_queue.peek_time q);
+  Alcotest.(check (option (pair int unit))) "pop empty" None (Event_queue.pop q);
+  Event_queue.schedule q ~time:3 ();
+  Event_queue.schedule q ~time:1 ();
+  Event_queue.schedule q ~time:2 ();
+  Alcotest.(check (option int)) "peek min" (Some 1) (Event_queue.peek_time q);
+  Alcotest.(check (option (pair int unit))) "pop 1" (Some (1, ())) (Event_queue.pop q);
+  Alcotest.(check (option (pair int unit))) "pop 2" (Some (2, ())) (Event_queue.pop q);
+  Alcotest.(check (option (pair int unit))) "pop 3" (Some (3, ())) (Event_queue.pop q);
+  check "empty again" true (Event_queue.is_empty q)
 
 let test_queue_time_order () =
   let q = Event_queue.create () in
@@ -324,13 +310,9 @@ let () =
           Alcotest.test_case "shuffle permutation" `Quick test_rng_shuffle_permutation;
           Alcotest.test_case "pick" `Quick test_rng_pick;
         ] );
-      ( "heap",
-        [
-          Alcotest.test_case "basic" `Quick test_heap_basic;
-          q heap_sorts;
-        ] );
       ( "event_queue",
         [
+          Alcotest.test_case "basic" `Quick test_queue_basic;
           Alcotest.test_case "time order" `Quick test_queue_time_order;
           Alcotest.test_case "fifo ties" `Quick test_queue_fifo_ties;
           Alcotest.test_case "negative time" `Quick test_queue_negative_time;

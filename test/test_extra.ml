@@ -4,7 +4,6 @@
 
 module Rng = Rdt_dist.Rng
 module Vclock = Rdt_dist.Vclock
-module Heap = Rdt_dist.Heap
 module Event_queue = Rdt_dist.Event_queue
 module P = Rdt_pattern.Pattern
 module T = Rdt_pattern.Types
@@ -56,12 +55,6 @@ let test_rng_error_paths () =
       ignore (Rng.exponential_int rng ~mean:0));
   Alcotest.check_raises "pick empty" (Invalid_argument "Rng.pick: empty array") (fun () ->
       ignore (Rng.pick rng [||]))
-
-let test_heap_custom_order () =
-  let h = Heap.create ~cmp:(fun a b -> compare b a) in
-  List.iter (Heap.add h) [ 5; 1; 9; 3 ];
-  Alcotest.(check (option int)) "max first" (Some 9) (Heap.pop h);
-  Alcotest.(check (option int)) "then the next largest" (Some 5) (Heap.pop h)
 
 let test_queue_interleaved () =
   let q = Event_queue.create () in
@@ -381,7 +374,6 @@ let () =
         [
           Alcotest.test_case "vclock" `Quick test_vclock_edges;
           Alcotest.test_case "rng errors" `Quick test_rng_error_paths;
-          Alcotest.test_case "heap custom order" `Quick test_heap_custom_order;
           Alcotest.test_case "queue interleaved" `Quick test_queue_interleaved;
         ] );
       ( "pattern-edges",

@@ -9,6 +9,7 @@ module Scale = Rdt_harness.Scale
 module Checker = Rdt_core.Checker
 module Online = Rdt_check.Online
 module P = Rdt_pattern.Pattern
+module Types = Rdt_pattern.Types
 
 let check = Alcotest.(check bool)
 
@@ -60,6 +61,9 @@ let test_checkers_agree_on_traced_run () =
       Alcotest.(check int) "shard count" shards r.Scale.shards;
       check "traced = untraced result" true (r = Scale.run ~jobs:1 (params ~n ~messages ~seed));
       Alcotest.(check int) "pattern carries every message" messages (P.num_messages pat);
+      let count kind = P.fold_ckpts pat ~init:0 ~f:(fun k c -> if c.Types.kind = kind then k + 1 else k) in
+      Alcotest.(check int) "forced checkpoints in the pattern" r.Scale.ckpts_forced (count Types.Forced);
+      Alcotest.(check int) "basic checkpoints in the pattern" r.Scale.ckpts_basic (count Types.Basic);
       (match P.validate pat with
       | Ok () -> ()
       | Error e -> Alcotest.fail ("invalid pattern from sharded engine: " ^ e));
