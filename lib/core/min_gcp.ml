@@ -17,21 +17,9 @@ let maximum_of_set pat cks = Consistency.max_consistent_containing pat cks
 
 module Rgraph = Rdt_pattern.Rgraph
 
-let pin_list pat cks =
-  let n = Pattern.n pat in
-  let pinned = Array.make n (-1) in
-  List.iter
-    (fun (i, x) ->
-      ignore (Pattern.ckpt pat (i, x));
-      if pinned.(i) >= 0 && pinned.(i) <> x then
-        invalid_arg "Min_gcp: two checkpoints of the same process in the set";
-      pinned.(i) <- x)
-    cks;
-  pinned
-
 let minimum_by_tdv pat cks =
   let n = Pattern.n pat in
-  let pinned = pin_list pat cks in
+  let pinned = Consistency.pin_set pat cks in
   let tdv = Tdv.compute pat in
   let v = Array.make n 0 in
   List.iter
@@ -49,7 +37,7 @@ let minimum_by_tdv pat cks =
 
 let maximum_by_rgraph pat cks =
   let n = Pattern.n pat in
-  let pinned = pin_list pat cks in
+  let pinned = Consistency.pin_set pat cks in
   let g = Rgraph.build pat in
   let v = Array.init n (fun j -> Pattern.last_index pat j) in
   List.iter

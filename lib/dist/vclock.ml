@@ -49,15 +49,20 @@ let remove_at v k =
   Array.blit v.vals (k + 1) v.vals k (v.nnz - k - 1);
   v.nnz <- v.nnz - 1
 
-let insert_at v k i x =
-  if v.nnz = Array.length v.idx then begin
-    let cap = max 4 (2 * v.nnz) in
+(* Room for [m] entries, growing geometrically so a run of inserts or
+   joins amortizes its copies. *)
+let reserve v m =
+  if Array.length v.idx < m then begin
+    let cap = max m (max 4 (2 * Array.length v.idx)) in
     let idx = Array.make cap 0 and vals = Array.make cap 0 in
     Array.blit v.idx 0 idx 0 v.nnz;
     Array.blit v.vals 0 vals 0 v.nnz;
     v.idx <- idx;
     v.vals <- vals
-  end;
+  end
+
+let insert_at v k i x =
+  reserve v (v.nnz + 1);
   Array.blit v.idx k v.idx (k + 1) (v.nnz - k);
   Array.blit v.vals k v.vals (k + 1) (v.nnz - k);
   v.idx.(k) <- i;
@@ -102,15 +107,7 @@ let join v w ~f =
   done;
   if !rises then begin
     let m = !union in
-    if Array.length v.idx < m then begin
-      (* grow geometrically so a run of joins amortizes its copies *)
-      let cap = max m (max 4 (2 * Array.length v.idx)) in
-      let idx = Array.make cap 0 and vals = Array.make cap 0 in
-      Array.blit v.idx 0 idx 0 v.nnz;
-      Array.blit v.vals 0 vals 0 v.nnz;
-      v.idx <- idx;
-      v.vals <- vals
-    end;
+    reserve v m;
     let i = ref (v.nnz - 1) and j = ref (w.nnz - 1) and k = ref (m - 1) in
     while !j >= 0 do
       let wi = w.idx.(!j) and x = w.vals.(!j) in

@@ -58,7 +58,7 @@ let execute (sc : Scenario.t) eng collect =
   in
   (r.pattern, r.transport)
 
-let audit ?mutation (sc : Scenario.t) eng events pat transport_stats =
+let audit ?mutation (sc : Scenario.t) eng events pat (rg : Checker.report) transport_stats =
   let fail kind detail = Fail { kind; detail } in
   (* 1. the run must have drained: with a transport, every accepted
      message ended delivered or abandoned *)
@@ -83,7 +83,6 @@ let audit ?mutation (sc : Scenario.t) eng events pat transport_stats =
                (String.concat ", " (List.map string_of_int orphans)))
       | [] ->
           (* 3. all four checker algorithms and the live engine agree *)
-          let rg = Checker.run pat in
           let rg_verdict =
             match mutation with Some Flip_rgraph -> not rg.Checker.rdt | _ -> rg.Checker.rdt
           in
@@ -141,11 +140,12 @@ let run ?mutation sc =
       let acc = ref [] in
       let collect = Trace.observer (fun ev -> acc := ev :: !acc) in
       let eng = Online.create ~n:sc.n () in
-      let outcome, events, pat =
+      let outcome, events, rdt =
         match execute sc eng collect with
         | pat, stats ->
             let events = List.rev !acc in
-            (audit ?mutation sc eng events pat stats, events, Some pat)
+            let rg = Checker.run pat in
+            (audit ?mutation sc eng events pat rg stats, events, rg.Checker.rdt)
         | exception Online.Inconsistent e ->
             ( Fail
                 {
@@ -153,11 +153,11 @@ let run ?mutation sc =
                   detail = Printf.sprintf "online engine rejected the live stream: %s" e;
                 },
               List.rev !acc,
-              None )
+              false )
         | exception e ->
             ( Fail { kind = Crash; detail = Printexc.to_string e },
               List.rev !acc,
-              None )
+              false )
       in
       (match outcome with
       | Pass -> Meter.incr Meter.default "fuzz.ok"
@@ -166,7 +166,7 @@ let run ?mutation sc =
         scenario = sc;
         outcome;
         events;
-        rdt = (match pat with Some p -> (Checker.run p).Checker.rdt | None -> false);
+        rdt;
         first_violation = Online.first_violation eng;
       })
 

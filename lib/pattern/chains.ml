@@ -1,61 +1,50 @@
 type reach = { earliest : int array; reached_msgs : bool array }
 
-(* ------------------------------------------------------------------ *)
-(* Window arithmetic on the per-process send arrays                    *)
-(* ------------------------------------------------------------------ *)
-
-(* First slot of [sends] whose send position is > [pos]. *)
-let first_send_after pat sends pos =
-  let msgs = Pattern.messages pat in
+(* First slot of [sends] whose [key] is >= [from]; [key] (a send
+   position or interval) never decreases along [sends]. *)
+let first_send msgs sends (key : Types.message -> int) from =
   let lo = ref 0 and hi = ref (Array.length sends) in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
-    if msgs.(sends.(mid)).Types.send_pos > pos then hi := mid else lo := mid + 1
+    if key msgs.(sends.(mid)) >= from then hi := mid else lo := mid + 1
   done;
   !lo
 
-(* First slot of [sends] whose send interval is >= [itv]. *)
-let first_send_in_interval pat sends itv =
-  let msgs = Pattern.messages pat in
-  let lo = ref 0 and hi = ref (Array.length sends) in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if msgs.(sends.(mid)).Types.send_interval >= itv then hi := mid else lo := mid + 1
-  done;
-  !lo
+let send_pos (m : Types.message) = m.Types.send_pos
 
-(* ------------------------------------------------------------------ *)
-(* Causal relaxation: frontier = earliest delivery *position* reached  *)
-(* ------------------------------------------------------------------ *)
+let send_interval (m : Types.message) = m.Types.send_interval
 
-let relax_causal pat ~seed_pid ~lo ~hi =
-  let n = Pattern.n pat in
+(* One worklist for both kinds of chain.  The seeds are the sends of
+   [seed_pid] at positions in [from, until).  A delivery of
+   [m] at P_j lets the chain go on with the sends of P_j from its bound
+   on: the next position for a causal chain, the delivery's own interval
+   for a Z-path.  [frontier.(j)] is the least bound reached so far, so a
+   delivery enables only the sends in [bound, frontier.(j)) that no
+   earlier one did, and each message is relaxed at most once. *)
+let relax pat ~zigzag ~seed_pid ~from ~until =
   let msgs = Pattern.messages pat in
-  let nm = Array.length msgs in
-  let best_pos = Array.make n max_int in
-  let earliest = Array.make n max_int in
-  let reached = Array.make nm false in
-  let work = ref [] in
-  let push id =
-    if not reached.(id) then begin
-      reached.(id) <- true;
-      work := id :: !work
-    end
+  let key, bound =
+    if zigzag then (send_interval, fun m -> m.Types.recv_interval)
+    else (send_pos, fun m -> m.Types.recv_pos + 1)
   in
-  (* Enable the sends of process [j] at positions in the open window
-     (win_lo, win_hi). *)
-  let enable j ~win_lo ~win_hi =
+  let frontier = Array.make (Pattern.n pat) max_int in
+  let earliest = Array.make (Pattern.n pat) max_int in
+  let reached = Array.make (Array.length msgs) false in
+  let work = ref [] in
+  let enable j (key : Types.message -> int) ~from ~until =
     let sends = Pattern.sends_of pat j in
-    let k = ref (first_send_after pat sends win_lo) in
-    while
-      !k < Array.length sends && msgs.(sends.(!k)).Types.send_pos < win_hi
-    do
-      push sends.(!k);
+    let k = ref (first_send msgs sends key from) in
+    while !k < Array.length sends && key msgs.(sends.(!k)) < until do
+      let id = sends.(!k) in
+      if not reached.(id) then begin
+        reached.(id) <- true;
+        work := id :: !work
+      end;
       incr k
     done
   in
-  enable seed_pid ~win_lo:lo ~win_hi:hi;
-  while !work <> [] do
+  enable seed_pid send_pos ~from ~until;
+  let rec drain () =
     match !work with
     | [] -> ()
     | id :: rest ->
@@ -63,120 +52,50 @@ let relax_causal pat ~seed_pid ~lo ~hi =
         let m = msgs.(id) in
         let j = m.Types.dst in
         if m.Types.recv_interval < earliest.(j) then earliest.(j) <- m.Types.recv_interval;
-        if m.Types.recv_pos < best_pos.(j) then begin
-          let old = best_pos.(j) in
-          best_pos.(j) <- m.Types.recv_pos;
-          enable j ~win_lo:m.Types.recv_pos ~win_hi:old
-        end
-  done;
-  { earliest; reached_msgs = reached }
-
-(* ------------------------------------------------------------------ *)
-(* Zigzag relaxation: frontier = earliest delivery *interval* reached  *)
-(* ------------------------------------------------------------------ *)
-
-let relax_zigzag pat ~seed_pid ~lo ~hi =
-  let n = Pattern.n pat in
-  let msgs = Pattern.messages pat in
-  let nm = Array.length msgs in
-  let best_itv = Array.make n max_int in
-  let earliest = Array.make n max_int in
-  let reached = Array.make nm false in
-  let work = ref [] in
-  let push id =
-    if not reached.(id) then begin
-      reached.(id) <- true;
-      work := id :: !work
-    end
+        let b = bound m in
+        if b < frontier.(j) then begin
+          let until = frontier.(j) in
+          frontier.(j) <- b;
+          enable j key ~from:b ~until
+        end;
+        drain ()
   in
-  (* Enable the sends of process [j] whose interval lies in
-     [itv_lo, itv_hi). *)
-  let enable_intervals j ~itv_lo ~itv_hi =
-    let sends = Pattern.sends_of pat j in
-    let k = ref (first_send_in_interval pat sends itv_lo) in
-    while
-      !k < Array.length sends && msgs.(sends.(!k)).Types.send_interval < itv_hi
-    do
-      push sends.(!k);
-      incr k
-    done
-  in
-  (* Seeds are selected by position window, like the causal case. *)
-  let enable_positions j ~win_lo ~win_hi =
-    let sends = Pattern.sends_of pat j in
-    let k = ref (first_send_after pat sends win_lo) in
-    while
-      !k < Array.length sends && msgs.(sends.(!k)).Types.send_pos < win_hi
-    do
-      push sends.(!k);
-      incr k
-    done
-  in
-  enable_positions seed_pid ~win_lo:lo ~win_hi:hi;
-  while !work <> [] do
-    match !work with
-    | [] -> ()
-    | id :: rest ->
-        work := rest;
-        let m = msgs.(id) in
-        let j = m.Types.dst in
-        let y = m.Types.recv_interval in
-        if y < earliest.(j) then earliest.(j) <- y;
-        if y < best_itv.(j) then begin
-          let old = best_itv.(j) in
-          best_itv.(j) <- y;
-          enable_intervals j ~itv_lo:y ~itv_hi:old
-        end
-  done;
+  drain ();
   { earliest; reached_msgs = reached }
 
 (* ------------------------------------------------------------------ *)
 (* Public queries                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let interval_window pat (i, x) =
-  (* positions strictly inside I_{i,x} *)
-  if x < 1 then (0, 0) (* empty: I_{i,0} contains no send *)
-  else
-    let cks = Pattern.checkpoints pat i in
-    (cks.(x - 1).Types.pos, cks.(x).Types.pos)
+(* Position of C_{i,t-1}, the start of I_{i,t}; -1 for t = 0. *)
+let interval_start pat i t = if t = 0 then -1 else (Pattern.checkpoints pat i).(t - 1).Types.pos
 
 let check_ckpt pat (i, x) =
   if not (Pattern.has_ckpt pat (i, x)) then
     invalid_arg (Printf.sprintf "Chains: C(%d,%d) does not exist" i x)
 
-let causal_from_interval pat (i, x) =
-  check_ckpt pat (i, x);
-  let lo, hi = interval_window pat (i, x) in
-  relax_causal pat ~seed_pid:i ~lo ~hi
-
-let causal_after pat (i, x) =
+(* Chains whose first message P_i sends in I_{i,x}, or anywhere after
+   C_{i,x} with [~after]. *)
+let reach ~zigzag ~after pat (i, x) =
   check_ckpt pat (i, x);
   let pos = (Pattern.checkpoints pat i).(x).Types.pos in
-  relax_causal pat ~seed_pid:i ~lo:pos ~hi:max_int
+  if after then relax pat ~zigzag ~seed_pid:i ~from:(pos + 1) ~until:max_int
+  else relax pat ~zigzag ~seed_pid:i ~from:(interval_start pat i x + 1) ~until:pos
+
+let reaches ~zigzag ~after pat a (j, y) = (reach ~zigzag ~after pat a).earliest.(j) <= y
+
+let causal_from_interval = reach ~zigzag:false ~after:false
+
+let zpath_from_interval = reach ~zigzag:true ~after:false
 
 let causally_precedes pat (i, x) (j, y) =
   check_ckpt pat (i, x);
   check_ckpt pat (j, y);
-  if i = j then x < y
-  else
-    let r = causal_after pat (i, x) in
-    r.earliest.(j) <= y
+  if i = j then x < y else reaches ~zigzag:false ~after:true pat (i, x) (j, y)
 
-let zpath_from_interval pat (i, x) =
-  check_ckpt pat (i, x);
-  let lo, hi = interval_window pat (i, x) in
-  relax_zigzag pat ~seed_pid:i ~lo ~hi
-
-let zigzag_after pat (i, x) =
-  check_ckpt pat (i, x);
-  let pos = (Pattern.checkpoints pat i).(x).Types.pos in
-  relax_zigzag pat ~seed_pid:i ~lo:pos ~hi:max_int
-
-let zigzag pat (i, x) (j, y) =
-  check_ckpt pat (j, y);
-  let r = zigzag_after pat (i, x) in
-  r.earliest.(j) <= y
+let zigzag pat a b =
+  check_ckpt pat b;
+  reaches ~zigzag:true ~after:true pat a b
 
 let zcycle pat (i, x) = zigzag pat (i, x) (i, x)
 
@@ -184,23 +103,24 @@ let trackable pat (i, x) (j, y) =
   check_ckpt pat (i, x);
   check_ckpt pat (j, y);
   if i = j then x <= y
-  else if x = 0 then true
-  else
-    let r = causal_after pat (i, x - 1) in
-    r.earliest.(j) <= y
+  else x = 0 || reaches ~zigzag:false ~after:true pat (i, x - 1) (j, y)
 
 let strictly_trackable pat (i, x) (j, y) =
   check_ckpt pat (i, x);
   check_ckpt pat (j, y);
   if i = j then x <= y
-  else if x = 0 then false
-  else
-    let r = causal_from_interval pat (i, x) in
-    r.earliest.(j) <= y
+  else x <> 0 && reaches ~zigzag:false ~after:false pat (i, x) (j, y)
 
 (* ------------------------------------------------------------------ *)
 (* CM-paths and doubling                                               *)
 (* ------------------------------------------------------------------ *)
+
+(* The messages the receiver of [m] sent in the interval of its delivery,
+   before it: each such m' makes the chain m; m' non-causal. *)
+let sends_before_delivery pat (m : Types.message) =
+  Pattern.sends_between pat m.Types.dst
+    ~lo:(interval_start pat m.Types.dst m.Types.recv_interval)
+    ~hi:m.Types.recv_pos
 
 type cm_path = {
   origin : Types.ckpt_id;
@@ -218,15 +138,7 @@ let cm_paths pat =
       let r = causal_from_interval pat (k, z) in
       Array.iteri
         (fun id reached ->
-          if reached then begin
-            let m'' = msgs.(id) in
-            let i = m''.Types.dst in
-            let q = m''.Types.recv_pos in
-            let t = m''.Types.recv_interval in
-            let cks = Pattern.checkpoints pat i in
-            let itv_start = if t = 0 then -1 else cks.(t - 1).Types.pos in
-            (* messages sent by P_i inside I_{i,t} before the delivery of
-               m'': each yields the non-causal junction of a CM-path *)
+          if reached then
             List.iter
               (fun mid ->
                 let m = msgs.(mid) in
@@ -242,22 +154,16 @@ let cm_paths pat =
                     }
                     :: !out
                 end)
-              (Pattern.sends_between pat i ~lo:itv_start ~hi:q)
-          end)
+              (sends_before_delivery pat msgs.(id)))
         r.reached_msgs
     done
   done;
   List.rev !out
 
 let pairwise_doubled pat tdv =
-  let msgs = Pattern.messages pat in
   let ok = ref true in
   Array.iter
     (fun (m : Types.message) ->
-      let p = m.Types.dst in
-      let cks = Pattern.checkpoints pat p in
-      let t = m.Types.recv_interval in
-      let lo = if t = 0 then -1 else cks.(t - 1).Types.pos in
       List.iter
         (fun mid ->
           let m' = Pattern.message pat mid in
@@ -267,8 +173,8 @@ let pairwise_doubled pat tdv =
                  (m.Types.src, m.Types.send_interval)
                  (m'.Types.dst, m'.Types.recv_interval))
           then ok := false)
-        (Pattern.sends_between pat p ~lo ~hi:m.Types.recv_pos))
-    msgs;
+        (sends_before_delivery pat m))
+    (Pattern.messages pat);
   !ok
 
 let undoubled_cm_paths pat tdv =

@@ -12,11 +12,13 @@
     - same question for arbitrary Z-paths;
     - is every non-causal chain "doubled" by a causal sibling?
 
-    All reachability queries are answered by a single relaxation pass per
-    source: for every process we maintain the earliest position (causal) or
-    earliest interval (zigzag) at which a chain has arrived, and extend with
-    later sends.  Each message is relaxed at most once, so a pass costs
-    O(M + n) after O(1) window arithmetic. *)
+    All reachability queries are answered by one relaxation per source,
+    the same for both kinds of chain.  For every process it keeps the
+    least bound a chain has reached there: the position after a delivery
+    for a causal chain, the delivery's interval for a Z-path.  A lower
+    bound enables the process's sends from it up to the previous one, so
+    each message is relaxed at most once and a pass costs O(M + n) plus
+    one binary search per enabling. *)
 
 type reach = {
   earliest : int array;

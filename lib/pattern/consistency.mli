@@ -52,6 +52,12 @@ val max_consistent_below :
     with [pinned.(i)]; never [None] without pins.
     @raise Invalid_argument on a delivery interval below [1]. *)
 
+val pin_set : Pattern.t -> Types.ckpt_id list -> int array
+(** [pin_set p cks]: entry [i] is the index of the member of [cks] on
+    [P_i], [-1] where the set has none.
+    @raise Invalid_argument if a member does not exist or two members
+    are on one process. *)
+
 val extensible : Pattern.t -> Types.ckpt_id list -> bool
 (** Whether some consistent global checkpoint contains the set. *)
 

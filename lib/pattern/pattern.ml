@@ -19,17 +19,7 @@ module Builder = struct
   let dummy_ckpt = { Types.owner = 0; index = 0; kind = Types.Initial; pos = 0; time = 0; tdv = None }
 
   let dummy_message =
-    {
-      Types.id = 0;
-      src = 0;
-      dst = 0;
-      send_pos = 0;
-      recv_pos = 0;
-      send_interval = 0;
-      recv_interval = 0;
-      send_gseq = 0;
-      recv_gseq = 0;
-    }
+    { Types.id = 0; src = 0; dst = 0; send_pos = 0; recv_pos = 0; send_interval = 0; recv_interval = 0 }
 
   (* [Array.of_list (List.rev l)] for the [len]-element list [l] *)
   let rev_to_array seed len l =
@@ -43,10 +33,8 @@ module Builder = struct
     p_dst : int;
     p_send_pos : int;
     p_send_interval : int;
-    p_send_gseq : int;
     mutable p_recv_pos : int; (* -1 while in flight *)
     mutable p_recv_interval : int;
-    mutable p_recv_gseq : int;
   }
 
   type proc = {
@@ -120,7 +108,6 @@ module Builder = struct
     check_pid b dst;
     if src = dst then invalid_arg "Pattern.Builder.send: src = dst";
     let id = b.n_msgs in
-    let gseq = b.next_gseq in
     let pos = push_event b src (Types.Send id) in
     let m =
       {
@@ -129,10 +116,8 @@ module Builder = struct
         p_dst = dst;
         p_send_pos = pos;
         p_send_interval = b.procs.(src).n_ckpts;
-        p_send_gseq = gseq;
         p_recv_pos = -1;
         p_recv_interval = -1;
-        p_recv_gseq = -1;
       }
     in
     if id >= Array.length b.msgs then begin
@@ -160,11 +145,9 @@ module Builder = struct
     check_live b;
     let m = find_msg b h in
     if m.p_recv_pos >= 0 then invalid_arg "Pattern.Builder.recv: message already delivered";
-    let gseq = b.next_gseq in
     let pos = push_event b m.p_dst (Types.Recv h) in
     m.p_recv_pos <- pos;
-    m.p_recv_interval <- b.procs.(m.p_dst).n_ckpts;
-    m.p_recv_gseq <- gseq
+    m.p_recv_interval <- b.procs.(m.p_dst).n_ckpts
 
   let internal b i =
     check_live b;
@@ -213,8 +196,6 @@ module Builder = struct
               recv_pos = m.p_recv_pos;
               send_interval = m.p_send_interval;
               recv_interval = m.p_recv_interval;
-              send_gseq = m.p_send_gseq;
-              recv_gseq = m.p_recv_gseq;
             }
     done;
     let sends =
@@ -329,9 +310,16 @@ let validate t =
       !bad
     end
   in
+  (* deliveries met in the global order before their send *)
+  let sent = Array.make (Array.length t.msgs) false in
+  let early = Array.make (Array.length t.msgs) false in
+  iter_in_order t (fun _ _ -> function
+    | Types.Send id -> sent.(id) <- true
+    | Types.Recv id -> if not sent.(id) then early.(id) <- true
+    | Types.Ckpt _ | Types.Internal -> ());
   let check_msg (m : Types.message) =
     if m.Types.recv_pos < 0 then err "message %d undelivered" m.Types.id
-    else if m.Types.recv_gseq <= m.Types.send_gseq then
+    else if early.(m.Types.id) then
       err "message %d delivered before sent in the global order" m.Types.id
     else if interval_of_pos t m.Types.src ~pos:m.Types.send_pos <> m.Types.send_interval
     then err "message %d: wrong send interval" m.Types.id

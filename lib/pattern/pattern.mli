@@ -8,10 +8,10 @@
     {!Builder} (used extensively in tests, e.g. to encode Figure 1 of the
     paper).
 
-    A {e global sequence number} is attached to every event: a total order
-    consistent with causality (deliveries always after the matching send).
-    Offline analyses (transitive-dependency-vector replay, causal chains)
-    process events in that order. *)
+    Every event has a {e global sequence number}, its rank in the order
+    the builder was given the events: a total order consistent with
+    causality (deliveries after their send).  It is stored nowhere:
+    {!iter_in_order} walks the events in it (TDV replay, rendering). *)
 
 type t
 

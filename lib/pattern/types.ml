@@ -25,8 +25,6 @@ type message = {
   recv_pos : int;
   send_interval : int;
   recv_interval : int;
-  send_gseq : int;
-  recv_gseq : int;
 }
 
 type event =

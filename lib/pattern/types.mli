@@ -33,6 +33,8 @@ type ckpt = {
           when it took this checkpoint, if the protocol maintains one *)
 }
 
+(** A delivered message.  Its place in the global order is not stored
+    here: [Pattern.iter_in_order] walks the events in that order. *)
 type message = {
   id : int;
   src : pid;
@@ -41,8 +43,6 @@ type message = {
   recv_pos : int;  (** position of the delivery event in [dst]'s sequence *)
   send_interval : int;  (** [x] such that the send belongs to [I_{src,x}] *)
   recv_interval : int;  (** [y] such that the delivery belongs to [I_{dst,y}] *)
-  send_gseq : int;  (** global sequence number of the send event *)
-  recv_gseq : int;  (** global sequence number of the delivery event *)
 }
 
 type event =

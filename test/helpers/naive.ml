@@ -224,6 +224,50 @@ let causal_chain pat ~from_pos_after ~src (j, y) =
     ~accept:(fun m -> m.T.dst = j && m.T.recv_interval <= y)
     ~edge:(fun m m' -> m'.T.src = m.T.dst && m.T.recv_pos < m'.T.send_pos)
 
+(* Every message that ends a chain whose first message satisfies
+   [start], breadth-first over the explicit message graph (each popped
+   message compared with every message), and per process the least
+   delivery interval among them. *)
+let message_bfs pat ~start ~edge =
+  let msgs = P.messages pat in
+  let reached = Array.make (Array.length msgs) false in
+  let queue = Queue.create () in
+  let visit (m : T.message) =
+    if not reached.(m.id) then begin
+      reached.(m.id) <- true;
+      Queue.add m queue
+    end
+  in
+  Array.iter (fun m -> if start m then visit m) msgs;
+  while not (Queue.is_empty queue) do
+    let m = Queue.pop queue in
+    Array.iter (fun m' -> if edge m m' then visit m') msgs
+  done;
+  let earliest = Array.make (P.n pat) max_int in
+  Array.iter
+    (fun (m : T.message) -> if reached.(m.id) then earliest.(m.dst) <- min earliest.(m.dst) m.recv_interval)
+    msgs;
+  (earliest, reached)
+
+let chain_edge ~zigzag (m : T.message) (m' : T.message) =
+  m'.src = m.dst
+  && if zigzag then m.recv_interval <= m'.send_interval else m.recv_pos < m'.send_pos
+
+let interval_reach ~zigzag pat (i, x) =
+  message_bfs pat
+    ~start:(fun m -> m.T.src = i && m.T.send_interval = x)
+    ~edge:(chain_edge ~zigzag)
+
+let causally_precedes pat (i, x) (j, y) =
+  if i = j then x < y
+  else
+    let earliest, _ =
+      message_bfs pat
+        ~start:(fun m -> m.T.src = i && m.T.send_interval > x)
+        ~edge:(chain_edge ~zigzag:false)
+    in
+    earliest.(j) <= y
+
 let trackable pat (i, x) (j, y) =
   if i = j then x <= y
   else if x = 0 then true

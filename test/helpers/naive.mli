@@ -72,6 +72,22 @@ val zigzag :
     (edge [m -> m'] iff [dst m = src m'] and
     [recv_interval m <= send_interval m']). *)
 
+val interval_reach :
+  zigzag:bool -> Rdt_pattern.Pattern.t -> Rdt_pattern.Types.ckpt_id -> int array * bool array
+(** [interval_reach ~zigzag pat (i, x)] is [(earliest, reached)] for the
+    chains whose first message [P_i] sends in [I_{i,x}] (causal chains,
+    or Z-paths with [~zigzag:true]): [reached.(id)] iff message [id] ends
+    one, and [earliest.(j)] is the least delivery interval at [P_j] among
+    those, [max_int] if none.  Breadth-first over the explicit message
+    graph; the reference for {!Rdt_pattern.Chains.causal_from_interval}
+    and {!Rdt_pattern.Chains.zpath_from_interval}. *)
+
+val causally_precedes :
+  Rdt_pattern.Pattern.t -> Rdt_pattern.Types.ckpt_id -> Rdt_pattern.Types.ckpt_id -> bool
+(** [x < y] on one process; across processes, some causal chain whose
+    first message is sent after [C_{i,x}] is delivered in an interval
+    [<= y] of [P_j].  One breadth-first search per call. *)
+
 val trackable :
   Rdt_pattern.Pattern.t -> Rdt_pattern.Types.ckpt_id -> Rdt_pattern.Types.ckpt_id -> bool
 (** Reference for {!Rdt_pattern.Chains.trackable} /

@@ -103,19 +103,8 @@ let test_gseq_order () =
       | T.Ckpt _ | T.Internal -> ())
     order
 
-(* [iter_in_order] visits exactly what the sort by gseq yields, and its
-   k-th Send or Recv carries gseq k in its message record. *)
-let order_agrees pat gseqs =
-  let got = visited pat in
-  let gseq_ok = ref true in
-  Array.iteri
-    (fun k (_, _, ev) ->
-      match ev with
-      | T.Send id -> if (P.message pat id).T.send_gseq <> k then gseq_ok := false
-      | T.Recv id -> if (P.message pat id).T.recv_gseq <> k then gseq_ok := false
-      | T.Ckpt _ | T.Internal -> ())
-    got;
-  !gseq_ok && got = Rdt_test_helpers.Naive.gseq_order pat ~gseqs
+(* [iter_in_order] visits exactly what the sort by gseq yields. *)
+let order_agrees pat gseqs = visited pat = Rdt_test_helpers.Naive.gseq_order pat ~gseqs
 
 let test_order_fixtures () =
   List.iter
@@ -512,6 +501,39 @@ let causal_implies_zigzag =
             cks)
         cks)
 
+(* The relaxation against a breadth-first search over the explicit
+   message graph: [earliest] and [reached_msgs] out of every interval,
+   for causal chains and for Z-paths, and causal precedence between every
+   pair of checkpoints. *)
+let relaxation_agrees pat =
+  let cks = all_ckpts pat in
+  let same (r : Chains.reach) (earliest, reached) =
+    r.Chains.earliest = earliest && r.Chains.reached_msgs = reached
+  in
+  List.for_all
+    (fun c ->
+      same (Chains.causal_from_interval pat c)
+        (Rdt_test_helpers.Naive.interval_reach ~zigzag:false pat c)
+      && same (Chains.zpath_from_interval pat c)
+           (Rdt_test_helpers.Naive.interval_reach ~zigzag:true pat c))
+    cks
+  && List.for_all
+       (fun a ->
+         List.for_all
+           (fun b ->
+             Chains.causally_precedes pat a b = Rdt_test_helpers.Naive.causally_precedes pat a b)
+           cks)
+       cks
+
+let test_relaxation_fixtures () =
+  List.iter
+    (fun (name, pat, _) -> check name true (relaxation_agrees pat))
+    (Rdt_test_helpers.Fixtures.logged ())
+
+let relaxation_matches_naive =
+  QCheck.Test.make ~name:"relaxation = naive message BFS" ~count:200
+    Rdt_test_helpers.Gen.pattern_arbitrary relaxation_agrees
+
 (* ------------------------------------------------------------------ *)
 (* Consistency                                                         *)
 (* ------------------------------------------------------------------ *)
@@ -754,6 +776,8 @@ let () =
           qt rdt_implies_pairwise;
           qt zigzag_matches_naive;
           qt causal_implies_zigzag;
+          Alcotest.test_case "relaxation = naive BFS (fixtures)" `Quick test_relaxation_fixtures;
+          qt relaxation_matches_naive;
         ] );
       ( "render",
         [
