@@ -12,12 +12,12 @@ let to_names mask =
 
 let name bit = List.hd (to_names bit)
 
-let new_dep ~tdv ~m_tdv =
+let new_dep ~(tdv : int array) ~(m_tdv : int array) =
   let n = Array.length tdv in
   let rec loop k = k < n && (m_tdv.(k) > tdv.(k) || loop (k + 1)) in
   loop 0
 
-let c1 ~sent_to ~tdv ~m_tdv ~m_causal =
+let c1 ~sent_to ~(tdv : int array) ~(m_tdv : int array) ~m_causal =
   let n = Array.length tdv and w = Array.length sent_to in
   let rec unknown_sibling row i =
     i < w && (sent_to.(i) land lnot m_causal.(row + i) <> 0 || unknown_sibling row (i + 1))
@@ -27,10 +27,10 @@ let c1 ~sent_to ~tdv ~m_tdv ~m_causal =
   in
   some_k 0
 
-let c2 ~pid ~tdv ~m_tdv ~m_simple =
+let c2 ~pid ~(tdv : int array) ~(m_tdv : int array) ~m_simple =
   m_tdv.(pid) = tdv.(pid) && not (Control.mem m_simple ~at:0 pid)
 
-let c2' ~pid ~tdv ~m_tdv = m_tdv.(pid) = tdv.(pid) && new_dep ~tdv ~m_tdv
+let c2' ~pid ~(tdv : int array) ~(m_tdv : int array) = m_tdv.(pid) = tdv.(pid) && new_dep ~tdv ~m_tdv
 
 let c_fdas ~after_first_send ~tdv ~m_tdv = after_first_send && new_dep ~tdv ~m_tdv
 

@@ -363,7 +363,9 @@ let run cfg =
     let fired = record_predicates ~dst ~src payload in
     if P.must_force states.(dst) ~src payload then begin
       incr forced;
-      take_checkpoint ~preds:(Predicates.to_names fired) dst Ptypes.Forced
+      (* only the trace reads the names *)
+      let preds = if Trace.on tr then Predicates.to_names fired else [] in
+      take_checkpoint ~preds dst Ptypes.Forced
     end;
     P.absorb states.(dst) ~src payload;
     if live then begin
@@ -584,7 +586,7 @@ let run cfg =
               let { Env.actions; next_tick_in } = E.on_tick env ~pid in
               List.iter (do_action pid) actions;
               match next_tick_in with
-              | Some d -> Event_queue.schedule queue ~time:(t + max 1 d) (Tick id)
+              | Some d -> Event_queue.schedule queue ~time:(t + Int.max 1 d) (Tick id)
               | None -> ()
             end
         | Basic id ->

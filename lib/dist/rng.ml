@@ -62,7 +62,7 @@ let exponential_int t ~mean =
   let u = float t 1.0 in
   let u = if u <= 0.0 then epsilon_float else u in
   let d = -.float_of_int mean *. log u in
-  max 1 (int_of_float d)
+  Int.max 1 (int_of_float d)
 
 let shuffle t a =
   for i = Array.length a - 1 downto 1 do

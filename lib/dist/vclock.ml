@@ -17,6 +17,16 @@ let create ~n =
   if n <= 0 then invalid_arg "Vclock.create: n must be positive";
   { n; idx = [||]; vals = [||]; nnz = 0 }
 
+let of_sorted ~n idx vals =
+  let nnz = Array.length idx in
+  if n <= 0 then invalid_arg "Vclock.of_sorted: n must be positive";
+  if Array.length vals <> nnz then invalid_arg "Vclock.of_sorted: length mismatch";
+  for k = 0 to nnz - 1 do
+    if idx.(k) < 0 || idx.(k) >= n || (k > 0 && idx.(k) <= idx.(k - 1)) || vals.(k) <= 0 then
+      invalid_arg "Vclock.of_sorted: not strictly ascending nonzero entries"
+  done;
+  { n; idx; vals; nnz }
+
 let to_array v =
   let a = Array.make v.n 0 in
   for k = 0 to v.nnz - 1 do
@@ -53,7 +63,7 @@ let remove_at v k =
    joins amortizes its copies. *)
 let reserve v m =
   if Array.length v.idx < m then begin
-    let cap = max m (max 4 (2 * Array.length v.idx)) in
+    let cap = Int.max m (Int.max 4 (2 * Array.length v.idx)) in
     let idx = Array.make cap 0 and vals = Array.make cap 0 in
     Array.blit v.idx 0 idx 0 v.nnz;
     Array.blit v.vals 0 vals 0 v.nnz;
@@ -87,8 +97,7 @@ let iteri ~f v =
    anything), then the merge back-to-front, in place: once [w] is
    exhausted, the remaining [v] prefix (slots 0..k) is already where it
    belongs. *)
-let join v w ~f =
-  if v.n <> w.n then invalid_arg "Vclock.join: size mismatch";
+let join_sparse v w ~f =
   let i = ref 0 and j = ref 0 and union = ref 0 and rises = ref false in
   while !i < v.nnz || !j < w.nnz do
     let vi = if !i < v.nnz then v.idx.(!i) else max_int in
@@ -132,6 +141,20 @@ let join v w ~f =
     done;
     v.nnz <- m
   end
+
+(* Two full vectors store every position in order ([idx.(k) = k]), so
+   they join slot by slot. *)
+let join v w ~f =
+  if v.n <> w.n then invalid_arg "Vclock.join: size mismatch";
+  if v.nnz = v.n && w.nnz = v.n then
+    for k = 0 to v.n - 1 do
+      let x = w.vals.(k) in
+      if x > v.vals.(k) then begin
+        v.vals.(k) <- x;
+        f k x
+      end
+    done
+  else join_sparse v w ~f
 
 let merge v w =
   if v.n <> w.n then invalid_arg "Vclock.merge: size mismatch";

@@ -10,6 +10,12 @@ type t
 val create : n:int -> t
 (** All entries zero. *)
 
+val of_sorted : n:int -> int array -> int array -> t
+(** [of_sorted ~n idx vals] has entry [vals.(k)] at position [idx.(k)]
+    and zero elsewhere.  It takes both arrays over, without a copy.
+    @raise Invalid_argument unless the arrays have one length, [idx] is
+    strictly ascending within [0 .. n-1], and every [vals.(k) > 0]. *)
+
 val to_array : t -> int array
 (** A fresh copy of the entries. *)
 
@@ -36,7 +42,8 @@ val join : t -> t -> f:(int -> int -> unit) -> unit
     [i] it raises, with the new value [x], in no promised order.  [f]
     runs while the join is under way: it must not read or write [v].
     One linear pass to size the result and one to merge:
-    O(nnz v + nnz w). *)
+    O(nnz v + nnz w); one elementwise pass when both are full
+    ([nnz = n]). *)
 
 val iter2 : f:(int -> int -> int -> unit) -> t -> t -> unit
 (** [iter2 ~f a b] calls [f i x y] for every {e nonzero} entry [x] of

@@ -14,7 +14,7 @@ let rgraph_edges pat =
     (P.messages pat);
   List.sort_uniq compare !edges
 
-let reaches edges a b =
+let reaches edges (a : T.ckpt_id) b =
   let visited = Hashtbl.create 97 in
   let rec dfs v =
     v = b

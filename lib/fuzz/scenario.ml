@@ -220,7 +220,7 @@ let restrict sc ~n =
   in
   { sc with n; faults; crashes = List.filter (fun c -> c.victim < n) sc.crashes }
 
-let equal a b = a = b
+let equal (a : t) b = a = b
 
 (* ------------------------------------------------------------------ *)
 (* Codec                                                               *)

@@ -336,7 +336,7 @@ let table_ablation c =
         (r.Runtime.metrics.Rdt_core.Metrics.forced, ratio, r.Runtime.predicate_counts))
   in
   (* a predicate's firings per seed; "-" when it never fired on any *)
-  let fires name per_seed =
+  let fires (name : string) per_seed =
     let hits (_, _, counts) =
       List.filter_map (fun (p, k) -> if p = name then Some k else None) counts
     in

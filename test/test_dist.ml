@@ -214,7 +214,7 @@ let sparse_pair =
     let pos = oneof [ 0 -- (n - 1); 0 -- min (n - 1) 12 ] in
     list_size (0 -- 40) (pair pos (0 -- 9))
   in
-  let gen =
+  let sparse =
     1 -- 10_000 >>= fun n ->
     pair (entries n) (entries n) >|= fun (a, b) ->
     let dense es =
@@ -224,6 +224,13 @@ let sparse_pair =
     in
     (dense a, dense b)
   in
+  (* every entry nonzero ([nnz = n]): the elementwise path of [join] *)
+  let full =
+    1 -- 64 >>= fun n ->
+    let row = array_repeat n (1 -- 9) in
+    pair row row
+  in
+  let gen = frequency [ (3, sparse); (1, full) ] in
   let print (a, b) =
     let nz d =
       String.concat " "
