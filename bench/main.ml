@@ -93,7 +93,10 @@ let analysis_tests =
    each message carries a new dependency, then [make_payload], and the
    receiver's [predicates], [must_force] and [absorb].  The states are
    warmed by 20n messages between random pairs, and the receiver has
-   sent, so FDAS's and C1's send conditions hold. *)
+   sent, so FDAS's and C1's send conditions hold.  The sender is the
+   last process: the receiver has absorbed every earlier message, so
+   the one new dependency is the sender's own entry, n - 1, and the
+   predicates' scans for it walk the whole vector. *)
 let step_test pname n =
   let (module P : Rdt_core.Protocol.S) = Rdt_core.Registry.find_exn pname in
   let states = Array.init n (fun pid -> P.create ~n ~pid) in
@@ -106,14 +109,15 @@ let step_test pname n =
     if P.must_force states.(dst) ~src m then P.on_checkpoint states.(dst);
     P.absorb states.(dst) ~src m
   done;
-  let a = states.(0) and b = states.(1) in
-  ignore (P.make_payload b ~dst:2);
+  let src = n - 1 in
+  let a = states.(src) and b = states.(0) in
+  ignore (P.make_payload b ~dst:1);
   batched ~steps:100 (Printf.sprintf "protocol/%s-step/n=%d" pname n) (fun _ ->
       P.on_checkpoint a;
-      let m = P.make_payload a ~dst:1 in
-      ignore (P.predicates b ~src:0 m);
-      ignore (P.must_force b ~src:0 m);
-      P.absorb b ~src:0 m)
+      let m = P.make_payload a ~dst:0 in
+      ignore (P.predicates b ~src m);
+      ignore (P.must_force b ~src m);
+      P.absorb b ~src m)
 
 let step_tests = [ step_test "bhmr" 16; step_test "bhmr" 64; step_test "fdas" 16 ]
 

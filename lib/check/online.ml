@@ -58,13 +58,32 @@ let bad fmt = Printf.ksprintf (fun s -> raise (Inconsistent s)) fmt
    lookup per entry. *)
 
 (* Messages are keyed by their trace id. *)
-module Msgs = Hashtbl.Make (struct
-  type t = int
+module Msgs = Rdt_dist.Tbl.Int
 
-  let equal = Int.equal
+(* The per-entry callbacks of the joins and verdict scans are built once
+   per core and read their arguments from this record, so propagating an
+   edge or settling a process allocates no closure.  [owner]/[index]/[tdv]
+   describe the node (or process) under scan; [rose] and [bad] are its
+   results. *)
+type scan = {
+  mutable owner : int;
+  mutable index : int;
+  mutable tdv : Vclock.t;
+  mutable rose : bool;
+  mutable bad : bool;
+}
 
-  let hash = Hashtbl.hash
-end)
+(* a join into a closed node: an entry rose, and is it past what the
+   node tracks? *)
+let closed_rise s i enc =
+  s.rose <- true;
+  let allowed = if i = s.owner then s.index else Vclock.get s.tdv i in
+  if enc - 1 > allowed then s.bad <- true
+
+let open_rise s _ _ = s.rose <- true
+
+(* a reached entry of another process past what the vector tracks *)
+let untracked s i enc tracked = if i <> s.owner && enc - 1 > tracked then s.bad <- true
 
 (* A sent message: the sender's node at send time and its payload, the
    sender's frozen vector. *)
@@ -87,6 +106,13 @@ type core = {
   frozen : Vclock.t array; (* pid -> current frozen copy; dummy_vclock = none *)
   by_index : int array array; (* by_index.(pid).(x) = node of C_{pid,x}, open one included *)
   sent : sent Msgs.t;
+  mutable work : int array; (* propagation worklist, FIFO in [work_head, work_tail) *)
+  mutable work_head : int;
+  mutable work_tail : int;
+  scan : scan;
+  on_closed_rise : int -> int -> unit; (* [closed_rise scan] *)
+  on_open_rise : int -> int -> unit; (* [open_rise scan] *)
+  on_untracked : int -> int -> int -> unit; (* [untracked scan] *)
   dirty : bool array; (* pid -> open verdict needs recomputing *)
   open_bad : bool array;
   mutable open_bad_count : int;
@@ -150,33 +176,57 @@ let freeze c pid =
    at [owner w], by downward closure), the edge closes a cycle through
    [w]: tested before the join, whether or not [w] grows. *)
 let absorb c u w =
-  let owner = c.owner.(w) and index = c.cindex.(w) and grew = ref false in
+  let owner = c.owner.(w) and index = c.cindex.(w) and s = c.scan in
   if Vclock.get c.max_reach.(u) owner > index then begin
     c.on_cycle.(w) <- true;
     c.has_cycle <- true
   end;
+  s.rose <- false;
   if c.closed.(w) then begin
-    let tdv = c.tdv.(w) in
-    Vclock.join c.max_reach.(w) c.max_reach.(u) ~f:(fun i enc ->
-        grew := true;
-        let allowed = if i = owner then index else Vclock.get tdv i in
-        if enc - 1 > allowed then c.closed_bad <- true)
+    s.owner <- owner;
+    s.index <- index;
+    s.tdv <- c.tdv.(w);
+    s.bad <- false;
+    Vclock.join c.max_reach.(w) c.max_reach.(u) ~f:c.on_closed_rise;
+    if s.bad then c.closed_bad <- true
   end
-  else
-    Vclock.join c.max_reach.(w) c.max_reach.(u) ~f:(fun _ _ ->
-        grew := true;
-        c.dirty.(owner) <- true);
-  !grew
+  else begin
+    Vclock.join c.max_reach.(w) c.max_reach.(u) ~f:c.on_open_rise;
+    if s.rose then c.dirty.(owner) <- true
+  end;
+  s.rose
+
+(* Append to the worklist; when the array is full, slide the live part
+   down over what was popped, or double it if over half is live. *)
+let enqueue c v =
+  if c.work_tail = Array.length c.work then begin
+    let live = c.work_tail - c.work_head in
+    let dst = if 2 * live > Array.length c.work then Array.make (2 * live) 0 else c.work in
+    Array.blit c.work c.work_head dst 0 live;
+    c.work <- dst;
+    c.work_head <- 0;
+    c.work_tail <- live
+  end;
+  c.work.(c.work_tail) <- v;
+  c.work_tail <- c.work_tail + 1
+
+let rec absorb_succs c z = function
+  | [] -> ()
+  | w :: rest ->
+      if absorb c z w then enqueue c w;
+      absorb_succs c z rest
 
 let add_edge c u w =
   if not (List.mem w c.succ.(u)) then begin
     c.succ.(u) <- w :: c.succ.(u);
     if absorb c u w then begin
-      let q = Queue.create () in
-      Queue.add w q;
-      while not (Queue.is_empty q) do
-        let z = Queue.pop q in
-        List.iter (fun s -> if absorb c z s then Queue.add s q) c.succ.(z)
+      c.work_head <- 0;
+      c.work_tail <- 0;
+      enqueue c w;
+      while c.work_head < c.work_tail do
+        let z = c.work.(c.work_head) in
+        c.work_head <- c.work_head + 1;
+        absorb_succs c z c.succ.(z)
       done
     end
   end
@@ -188,9 +238,9 @@ let core_send c ~msg ~src =
 
 let core_deliver c ~msg ~dst =
   let { slot = u; payload } =
-    match Msgs.find_opt c.sent msg with
-    | Some s -> s
-    | None -> bad "surviving delivery of rolled-back send %d" msg
+    match Msgs.find c.sent msg with
+    | s -> s
+    | exception Not_found -> bad "surviving delivery of rolled-back send %d" msg
   in
   Vclock.merge c.vectors.(dst) payload;
   c.frozen.(dst) <- dummy_vclock;
@@ -212,8 +262,11 @@ let core_ckpt c ~pid ~index =
   (* only processes with a path into [w] can violate; walk the sparse
      entries against the TDV in one pass instead of all n.  i = pid
      cannot be violated here: no later checkpoint of pid exists yet *)
-  Vclock.iter2 c.max_reach.(w) frozen ~f:(fun i enc tracked ->
-      if i <> pid && enc - 1 > tracked then c.closed_bad <- true);
+  let s = c.scan in
+  s.owner <- pid;
+  s.bad <- false;
+  Vclock.iter2 c.max_reach.(w) frozen ~f:c.on_untracked;
+  if s.bad then c.closed_bad <- true;
   Vclock.set c.vectors.(pid) pid (index + 1);
   c.frozen.(pid) <- dummy_vclock;
   let w' = new_node c ~owner:pid ~index:(index + 1) ~tdv:c.vectors.(pid) in
@@ -236,6 +289,7 @@ let core_retract_send c ~msg =
 
 let core_create ~n =
   let cap = max 16 (4 * n) in
+  let scan = { owner = 0; index = 0; tdv = dummy_vclock; rose = false; bad = false } in
   let c =
     {
       n;
@@ -254,6 +308,13 @@ let core_create ~n =
       frozen = Array.make n dummy_vclock;
       by_index = Array.init n (fun _ -> Array.make 4 0);
       sent = Msgs.create 64;
+      work = Array.make 16 0;
+      work_head = 0;
+      work_tail = 0;
+      scan;
+      on_closed_rise = closed_rise scan;
+      on_open_rise = open_rise scan;
+      on_untracked = untracked scan;
       dirty = Array.make n false;
       open_bad = Array.make n false;
       open_bad_count = 0;
@@ -271,10 +332,11 @@ let core_create ~n =
 let recompute_open_bad c pid =
   if c.open_events.(pid) = 0 then false
   else begin
-    let b = ref false in
-    Vclock.iter2 c.max_reach.(c.open_slot.(pid)) c.vectors.(pid) ~f:(fun i enc tracked ->
-        if i <> pid && enc - 1 > tracked then b := true);
-    !b
+    let s = c.scan in
+    s.owner <- pid;
+    s.bad <- false;
+    Vclock.iter2 c.max_reach.(c.open_slot.(pid)) c.vectors.(pid) ~f:c.on_untracked;
+    s.bad
   end
 
 (* ------------------------------------------------------------------ *)

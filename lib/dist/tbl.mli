@@ -21,3 +21,9 @@ val bindings_sorted : compare:('k -> 'k -> int) -> ('k, 'v) Hashtbl.t -> ('k * '
 val keys_sorted : compare:('k -> 'k -> int) -> ('k, 'v) Hashtbl.t -> 'k list
 
 val iter_sorted : compare:('k -> 'k -> int) -> ('k -> 'v -> unit) -> ('k, 'v) Hashtbl.t -> unit
+
+(** A hash table on [int] keys whose hash is computed in OCaml, a multiply
+    and a shift, not by a call to the runtime's generic [Hashtbl.hash].
+    For lookups on hot paths; like any hash table its bucket order is
+    unspecified, so nothing may reach output by iterating it. *)
+module Int : Hashtbl.S with type key = int

@@ -70,8 +70,13 @@ let write_all ~name ?len fd bytes =
   go 0;
   if quota < len then Crashpoint.crash (name ^ ".write.torn")
 
+(* Every durability call, file and directory fsync alike, counts in one
+   counter: it is what a sync point costs on a real disk. *)
+let fsyncs = "io.fsync"
+
 let fsync ~name fd =
   Crashpoint.hit (name ^ ".fsync");
+  Rdt_obs.Meter.incr Rdt_obs.Meter.default fsyncs;
   with_retries ~name (fun () -> Unix.fsync fd)
 
 (* Directory fsync makes renames/creations themselves durable; some
@@ -79,6 +84,7 @@ let fsync ~name fd =
    data fsync already happened. *)
 let fsync_dir dir =
   Crashpoint.hit "dir.fsync";
+  Rdt_obs.Meter.incr Rdt_obs.Meter.default fsyncs;
   match Unix.openfile dir [ Unix.O_RDONLY ] 0 with
   | exception Unix.Unix_error _ -> ()
   | fd ->

@@ -28,11 +28,13 @@ val write_all : name:string -> ?len:int -> Unix.file_descr -> Bytes.t -> unit
 
 val fsync : name:string -> Unix.file_descr -> unit
 (** Crash site [name.fsync]; durability may be claimed only after this
-    returns. *)
+    returns.  Counts one durability call in the [io.fsync] counter of
+    {!Rdt_obs.Meter.default}. *)
 
 val fsync_dir : string -> unit
 (** Make renames/creations in the directory durable (best-effort where
-    the filesystem refuses directory fsync).  Crash site [dir.fsync]. *)
+    the filesystem refuses directory fsync).  Crash site [dir.fsync].
+    Counts one durability call in [io.fsync], as {!fsync} does. *)
 
 val rename : src:string -> dst:string -> unit
 (** Atomic install step.  Crash site [rename]. *)

@@ -16,7 +16,10 @@
    and never per event.  [Wal.append] hands the pending buffer to the
    kernel at every 4 KiB of records, so a process kill loses less than
    4 KiB of records at the tail, and a machine crash loses at most what
-   came after the last sync point, at most [snapshot_every] events.
+   came after the last sync point, at most [snapshot_every] events.  A
+   sync point is one fsync of the active segment; the first one after
+   [open_] also fsyncs the directory, unless an install's directory
+   fsync has covered the segment's entry by then.
 
    Per event the cost follows what changed, not the history: an event is
    one record framed into the WAL's pending buffer.  A snapshot's
@@ -25,18 +28,28 @@
    full encode would.  The rest of a snapshot is O(image) on every
    install: the CRC over the whole payload, assembling the image and
    writing it out.  On perfbench watch's 21k-event trace that is 1.45 MB
-   over 21 installs, against 0.52 MB of WAL.  Per-section CRCs and an
-   append-only image wait for the next snapshot format (ROADMAP item 3).
+   written over 21 installs, against 0.52 MB of WAL, and 3 durability
+   calls per install (the first makes 4: its segment's first sync
+   point).  Per-section CRCs and an append-only image wait for the next
+   snapshot format (ROADMAP item 3).
 
-   Write order at a snapshot install (every crash window in between is
-   covered by the recovery scan):
+   Write order at a snapshot install, three durability calls (every
+   crash window in between is covered by the recovery scan):
 
      1. sync the active segment          (events durable before the
                                           snapshot claims to cover them)
-     2. Snapshot.install (tmp -> fsync -> rename -> dir fsync)
-     3. create wal-<g+1> (header, fsync)
-     4. switch writers, close the old segment
-     5. prune snapshot generations older than the kept window
+     2. Snapshot.write: tmp file, fsync
+     3. create wal-<g+1> (header written, not fsynced), switch writers,
+        close the old segment, Snapshot.publish (rename), then one
+        directory fsync for both new entries
+     4. delete the generations past the kept window, from the list the
+        session keeps (read from the directory once, at open_)
+
+   A machine crash inside step 3 can lose the rename, the new segment's
+   entry or its header (it becomes durable with the segment's first
+   fsync), in any combination.  Each is a state recovery already knows:
+   a missing snapshot falls back a generation, a header-torn last
+   segment is dropped, and a snapshot without its segment gets one.
 
    Recovery tries, in order: newest snapshot + replay of segments from
    its generation up; each older snapshot likewise; a full replay from
@@ -92,6 +105,9 @@ type t = {
   cache : Snapshot.Cache.t;
   mutable wal : Wal.writer;
   mutable base_events : int;  (** events covered by the newest snapshot *)
+  mutable snaps : int list;  (** snapshot generations on disk, newest first *)
+  mutable dir_pending : bool;
+      (** the active segment's directory entry may not be durable yet *)
   mutable closed : bool;
 }
 
@@ -114,12 +130,12 @@ let clean_tmp dir =
         try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
     (Sys.readdir dir)
 
-(* The newest segment's header can be torn by a crash during segment
-   creation; at that point none of its events were durable (appends only
-   start after the header fsync returns) and everything it would cover
-   is still in the previous segment, so deleting it is safe.  A damaged
-   header anywhere *else* is real corruption and must fail the chains
-   that cross it. *)
+(* The newest segment's header can be torn or missing after a crash
+   before the segment's first fsync; then none of its events were
+   durable either (that fsync makes the header and them durable at once)
+   and everything it would cover is still in the previous segment, so
+   deleting it is safe.  A damaged header anywhere *else* is real
+   corruption and must fail the chains that cross it. *)
 let drop_unreadable_last_segment ~dir segs =
   match List.rev segs with
   | [] -> []
@@ -250,6 +266,9 @@ let recover ~dir ~segs ~snaps =
 let header engine ~gen ~base_events =
   { Wal.gen; base_events; n = Online.n engine; track_open = Online.track_open engine }
 
+(* Every open starts with [dir_pending]: a fresh or recreated segment's
+   entry was never made durable, and a reopened one may have been left
+   so by a killed process. *)
 let make ~dir ~config ~meter ~engine ~wal ~base_events =
   {
     dir;
@@ -259,6 +278,8 @@ let make ~dir ~config ~meter ~engine ~wal ~base_events =
     cache = Snapshot.Cache.create ();
     wal;
     base_events;
+    snaps = [];
+    dir_pending = true;
     closed = false;
   }
 
@@ -267,26 +288,34 @@ let sync t =
   if bytes > 0 then begin
     Meter.incr t.meter "wal.fsync";
     Meter.add t.meter "wal.bytes" bytes
+  end;
+  if t.dir_pending then begin
+    Io.fsync_dir t.dir;
+    t.dir_pending <- false
   end
 
-let prune_snapshots t =
-  match Snapshot.generations ~dir:t.dir with
-  | [] -> ()
-  | gens ->
-      List.iteri (fun i g -> if i >= keep_snapshots then Snapshot.remove ~dir:t.dir ~gen:g) gens
+(* Keep the newest [keep_snapshots] of [gens] (newest first) and delete
+   the rest.  The list, not the directory, is the record: a generation
+   whose install never completed is absent from it, so the older one
+   stays kept. *)
+let retain t gens =
+  List.iteri (fun i g -> if i >= keep_snapshots then Snapshot.remove ~dir:t.dir ~gen:g) gens;
+  t.snaps <- List.filteri (fun i _ -> i < keep_snapshots) gens
 
 let install_snapshot t =
   Meter.time t.meter "durable.snapshot" (fun () ->
       sync t;
-      let gen = Wal.gen t.wal + 1 in
-      let seen = Online.events_seen t.engine in
-      Snapshot.install ~dir:t.dir ~gen (Snapshot.Cache.image t.cache t.engine);
-      let wal = Wal.create ~dir:t.dir ~gen ~header:(header t.engine ~gen ~base_events:seen) in
+      let gen = Wal.gen t.wal + 1 and seen = Online.events_seen t.engine in
+      Snapshot.write ~dir:t.dir ~gen (Snapshot.Cache.image t.cache t.engine);
       let old = t.wal in
-      t.wal <- wal;
+      t.wal <- Wal.create ~dir:t.dir ~gen ~header:(header t.engine ~gen ~base_events:seen);
       t.base_events <- seen;
       Wal.close old;
-      prune_snapshots t)
+      Snapshot.publish ~dir:t.dir ~gen;
+      (* one directory fsync for both new entries *)
+      Io.fsync_dir t.dir;
+      t.dir_pending <- false;
+      retain t (gen :: t.snaps))
 
 let observe t ev =
   if t.closed then invalid_arg "Session.observe: closed";
@@ -359,6 +388,7 @@ let open_ ?(config = default_config) ?(meter = Meter.default) ~dir ~n ~track_ope
               (Wal.create ~dir ~gen:base_gen ~header:(header engine ~gen:base_gen ~base_events:seen))
             ~base_events:seen
     in
+    retain t (List.filter (fun g -> not (List.mem_assoc g info.skipped)) snaps);
     (* an older-format segment only ever loses its torn tail: appends
        go to the fresh segment of a new snapshot *)
     (match last with

@@ -54,7 +54,9 @@ val open_ :
 (** Open (creating [dir] if needed) or recover a session.  [None]: the
     directory held no durable state and a fresh engine was started.
     [Some info]: state was recovered; resume feeding events from index
-    [Online.events_seen (engine t)].
+    [Online.events_seen (engine t)].  Snapshot generations past the
+    newest two are deleted here; the session then tracks the generations
+    it keeps in memory and never lists the directory again.
 
     A directory written with version-1 WAL segments (JSON records)
     recovers and resumes: its last segment is never appended to — open

@@ -12,7 +12,9 @@
    the stack cells and routes added since its previous image; the bytes
    equal [encode (Online.export engine)], the reference.
 
-   Install is write-tmp -> fsync -> rename -> fsync(dir); the previous
+   Install is write-tmp -> fsync ([write]), then rename ([publish]); the
+   directory fsync that makes the rename durable is the session's, which
+   covers the new WAL segment's entry with the same call.  The previous
    generation file is left in place as the fallback the loader degrades
    to when the newest file fails its checksum.  Decoding never trusts a
    byte it has not checked: wrong magic, truncated payload, bad CRC and
@@ -315,20 +317,21 @@ let generations ~dir =
   |> List.filter_map parse_filename
   |> List.sort (fun a b -> Int.compare b a)
 
-let install ~dir ~gen image =
-  let final = path ~dir ~gen in
-  let tmp = final ^ ".tmp" in
+let tmp_path ~dir ~gen = path ~dir ~gen ^ ".tmp"
+
+let write ~dir ~gen image =
+  let tmp = tmp_path ~dir ~gen in
   let fd = Io.openfile ~name:tmp tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
-  (match
-     Io.write_all ~name:"snap" ~len:(W.length image) fd (W.unsafe_bytes image);
-     Io.fsync ~name:"snap" fd
-   with
+  match
+    Io.write_all ~name:"snap" ~len:(W.length image) fd (W.unsafe_bytes image);
+    Io.fsync ~name:"snap" fd
+  with
   | () -> Io.close_noerr fd
   | exception exn ->
       Io.close_noerr fd;
-      raise exn);
-  Io.rename ~src:tmp ~dst:final;
-  Io.fsync_dir dir
+      raise exn
+
+let publish ~dir ~gen = Io.rename ~src:(tmp_path ~dir ~gen) ~dst:(path ~dir ~gen)
 
 let load ~dir ~gen =
   match Io.read_file ~name:"snap" (path ~dir ~gen) with

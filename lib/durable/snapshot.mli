@@ -4,9 +4,9 @@
     File image: magic ["RDTSNAP1"], u32 payload length, varint-packed
     payload (format version + {!Rdt_check.Online.Export.t}, whose stacks
     hold {!Rdt_pattern.History.entry} values tagged 0 send, 1 receive,
-    2 internal, 3 checkpoint), u32 CRC-32 of the payload.  {!install} is write-tmp -> fsync -> rename ->
-    fsync(dir); the previous generation stays on disk as the fallback
-    {!load} callers degrade to on checksum failure. *)
+    2 internal, 3 checkpoint), u32 CRC-32 of the payload.  An install is {!write} (tmp, fsync),
+    {!publish} (rename), then the caller's directory fsync; the previous generation stays
+    on disk as the fallback {!load} callers degrade to on checksum failure. *)
 
 val encode : Rdt_check.Online.Export.t -> string
 (** Full file image.  Deterministic: equal exports encode to identical
@@ -51,11 +51,16 @@ val path : dir:string -> gen:int -> string
 val generations : dir:string -> int list
 (** Snapshot generations present in [dir], newest first. *)
 
-val install : dir:string -> gen:int -> Rdt_obs.Codec.Writer.t -> unit
-(** Atomically install generation [gen] with this file image (from
-    {!Cache.image}), written from the buffer without a copy.
+val write : dir:string -> gen:int -> Rdt_obs.Codec.Writer.t -> unit
+(** Write generation [gen]'s file image (from {!Cache.image}) to its tmp
+    file, from the buffer without a copy, and fsync it.  Nothing is
+    installed yet: recovery deletes a leftover tmp file.
     @raise Io.Error on ENOSPC or persistent I/O failure; may raise
     {!Crashpoint.Crash} under fault injection. *)
+
+val publish : dir:string -> gen:int -> unit
+(** Rename the tmp file {!write} made to [snap-<gen>.bin], atomically.
+    The rename is durable only after the caller's {!Io.fsync_dir}. *)
 
 val load : dir:string -> gen:int -> (Rdt_check.Online.Export.t, string) result
 (** [Error] covers both a missing generation and a corrupt one. *)

@@ -220,15 +220,18 @@ let flush w =
     Io.write_all ~name:"wal" ~len w.fd (W.unsafe_bytes w.pending)
   end
 
+(* The header goes to the kernel here but is made durable by the
+   segment's first fsync, and its directory entry by the caller's next
+   directory fsync (DESIGN.md § Durability).  Until then no event of the
+   segment is durable either, and recovery drops a header-torn last
+   segment. *)
 let create ~dir ~gen:g ~header:h =
   let p = path ~dir ~gen:g in
   let fd = Io.openfile ~name:p p [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
   let w = writer fd g in
   (try
      ignore (frame_into w.pending encode_header { h with gen = g });
-     flush w;
-     Io.fsync ~name:"wal" fd;
-     Io.fsync_dir dir
+     flush w
    with exn ->
      Io.close_noerr fd;
      raise exn);

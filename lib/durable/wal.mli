@@ -65,10 +65,12 @@ val read : dir:string -> gen:int -> (read_result, string) result
 type writer
 
 val create : dir:string -> gen:int -> header:header -> writer
-(** Start segment [gen] (truncating any leftover), write its header
-    record and make it durable.  The [gen] field of [header] is
-    overridden with [gen].  @raise Io.Error on I/O failure; may raise
-    {!Crashpoint.Crash} under fault injection. *)
+(** Start segment [gen] (truncating any leftover) and hand its header
+    record to the kernel, with no fsync: the header becomes durable with
+    the segment's first {!sync}, and the file's directory entry only with
+    a directory fsync, which is the caller's ({!Io.fsync_dir}).  The
+    [gen] field of [header] is overridden with [gen].  @raise Io.Error on
+    I/O failure; may raise {!Crashpoint.Crash} under fault injection. *)
 
 val reopen : dir:string -> gen:int -> valid_len:int -> writer
 (** Reopen an existing segment for append, truncating the torn tail

@@ -10,11 +10,13 @@ type entry =
 
 let seq = function Send { seq; _ } | Recv { seq; _ } | Internal { seq } | Ckpt { seq; _ } -> seq
 
+module Routes = Rdt_dist.Tbl.Int
+
 type t = {
   n : int;
   stacks : entry list array; (* surviving entries per process, newest first *)
-  routes : (int, int * int) Hashtbl.t; (* msg -> (src, dst), every message sent *)
-  mutable arrived : int array; (* (msg, src, dst) triples of [routes] in arrival order *)
+  routes : int Routes.t; (* msg -> its latest record in [arrived] *)
+  mutable arrived : int array; (* (msg, src, dst) triples, one per send, in arrival order *)
   mutable n_arrived : int;
   undeliv : (int, unit) Hashtbl.t;
 }
@@ -23,14 +25,14 @@ let create ~n =
   {
     n;
     stacks = Array.make n [];
-    routes = Hashtbl.create 64;
+    routes = Routes.create 64;
     arrived = Array.make 48 0;
     n_arrived = 0;
     undeliv = Hashtbl.create 8;
   }
 
 let add_route h ~msg ~src ~dst =
-  Hashtbl.replace h.routes msg (src, dst);
+  Routes.replace h.routes msg h.n_arrived;
   let i = 3 * h.n_arrived in
   if i + 3 > Array.length h.arrived then begin
     let a = Array.make (2 * Array.length h.arrived) 0 in
@@ -45,6 +47,9 @@ let add_route h ~msg ~src ~dst =
 let check_pid h pid what =
   if pid < 0 || pid >= h.n then inconsistent "%s: pid %d out of range" what pid
 
+(* most streams abandon nothing: skip the hash of an empty table *)
+let is_undeliverable h msg = Hashtbl.length h.undeliv > 0 && Hashtbl.mem h.undeliv msg
+
 let push h pid e = h.stacks.(pid) <- e :: h.stacks.(pid)
 
 let send h ~seq ~msg ~src ~dst =
@@ -55,8 +60,8 @@ let send h ~seq ~msg ~src ~dst =
 
 let recv h ~seq ~msg ~dst =
   check_pid h dst "deliver";
-  if not (Hashtbl.mem h.routes msg) then inconsistent "deliver of unknown message %d" msg;
-  if Hashtbl.mem h.undeliv msg then inconsistent "deliver of undeliverable message %d" msg;
+  if not (Routes.mem h.routes msg) then inconsistent "deliver of unknown message %d" msg;
+  if is_undeliverable h msg then inconsistent "deliver of undeliverable message %d" msg;
   push h dst (Recv { seq; msg })
 
 let internal h ~seq ~pid =
@@ -68,8 +73,6 @@ let checkpoint h ~seq ~pid ~index =
   push h pid (Ckpt { seq; index })
 
 let undeliverable h ~msg = Hashtbl.replace h.undeliv msg ()
-
-let is_undeliverable h msg = Hashtbl.mem h.undeliv msg
 
 let rollback h ~pid ~to_index =
   check_pid h pid "rollback";
@@ -99,8 +102,10 @@ let to_pattern ~checkpoint h =
       match e with
       | Send { msg; _ } ->
           if not (is_undeliverable h msg) then begin
-            match Hashtbl.find_opt h.routes msg with
-            | Some (_, dst) -> Hashtbl.replace handles msg (Pattern.Builder.send b ~src:pid ~dst)
+            match Routes.find_opt h.routes msg with
+            | Some r ->
+                let dst = h.arrived.((3 * r) + 2) in
+                Hashtbl.replace handles msg (Pattern.Builder.send b ~src:pid ~dst)
             | None -> inconsistent "no route recorded for message %d" msg
           end
       | Recv { msg; _ } -> (
@@ -125,9 +130,15 @@ let iter_routes_from h ~from f =
     f h.arrived.(3 * i) h.arrived.((3 * i) + 1) h.arrived.((3 * i) + 2)
   done
 
+(* the records each message's route points at, its latest, by id *)
 let routes h =
-  Rdt_dist.Tbl.bindings_sorted ~compare:Int.compare h.routes
-  |> List.map (fun (msg, (src, dst)) -> (msg, src, dst))
+  let latest = ref [] in
+  for r = h.n_arrived - 1 downto 0 do
+    let msg = h.arrived.(3 * r) in
+    if Routes.find h.routes msg = r then
+      latest := (msg, h.arrived.((3 * r) + 1), h.arrived.((3 * r) + 2)) :: !latest
+  done;
+  List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b) !latest
 
 let undeliverable_msgs h = Rdt_dist.Tbl.keys_sorted ~compare:Int.compare h.undeliv
 

@@ -308,6 +308,31 @@ let test_cost_does_not_grow () =
     true
     (last <= 4. *. first)
 
+(* The step's allocation, pinned: over a fixed BHMR/random n = 16 trace
+   (the shape of the durable benchmark's stream), the exact minor words
+   Online allocates per event.  The step allocates what a step must keep
+   (history entries, table bindings, frozen vectors, new nodes) and no
+   worklist, closure or reference cell: 31.7 words/event when this bound
+   was set, 53.2 with a queue, a closure and a reference per propagated
+   edge and per verdict scan. *)
+let words_per_event_bound = 33.
+
+let test_step_allocation () =
+  let tr = Trace.ring ~capacity:50_000 in
+  ignore
+    (Runtime.run
+       (runtime_config ~n:16 ~messages:2000 ~envname:"random" ~seed:7 ~trace:tr
+          (Registry.find_exn "bhmr")));
+  let events = Trace.events tr in
+  let t = Online.create ~n:16 () in
+  let before = Gc.minor_words () in
+  List.iter (Online.observe t) events;
+  let per_event = (Gc.minor_words () -. before) /. float_of_int (List.length events) in
+  check
+    (Printf.sprintf "%.2f words/event <= %.0f" per_event words_per_event_bound)
+    true
+    (per_event <= words_per_event_bound)
+
 (* ------------------------------------------------------------------ *)
 (* Engine-level unit tests                                             *)
 (* ------------------------------------------------------------------ *)
@@ -640,6 +665,7 @@ let () =
       ( "per-event",
         [
           Alcotest.test_case "prefix verdicts = offline oracle" `Quick test_prefix_oracle;
+          Alcotest.test_case "step allocation per event, pinned" `Quick test_step_allocation;
           Alcotest.test_case "per-event cost does not grow with history" `Quick
             test_cost_does_not_grow;
           Alcotest.test_case "rollback retraction and latch" `Quick test_rollback_retraction;
