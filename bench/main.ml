@@ -170,7 +170,10 @@ let wire_tests =
    more events.  The image benchmark copies a cache primed at 10k events
    on every run, so each run encodes the same 1,000-event step;
    [snapshot-encode] is the full re-encode of the same state, for
-   comparison.  [codec/crc32] checksums that image, one step per byte. *)
+   comparison.  [codec/crc32] checksums that image, one step per byte.
+   [online/rollback] restores the engine's export at 10k events, two
+   restores per run: the rebuild from the surviving history that every
+   [Rollback] event costs. *)
 let durable_tests =
   let module W = Rdt_obs.Codec.Writer in
   let module Online = Rdt_check.Online in
@@ -194,6 +197,7 @@ let durable_tests =
   done;
   let primed = Snapshot.Cache.create () in
   ignore (Snapshot.Cache.image primed engine);
+  let export = Online.export engine in
   for i = 10_000 to 10_999 do
     Online.observe engine events.(i)
   done;
@@ -204,6 +208,7 @@ let durable_tests =
     micro "durable/snapshot-image" (fun () ->
         ignore (Snapshot.Cache.image (Snapshot.Cache.copy primed) engine));
     micro "durable/snapshot-encode" (fun () -> ignore (Snapshot.encode (Online.export engine)));
+    batched ~steps:2 "online/rollback" (fun _ -> ignore (Online.restore export));
     (let image = Snapshot.encode (Online.export engine) in
      {
        test =

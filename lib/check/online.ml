@@ -85,8 +85,8 @@ let open_rise s _ _ = s.rose <- true
 (* a reached entry of another process past what the vector tracks *)
 let untracked s i enc tracked = if i <> s.owner && enc - 1 > tracked then s.bad <- true
 
-(* A sent message: the sender's node at send time and its payload, the
-   sender's frozen vector. *)
+(* A message in flight: the sender's node at send time and its payload,
+   the sender's frozen vector. *)
 type sent = { slot : int; payload : Vclock.t }
 
 type core = {
@@ -236,12 +236,11 @@ let core_send c ~msg ~src =
   c.open_events.(src) <- c.open_events.(src) + 1;
   c.dirty.(src) <- true
 
-let core_deliver c ~msg ~dst =
-  let { slot = u; payload } =
-    match Msgs.find c.sent msg with
-    | s -> s
-    | exception Not_found -> bad "surviving delivery of rolled-back send %d" msg
-  in
+(* A delivery consumes the message's [sent] entry, so the table holds
+   only messages in flight; a rebuild re-creates the entry of a
+   surviving send whose delivery was rolled back. *)
+let core_deliver c { slot = u; payload } ~msg ~dst =
+  Msgs.remove c.sent msg;
   Vclock.merge c.vectors.(dst) payload;
   c.frozen.(dst) <- dummy_vclock;
   c.open_events.(dst) <- c.open_events.(dst) + 1;
@@ -416,9 +415,18 @@ let op_send t ~msg ~src ~dst =
   History.send t.history ~seq:t.seen ~msg ~src ~dst;
   core_send t.core ~msg ~src
 
+(* With no [sent] entry the delivery is an error: the message was
+   delivered already, or its send rolled back (or never happened, or was
+   abandoned, which [History.recv] reports). *)
 let op_deliver t ~msg ~dst =
-  History.recv t.history ~seq:t.seen ~msg ~dst;
-  core_deliver t.core ~msg ~dst
+  match Msgs.find t.core.sent msg with
+  | s ->
+      History.recv t.history ~seq:t.seen ~msg ~dst;
+      core_deliver t.core s ~msg ~dst
+  | exception Not_found ->
+      if History.delivered t.history msg then bad "deliver of already delivered message %d" msg;
+      History.recv t.history ~seq:t.seen ~msg ~dst;
+      bad "surviving delivery of rolled-back send %d" msg
 
 let op_internal t ~pid =
   History.internal t.history ~seq:t.seen ~pid;
@@ -428,12 +436,8 @@ let op_checkpoint t ~pid ~index =
   History.checkpoint t.history ~seq:t.seen ~pid ~index;
   core_ckpt t.core ~pid ~index
 
-let op_undeliverable t ~msg =
-  History.undeliverable t.history ~msg;
-  core_retract_send t.core ~msg
-
-let rebuild t =
-  t.rebuilds <- t.rebuilds + 1;
+(* The core rebuilt from the surviving history. *)
+let replay t =
   let c = core_create ~n:t.n in
   t.core <- c;
   t.orphans <- [];
@@ -441,19 +445,34 @@ let rebuild t =
       match e with
       | Send { msg; _ } ->
           if not (History.is_undeliverable t.history msg) then core_send c ~msg ~src:pid
-      | Recv { msg; _ } ->
+      | Recv { msg; _ } -> (
           (* a delivery can outlive its send mid-cascade: the sender rolled
-             back first and the receiver's rollback has not arrived yet.
+             back first and the receiver's rollback has not arrived yet
+             (or the message was abandoned after its delivery).
              Exclude it from the rebuilt state; it must be popped by a
              later rollback for the stream to end consistently. *)
-          if Msgs.mem c.sent msg then core_deliver c ~msg ~dst:pid
-          else t.orphans <- msg :: t.orphans
+          match Msgs.find c.sent msg with
+          | s -> core_deliver c s ~msg ~dst:pid
+          | exception Not_found -> t.orphans <- msg :: t.orphans)
       | Internal _ -> core_internal c ~pid
       | Ckpt { index; _ } -> core_ckpt c ~pid ~index);
   (* every open verdict is stale; settle them all *)
   for pid = 0 to t.n - 1 do
     c.dirty.(pid) <- true
   done
+
+let rebuild t =
+  t.rebuilds <- t.rebuilds + 1;
+  replay t
+
+(* Abandoning a delivered message orphans its surviving delivery, as a
+   rollback of its send would: the core is replayed without it (not a
+   rollback, so not counted as one), and a later rollback must pop it
+   for the stream to end consistently. *)
+let op_undeliverable t ~msg =
+  History.undeliverable t.history ~msg;
+  if Msgs.mem t.core.sent msg then core_retract_send t.core ~msg
+  else if History.delivered t.history msg then replay t
 
 let op_rollback t ~pid ~to_index =
   ignore (History.rollback t.history ~pid ~to_index);
@@ -628,8 +647,8 @@ let restore (e : Export.t) =
           ~undeliverable:e.Export.undeliverable;
     }
   in
-  (* reconstruction is the rollback rebuild; it must not count as one *)
-  rebuild t;
+  (* reconstruction is the rollback rebuild; it does not count as one *)
+  replay t;
   settle t;
   t.seen <- e.Export.events_seen;
   t.first_violation <- e.Export.first_violation;

@@ -36,9 +36,9 @@
     rebuild of the surviving prefix. *)
 
 exception Inconsistent of string
-(** The event stream is not a consistent run (delivery of an unknown or
-    undeliverable message, checkpoint index out of order, rollback to a
-    missing checkpoint, ...).  The same exception as
+(** The event stream is not a consistent run (delivery of an unknown,
+    undeliverable or already delivered message, checkpoint index out of
+    order, rollback to a missing checkpoint, ...).  The same exception as
     {!Rdt_pattern.History.Inconsistent}. *)
 
 type t
@@ -112,11 +112,11 @@ val history : t -> Rdt_pattern.History.t
 (** The surviving history the engine keeps; read it, don't mutate it. *)
 
 val orphan_messages : t -> int list
-(** Surviving deliveries whose send was rolled back.  A rollback cascade
-    is observed one process at a time, so between the sender's rollback
-    and the receiver's the state is transiently inconsistent; the
-    offending deliveries are excluded from the verdict until the
-    receiver rolls back past them.  A stream that {e ends} with orphans
+(** Surviving deliveries whose send was rolled back or abandoned.  A
+    rollback cascade is observed one process at a time, so between the
+    sender's rollback and the receiver's the state is transiently
+    inconsistent; the offending deliveries are excluded from the verdict
+    until the receiver rolls back past them.  A stream that {e ends} with orphans
     is inconsistent ({!check_trace} rejects it, like
     [Replay.rebuild]). *)
 

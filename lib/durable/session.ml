@@ -19,19 +19,23 @@
    came after the last sync point, at most [snapshot_every] events.  A
    sync point is one fsync of the active segment; the first one after
    [open_] also fsyncs the directory, unless an install's directory
-   fsync has covered the segment's entry by then.
+   fsync has covered the segment's entry by then.  A segment that
+   recovery reopens counts the records it keeps as unsynced (a killed
+   writer may not have fsynced them), so its first sync point fsyncs
+   the segment even with nothing appended since.
 
    Per event the cost follows what changed, not the history: an event is
    one record framed into the WAL's pending buffer.  A snapshot's
-   encoding does too: it re-encodes only the stack cells and routes added
-   since the previous one ([Snapshot.Cache]), producing the same bytes a
-   full encode would.  The rest of a snapshot is O(image) on every
-   install: the CRC over the whole payload, assembling the image and
-   writing it out.  On perfbench watch's 21k-event trace that is 1.45 MB
-   written over 21 installs, against 0.52 MB of WAL, and 3 durability
-   calls per install (the first makes 4: its segment's first sync
-   point).  Per-section CRCs and an append-only image wait for the next
-   snapshot format (ROADMAP item 3).
+   encoding does too: it encodes only the history entries and routes
+   added since the previous one, read by position from the history's
+   packed logs ([Snapshot.Cache]), producing the same bytes a full
+   encode would.  What stays O(image) on every install is the CRC over
+   the whole payload and the write, plus one copy of the cached
+   sections into the image buffer.  On perfbench watch's 21k-event
+   trace that is 1.45 MB written over 21 installs, against 0.52 MB of
+   WAL, and 3 durability calls per install (the first makes 4: its
+   segment's first sync point).  Per-section CRCs and an append-only
+   image wait for the next snapshot format (ROADMAP item 3).
 
    Write order at a snapshot install, three durability calls (every
    crash window in between is covered by the recovery scan):
@@ -146,8 +150,9 @@ let drop_unreadable_last_segment ~dir segs =
           Wal.remove ~dir ~gen:last;
           List.filter (fun g -> g <> last) segs)
 
-(* The segment appends continue into, as recovery left it. *)
-type last_segment = { lgen : int; valid_len : int; lversion : int; lbase : int }
+(* The segment appends continue into, as recovery read it (its events
+   dropped). *)
+type last_segment = { lgen : int; lread : Wal.read_result }
 
 (* Replay segments [start_gen, start_gen+1, ...] (all that exist) into
    [engine].  Returns (events replayed, torn notes, the last segment —
@@ -181,14 +186,7 @@ let replay_chain ~dir ~segs ~start_gen engine =
                 raise (Chain_failed (Printf.sprintf "segment %d torn mid-chain: %s" g why))
               else torn := (g, why) :: !torn
           | None -> ());
-          last :=
-            Some
-              {
-                lgen = g;
-                valid_len = rr.Wal.valid_len;
-                lversion = rr.Wal.version;
-                lbase = rr.Wal.header.Wal.base_events;
-              })
+          last := Some { lgen = g; lread = { rr with Wal.events = [] } })
     chain;
   (!replayed, List.rev !torn, !last)
 
@@ -378,8 +376,8 @@ let open_ ?(config = default_config) ?(meter = Meter.default) ~dir ~n ~track_ope
       | Some l ->
           (* continue the segment recovery ended in, minus its torn tail *)
           session
-            ~wal:(Wal.reopen ~dir ~gen:l.lgen ~valid_len:l.valid_len)
-            ~base_events:l.lbase
+            ~wal:(Wal.reopen ~dir ~gen:l.lgen l.lread)
+            ~base_events:l.lread.Wal.header.Wal.base_events
       | None ->
           (* snapshot installed but its segment never created *)
           let seen = Online.events_seen engine in
@@ -392,7 +390,7 @@ let open_ ?(config = default_config) ?(meter = Meter.default) ~dir ~n ~track_ope
     (* an older-format segment only ever loses its torn tail: appends
        go to the fresh segment of a new snapshot *)
     (match last with
-    | Some l when l.lversion <> Wal.version -> (
+    | Some l when l.lread.Wal.version <> Wal.version -> (
         try install_snapshot t
         with exn ->
           abort t;

@@ -66,7 +66,8 @@ val open_ :
     Meters [recovery.replayed_events]; {!observe} meters the
     [durable.snapshot] span and, at each sync point that fsyncs the WAL,
     [wal.fsync] and the event bytes framed since the previous one
-    ([wal.bytes]).
+    ([wal.bytes]); after a recovery that continues a segment, the first
+    sync point fsyncs and counts the event records recovery kept in it.
 
     @raise Io.Error [(Corrupt _)] when no recovery chain succeeds, or
     the durable state disagrees with [n]/[track_open]; other [Io.Error]s

@@ -8,9 +8,10 @@
      payload version + Online.Export.t     (varint-packed)
      crc     u32 LE                         CRC-32 of the payload
 
-   A live session builds the image with [Cache], which re-encodes only
-   the stack cells and routes added since its previous image; the bytes
-   equal [encode (Online.export engine)], the reference.
+   A live session builds the image with [Cache], which encodes only the
+   history entries and routes added since its previous image, straight
+   from the history's packed logs; the bytes equal
+   [encode (Online.export engine)], the reference.
 
    Install is write-tmp -> fsync ([write]), then rename ([publish]); the
    directory fsync that makes the rename durable is the session's, which
@@ -37,27 +38,24 @@ let version = 1
 (* Encoding                                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* The layout is written down once, here: [entry] and [route] encode one
+(* The layout is written down once, here: [fields] and [route] encode one
    element of a section, [assemble] lays the sections out.  The full
    encode and the incremental {!Cache} both go through them. *)
 
+(* One history entry: its tag byte ({!H.iter_log}'s tags are the file's:
+   0 send, 1 receive, 2 internal, 3 checkpoint), its seq, and the message
+   id or checkpoint index of every kind but an internal event. *)
+let fields w tag seq x =
+  W.byte w tag;
+  W.varint w seq;
+  if tag <> 2 then W.varint w x
+
 let entry w (e : H.entry) =
   match e with
-  | H.Send { seq; msg } ->
-      W.byte w 0;
-      W.varint w seq;
-      W.varint w msg
-  | H.Recv { seq; msg } ->
-      W.byte w 1;
-      W.varint w seq;
-      W.varint w msg
-  | H.Internal { seq } ->
-      W.byte w 2;
-      W.varint w seq
-  | H.Ckpt { seq; index } ->
-      W.byte w 3;
-      W.varint w seq;
-      W.varint w index
+  | H.Send { seq; msg } -> fields w 0 seq msg
+  | H.Recv { seq; msg } -> fields w 1 seq msg
+  | H.Internal { seq } -> fields w 2 seq 0
+  | H.Ckpt { seq; index } -> fields w 3 seq index
 
 let route w msg src dst =
   W.varint w msg;
@@ -116,9 +114,10 @@ let encode (e : Export.t) =
 (* ------------------------------------------------------------------ *)
 
 module Cache = struct
-  (* One process's stack section: [body] encodes [count] entries, oldest
-     first — exactly the stack [top] (newest first) it was built from. *)
-  type stack = { mutable top : H.entry list; mutable count : int; body : W.t }
+  (* One process's stack section: [body] encodes the first [count]
+     entries of its log, oldest first, as they stood after [rollbacks]
+     rollbacks of the process. *)
+  type stack = { mutable count : int; mutable rollbacks : int; body : W.t }
 
   type t = {
     mutable owner : H.t option;  (** the history the sections describe *)
@@ -151,32 +150,25 @@ module Cache = struct
 
   let reset c h ~n =
     c.owner <- Some h;
-    c.stacks <- Array.init n (fun _ -> { top = []; count = 0; body = W.create () });
+    c.stacks <- Array.init n (fun _ -> { count = 0; rollbacks = 0; body = W.create () });
     W.clear c.routes;
     c.route_count <- 0;
     c.routes_seen <- 0;
     c.last_msg <- min_int
 
-  (* Cells above the cached top are new: encode only those.  When the
-     cached top is no longer a tail of the stack (a rollback went below
-     it), the walk reaches the bottom and the section is rebuilt; either
-     way the walk has collected exactly the cells to encode, oldest
-     first. *)
-  let update_stack s cur =
-    if cur != s.top then begin
-      let rec above acc k l =
-        if l == s.top then (acc, k, true)
-        else match l with [] -> (acc, k, false) | e :: rest -> above (e :: acc) (k + 1) rest
-      in
-      let fresh, k, reachable = above [] 0 cur in
-      if not reachable then begin
-        W.clear s.body;
-        s.count <- 0
-      end;
-      List.iter (entry s.body) fresh;
-      s.count <- s.count + k;
-      s.top <- cur
-    end
+  (* A log that only grew since the section was built needs only its
+     entries from [count] on encoded.  After a rollback of the process
+     the entries below [count] may have been overwritten, so the section
+     is rebuilt. *)
+  let update_stack s h pid =
+    let rollbacks = H.rollbacks h pid in
+    if rollbacks <> s.rollbacks then begin
+      W.clear s.body;
+      s.count <- 0;
+      s.rollbacks <- rollbacks
+    end;
+    H.iter_log h pid ~from:s.count (fields s.body);
+    s.count <- H.length h pid
 
   (* Routes arrive in message-id order in practice; an id that does not
      rise (a resend, or ids out of order) re-encodes the section from
@@ -206,7 +198,7 @@ module Cache = struct
   let image c engine =
     let h = Online.history engine and n = Online.n engine in
     (match c.owner with Some o when o == h -> () | _ -> reset c h ~n);
-    Array.iteri (fun pid s -> update_stack s (H.stack_newest_first h pid)) c.stacks;
+    Array.iteri (fun pid s -> update_stack s h pid) c.stacks;
     update_routes c h;
     assemble c.out ~n ~track_open:(Online.track_open engine)
       ~events_seen:(Online.events_seen engine) ~first_violation:(Online.first_violation engine)

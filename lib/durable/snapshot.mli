@@ -16,15 +16,15 @@ val encode : Rdt_check.Online.Export.t -> string
     changed since the previous image, not to the whole history.
 
     A cache keeps each RDTSNAP1 section encoded: per process the stack
-    section and the stack (newest first, see
-    {!Rdt_pattern.History.stack_newest_first}) it was built from, and the
-    routes section.  Since history stacks are immutable lists that pushes
-    cons onto and rollbacks cut to a physical suffix, a cached stack
-    still physically in the current one needs only the cells above it
-    encoded; otherwise the section is rebuilt.  Routes append while
-    message ids rise; an id that does not re-encodes the section.  The
-    header fields, the undeliverable list and the CRC are redone every
-    time. *)
+    section, with the log length and the process's rollback count
+    ({!Rdt_pattern.History.rollbacks}) it was built at, and the routes
+    section.  A process's log only grows between its rollbacks, so while
+    the count is unchanged only the entries from the cached length on
+    are encoded, read from the log ({!Rdt_pattern.History.iter_log});
+    after a rollback of the process its section is rebuilt.  Routes
+    append while message ids rise; an id that does not re-encodes the
+    section.  The header fields, the undeliverable list, the CRC and
+    the assembly of the image are redone every time. *)
 module Cache : sig
   type t
 

@@ -119,6 +119,7 @@ type read_result = {
   version : int;
   events : Trace.event list;
   valid_len : int;  (** byte length of the longest valid prefix *)
+  header_len : int;  (** byte length of the header frame *)
   torn : string option;  (** why reading stopped before end-of-file, if it did *)
 }
 
@@ -188,6 +189,7 @@ let read ~dir ~gen =
                   version;
                   events = List.rev !events;
                   valid_len = !valid_len;
+                  header_len = pos + len + 4;
                   torn = !torn;
                 }))
 
@@ -238,17 +240,19 @@ let create ~dir ~gen:g ~header:h =
   w
 
 (* Reopen an existing segment for append, discarding a torn tail found
-   by {!read}. *)
-let reopen ~dir ~gen:g ~valid_len =
+   by {!read}.  The records kept may never have been fsynced (a killed
+   writer hands them to the kernel only), so they count as unsynced and
+   the first sync point fsyncs them. *)
+let reopen ~dir ~gen:g (rr : read_result) =
   let p = path ~dir ~gen:g in
   let fd = Io.openfile ~name:p p [ Unix.O_WRONLY ] 0o644 in
   (try
-     Io.ftruncate ~name:p fd valid_len;
-     ignore (Unix.lseek fd valid_len Unix.SEEK_SET)
+     Io.ftruncate ~name:p fd rr.valid_len;
+     ignore (Unix.lseek fd rr.valid_len Unix.SEEK_SET)
    with exn ->
      Io.close_noerr fd;
      raise exn);
-  writer fd g
+  { (writer fd g) with unsynced = rr.valid_len - rr.header_len }
 
 let append w ev =
   (match oversized ev with

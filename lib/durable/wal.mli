@@ -53,6 +53,7 @@ type read_result = {
   version : int;  (** the segment's format version, 1 or 2 *)
   events : Rdt_obs.Trace.event list;
   valid_len : int;  (** byte length of the longest valid prefix *)
+  header_len : int;  (** byte length of the header frame *)
   torn : string option;
       (** why reading stopped before end-of-file, if it did (expected
           after a crash; the tail past [valid_len] is garbage) *)
@@ -72,10 +73,12 @@ val create : dir:string -> gen:int -> header:header -> writer
     [gen] field of [header] is overridden with [gen].  @raise Io.Error on
     I/O failure; may raise {!Crashpoint.Crash} under fault injection. *)
 
-val reopen : dir:string -> gen:int -> valid_len:int -> writer
-(** Reopen an existing segment for append, truncating the torn tail
-    found by {!read}.  Only a segment of the current {!version} may then
-    be appended to. *)
+val reopen : dir:string -> gen:int -> read_result -> writer
+(** Reopen segment [gen], which {!read} returned, for append, truncating
+    the torn tail it found.  The event records kept count as appended:
+    a killed writer may never have fsynced them, so the first {!sync}
+    does.  Only a segment of the current {!version} may then be appended
+    to. *)
 
 val gen : writer -> int
 

@@ -625,6 +625,51 @@ let test_durability_calls () =
         (counted (fun () -> feed_from s (synced_prefix events every)));
       Session.close s)
 
+(* A killed session leaves records it handed to the kernel but never
+   fsynced.  The open that recovers them by WAL replay continues their
+   segment, and its first sync point must fsync it: a close straight
+   after the open promises every recovered event durable. *)
+let test_recovered_records_fsynced () =
+  let events, _ = trace_of ~envname:"random" ~seed:13 ~messages:300 ~n:4 "bhmr" in
+  let exp = uninterrupted events in
+  let calls () =
+    Option.value ~default:0
+      (List.assoc_opt "io.fsync" (Rdt_obs.Meter.counters Rdt_obs.Meter.default))
+  in
+  let counted f =
+    let c0 = calls () in
+    let v = f () in
+    (calls () - c0, v)
+  in
+  let every = List.length events + 1 in
+  let killed dir =
+    let s = fst (Session.open_ ~config:(config every) ~dir ~n:exp.n ~track_open:true ()) in
+    feed_from s events;
+    Session.abort s
+  in
+  let reopen dir = Session.open_ ~config:(config every) ~dir ~n:exp.n ~track_open:true () in
+  with_dir (fun dir ->
+      killed dir;
+      let opened, (s, info) = counted (fun () -> reopen dir) in
+      Alcotest.(check int) "open recovers without a durability call" 0 opened;
+      check "the kill left records to replay" true
+        (match info with
+        | Some i -> i.Session.restored_gen = None && i.Session.replayed_events > 0
+        | None -> false);
+      let closed, () = counted (fun () -> Session.close s) in
+      Alcotest.(check int) "close after recovery: segment and directory" 2 closed);
+  with_dir (fun dir ->
+      killed dir;
+      let s = fst (reopen dir) in
+      let synced, () = counted (fun () -> sync s) in
+      Alcotest.(check int) "first sync after recovery: segment and directory" 2 synced;
+      let closed, () = counted (fun () -> Session.close s) in
+      Alcotest.(check int) "close with nothing new" 0 closed;
+      let s = fst (reopen dir) in
+      feed_from s events;
+      Session.close s;
+      assert_equal_state "resumed after recovery" exp (Session.engine s))
+
 (* ------------------------------------------------------------------ *)
 (* Codec                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -901,6 +946,28 @@ let test_incremental_image_descending_ids () =
     (fun k -> ignore (image_tracks ~label:"descending ids" ~k (Online.create ~n:2 ()) events))
     [ 1; 2; 5 ]
 
+(* Rollbacks that pop only entries the cache has not encoded yet, and
+   one that pops encoded entries and pushes as many different ones back,
+   so the log has its cached length again with other entries in it. *)
+let test_incremental_image_rollback_above () =
+  let send msg = Trace.Send { msg; src = 0; dst = 1; time = msg } in
+  let deliver msg = Trace.Deliver { msg; src = 0; dst = 1; time = 100 + msg } in
+  let internal = Trace.Internal { pid = 0; time = 0 } in
+  let ckpt index = Trace.Ckpt { pid = 0; index; kind = Basic; time = 0; tdv = None; preds = [] } in
+  let rollback to_index = Trace.Rollback { pid = 0; to_index; time = 0 } in
+  let engine = Online.create ~n:2 () and cache = Snapshot.Cache.create () in
+  let step label events =
+    List.iter (Online.observe engine) events;
+    check label true
+      (Codec.Writer.contents (Snapshot.Cache.image cache engine)
+      = Snapshot.encode (Online.export engine))
+  in
+  step "three entries of pid 0 encoded" [ send 1; deliver 1; internal; ckpt 1 ];
+  step "rollback to the cached length" [ internal; send 2; rollback 1 ];
+  step "rollback above the cached length" [ internal; send 3; internal; rollback 1; internal ];
+  step "grown past the cache" [ send 4; internal ];
+  step "same length, other entries" [ rollback 1; internal; internal; internal ]
+
 let test_incremental_image_restored () =
   let events = crash_trace 3 in
   let n = match Online.trace_process_count events with Ok n -> n | Error e -> Alcotest.fail e in
@@ -1089,6 +1156,7 @@ let () =
             test_retention_after_machine_crash;
           Alcotest.test_case "durability calls per sync point and install" `Quick
             test_durability_calls;
+          Alcotest.test_case "recovered records fsynced" `Quick test_recovered_records_fsynced;
         ] );
       ( "corruption",
         [
@@ -1122,6 +1190,8 @@ let () =
             test_incremental_image_descending_ids;
           Alcotest.test_case "restored engines and a reused cache" `Quick
             test_incremental_image_restored;
+          Alcotest.test_case "rollbacks above the cached length" `Quick
+            test_incremental_image_rollback_above;
         ] );
       ( "wal-v1",
         [

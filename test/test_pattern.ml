@@ -722,6 +722,201 @@ let test_history_to_pattern () =
     | _ -> false
     | exception History.Inconsistent e -> e = "surviving delivery of rolled-back send 9")
 
+(* A process that records nothing costs no log: creating a history at
+   n = 10^4 allocates a few words per process, not a buffer each. *)
+let test_history_create_small () =
+  let n = 10_000 in
+  let before = Gc.allocated_bytes () in
+  let h = History.create ~n in
+  let words = (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8) in
+  ignore (Sys.opaque_identity h);
+  if words > 4. *. float_of_int n then
+    Alcotest.failf "History.create ~n:%d allocated %.0f words" n words
+
+(* The packed history against a plain model of what it stores: per
+   process a list of entries, newest first, and a sort of their union by
+   seq for the replay order.  Random pushes of every kind, resends,
+   abandoned messages and rollbacks (to index 0, to a surviving
+   checkpoint, to a missing one); after every step the two must agree on
+   [stacks], the [iter] order, [rollback]'s result, the packed log and
+   [to_pattern], errors included. *)
+module History_model = struct
+  type t = {
+    n : int;
+    stacks : History.entry list array; (* newest first *)
+    rollbacks : int array;
+    routes : (int, int) Hashtbl.t; (* msg -> latest dst *)
+    undeliv : (int, unit) Hashtbl.t;
+  }
+
+  let create ~n =
+    {
+      n;
+      stacks = Array.make n [];
+      rollbacks = Array.make n 0;
+      routes = Hashtbl.create 8;
+      undeliv = Hashtbl.create 8;
+    }
+
+  let seq = function
+    | History.Send { seq; _ } | Recv { seq; _ } | Internal { seq } | Ckpt { seq; _ } -> seq
+
+  let iter m f =
+    Array.to_list m.stacks
+    |> List.mapi (fun pid stack -> List.rev_map (fun e -> (pid, e)) stack)
+    |> List.concat
+    |> List.stable_sort (fun (_, a) (_, b) -> Int.compare (seq a) (seq b))
+    |> List.iter (fun (pid, e) -> f pid e)
+
+  let rollback m ~pid ~to_index =
+    let rec pop popped = function
+      | History.Ckpt { index; _ } :: _ as kept when index = to_index -> (kept, popped)
+      | [] when to_index = 0 -> ([], popped)
+      | [] ->
+          raise
+            (History.Inconsistent
+               (Printf.sprintf "rollback of pid %d to missing checkpoint %d" pid to_index))
+      | e :: rest -> pop (e :: popped) rest
+    in
+    let kept, popped = pop [] m.stacks.(pid) in
+    if popped <> [] then m.rollbacks.(pid) <- m.rollbacks.(pid) + 1;
+    m.stacks.(pid) <- kept;
+    popped
+
+  let to_pattern ~checkpoint m =
+    let b = P.Builder.create ~n:m.n in
+    let handles = Hashtbl.create 8 in
+    iter m (fun pid e ->
+        match e with
+        | History.Send { msg; _ } ->
+            if not (Hashtbl.mem m.undeliv msg) then
+              Hashtbl.replace handles msg
+                (P.Builder.send b ~src:pid ~dst:(Hashtbl.find m.routes msg))
+        | Recv { msg; _ } -> (
+            match Hashtbl.find_opt handles msg with
+            | Some handle -> P.Builder.recv b handle
+            | None ->
+                raise
+                  (History.Inconsistent
+                     (Printf.sprintf "surviving delivery of rolled-back send %d" msg)))
+        | Internal _ -> P.Builder.internal b pid
+        | Ckpt { index = 0; _ } -> ()
+        | Ckpt { seq; _ } ->
+            let kind, tdv, time = checkpoint seq in
+            ignore (P.Builder.checkpoint ~kind ?tdv ~time b pid));
+    P.Builder.finish b
+end
+
+let history_matches_model =
+  let module M = History_model in
+  QCheck.Test.make ~name:"packed logs = list model" ~count:300
+    QCheck.(
+      pair (int_range 2 4)
+        (list_of_size Gen.(int_range 0 80) (quad small_nat small_nat small_nat small_nat)))
+    (fun (n, ops) ->
+      let h = History.create ~n and m = M.create ~n in
+      let sent = ref [] and next_msg = ref 0 in
+      let outcome f =
+        match f () with
+        | v -> Ok v
+        | exception (History.Inconsistent e | Invalid_argument e) -> Error e
+      in
+      let checkpoint seq = (T.Basic, None, seq) in
+      let agree () =
+        let log pid =
+          let l = ref [] in
+          History.iter_log h pid ~from:0 (fun tag seq x -> l := (tag, seq, x) :: !l);
+          List.rev !l
+        in
+        let as_log = function
+          | History.Send { seq; msg } -> (0, seq, msg)
+          | Recv { seq; msg } -> (1, seq, msg)
+          | Internal { seq } -> (2, seq, 0)
+          | Ckpt { seq; index } -> (3, seq, index)
+        in
+        let order iter x =
+          let l = ref [] in
+          iter x (fun pid e -> l := (pid, e) :: !l);
+          List.rev !l
+        in
+        History.stacks h = Array.map List.rev m.M.stacks
+        && List.for_all
+             (fun pid ->
+               History.length h pid = List.length m.M.stacks.(pid)
+               && History.rollbacks h pid = m.M.rollbacks.(pid)
+               && log pid = List.rev_map as_log m.M.stacks.(pid))
+             (List.init n Fun.id)
+        && order History.iter h = order M.iter m
+        &&
+        match
+          ( outcome (fun () -> History.to_pattern ~checkpoint h),
+            outcome (fun () -> M.to_pattern ~checkpoint m) )
+        with
+        | Ok a, Ok b -> P.equal a b
+        | Error a, Error b -> a = b
+        | _ -> false
+      in
+      let pick l k = List.nth l (k mod List.length l) in
+      List.for_all
+        (fun (seq, (op, a, b, c)) ->
+          let pid = a mod n in
+          let push e =
+            m.M.stacks.(pid) <- e :: m.M.stacks.(pid);
+            true
+          in
+          let ok =
+            match op mod 6 with
+            | 0 ->
+                let msg = if b mod 5 = 0 && !sent <> [] then pick !sent c else !next_msg in
+                if msg = !next_msg then incr next_msg;
+                let dst = (pid + 1 + (c mod (n - 1))) mod n in
+                History.send h ~seq ~msg ~src:pid ~dst;
+                Hashtbl.replace m.M.routes msg dst;
+                sent := msg :: !sent;
+                push (History.Send { seq; msg })
+            | 1 when !sent <> [] ->
+                let msg = pick !sent b in
+                let dst = Hashtbl.find m.M.routes msg in
+                (match History.recv h ~seq ~msg ~dst with
+                | () ->
+                    not (Hashtbl.mem m.M.undeliv msg)
+                    && (m.M.stacks.(dst) <- History.Recv { seq; msg } :: m.M.stacks.(dst);
+                        true)
+                | exception History.Inconsistent e ->
+                    Hashtbl.mem m.M.undeliv msg
+                    && e = Printf.sprintf "deliver of undeliverable message %d" msg)
+            | 2 ->
+                History.internal h ~seq ~pid;
+                push (History.Internal { seq })
+            | 3 ->
+                let index =
+                  1
+                  + List.fold_left
+                      (fun acc -> function History.Ckpt { index; _ } -> max acc index | _ -> acc)
+                      0 m.M.stacks.(pid)
+                in
+                History.checkpoint h ~seq ~pid ~index;
+                push (History.Ckpt { seq; index })
+            | 4 ->
+                let indices =
+                  0
+                  :: List.filter_map
+                       (function History.Ckpt { index; _ } -> Some index | _ -> None)
+                       m.M.stacks.(pid)
+                in
+                let to_index = if b mod 7 = 0 then 99 else pick indices c in
+                outcome (fun () -> History.rollback h ~pid ~to_index)
+                = outcome (fun () -> M.rollback m ~pid ~to_index)
+            | 5 when !sent <> [] ->
+                let msg = pick !sent b in
+                History.undeliverable h ~msg;
+                Hashtbl.replace m.M.undeliv msg ();
+                true
+            | _ -> true
+          in
+          ok && agree ())
+        (List.mapi (fun seq op -> (seq, op)) ops))
+
 let () =
   Alcotest.run "rdt_pattern"
     [
@@ -743,6 +938,8 @@ let () =
         [
           Alcotest.test_case "rollback" `Quick test_history_rollback;
           Alcotest.test_case "to_pattern" `Quick test_history_to_pattern;
+          qt history_matches_model;
+          Alcotest.test_case "create at n=10^4 allocates no logs" `Quick test_history_create_small;
         ] );
       ( "rgraph",
         [

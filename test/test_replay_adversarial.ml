@@ -91,6 +91,36 @@ let test_deliver_undeliverable () =
   check_str "rebuild" e (rebuild_err tr);
   check_str "check_trace" e (check_trace_err tr)
 
+let test_deliver_twice () =
+  (* message 7 delivered twice with no rollback in between *)
+  let tr = [ meta 2; send 7 0 1 1; deliver 7 0 1 2; deliver 7 0 1 3 ] in
+  check_str "rebuild" "Pattern.Builder.recv: message already delivered" (rebuild_err tr);
+  check_str "check_trace" "deliver of already delivered message 7" (check_trace_err tr);
+  (* after the receiver's rollback the delivery is undone, and the message
+     may land again *)
+  let again = [ meta 2; send 7 0 1 1; deliver 7 0 1 2; rollback 1 0 3; deliver 7 0 1 4 ] in
+  check "rebuild accepts a redelivery after rollback" true (Result.is_ok (Replay.rebuild again));
+  check "check_trace accepts a redelivery after rollback" true
+    (Result.is_ok (Online.check_trace again))
+
+let test_undeliverable_after_delivery () =
+  (* the abandonment orphans the surviving delivery: a stream that ends
+     with it is rejected by both consumers *)
+  let tr = [ meta 2; send 1 0 1 1; deliver 1 0 1 2; undeliverable 1 0 1 5 ] in
+  check_str "rebuild" "surviving delivery of rolled-back send 1" (rebuild_err tr);
+  check_str "check_trace" "surviving delivery of rolled-back send 1" (check_trace_err tr);
+  let engine = Online.create ~n:2 () in
+  List.iter (Online.observe engine) (List.tl tr);
+  check "orphaned until a rollback pops it" true (Online.orphan_messages engine = [ 1 ]);
+  check "the abandonment is not counted as a rebuild" true (Online.rebuilds engine = 0);
+  (* the receiver's rollback pops the delivery, and both accept *)
+  let popped = tr @ [ rollback 1 0 6 ] in
+  check "rebuild accepts the popped delivery" true (Result.is_ok (Replay.rebuild popped));
+  check "check_trace accepts the popped delivery" true
+    (match Online.check_trace popped with
+    | Ok t -> Online.orphan_messages t = [] && Online.rebuilds t = 1
+    | Error _ -> false)
+
 (* -- interleaved rollback/replay: the legal shape of a cascade ------- *)
 
 let test_interleaved_rollback_replay () =
@@ -223,6 +253,9 @@ let () =
             test_rollback_missing_checkpoint;
           Alcotest.test_case "deliver of unknown message" `Quick test_deliver_unknown;
           Alcotest.test_case "deliver of abandoned message" `Quick test_deliver_undeliverable;
+          Alcotest.test_case "deliver of delivered message" `Quick test_deliver_twice;
+          Alcotest.test_case "abandon of delivered message" `Quick
+            test_undeliverable_after_delivery;
         ] );
       ( "cascade",
         [
