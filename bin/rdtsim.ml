@@ -32,7 +32,7 @@ let protocol_conv =
 let env_conv =
   let parse s =
     match Rdt_workloads.Registry.find s with
-    | Some f -> Ok (s, f)
+    | Some env -> Ok (s, env)
     | None ->
         Error
           (`Msg
@@ -51,7 +51,7 @@ let protocol_arg =
 let env_arg =
   Arg.(
     value
-    & opt env_conv ("random", fun () -> Rdt_workloads.Registry.find_exn "random")
+    & opt env_conv ("random", Rdt_workloads.Registry.find_exn "random")
     & info [ "e"; "env" ] ~docv:"ENV" ~doc:"Workload environment.")
 
 let n_arg =
@@ -193,7 +193,7 @@ let faults_term =
         intermittent;
       }
     in
-    let params = { Rdt_dist.Transport.default_params with retx_timeout; max_retx } in
+    let params = { Rdt_dist.Transport.retx_timeout; max_retx } in
     (* faults alone get the default transport from [Runtime.configure] *)
     let transport = if params = Rdt_dist.Transport.default_params then None else Some params in
     (spec, transport)
@@ -205,7 +205,7 @@ let faults_term =
 (* ---- the simulated workload (run, verify, recover, crashrun, watch) ---- *)
 
 type workload = {
-  env : string * (unit -> Rdt_dist.Env.t);
+  env : string * Rdt_dist.Env.t;
   protocol : Rdt_core.Protocol.t;
   n : int;
   seed : int;
@@ -223,7 +223,7 @@ let workload_term =
 let run_workload ?crashes ~trace w =
   Rdt_core.Runtime.run
     (Rdt_core.Runtime.configure ~n:w.n ~seed:w.seed ~messages:w.messages ?crashes ~faults:w.faults
-       ?transport:w.transport ~trace (snd w.env ()) w.protocol)
+       ?transport:w.transport ~trace (snd w.env) w.protocol)
 
 (* ---- event tracing (run, verify, recover and crashrun) ---- *)
 
@@ -321,28 +321,11 @@ let algo_conv =
 let algo_arg =
   Arg.(
     value
-    & opt (some algo_conv) None
+    & opt algo_conv All
     & info [ "algo" ] ~docv:"ALGO"
         ~doc:
-          "Checker algorithm passed to $(b,Checker.run): $(b,all) (the default), \
-           $(b,rgraph), $(b,chains), $(b,doubling) or $(b,online).")
-
-(* the pre-unification spelling; kept as an alias so existing scripts
-   survive the Checker API migration *)
-let deprecated_checker_arg =
-  Arg.(
-    value
-    & opt (some algo_conv) None
-    & info [ "checker" ] ~docv:"ALGO" ~docs:"DEPRECATED ALIASES"
-        ~doc:"Deprecated alias of $(b,--algo).")
-
-let resolve_algo_sel algo checker =
-  match (algo, checker) with
-  | Some sel, _ -> sel
-  | None, Some sel ->
-      Format.eprintf "rdtsim: --checker is deprecated; use --algo instead@.";
-      sel
-  | None, None -> All
+          "Checker algorithm passed to $(b,Checker.run): $(b,all), $(b,rgraph), \
+           $(b,chains), $(b,doubling) or $(b,online).")
 
 (* the name recorded in [Verdict] trace events; "rgraph_tdv" predates the
    unified API and is kept so old traces keep replay-checking cleanly *)
@@ -358,8 +341,7 @@ let checker_label = function
 
 let verify_cmd =
   let doc = "Simulate one run and verify the RDT property offline (all four checkers)." in
-  let action w algo checker trace =
-    let sel = resolve_algo_sel algo checker in
+  let action w sel trace =
     with_trace trace ~mode:"verify" w @@ fun tr ->
     let r = run_workload ~trace:tr w in
     print_metrics r;
@@ -381,7 +363,7 @@ let verify_cmd =
     if List.exists (fun (rep : Rdt_core.Checker.report) -> not rep.rdt) reports then exit 1
   in
   Cmd.v (Cmd.info "verify" ~doc)
-    Term.(const action $ workload_term $ algo_arg $ deprecated_checker_arg $ trace_arg)
+    Term.(const action $ workload_term $ algo_arg $ trace_arg)
 
 (* ---- grid sharding flags (experiments and table) ---- *)
 
@@ -517,7 +499,7 @@ let coordinated_term algo =
     let module C = Rdt_coordinated.Coordinated in
     C.run
       {
-        (C.default_config algo ((fun (_, f) -> f ()) env)) with
+        (C.default_config algo (snd env)) with
         C.n;
         seed;
         max_messages = messages;
@@ -758,6 +740,14 @@ let inconsistent_exit e =
   Format.eprintf "rdtsim: inconsistent trace: %s@." e;
   exit 2
 
+(* [watch] and [feed] both refuse a stream that leaves messages orphaned *)
+let exit_if_mid_cascade = function
+  | [] -> ()
+  | orphans ->
+      inconsistent_exit
+        (Printf.sprintf "stream ends mid-rollback-cascade (orphaned messages %s)"
+           (String.concat ", " (List.map string_of_int orphans)))
+
 (* Drive one checker session over a recorded event list: skip the
    already-durable prefix, optionally pace (gives kill-mid-stream
    harnesses a window), exit 2 on an inconsistent event or a stream
@@ -778,12 +768,7 @@ let drive_session sess events ~skip ~pace =
       end)
     events;
   let engine = Rdt_check.Session.engine sess in
-  (match O.orphan_messages engine with
-  | [] -> ()
-  | orphans ->
-      inconsistent_exit
-        (Printf.sprintf "stream ends mid-rollback-cascade (orphaned messages %s)"
-           (String.concat ", " (List.map string_of_int orphans))));
+  exit_if_mid_cascade (O.orphan_messages engine);
   Rdt_check.Session.close sess;
   O.summary engine
 
@@ -909,20 +894,21 @@ let serve_cmd =
       `P "$(b,rdtsim feed) is the matching client.  Shut down with SIGINT/SIGTERM.";
     ]
   in
+  let defaults = Rdt_serve.Server.default_config ~socket:"rdtsim.sock" in
   let socket_arg =
     Arg.(
-      value & opt string "rdtsim.sock"
+      value & opt string defaults.socket
       & info [ "socket" ] ~docv:"PATH" ~doc:"Unix-domain socket path to listen on.")
   in
   let max_batch_arg =
     Arg.(
-      value & opt int 256
+      value & opt int defaults.max_batch
       & info [ "max-batch" ] ~docv:"B"
           ~doc:"Maximum events applied per stream per loop iteration.")
   in
   let max_pending_arg =
     Arg.(
-      value & opt int 4096
+      value & opt int defaults.max_pending
       & info [ "max-pending" ] ~docv:"Q"
           ~doc:"Pending-queue bound per stream before ingest backpressure engages.")
   in
@@ -1123,12 +1109,7 @@ let feed_cmd =
         in
         let dt = Rdt_obs.Meter.now () -. t0 in
         Client.close c;
-        (match orphans with
-        | [] -> ()
-        | orphans ->
-            inconsistent_exit
-              (Printf.sprintf "stream ends mid-rollback-cascade (orphaned messages %s)"
-                 (String.concat ", " (List.map string_of_int orphans))));
+        exit_if_mid_cascade orphans;
         Format.printf "%a@." Rdt_check.Online.pp_summary summary;
         if summary.events > 0 then
           Format.eprintf "fed %d events in %.3f s (%.0f ns/event, %d total on stream)@."

@@ -11,7 +11,7 @@
    Run with:  dune exec examples/debugging_breakpoint.exe *)
 
 let () =
-  let env = Rdt_workloads.Client_server.make () in
+  let env = Rdt_workloads.Client_server.env in
   let protocol = Rdt_core.Registry.find_exn "bhmr" in
   let config =
     {

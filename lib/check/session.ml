@@ -8,7 +8,7 @@ module R = Codec.Reader
 (* ------------------------------------------------------------------ *)
 
 type backend = {
-  engine : unit -> Online.t;
+  engine : Online.t;
   observe : T.event -> unit;
   sync : unit -> unit;
   close : unit -> unit;
@@ -24,13 +24,13 @@ let ephemeral ~n () =
   let eng = Online.create ~n () in
   of_backend
     {
-      engine = (fun () -> eng);
+      engine = eng;
       observe = Online.observe eng;
       sync = (fun () -> ());
       close = (fun () -> ());
     }
 
-let engine t = t.backend.engine ()
+let engine t = t.backend.engine
 
 let observe t ev =
   if t.failed || t.released then Error "session is closed"

@@ -23,9 +23,7 @@
 (** {1 Sessions} *)
 
 type backend = {
-  engine : unit -> Online.t;
-      (** The live engine answering queries.  For durable backends this
-          is re-read per call: recovery may swap the engine instance. *)
+  engine : Online.t;  (** The live engine answering queries. *)
   observe : Rdt_obs.Trace.event -> unit;
       (** Apply one event.  May raise [Online.Inconsistent]; the
           backend must not persist the offending event. *)
@@ -34,8 +32,7 @@ type backend = {
 }
 (** What a concrete store must provide.  {!Online} needs no wrapping
     beyond {!ephemeral}; [Rdt_durable.Session.checker_session] adapts a
-    durable session; tests can interpose counting/fault-injecting
-    backends. *)
+    durable session, whose engine is fixed when it opens. *)
 
 type t
 

@@ -12,7 +12,6 @@ type config = {
   n : int;
   seed : int;
   env : Env.t;
-  channel : Channel.spec;
   initiation_period : int;
   max_messages : int;
   max_time : int;
@@ -24,7 +23,6 @@ let default_config algo env =
     n = 8;
     seed = 1;
     env;
-    channel = Channel.Uniform (5, 100);
     initiation_period = 500;
     max_messages = 2000;
     max_time = max_int / 2;
@@ -101,13 +99,14 @@ type handlers = {
 let validate cfg =
   if cfg.n < 2 then invalid_arg "Coordinated: n must be >= 2";
   if cfg.initiation_period < 1 then invalid_arg "Coordinated: initiation_period must be >= 1";
-  if cfg.max_messages < 0 then invalid_arg "Coordinated: negative message budget";
-  match Channel.validate cfg.channel with
-  | Ok () -> ()
-  | Error e -> invalid_arg ("Coordinated: bad channel spec: " ^ e)
+  if cfg.max_messages < 0 then invalid_arg "Coordinated: negative message budget"
+
+(* the CIC runtime's default channel, so coordinated and CIC runs see the
+   same delays *)
+let channel = Channel.Uniform (5, 100)
 
 let arrival e ~src ~dst =
-  let t = e.now + Channel.sample e.rng e.cfg.channel in
+  let t = e.now + Channel.sample e.rng channel in
   match e.fifo with
   | None -> t
   | Some last ->

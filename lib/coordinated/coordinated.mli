@@ -2,7 +2,9 @@
     introduction contrasts communication-induced checkpointing against
     ("the coordination is achieved at the price of synchronization by
     means of additional control messages").  Two algorithms run on one
-    event loop, one send budget and one round bookkeeping:
+    event loop, one send budget and one round bookkeeping, over the CIC
+    runtime's default channel: every message, application or control,
+    takes a uniform delay in [\[5; 100\]].
 
     {b Chandy-Lamport} [3] distributed snapshots.  A designated initiator
     periodically starts a snapshot: it records its local state and sends
@@ -46,7 +48,6 @@ type config = {
   n : int;
   seed : int;
   env : Rdt_dist.Env.t;
-  channel : Rdt_dist.Channel.spec;
   initiation_period : int;
       (** simulated-time delay between the completion of a round and the
           initiation of the next *)

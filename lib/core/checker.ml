@@ -105,9 +105,9 @@ let meter name checked f =
       r)
 
 (* One paired pass per checkpoint over the max-reach row and TDV_{j,y}. *)
-let run_rgraph ?tdv pat =
+let run_rgraph pat =
   meter "checker.rgraph_tdv" "checker.dependencies" @@ fun () ->
-  let tdv = match tdv with Some t -> t | None -> Tdv.compute pat in
+  let tdv = Tdv.compute pat in
   walk ~algo:`Rgraph pat (fun c reach violation ->
       Vclock.iter2 reach (Tdv.snapshot tdv c) ~f:(fun i r tracked ->
           let x_star = r - 1 in
@@ -166,11 +166,11 @@ let run_online pat =
     seconds = 0.;
   }
 
-let run ?(algo = `Rgraph) ?tdv pat =
+let run ?(algo = `Rgraph) pat =
   let t0 = Rdt_obs.Meter.now () in
   let r =
     match algo with
-    | `Rgraph -> run_rgraph ?tdv pat
+    | `Rgraph -> run_rgraph pat
     | `Chains -> run_chains pat
     | `Doubling -> run_doubling pat
     | `Online -> run_online pat

@@ -53,10 +53,9 @@ type report = {
 
 val max_reported : int
 
-val run : ?algo:algo -> ?tdv:Rdt_pattern.Tdv.t -> Rdt_pattern.Pattern.t -> report
+val run : ?algo:algo -> Rdt_pattern.Pattern.t -> report
 (** [run ~algo pat] verifies [pat] with the selected algorithm
-    (default [`Rgraph]).  [tdv] can be supplied to reuse a replay (used
-    by [`Rgraph] only).  [`Rgraph] is O((V+E)·k), where k is the number
+    (default [`Rgraph]).  [`Rgraph] is O((V+E)·k), where k is the number
     of nonzero entries per SCC vector of {!Rdt_pattern.Rgraph}; [`Online]
     is O(events) amortized. *)
 

@@ -1,11 +1,15 @@
-type params = { retx_timeout : int; backoff : float; jitter : int; max_retx : int }
+type params = { retx_timeout : int; max_retx : int }
 
-let default_params = { retx_timeout = 250; backoff = 2.0; jitter = 20; max_retx = 25 }
+let default_params = { retx_timeout = 250; max_retx = 25 }
+
+(* Timeout multiplier per retry, and the bound of the seeded extra delay
+   added to each timeout; both fixed for the default [Uniform (5, 100)]
+   channel. *)
+let backoff = 2.0
+let jitter = 20
 
 let validate_params p =
   if p.retx_timeout < 1 then Error "retx_timeout must be >= 1"
-  else if p.backoff < 1.0 then Error "backoff must be >= 1.0"
-  else if p.jitter < 0 then Error "jitter must be >= 0"
   else if p.max_retx < 0 then Error "max_retx must be >= 0 (finite, so runs terminate)"
   else Ok ()
 
@@ -123,10 +127,8 @@ let live_links t = Hashtbl.length t.links
    bounded interval.  The factor is capped before it multiplies: past 2^62
    an uncapped product would overflow [int_of_float]. *)
 let rto p k =
-  let f = Float.min (p.backoff ** float_of_int k) 32.0 in
+  let f = Float.min (backoff ** float_of_int k) 32.0 in
   max 1 (int_of_float (float_of_int p.retx_timeout *. f))
-
-let jitter p rng = if p.jitter = 0 then 0 else Rng.int rng (p.jitter + 1)
 
 let lost t ~now ~src ~dst =
   t.packets_dropped <- t.packets_dropped + 1;
@@ -172,7 +174,7 @@ let transmit t ~now ~src ~dst ~seq ~retx arrive =
     t.notify (N_retransmit { src; dst; seq; attempt = retx; time = now })
   end;
   through_network t ~now ~src ~dst arrive;
-  now + rto t.params retx + jitter t.params t.rng
+  now + rto t.params retx + Rng.int t.rng (jitter + 1)
 
 (* the acknowledgement travels the reverse direction *)
 let acknowledge t ~now ~src ~dst ~redundant arrive =

@@ -6,8 +6,8 @@
     transport keeps a unidirectional link with:
 
     - sender side: sequence numbers, a buffer of unacknowledged messages,
-      and per-message retransmission timers with exponential backoff and
-      seeded jitter;
+      and per-message retransmission timers with exponential backoff (a
+      factor of 2 per retry) and a seeded jitter of up to 20;
     - receiver side: the next expected sequence number, a reordering buffer
       for out-of-order arrivals, and cumulative acknowledgements.
 
@@ -37,15 +37,13 @@
 
 type params = {
   retx_timeout : int;  (** initial retransmission timeout (>= 1) *)
-  backoff : float;  (** timeout multiplier per retry (>= 1); growth capped at 32x *)
-  jitter : int;  (** seeded extra delay in [\[0; jitter\]] added to each timeout *)
   max_retx : int;
       (** retransmissions before the message is abandoned as
           [Undeliverable] (>= 0); keeps every run finite *)
 }
 
 val default_params : params
-(** [{ retx_timeout = 250; backoff = 2.0; jitter = 20; max_retx = 25 }] —
+(** [{ retx_timeout = 250; max_retx = 25 }] —
     tuned to the default [Uniform (5, 100)] channel: at 10% drop the
     probability of a spurious [Undeliverable] is about [1e-25]. *)
 
@@ -108,8 +106,8 @@ val transmit :
     ([0]: the first attempt).  An active partition silences it; otherwise
     it is possibly duplicated and each copy independently dropped,
     delayed and reordered.  Returns the instant its retransmission timer
-    fires: [now + retx_timeout * min (backoff ** retx) 32] (at least
-    [now + 1]) plus a seeded jitter in [\[0; jitter\]]. *)
+    fires: [now + retx_timeout * min (2 ** retx) 32] (at least [now + 1])
+    plus a seeded jitter in [\[0; 20\]]. *)
 
 val acknowledge :
   'a t -> now:int -> src:int -> dst:int -> redundant:bool -> (int -> unit) -> unit

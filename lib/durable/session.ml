@@ -402,7 +402,7 @@ let open_ ?(config = default_config) ?(meter = Meter.default) ~dir ~n ~track_ope
 let checker_session t =
   Rdt_check.Session.of_backend
     {
-      Rdt_check.Session.engine = (fun () -> engine t);
+      Rdt_check.Session.engine = t.engine;
       observe = (fun ev -> observe t ev);
       sync = (fun () -> sync t);
       close = (fun () -> close t);

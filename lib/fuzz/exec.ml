@@ -42,12 +42,7 @@ let execute (sc : Scenario.t) eng collect =
     (Trace.Meta { n = sc.n; protocol = sc.protocol; env = sc.env; seed = sc.run_seed; mode = "fuzz" });
   let transport =
     if sc.transport then
-      Some
-        {
-          Rdt_dist.Transport.default_params with
-          retx_timeout = sc.retx_timeout;
-          max_retx = sc.max_retx;
-        }
+      Some { Rdt_dist.Transport.retx_timeout = sc.retx_timeout; max_retx = sc.max_retx }
     else None
   in
   let r =

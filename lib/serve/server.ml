@@ -17,7 +17,13 @@ type config = {
 }
 
 let default_config ~socket =
-  { socket; durable_root = None; snapshot_every = 1000; max_batch = 256; max_pending = 4096 }
+  {
+    socket;
+    durable_root = None;
+    snapshot_every = D.default_config.D.snapshot_every;
+    max_batch = 256;
+    max_pending = 4096;
+  }
 
 type mapper = { map : 'a 'b. ('a -> 'b) -> 'a list -> 'b list }
 

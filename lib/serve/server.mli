@@ -47,7 +47,8 @@ type config = {
 }
 
 val default_config : socket:string -> config
-(** Ephemeral serving: [snapshot_every = 1000], [max_batch = 256],
+(** Ephemeral serving: [snapshot_every] from
+    {!Rdt_durable.Session.default_config}, [max_batch = 256],
     [max_pending = 4096]. *)
 
 type mapper = { map : 'a 'b. ('a -> 'b) -> 'a list -> 'b list }

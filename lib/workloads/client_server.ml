@@ -1,18 +1,11 @@
 module Env = Rdt_dist.Env
 module Rng = Rdt_dist.Rng
 
-type cs_params = { reply_prob : float; mean_request_gap : int; internal_mean : int }
+let reply_prob = 0.5
+let mean_request_gap = 60
+let internal_mean = 150
 
-let default_cs_params = { reply_prob = 0.5; mean_request_gap = 60; internal_mean = 150 }
-
-let validate p =
-  if p.reply_prob < 0.0 || p.reply_prob > 1.0 then Error "reply_prob out of [0;1]"
-  else if p.mean_request_gap <= 0 then Error "mean_request_gap must be positive"
-  else if p.internal_mean <= 0 then Error "internal_mean must be positive"
-  else Ok ()
-
-let make ?(params = default_cs_params) () : Env.t =
-  (match validate params with Ok () -> () | Error e -> invalid_arg ("Client_server: " ^ e));
+let env : Env.t =
   (module struct
     type t = { n : int; rng : Rng.t }
 
@@ -21,14 +14,14 @@ let make ?(params = default_cs_params) () : Env.t =
     let create ~n ~rng = { n; rng }
 
     let initial_tick_delay t ~pid =
-      if pid = 0 then Rng.exponential_int t.rng ~mean:params.mean_request_gap
-      else Rng.exponential_int t.rng ~mean:params.internal_mean
+      if pid = 0 then Rng.exponential_int t.rng ~mean:mean_request_gap
+      else Rng.exponential_int t.rng ~mean:internal_mean
 
     (* What server [pid] does with a request it holds: reply to the caller
        or forward up the chain. *)
     let handle_request t ~pid =
       let last = t.n - 1 in
-      if pid = last || Rng.bernoulli t.rng params.reply_prob then
+      if pid = last || Rng.bernoulli t.rng reply_prob then
         if pid = 0 then [] (* reply to the external client: no message *)
         else [ Env.Send (pid - 1) ]
       else [ Env.Send (pid + 1) ]
@@ -38,12 +31,12 @@ let make ?(params = default_cs_params) () : Env.t =
         (* a fresh external request arrives at S_0 *)
         {
           Env.actions = handle_request t ~pid:0;
-          next_tick_in = Some (Rng.exponential_int t.rng ~mean:params.mean_request_gap);
+          next_tick_in = Some (Rng.exponential_int t.rng ~mean:mean_request_gap);
         }
       else
         {
           Env.actions = [ Env.Internal ];
-          next_tick_in = Some (Rng.exponential_int t.rng ~mean:params.internal_mean);
+          next_tick_in = Some (Rng.exponential_int t.rng ~mean:internal_mean);
         }
 
     let on_deliver t ~pid ~src =

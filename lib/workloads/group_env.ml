@@ -1,23 +1,16 @@
 module Env = Rdt_dist.Env
 module Rng = Rdt_dist.Rng
 
-type group_params = {
-  group_size : int;
-  overlap : int;
-  multicast_prob : float;
-  intra_prob : float;
-  base : Params.t;
-}
+type group_params = { group_size : int; overlap : int; multicast_prob : float; intra_prob : float }
 
-let default_group_params =
-  { group_size = 3; overlap = 1; multicast_prob = 0.3; intra_prob = 0.95; base = Params.default }
+let default_group_params = { group_size = 3; overlap = 1; multicast_prob = 0.3; intra_prob = 0.95 }
 
 let validate p =
   if p.group_size < 2 then Error "group_size must be >= 2"
   else if p.overlap < 0 || p.overlap >= p.group_size then Error "overlap out of [0, group_size)"
   else if p.multicast_prob < 0.0 || p.multicast_prob > 1.0 then Error "multicast_prob out of [0;1]"
   else if p.intra_prob < 0.0 || p.intra_prob > 1.0 then Error "intra_prob out of [0;1]"
-  else Params.validate p.base
+  else Ok ()
 
 (* Groups are windows of [group_size] consecutive processes (mod n),
    starting every (group_size - overlap) processes. *)
@@ -48,7 +41,7 @@ let make ?(params = default_group_params) () : Env.t =
       let groups_of = Array.map (fun l -> Array.of_list (List.rev l)) member in
       { n; rng; groups; groups_of }
 
-    let mean_think = params.base.Params.mean_think
+    let mean_think = Random_env.mean_think
 
     let initial_tick_delay t ~pid:_ = Rng.exponential_int t.rng ~mean:mean_think
 
@@ -73,7 +66,7 @@ let make ?(params = default_group_params) () : Env.t =
 
     let on_tick t ~pid =
       let actions =
-        if not (Rng.bernoulli t.rng params.base.Params.send_prob) then [ Env.Internal ]
+        if not (Rng.bernoulli t.rng Random_env.send_prob) then [ Env.Internal ]
         else if Rng.bernoulli t.rng params.multicast_prob && Array.length t.groups_of.(pid) > 0
         then begin
           let members = t.groups.(Rng.pick t.rng t.groups_of.(pid)) in

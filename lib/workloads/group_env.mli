@@ -6,14 +6,14 @@
     spontaneous activity is, with probability [multicast_prob], a
     multicast to every other member of one of the process's groups;
     otherwise, with probability [intra_prob], a send to a random member of
-    its own groups, and a uniform random send otherwise. *)
+    its own groups, and a uniform random send otherwise.  Think times and
+    the share of sends are {!Random_env}'s. *)
 
 type group_params = {
   group_size : int;
   overlap : int;  (** [0 <= overlap < group_size] *)
   multicast_prob : float;
   intra_prob : float;
-  base : Params.t;
 }
 
 val default_group_params : group_params

@@ -1,14 +1,11 @@
 module Env = Rdt_dist.Env
 module Rng = Rdt_dist.Rng
 
-type mw_params = { fanout : int; mean_batch_gap : int; worker_internal_mean : int }
+let fanout = 3
+let mean_batch_gap = 100
+let worker_internal_mean = 120
 
-let default_mw_params = { fanout = 3; mean_batch_gap = 100; worker_internal_mean = 120 }
-
-let make ?(params = default_mw_params) () : Env.t =
-  if params.fanout < 1 then invalid_arg "Master_worker: fanout must be >= 1";
-  if params.mean_batch_gap <= 0 || params.worker_internal_mean <= 0 then
-    invalid_arg "Master_worker: means must be positive";
+let env : Env.t =
   (module struct
     type t = { n : int; rng : Rng.t }
 
@@ -17,24 +14,24 @@ let make ?(params = default_mw_params) () : Env.t =
     let create ~n ~rng = { n; rng }
 
     let initial_tick_delay t ~pid =
-      if pid = 0 then Rng.exponential_int t.rng ~mean:params.mean_batch_gap
-      else Rng.exponential_int t.rng ~mean:params.worker_internal_mean
+      if pid = 0 then Rng.exponential_int t.rng ~mean:mean_batch_gap
+      else Rng.exponential_int t.rng ~mean:worker_internal_mean
 
     let on_tick t ~pid =
       if pid = 0 then begin
         let workers = t.n - 1 in
-        let batch = min params.fanout workers in
+        let batch = min fanout workers in
         let chosen = Array.init workers (fun k -> k + 1) in
         Rng.shuffle t.rng chosen;
         {
           Env.actions = List.init batch (fun k -> Env.Send chosen.(k));
-          next_tick_in = Some (Rng.exponential_int t.rng ~mean:params.mean_batch_gap);
+          next_tick_in = Some (Rng.exponential_int t.rng ~mean:mean_batch_gap);
         }
       end
       else
         {
           Env.actions = [ Env.Internal ];
-          next_tick_in = Some (Rng.exponential_int t.rng ~mean:params.worker_internal_mean);
+          next_tick_in = Some (Rng.exponential_int t.rng ~mean:worker_internal_mean);
         }
 
     let on_deliver _ ~pid ~src =

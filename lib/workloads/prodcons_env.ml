@@ -1,16 +1,9 @@
 module Env = Rdt_dist.Env
 module Rng = Rdt_dist.Rng
 
-type pc_params = { ack_prob : float; base : Params.t }
+let ack_prob = 0.5
 
-let default_pc_params = { ack_prob = 0.5; base = Params.default }
-
-let make ?(params = default_pc_params) () : Env.t =
-  if params.ack_prob < 0.0 || params.ack_prob > 1.0 then
-    invalid_arg "Prodcons_env: ack_prob out of [0;1]";
-  (match Params.validate params.base with
-  | Ok () -> ()
-  | Error e -> invalid_arg ("Prodcons_env: " ^ e));
+let env : Env.t =
   (module struct
     type t = { n : int; rng : Rng.t; producers : int }
 
@@ -18,21 +11,21 @@ let make ?(params = default_pc_params) () : Env.t =
 
     let create ~n ~rng = { n; rng; producers = max 1 (n / 2) }
 
-    let mean_think = params.base.Params.mean_think
+    let mean_think = Random_env.mean_think
 
     let initial_tick_delay t ~pid:_ = Rng.exponential_int t.rng ~mean:mean_think
 
     let on_tick t ~pid =
       let consumers = t.n - t.producers in
       let actions =
-        if pid < t.producers && consumers > 0 && Rng.bernoulli t.rng params.base.Params.send_prob
-        then [ Env.Send (t.producers + Rng.int t.rng consumers) ]
+        if pid < t.producers && consumers > 0 && Rng.bernoulli t.rng Random_env.send_prob then
+          [ Env.Send (t.producers + Rng.int t.rng consumers) ]
         else [ Env.Internal ]
       in
       { Env.actions; next_tick_in = Some (Rng.exponential_int t.rng ~mean:mean_think) }
 
     let on_deliver t ~pid ~src =
-      if pid >= t.producers && src < t.producers && Rng.bernoulli t.rng params.ack_prob then
+      if pid >= t.producers && src < t.producers && Rng.bernoulli t.rng ack_prob then
         [ Env.Send src ]
       else []
   end)

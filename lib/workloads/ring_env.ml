@@ -1,13 +1,10 @@
 module Env = Rdt_dist.Env
 module Rng = Rdt_dist.Rng
 
-type ring_params = { tokens : int; internal_mean : int }
+let tokens = 2
+let internal_mean = 80
 
-let default_ring_params = { tokens = 2; internal_mean = 80 }
-
-let make ?(params = default_ring_params) () : Env.t =
-  if params.tokens < 1 then invalid_arg "Ring_env: tokens must be >= 1";
-  if params.internal_mean <= 0 then invalid_arg "Ring_env: internal_mean must be positive";
+let env : Env.t =
   (module struct
     type t = { n : int; rng : Rng.t; launched : bool array }
 
@@ -15,19 +12,19 @@ let make ?(params = default_ring_params) () : Env.t =
 
     let create ~n ~rng = { n; rng; launched = Array.make n false }
 
-    let initial_tick_delay t ~pid:_ = 1 + Rng.int t.rng params.internal_mean
+    let initial_tick_delay t ~pid:_ = 1 + Rng.int t.rng internal_mean
 
     let next t pid = (pid + 1) mod t.n
 
     let on_tick t ~pid =
       let actions =
-        if pid < min params.tokens t.n && not t.launched.(pid) then begin
+        if pid < min tokens t.n && not t.launched.(pid) then begin
           t.launched.(pid) <- true;
           [ Env.Send (next t pid) ]
         end
         else [ Env.Internal ]
       in
-      { Env.actions; next_tick_in = Some (Rng.exponential_int t.rng ~mean:params.internal_mean) }
+      { Env.actions; next_tick_in = Some (Rng.exponential_int t.rng ~mean:internal_mean) }
 
     let on_deliver t ~pid ~src:_ = [ Env.Send (next t pid) ]
   end)

@@ -1,12 +1,9 @@
 module Env = Rdt_dist.Env
 module Rng = Rdt_dist.Rng
 
-type stencil_params = { warmup_mean : int; compute_internal : bool }
+let warmup_mean = 30
 
-let default_stencil_params = { warmup_mean = 30; compute_internal = true }
-
-let make ?(params = default_stencil_params) () : Env.t =
-  if params.warmup_mean <= 0 then invalid_arg "Stencil_env: warmup_mean must be positive";
+let env : Env.t =
   (module struct
     type t = {
       n : int;
@@ -19,16 +16,17 @@ let make ?(params = default_stencil_params) () : Env.t =
 
     let create ~n ~rng = { n; rng; started = Array.make n false; pending = Array.make n 2 }
 
-    let initial_tick_delay t ~pid:_ = Rng.exponential_int t.rng ~mean:params.warmup_mean
+    let initial_tick_delay t ~pid:_ = Rng.exponential_int t.rng ~mean:warmup_mean
 
     let neighbours t pid =
       if t.n = 2 then [ (pid + 1) mod 2 ]
       else [ (pid + 1) mod t.n; (pid + t.n - 1) mod t.n ]
 
+    (* the phase's compute step, then one message to each neighbour *)
     let exchange t pid =
       let sends = List.map (fun nb -> Env.Send nb) (neighbours t pid) in
       t.pending.(pid) <- List.length sends;
-      if params.compute_internal then Env.Internal :: sends else sends
+      Env.Internal :: sends
 
     let on_tick t ~pid =
       if t.started.(pid) then { Env.actions = []; next_tick_in = None }

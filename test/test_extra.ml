@@ -252,13 +252,13 @@ let runtime_rdt_property =
     QCheck.(quad (int_bound 6) (int_bound 6) small_nat (2 -- 5))
     (fun (ei, pi_, seed, n) ->
       let envs = Rdt_workloads.Registry.all in
-      let _, _, mk = List.nth envs (ei mod List.length envs) in
+      let _, _, env = List.nth envs (ei mod List.length envs) in
       let protos = Registry.rdt_protocols in
       let protocol = List.nth protos (pi_ mod List.length protos) in
       let r =
         Runtime.run
           {
-            (Runtime.default_config (mk ()) protocol) with
+            (Runtime.default_config env protocol) with
             Runtime.n;
             seed = seed + 1;
             max_messages = 120;
@@ -271,11 +271,11 @@ let runtime_bcs_no_useless_property =
     QCheck.(pair (int_bound 6) small_nat)
     (fun (ei, seed) ->
       let envs = Rdt_workloads.Registry.all in
-      let _, _, mk = List.nth envs (ei mod List.length envs) in
+      let _, _, env = List.nth envs (ei mod List.length envs) in
       let r =
         Runtime.run
           {
-            (Runtime.default_config (mk ()) (Registry.find_exn "bcs")) with
+            (Runtime.default_config env (Registry.find_exn "bcs")) with
             Runtime.n = 4;
             seed = seed + 1;
             max_messages = 120;

@@ -332,10 +332,6 @@ let test_runtime_validation () =
     (raises_invalid (fun () ->
          Runtime.run
            { base with Runtime.transport = Some { Transport.default_params with retx_timeout = 0 } }));
-  check "bad backoff" true
-    (raises_invalid (fun () ->
-         Runtime.run
-           { base with Runtime.transport = Some { Transport.default_params with backoff = 0.5 } }));
   check "bad channel rejected, not clamped" true
     (raises_invalid (fun () -> Runtime.run { base with Runtime.channel = Channel.Uniform (5, 1) }));
   check "fixed 0 channel rejected" true

@@ -126,12 +126,7 @@ let traced_run (sc : Rdt_fuzz.Scenario.t) =
   let eng = Rdt_check.Online.create ~n:sc.n () in
   let transport =
     if sc.transport then
-      Some
-        {
-          Rdt_dist.Transport.default_params with
-          retx_timeout = sc.retx_timeout;
-          max_retx = sc.max_retx;
-        }
+      Some { Rdt_dist.Transport.retx_timeout = sc.retx_timeout; max_retx = sc.max_retx }
     else None
   in
   let r =

@@ -22,9 +22,7 @@ let scenario_arbitrary = Gen.link_scenario_arbitrary
 (* Run the scenario to completion; returns deliveries in order, the
    undeliverable set and the final stats. *)
 let run_scenario (s : Gen.link_scenario) =
-  let params =
-    { Transport.default_params with retx_timeout = s.retx_timeout; max_retx = s.max_retx }
-  in
+  let params = { Transport.retx_timeout = s.retx_timeout; max_retx = s.max_retx } in
   let tp =
     Transport.create ~n:2 ~params ~faults:(Gen.faults_of_link s)
       ~channel:(Channel.Uniform (5, 60)) ~rng:(Rng.create s.link_seed) ()

@@ -46,8 +46,8 @@ let sends actions =
 
 let test_valid_destinations () =
   List.iter
-    (fun (name, _, mk) ->
-      let acts = drive (mk ()) in
+    (fun (name, _, env) ->
+      let acts = drive env in
       List.iter
         (fun (pid, dst) ->
           if dst < 0 || dst >= 6 || dst = pid then
@@ -57,15 +57,15 @@ let test_valid_destinations () =
 
 let test_environments_communicate () =
   List.iter
-    (fun (name, _, mk) ->
-      let acts = drive (mk ()) in
+    (fun (name, _, env) ->
+      let acts = drive env in
       if sends acts = [] then Alcotest.failf "%s never sends" name)
     Rdt_workloads.Registry.all
 
 let test_environment_determinism () =
   List.iter
-    (fun (name, _, mk) ->
-      let a = drive ~seed:9 (mk ()) and b = drive ~seed:9 (mk ()) in
+    (fun (name, _, env) ->
+      let a = drive ~seed:9 env and b = drive ~seed:9 env in
       if a <> b then Alcotest.failf "%s not deterministic" name)
     Rdt_workloads.Registry.all
 
@@ -79,7 +79,7 @@ let test_registry_lookup () =
         [ "random"; "group"; "client-server"; "ring"; "prodcons"; "master-worker"; "stencil" ])
 
 let test_client_server_chain_topology () =
-  let acts = drive ~n:5 (Rdt_workloads.Client_server.make ()) in
+  let acts = drive ~n:5 Rdt_workloads.Client_server.env in
   List.iter
     (fun (pid, dst) ->
       if abs (pid - dst) <> 1 then
@@ -87,14 +87,14 @@ let test_client_server_chain_topology () =
     (sends acts)
 
 let test_ring_topology () =
-  let acts = drive ~n:5 (Rdt_workloads.Ring_env.make ()) in
+  let acts = drive ~n:5 Rdt_workloads.Ring_env.env in
   List.iter
     (fun (pid, dst) ->
       if dst <> (pid + 1) mod 5 then Alcotest.failf "ring sent %d -> %d" pid dst)
     (sends acts)
 
 let test_prodcons_topology () =
-  let acts = drive ~n:6 (Rdt_workloads.Prodcons_env.make ()) in
+  let acts = drive ~n:6 Rdt_workloads.Prodcons_env.env in
   (* producers 0..2, consumers 3..5; producers send forward, consumers
      only ack back to producers *)
   List.iter
@@ -104,14 +104,14 @@ let test_prodcons_topology () =
     (sends acts)
 
 let test_master_worker_topology () =
-  let acts = drive ~n:5 (Rdt_workloads.Master_worker.make ()) in
+  let acts = drive ~n:5 Rdt_workloads.Master_worker.env in
   List.iter
     (fun (pid, dst) ->
       if pid <> 0 && dst <> 0 then Alcotest.failf "master-worker sent %d -> %d" pid dst)
     (sends acts)
 
 let test_stencil_topology () =
-  let acts = drive ~n:6 (Rdt_workloads.Stencil_env.make ()) in
+  let acts = drive ~n:6 Rdt_workloads.Stencil_env.env in
   List.iter
     (fun (pid, dst) ->
       let d = (dst - pid + 6) mod 6 in
@@ -123,13 +123,7 @@ let test_group_membership () =
      sender; with multicast_prob 1.0 and intra 1.0 every send is a
      multicast within one group *)
   let params =
-    {
-      Rdt_workloads.Group_env.default_group_params with
-      multicast_prob = 1.0;
-      intra_prob = 1.0;
-      group_size = 3;
-      overlap = 1;
-    }
+    { Rdt_workloads.Group_env.multicast_prob = 1.0; intra_prob = 1.0; group_size = 3; overlap = 1 }
   in
   let n = 8 in
   let acts = drive ~n (Rdt_workloads.Group_env.make ~params ()) in
@@ -154,24 +148,15 @@ let test_group_validation () =
            ~params:{ Rdt_workloads.Group_env.default_group_params with overlap = 5; group_size = 3 }
            ()))
 
-let test_params_validation () =
-  check "default ok" true (Rdt_workloads.Params.validate Rdt_workloads.Params.default = Ok ());
-  check "bad think" true
-    (Result.is_error
-       (Rdt_workloads.Params.validate { Rdt_workloads.Params.default with mean_think = 0 }));
-  check "bad prob" true
-    (Result.is_error
-       (Rdt_workloads.Params.validate { Rdt_workloads.Params.default with send_prob = 1.5 }))
-
 (* every environment should run under the runtime and yield a valid
    pattern with at least some traffic *)
 let test_runtime_integration () =
   List.iter
-    (fun (name, _, mk) ->
+    (fun (name, _, env) ->
       let r =
         Rdt_core.Runtime.run
           {
-            (Rdt_core.Runtime.default_config (mk ()) (Rdt_core.Registry.find_exn "fdas")) with
+            (Rdt_core.Runtime.default_config env (Rdt_core.Registry.find_exn "fdas")) with
             Rdt_core.Runtime.n = 5;
             seed = 77;
             max_messages = 300;
@@ -193,7 +178,6 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_environment_determinism;
           Alcotest.test_case "registry" `Quick test_registry_lookup;
           Alcotest.test_case "runtime integration" `Quick test_runtime_integration;
-          Alcotest.test_case "params validation" `Quick test_params_validation;
         ] );
       ( "topologies",
         [
