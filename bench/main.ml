@@ -3,12 +3,12 @@
    Default: regenerate every table and figure of the paper's evaluation
    (see DESIGN.md's experiment index and EXPERIMENTS.md for the
    paper-vs-measured record), then run the bechamel micro-benchmarks of
-   the protocol and analysis hot paths.
+   the protocol and analysis hot paths.  The experiments alone are
+   `rdtsim experiments [--json FILE]`.
 
      dune exec bench/main.exe                 # everything (10 seeds)
      dune exec bench/main.exe -- --quick      # 3 seeds
      dune exec bench/main.exe -- --micro      # micro-benchmarks only
-     dune exec bench/main.exe -- --no-micro   # experiments only
      dune exec bench/main.exe -- --jobs 4     # shard the grid over 4 domains
      dune exec bench/main.exe -- --json out.json   # timing report path
 
@@ -339,7 +339,7 @@ let run_micro ~report () =
 (* ------------------------------------------------------------------ *)
 
 let () =
-  let quick = ref false and micro_only = ref false and no_micro = ref false in
+  let quick = ref false and micro_only = ref false in
   let jobs = ref None and json = ref "BENCH_results.json" in
   (* Arg.parse rejects any other argument with the usage on stderr and
      exit code 2, so a mistyped flag never silently runs the full suite *)
@@ -348,16 +348,15 @@ let () =
        [
       ("--quick", Arg.Set quick, " 3 seeds instead of 10");
       ("--micro", Arg.Set micro_only, " micro-benchmarks only");
-      ("--no-micro", Arg.Set no_micro, " experiments only");
       ("--jobs", Arg.Int (fun j -> jobs := Some j), "N shard the grid over N domains");
       ("--json", Arg.Set_string json, "FILE timing report path");
     ])
     (fun arg -> raise (Arg.Bad ("unexpected argument " ^ arg)))
-    "usage: main.exe [--quick] [--micro | --no-micro] [--jobs N] [--json FILE]";
-  let quick = !quick and micro_only = !micro_only and no_micro = !no_micro in
+    "usage: main.exe [--quick] [--micro] [--jobs N] [--json FILE]";
+  let quick = !quick and micro_only = !micro_only in
   let jobs =
     match !jobs with
-    | None -> Rdt_harness.Pool.default_jobs ()
+    | None -> 1
     | Some j when j >= 1 -> j
     | Some _ -> invalid_arg "bench: --jobs expects a positive integer"
   in
@@ -365,7 +364,7 @@ let () =
   let report = Rdt_harness.Bench_report.create ~jobs in
   let t0 = Rdt_obs.Meter.now () in
   if not micro_only then Rdt_harness.Experiments.(run ~quick ~jobs ~report entries);
-  if not no_micro then run_micro ~report ();
+  run_micro ~report ();
   Rdt_harness.Bench_report.set_wall report (Rdt_obs.Meter.now () -. t0);
   Rdt_harness.Bench_report.record_obs report;
   Rdt_harness.Bench_report.write json report;

@@ -11,11 +11,9 @@
 let usage = "rdtlint [options] PATH..."
 
 let () =
-  let rules = ref None in
   let only = ref [] in
   let skip = ref [] in
   let allowlist_file = ref None in
-  let obs_prefixes = ref [] in
   let excludes = ref [] in
   let list_rules = ref false in
   let json = ref false in
@@ -24,9 +22,6 @@ let () =
   let split s = String.split_on_char ',' s |> List.map String.trim in
   let spec =
     [
-      ( "--rules",
-        Arg.String (fun s -> rules := Some (split s)),
-        "IDS  comma-separated rule ids to run (default: all)" );
       ( "--only",
         Arg.String (fun s -> only := !only @ split s),
         "RULE  run only this rule (repeatable, comma-separable)" );
@@ -40,9 +35,6 @@ let () =
         Arg.Set strict_allowlist,
         " report allowlist entries that suppressed nothing as STALE findings" );
       ("--json", Arg.Set json, " one JSON object per finding, same order as the plain output");
-      ( "--obs-prefix",
-        Arg.String (fun s -> obs_prefixes := s :: !obs_prefixes),
-        "DIR  source-path prefix treated as observation-only by A2 (default: lib/obs/)" );
       ( "--exclude",
         Arg.String (fun s -> excludes := s :: !excludes),
         "DIR  path prefix to skip (repeatable)" );
@@ -65,16 +57,13 @@ let () =
     | None -> fail "unknown rule id %S (see --list-rules)" id
   in
   let rules =
-    match !rules with None -> Rdt_lint.Rules.all | Some ids -> List.map resolve ids
-  in
-  let rules =
     match List.map resolve !only with
-    | [] -> rules
+    | [] -> Rdt_lint.Rules.all
     | picked ->
         List.filter
           (fun (r : Rdt_lint.Rule.t) ->
             List.exists (fun (o : Rdt_lint.Rule.t) -> String.equal o.id r.id) picked)
-          rules
+          Rdt_lint.Rules.all
   in
   let rules =
     let dropped = List.map resolve !skip in
@@ -90,11 +79,8 @@ let () =
     | Some f -> (
         match Rdt_lint.Allowlist.load f with Ok a -> a | Error e -> fail "%s" e)
   in
-  let obs_prefixes =
-    match !obs_prefixes with [] -> [ "lib/obs/" ] | ps -> List.rev ps
-  in
   let r =
-    Rdt_lint.Driver.run ~rules ~allowlist ~obs_prefixes ~excludes:(List.rev !excludes)
+    Rdt_lint.Driver.run ~rules ~allowlist ~excludes:(List.rev !excludes)
       ~strict_allowlist:!strict_allowlist paths
   in
   List.iter (fun e -> prerr_endline ("rdtlint: " ^ e)) r.Rdt_lint.Driver.errors;

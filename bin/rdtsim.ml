@@ -372,11 +372,11 @@ let jobs_arg =
     value
     & opt (some int) None
     & info [ "j"; "jobs" ] ~docv:"N"
-        ~doc:"Shard the experiment grid across $(docv) domains (default: $(b,RDT_JOBS) or 1). \
-              The printed tables are bit-identical for every value.")
+        ~doc:"Shard the experiment grid across $(docv) domains (default: 1). The printed \
+              tables are bit-identical for every value.")
 
 let resolve_jobs = function
-  | None -> Rdt_harness.Pool.default_jobs ()
+  | None -> 1
   | Some j when j >= 1 -> j
   | Some _ -> invalid_arg "Cli: --jobs expects a positive integer"
 
@@ -969,7 +969,7 @@ let feed_cmd =
       `P
         "The client half of $(b,rdtsim serve): opens (or reattaches to) the named stream, \
          skips the prefix the daemon already holds, streams the rest of the trace in \
-         batches, and prints the daemon's final verdict to stdout in exactly the format of \
+         batches of 128 events, and prints the daemon's final verdict to stdout in exactly the format of \
          $(b,rdtsim watch) $(i,FILE) — the two outputs diff clean for the same trace.";
     ]
   in
@@ -990,14 +990,6 @@ let feed_cmd =
       & opt (some string) None
       & info [ "stream" ] ~docv:"NAME" ~doc:"Stream name to open or reattach to.")
   in
-  let batch_arg =
-    Arg.(
-      value & opt int 128
-      & info [ "batch" ] ~docv:"B"
-          ~doc:
-            (Printf.sprintf "Events per $(b,events) frame, at most %d."
-               Rdt_check.Session.Wire.max_events))
-  in
   let pace_arg =
     Arg.(
       value & opt int 0
@@ -1015,11 +1007,9 @@ let feed_cmd =
             "Also run a live query ($(b,rdt-so-far) or $(b,zcycle)) after the stream is \
              fed; the answer goes to stderr (repeatable).")
   in
-  let action file socket stream batch pace asks =
+  let action file socket stream pace asks =
     let module W = Rdt_check.Session.Wire in
     let module Client = Rdt_serve.Client in
-    if batch < 1 || batch > W.max_events then
-      invalid_arg (Printf.sprintf "Cli: --batch expects an integer in [1, %d]" W.max_events);
     let events = load_trace file in
     let fail_reject code error =
       Format.eprintf "rdtsim: feed: %s@." error;
@@ -1078,7 +1068,7 @@ let feed_cmd =
                pace_sleep (pace * List.length frame);
                Client.send c (W.Events frame);
                List.iter handle_async (Client.poll c))
-             (W.batches batch (List.filteri (fun i _ -> i >= resumed) events))
+             (W.batches 128 (List.filteri (fun i _ -> i >= resumed) events))
          with Failure e -> fail_transport e);
         (* force durability of the whole stream before querying; the
            resulting ack is indistinguishable from batch acks and is
@@ -1127,7 +1117,7 @@ let feed_cmd =
   Cmd.v
     (Cmd.info "feed" ~doc ~man:(man @ exit_code_man))
     Term.(
-      const action $ file_arg $ socket_arg $ stream_arg $ batch_arg $ pace_arg $ ask_arg)
+      const action $ file_arg $ socket_arg $ stream_arg $ pace_arg $ ask_arg)
 
 let fuzz_cmd =
   let doc = "Fuzz the whole stack with generated adversarial scenarios." in
@@ -1151,29 +1141,6 @@ let fuzz_cmd =
   in
   let budget_arg =
     Arg.(value & opt int 200 & info [ "budget" ] ~docv:"N" ~doc:"Scenarios to execute.")
-  in
-  let protocols_arg =
-    Arg.(
-      value
-      & opt (some (list string)) None
-      & info [ "protocols" ] ~docv:"NAMES"
-          ~doc:"Comma-separated protocol names to draw from (default: every protocol with \
-                an RDT guarantee).")
-  in
-  let envs_arg =
-    Arg.(
-      value
-      & opt (some (list string)) None
-      & info [ "envs" ] ~docv:"NAMES"
-          ~doc:"Comma-separated environment names to draw from (default: all).")
-  in
-  let max_n_arg =
-    Arg.(value & opt int 6 & info [ "max-n" ] ~docv:"N" ~doc:"Largest process count drawn.")
-  in
-  let max_messages_arg =
-    Arg.(
-      value & opt int 150
-      & info [ "max-messages" ] ~docv:"M" ~doc:"Largest application-message budget drawn.")
   in
   let mutation_conv =
     let parse s = Result.map_error (fun e -> `Msg e) (Rdt_fuzz.Exec.mutation_of_string s) in
@@ -1230,7 +1197,7 @@ let fuzz_cmd =
       | Some m -> " --mutate " ^ Rdt_fuzz.Exec.mutation_name m);
     Format.printf "trace written to %s.trace.jsonl@." out
   in
-  let action seed budget protocols envs max_n max_messages jobs mutation out minimize =
+  let action seed budget jobs mutation out minimize =
     let jobs = resolve_jobs jobs in
     match minimize with
     | Some file -> (
@@ -1248,22 +1215,12 @@ let fuzz_cmd =
                 write_counterexample ?mutation out f;
                 exit 1))
     | None ->
-        let space =
-          let d = Rdt_fuzz.Scenario.default_space in
-          {
-            d with
-            Rdt_fuzz.Scenario.protocols = Option.value protocols ~default:d.protocols;
-            envs = Option.value envs ~default:d.envs;
-            max_n;
-            max_messages;
-          }
-        in
-        let cfg = { Rdt_fuzz.Fuzzer.seed; budget; space; mutation } in
+        let cfg = { Rdt_fuzz.Fuzzer.seed; budget; mutation } in
         Format.printf "fuzz: seed=%d budget=%d protocols=%s envs=%s max-n=%d max-messages=%d@."
           seed budget
-          (String.concat "," space.Rdt_fuzz.Scenario.protocols)
-          (String.concat "," space.Rdt_fuzz.Scenario.envs)
-          max_n max_messages;
+          (String.concat "," Rdt_fuzz.Scenario.protocols)
+          (String.concat "," Rdt_fuzz.Scenario.envs)
+          Rdt_fuzz.Scenario.max_n Rdt_fuzz.Scenario.max_messages;
         let t0 = Rdt_obs.Meter.now () in
         let mapper = { Rdt_fuzz.Fuzzer.map = (fun f xs -> Rdt_harness.Pool.map ~jobs f xs) } in
         let rep = Rdt_fuzz.Fuzzer.run ~mapper cfg in
@@ -1292,8 +1249,7 @@ let fuzz_cmd =
   in
   Cmd.v (Cmd.info "fuzz" ~doc ~man)
     Term.(
-      const action $ seed_arg $ budget_arg $ protocols_arg $ envs_arg $ max_n_arg
-      $ max_messages_arg $ jobs_arg $ mutate_arg $ out_arg $ minimize_arg)
+      const action $ seed_arg $ budget_arg $ jobs_arg $ mutate_arg $ out_arg $ minimize_arg)
 
 let list_cmd =
   let doc = "List available protocols and environments." in

@@ -28,22 +28,6 @@ type config = {
   trace : Trace.t;
 }
 
-let default_config env protocol =
-  {
-    n = 8;
-    seed = 1;
-    env;
-    protocol;
-    channel = Channel.Uniform (5, 100);
-    basic_period = (300, 700);
-    max_messages = 2000;
-    max_time = max_int / 2;
-    crashes = [];
-    faults = Faults.none;
-    transport = None;
-    trace = Trace.null;
-  }
-
 let configure ?(n = 8) ?(seed = 1) ?(messages = 2000) ?(channel = Channel.Uniform (5, 100))
     ?(basic_period = (300, 700)) ?(max_time = max_int / 2) ?(crashes = [])
     ?(faults = Faults.none) ?transport ?(trace = Trace.null) env protocol =
@@ -68,6 +52,8 @@ let configure ?(n = 8) ?(seed = 1) ?(messages = 2000) ?(channel = Channel.Unifor
     transport;
     trace;
   }
+
+let default_config env protocol = configure env protocol
 
 type recovery = {
   crash : crash;

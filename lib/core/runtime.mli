@@ -101,10 +101,8 @@ type config = {
 }
 
 val default_config : Rdt_dist.Env.t -> Protocol.t -> config
-(** 8 processes, seed 1, uniform channel delays in [\[5; 100\]], basic
-    period in [\[300; 700\]], 2000 messages, no crashes, no faults, no
-    transport, no tracing.  Fields are meant to be overridden with
-    [{ (default_config e p) with ... }]. *)
+(** [configure e p]: every field at its default.  Fields are meant to be
+    overridden with [{ (default_config e p) with ... }]. *)
 
 val configure :
   ?n:int ->
@@ -120,11 +118,12 @@ val configure :
   Rdt_dist.Env.t ->
   Protocol.t ->
   config
-(** Labelled constructor over {!default_config}: every optional argument
-    defaults to the corresponding default field, so
-    [configure ~seed ~trace env protocol] reads the same across the CLI,
-    the fuzzer and the harness.  The one exception: [faults] other than
-    {!Rdt_dist.Faults.none} without [transport] select
+(** The one statement of a run's defaults: 8 processes, seed 1, uniform
+    channel delays in [\[5; 100\]], basic period in [\[300; 700\]], 2000
+    messages, no time bound ([max_int / 2]), no crashes, no faults, no
+    transport, no tracing.  [configure ~seed ~trace env protocol] reads
+    the same across the CLI, the fuzzer and the harness.  [faults] other
+    than {!Rdt_dist.Faults.none} without [transport] select
     {!Rdt_dist.Transport.default_params}, so the run still delivers
     reliably. *)
 

@@ -8,12 +8,11 @@ let sequential = { map = List.map }
 type config = {
   seed : int;
   budget : int;
-  space : Scenario.space;
   mutation : Exec.mutation option;
 }
 
 let default_config =
-  { seed = 1; budget = 200; space = Scenario.default_space; mutation = None }
+  { seed = 1; budget = 200; mutation = None }
 
 type counts = {
   ok : int;
@@ -35,9 +34,7 @@ type failure = {
 type report = { scenarios : int; counts : counts; failure : failure option }
 
 let scenario_at cfg i =
-  Scenario.generate ~space:cfg.space
-    ~seed:(Rng.derive_seed cfg.seed (Printf.sprintf "fuzz.cell.%d" i))
-    ()
+  Scenario.generate ~seed:(Rng.derive_seed cfg.seed (Printf.sprintf "fuzz.cell.%d" i))
 
 let shrink_failure ?mutation index sc kind detail =
   let shrunk, _, stats = Shrink.minimize ?mutation sc in

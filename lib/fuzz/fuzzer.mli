@@ -16,12 +16,11 @@ type mapper = { map : 'a 'b. ('a -> 'b) -> 'a list -> 'b list }
 type config = {
   seed : int;
   budget : int;
-  space : Scenario.space;
   mutation : Exec.mutation option;
 }
 
 val default_config : config
-(** Seed 1, budget 200, {!Scenario.default_space}, no mutation. *)
+(** Seed 1, budget 200, no mutation. *)
 
 type counts = {
   ok : int;

@@ -20,24 +20,17 @@ type t = {
   crashes : crash list;
 }
 
-type space = {
-  protocols : string list;
-  envs : string list;
-  max_n : int;
-  max_messages : int;
-  fault_prob : float;
-  crash_prob : float;
-}
+let protocols = List.map Rdt_core.Protocol.name Rdt_core.Registry.rdt_protocols
 
-let default_space =
-  {
-    protocols = List.map Rdt_core.Protocol.name Rdt_core.Registry.rdt_protocols;
-    envs = Rdt_workloads.Registry.names;
-    max_n = 6;
-    max_messages = 150;
-    fault_prob = 0.6;
-    crash_prob = 0.5;
-  }
+let envs = Rdt_workloads.Registry.names
+
+let max_n = 6
+
+let max_messages = 150
+
+let fault_prob = 0.6
+
+let crash_prob = 0.5
 
 (* ------------------------------------------------------------------ *)
 (* Generation                                                          *)
@@ -45,16 +38,12 @@ let default_space =
 
 let pick rng l = Rng.pick rng (Array.of_list l)
 
-let generate ?(space = default_space) ~seed () =
-  if space.protocols = [] then invalid_arg "Scenario.generate: empty protocol list";
-  if space.envs = [] then invalid_arg "Scenario.generate: empty env list";
-  if space.max_n < 2 then invalid_arg "Scenario.generate: max_n must be >= 2";
-  if space.max_messages < 20 then invalid_arg "Scenario.generate: max_messages must be >= 20";
+let generate ~seed =
   let rng = Rng.create (Rng.derive_seed seed "fuzz.scenario") in
-  let n = Rng.int_in rng 2 space.max_n in
-  let protocol = pick rng space.protocols in
-  let env = pick rng space.envs in
-  let messages = Rng.int_in rng 20 space.max_messages in
+  let n = Rng.int_in rng 2 max_n in
+  let protocol = pick rng protocols in
+  let env = pick rng envs in
+  let messages = Rng.int_in rng 20 max_messages in
   (* rough upper bound on interesting times: enough for schedules to land
      mid-run under the default delay scales *)
   let horizon = (25 * messages) + 1000 in
@@ -71,7 +60,7 @@ let generate ?(space = default_space) ~seed () =
       ]
   in
   let faults =
-    if not (Rng.bernoulli rng space.fault_prob) then Faults.none
+    if not (Rng.bernoulli rng fault_prob) then Faults.none
     else begin
       let rate cap = if Rng.bool rng then Rng.float rng cap else 0.0 in
       let drop = rate 0.25 in
@@ -109,7 +98,7 @@ let generate ?(space = default_space) ~seed () =
   let retx_timeout = if transport then Rng.int_in rng 100 400 else 250 in
   let max_retx = if transport then Rng.int_in rng 8 25 else 25 in
   let crashes =
-    if not (Rng.bernoulli rng space.crash_prob) then []
+    if not (Rng.bernoulli rng crash_prob) then []
     else begin
       let k = Rng.int_in rng 1 3 in
       let t = ref (Rng.int_in rng 300 (max 301 (horizon / 2))) in

@@ -32,22 +32,26 @@ type t = {
   crashes : crash list;  (** in increasing [at] order *)
 }
 
-(** The space {!generate} samples from. *)
-type space = {
-  protocols : string list;
-  envs : string list;
-  max_n : int;
-  max_messages : int;
-  fault_prob : float;  (** probability a scenario injects network faults *)
-  crash_prob : float;  (** probability a scenario schedules crashes *)
-}
+(** {1 The search space}
 
-val default_space : space
-(** All RDT-guaranteeing protocols, all registry environments,
-    [max_n = 6], [max_messages = 150], faults with probability 0.6,
-    crashes with probability 0.5. *)
+    One space for every campaign, so a seed draws the same scenarios at
+    every commit.  Besides these bounds, a scenario injects network
+    faults with probability 0.6 and schedules crashes with probability
+    0.5. *)
 
-val generate : ?space:space -> seed:int -> unit -> t
+val protocols : string list
+(** Every protocol with an RDT guarantee, in {!Rdt_core.Registry} order. *)
+
+val envs : string list
+(** Every {!Rdt_workloads.Registry} environment. *)
+
+val max_n : int
+(** 6: processes are drawn in [\[2; max_n\]]. *)
+
+val max_messages : int
+(** 150: message budgets are drawn in [\[20; max_messages\]]. *)
+
+val generate : seed:int -> t
 (** Deterministic: every draw comes from a SplitMix64 stream keyed by
     [Rng.derive_seed seed "fuzz.scenario"]; the embedded [run_seed] is
     keyed separately, so the scenario's shape and its run randomness are

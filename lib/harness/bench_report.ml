@@ -21,12 +21,12 @@ let set_wall t wall = t.wall <- wall
 
 let wall t = t.wall
 
-let record_obs ?(meter = Rdt_obs.Meter.default) t =
+let record_obs t =
   t.phases <-
     List.map
       (fun (name, s) -> (name, s.Rdt_obs.Meter.calls, s.Rdt_obs.Meter.seconds))
-      (Rdt_obs.Meter.spans meter);
-  t.counters <- Rdt_obs.Meter.counters meter
+      (Rdt_obs.Meter.spans Rdt_obs.Meter.default);
+  t.counters <- Rdt_obs.Meter.counters Rdt_obs.Meter.default
 
 let cells t = List.rev t.cells
 

@@ -31,9 +31,9 @@ val set_wall : t -> float -> unit
 
 val wall : t -> float
 
-val record_obs : ?meter:Rdt_obs.Meter.t -> t -> unit
-(** Snapshot the metrics registry ({!Rdt_obs.Meter.default} unless given)
-    into the report: per-phase timer spans ([runtime.sim],
+val record_obs : t -> unit
+(** Snapshot the metrics registry {!Rdt_obs.Meter.default} into the
+    report: per-phase timer spans ([runtime.sim],
     [runtime.pattern], [checker.*], [runtime.recovery], ...) and aggregate
     counters, rendered as the [phases] and [counters] JSON sections.
     Call once, after the grid finishes. *)

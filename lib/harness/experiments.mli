@@ -23,7 +23,7 @@ type series = { label : string; points : point list }
 type figure = { xlabel : string; series : series list }
 
 type ctx = {
-  jobs : int option;  (** worker domains; {!Pool.default_jobs} when [None] *)
+  jobs : int option;  (** worker domains; 1 when [None] *)
   report : Bench_report.t option;
   seeds : int list;  (** the base seeds of every grid *)
   quick : bool;  (** smaller bench workloads *)

@@ -1,13 +1,5 @@
 let max_jobs = 128
 
-let default_jobs () =
-  match Sys.getenv_opt "RDT_JOBS" with
-  | None -> 1
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some j when j >= 1 -> min j max_jobs
-      | Some _ | None -> 1)
-
 (* Workers pull slot indices from a shared atomic counter; each slot is
    executed exactly once, and Domain.join gives the caller a
    happens-before edge over every slot's write. *)
@@ -56,8 +48,7 @@ let run_slots ~jobs slots =
     (function Failed (e, bt) -> Printexc.raise_with_backtrace e bt | Pending _ | Done _ -> ())
     slots
 
-let map_timed ?jobs f xs =
-  let jobs = match jobs with None -> default_jobs () | Some j -> j in
+let map_timed ?(jobs = 1) f xs =
   if jobs < 1 then invalid_arg "Pool.map: jobs must be >= 1";
   let slots = Array.of_list (List.map (fun x -> Pending (fun () -> f x)) xs) in
   run_slots ~jobs slots;

@@ -15,16 +15,10 @@
     index is re-raised (with its backtrace) after all workers have
     joined, so failure behaviour is also independent of scheduling. *)
 
-val default_jobs : unit -> int
-(** The [RDT_JOBS] environment variable when set to a positive integer
-    (clamped to [128]), else [1].  CLI entry points use this as the
-    default of their [--jobs] flag so CI can exercise the parallel path
-    without touching every call site. *)
-
 val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map ~jobs f xs] is [List.map f xs] computed by [min jobs
-    (length xs)] workers.  [jobs] defaults to {!default_jobs}[ ()]; values
-    [<= 1] run on the calling domain.  @raise Invalid_argument if a given
+    (length xs)] workers, and never more than 128.  [jobs] defaults to
+    [1]; values [<= 1] run on the calling domain.  @raise Invalid_argument if a given
     [jobs] is [< 1]. *)
 
 val map_timed : ?jobs:int -> ('a -> 'b) -> 'a list -> ('b * float) list

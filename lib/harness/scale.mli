@@ -48,8 +48,8 @@ val pp_result : Format.formatter -> result -> unit
     print identically are observably identical. *)
 
 val run : ?jobs:int -> params -> result
-(** Execute the workload on [jobs] domains (default
-    {!Pool.default_jobs}).  @raise Invalid_argument on invalid params. *)
+(** Execute the workload on [jobs] domains (default 1).
+    @raise Invalid_argument on invalid params. *)
 
 val run_traced : params -> result * Rdt_pattern.Pattern.t
 (** Sequential run that also materializes the checkpoint-and-

@@ -6,8 +6,8 @@ type result = {
 
 let stale_rule = "STALE"
 
-let run ?(rules = Rules.all) ?(allowlist = Allowlist.empty) ?(obs_prefixes = [ "lib/obs/" ])
-    ?(excludes = []) ?(strict_allowlist = false) paths =
+let run ?(rules = Rules.all) ?(allowlist = Allowlist.empty) ?(excludes = [])
+    ?(strict_allowlist = false) paths =
   let cmts = Loader.find_cmts ~excludes paths in
   let errors = ref [] in
   (* pass 1: load every unit, so the callgraph and the reference index
@@ -44,7 +44,7 @@ let run ?(rules = Rules.all) ?(allowlist = Allowlist.empty) ?(obs_prefixes = [ "
         if not (Allowlist.allows allowlist ~rule ~file:f.Finding.file ~line:f.Finding.line)
         then findings := f :: !findings
       in
-      let ctx = { Rule.file = u.Loader.source; obs_prefixes; env; refs; report } in
+      let ctx = { Rule.file = u.Loader.source; env; refs; report } in
       List.iter (fun (r : Rule.t) -> r.Rule.check ctx u.Loader.structure) rules)
     units;
   if strict_allowlist then

@@ -22,7 +22,6 @@ type result = {
 val run :
   ?rules:Rule.t list ->
   ?allowlist:Allowlist.t ->
-  ?obs_prefixes:string list ->
   ?excludes:string list ->
   ?strict_allowlist:bool ->
   string list ->

@@ -1,6 +1,5 @@
 type ctx = {
   file : string;  (** source path of the unit being linted *)
-  obs_prefixes : string list;  (** source prefixes subject to the A2 purity rule *)
   env : Summary.env;  (** whole-repo callgraph + function summaries (R2/S1/L1) *)
   refs : Refs.t;  (** whole-repo cross-unit references (U1) *)
   report : rule:string -> loc:Location.t -> string -> unit;

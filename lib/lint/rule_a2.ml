@@ -1,8 +1,8 @@
 (* A2 — observability purity.
 
-   Code under lib/obs/ (the prefixes are configurable so the fixture
-   suite can exercise the rule elsewhere) observes runs; it must never
-   mutate pattern or runtime state.  Rdt_obs cannot even link against
+   Code under lib/obs/ observes runs; it must never mutate pattern or
+   runtime state.  The fixture tree that tests the rule is in scope too
+   (the repo-wide lint excludes it).  Rdt_obs cannot even link against
    Rdt_core, so runtime entry points are unreachable by construction;
    what remains reachable — and is flagged here — is mutation of
    pattern-owned values: writes into the arrays the Pattern accessors
@@ -24,8 +24,10 @@ let vclock_mutators = [ "Vclock.set"; "Vclock.merge"; "Vclock.join" ]
 
 let array_writes = [ "Array.set"; "Array.unsafe_set"; "Array.fill"; "Array.blit" ]
 
+let scope = [ "lib/obs/"; "test/lint/fixtures/" ]
+
 let check (ctx : Rule.ctx) structure =
-  let applies = List.exists (fun p -> String.starts_with ~prefix:p ctx.file) ctx.obs_prefixes in
+  let applies = List.exists (fun p -> String.starts_with ~prefix:p ctx.file) scope in
   if applies then
     Scan.iter_expressions structure (fun e ->
         match e.Typedtree.exp_desc with

@@ -1,5 +1,5 @@
-(* A2 fixture: "observability" code (this directory is passed as
-   --obs-prefix by the expect test) mutating pattern-layer state. *)
+(* A2 fixture: "observability" code (rule A2 takes this directory into
+   its scope beside lib/obs/) mutating pattern-layer state. *)
 
 let scramble_events p =
   let es = Rdt_pattern.Pattern.events p 0 in

@@ -847,7 +847,7 @@ let test_event_records_of_runs () =
      framed record measures what it claims *)
   let events, _ = trace_of ~envname:"group" ~seed:3 ~messages:60 ~n:4 "bhmr" in
   let crash_events =
-    (Rdt_fuzz.Exec.run (Rdt_fuzz.Scenario.generate ~seed:5 ())).Rdt_fuzz.Exec.events
+    (Rdt_fuzz.Exec.run (Rdt_fuzz.Scenario.generate ~seed:5)).Rdt_fuzz.Exec.events
   in
   List.iter (fun ev -> ignore (roundtrips ev)) (events @ crash_events);
   let w = Codec.Writer.create () in
@@ -900,22 +900,15 @@ let crash_trace seed =
 let has_rollback = List.exists (function Trace.Rollback _ -> true | _ -> false)
 
 let test_incremental_image () =
-  let fuzz_space =
-    {
-      Rdt_fuzz.Scenario.default_space with
-      envs = [ "random"; "group"; "client-server" ];
-      crash_prob = 1.0;
-    }
-  in
   let fuzz =
     List.filter_map
-      (fun seed ->
-        let sc = Rdt_fuzz.Scenario.generate ~space:fuzz_space ~seed () in
+      (fun (sc : Rdt_fuzz.Scenario.t) ->
         let r = Rdt_fuzz.Exec.run sc in
         match r.Rdt_fuzz.Exec.events with
         | [] -> None
-        | events -> Some (Printf.sprintf "fuzz seed %d" seed, events))
-      [ 1; 2; 3; 4; 5; 6 ]
+        | events -> Some (Format.asprintf "fuzz %a" Rdt_fuzz.Scenario.pp sc, events))
+      (Rdt_test_helpers.Scenarios.first 6 (fun sc ->
+           List.mem sc.env [ "random"; "group"; "client-server" ] && sc.crashes <> []))
   in
   let crash =
     List.map (fun seed -> (Printf.sprintf "crash-run seed %d" seed, crash_trace seed)) [ 1; 2 ]

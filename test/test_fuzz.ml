@@ -40,7 +40,7 @@ let seeds k = List.init k (fun i -> i + 1)
 let test_generate_valid () =
   List.iter
     (fun seed ->
-      let sc = Scenario.generate ~seed () in
+      let sc = Scenario.generate ~seed in
       match Scenario.validate sc with
       | Ok () -> ()
       | Error e -> Alcotest.failf "seed %d: generated scenario invalid: %s" seed e)
@@ -50,11 +50,11 @@ let test_generate_pure () =
   List.iter
     (fun seed ->
       check "same seed, same scenario" true
-        (Scenario.equal (Scenario.generate ~seed ()) (Scenario.generate ~seed ())))
+        (Scenario.equal (Scenario.generate ~seed) (Scenario.generate ~seed)))
     (seeds 50);
   let sizes =
     List.sort_uniq compare
-      (List.map (fun s -> Scenario.size (Scenario.generate ~seed:s ())) (seeds 50))
+      (List.map (fun s -> Scenario.size (Scenario.generate ~seed:s)) (seeds 50))
   in
   check "seeds explore different sizes" true (List.length sizes > 5)
 
@@ -71,14 +71,14 @@ let decode s =
 let test_codec_roundtrip () =
   List.iter
     (fun seed ->
-      let sc = Scenario.generate ~seed () in
+      let sc = Scenario.generate ~seed in
       match through_file (fun path -> Scenario.to_file path sc) with
       | Ok sc' -> check "roundtrip" true (Scenario.equal sc sc')
       | Error e -> Alcotest.failf "seed %d: decode failed: %s" seed e)
     (seeds 100)
 
 let test_file_roundtrip () =
-  let sc = Scenario.generate ~seed:11 () in
+  let sc = Scenario.generate ~seed:11 in
   let path = Filename.temp_file "rdt-fuzz-test" ".json" in
   Scenario.to_file path sc;
   let back = Scenario.of_file path in
@@ -95,7 +95,7 @@ let test_decode_garbage () =
 let test_restrict () =
   List.iter
     (fun seed ->
-      let sc = Scenario.generate ~seed () in
+      let sc = Scenario.generate ~seed in
       if sc.Scenario.n > 2 then begin
         let r = Scenario.restrict sc ~n:(sc.Scenario.n - 1) in
         (match Scenario.validate r with
@@ -203,7 +203,7 @@ let first_failing mutation =
   let rec go seed =
     if seed > 500 then Alcotest.fail "no failing scenario within 500 seeds"
     else
-      let sc = Scenario.generate ~seed () in
+      let sc = Scenario.generate ~seed in
       match Exec.classify ~mutation sc with Exec.Fail _ -> sc | Exec.Pass -> go (seed + 1)
   in
   go 1
@@ -233,7 +233,7 @@ let test_mutation_hide_rollbacks () =
 let test_mutation_flip_rgraph_floor () =
   (* flip-rgraph fails every run, so the shrinker must reach the
      structural floor of the move set *)
-  let sc = Scenario.generate ~seed:1 () in
+  let sc = Scenario.generate ~seed:1 in
   let shrunk, _, _ = Shrink.minimize ~mutation:Exec.Flip_rgraph sc in
   check_int "two processes" 2 shrunk.Scenario.n;
   check_int "one message" 1 shrunk.Scenario.messages;
@@ -243,7 +243,7 @@ let test_mutation_flip_rgraph_floor () =
   check "no basic checkpoints" true (shrunk.Scenario.basic_period = (0, 0))
 
 let test_minimize_rejects_passing () =
-  let sc = Scenario.generate ~seed:3 () in
+  let sc = Scenario.generate ~seed:3 in
   match Fuzzer.minimize sc with
   | Error e -> check "explains there is nothing to do" true (e = "scenario passes all checks; nothing to minimize")
   | Ok _ -> Alcotest.fail "minimize accepted a passing scenario"

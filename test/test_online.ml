@@ -532,22 +532,24 @@ let on_every_quiescent_prefix ?(agrees = agrees_offline) events =
       | Error e -> QCheck.Test.fail_reportf "the stream's end is not a pattern: %s" e);
       !compared
 
-(* A fuzz scenario, "none" included so that violations occur, or a
-   crash run of the runtime; both carry rollbacks.  No ring or stencil:
-   some of their crash runs never end (ROADMAP item 1). *)
+(* A campaign scenario cut to at most 5 processes and 100 messages, on
+   protocol none (so that violations occur), bhmr or fdas, or a crash
+   run of the runtime; both carry rollbacks.  A ring or stencil draw runs
+   the random environment instead: some of their crash runs never end
+   (ROADMAP item 1). *)
 let shared_vector_trace seed =
   if seed mod 2 = 0 then
-    let space =
+    let sc = Rdt_fuzz.Scenario.generate ~seed in
+    let sc = Rdt_fuzz.Scenario.restrict sc ~n:(Int.min sc.n 5) in
+    let sc =
       {
-        Rdt_fuzz.Scenario.default_space with
-        protocols = [ "none"; "bhmr"; "fdas" ];
-        envs = [ "random"; "group"; "client-server"; "prodcons"; "master-worker" ];
-        max_n = 5;
-        max_messages = 100;
-        crash_prob = 0.7;
+        sc with
+        protocol = List.nth [ "none"; "bhmr"; "fdas" ] (seed / 2 mod 3);
+        env = (if List.mem sc.env [ "ring"; "stencil" ] then "random" else sc.env);
+        messages = Int.min sc.messages 100;
       }
     in
-    (Rdt_fuzz.Exec.run (Rdt_fuzz.Scenario.generate ~space ~seed ())).Rdt_fuzz.Exec.events
+    (Rdt_fuzz.Exec.run sc).Rdt_fuzz.Exec.events
   else
     let tr = Trace.ring ~capacity:50_000 in
     let p = Registry.find_exn (if seed mod 4 = 1 then "none" else "bhmr") in

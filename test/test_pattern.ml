@@ -140,19 +140,17 @@ let traced_run (sc : Rdt_fuzz.Scenario.t) =
   in
   (r.Rdt_core.Runtime.pattern, Rdt_check.Online.history eng)
 
-(* envs whose crash runs always terminate *)
-let run_scenarios ~crash_prob =
-  let space =
-    {
-      Rdt_fuzz.Scenario.default_space with
-      envs = [ "random"; "group"; "client-server" ];
-      crash_prob;
-    }
-  in
-  List.map (fun seed -> Rdt_fuzz.Scenario.generate ~space ~seed ()) [ 1; 2; 3; 4; 5; 6; 7; 8 ]
+(* the first eight campaign scenarios that [keep] accepts, on envs whose
+   crash runs always terminate *)
+let run_scenarios keep =
+  Rdt_test_helpers.Scenarios.first 8 (fun sc ->
+      List.mem sc.Rdt_fuzz.Scenario.env [ "random"; "group"; "client-server" ] && keep sc)
 
 let test_order_runs () =
-  let scenarios = run_scenarios ~crash_prob:0.0 @ run_scenarios ~crash_prob:1.0 in
+  let scenarios =
+    run_scenarios (fun sc -> sc.Rdt_fuzz.Scenario.crashes = [])
+    @ run_scenarios (fun sc -> sc.Rdt_fuzz.Scenario.crashes <> [])
+  in
   check "crash-free and crash runs" true
     (List.exists (fun sc -> sc.Rdt_fuzz.Scenario.crashes = []) scenarios
     && List.exists (fun sc -> sc.Rdt_fuzz.Scenario.crashes <> []) scenarios);
@@ -411,7 +409,7 @@ let test_tdv_dense_fixtures () =
     (Rdt_test_helpers.Fixtures.logged ());
   List.iter
     (fun sc -> check "fuzz run" true (tdv_agrees (fst (traced_run sc))))
-    (run_scenarios ~crash_prob:0.5)
+    (run_scenarios (fun _ -> true))
 
 let tdv_matches_dense =
   QCheck.Test.make ~name:"TDV shared copies = dense replay" ~count:200

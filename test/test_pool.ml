@@ -5,8 +5,8 @@
    metrics are identical under jobs 1/2/4/8, and whole experiment tables
    (including the TAB-FAULTS fault grid) and figures render
    byte-identical rows for every worker count.  Plus unit tests for
-   Pool.map itself (order, exception propagation, argument validation,
-   RDT_JOBS parsing) and for the suite registry behind [rdtsim table]. *)
+   Pool.map itself (order, exception propagation, argument validation)
+   and for the suite registry behind [rdtsim table]. *)
 
 module Pool = Rdt_harness.Pool
 module Experiments = Rdt_harness.Experiments
@@ -56,18 +56,6 @@ let test_map_exception_propagation () =
       | _ -> Alcotest.fail "expected Boom"
       | exception Boom x -> Alcotest.(check int) (Printf.sprintf "jobs=%d" jobs) 3 x)
     [ 1; 2; 8 ]
-
-let test_default_jobs_env () =
-  let with_env v f =
-    let old = Sys.getenv_opt "RDT_JOBS" in
-    Unix.putenv "RDT_JOBS" v;
-    Fun.protect f ~finally:(fun () ->
-        Unix.putenv "RDT_JOBS" (Option.value old ~default:""))
-  in
-  with_env "3" (fun () -> Alcotest.(check int) "RDT_JOBS=3" 3 (Pool.default_jobs ()));
-  with_env "0" (fun () -> Alcotest.(check int) "RDT_JOBS=0 falls back" 1 (Pool.default_jobs ()));
-  with_env "wat" (fun () -> Alcotest.(check int) "garbage falls back" 1 (Pool.default_jobs ()));
-  with_env "9999" (fun () -> Alcotest.(check int) "clamped" 128 (Pool.default_jobs ()))
 
 (* ------------------------------------------------------------------ *)
 (* Per-cell metrics: registry x environments                           *)
@@ -208,7 +196,6 @@ let () =
           Alcotest.test_case "map_timed values and timings" `Quick test_map_timed_results;
           Alcotest.test_case "invalid jobs" `Quick test_map_invalid_jobs;
           Alcotest.test_case "exception of smallest index" `Quick test_map_exception_propagation;
-          Alcotest.test_case "RDT_JOBS parsing" `Quick test_default_jobs_env;
         ] );
       ( "grid determinism",
         [

@@ -165,16 +165,16 @@ let test_interleaved_rollback_replay () =
 
 let crashing_run () =
   (* a real crashed-and-recovered execution from the fuzzer's generator:
-     reliable network (short trace), crashes guaranteed by the space *)
-  let space =
-    { Scenario.default_space with max_messages = 20; fault_prob = 0.0; crash_prob = 1.0 }
-  in
+     a campaign scenario with crashes on a reliable network, cut to 20
+     messages (a short trace) *)
   let rec go seed =
     if seed > 100 then Alcotest.fail "no crashing scenario within 100 seeds"
     else
-      let sc = Scenario.generate ~space ~seed () in
-      if sc.Scenario.crashes = [] then go (seed + 1)
+      let sc = Scenario.generate ~seed in
+      if sc.Scenario.crashes = [] || not (Rdt_dist.Faults.is_none sc.Scenario.faults) then
+        go (seed + 1)
       else
+        let sc = { sc with Scenario.messages = 20 } in
         let rep = Exec.run sc in
         let has_rollback =
           List.exists (function Trace.Rollback _ -> true | _ -> false) rep.Exec.events
