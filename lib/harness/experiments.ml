@@ -670,17 +670,21 @@ let report_bench c ~table ~protocol ~env ~seed ~seconds micros =
 (* BENCH-ONLINE: amortized per-event cost of the incremental checker    *)
 (* ------------------------------------------------------------------ *)
 
-(* The median time of five runs of [f]: one timed pass of either
-   BENCH-ONLINE figure swings by half on an idle machine, the median of
-   five does not. *)
-let median_of_5 f =
+(* The time of one run of [f]: the median of five samples of [k] runs
+   each, divided by [k].  One timed pass of either BENCH-ONLINE figure
+   swings by half on an idle machine; a pass of about a millisecond (the
+   offline check) still does in the median of five, so it is batched
+   until a sample is long beside the clock and the GC slices in it. *)
+let median_of_5 ~k f =
   let times =
     List.init 5 (fun _ ->
         let t0 = Rdt_obs.Meter.now () in
-        f ();
+        for _ = 1 to k do
+          f ()
+        done;
         Rdt_obs.Meter.now () -. t0)
   in
-  List.nth (List.sort Float.compare times) 2
+  List.nth (List.sort Float.compare times) 2 /. float_of_int k
 
 let table_online c =
   let { result = r; events; nev; baseline; _ } =
@@ -689,11 +693,13 @@ let table_online c =
   (* offline cost of one full re-check, the unit of the "re-check after
      every event" strategy the online engine replaces *)
   let off = Rdt_core.Checker.run r.Runtime.pattern in
-  let offline_s = median_of_5 (fun () -> ignore (Rdt_core.Checker.run r.Runtime.pattern)) in
+  let offline_s =
+    median_of_5 ~k:20 (fun () -> ignore (Rdt_core.Checker.run r.Runtime.pattern))
+  in
   (* online: passes of the stream, each through a fresh engine, one
      event at a time *)
   let online_s =
-    median_of_5 (fun () ->
+    median_of_5 ~k:1 (fun () ->
         let t = Rdt_check.Online.check_trace events in
         assert (Result.map Rdt_check.Online.summary t = Ok baseline))
   in
