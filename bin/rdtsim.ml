@@ -969,8 +969,9 @@ let feed_cmd =
       `P
         "The client half of $(b,rdtsim serve): opens (or reattaches to) the named stream, \
          skips the prefix the daemon already holds, streams the rest of the trace in \
-         batches of 128 events, and prints the daemon's final verdict to stdout in exactly the format of \
-         $(b,rdtsim watch) $(i,FILE) — the two outputs diff clean for the same trace.";
+         batches of 128 events, and prints the daemon's final verdict to stdout in exactly \
+         the format of $(b,rdtsim watch) $(i,FILE) — the two outputs diff clean for the same \
+         trace.";
     ]
   in
   let file_arg =

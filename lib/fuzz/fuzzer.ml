@@ -11,8 +11,7 @@ type config = {
   mutation : Exec.mutation option;
 }
 
-let default_config =
-  { seed = 1; budget = 200; mutation = None }
+let default_config = { seed = 1; budget = 200; mutation = None }
 
 type counts = {
   ok : int;

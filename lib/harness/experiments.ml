@@ -672,9 +672,9 @@ let report_bench c ~table ~protocol ~env ~seed ~seconds micros =
 
 (* The time of one run of [f]: the median of five samples of [k] runs
    each, divided by [k].  One timed pass of either BENCH-ONLINE figure
-   swings by half on an idle machine; a pass of about a millisecond (the
-   offline check) still does in the median of five, so it is batched
-   until a sample is long beside the clock and the GC slices in it. *)
+   swings by half on an idle machine.  The offline check takes about a
+   millisecond, so its samples are batched: a sample of twenty is long
+   beside the clock and spreads the GC slices that land in it. *)
 let median_of_5 ~k f =
   let times =
     List.init 5 (fun _ ->

@@ -18,8 +18,8 @@
 val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map ~jobs f xs] is [List.map f xs] computed by [min jobs
     (length xs)] workers, and never more than 128.  [jobs] defaults to
-    [1]; values [<= 1] run on the calling domain.  @raise Invalid_argument if a given
-    [jobs] is [< 1]. *)
+    [1], which runs on the calling domain.
+    @raise Invalid_argument if a given [jobs] is [< 1]. *)
 
 val map_timed : ?jobs:int -> ('a -> 'b) -> 'a list -> ('b * float) list
 (** Like {!map}, but pairs each result with the wall-clock seconds its
